@@ -286,23 +286,6 @@ fn emit_serving_json(_c: &mut Criterion) {
     };
     let rps_coalesce_off = rps_shared_at(1);
     let rps_coalesced = rps_shared_at(32);
-    // Deadline-aware coalescing: same burst, same single worker, but a
-    // short-drain worker polls ≤ 20µs for stragglers before scoring —
-    // measuring what the linger budget buys in batch depth on top of
-    // opportunistic draining (and what its bounded latency tax costs).
-    let rps_linger = {
-        let cfg = EngineConfig::builder()
-            .threads(1)
-            .max_seq(MAX_SEQ)
-            .top_k(10)
-            .queue_capacity(1024)
-            .coalesce_max(32)
-            .linger_us(20)
-            .build()
-            .expect("valid config");
-        let engine = Engine::new(Arc::clone(&frozen_shared), l, cfg).expect("valid");
-        run(&engine, &|i| shared_history_request(i, &l))
-    };
     // The stateful scenario: the same traffic twice — once as stored
     // `(user, candidates)` requests against a warmed store (view cache
     // hot after the first visit per user), once with the identical
@@ -336,7 +319,7 @@ fn emit_serving_json(_c: &mut Criterion) {
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     let json = format!(
-        "{{\n  \"bench\": \"serving\",\n  \"config\": {{ \"d\": {D}, \"max_seq\": {MAX_SEQ}, \"candidates_per_request\": {CANDIDATES}, \"engine_requests\": 256, \"coalesce_max\": 32, \"coalesce_candidates_per_request\": {COALESCE_CANDIDATES}, \"stored_users\": {STORED_USERS} }},\n  \"host_cpus\": {host_cpus},\n  \"calib_spin_us\": {:.1},\n  \"frozen_p50_latency_us\": {:.1},\n  \"frozen_fast_p50_latency_us\": {:.1},\n  \"frozen_fast_vs_exact_speedup\": {:.2},\n  \"graph_p50_latency_us\": {:.1},\n  \"frozen_vs_graph_speedup\": {:.2},\n  \"engine_rps_1_thread\": {:.0},\n  \"engine_rps_4_threads\": {:.0},\n  \"engine_rps_coalesce_off\": {:.0},\n  \"engine_rps_coalesced\": {:.0},\n  \"engine_rps_coalesced_linger_20us\": {:.0},\n  \"engine_rps_stored_cached\": {:.0},\n  \"engine_rps_stored_inline_baseline\": {:.0},\n  \"view_cache_hit_rate\": {:.3},\n  \"store_append_rps\": {:.0}\n}}\n",
+        "{{\n  \"bench\": \"serving\",\n  \"config\": {{ \"d\": {D}, \"max_seq\": {MAX_SEQ}, \"candidates_per_request\": {CANDIDATES}, \"engine_requests\": 256, \"coalesce_max\": 32, \"coalesce_candidates_per_request\": {COALESCE_CANDIDATES}, \"stored_users\": {STORED_USERS} }},\n  \"host_cpus\": {host_cpus},\n  \"calib_spin_us\": {:.1},\n  \"frozen_p50_latency_us\": {:.1},\n  \"frozen_fast_p50_latency_us\": {:.1},\n  \"frozen_fast_vs_exact_speedup\": {:.2},\n  \"graph_p50_latency_us\": {:.1},\n  \"frozen_vs_graph_speedup\": {:.2},\n  \"engine_rps_1_thread\": {:.0},\n  \"engine_rps_4_threads\": {:.0},\n  \"engine_rps_coalesce_off\": {:.0},\n  \"engine_rps_coalesced\": {:.0},\n  \"engine_rps_stored_cached\": {:.0},\n  \"engine_rps_stored_inline_baseline\": {:.0},\n  \"view_cache_hit_rate\": {:.3},\n  \"store_append_rps\": {:.0}\n}}\n",
         calib_spin.as_secs_f64() * 1e6,
         frozen_p50.as_secs_f64() * 1e6,
         frozen_fast_p50.as_secs_f64() * 1e6,
@@ -347,7 +330,6 @@ fn emit_serving_json(_c: &mut Criterion) {
         rps4,
         rps_coalesce_off,
         rps_coalesced,
-        rps_linger,
         rps_stored_cached,
         rps_stored_inline,
         cache_stats.hit_rate(),

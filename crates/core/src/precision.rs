@@ -155,7 +155,7 @@ impl QuantMatrix {
 /// Built once from a frozen model by [`FrozenSeqFm::with_precision`]; the
 /// linear-term vectors (`w_static`, `w_dynamic`, `w0`), layer norms, biases
 /// and the output projection `p` stay full `f32` — they are tiny, and the
-/// retrieval index's linear screen must be profile-independent.
+/// retrieval index's item linear partials must be profile-independent.
 pub struct FrozenParamsFast {
     pub(crate) emb_static: F16Table,
     pub(crate) emb_dynamic: F16Table,

@@ -263,26 +263,6 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Assembles a batch from instances.
-    ///
-    /// This was the panicking convenience once used by the training loops;
-    /// every in-tree caller (training included) now goes through
-    /// [`Batch::try_from_instances`] and decides explicitly how to surface
-    /// the [`BatchError`].
-    ///
-    /// # Panics
-    /// Panics if `instances` is empty or static/dynamic widths disagree.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Batch::try_from_instances` and handle the `BatchError`"
-    )]
-    pub fn from_instances(instances: &[Instance]) -> Batch {
-        match Self::try_from_instances(instances) {
-            Ok(b) => b,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Assembles a batch from instances, reporting invalid input as a value.
     ///
     /// # Errors
@@ -431,13 +411,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty batch")]
-    #[allow(deprecated)] // the deprecated constructor's contract is under test
-    fn from_instances_still_panics_on_empty() {
-        let _ = Batch::from_instances(&[]);
-    }
-
-    #[test]
     fn ragged_widths_are_reported_with_index() {
         let l = FeatureLayout { n_users: 2, n_items: 4 };
         let good = build_instance(&l, 0, 1, &[2], 3, 1.0);
@@ -450,15 +423,9 @@ mod tests {
         let mut bad_static = build_instance(&l, 1, 2, &[0], 3, 0.0);
         bad_static.static_idx.push(0);
         assert_eq!(
-            Batch::try_from_instances(&[good.clone(), bad_static]),
+            Batch::try_from_instances(&[good, bad_static]),
             Err(BatchError::RaggedStatic { index: 1, expected: 2, got: 3 })
         );
-        // The Ok path matches the (deprecated) panicking constructor.
-        let ok = Batch::try_from_instances(std::slice::from_ref(&good)).unwrap();
-        #[allow(deprecated)]
-        let direct = Batch::from_instances(std::slice::from_ref(&good));
-        assert_eq!(ok.static_idx, direct.static_idx);
-        assert_eq!(ok.dyn_idx, direct.dyn_idx);
     }
 
     #[test]

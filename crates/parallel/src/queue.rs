@@ -115,25 +115,6 @@ impl<T> WorkerHandle<T> {
     pub fn recv_many(&self, max: usize, out: &mut Vec<T>) -> bool {
         self.shared.pop_many_or_park(self.me, max.max(1), out)
     }
-
-    /// Non-blocking top-up: appends up to `max` already-queued items (own
-    /// shard first, then stealing) and returns how many were taken — zero
-    /// when the queue is momentarily empty. Never parks, so a worker holding
-    /// a partial batch can poll for late-arriving siblings under a linger
-    /// deadline without risking a stall.
-    pub fn try_recv_many(&self, max: usize, out: &mut Vec<T>) -> usize {
-        let mut taken = 0;
-        while taken < max {
-            match self.shared.try_pop(self.me) {
-                Some(item) => {
-                    out.push(item);
-                    taken += 1;
-                }
-                None => break,
-            }
-        }
-        taken
-    }
 }
 
 #[cfg(test)]
@@ -267,22 +248,6 @@ mod tests {
         let mut empty = Vec::new();
         assert!(!h.recv_many(4, &mut empty), "closed + drained must return false");
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn try_recv_many_never_blocks_and_reports_count() {
-        let (q, handles) = WorkQueue::<usize>::new(2);
-        let h = &handles[1];
-        let mut out = Vec::new();
-        assert_eq!(h.try_recv_many(4, &mut out), 0, "empty queue: immediate zero");
-        for i in 0..5 {
-            q.push(i);
-        }
-        assert_eq!(h.try_recv_many(4, &mut out), 4);
-        assert_eq!(h.try_recv_many(4, &mut out), 1, "takes the remainder, no blocking");
-        assert_eq!(h.try_recv_many(4, &mut out), 0);
-        out.sort_unstable();
-        assert_eq!(out, (0..5).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,7 +1,5 @@
-//! Blocked full-catalog scans with an exact upper-bound prune and an
-//! adaptive, statistics-driven speculative phase on top of it.
+//! Blocked full-catalog scans with an exact upper-bound prune.
 
-use crate::stats::ScanStats;
 use crate::topk::{ScoredItem, TopK};
 use seqfm_core::{FrozenSeqFm, HistoryView, ItemBlockStats, Scratch};
 use seqfm_data::{Batch, FeatureLayout};
@@ -31,8 +29,8 @@ impl fmt::Display for RetrievalError {
 
 impl std::error::Error for RetrievalError {}
 
-/// Default accumulated-widening budget (in logits) for delta rebuilds —
-/// see [`CatalogIndex::rebuild_for_with`]. Small against the adversarial
+/// Accumulated-widening budget (in logits) for delta rebuilds — see
+/// [`CatalogIndex::rebuild_for`]. Small against the adversarial
 /// bound's typical slack, so reused envelopes cost almost no prune quality,
 /// yet large against the per-publish drift of an incremental training step,
 /// so long publish chains keep reusing most blocks.
@@ -50,17 +48,8 @@ pub struct Retrieval {
     pub blocks_pruned: usize,
     /// Items that went through the forward pass.
     pub items_scored: usize,
-    /// Items inside surviving blocks skipped by the per-item screen —
-    /// speculatively at first, every skip later either repaired (moved into
-    /// [`Retrieval::items_scored`]) or soundly confirmed, so the count is
-    /// honest: exactly the surviving-block items that never went through
-    /// the forward pass (always 0 for brute-force scans).
-    pub items_screened: usize,
-    /// Repair-pass units (speculatively skipped blocks or screened block
-    /// suffixes) that were re-scored to restore exactness. `0` when the
-    /// speculation never over-skipped — e.g. on a cold index with no
-    /// observed statistics, where the scan degrades to the plain sound
-    /// bound-ordered sweep.
+    /// Always 0: kept only until the repo benchmark's
+    /// `retrieval.blocks_repaired` counter is retired in its own benchmark PR.
     pub blocks_repaired: usize,
 }
 
@@ -74,17 +63,6 @@ impl Retrieval {
             self.blocks_pruned as f64 / total as f64
         }
     }
-
-    /// Fraction of *surviving-block* items the per-item linear screen
-    /// skipped, in `[0, 1]` — pruning finer than the block bound alone.
-    pub fn screen_rate(&self) -> f64 {
-        let total = self.items_scored + self.items_screened;
-        if total == 0 {
-            0.0
-        } else {
-            self.items_screened as f64 / total as f64
-        }
-    }
 }
 
 /// Per-worker scan state: one scratch, one reusable expansion batch, one
@@ -95,11 +73,6 @@ struct Slot {
     out: Vec<f32>,
     top: TopK,
     items_scored: usize,
-    /// Blocks this worker ran the forward pass over (≥ 1 item scored).
-    blocks_scored: usize,
-    /// Speculative skips awaiting the repair pass: `(block, suffix start)` —
-    /// `start == 0` means the whole block was skipped.
-    deferred: Vec<(usize, usize)>,
 }
 
 impl Slot {
@@ -110,8 +83,6 @@ impl Slot {
             out: Vec::new(),
             top: TopK::new(k),
             items_scored: 0,
-            blocks_scored: 0,
-            deferred: Vec::new(),
         }
     }
 }
@@ -136,6 +107,9 @@ impl Slot {
 /// contains no member of the final top-K, and block composition never
 /// perturbs surviving logits (per-row arithmetic is batch-independent), so
 /// pruned retrieval is bit-identical to [`CatalogIndex::retrieve_brute`].
+///
+/// The index is immutable once built: a retrieval is a pure function of
+/// `(index, view, k, workers)`.
 pub struct CatalogIndex {
     model: Arc<FrozenSeqFm>,
     layout: FeatureLayout,
@@ -148,9 +122,6 @@ pub struct CatalogIndex {
     /// attention-free partial score, precomputed at build. Indexed by item
     /// id, not by `order` position.
     lin_item: Vec<f32>,
-    /// Observed per-block score maxima, fed back into the scan as the
-    /// speculative skip threshold (advisory — see [`ScanStats`]).
-    scan_stats: ScanStats,
     /// Accumulated per-block envelope widening from delta rebuilds (zero
     /// for freshly computed envelopes); once it would exceed the rebuild
     /// tolerance the block's envelope is recomputed exactly.
@@ -177,9 +148,8 @@ impl CatalogIndex {
         });
         let stats: Vec<ItemBlockStats> =
             order.chunks(block).map(|items| model.item_block_stats(&layout, items)).collect();
-        let scan_stats = ScanStats::new(model.epoch(), stats.len());
         let slack = vec![0.0; stats.len()];
-        CatalogIndex { model, layout, block, order, stats, lin_item, scan_stats, slack }
+        CatalogIndex { model, layout, block, order, stats, lin_item, slack }
     }
 
     /// Re-anchors this index on a freshly published model revision,
@@ -187,29 +157,35 @@ impl CatalogIndex {
     /// per-block bound envelopes — while **reusing the existing block
     /// membership** instead of re-cutting the catalog from scratch.
     ///
-    /// Correctness never depends on *which* items share a block: bounds and
-    /// screens are recomputed for the new model over the blocks as they
-    /// stand, so pruned retrieval on the rebuilt index stays bit-identical
-    /// to brute force. Two ordering properties matter differently:
-    ///
-    /// * **Within a block**, the per-item screen cuts a suffix and is only
-    ///   sound over lin-descending items — so each block *is* re-sorted by
-    ///   the new `lin°(c)` (cheap: `block · log block` per block).
-    /// * **Across blocks**, the grouping of similar linear weights is purely
-    ///   a prune-*quality* lever; after an incremental training step the
-    ///   weights moved little, so the stale grouping stays close to optimal.
-    ///   It degrades gradually over many swaps — re-sort lazily by paying
-    ///   for a full [`CatalogIndex::build`] off-peak when the observed
-    ///   [`Retrieval::prune_rate`] drifts down.
+    /// Correctness never depends on *which* items share a block: bounds are
+    /// recomputed for the new model over the blocks as they stand, so pruned
+    /// retrieval on the rebuilt index stays bit-identical to brute force.
+    /// The grouping of similar linear weights is purely a prune-*quality*
+    /// lever; after an incremental training step the weights moved little,
+    /// so the stale grouping stays close to optimal. It degrades gradually
+    /// over many swaps — re-sort lazily by paying for a full
+    /// [`CatalogIndex::build`] off-peak when the observed
+    /// [`Retrieval::prune_rate`] drifts down.
     ///
     /// The layout and block size carry over; `model` must be trained for the
-    /// same [`FeatureLayout`]. Observed scan statistics are carried onto the
-    /// rebuilt index (block membership is preserved, so they keep meaning;
-    /// they describe the previous epoch's scores, which the repair pass
-    /// makes safe).
+    /// same [`FeatureLayout`].
     ///
-    /// This is a **delta** rebuild at the default tolerance — see
-    /// [`CatalogIndex::rebuild_for_with`].
+    /// This is a **delta** rebuild: a block whose envelope provably moved
+    /// less than a fixed tolerance (accumulated across consecutive delta
+    /// rebuilds) **keeps its existing envelope, widened** by a sound
+    /// per-coordinate drift bound instead of re-running the V-projection
+    /// over its items — an `O(block·d)` touch instead of `O(block·d²)` (see
+    /// `FrozenSeqFm::block_envelope_drift`). Per-item linear partials are
+    /// always recomputed exactly (cheap table reads), as is each block's
+    /// `lin_max`.
+    ///
+    /// Soundness: the widened envelope contains every new-model V row by the
+    /// drift bound, so block upper bounds stay sound. Widening only ever
+    /// *loosens* bounds — the tolerance caps how much prune quality a chain
+    /// of delta rebuilds may give up before a block pays for an exact
+    /// recompute. Blocks whose drift cannot be bounded (incompatible
+    /// geometry or ablation between the models, non-finite drift) are
+    /// recomputed exactly.
     pub fn rebuild_for(&self, model: Arc<FrozenSeqFm>) -> CatalogIndex {
         self.rebuild_for_with(model, DELTA_TOLERANCE)
     }
@@ -221,35 +197,14 @@ impl CatalogIndex {
         self.rebuild_for_with(model, 0.0)
     }
 
-    /// Delta rebuild: like [`CatalogIndex::rebuild_for`], but a block whose
-    /// envelope provably moved less than `tolerance` (accumulated across
-    /// consecutive delta rebuilds) **keeps its existing envelope, widened**
-    /// by a sound per-coordinate drift bound instead of re-running the
-    /// V-projection over its items — an `O(block·d)` touch instead of
-    /// `O(block·d²)` (see `FrozenSeqFm::block_envelope_drift`). Per-item
-    /// linear partials are always recomputed exactly (cheap table reads),
-    /// as is each block's `lin_max`.
-    ///
-    /// Soundness: the widened envelope contains every new-model V row by the
-    /// drift bound, so block upper bounds stay sound and pruned retrieval on
-    /// the rebuilt index stays bit-identical to brute force. Widening only
-    /// ever *loosens* bounds — the tolerance caps how much prune quality a
-    /// chain of delta rebuilds may give up before a block pays for an exact
-    /// recompute (`tolerance == 0` disables reuse entirely). Blocks whose
-    /// drift cannot be bounded (incompatible geometry or ablation between
-    /// the models, non-finite drift) are recomputed exactly.
-    pub fn rebuild_for_with(&self, model: Arc<FrozenSeqFm>, tolerance: f32) -> CatalogIndex {
+    /// `tolerance == 0` disables envelope reuse entirely.
+    fn rebuild_for_with(&self, model: Arc<FrozenSeqFm>, tolerance: f32) -> CatalogIndex {
         let n = self.layout.n_items as u32;
         let lin_item: Vec<f32> = (0..n).map(|c| model.item_linear(&self.layout, c)).collect();
-        let mut order = self.order.clone();
-        for chunk in order.chunks_mut(self.block) {
-            chunk.sort_by(|&a, &b| {
-                lin_item[b as usize].total_cmp(&lin_item[a as usize]).then(a.cmp(&b))
-            });
-        }
         let probe = if tolerance > 0.0 { model.envelope_drift(&self.model) } else { None };
         let mut slack = Vec::with_capacity(self.stats.len());
-        let stats: Vec<ItemBlockStats> = order
+        let stats: Vec<ItemBlockStats> = self
+            .order
             .chunks(self.block)
             .enumerate()
             .map(|(bi, items)| {
@@ -267,15 +222,13 @@ impl CatalogIndex {
                 model.item_block_stats(&self.layout, items)
             })
             .collect();
-        let scan_stats = ScanStats::carry_from(&self.scan_stats, model.epoch());
         CatalogIndex {
             model,
             layout: self.layout,
             block: self.block,
-            order,
+            order: self.order.clone(),
             stats,
             lin_item,
-            scan_stats,
             slack,
         }
     }
@@ -324,13 +277,6 @@ impl CatalogIndex {
         self.lin_item[item as usize]
     }
 
-    /// The index's observed scan statistics (shared, atomically updated by
-    /// every retrieval). Exposed so callers can inspect, warm, or — in
-    /// tests — adversarially poison the speculation.
-    pub fn scan_stats(&self) -> &ScanStats {
-        &self.scan_stats
-    }
-
     fn validate(&self, user: u32, view: &HistoryView, k: usize) -> Result<usize, RetrievalError> {
         if k == 0 {
             return Err(RetrievalError::BadConfig {
@@ -351,46 +297,18 @@ impl CatalogIndex {
         Ok(k.min(self.layout.n_items))
     }
 
-    /// The per-item screen's cut position over `items` (which must be
-    /// lin-descending, as every block prefix/suffix is): the index of the
-    /// first item whose bound `nonlin + lin°(c)` falls **strictly below**
-    /// `thr` — everything from there on is skipped in one cut.
-    ///
-    /// The screen's decomposition: a block bound splits as
-    /// `bound = N + lin_max` with `N` bounding everything except the
-    /// candidate's own linear weight, so `nonlin = bound − lin_max` plus
-    /// `lin°(c)` bounds item `c` alone and descends along the items. With
-    /// the *sound* block bound for `nonlin` the cut is sound (none of the
-    /// screened items can enter the final top-K — the block-prune argument,
-    /// per item); with the *observed-max* statistic it is speculative and
-    /// the cut suffix must go through the repair pass. The comparison runs
-    /// in `f64`, whose rounding is dwarfed by the sound bound's built-in
-    /// slack; a NaN `nonlin` or `thr` makes every comparison false and
-    /// disables the screen, soundly.
-    fn screen_cut(&self, items: &[u32], nonlin: f64, thr: f64) -> usize {
-        items
-            .iter()
-            .position(|&c| (nonlin + self.lin_item[c as usize] as f64) < thr)
-            .unwrap_or(items.len())
-    }
-
-    /// Scores `items` (any block prefix/suffix) with `model` into `slot`,
-    /// offers every logit to the slot's top-K shard, and returns the best
-    /// logit seen (`-inf` when `items` is empty). Per-row arithmetic is
-    /// batch-composition independent, so a suffix scored here is
-    /// bit-identical to the same rows scored as part of the whole block.
-    fn score_items(
+    /// Scores block `bi` with `model` into `slot` and offers every logit to
+    /// the slot's top-K shard.
+    fn score_block(
         &self,
         model: &FrozenSeqFm,
         user: u32,
         view: &HistoryView,
-        items: &[u32],
+        bi: usize,
         slot: &mut Slot,
-    ) -> f32 {
+    ) {
+        let items = self.block_items(bi);
         slot.items_scored += items.len();
-        if items.is_empty() {
-            return f32::NEG_INFINITY;
-        }
         slot.out.clear();
         model.score_catalog_into(
             &self.layout,
@@ -401,14 +319,9 @@ impl CatalogIndex {
             &mut slot.scratch,
             &mut slot.out,
         );
-        let mut best = f32::NEG_INFINITY;
         for (&item, &score) in items.iter().zip(&slot.out) {
             slot.top.push(ScoredItem { item, score });
-            if score > best {
-                best = score;
-            }
         }
-        best
     }
 
     /// Full catalog scan on the global thread pool. See
@@ -448,7 +361,7 @@ impl CatalogIndex {
     /// index's own — the hot-swap fallback: while a fresh model revision is
     /// published but this index's candidate-side partials still describe the
     /// retired one, the engine serves retrieval through this path (no bound,
-    /// no screen, nothing model-stale consulted), so swaps never block and
+    /// nothing model-stale consulted), so swaps never block and
     /// never serve old-model logits. `view` must have been built by `model`.
     ///
     /// # Errors
@@ -477,18 +390,10 @@ impl CatalogIndex {
         let workers = pool.workers().min(n_blocks).max(1);
         let mut slots: Vec<Slot> = (0..workers).map(|_| Slot::new(k_eff)).collect();
         let spans = partition(n_blocks, workers);
-        // A brute scan sees every true block maximum — feed them into the
-        // scan statistics for free, but only when scoring with the index's
-        // own model (the hot-swap fallback scores a foreign epoch whose
-        // maxima describe a different model).
-        let record = Arc::ptr_eq(model, &self.model);
         par_units(pool, &mut slots, 1, |first, chunk| {
             for (s, slot) in chunk.iter_mut().enumerate() {
                 for bi in spans[first + s].clone() {
-                    let best = self.score_items(model, user, view, self.block_items(bi), slot);
-                    if record {
-                        self.scan_stats.record(bi, best);
-                    }
+                    self.score_block(model, user, view, bi, slot);
                 }
             }
         });
@@ -503,7 +408,6 @@ impl CatalogIndex {
             blocks_scored: n_blocks,
             blocks_pruned: 0,
             items_scored,
-            items_screened: 0,
             blocks_repaired: 0,
         })
     }
@@ -523,45 +427,19 @@ impl CatalogIndex {
         self.retrieve_in(user, view, k, global())
     }
 
-    /// Top-K retrieval: a best-first **speculative** scan over observed
-    /// score statistics, made exact by a **sound repair pass**.
+    /// Exact top-K by one bound-ordered pass: blocks are visited in
+    /// descending order of their sound upper bound, in waves of one block
+    /// per worker, and the scan stops at the first block whose bound falls
+    /// **strictly** below the running k-th best score — bounds only descend
+    /// from there and the threshold only rises, so the whole tail provably
+    /// holds no member of the final top-K. The threshold is frozen per wave,
+    /// which makes the set of scored blocks — not just the result — a
+    /// function of `(index, view, k, workers)` alone.
     ///
-    /// **Phase one** visits blocks best-first by a per-block key — the best
-    /// score ever *observed* in the block ([`ScanStats`]) where one exists,
-    /// the sound upper bound otherwise — so the running k-th threshold
-    /// tightens as fast as the statistics can steer it. Once the top-K is
-    /// full, three skips apply at each visit, keys descending throughout:
-    ///
-    /// * `sound bound < threshold` — the classic exact prune: provably out,
-    ///   never revisited;
-    /// * `key < threshold` — every remaining block's key is also below the
-    ///   threshold, so the whole tail is skipped *speculatively* (an
-    ///   observed maximum is not a bound — a block may hide a better item
-    ///   it never showed) and handed to the repair pass;
-    /// * inside a scored block with a statistic, the per-item screen runs
-    ///   with the **speculative** decomposition `stat − lin_max + lin°(c)`
-    ///   (`screen_cut`), cutting a suffix that is likewise
-    ///   handed to the repair pass. Without a statistic the screen is
-    ///   skipped entirely — the sound variant's fire rate was measured at
-    ///   ~0% (the adversarial bound sits far above typical scores), so it
-    ///   only burned comparisons.
-    ///
-    /// **Repair** restores exactness: every speculatively skipped unit — a
-    /// whole tail block or a screened suffix — carries a *sound* upper
-    /// bound (the block bound, or its per-item decomposition at the
-    /// suffix's first, lin-largest item). Units are re-examined in
-    /// descending sound-bound order against the current threshold, scoring
-    /// survivors serially (each result immediately tightens the threshold)
-    /// until the first unit whose sound bound falls strictly below it —
-    /// at which point every remaining unit is provably out, because unit
-    /// bounds only descend and the threshold only rises. On exit, every
-    /// block either was scored, or has a sound certificate that it cannot
-    /// contribute — so the result is **exactly** the brute-force top-K,
-    /// bit-identical ids and logits, at any worker count and under
-    /// arbitrarily wrong statistics (wrong stats only shift work between
-    /// the phases). A cold index (no statistics) degrades to PR 7's sound
-    /// bound-ordered scan: keys equal bounds, nothing is speculative, the
-    /// repair pass is empty.
+    /// The result is **exactly** the brute-force top-K, bit-identical ids and
+    /// logits, at any worker count. How much is skipped depends on how far
+    /// the bounds spread: a flat catalog prunes nothing and degrades to the
+    /// brute scan plus one bound pass.
     ///
     /// # Errors
     /// [`RetrievalError::BadConfig`] for `k == 0`, an unknown user, or an
@@ -575,29 +453,17 @@ impl CatalogIndex {
     ) -> Result<Retrieval, RetrievalError> {
         let k_eff = self.validate(user, view, k)?;
         let q = self.model.query_bounds(&self.layout, user, view);
-        // Sound per-block bounds, NaN (degenerate parameters) mapped to
-        // +inf: an unbounded block can never be pruned, speculatively
-        // skipped without repair, or dropped by the repair cutoff — NaN
-        // disables pruning, soundly, and keeps every ordering total.
-        let sound: Vec<f32> = self
+        // (block, bound), best bound first; index breaks bound ties so the
+        // visit order is deterministic. A NaN bound (degenerate parameters)
+        // maps to +inf: an unbounded block sorts first and can never be
+        // pruned — NaN disables pruning, soundly.
+        let mut order: Vec<(usize, f32)> = self
             .stats
             .iter()
-            .map(|st| {
+            .enumerate()
+            .map(|(bi, st)| {
                 let b = self.model.block_upper_bound(&q, st);
-                if b.is_nan() {
-                    f32::INFINITY
-                } else {
-                    b
-                }
-            })
-            .collect();
-        // (block, key, statistic): best key first, index tiebreak for a
-        // deterministic visit order. Statistics are never NaN (ScanStats
-        // rejects them), so keys are NaN-free.
-        let mut order: Vec<(usize, f32, Option<f32>)> = (0..self.stats.len())
-            .map(|bi| {
-                let stat = self.scan_stats.observed_max(bi);
-                (bi, stat.unwrap_or(sound[bi]), stat)
+                (bi, if b.is_nan() { f32::INFINITY } else { b })
             })
             .collect();
         order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -607,154 +473,34 @@ impl CatalogIndex {
         let mut slots: Vec<Slot> = (0..workers).map(|_| Slot::new(k_eff)).collect();
         let mut top = TopK::new(k_eff);
         let mut pos = 0usize;
-        let mut wave: Vec<(usize, Option<f32>)> = Vec::with_capacity(workers);
-        let mut reached_tail = false;
-        while pos < n_blocks && !reached_tail {
-            // The threshold is frozen per wave (it only ever rises, so a
-            // skip decided against this snapshot stays valid forever).
-            let thr = top.threshold();
-            wave.clear();
-            while pos < n_blocks && wave.len() < workers {
-                let (bi, key, stat) = order[pos];
-                if let Some(t) = thr {
-                    if key < t {
-                        // Keys only descend: the whole tail is skipped —
-                        // speculatively where the key was a statistic — and
-                        // goes to the repair pass. (Dispatch the wave built
-                        // so far first.)
-                        reached_tail = true;
-                        break;
-                    }
-                    if sound[bi] < t {
-                        // Sound prune at visit time: provably out, no
-                        // repair needed. (Possible despite `key >= t` when
-                        // a carried or poisoned statistic exceeds the sound
-                        // bound.)
-                        pos += 1;
-                        continue;
-                    }
+        while pos < n_blocks {
+            let mut wave = &order[pos..(pos + workers).min(n_blocks)];
+            // The threshold is frozen per wave. A NaN threshold (fewer than k
+            // real scores so far) compares false and prunes nothing.
+            if let Some(thr) = top.threshold() {
+                if let Some(cut) = wave.iter().position(|&(_, bound)| bound < thr) {
+                    wave = &wave[..cut];
                 }
-                wave.push((bi, stat));
-                pos += 1;
             }
             if wave.is_empty() {
-                continue;
+                break;
             }
-            let wave = &wave[..];
             par_units(pool, &mut slots[..wave.len()], 1, |first, chunk| {
                 for (s, slot) in chunk.iter_mut().enumerate() {
-                    let (bi, stat) = wave[first + s];
-                    let items = self.block_items(bi);
-                    // The speculative per-item screen needs a statistic and
-                    // a threshold; with either missing the block is scored
-                    // whole.
-                    let keep = match (stat, thr) {
-                        (Some(stat), Some(t)) => {
-                            let nonlin = stat as f64 - self.stats[bi].lin_max as f64;
-                            self.screen_cut(items, nonlin, t as f64)
-                        }
-                        _ => items.len(),
-                    };
-                    if keep < items.len() {
-                        slot.deferred.push((bi, keep));
-                    }
-                    if keep > 0 {
-                        slot.blocks_scored += 1;
-                        let best = self.score_items(&self.model, user, view, &items[..keep], slot);
-                        self.scan_stats.record(bi, best);
-                    }
+                    self.score_block(&self.model, user, view, wave[first + s].0, slot);
                 }
             });
             for slot in &mut slots[..wave.len()] {
                 top.absorb(std::mem::replace(&mut slot.top, TopK::new(k_eff)));
             }
-        }
-
-        // Repair units: the unvisited tail (whole blocks, bounded by their
-        // sound block bound) plus every speculatively screened suffix
-        // (bounded by the sound per-item decomposition at its first —
-        // lin-largest — item). Bounds in f64, like the screen comparisons.
-        let mut units: Vec<(usize, usize, f64)> =
-            order[pos..].iter().map(|&(bi, _, _)| (bi, 0, sound[bi] as f64)).collect();
-        for slot in &mut slots {
-            for (bi, start) in slot.deferred.drain(..) {
-                let first = self.block_items(bi)[start];
-                let ub = sound[bi] as f64 - self.stats[bi].lin_max as f64
-                    + self.lin_item[first as usize] as f64;
-                units.push((bi, start, ub));
-            }
-        }
-        units.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
-
-        // The repair pass runs serially: each repaired unit immediately
-        // tightens the threshold for the next, and serial order keeps the
-        // amount of repair work deterministic for a given statistics state
-        // (results are bit-exact regardless).
-        let mut items_screened = 0usize;
-        let mut blocks_repaired = 0usize;
-        for i in 0..units.len() {
-            let (bi, start, ub) = units[i];
-            let thr = top.threshold();
-            if let Some(t) = thr {
-                if ub < t as f64 {
-                    // Unit bounds only descend and the threshold only
-                    // rises: every remaining unit is provably below the
-                    // final threshold. Their screened suffixes stay
-                    // skipped; wholly unvisited blocks count as pruned.
-                    for &(bj, sj, _) in &units[i..] {
-                        if sj > 0 {
-                            items_screened += self.block_items(bj).len() - sj;
-                        }
-                    }
-                    break;
-                }
-            }
-            let items = &self.block_items(bi)[start..];
-            // Within a repaired unit the *sound* per-item screen applies —
-            // its cut is a certificate, not a speculation, so the screened
-            // sub-suffix needs no further repair.
-            let keep = match thr {
-                Some(t) => {
-                    let nonlin = sound[bi] as f64 - self.stats[bi].lin_max as f64;
-                    self.screen_cut(items, nonlin, t as f64)
-                }
-                None => items.len(),
-            };
-            if keep > 0 {
-                blocks_repaired += 1;
-                let s0 = &mut slots[0];
-                if start == 0 {
-                    // First forward pass this block sees — a suffix unit's
-                    // block was already counted when its prefix was scored
-                    // in phase one.
-                    s0.blocks_scored += 1;
-                }
-                let best = self.score_items(&self.model, user, view, &items[..keep], s0);
-                self.scan_stats.record(bi, best);
-                top.absorb(std::mem::replace(&mut slots[0].top, TopK::new(k_eff)));
-            }
-            if start > 0 || keep > 0 {
-                // The block survives (some of it was scored); the rest of
-                // the unit is screened for good. A wholly unscored block
-                // (`start == 0 && keep == 0`) is pruned instead — its items
-                // count nowhere, exactly like a bound-pruned block's.
-                items_screened += items.len() - keep;
-            }
-        }
-
-        let mut items_scored = 0usize;
-        let mut blocks_scored = 0usize;
-        for slot in &slots {
-            items_scored += slot.items_scored;
-            blocks_scored += slot.blocks_scored;
+            pos += wave.len();
         }
         Ok(Retrieval {
             items: top.into_sorted(),
-            blocks_scored,
-            blocks_pruned: n_blocks - blocks_scored,
-            items_scored,
-            items_screened,
-            blocks_repaired,
+            blocks_scored: pos,
+            blocks_pruned: n_blocks - pos,
+            items_scored: slots.iter().map(|slot| slot.items_scored).sum(),
+            blocks_repaired: 0,
         })
     }
 }

@@ -16,25 +16,18 @@
 //!   shards merge under a total order (descending score by `total_cmp`,
 //!   item-id tiebreak, NaN last), so results are bit-identical at any
 //!   worker count.
-//! * [`CatalogIndex::retrieve`] — the sublinear path: an adaptive
-//!   **two-phase scan**. Phase one visits blocks best-first by the best
-//!   score ever *observed* in each block ([`ScanStats`], falling back to
-//!   the sound upper bound where nothing was observed) and skips
-//!   speculatively against the running k-th threshold; a **sound repair
-//!   pass** then re-scores every skipped unit whose sound bound (see
-//!   [`seqfm_core::bounds`]) still clears the threshold. The speculation
-//!   steers *work*; only the sound bound ever *excludes* — so retrieval
-//!   returns the **exact** brute-force top-K (same ids, same logit bits)
-//!   even under stale or adversarially wrong statistics, while the
-//!   effective skip rate tracks observed scores instead of the adversarial
-//!   envelope.
+//! * [`CatalogIndex::retrieve`] — the pruned path: one pass over the blocks
+//!   in descending order of their sound upper bound (see
+//!   [`seqfm_core::bounds`]), stopping at the first block whose bound falls
+//!   strictly below the running k-th best score. Only the sound bound ever
+//!   excludes a block, so retrieval returns the **exact** brute-force top-K
+//!   (same ids, same logit bits), and the index is immutable after build: a
+//!   retrieval is a pure function of `(index, view, k, workers)`.
 
 pub mod index;
-pub mod stats;
 pub mod topk;
 
 pub use index::{CatalogIndex, Retrieval, RetrievalError};
-pub use stats::ScanStats;
 pub use topk::{rank_cmp, ScoredItem, TopK};
 
 #[cfg(test)]
@@ -56,20 +49,36 @@ mod tests {
     /// skew (hot head, long negative tail) — the regime where the
     /// upper-bound prune actually fires.
     fn setup_with(n_items: usize, seed: u64, spread: bool) -> (Arc<FrozenSeqFm>, FeatureLayout) {
+        setup_tuned(n_items, seed, |ps, layout| {
+            if spread {
+                set_item_linear(ps, layout, |c| {
+                    2.0 - 24.0 * ((c as f32 + 1.0) / n_items as f32).sqrt()
+                });
+            }
+        })
+    }
+
+    /// A d = 8 model whose parameters `tune` may overwrite before freezing.
+    fn setup_tuned(
+        n_items: usize,
+        seed: u64,
+        tune: impl FnOnce(&mut ParamStore, &FeatureLayout),
+    ) -> (Arc<FrozenSeqFm>, FeatureLayout) {
         let layout = FeatureLayout { n_users: 5, n_items };
         let cfg = SeqFmConfig { d: 8, max_seq: 6, dropout: 0.0, ..Default::default() };
         let mut ps = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let model = SeqFm::new(&mut ps, &mut rng, &layout, cfg);
-        if spread {
-            let id = ps.id_of("seqfm.w_static.table").expect("item linear table");
-            let w = ps.value_mut(id).data_mut();
-            for c in 0..n_items {
-                let r = (c as f32 + 1.0) / n_items as f32;
-                w[layout.n_users + c] = 2.0 - 24.0 * r.sqrt();
-            }
-        }
+        tune(&mut ps, &layout);
         (Arc::new(FrozenSeqFm::freeze(&model, &ps)), layout)
+    }
+
+    fn set_item_linear(ps: &mut ParamStore, layout: &FeatureLayout, lin: impl Fn(usize) -> f32) {
+        let id = ps.id_of("seqfm.w_static.table").expect("item linear table");
+        let w = ps.value_mut(id).data_mut();
+        for c in 0..layout.n_items {
+            w[layout.n_users + c] = lin(c);
+        }
     }
 
     fn view_for(
@@ -80,6 +89,14 @@ mod tests {
     ) -> seqfm_core::HistoryView {
         let inst = build_instance(layout, user, 0, hist, 6, 0.0);
         model.history_view(&inst.dyn_idx, &mut Scratch::new())
+    }
+
+    fn assert_items_bit_equal(want: &Retrieval, got: &Retrieval) {
+        assert_eq!(want.items.len(), got.items.len());
+        for (w, g) in want.items.iter().zip(&got.items) {
+            assert_eq!(w.item, g.item);
+            assert_eq!(w.score.to_bits(), g.score.to_bits());
+        }
     }
 
     #[test]
@@ -119,51 +136,59 @@ mod tests {
         }
     }
 
-    /// Worst case for the speculation: a perfectly flat catalog (every item
-    /// linear weight identical) gives the bound-order nothing to work with.
-    /// A *cold* index must degrade exactly to the plain sound scan — no
-    /// speculative skips, so no repair work — and stay bit-exact; a *warm*
-    /// index may reorder work but can never score more items than the
-    /// catalog holds (each block's forward passes cover disjoint items).
+    /// Worst case for the bound order: a perfectly flat catalog (every item
+    /// linear weight identical) gives it nothing to work with. The scan must
+    /// degrade to the brute one and stay bit-exact.
     #[test]
     fn flat_catalog_degrades_to_the_sound_scan_without_repair_overhead() {
-        let layout = FeatureLayout { n_users: 5, n_items: 96 };
-        let cfg = SeqFmConfig { d: 8, max_seq: 6, dropout: 0.0, ..Default::default() };
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(29);
-        let model = SeqFm::new(&mut ps, &mut rng, &layout, cfg);
-        let id = ps.id_of("seqfm.w_static.table").expect("item linear table");
-        let w = ps.value_mut(id).data_mut();
-        for c in 0..96 {
-            w[layout.n_users + c] = 0.125; // dead flat
-        }
-        let model = Arc::new(FrozenSeqFm::freeze(&model, &ps));
+        let (model, layout) =
+            setup_tuned(96, 29, |ps, layout| set_item_linear(ps, layout, |_| 0.125));
         let index = CatalogIndex::build(Arc::clone(&model), layout, 16);
         let view = view_for(&model, &layout, 3, &[10, 55, 7]);
-        // Cold: keys are the sound bounds, nothing is speculative. (Order
-        // matters — a brute scan would warm the observed-max statistics.)
-        let cold = index.retrieve(3, &view, 10).unwrap();
-        assert_eq!(cold.blocks_repaired, 0, "a cold index has nothing to repair");
+        let pruned = index.retrieve(3, &view, 10).unwrap();
         let brute = index.retrieve_brute(3, &view, 10).unwrap();
-        for (b, p) in brute.items.iter().zip(&cold.items) {
-            assert_eq!(b.item, p.item);
-            assert_eq!(b.score.to_bits(), p.score.to_bits());
+        assert_items_bit_equal(&brute, &pruned);
+        assert_eq!(pruned.blocks_scored + pruned.blocks_pruned, index.n_blocks());
+    }
+
+    /// The index holds no state a retrieval could change, so the work
+    /// counters repeat along with the items.
+    #[test]
+    fn retrieval_is_a_pure_function_of_its_inputs() {
+        let (model, layout) = setup_with(2000, 13, true);
+        let index = CatalogIndex::build(model.clone(), layout, 32);
+        let view = view_for(&model, &layout, 1, &[3, 1400, 250]);
+        let first = index.retrieve(1, &view, 10).unwrap();
+        index.retrieve_brute(1, &view, 10).unwrap();
+        let second = index.retrieve(1, &view, 10).unwrap();
+        assert!(first.blocks_pruned > 0, "the comparison must cover a scan that prunes");
+        assert_eq!(first, second);
+    }
+
+    /// NaN parameters must not break pruned ≡ brute. A NaN item-embedding
+    /// entry makes that item's logit NaN while the envelope's `min`/`max`
+    /// drop its projections, so its block keeps a finite bound over the
+    /// other items and only `rank_cmp`'s NaN-last order keeps skipping it
+    /// sound. A NaN global bias makes every bound NaN — mapped to +inf, so
+    /// nothing is pruned — and every logit NaN.
+    #[test]
+    fn nan_parameters_keep_pruned_equal_to_brute() {
+        // Item 390's embedding row starts at (n_users + 390) · d.
+        for (param, at) in [("seqfm.emb_static.table", (5 + 390) * 8 + 3), ("seqfm.w0", 0)] {
+            let (model, layout) = setup_tuned(400, 17, |ps, layout| {
+                set_item_linear(ps, layout, |c| 2.0 - 24.0 * ((c as f32 + 1.0) / 400.0).sqrt());
+                let id = ps.id_of(param).expect("poisoned parameter");
+                ps.value_mut(id).data_mut()[at] = f32::NAN;
+            });
+            let index = CatalogIndex::build(Arc::clone(&model), layout, 16);
+            let view = view_for(&model, &layout, 2, &[4, 90, 17]);
+            for k in [5, 400] {
+                let brute = index.retrieve_brute(2, &view, k).unwrap();
+                let pruned = index.retrieve(2, &view, k).unwrap();
+                assert_eq!(brute.items.len(), k, "[{param}] k={k}");
+                assert_items_bit_equal(&brute, &pruned);
+            }
         }
-        // Warm (the brute scan above and the cold retrieval both recorded
-        // observed maxima): still exact, and never more work than brute.
-        let warm = index.retrieve(3, &view, 10).unwrap();
-        for (b, p) in brute.items.iter().zip(&warm.items) {
-            assert_eq!(b.item, p.item);
-            assert_eq!(b.score.to_bits(), p.score.to_bits());
-        }
-        assert!(
-            warm.items_scored <= brute.items_scored,
-            "phase one + repair score disjoint item sets, so the flat worst case \
-             is bounded by the brute scan ({} vs {})",
-            warm.items_scored,
-            brute.items_scored
-        );
-        assert_eq!(warm.blocks_scored + warm.blocks_pruned, index.n_blocks());
     }
 
     #[test]

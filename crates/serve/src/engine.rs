@@ -55,7 +55,6 @@ use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Engine sizing, admission, ranking, and history-store policy.
 ///
@@ -79,15 +78,6 @@ pub struct EngineConfig {
     /// same-history super-batches. `1` disables coalescing; larger values
     /// trade per-request latency for throughput under load. Must be ≥ 1.
     pub coalesce_max: usize,
-    /// Deadline-aware coalescing: a worker whose drain came up short of
-    /// [`coalesce_max`](EngineConfig::coalesce_max) polls the queue for up
-    /// to this many **microseconds** before scoring, letting near-simultaneous
-    /// requests land in the same super-batch instead of just missing it.
-    /// `0` (the default) scores immediately — the latency-first behaviour;
-    /// small values (tens of µs) buy batch depth under bursty load at a
-    /// bounded, explicit latency cost. The linger never waits on an empty
-    /// queue and never stalls a full batch.
-    pub linger_us: u64,
     /// Per-user [`HistoryStore`](crate::HistoryStore) ring capacity; `0`
     /// (the default) means "use `max_seq`" — the window the model can see
     /// anyway.
@@ -104,13 +94,6 @@ pub struct EngineConfig {
     /// re-quantized, so callers choosing `Fast` there must pass a scorer
     /// already converted via `FrozenSeqFm::with_precision`.
     pub precision: ScorerPrecision,
-    /// Rebuild an attached [`CatalogIndex`] on a dedicated builder thread
-    /// (the default): [`Engine::publish_frozen`] returns in slot-swap time
-    /// and [`Engine::retrieve_top_k`] serves brute-force scans under the
-    /// *new* model until the rebuilt index lands. `false` restores the
-    /// synchronous rebuild on the publishing thread — publish blocks for
-    /// the rebuild, but the index is current the moment it returns.
-    pub background_rebuild: bool,
 }
 
 impl Default for EngineConfig {
@@ -128,11 +111,9 @@ impl Default for EngineConfig {
             top_k: 0,
             queue_capacity: 1024,
             coalesce_max: 16,
-            linger_us: 0,
             history_capacity: 0,
             cache_entries: 1024,
             precision: ScorerPrecision::Exact,
-            background_rebuild: true,
         }
     }
 }
@@ -225,13 +206,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Short-drain linger deadline in microseconds. See
-    /// [`EngineConfig::linger_us`].
-    pub fn linger_us(mut self, linger_us: u64) -> Self {
-        self.cfg.linger_us = linger_us;
-        self
-    }
-
     /// Per-user history ring capacity. See
     /// [`EngineConfig::history_capacity`].
     pub fn history_capacity(mut self, history_capacity: usize) -> Self {
@@ -248,12 +222,6 @@ impl EngineConfigBuilder {
     /// Serving arithmetic profile. See [`EngineConfig::precision`].
     pub fn precision(mut self, precision: ScorerPrecision) -> Self {
         self.cfg.precision = precision;
-        self
-    }
-
-    /// Off-thread index rebuilds. See [`EngineConfig::background_rebuild`].
-    pub fn background_rebuild(mut self, background_rebuild: bool) -> Self {
-        self.cfg.background_rebuild = background_rebuild;
         self
     }
 
@@ -602,20 +570,6 @@ impl Engine {
                     // coalesce scratch, the replies) is worker-owned and
                     // reused across wakeups.
                     while handle.recv_many(cfg.coalesce_max, &mut jobs) {
-                        // Deadline-aware coalescing: a short drain may poll
-                        // briefly for stragglers. Never waits when the batch
-                        // is already full, and a zero deadline (the default)
-                        // skips the clock read entirely.
-                        if cfg.linger_us > 0 && jobs.len() < cfg.coalesce_max {
-                            let deadline = Instant::now() + Duration::from_micros(cfg.linger_us);
-                            while jobs.len() < cfg.coalesce_max && Instant::now() < deadline {
-                                if handle.try_recv_many(cfg.coalesce_max - jobs.len(), &mut jobs)
-                                    == 0
-                                {
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
                         // Pin the model revision for this whole drain: one
                         // slot load, so a concurrent publish never splits a
                         // coalesced super-batch across epochs.
@@ -699,11 +653,10 @@ impl Engine {
     /// engine serves — retrieval scores come from the index's model.
     ///
     /// The index lives in its own hot-swap slot: [`Engine::publish_frozen`]
-    /// rebuilds it for each new epoch off the serving path (on a dedicated
-    /// builder thread unless [`EngineConfig::background_rebuild`] is off),
-    /// and [`Engine::retrieve_top_k`] falls back to a brute-force scan with
-    /// the fresh model during the window where the index still carries the
-    /// previous epoch.
+    /// rebuilds it for each new epoch off the serving path, on a dedicated
+    /// builder thread, and [`Engine::retrieve_top_k`] falls back to a
+    /// brute-force scan with the fresh model during the window where the
+    /// index still carries the previous epoch.
     ///
     /// # Panics
     /// Panics if the index's layout disagrees with the engine's.
@@ -715,43 +668,41 @@ impl Engine {
             "catalog index layout must match the engine's"
         );
         let slot = Arc::new(ArcSlot::new(index));
-        if self.cfg.background_rebuild {
-            let mailbox = Arc::new(RebuildMailbox::new());
-            let handle = {
-                let mailbox = Arc::clone(&mailbox);
-                let slot = Arc::clone(&slot);
-                let model = Arc::clone(&self.model);
-                std::thread::spawn(move || loop {
-                    let job = {
-                        let mut st = mailbox.state.lock().expect("rebuild mailbox poisoned");
-                        loop {
-                            if st.shutdown {
-                                return;
-                            }
-                            if let Some(m) = st.job.take() {
-                                st.busy = true;
-                                break m;
-                            }
-                            st = mailbox.cv.wait(st).expect("rebuild mailbox poisoned");
-                        }
-                    };
-                    // The delta rebuild runs outside the lock — publishers
-                    // keep posting (and overwriting) jobs meanwhile.
-                    let rebuilt = slot.load().rebuild_for(Arc::clone(&job));
+        let mailbox = Arc::new(RebuildMailbox::new());
+        let handle = {
+            let mailbox = Arc::clone(&mailbox);
+            let slot = Arc::clone(&slot);
+            let model = Arc::clone(&self.model);
+            std::thread::spawn(move || loop {
+                let job = {
                     let mut st = mailbox.state.lock().expect("rebuild mailbox poisoned");
-                    // Latest-wins: land the rebuilt index only while its
-                    // model is still the one being served and no newer job
-                    // is queued — a stale index would undo a newer publish's
-                    // fallback-to-fresh-model behaviour.
-                    if st.job.is_none() && model.load().epoch == job.epoch() {
-                        slot.store(Arc::new(rebuilt));
+                    loop {
+                        if st.shutdown {
+                            return;
+                        }
+                        if let Some(m) = st.job.take() {
+                            st.busy = true;
+                            break m;
+                        }
+                        st = mailbox.cv.wait(st).expect("rebuild mailbox poisoned");
                     }
-                    st.busy = false;
-                    mailbox.cv.notify_all();
-                })
-            };
-            self.rebuilder = Some(Rebuilder { mailbox, handle: Some(handle) });
-        }
+                };
+                // The delta rebuild runs outside the lock — publishers
+                // keep posting (and overwriting) jobs meanwhile.
+                let rebuilt = slot.load().rebuild_for(Arc::clone(&job));
+                let mut st = mailbox.state.lock().expect("rebuild mailbox poisoned");
+                // Latest-wins: land the rebuilt index only while its
+                // model is still the one being served and no newer job
+                // is queued — a stale index would undo a newer publish's
+                // fallback-to-fresh-model behaviour.
+                if st.job.is_none() && model.load().epoch == job.epoch() {
+                    slot.store(Arc::new(rebuilt));
+                }
+                st.busy = false;
+                mailbox.cv.notify_all();
+            })
+        };
+        self.rebuilder = Some(Rebuilder { mailbox, handle: Some(handle) });
         self.index = Some(slot);
         self
     }
@@ -817,9 +768,8 @@ impl Engine {
     /// 3. any attached catalog index is rebuilt for the new model
     ///    ([`CatalogIndex::rebuild_for`] — a *delta* rebuild that reuses
     ///    every block whose envelope provably barely moved) and its slot
-    ///    swapped. Under [`EngineConfig::background_rebuild`] (the default)
-    ///    the rebuild runs on the engine's builder thread and this call
-    ///    returns at slot-swap latency; consecutive publishes coalesce —
+    ///    swapped. The rebuild runs on the engine's builder thread and this
+    ///    call returns at slot-swap latency; consecutive publishes coalesce —
     ///    the builder only ever works toward the newest epoch. Until the
     ///    rebuilt index lands, [`Engine::retrieve_top_k`] serves
     ///    brute-force scans with the *new* model — fresh results,
@@ -830,23 +780,16 @@ impl Engine {
         let model = Arc::new(model.with_precision(self.cfg.precision));
         let epoch = model.epoch();
         self.model.store(Arc::new(ModelRev::of_frozen(Arc::clone(&model))));
-        if let Some(slot) = &self.index {
-            match &self.rebuilder {
-                Some(r) => r.mailbox.post(model),
-                None => {
-                    let rebuilt = slot.load().rebuild_for(model);
-                    slot.store(Arc::new(rebuilt));
-                }
-            }
+        if let Some(r) = &self.rebuilder {
+            r.mailbox.post(model);
         }
         epoch
     }
 
     /// Blocks until the background index builder is idle — no rebuild
     /// running, no job waiting — and returns the attached index's live
-    /// value (current for the last published frozen model). Returns
-    /// immediately with the live index when rebuilds are synchronous, and
-    /// `None` when no index is attached.
+    /// value (current for the last published frozen model). Returns `None`
+    /// when no index is attached.
     ///
     /// This is the settle point for callers that must observe the rebuilt
     /// index rather than the brute-force window: tests asserting on index
@@ -1418,10 +1361,8 @@ mod tests {
             .top_k(5)
             .queue_capacity(99)
             .coalesce_max(4)
-            .linger_us(25)
             .history_capacity(50)
             .cache_entries(0)
-            .background_rebuild(false)
             .build()
             .expect("valid");
         let literal = EngineConfig {
@@ -1430,11 +1371,9 @@ mod tests {
             top_k: 5,
             queue_capacity: 99,
             coalesce_max: 4,
-            linger_us: 25,
             history_capacity: 50,
             cache_entries: 0,
             precision: ScorerPrecision::Exact,
-            background_rebuild: false,
         };
         assert_eq!(built, literal);
         assert_eq!(built.resolved_history_capacity(), 50);

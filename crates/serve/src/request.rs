@@ -83,16 +83,6 @@ impl ScoreRequest {
         ScoreRequest { user, history: HistorySource::Stored, candidates: candidates.into() }
     }
 
-    /// Pre-redesign constructor shim: `history` was a plain `Vec<u32>`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "history is now a `HistorySource`; use `ScoreRequest::inline` (or \
-                `ScoreRequest::stored` for engine-resolved histories)"
-    )]
-    pub fn new(user: u32, history: Vec<u32>, candidates: Vec<u32>) -> Self {
-        Self::inline(user, history, candidates)
-    }
-
     /// The inline history, if this request carries one.
     pub fn inline_history(&self) -> Option<&[u32]> {
         match &self.history {
@@ -690,9 +680,6 @@ mod tests {
     #[test]
     fn request_constructors_and_deprecated_shim_agree() {
         let a = ScoreRequest::inline(1, vec![2, 3], vec![4]);
-        #[allow(deprecated)]
-        let b = ScoreRequest::new(1, vec![2, 3], vec![4]);
-        assert_eq!(a, b);
         assert_eq!(a.inline_history(), Some([2, 3].as_slice()));
         assert_eq!(ScoreRequest::stored(1, vec![4]).inline_history(), None);
         // `Vec<u32>` still slots straight into the literal field.

@@ -163,13 +163,8 @@ fn swap_under_load_every_response_is_single_epoch_consistent() {
         by_epoch.insert(snap.epoch().get(), Arc::new(trainer.frozen_for(snap)));
     }
 
-    let cfg = EngineConfig::builder()
-        .threads(3)
-        .max_seq(MAX_SEQ)
-        .top_k(4)
-        .linger_us(5)
-        .build()
-        .expect("valid config");
+    let cfg =
+        EngineConfig::builder().threads(3).max_seq(MAX_SEQ).top_k(4).build().expect("valid config");
     let engine = Arc::new(Engine::new(Arc::clone(&initial), layout(), cfg).expect("valid"));
 
     // Inline-history requests so any response can be rescored exactly later

@@ -139,8 +139,8 @@ fn fast_profile_preserves_ranking_order_on_every_variant() {
 }
 
 /// The full soundness chain in the fast profile: quantized envelopes +
-/// fast kernels + the per-item linear screen must keep the pruned scan
-/// bit-identical to fast brute force (same ids, same logit bits).
+/// fast kernels + the full-`f32` item linear partials must keep the pruned
+/// scan bit-identical to fast brute force (same ids, same logit bits).
 #[test]
 fn fast_pruned_retrieval_is_bit_identical_to_fast_brute_force() {
     for (vi, (name, ablation)) in all_variants().into_iter().enumerate() {

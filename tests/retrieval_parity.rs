@@ -102,76 +102,6 @@ fn pruned_retrieval_is_bit_identical_to_brute_force_across_all_variants() {
     }
 }
 
-/// Adversarially wrong scan statistics must be invisible in the output:
-/// the speculation only steers *work* (phase-one ordering and skips); the
-/// sound repair pass restores the exact brute-force answer no matter what
-/// the statistics claim. Poisons every Table-V variant's index three ways —
-/// wildly pessimistic (forces maximal speculative skipping, so the repair
-/// pass has to rediscover the real top-K), wildly optimistic (forces
-/// everything through phase one), and mixed.
-#[test]
-fn poisoned_scan_statistics_never_change_the_retrieved_bits() {
-    let mut variants = Ablation::table5_variants();
-    variants.extend(Ablation::extension_variants());
-
-    for (vi, (name, ablation)) in variants.into_iter().enumerate() {
-        let (frozen, layout) = build_variant(ablation, 150, 90 + vi as u64);
-        let index = Arc::new(CatalogIndex::build(Arc::clone(&frozen), layout, 16));
-        let engine_cfg =
-            EngineConfig::builder().threads(2).max_seq(MAX_SEQ).build().expect("valid config");
-        let engine = Engine::new(Arc::clone(&frozen), layout, engine_cfg)
-            .expect("valid engine")
-            .with_catalog_index(Arc::clone(&index));
-        let user = 1u32;
-        for item in [5u32, 60, 149, 23] {
-            engine.append_event(user, item).expect("known ids");
-        }
-        let brute = brute_via_store(&engine, &index, user, K);
-
-        // Pessimistic: every block claims its best score is hopeless. Phase
-        // one skips everything it can; only the repair pass can save the
-        // answer — and must.
-        for bi in 0..index.n_blocks() {
-            index.scan_stats().force(bi, Some(-1.0e30));
-        }
-        let pessimistic = engine.retrieve_top_k(user, K).expect("valid retrieval");
-        assert_bit_identical(name, "pessimistic stats", &pessimistic, &brute);
-        assert!(
-            pessimistic.blocks_repaired > 0,
-            "[{name}] hopeless statistics must actually trigger the repair pass \
-             (otherwise this test exercises nothing)"
-        );
-
-        // Optimistic: every block claims a score far above anything real,
-        // so nothing is speculatively skipped (the sound prune may still
-        // fire at visit time — statistics cannot *weaken* soundness).
-        for bi in 0..index.n_blocks() {
-            index.scan_stats().force(bi, Some(1.0e30));
-        }
-        let optimistic = engine.retrieve_top_k(user, K).expect("valid retrieval");
-        assert_bit_identical(name, "optimistic stats", &optimistic, &brute);
-
-        // Mixed garbage: alternating extremes, infinities, and cleared
-        // blocks — the visit order is scrambled arbitrarily.
-        for bi in 0..index.n_blocks() {
-            let poison = match bi % 4 {
-                0 => Some(f32::INFINITY),
-                1 => Some(-1.0e30),
-                2 => None,
-                _ => Some((bi as f32) - 3.0),
-            };
-            index.scan_stats().force(bi, poison);
-        }
-        let mixed = engine.retrieve_top_k(user, K).expect("valid retrieval");
-        assert_bit_identical(name, "mixed stats", &mixed, &brute);
-        assert_eq!(
-            mixed.blocks_scored + mixed.blocks_pruned,
-            index.n_blocks(),
-            "[{name}] block accounting stays exhaustive under poisoned stats"
-        );
-    }
-}
-
 #[test]
 fn retrieval_parity_holds_at_higher_worker_counts() {
     // The shard-merge and the prune threshold must be worker-count
