@@ -5,7 +5,9 @@
 //!
 //! * single-core naive vs. tiled matmul throughput (GFLOP/s) at the serving
 //!   shapes `d = 32` and `d = 64` (candidate-expansion row counts);
-//! * fused [`attention_into`] latency at serving geometry;
+//! * fused [`attention_into`] latency at serving geometry, and the exact
+//!   cross view there both ways: splice + dense masked [`attention_into`]
+//!   vs. the structured [`attention_cross_shared_into`];
 //! * steady-state heap **allocations per scored request** through
 //!   `FrozenSeqFm::score_into`, counted by a global allocator wrapper
 //!   (expected: 0 — the workspace-arena guarantee).
@@ -26,7 +28,7 @@ use seqfm_core::{FrozenSeqFm, Scorer, Scratch, SeqFm, SeqFmConfig};
 use seqfm_data::{build_instance, Batch, FeatureLayout};
 use seqfm_tensor::kernels::matmul::{fast, naive, tiled};
 use seqfm_tensor::testutil::CountingAlloc;
-use seqfm_tensor::{attention_into, AttnMask, Shape, Tensor};
+use seqfm_tensor::{attention_cross_shared_into, attention_into, AttnMask, Shape, Tensor};
 use std::time::Instant;
 
 #[global_allocator]
@@ -227,6 +229,74 @@ fn emit_kernels_json(_c: &mut Criterion) {
             40,
         );
         fields.push_str(&format!("  \"attention_b{batch}_n{n}_d{d}_us\": {:.1},\n", secs * 1e6));
+    }
+
+    // --- exact cross view at serving geometry: dense masked vs structured --
+    // One request's cross-view attention (100 candidates, ns = 2, nd = 20,
+    // d = 32): the dense path splices the shared history under every
+    // candidate and scores all 22 × 22 pairs; the structured kernel reads
+    // the shared block in place and scores only the 80 admitted pairs.
+    {
+        let (b, ns, nd, d) = (100usize, 2usize, 20usize, 32usize);
+        let n = ns + nd;
+        let mut seed = 8;
+        let stat = [(); 3].map(|()| rand(Shape::d3(b, ns, d), &mut seed));
+        let hist = [(); 3].map(|()| rand(Shape::d2(nd, d), &mut seed));
+        let mask = AttnMask::cross(ns, nd);
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut full = [(); 3].map(|()| vec![0.0f32; b * n * d]);
+        let mut scores = vec![0.0f32; b * n * n];
+        let mut out_buf = vec![0.0f32; b * n * d];
+        let dense = p50_of(
+            &mut || {
+                for (f, (s, h)) in full.iter_mut().zip(stat.iter().zip(&hist)) {
+                    for (bi, slice) in f.chunks_exact_mut(n * d).enumerate() {
+                        slice[..ns * d].copy_from_slice(&s.data()[bi * ns * d..(bi + 1) * ns * d]);
+                        slice[ns * d..].copy_from_slice(h.data());
+                    }
+                }
+                attention_into(
+                    &full[0],
+                    &full[1],
+                    &full[2],
+                    Some(&mask),
+                    scale,
+                    b,
+                    n,
+                    d,
+                    &mut scores,
+                    &mut out_buf,
+                );
+                std::hint::black_box(out_buf[0]);
+            },
+            200,
+        );
+        let structured = p50_of(
+            &mut || {
+                attention_cross_shared_into(
+                    stat[0].data(),
+                    stat[1].data(),
+                    stat[2].data(),
+                    hist[0].data(),
+                    hist[1].data(),
+                    hist[2].data(),
+                    scale,
+                    b,
+                    ns,
+                    nd,
+                    d,
+                    &mut scores,
+                    &mut out_buf,
+                );
+                std::hint::black_box(out_buf[0]);
+            },
+            200,
+        );
+        fields.push_str(&format!(
+            "  \"attention_cross_exact_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_exact_structured_b{b}_n{n}_d{d}_us\": {:.1},\n",
+            dense * 1e6,
+            structured * 1e6
+        ));
     }
 
     // --- steady-state allocations per scored request ----------------------

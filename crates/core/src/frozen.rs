@@ -20,8 +20,9 @@ use seqfm_autograd::{FrozenId, FrozenParams, ModelEpoch, ParamStore};
 use seqfm_data::{Batch, FeatureLayout, PAD};
 use seqfm_nn::checkpoint::{self, CheckpointError};
 use seqfm_tensor::{
-    attention_cross_fast_into, attention_cross_shared_fast_into, attention_into,
-    attention_pair_fast_into, matmul_nn_fast_into, matmul_nn_into, AttnMask, Tensor,
+    attention_cross_fast_into, attention_cross_shared_fast_into, attention_cross_shared_into,
+    attention_into, attention_pair_fast_into, matmul_nn_fast_into, matmul_nn_into, AttnMask,
+    Tensor,
 };
 use std::sync::Arc;
 
@@ -330,13 +331,16 @@ impl FrozenSeqFm {
         bufs: &mut ViewBufs<'_>,
     ) {
         let fast = self.is_fast();
-        // The fast profile picks the cheapest *bit-stable* kernel per
-        // geometry, not "the fast kernel everywhere": the cross view's
-        // block structure admits only `2·ns·nd` of `n²` score entries (the
-        // structured kernel wins big), the static view's maskless n = 2
-        // slices get the fused unrolled pair kernel, and the remaining
-        // shapes (causal dynamic rows) are fastest on the exact fused
-        // path — at `x86-64-v3` it already auto-vectorizes, and the
+        // Both profiles pick the cheapest *bit-stable* kernel per geometry.
+        // A shared-history cross view never gets here: `forward_split`
+        // hands it to the structured shared-history kernel of its profile
+        // (exact or fast), which scores only the `2·ns·nd` of `n²` pairs
+        // the cross mask admits. What remains: a cross view over
+        // *per-row* histories (structured under `Fast`, dense masked
+        // under `Exact`), the static view's maskless n = 2 slices (the
+        // fused unrolled pair kernel under `Fast`), and everything else —
+        // the causal dynamic rows in both profiles — on the exact fused
+        // dense path: at `x86-64-v3` it already auto-vectorizes, and the
         // approximate softmax's per-row overhead costs more than libm exp
         // saves there (measured: the dense fast path *loses* to exact).
         // Every choice is bit-identical across SIMD arms, so the fast
@@ -370,9 +374,8 @@ impl FrozenSeqFm {
 
     /// The post-attention tail of a view: pooling → FFN → `hagg` column
     /// write, on an already-computed context in `bufs.ctx`. Split out of
-    /// [`Self::finish_view`] so fast-profile paths that run a specialized
-    /// attention entry point (the splice-free shared-history kernel) share
-    /// the identical tail.
+    /// [`Self::finish_view`] so the shared-history cross view, which runs
+    /// its own attention entry point, shares the identical tail.
     #[allow(clippy::too_many_arguments)]
     fn pool_ffn_write(
         &self,
@@ -679,25 +682,24 @@ impl FrozenSeqFm {
         let need_e_d = cached.is_none();
 
         // Candidate-expansion batches repeat the user feature in static
-        // column 0 of every row; the fast profile then projects the `1 + b`
-        // unique static rows instead of all `2·b` and broadcasts the shared
+        // column 0 of every row; both profiles then project the `1 + b`
+        // unique static rows instead of all `2·b` and broadcast the shared
         // row's projection — bit-identical per row (see
         // [`Self::project_static_unique`]).
         let fastp = self.is_fast();
-        let uniq_static = fastp
-            && ns == 2
+        let uniq_static = ns == 2
             && b > 1
             && batch.static_idx.chunks_exact(2).skip(1).all(|r| r[0] == batch.static_idx[0]);
 
         // Workspace scopes, sized exactly for this batch (zero-filled on
-        // take; zero heap traffic once the arena has seen the shape).
-        // The splice-free fast shared-history path never materializes
-        // interleaved `[b, ns + nd, d]` Q/K/V or dense `n²` score scratch,
-        // so its scopes shrink to what the structured kernels actually
-        // read — the arena zero-fills every take, making right-sizing pure
-        // memset bandwidth saved on every request (~1 MB at serving
-        // geometry).
-        let (qkv_len, scores_len) = if fastp && shared_hist {
+        // take; zero heap traffic once the arena has seen the shape). A
+        // shared-history batch never materializes interleaved
+        // `[b, ns + nd, d]` Q/K/V or dense `n²` score scratch — its cross
+        // view reads the one history block in place — so its scopes shrink
+        // to what the structured kernels actually read; the arena
+        // zero-fills every take, making right-sizing pure memset bandwidth
+        // saved on every request (~1 MB at serving geometry).
+        let (qkv_len, scores_len) = if shared_hist {
             (
                 (b * ns * d).max(db * nd * d),
                 (b * ns * ns).max(db * nd * nd).max(if ab.cross_view { b * ns * nd } else { 0 }),
@@ -713,11 +715,11 @@ impl FrozenSeqFm {
         let mut k = ws.take(qkv_len);
         let mut v = ws.take(qkv_len);
         let hist_proj = ab.cross_view && shared_hist && need_e_d;
+        // The shared-history kernels read all three history projections at
+        // once.
         let mut qd = ws.take(if hist_proj { nd * d } else { 0 });
-        // The splice-free fast kernel needs all three history projections
-        // alive at once; the exact splice path reuses `qd` per matrix.
-        let mut kd = ws.take(if hist_proj && fastp { nd * d } else { 0 });
-        let mut vd = ws.take(if hist_proj && fastp { nd * d } else { 0 });
+        let mut kd = ws.take(if hist_proj { nd * d } else { 0 });
+        let mut vd = ws.take(if hist_proj { nd * d } else { 0 });
         let mut e_u = ws.take(if uniq_static { (1 + b) * d } else { 0 });
         let mut pu = ws.take(if uniq_static { (1 + b) * d } else { 0 });
         let mut scores = ws.take(scores_len);
@@ -844,117 +846,74 @@ impl FrozenSeqFm {
         }
         if ab.cross_view {
             let nx = ns + nd;
-            let cross = &masks.as_ref().expect("mask cache installed").cross;
             if shared_hist {
-                // The history rows' Q/K/V projections are row-local, so the
-                // shared history projects once per weight matrix; a cached
-                // view already holds the three projections (built by the
-                // identical projection call).
-                let cached_hist =
-                    cached.map(|v| [v.hist_q.as_slice(), v.hist_k.as_slice(), v.hist_v.as_slice()]);
-                if fastp {
-                    // Splice-free fast path: the candidates' static-row
-                    // projections land in the leading `[b, ns, d]` blocks of
-                    // Q/K/V, the shared history's three `[nd, d]` projections
-                    // stay in their own small blocks, and the structured
-                    // shared-history kernel reads both in place —
-                    // bit-identical to splicing the history under every slice
-                    // and running the interleaved kernel (pinned in the
-                    // tensor crate), minus `3·b·nd·d` floats of pure copying
-                    // per call.
-                    if uniq_static {
-                        self.project_static_unique(
-                            &e_u[..(1 + b) * d],
-                            2,
-                            b,
-                            d,
-                            &mut pu,
-                            [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v],
-                        );
-                    } else {
-                        self.project_view(&e_s[..b * ns * d], 2, 0, b * ns, bufs.q);
-                        self.project_view(&e_s[..b * ns * d], 2, 1, b * ns, bufs.k);
-                        self.project_view(&e_s[..b * ns * d], 2, 2, b * ns, bufs.v);
-                    }
-                    let [qh, kh, vh] = match cached_hist {
-                        Some(h) => h,
-                        None => {
-                            self.project_view(&e_d[..nd * d], 2, 0, nd, &mut qd);
-                            self.project_view(&e_d[..nd * d], 2, 1, nd, &mut kd);
-                            self.project_view(&e_d[..nd * d], 2, 2, nd, &mut vd);
-                            [&qd[..nd * d], &kd[..nd * d], &vd[..nd * d]]
-                        }
-                    };
-                    attention_cross_shared_fast_into(
-                        bufs.q,
-                        bufs.k,
-                        bufs.v,
-                        qh,
-                        kh,
-                        vh,
-                        scale,
+                // One layout for both profiles, no splice: the candidates'
+                // static-row projections land in the leading `[b, ns, d]`
+                // blocks of Q/K/V, the shared history's three `[nd, d]`
+                // projections stay in their own small blocks (row-local, so
+                // projected once; a cached view already holds them, built
+                // by the identical call), and the structured shared-history
+                // kernel reads both in place — bit-identical to splicing the
+                // history under every slice and running the dense masked
+                // kernel (pinned in the tensor crate), minus `3·b·nd·d`
+                // floats of copying and the ~83 % of scores the cross mask
+                // discards. The profile only picks the kernel entry point.
+                if uniq_static {
+                    self.project_static_unique(
+                        &e_u[..(1 + b) * d],
+                        2,
                         b,
-                        ns,
-                        nd,
                         d,
-                        bufs.scores,
-                        bufs.ctx,
-                    );
-                    self.pool_ffn_write(
-                        ffn_idx,
-                        b,
-                        nx,
-                        d,
-                        Some((pad_counts.as_slice(), ns)),
-                        view_col,
-                        views,
-                        &mut bufs,
+                        &mut pu,
+                        [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v],
                     );
                 } else {
-                    // Exact profile: splice the history under each row's
-                    // per-candidate static projections; attention runs on
-                    // the interleaved layout (the cross mask mixes static
-                    // and dynamic positions). All candidates' static rows
-                    // project in one batched call per weight matrix
-                    // (row-local arithmetic: one m-row matmul or b tiny
-                    // ones produce the same bits per row — the invariant
-                    // the tiled-kernel tests pin), then splice into each
-                    // candidate's block; b tiny matmul dispatches would pay
-                    // panel packing and workspace setup per candidate.
-                    let mut ps_rows = ws.take(b * ns * d);
-                    let dsts = [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v];
-                    for (wi, dst) in dsts.into_iter().enumerate() {
-                        let hist: &[f32] = match &cached_hist {
-                            Some(h) => h[wi],
-                            None => {
-                                self.project_view(&e_d[..nd * d], 2, wi, nd, &mut qd);
-                                &qd
-                            }
-                        };
-                        self.project_view(&e_s[..b * ns * d], 2, wi, b * ns, &mut ps_rows);
-                        for bi in 0..b {
-                            let base = bi * nx * d;
-                            dst[base..base + ns * d]
-                                .copy_from_slice(&ps_rows[bi * ns * d..(bi + 1) * ns * d]);
-                            dst[base + ns * d..base + nx * d].copy_from_slice(&hist[..nd * d]);
-                        }
-                    }
-                    self.finish_view(
-                        ffn_idx,
-                        b,
-                        nx,
-                        d,
-                        scale,
-                        Some(cross),
-                        Some(ns),
-                        Some((pad_counts.as_slice(), ns)),
-                        view_col,
-                        views,
-                        &mut bufs,
-                    );
+                    self.project_view(&e_s[..b * ns * d], 2, 0, b * ns, bufs.q);
+                    self.project_view(&e_s[..b * ns * d], 2, 1, b * ns, bufs.k);
+                    self.project_view(&e_s[..b * ns * d], 2, 2, b * ns, bufs.v);
                 }
+                let [qh, kh, vh] = match cached {
+                    Some(v) => [v.hist_q.as_slice(), v.hist_k.as_slice(), v.hist_v.as_slice()],
+                    None => {
+                        self.project_view(&e_d[..nd * d], 2, 0, nd, &mut qd);
+                        self.project_view(&e_d[..nd * d], 2, 1, nd, &mut kd);
+                        self.project_view(&e_d[..nd * d], 2, 2, nd, &mut vd);
+                        [&qd[..nd * d], &kd[..nd * d], &vd[..nd * d]]
+                    }
+                };
+                let kernel = if fastp {
+                    attention_cross_shared_fast_into
+                } else {
+                    attention_cross_shared_into
+                };
+                kernel(
+                    bufs.q,
+                    bufs.k,
+                    bufs.v,
+                    qh,
+                    kh,
+                    vh,
+                    scale,
+                    b,
+                    ns,
+                    nd,
+                    d,
+                    bufs.scores,
+                    bufs.ctx,
+                );
+                self.pool_ffn_write(
+                    ffn_idx,
+                    b,
+                    nx,
+                    d,
+                    Some((pad_counts.as_slice(), ns)),
+                    view_col,
+                    views,
+                    &mut bufs,
+                );
             } else {
                 // Cross-view stack [E°; E˙] per sample (Eq. 12).
+                let cross = &masks.as_ref().expect("mask cache installed").cross;
                 for bi in 0..b {
                     e_x[bi * nx * d..bi * nx * d + ns * d]
                         .copy_from_slice(&e_s[bi * ns * d..(bi + 1) * ns * d]);
@@ -1252,32 +1211,102 @@ mod tests {
         }
     }
 
+    /// A serving-sized candidate-expansion batch: 100 candidates for one
+    /// user over one history.
+    fn slate_layout() -> FeatureLayout {
+        FeatureLayout { n_users: 6, n_items: 120 }
+    }
+
+    fn slate(hist: &[u32], max_seq: usize) -> Batch {
+        let l = slate_layout();
+        let insts: Vec<_> =
+            (0..100u32).map(|c| build_instance(&l, 3, (c * 7) % 120, hist, max_seq, 0.0)).collect();
+        Batch::try_from_instances(&insts).expect("valid batch")
+    }
+
     #[test]
     fn shared_history_fast_path_is_bit_identical_too() {
         // Candidate-expansion shape: every row repeats one user history and
         // only the candidate differs — the branch that reuses the dynamic
-        // view must still match the graph exactly, for every variant.
-        let l = layout();
-        let hist = [1u32, 2, 5, 8];
-        let insts: Vec<_> =
-            (0..7).map(|c| build_instance(&l, 3, c as u32, &hist, 6, 0.0)).collect();
-        let shared = Batch::try_from_instances(&insts).expect("valid batch");
+        // view and runs the structured cross view must still match the
+        // graph exactly: 100 candidates, every variant, with and without a
+        // cached view, on an ordinary window and the degenerate ones (all
+        // PAD, one item repeated to capacity, shorter than the window).
+        let histories: [&[u32]; 4] = [&[1, 2, 5, 8, 3, 9], &[], &[7; 6], &[1, 2, 5, 8]];
         for (name, ab) in all_variants() {
             let cfg =
                 SeqFmConfig { d: 8, max_seq: 6, dropout: 0.0, ablation: ab, ..Default::default() };
             let mut ps = ParamStore::new();
             let mut rng = StdRng::seed_from_u64(17);
-            let model = SeqFm::new(&mut ps, &mut rng, &layout(), cfg);
-            let expect = graph_logits(&model, &ps, &shared);
+            let model = SeqFm::new(&mut ps, &mut rng, &slate_layout(), cfg);
             let frozen = FrozenSeqFm::freeze(&model, &ps);
             let mut scratch = Scratch::new();
-            let got = frozen.score(&shared, &mut scratch);
-            for (i, (g, f)) in expect.iter().zip(got).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    f.to_bits(),
-                    "{name}: shared-history logit {i} diverges ({g} vs {f})"
-                );
+            for hist in histories {
+                let shared = slate(hist, 6);
+                let expect = graph_logits(&model, &ps, &shared);
+                let view = frozen.history_view(&shared.dyn_idx[..6], &mut scratch);
+                let inline = frozen.score(&shared, &mut scratch).to_vec();
+                let cached = frozen.score_with_view(&shared, &view, &mut scratch).to_vec();
+                for (i, g) in expect.iter().enumerate() {
+                    for (path, f) in [("score", inline[i]), ("score_with_view", cached[i])] {
+                        assert_eq!(
+                            g.to_bits(),
+                            f.to_bits(),
+                            "{name}, history {hist:?}, {path}: logit {i} diverges ({g} vs {f})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_parameters_agree_with_the_graph_up_to_nan_payload() {
+        // The one place the structured cross view is not a drop-in for the
+        // dense masked one (see `attention_cross_shared_into`): a blocked
+        // pair whose score is non-finite poisons its dense row and is never
+        // formed here. Every non-finite Q/K/V row still reaches the pooled
+        // output through an admitted pair, so frozen and graph agree on
+        // every logit — same bits, or NaN on both sides.
+        let l = slate_layout();
+        let poisons: [(&str, &str, usize, f32); 3] = [
+            ("NaN item embedding", "seqfm.emb_static.table", l.item_feature(35) as usize, f32::NAN),
+            ("NaN wq entry", "seqfm.attn_cross.wq.w", 0, f32::NAN),
+            (
+                "Inf user embedding",
+                "seqfm.emb_static.table",
+                l.user_feature(3) as usize,
+                f32::INFINITY,
+            ),
+        ];
+        for (what, param, row, value) in poisons {
+            for (name, ab) in all_variants() {
+                let cfg = SeqFmConfig {
+                    d: 8,
+                    max_seq: 6,
+                    dropout: 0.0,
+                    ablation: ab,
+                    ..Default::default()
+                };
+                let mut ps = ParamStore::new();
+                let mut rng = StdRng::seed_from_u64(23);
+                let model = SeqFm::new(&mut ps, &mut rng, &l, cfg);
+                let id = ps.id_of(param).expect("parameter exists");
+                ps.value_mut(id).data_mut()[row * cfg.d] = value;
+                let frozen = FrozenSeqFm::freeze(&model, &ps);
+                let mut scratch = Scratch::new();
+                for hist in [&[1u32, 2, 5, 8][..], &[]] {
+                    let shared = slate(hist, 6);
+                    let expect = graph_logits(&model, &ps, &shared);
+                    let view = frozen.history_view(&shared.dyn_idx[..6], &mut scratch);
+                    let got = frozen.score_with_view(&shared, &view, &mut scratch);
+                    for (i, (g, f)) in expect.iter().zip(got).enumerate() {
+                        assert!(
+                            g.to_bits() == f.to_bits() || (g.is_nan() && f.is_nan()),
+                            "{what}, {name}, history {hist:?}: logit {i} ({g} vs {f})"
+                        );
+                    }
+                }
             }
         }
     }

@@ -2,9 +2,15 @@
 //! parameter bundle [`FrozenParamsFast`].
 //!
 //! The exact serving path ([`crate::FrozenSeqFm`] at
-//! [`ScorerPrecision::Exact`]) replays the training graph's `f32` arithmetic
-//! bit for bit. The **fast** profile trades that bit-exactness for
-//! throughput along three axes, all deterministic:
+//! [`ScorerPrecision::Exact`]) reproduces the training graph's `f32` logits
+//! bit for bit: every value it computes runs the graph's own chain of
+//! operations. It is not the graph's *dense* arithmetic, though — on a
+//! shared-history batch its cross view has the same splice-free structured
+//! layout as the fast profile's and never forms the pairs the cross mask
+//! discards (`seqfm_tensor::attention_cross_shared_into`; with non-finite
+//! parameters the two agree on which logits are NaN rather than on their
+//! payload bits). The **fast** profile trades bit-exactness for throughput
+//! along three axes, all deterministic:
 //!
 //! 1. **Storage** — the big embedding tables are stored as IEEE `binary16`
 //!    (`f16`) bit patterns and widened to `f32` at gather time, halving the
@@ -50,7 +56,7 @@ use seqfm_tensor::{f16_from_f32, f32_from_f16, widen_f16, Tensor};
 /// directly with [`FrozenSeqFm::with_precision`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ScorerPrecision {
-    /// Bit-exact `f32` serving — replays the graph arithmetic exactly.
+    /// Bit-exact `f32` serving — the graph's logits, bit for bit.
     #[default]
     Exact,
     /// Reduced-precision serving: quantized parameters + fused-FMA kernels.

@@ -1,5 +1,5 @@
-//! Steady-state `Scorer::score_into` performs **zero heap allocations** —
-//! asserted with a counting global allocator.
+//! Steady-state `Scorer::score_into` / `score_with_view_into` perform **zero
+//! heap allocations** — asserted with a counting global allocator.
 //!
 //! This binary holds exactly one test so the process-wide allocation
 //! counter can't be perturbed by concurrent sibling tests. `SEQFM_WORKERS`
@@ -42,8 +42,16 @@ fn steady_state_score_into_performs_zero_heap_allocations() {
         .collect();
     let mixed = Batch::try_from_instances(&mixed).expect("valid batch");
 
+    // The serving slate: 100 candidates against a cached history view —
+    // the structured cross view's transposed packs must come out of the
+    // warm thread workspace, not the heap.
+    let slate: Vec<_> =
+        (0..100).map(|c| build_instance(&layout, 3, (c * 5) % 300, &hist, 20, 0.0)).collect();
+    let slate = Batch::try_from_instances(&slate).expect("valid batch");
+
     let mut scratch = Scratch::new();
-    let mut out = Vec::with_capacity(shared.len + mixed.len);
+    let view = frozen.history_view(&slate.dyn_idx[..20], &mut scratch);
+    let mut out = Vec::with_capacity(shared.len + mixed.len + slate.len);
 
     // Warm-up: grows every arena buffer, the mask cache, and the output
     // accumulator to their high-water marks.
@@ -51,15 +59,17 @@ fn steady_state_score_into_performs_zero_heap_allocations() {
         out.clear();
         frozen.score_into(&shared, &mut scratch, &mut out);
         frozen.score_into(&mixed, &mut scratch, &mut out);
+        frozen.score_with_view_into(&slate, &view, &mut scratch, &mut out);
     }
     let want = out.clone();
 
-    // Steady state: not a single heap allocation across 100 scoring calls.
+    // Steady state: not a single heap allocation across 150 scoring calls.
     let before = CountingAlloc::allocations();
     for _ in 0..50 {
         out.clear();
         frozen.score_into(&shared, &mut scratch, &mut out);
         frozen.score_into(&mixed, &mut scratch, &mut out);
+        frozen.score_with_view_into(&slate, &view, &mut scratch, &mut out);
     }
     let after = CountingAlloc::allocations();
     assert_eq!(after - before, 0, "steady-state score_into allocated {} time(s)", after - before);

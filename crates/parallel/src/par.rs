@@ -87,6 +87,12 @@ where
 /// the `div_ceil`/`chunks_mut` fan-out arithmetic used by every
 /// row/slice-partitioned kernel.
 ///
+/// Like [`par_for`], a fan-out of one chunk (a single-worker pool, or fewer
+/// units than one worker's share) runs as a plain call on the caller's
+/// thread: handing the only chunk to the pool and waiting for it buys no
+/// concurrency, costs a task box, a wake-up and two context switches, and
+/// leaves to the scheduler which thread ends up running it.
+///
 /// # Panics
 /// Panics if `unit_len == 0` or `data.len()` is not a multiple of
 /// `unit_len`.
@@ -99,6 +105,12 @@ where
     assert_eq!(data.len() % unit_len, 0, "par_units: data not a multiple of unit_len");
     let units = data.len() / unit_len;
     let per = units.div_ceil(pool.workers()).max(1);
+    if units <= per {
+        if units > 0 {
+            f(0, data);
+        }
+        return;
+    }
     pool.scope(|s| {
         for (ci, chunk) in data.chunks_mut(per * unit_len).enumerate() {
             let f = &f;
@@ -132,6 +144,12 @@ pub fn par_units2<T, U, F>(
     let units = a.len() / a_unit;
     assert_eq!(units, b.len() / b_unit, "par_units2: unit count mismatch");
     let per = units.div_ceil(pool.workers()).max(1);
+    if units <= per {
+        if units > 0 {
+            f(0, a, b);
+        }
+        return;
+    }
     pool.scope(|s| {
         for ((ci, a_chunk), b_chunk) in
             a.chunks_mut(per * a_unit).enumerate().zip(b.chunks_mut(per * b_unit))
@@ -273,6 +291,34 @@ mod tests {
         for (u, slots) in b.chunks(5).enumerate() {
             assert!(slots.iter().all(|&v| v == u as u32));
         }
+    }
+
+    #[test]
+    fn a_single_chunk_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let ran = AtomicUsize::new(0);
+        let on_caller = |first: usize| {
+            assert_eq!(first, 0);
+            assert_eq!(std::thread::current().id(), me, "one chunk must not hop to the pool");
+            ran.fetch_add(1, Ordering::Relaxed);
+        };
+        // A single-worker pool: every fan-out is one chunk.
+        let solo = ThreadPool::new(1);
+        par_units(&solo, &mut [0u8; 12], 3, |first, chunk| {
+            assert_eq!(chunk.len(), 12);
+            on_caller(first);
+        });
+        par_units2(&solo, &mut [0u8; 4], 2, &mut [0u8; 6], 3, |first, a, b| {
+            assert_eq!((a.len(), b.len()), (4, 6));
+            on_caller(first);
+        });
+        // A wide pool, one unit: still one chunk.
+        let wide = ThreadPool::new(4);
+        par_units(&wide, &mut [0u8; 3], 3, |first, _| on_caller(first));
+        assert_eq!(ran.load(Ordering::Relaxed), 3);
+        // No units: no call at all.
+        par_units(&wide, &mut [0u8; 0], 3, |_, _| unreachable!("empty fan-out"));
+        par_units2(&solo, &mut [0u8; 0], 2, &mut [0u8; 0], 3, |_, _, _| unreachable!("empty"));
     }
 
     #[test]

@@ -853,7 +853,12 @@ impl Engine {
                 let mut row: Vec<i64> = Vec::with_capacity(max_seq);
                 row.resize(max_seq - window.len(), seqfm_data::PAD);
                 row.extend(window.iter().map(|&it| it as i64));
-                let view = Arc::new(model.history_view(&row, &mut Scratch::new()));
+                let build = || Some(model.history_view(&row, &mut Scratch::new()));
+                let view = match &self.cache {
+                    Some(cache) => cache.shared_or_build(epoch, &row, build),
+                    None => build().map(Arc::new),
+                }
+                .expect("a frozen model always builds a view");
                 if let Some(cache) = &self.cache {
                     cache.insert(user, version, epoch, Arc::clone(&view));
                 }

@@ -21,7 +21,8 @@
 //!   [`Engine::append_event`]. A [`ViewCache`] memoises the scorer's
 //!   history-side panel ([`HistoryView`](seqfm_core::HistoryView)) per
 //!   `(user, version)`, so repeat stored-history requests skip the history
-//!   half of the forward — bit-identically;
+//!   half of the forward — bit-identically — and users on the same
+//!   canonical window share one view;
 //! * [`expand_request`] — the candidate-expansion layer: one request becomes
 //!   one scoring [`Batch`](seqfm_data::Batch) in which every row shares the
 //!   user/history features and only the candidate column varies;

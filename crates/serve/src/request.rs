@@ -545,17 +545,24 @@ pub fn score_requests_stateful<S: Scorer + ?Sized, R: std::borrow::Borrow<ScoreR
         );
 
         // The group's history-side panel: any member's cached view works
-        // (the group key *is* the view's identity — history content), and
-        // a freshly built one is installed for every stored member so the
-        // next request from any of them hits.
+        // (the group key *is* the view's identity — history content); else
+        // the one a user on the same window in an earlier drain still
+        // holds; else a freshly built one. It is installed for every stored
+        // member so the next request from any of them hits.
+        let cache = backend.and_then(|b| b.cache);
         let mut view = group.iter().find_map(|&i| resolved[i].view.clone());
         if view.is_none()
             && scorer.supports_history_view()
             && group.iter().any(|&i| resolved[i].cache_key.is_some())
         {
-            view = scorer.build_history_view(&batch.dyn_idx[..max_seq], scratch).map(Arc::new);
+            let row = &batch.dyn_idx[..max_seq];
+            let mut build = || scorer.build_history_view(row, scratch);
+            view = match cache {
+                Some(cache) => cache.shared_or_build(epoch, row, build),
+                None => build().map(Arc::new),
+            };
         }
-        if let (Some(v), Some(cache)) = (&view, backend.and_then(|b| b.cache)) {
+        if let (Some(v), Some(cache)) = (&view, cache) {
             for &i in group.iter() {
                 if resolved[i].view.is_none() {
                     if let Some((user, version)) = resolved[i].cache_key {
@@ -923,6 +930,111 @@ mod tests {
             assert_eq!(g.score.to_bits(), w.score.to_bits(), "post-append score stale");
         }
         assert_eq!(cache.stats().misses, 2, "append must invalidate (stale-version miss)");
+    }
+
+    fn bits(r: &ScoreResponse) -> (Vec<(u32, u32)>, ModelEpoch) {
+        (r.ranked.iter().map(|c| (c.item, c.score.to_bits())).collect(), r.epoch)
+    }
+
+    /// One stored request per drain: `user` scored alone through `backend`.
+    fn score_alone(model: &FrozenSeqFm, backend: &HistoryBackend<'_>, user: u32) -> ScoreResponse {
+        let mut out = Vec::new();
+        score_requests_stateful(
+            model,
+            &layout(),
+            5,
+            0,
+            &[&ScoreRequest::stored(user, vec![0, 5, 7])],
+            Some(backend),
+            &mut Scratch::new(),
+            &mut CoalesceScratch::new(),
+            &mut out,
+        );
+        out.pop().expect("one request").expect("valid")
+    }
+
+    #[test]
+    fn equal_windows_share_one_view_across_drains_until_they_diverge() {
+        let l = layout();
+        let model = frozen(41);
+        let epoch = model.model_epoch();
+        let store = HistoryStore::new(l.n_users, 5);
+        let cache = ViewCache::new(64);
+        let backend = HistoryBackend { store: &store, cache: Some(&cache) };
+        for user in [1u32, 2] {
+            for &item in &[2u32, 8, 3] {
+                store.append(user, item);
+            }
+        }
+        // Two users, equal windows, served in *different* drains: the second
+        // miss finds the first user's view by content instead of rebuilding.
+        let first = score_alone(&model, &backend, 1);
+        let second = score_alone(&model, &backend, 2);
+        let v1 = cache.get(1, 3, epoch).expect("user 1 cached");
+        let v2 = cache.get(2, 3, epoch).expect("user 2 cached");
+        assert!(Arc::ptr_eq(&v1, &v2), "equal windows must hold one shared view");
+        // `entries` still counts per-user entries, not distinct views.
+        assert_eq!(cache.stats().entries, 2);
+        // Sharing is invisible in the scores: each equals its inline twin.
+        let mut scratch = Scratch::new();
+        for (user, got) in [(1u32, &first), (2, &second)] {
+            let inline = ScoreRequest::inline(user, vec![2, 8, 3], vec![0, 5, 7]);
+            let want = score_request(&model, &l, 5, 0, &inline, &mut scratch).expect("valid");
+            assert_eq!(bits(got), bits(&want), "user {user}: shared view changed the response");
+        }
+
+        // An append to one of them splits the pair: user 2 moves to a new
+        // window (and view), user 1 keeps the old one.
+        store.append(2, 6);
+        let after = score_alone(&model, &backend, 2);
+        let v2_new = cache.get(2, 4, epoch).expect("user 2 re-cached");
+        assert!(!Arc::ptr_eq(&v1, &v2_new), "diverged windows must not share a view");
+        assert_eq!(v2_new.dyn_idx(), [seqfm_data::PAD, 2, 8, 3, 6]);
+        assert!(Arc::ptr_eq(&v1, &cache.get(1, 3, epoch).expect("user 1 untouched")));
+        let inline = ScoreRequest::inline(2, vec![2, 8, 3, 6], vec![0, 5, 7]);
+        let want = score_request(&model, &l, 5, 0, &inline, &mut scratch).expect("valid");
+        assert_eq!(bits(&after), bits(&want), "post-append response stale");
+    }
+
+    #[test]
+    fn a_new_epoch_never_receives_an_old_epochs_shared_view() {
+        let l = layout();
+        let mut ps = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(43);
+        let cfg = SeqFmConfig { d: 8, max_seq: 5, ..Default::default() };
+        SeqFm::new(&mut ps, &mut rng, &l, cfg); // registers the parameters
+        let e1 = FrozenSeqFm::from_params(ps.freeze_versioned(), cfg);
+        // "Train" between publishes, so the two epochs' views really differ.
+        let table = ps.id_of("seqfm.emb_dynamic.table").expect("dynamic embeddings");
+        for x in ps.value_mut(table).data_mut() {
+            *x += 0.25;
+        }
+        let e2 = FrozenSeqFm::from_params(ps.freeze_versioned(), cfg);
+        assert_ne!(e1.model_epoch(), e2.model_epoch());
+
+        let store = HistoryStore::new(l.n_users, 5);
+        let cache = ViewCache::new(64);
+        let backend = HistoryBackend { store: &store, cache: Some(&cache) };
+        for user in [1u32, 2] {
+            store.append(user, 4);
+        }
+        // User 1 under epoch 1, then a publish, then user 2 (same window)
+        // under epoch 2: the shared table still holds epoch 1's live view
+        // for that window and must not hand it out.
+        score_alone(&e1, &backend, 1);
+        let got = score_alone(&e2, &backend, 2);
+        let old = cache.get(1, 1, e1.model_epoch()).expect("epoch-1 entry still cached");
+        let new = cache.get(2, 1, e2.model_epoch()).expect("epoch-2 entry cached");
+        assert!(!Arc::ptr_eq(&old, &new), "an old-epoch view crossed a publish");
+        let inline = ScoreRequest::inline(2, vec![4], vec![0, 5, 7]);
+        let want = score_request(&e2, &l, 5, 0, &inline, &mut Scratch::new()).expect("valid");
+        assert_eq!(bits(&got), bits(&want), "epoch-2 response not cold-built-equal");
+        // Rolling back to epoch 1 finds its view again, still alive in
+        // user 1's entry: re-validated, and equal to a cold build.
+        let rolled = score_alone(&e1, &backend, 2);
+        assert!(Arc::ptr_eq(&old, &cache.get(2, 1, e1.model_epoch()).expect("re-cached")));
+        let want = score_request(&e1, &l, 5, 0, &inline, &mut Scratch::new()).expect("valid");
+        assert_eq!(bits(&rolled), bits(&want), "rolled-back response not cold-built-equal");
     }
 
     #[test]

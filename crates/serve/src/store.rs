@@ -25,7 +25,7 @@ use seqfm_data::Dataset;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 
 /// Fixed shard fan-out. Sixteen shards keep write contention negligible for
 /// any realistic worker count while costing a handful of locks; the store's
@@ -234,12 +234,33 @@ struct CacheShard {
 /// that plain FIFO would let flush the whole shard. Freshly inserted (and
 /// refreshed) entries start with the bit clear: an entry earns its second
 /// chance only through an actual hit.
+///
+/// Entries of users on the **same canonical window** share one view: a
+/// miss that has to build goes through [`ViewCache::shared_or_build`], which
+/// first looks the window up by content in a table of the views still alive
+/// in some entry. Repeat-heavy traffic — many users on a few trending
+/// windows — then holds one view per distinct window, not one per user.
 pub struct ViewCache {
     shards: Vec<Mutex<CacheShard>>,
     /// Per-shard entry bound (total bound split evenly, min 1).
     per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
+    shared: Mutex<SharedViews>,
+}
+
+/// The views currently alive in some cache entry (or in flight), by
+/// content: `(model epoch, padded dynamic row)`. The table holds [`Weak`]s,
+/// so it never keeps a view alive — eviction and invalidation free views
+/// exactly as before — and the epoch in the key means a view built under a
+/// retired model can never be handed out under its successor.
+#[derive(Default)]
+struct SharedViews {
+    map: HashMap<(ModelEpoch, Vec<i64>), Weak<HistoryView>>,
+    /// Table size at which the next insert sweeps dead entries. Doubling
+    /// it after each sweep keeps the table within 2× the live views at
+    /// amortised O(1) per insert.
+    sweep_at: usize,
 }
 
 impl ViewCache {
@@ -254,7 +275,38 @@ impl ViewCache {
             per_shard: max_entries.div_ceil(N_SHARDS),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            shared: Mutex::new(SharedViews::default()),
         }
+    }
+
+    /// The view for `dyn_row` under model `epoch` to install after a miss:
+    /// the one another user on the same window already holds, else `build`'s
+    /// (registered for the next miss on that window). `None` only if
+    /// `build` declines. `build` runs outside the table lock; when two
+    /// threads race to build the same window, both get the first one
+    /// registered — the views are bit-identical by construction.
+    pub fn shared_or_build(
+        &self,
+        epoch: ModelEpoch,
+        dyn_row: &[i64],
+        build: impl FnOnce() -> Option<HistoryView>,
+    ) -> Option<Arc<HistoryView>> {
+        let key = (epoch, dyn_row.to_vec());
+        let live = |t: &SharedViews| t.map.get(&key).and_then(Weak::upgrade);
+        if let Some(view) = live(&self.shared.lock().expect("shared views poisoned")) {
+            return Some(view);
+        }
+        let built = Arc::new(build()?);
+        let mut table = self.shared.lock().expect("shared views poisoned");
+        if let Some(view) = live(&table) {
+            return Some(view);
+        }
+        if table.map.len() >= table.sweep_at {
+            table.map.retain(|_, w| w.strong_count() > 0);
+            table.sweep_at = (2 * table.map.len()).max(16);
+        }
+        table.map.insert(key, Arc::downgrade(&built));
+        Some(built)
     }
 
     /// The cached view for `user` **iff** it was built at exactly
@@ -435,6 +487,42 @@ mod tests {
         cache.insert(5, 7, ModelEpoch(2), Arc::clone(&view));
         assert!(cache.get(5, 7, ModelEpoch(2)).is_some());
         assert!(cache.get(5, 7, ModelEpoch(1)).is_none(), "refresh replaced the old epoch");
+    }
+
+    #[test]
+    fn shared_views_are_per_epoch_weak_and_swept() {
+        let cache = ViewCache::new(8);
+        let builds = std::cell::Cell::new(0u32);
+        let build = || {
+            builds.set(builds.get() + 1);
+            Some(HistoryView::default())
+        };
+        let (e1, e2) = (ModelEpoch(1), ModelEpoch(2));
+        let a = cache.shared_or_build(e1, &[-1, 4, 9], build).expect("built");
+        let b = cache.shared_or_build(e1, &[-1, 4, 9], build).expect("shared");
+        assert!(Arc::ptr_eq(&a, &b), "same window, same epoch: one view");
+        assert_eq!(builds.get(), 1);
+        // Another window, and the same window under another epoch, build.
+        let c = cache.shared_or_build(e1, &[4, 9, 2], build).expect("built");
+        let d = cache.shared_or_build(e2, &[-1, 4, 9], build).expect("built");
+        assert!(!Arc::ptr_eq(&a, &c) && !Arc::ptr_eq(&a, &d));
+        assert_eq!(builds.get(), 3);
+        // The table holds no view alive: once every holder lets go, the
+        // next request for that window builds afresh.
+        drop((a, b));
+        let again = cache.shared_or_build(e1, &[-1, 4, 9], build).expect("rebuilt");
+        assert_eq!(builds.get(), 4);
+        assert_eq!(Arc::strong_count(&again), 1);
+        // Churn through many short-lived windows: dead entries are swept,
+        // so the table tracks the live views, not everything ever built.
+        for i in 0..1000i64 {
+            cache.shared_or_build(e1, &[i], build).expect("built");
+        }
+        let table = cache.shared.lock().expect("not poisoned");
+        assert!(table.map.len() <= 2 * 16, "dead entries not swept: {}", table.map.len());
+        // A build that declines registers nothing.
+        drop(table);
+        assert!(cache.shared_or_build(e2, &[7], || None).is_none());
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! Fused scaled-dot-product attention over raw slices — the graph-free
 //! inference counterpart of the tape ops `bmm_nt → scale → softmax → bmm`.
 //!
-//! The kernel performs exactly the same floating-point operations in exactly
-//! the same order as the graph path, so a frozen forward pass that uses it
-//! reproduces `Graph`-built logits bit for bit. The caller provides both the
-//! output buffer and a scores scratch buffer, so repeated calls allocate
-//! nothing. Above the dispatch threshold the batch dimension fans out over
-//! the global thread pool — per-slice arithmetic is untouched, so the
-//! bit-for-bit guarantee survives parallel execution.
+//! Every *output element* of the exact kernels here runs the same chain of
+//! floating-point operations, in the same order, as the graph path — so a
+//! frozen forward pass that uses them reproduces `Graph`-built logits bit
+//! for bit. The dense [`attention_into`] gets there by replaying the tape's
+//! ops wholesale; the structured [`attention_cross_shared_into`] replays
+//! only the chains of the pairs the cross mask admits and never forms the
+//! masked ones (whose contribution to every admitted chain is an exact
+//! no-op). The caller provides both the output buffer and a scores scratch
+//! buffer, so repeated calls allocate nothing. Above the dispatch threshold
+//! the batch dimension fans out over the global thread pool — per-slice
+//! arithmetic is untouched, so the bit-for-bit guarantee survives parallel
+//! execution.
 
 use super::bmm::{bmm_nn_fast_into, bmm_nn_into, bmm_nt_fast_into, bmm_nt_into};
 use super::softmax::{softmax2_fast, softmax_row_inplace, softmax_row_inplace_fast, AttnMask};
@@ -109,6 +114,284 @@ fn attention_slices(
     // Attention-weighted values.
     out.fill(0.0);
     bmm_nn_into(scores, v, out, bs, n, n, d);
+}
+
+/// Exact cross-view attention for a **shared history**: every slice shares
+/// one `[nd, d]` block of history-row Q/K/V (`qh`/`kh`/`vh`) under its own
+/// `[ns, d]` static rows (`qs`/`ks`/`vs`, laid out `[bs, ns, d]`), and only
+/// the static↔history pairs [`AttnMask::cross`] admits are ever scored —
+/// each static row softmaxes over the `nd` history columns, each history
+/// row over the `ns` static columns. At serving geometry (`ns = 2`,
+/// `nd = 20`) that is 80 of the 484 scores per slice the dense masked
+/// [`attention_into`] computes, and none of its `3·bs·nd·d` splice copies.
+///
+/// **Bit-identical** to splicing the history under every slice and calling
+/// `attention_into(.., Some(&AttnMask::cross(ns, nd)), ..)`, because every
+/// output element runs the dense pipeline's own op chain: a score is
+/// `(0.0 + Σ_{p↑} q[p]·k[p]) · scale` with separate multiply and add
+/// (`matmul::naive::matmul_nt_into`'s chain; f32 multiplication commutes,
+/// so which operand the lanes run along is free); the softmax is
+/// `softmax_row_inplace` over the admitted entries in ascending column
+/// order (a blocked entry is `−∞`: never the row max, and exactly `+0.0`
+/// added to a non-negative running sum); and a context element is the
+/// seeded-zero ascending-`j` chain `o += w·v` that skips `w == 0.0`
+/// (`matmul::naive::matmul_nn_into`'s chain — blocked weights are exactly
+/// zero, so the dense path skips them too). Lanes run *across* history
+/// columns from transposed packs of the shared `kh`/`qh`, built once per
+/// call in the thread workspace; each lane is still one ascending chain,
+/// so SIMD width, arm and worker count cannot change a bit.
+///
+/// **Not a drop-in when a blocked pair's score is non-finite.** The dense
+/// path adds the mask to *every* score, so a blocked score that is NaN or
+/// `+∞` (a non-finite Q/K row, or `|q·k|` overflowing f32) becomes NaN and
+/// poisons that whole dense row, while this kernel never forms it. The
+/// contract is bit-identity whenever blocked-pair scores are finite —
+/// always, for finite parameters of sane magnitude. Otherwise the two still
+/// agree on *which pooled outputs are NaN* whenever `ns, nd > 0`: a row's
+/// own blocked self-pair is non-finite only if its Q or K row is, and every
+/// such row also meets an admitted pair (`seqfm-core` pins this per logit
+/// against the graph).
+///
+/// `out` is the full interleaved `[bs, ns + nd, d]` context; `scores` needs
+/// `ns·nd` slots per slice (≥ `bs·ns·nd`) of scratch that must not be read
+/// back. An empty side means every row is fully masked: all-zero context.
+///
+/// # Panics
+/// Panics if any buffer is too small.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_cross_shared_into(
+    qs: &[f32],
+    ks: &[f32],
+    vs: &[f32],
+    qh: &[f32],
+    kh: &[f32],
+    vh: &[f32],
+    scale: f32,
+    bs: usize,
+    ns: usize,
+    nd: usize,
+    d: usize,
+    scores: &mut [f32],
+    out: &mut [f32],
+) {
+    cross_shared_dispatch(
+        "attention_cross_shared_into",
+        cross_shared_slices_exact,
+        [qs, ks, vs],
+        [qh, kh, vh],
+        scale,
+        [bs, ns, nd, d],
+        scores,
+        out,
+    );
+}
+
+/// Serial body of a shared-history cross kernel over `bs` slices:
+/// `(static [q, k, v], history [q, k, v], scale, [bs, ns, nd, d], scores, out)`.
+type CrossSharedSlices = fn([&[f32]; 3], [&[f32]; 3], f32, [usize; 4], &mut [f32], &mut [f32]);
+
+/// Buffer checks, the empty-side shortcut and the batch fan-out shared by
+/// [`attention_cross_shared_into`] and [`attention_cross_shared_fast_into`];
+/// the profile only picks `body`.
+#[allow(clippy::too_many_arguments)]
+fn cross_shared_dispatch(
+    name: &str,
+    body: CrossSharedSlices,
+    stat: [&[f32]; 3],
+    hist: [&[f32]; 3],
+    scale: f32,
+    [bs, ns, nd, d]: [usize; 4],
+    scores: &mut [f32],
+    out: &mut [f32],
+) {
+    let n = ns + nd;
+    for (s, side) in stat.iter().zip(["qs", "ks", "vs"]) {
+        assert!(s.len() >= bs * ns * d, "{name}: {side} too small");
+    }
+    for (h, side) in hist.iter().zip(["qh", "kh", "vh"]) {
+        assert!(h.len() >= nd * d, "{name}: {side} too small");
+    }
+    assert!(scores.len() >= bs * ns * nd, "{name}: scores scratch too small");
+    assert!(out.len() >= bs * n * d, "{name}: out too small");
+    let out = &mut out[..bs * n * d];
+    if ns == 0 || nd == 0 {
+        // One side empty ⇒ every row is fully masked ⇒ all-zero context
+        // (exactly what the dense masked pipeline produces).
+        out.fill(0.0);
+        return;
+    }
+    let stat = stat.map(|s| &s[..bs * ns * d]);
+    let hist = hist.map(|h| &h[..nd * d]);
+    let scores = &mut scores[..bs * ns * nd];
+
+    // Two admitted blocks of ns·nd scores, each read once for the weighted
+    // value sum → 4·ns·nd·d multiply-adds plus 2·ns·nd exp-weighted ops.
+    let work_per_slice = 4 * ns * nd * d + 32 * ns * nd;
+    if super::dispatch::should_par(bs * work_per_slice, bs) {
+        seqfm_parallel::par_units2(
+            seqfm_parallel::global(),
+            scores,
+            ns * nd,
+            out,
+            n * d,
+            |b0, scores_chunk, out_chunk| {
+                let slices = scores_chunk.len() / (ns * nd);
+                let stat = stat.map(|s| &s[b0 * ns * d..(b0 + slices) * ns * d]);
+                body(stat, hist, scale, [slices, ns, nd, d], scores_chunk, out_chunk);
+            },
+        );
+    } else {
+        body(stat, hist, scale, [bs, ns, nd, d], scores, out);
+    }
+}
+
+/// Serial body of [`attention_cross_shared_into`] over `bs` slices: four
+/// small `A·B` products per slice through [`nn_chains`], with the canonical
+/// row softmax between each pair.
+fn cross_shared_slices_exact(
+    [qs, ks, vs]: [&[f32]; 3],
+    [qh, kh, vh]: [&[f32]; 3],
+    scale: f32,
+    [bs, ns, nd, d]: [usize; 4],
+    scores: &mut [f32],
+    out: &mut [f32],
+) {
+    let n = ns + nd;
+    crate::workspace::with_thread(|ws| {
+        let mut kht = ws.take(d * nd);
+        let mut qht = ws.take(d * nd);
+        pack_transposed(kh, nd, d, &mut kht);
+        pack_transposed(qh, nd, d, &mut qht);
+        for b in 0..bs {
+            let sq = &qs[b * ns * d..(b + 1) * ns * d];
+            let sk = &ks[b * ns * d..(b + 1) * ns * d];
+            let sv = &vs[b * ns * d..(b + 1) * ns * d];
+            let (out_stat, out_dyn) = out[b * n * d..(b + 1) * n * d].split_at_mut(ns * d);
+            let w = &mut scores[b * ns * nd..(b + 1) * ns * nd];
+
+            // Static rows attend to the shared history's nd columns
+            // (`w` is `[ns, nd]`): scores `sq · khᵀ`, then context `w · vh`.
+            nn_chains::<false>(sq, d, ns, &kht, nd, nd, d, |i, j0, acc| {
+                for (slot, &a) in w[i * nd + j0..].iter_mut().zip(acc) {
+                    *slot = (0.0 + a) * scale;
+                }
+            });
+            for wrow in w.chunks_exact_mut(nd) {
+                softmax_row_inplace(wrow, None);
+            }
+            nn_chains::<true>(w, nd, ns, vh, d, d, nd, |i, t0, acc| {
+                out_stat[i * d + t0..][..acc.len()].copy_from_slice(acc);
+            });
+
+            // History rows attend to this slice's ns static columns. The
+            // lanes still run across history rows (`sk · qhᵀ`, the same
+            // products as `qh · skᵀ`), stored transposed so `w` is the
+            // `[nd, ns]` weight block: one contiguous softmax row per
+            // history row, then context `w · sv`.
+            nn_chains::<false>(sk, d, ns, &qht, nd, nd, d, |c, r0, acc| {
+                for (slot, &a) in w[r0 * ns + c..].iter_mut().step_by(ns).zip(acc) {
+                    *slot = (0.0 + a) * scale;
+                }
+            });
+            for wrow in w.chunks_exact_mut(ns) {
+                softmax_row_inplace(wrow, None);
+            }
+            nn_chains::<true>(w, ns, nd, sv, d, d, ns, |r, t0, acc| {
+                out_dyn[r * d + t0..][..acc.len()].copy_from_slice(acc);
+            });
+        }
+    });
+}
+
+/// `dst[p·rows + j] = src[j·d + p]`: the `[d, rows]` transpose of a
+/// `[rows, d]` block, so a kernel can run its lanes across `rows`.
+fn pack_transposed(src: &[f32], rows: usize, d: usize, dst: &mut [f32]) {
+    for (j, row) in src.chunks_exact(d).enumerate().take(rows) {
+        for (p, &x) in row.iter().enumerate() {
+            dst[p * rows + j] = x;
+        }
+    }
+}
+
+/// The `[rows, cols]` product of row-major `a` (`[rows, depth]`) and `b`
+/// (`[depth, cols]`), handed to `store(i, j0, lanes)` one run of contiguous
+/// columns `j0..j0 + lanes.len()` of row `i` at a time. Each element
+/// `Σ_{p↑} a[i·lda + p] · b[p·ldb + j]` is its own seeded-zero ascending-`p`
+/// chain of separate multiply and add — the reference chain of
+/// `matmul::naive` — and `SKIP` adds its `a == 0.0` skip (the `nn` flavour's;
+/// the `nt` score chain has none). Register-tiled two rows by up to sixteen
+/// columns, so the column lanes auto-vectorise (`vmulps` + `vaddps`, never
+/// fused) and several chains are in flight; tiling only picks which chains
+/// run together, never the order inside one.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn nn_chains<const SKIP: bool>(
+    a: &[f32],
+    lda: usize,
+    rows: usize,
+    b: &[f32],
+    ldb: usize,
+    cols: usize,
+    depth: usize,
+    mut store: impl FnMut(usize, usize, &[f32]),
+) {
+    let mut i0 = 0;
+    while i0 < rows {
+        let pair = i0 + 2 <= rows;
+        let a = &a[i0 * lda..];
+        let mut j0 = 0;
+        while j0 < cols {
+            let b = &b[j0..];
+            let mut put = |r: usize, lanes: &[f32]| store(i0 + r, j0, lanes);
+            // Widest lane block that still fits: 16, 8, 4, then single
+            // columns for a ragged tail.
+            j0 += match (pair, cols - j0) {
+                (true, 16..) => chain_tile::<2, 16, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (true, 8..) => chain_tile::<2, 8, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (true, 4..) => chain_tile::<2, 4, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (true, _) => chain_tile::<2, 1, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (false, 16..) => chain_tile::<1, 16, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (false, 8..) => chain_tile::<1, 8, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (false, 4..) => chain_tile::<1, 4, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (false, _) => chain_tile::<1, 1, SKIP>(a, lda, b, ldb, depth, &mut put),
+            };
+        }
+        i0 += if pair { 2 } else { 1 };
+    }
+}
+
+/// One `R × L` register tile of [`nn_chains`], anchored at `a`'s first row
+/// and `b`'s first column: `R·L` independent chains, accumulators held in
+/// registers across the whole `p` walk. Returns `L`.
+#[inline(always)]
+fn chain_tile<const R: usize, const L: usize, const SKIP: bool>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    depth: usize,
+    put: &mut impl FnMut(usize, &[f32]),
+) -> usize {
+    let mut acc = [[0.0f32; L]; R];
+    // Slice every operand row once, so the `p` walk carries no bounds
+    // checks beyond the one lane-block slice.
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * lda..r * lda + depth]);
+    for (p, bp) in b.chunks(ldb).take(depth).enumerate() {
+        let bp = &bp[..L];
+        for (acc_r, row) in acc.iter_mut().zip(rows) {
+            let ap = row[p];
+            if SKIP && ap == 0.0 {
+                continue;
+            }
+            for (slot, &bv) in acc_r.iter_mut().zip(bp) {
+                *slot += ap * bv;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        put(r, acc_r);
+    }
+    L
 }
 
 /// Fast-profile [`attention_into`]: the same fused pipeline and the same
@@ -463,62 +746,16 @@ pub fn attention_cross_shared_fast_into(
     scores: &mut [f32],
     out: &mut [f32],
 ) {
-    let n = ns + nd;
-    assert!(qs.len() >= bs * ns * d, "attention_cross_shared_fast_into: qs too small");
-    assert!(ks.len() >= bs * ns * d, "attention_cross_shared_fast_into: ks too small");
-    assert!(vs.len() >= bs * ns * d, "attention_cross_shared_fast_into: vs too small");
-    assert!(qh.len() >= nd * d, "attention_cross_shared_fast_into: qh too small");
-    assert!(kh.len() >= nd * d, "attention_cross_shared_fast_into: kh too small");
-    assert!(vh.len() >= nd * d, "attention_cross_shared_fast_into: vh too small");
-    assert!(
-        scores.len() >= bs * ns * nd,
-        "attention_cross_shared_fast_into: scores scratch too small"
+    cross_shared_dispatch(
+        "attention_cross_shared_fast_into",
+        cross_shared_slices,
+        [qs, ks, vs],
+        [qh, kh, vh],
+        scale,
+        [bs, ns, nd, d],
+        scores,
+        out,
     );
-    assert!(out.len() >= bs * n * d, "attention_cross_shared_fast_into: out too small");
-    let out = &mut out[..bs * n * d];
-    if ns == 0 || nd == 0 {
-        // One side empty ⇒ every row is fully masked ⇒ all-zero context
-        // (exactly what the dense masked pipeline produces).
-        out.fill(0.0);
-        return;
-    }
-    let (qs, ks, vs) = (&qs[..bs * ns * d], &ks[..bs * ns * d], &vs[..bs * ns * d]);
-    let (qh, kh, vh) = (&qh[..nd * d], &kh[..nd * d], &vh[..nd * d]);
-    let scores = &mut scores[..bs * ns * nd];
-
-    let work_per_slice = 4 * ns * nd * d + 32 * ns * nd;
-    if super::dispatch::should_par(bs * work_per_slice, bs) {
-        seqfm_parallel::par_units2(
-            seqfm_parallel::global(),
-            scores,
-            ns * nd,
-            out,
-            n * d,
-            |b0, scores_chunk, out_chunk| {
-                let slices = scores_chunk.len() / (ns * nd);
-                let qs = &qs[b0 * ns * d..(b0 + slices) * ns * d];
-                let ks = &ks[b0 * ns * d..(b0 + slices) * ns * d];
-                let vs = &vs[b0 * ns * d..(b0 + slices) * ns * d];
-                cross_shared_slices(
-                    qs,
-                    ks,
-                    vs,
-                    qh,
-                    kh,
-                    vh,
-                    scale,
-                    slices,
-                    ns,
-                    nd,
-                    d,
-                    scores_chunk,
-                    out_chunk,
-                );
-            },
-        );
-    } else {
-        cross_shared_slices(qs, ks, vs, qh, kh, vh, scale, bs, ns, nd, d, scores, out);
-    }
 }
 
 /// Serial body of [`attention_cross_shared_fast_into`] over `bs` slices.
@@ -531,19 +768,11 @@ pub fn attention_cross_shared_fast_into(
 /// changes bits — the spliced-parity test below pins the AVX2 body against
 /// the scalar interleaved kernel on AVX2 hosts, and CI's `SEQFM_SIMD=scalar`
 /// job pins the fallback.
-#[allow(clippy::too_many_arguments)]
 fn cross_shared_slices(
-    qs: &[f32],
-    ks: &[f32],
-    vs: &[f32],
-    qh: &[f32],
-    kh: &[f32],
-    vh: &[f32],
+    [qs, ks, vs]: [&[f32]; 3],
+    [qh, kh, vh]: [&[f32]; 3],
     scale: f32,
-    bs: usize,
-    ns: usize,
-    nd: usize,
-    d: usize,
+    [bs, ns, nd, d]: [usize; 4],
     scores: &mut [f32],
     out: &mut [f32],
 ) {
@@ -610,16 +839,8 @@ fn cross_shared_slices_avx2(
         // once, reused by every slice in this chunk.
         let mut kht = ws.take(d * nd);
         let mut qht = ws.take(d * nd);
-        for (j, row) in kh.chunks_exact(d).enumerate().take(nd) {
-            for (p, &x) in row.iter().enumerate() {
-                kht[p * nd + j] = x;
-            }
-        }
-        for (j, row) in qh.chunks_exact(d).enumerate().take(nd) {
-            for (p, &x) in row.iter().enumerate() {
-                qht[p * nd + j] = x;
-            }
-        }
+        pack_transposed(kh, nd, d, &mut kht);
+        pack_transposed(qh, nd, d, &mut qht);
         for b in 0..bs {
             let sq = &qs[b * NS * d..(b + 1) * NS * d];
             let sk = &ks[b * NS * d..(b + 1) * NS * d];
@@ -898,19 +1119,10 @@ mod tests {
 
             // Reference: splice the shared history under every slice's
             // static rows and run the interleaved structured kernel.
-            let splice = |s: &[f32], h: &[f32]| {
-                let mut full = vec![0.0f32; bs * n * d];
-                for b in 0..bs {
-                    full[b * n * d..b * n * d + ns * d]
-                        .copy_from_slice(&s[b * ns * d..(b + 1) * ns * d]);
-                    full[b * n * d + ns * d..(b + 1) * n * d].copy_from_slice(&h[..nd * d]);
-                }
-                full
-            };
             let (fq, fk, fv) = (
-                splice(qs.data(), qh.data()),
-                splice(ks.data(), kh.data()),
-                splice(vs.data(), vh.data()),
+                splice(qs.data(), qh.data(), bs, ns, nd, d),
+                splice(ks.data(), kh.data(), bs, ns, nd, d),
+                splice(vs.data(), vh.data(), bs, ns, nd, d),
             );
             let mut scratch = vec![0.0f32; bs * n * n];
             let mut spliced = vec![0.0f32; bs * n * d];
@@ -950,6 +1162,153 @@ mod tests {
                     "bs={bs} ns={ns} nd={nd} d={d}: element {i} diverges ({a} vs {b})"
                 );
             }
+        }
+    }
+
+    /// `[bs, ns + nd, d]`: the shared `[nd, d]` block `h` spliced under every
+    /// slice's `[ns, d]` rows of `s` — the layout the dense kernels want.
+    fn splice(s: &[f32], h: &[f32], bs: usize, ns: usize, nd: usize, d: usize) -> Vec<f32> {
+        let n = ns + nd;
+        let mut full = vec![0.0f32; bs * n * d];
+        for b in 0..bs {
+            full[b * n * d..b * n * d + ns * d].copy_from_slice(&s[b * ns * d..(b + 1) * ns * d]);
+            full[b * n * d + ns * d..(b + 1) * n * d].copy_from_slice(&h[..nd * d]);
+        }
+        full
+    }
+
+    /// Asserts the structured exact kernel equals splice + dense masked
+    /// `attention_into` bit for bit on `[qs, ks, vs]` × `[qh, kh, vh]`.
+    fn assert_cross_shared_exact_matches_dense(
+        stat: [&[f32]; 3],
+        hist: [&[f32]; 3],
+        [bs, ns, nd, d]: [usize; 4],
+    ) {
+        let n = ns + nd;
+        let scale = 1.0 / (d as f32).sqrt();
+        let [fq, fk, fv] = [0, 1, 2].map(|i| splice(stat[i], hist[i], bs, ns, nd, d));
+        let mut scratch = vec![0.0f32; bs * n * n];
+        let mut dense = vec![0.0f32; bs * n * d];
+        let mask = AttnMask::cross(ns, nd);
+        attention_into(&fq, &fk, &fv, Some(&mask), scale, bs, n, d, &mut scratch, &mut dense);
+
+        // Right-sized scratch: the structured kernel's own contract.
+        let mut scratch = vec![0.0f32; bs * ns * nd];
+        let mut structured = vec![f32::NAN; bs * n * d];
+        attention_cross_shared_into(
+            stat[0],
+            stat[1],
+            stat[2],
+            hist[0],
+            hist[1],
+            hist[2],
+            scale,
+            bs,
+            ns,
+            nd,
+            d,
+            &mut scratch,
+            &mut structured,
+        );
+        for (i, (&a, &b)) in dense.iter().zip(&structured).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "bs={bs} ns={ns} nd={nd} d={d}: element {i} diverges ({a} vs {b})"
+            );
+        }
+    }
+
+    #[test]
+    fn cross_shared_exact_matches_dense_masked_exact_bitwise() {
+        // Serving and retrieval geometry, odd shapes, an exact vector chunk
+        // and a ragged tail of history columns (nd = 8, 16 / 13, 20), a
+        // width with a ragged lane tail (d = 7), and both empty sides. CI
+        // runs this under the default, `SEQFM_SIMD=scalar` and
+        // `SEQFM_WORKERS=4` arms (the first shape clears the fan-out
+        // threshold, so the last one partitions it across the pool).
+        for &(bs, ns, nd, d) in &[
+            (100usize, 2usize, 20usize, 32usize),
+            (64, 2, 20, 32),
+            (3, 2, 13, 16),
+            (2, 2, 8, 8),
+            (1, 2, 16, 4),
+            (2, 3, 5, 7),
+            (4, 1, 3, 8),
+            (1, 2, 0, 4),
+            (2, 0, 4, 4),
+        ] {
+            let mut seed = 211 + (bs * 7 + ns * 31 + nd) as u64;
+            let stat = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns.max(1), d), &mut seed));
+            let hist = [(); 3].map(|()| rand_tensor(Shape::d2(nd.max(1), d), &mut seed));
+            assert_cross_shared_exact_matches_dense(
+                [stat[0].data(), stat[1].data(), stat[2].data()],
+                [hist[0].data(), hist[1].data(), hist[2].data()],
+                [bs, ns, nd, d],
+            );
+        }
+    }
+
+    #[test]
+    fn cross_shared_exact_skips_underflowed_weights_like_dense() {
+        // One admitted score per row sits ≈ 200 below the row max, so its
+        // softmax weight underflows to exactly 0.0 — and the value row it
+        // would have weighted is +∞. The dense `nn` product skips
+        // `w == 0.0`; a kernel that multiplied instead would turn 0·∞ into
+        // NaN. Both admitted blocks get such a column.
+        let (bs, ns, nd, d) = (3usize, 2usize, 20usize, 32usize);
+        let mut seed = 977;
+        let mut stat = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns, d), &mut seed));
+        let mut hist = [(); 3].map(|()| rand_tensor(Shape::d2(nd, d), &mut seed));
+        let (j, r) = (5usize, 11usize);
+        // Static rows vs history column `j`: q·k ≈ −1200 → ·1/√32 ≈ −212.
+        for row in stat[0].data_mut().chunks_exact_mut(d) {
+            row[0] = 30.0;
+        }
+        for (jj, row) in hist[1].data_mut().chunks_exact_mut(d).enumerate() {
+            row[0] = if jj == j { -40.0 } else { 0.0 };
+        }
+        hist[2].data_mut()[j * d..(j + 1) * d].fill(f32::INFINITY);
+        // History row `r` vs static column 0 of every slice, likewise (on
+        // coordinate 1, so the two constructions do not interact).
+        for (rr, row) in hist[0].data_mut().chunks_exact_mut(d).enumerate() {
+            row[1] = if rr == r { 30.0 } else { 0.0 };
+        }
+        for (c, row) in stat[1].data_mut().chunks_exact_mut(d).enumerate() {
+            row[1] = if c % ns == 0 { -40.0 } else { 0.0 };
+        }
+        for slice in stat[2].data_mut().chunks_exact_mut(ns * d) {
+            slice[..d].fill(f32::INFINITY);
+        }
+        let stat_d = [stat[0].data(), stat[1].data(), stat[2].data()];
+        let hist_d = [hist[0].data(), hist[1].data(), hist[2].data()];
+        assert_cross_shared_exact_matches_dense(stat_d, hist_d, [bs, ns, nd, d]);
+
+        // The skip is what keeps those rows finite: static rows never
+        // absorb column j's ∞, and history row r never absorbs column 0's.
+        let n = ns + nd;
+        let mut scratch = vec![0.0f32; bs * ns * nd];
+        let mut out = vec![0.0f32; bs * n * d];
+        attention_cross_shared_into(
+            stat_d[0],
+            stat_d[1],
+            stat_d[2],
+            hist_d[0],
+            hist_d[1],
+            hist_d[2],
+            1.0 / (d as f32).sqrt(),
+            bs,
+            ns,
+            nd,
+            d,
+            &mut scratch,
+            &mut out,
+        );
+        for b in 0..bs {
+            let slice = &out[b * n * d..(b + 1) * n * d];
+            assert!(slice[..ns * d].iter().all(|v| v.is_finite()), "slice {b}: static rows");
+            let hist_row = &slice[(ns + r) * d..(ns + r + 1) * d];
+            assert!(hist_row.iter().all(|v| v.is_finite()), "slice {b}: history row {r}");
         }
     }
 

@@ -41,8 +41,8 @@ pub mod testutil;
 pub mod workspace;
 
 pub use kernels::attention::{
-    attention_cross_fast_into, attention_cross_shared_fast_into, attention_fast_into,
-    attention_into, attention_pair_fast_into,
+    attention_cross_fast_into, attention_cross_shared_fast_into, attention_cross_shared_into,
+    attention_fast_into, attention_into, attention_pair_fast_into,
 };
 pub use kernels::bmm::{
     bmm_nn, bmm_nn_fast_into, bmm_nn_into, bmm_nt, bmm_nt_fast_into, bmm_nt_into, bmm_tn,
