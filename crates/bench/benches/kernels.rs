@@ -26,7 +26,7 @@ use rand::SeedableRng;
 use seqfm_autograd::ParamStore;
 use seqfm_core::{FrozenSeqFm, Scorer, Scratch, SeqFm, SeqFmConfig};
 use seqfm_data::{build_instance, Batch, FeatureLayout};
-use seqfm_tensor::kernels::matmul::{fast, naive, tiled};
+use seqfm_tensor::kernels::matmul::{naive, tiled};
 use seqfm_tensor::testutil::CountingAlloc;
 use seqfm_tensor::{attention_cross_shared_into, attention_into, AttnMask, Shape, Tensor};
 use std::time::Instant;
@@ -177,26 +177,14 @@ fn emit_kernels_json(_c: &mut Criterion) {
             o.fill(0.0);
             tiled::matmul_nt_into(a.data(), bt.data(), o, m, d, d);
         });
-        let nn_fast = time(&mut |o| {
-            o.fill(0.0);
-            fast::matmul_nn_fast_into(a.data(), b.data(), o, m, d, d);
-        });
-        let nt_fast = time(&mut |o| {
-            o.fill(0.0);
-            fast::matmul_nt_fast_into(a.data(), bt.data(), o, m, d, d);
-        });
         fields.push_str(&format!(
-            "  \"matmul_nn_d{d}_gflops_naive\": {:.2},\n  \"matmul_nn_d{d}_gflops_tiled\": {:.2},\n  \"matmul_nn_d{d}_gflops_fast\": {:.2},\n  \"matmul_nn_d{d}_speedup_tiled_vs_naive\": {:.2},\n  \"matmul_nn_d{d}_speedup_fast_vs_naive\": {:.2},\n  \"matmul_nt_d{d}_gflops_naive\": {:.2},\n  \"matmul_nt_d{d}_gflops_tiled\": {:.2},\n  \"matmul_nt_d{d}_gflops_fast\": {:.2},\n  \"matmul_nt_d{d}_speedup_tiled_vs_naive\": {:.2},\n  \"matmul_nt_d{d}_speedup_fast_vs_naive\": {:.2},\n",
+            "  \"matmul_nn_d{d}_gflops_naive\": {:.2},\n  \"matmul_nn_d{d}_gflops_tiled\": {:.2},\n  \"matmul_nn_d{d}_speedup_tiled_vs_naive\": {:.2},\n  \"matmul_nt_d{d}_gflops_naive\": {:.2},\n  \"matmul_nt_d{d}_gflops_tiled\": {:.2},\n  \"matmul_nt_d{d}_speedup_tiled_vs_naive\": {:.2},\n",
             gflops(m, d, d, nn_naive),
             gflops(m, d, d, nn_tiled),
-            gflops(m, d, d, nn_fast),
             nn_naive / nn_tiled,
-            nn_naive / nn_fast,
             gflops(m, d, d, nt_naive),
             gflops(m, d, d, nt_tiled),
-            gflops(m, d, d, nt_fast),
             nt_naive / nt_tiled,
-            nt_naive / nt_fast,
         ));
     }
 

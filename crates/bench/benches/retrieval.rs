@@ -3,9 +3,10 @@
 //!
 //! Besides the criterion group, this bench writes `BENCH_retrieval.json`
 //! at the repository root (catalog items/sec at 10k/100k/1M, p50 latency
-//! of a top-100-of-1M query, measured prune rate, and the blocked-scan
-//! speedup over naive one-item-at-a-time scoring) so the retrieval
-//! trajectory is recorded PR over PR:
+//! of a top-100-of-1M query, measured prune rate, the blocked-scan
+//! speedup over naive one-item-at-a-time scoring, and what the embedding
+//! tables of a 1M-item replica hold resident under each profile) so the
+//! retrieval trajectory is recorded PR over PR:
 //!
 //! ```text
 //! cargo bench -p seqfm-bench --bench retrieval
@@ -179,9 +180,10 @@ fn emit_retrieval_json(_c: &mut Criterion) {
         );
     }
 
-    // The fast profile over the same 1M catalog: same index shape, same
-    // bit-identical pruned-vs-brute contract (quantized envelopes add zero
-    // width — both sides read the effective weights θ′).
+    // The `Fast` profile over the same 1M catalog: same kernels on
+    // quantised parameters, same index shape, same bit-identical
+    // pruned-vs-brute contract (quantized envelopes add zero width — both
+    // sides read the effective weights θ′).
     let (fast_model, fast_layout) = build_model_at(1_000_000, ScorerPrecision::Fast);
     let fast_index = CatalogIndex::build(Arc::clone(&fast_model), fast_layout, BLOCK);
     let fast_view = query_view(&fast_model, &fast_layout, 7);
@@ -200,6 +202,15 @@ fn emit_retrieval_json(_c: &mut Criterion) {
         5,
     );
     let items_per_sec_1m_fast = 1_000_000f64 / fast_p50_1m.as_secs_f64();
+    // What the two embedding tables hold resident at 1M items: the `f32`
+    // snapshot every replica keeps, and under `Fast` the `f16` copy beside
+    // it (the gather reads only the `f16` half; nothing is freed).
+    let emb_elems: usize = ["seqfm.emb_static.table", "seqfm.emb_dynamic.table"]
+        .iter()
+        .map(|name| fast_model.params().get(name).expect("embedding table").numel())
+        .sum();
+    let emb_table_mb_f32 = (emb_elems * 4) as f64 / 1e6;
+    let emb_table_mb_fast_resident = (emb_elems * (4 + 2)) as f64 / 1e6;
     println!(
         "n = 1000000 [fast]: p50 {:.2} ms, prune rate {:.3}",
         fast_p50_1m.as_secs_f64() * 1e3,
@@ -234,7 +245,7 @@ fn emit_retrieval_json(_c: &mut Criterion) {
     // bit-identity against brute force before its numbers were written —
     // the asserts panic on divergence, so reaching this line proves it.
     let json = format!(
-        "{{\n  \"bench\": \"retrieval\",\n  \"config\": {{ \"d\": {D}, \"max_seq\": {MAX_SEQ}, \"block\": {BLOCK}, \"k\": {K} }},\n  \"host_cpus\": {host_cpus},\n  \"calib_spin_us\": {:.1},\n  \"parity_check\": true,\n  \"items_per_sec_10k\": {:.0},\n  \"items_per_sec_100k\": {:.0},\n  \"items_per_sec_1m\": {:.0},\n  \"items_per_sec_1m_fast\": {:.0},\n  \"fast_vs_exact_speedup_1m\": {:.2},\n  \"p50_top100_of_1m_ms\": {:.2},\n  \"prune_rate_1m\": {:.3},\n  \"blocks_scored_1m\": {blocks_scored_1m},\n  \"n_blocks_1m\": {n_blocks_1m},\n  \"blocked_vs_naive_per_item_speedup_10k\": {:.2}\n}}\n",
+        "{{\n  \"bench\": \"retrieval\",\n  \"config\": {{ \"d\": {D}, \"max_seq\": {MAX_SEQ}, \"block\": {BLOCK}, \"k\": {K} }},\n  \"host_cpus\": {host_cpus},\n  \"calib_spin_us\": {:.1},\n  \"parity_check\": true,\n  \"items_per_sec_10k\": {:.0},\n  \"items_per_sec_100k\": {:.0},\n  \"items_per_sec_1m\": {:.0},\n  \"items_per_sec_1m_fast\": {:.0},\n  \"fast_vs_exact_speedup_1m\": {:.2},\n  \"emb_table_mb_f32_1m\": {emb_table_mb_f32:.1},\n  \"emb_table_mb_fast_resident_1m\": {emb_table_mb_fast_resident:.1},\n  \"p50_top100_of_1m_ms\": {:.2},\n  \"prune_rate_1m\": {:.3},\n  \"blocks_scored_1m\": {blocks_scored_1m},\n  \"n_blocks_1m\": {n_blocks_1m},\n  \"blocked_vs_naive_per_item_speedup_10k\": {:.2}\n}}\n",
         calib_spin.as_secs_f64() * 1e6,
         items_per_sec[0],
         items_per_sec[1],

@@ -769,10 +769,10 @@ mod tests {
         dominance_check(crate::ScorerPrecision::Exact);
     }
 
-    /// The same soundness chain under the fast profile: the envelopes and
-    /// spectral bounds route through the quantized effective weights and
-    /// the fast projection kernels, so the bound must dominate the fast
-    /// scorer's logits just as tightly.
+    /// The same soundness chain under the `Fast` profile: the envelopes and
+    /// spectral bounds read the quantized effective weights the forward
+    /// pass reads, so the bound must dominate the `Fast` scorer's logits
+    /// just as tightly.
     #[test]
     fn block_upper_bound_dominates_fast_profile_scores_too() {
         dominance_check(crate::ScorerPrecision::Fast);

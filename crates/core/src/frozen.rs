@@ -19,11 +19,7 @@ use rand::SeedableRng;
 use seqfm_autograd::{FrozenId, FrozenParams, ModelEpoch, ParamStore};
 use seqfm_data::{Batch, FeatureLayout, PAD};
 use seqfm_nn::checkpoint::{self, CheckpointError};
-use seqfm_tensor::{
-    attention_cross_fast_into, attention_cross_shared_fast_into, attention_cross_shared_into,
-    attention_into, attention_pair_fast_into, matmul_nn_fast_into, matmul_nn_into, AttnMask,
-    Tensor,
-};
+use seqfm_tensor::{attention_cross_shared_into, attention_into, matmul_nn_into, AttnMask, Tensor};
 use std::sync::Arc;
 
 /// Must match `seqfm_nn::layers::LayerNorm::new` — the paper's "small bias
@@ -121,8 +117,11 @@ impl FrozenSeqFm {
 
     /// Switches the serving profile, quantizing the parameters on first use
     /// of [`ScorerPrecision::Fast`] (see [`crate::precision`] for the error
-    /// budget and guarantees). The quantized bundle is kept when toggling
-    /// back to `Exact`, so flipping profiles is cheap after the first build.
+    /// budget and guarantees). The profile selects *parameters only*: both
+    /// run the same kernels, so `Fast` is bit-identical to an `Exact` model
+    /// frozen from the quantized values. The quantized bundle is kept when
+    /// toggling back to `Exact`, so flipping profiles is cheap after the
+    /// first build.
     #[must_use]
     pub fn with_precision(mut self, precision: ScorerPrecision) -> Self {
         self.precision = precision;
@@ -145,10 +144,6 @@ impl FrozenSeqFm {
         }
     }
 
-    pub(crate) fn is_fast(&self) -> bool {
-        self.fast_active().is_some()
-    }
-
     /// Profile-aware static-embedding gather (`f16`-decoded under `Fast`).
     pub(crate) fn gather_static(&self, idx: &[i64], d: usize, out: &mut [f32]) {
         match self.fast_active() {
@@ -167,7 +162,7 @@ impl FrozenSeqFm {
 
     /// View `view`'s attention weight matrix (`which`: 0 = Q, 1 = K, 2 = V)
     /// in the active profile — the exact tensor, or the `f16`-effective copy
-    /// the fast forward pass *and* the retrieval bounds both read.
+    /// the `Fast` forward pass *and* the retrieval bounds both read.
     pub(crate) fn attn_w(&self, view: usize, which: usize) -> &[f32] {
         match self.fast_active() {
             Some(fp) => {
@@ -190,11 +185,11 @@ impl FrozenSeqFm {
         }
     }
 
-    /// Profile-aware attention projection `out[m,d] = e[m,d] · W[d,d]`
-    /// (the flatten–matmul of `Linear::forward_3d`; projections carry no
-    /// bias). Per-row arithmetic is batch-independent in both profiles, so
-    /// a row's projection is the same bits whether it is computed here for a
-    /// forward pass or for a bounds envelope.
+    /// Attention projection `out[m,d] = e[m,d] · W[d,d]` with the active
+    /// profile's weights (the flatten–matmul of `Linear::forward_3d`;
+    /// projections carry no bias). Per-row arithmetic is batch-independent,
+    /// so a row's projection is the same bits whether it is computed here
+    /// for a forward pass or for a bounds envelope.
     pub(crate) fn project_view(
         &self,
         e: &[f32],
@@ -207,11 +202,7 @@ impl FrozenSeqFm {
         let w = self.attn_w(view, which);
         let out = &mut out[..m * d];
         out.fill(0.0);
-        if self.is_fast() {
-            matmul_nn_fast_into(e, w, out, m, d, d);
-        } else {
-            matmul_nn_into(e, w, out, m, d, d);
-        }
+        matmul_nn_into(e, w, out, m, d, d);
     }
 
     /// FFN `which`'s layer-`li` weight matrix in the active profile (the
@@ -284,12 +275,6 @@ impl FrozenSeqFm {
     /// One view of the forward pass: project Q/K/V, attend, pool, run the
     /// (shared or per-view) FFN, and write the result into this view's
     /// column block of `hagg`.
-    ///
-    /// `cross_ns`: `Some(ns)` on the cross view, whose mask admits only
-    /// static↔dynamic pairs — the fast profile then takes the
-    /// block-structured [`attention_cross_fast_into`] (bit-identical to the
-    /// dense masked fast path; see its docs) instead of scoring the dense
-    /// `n × n` matrix the mask mostly discards.
     #[allow(clippy::too_many_arguments)]
     fn run_view(
         &self,
@@ -301,7 +286,6 @@ impl FrozenSeqFm {
         d: usize,
         scale: f32,
         mask: Option<&AttnMask>,
-        cross_ns: Option<usize>,
         pads: Option<(&[usize], usize)>,
         view_col: usize,
         views: usize,
@@ -310,11 +294,16 @@ impl FrozenSeqFm {
         self.project_view(e, view, 0, b * n, bufs.q);
         self.project_view(e, view, 1, b * n, bufs.k);
         self.project_view(e, view, 2, b * n, bufs.v);
-        self.finish_view(ffn_idx, b, n, d, scale, mask, cross_ns, pads, view_col, views, bufs);
+        self.finish_view(ffn_idx, b, n, d, scale, mask, pads, view_col, views, bufs);
     }
 
-    /// Attention → pooling → FFN → `hagg` column write, on already-projected
-    /// Q/K/V in `bufs` (`cross_ns` as on [`Self::run_view`]).
+    /// Dense (optionally masked) attention → pooling → FFN → `hagg` column
+    /// write, on already-projected Q/K/V in `bufs`. A shared-history cross
+    /// view never gets here: `forward_split` hands it to the structured
+    /// [`attention_cross_shared_into`], which scores only the `2·ns·nd` of
+    /// `n²` pairs the cross mask admits. What remains — the static view,
+    /// the causal dynamic view, and a cross view over *per-row* histories —
+    /// replays the tape's dense pipeline.
     #[allow(clippy::too_many_arguments)]
     fn finish_view(
         &self,
@@ -324,51 +313,12 @@ impl FrozenSeqFm {
         d: usize,
         scale: f32,
         mask: Option<&AttnMask>,
-        cross_ns: Option<usize>,
         pads: Option<(&[usize], usize)>,
         view_col: usize,
         views: usize,
         bufs: &mut ViewBufs<'_>,
     ) {
-        let fast = self.is_fast();
-        // Both profiles pick the cheapest *bit-stable* kernel per geometry.
-        // A shared-history cross view never gets here: `forward_split`
-        // hands it to the structured shared-history kernel of its profile
-        // (exact or fast), which scores only the `2·ns·nd` of `n²` pairs
-        // the cross mask admits. What remains: a cross view over
-        // *per-row* histories (structured under `Fast`, dense masked
-        // under `Exact`), the static view's maskless n = 2 slices (the
-        // fused unrolled pair kernel under `Fast`), and everything else —
-        // the causal dynamic rows in both profiles — on the exact fused
-        // dense path: at `x86-64-v3` it already auto-vectorizes, and the
-        // approximate softmax's per-row overhead costs more than libm exp
-        // saves there (measured: the dense fast path *loses* to exact).
-        // Every choice is bit-identical across SIMD arms, so the fast
-        // profile's cross-arm determinism contract is unaffected.
-        match cross_ns {
-            Some(ns) if fast => {
-                attention_cross_fast_into(
-                    bufs.q,
-                    bufs.k,
-                    bufs.v,
-                    scale,
-                    b,
-                    ns,
-                    n - ns,
-                    d,
-                    bufs.scores,
-                    bufs.ctx,
-                );
-            }
-            // The static view's (user, candidate) pair: the fused unrolled
-            // pair kernel skips the per-slice bmm dispatch entirely.
-            None if fast && mask.is_none() && n == 2 => {
-                attention_pair_fast_into(bufs.q, bufs.k, bufs.v, scale, b, d, bufs.ctx);
-            }
-            _ => {
-                attention_into(bufs.q, bufs.k, bufs.v, mask, scale, b, n, d, bufs.scores, bufs.ctx);
-            }
-        }
+        attention_into(bufs.q, bufs.k, bufs.v, mask, scale, b, n, d, bufs.scores, bufs.ctx);
         self.pool_ffn_write(ffn_idx, b, n, d, pads, view_col, views, bufs);
     }
 
@@ -404,7 +354,6 @@ impl FrozenSeqFm {
                 d,
                 ab.residual,
                 ab.layer_norm,
-                self.is_fast(),
             );
         }
         let stride = views * d;
@@ -502,7 +451,7 @@ impl FrozenSeqFm {
             // The cross view's history rows are projected row-locally, so
             // the per-request shared path can splice these under each
             // row's per-candidate static projections (same projection call
-            // as the non-cached path, in the model's active profile).
+            // as the non-cached path, on the active profile's weights).
             let dsts = [&mut view.hist_q, &mut view.hist_k, &mut view.hist_v];
             for (wi, dst) in dsts.into_iter().enumerate() {
                 dst.resize(nd * d, 0.0);
@@ -546,7 +495,6 @@ impl FrozenSeqFm {
                 d,
                 scale,
                 Some(causal),
-                None,
                 Some((&[pad], 0)),
                 0,
                 1,
@@ -682,11 +630,9 @@ impl FrozenSeqFm {
         let need_e_d = cached.is_none();
 
         // Candidate-expansion batches repeat the user feature in static
-        // column 0 of every row; both profiles then project the `1 + b`
-        // unique static rows instead of all `2·b` and broadcast the shared
-        // row's projection — bit-identical per row (see
-        // [`Self::project_static_unique`]).
-        let fastp = self.is_fast();
+        // column 0 of every row; project the `1 + b` unique static rows
+        // instead of all `2·b` and broadcast the shared row's projection —
+        // bit-identical per row (see [`Self::project_static_unique`]).
         let uniq_static = ns == 2
             && b > 1
             && batch.static_idx.chunks_exact(2).skip(1).all(|r| r[0] == batch.static_idx[0]);
@@ -715,7 +661,7 @@ impl FrozenSeqFm {
         let mut k = ws.take(qkv_len);
         let mut v = ws.take(qkv_len);
         let hist_proj = ab.cross_view && shared_hist && need_e_d;
-        // The shared-history kernels read all three history projections at
+        // The shared-history kernel reads all three history projections at
         // once.
         let mut qd = ws.take(if hist_proj { nd * d } else { 0 });
         let mut kd = ws.take(if hist_proj { nd * d } else { 0 });
@@ -786,9 +732,7 @@ impl FrozenSeqFm {
                     &mut pu,
                     [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v],
                 );
-                self.finish_view(
-                    ffn_idx, b, ns, d, scale, None, None, None, view_col, views, &mut bufs,
-                );
+                self.finish_view(ffn_idx, b, ns, d, scale, None, None, view_col, views, &mut bufs);
             } else {
                 self.run_view(
                     0,
@@ -798,7 +742,6 @@ impl FrozenSeqFm {
                     ns,
                     d,
                     scale,
-                    None,
                     None,
                     None,
                     view_col,
@@ -831,7 +774,6 @@ impl FrozenSeqFm {
                     d,
                     scale,
                     Some(causal),
-                    None,
                     Some((&pad_counts[..db], 0)),
                     view_col,
                     views,
@@ -847,7 +789,7 @@ impl FrozenSeqFm {
         if ab.cross_view {
             let nx = ns + nd;
             if shared_hist {
-                // One layout for both profiles, no splice: the candidates'
+                // No splice: the candidates'
                 // static-row projections land in the leading `[b, ns, d]`
                 // blocks of Q/K/V, the shared history's three `[nd, d]`
                 // projections stay in their own small blocks (row-local, so
@@ -857,7 +799,7 @@ impl FrozenSeqFm {
                 // history under every slice and running the dense masked
                 // kernel (pinned in the tensor crate), minus `3·b·nd·d`
                 // floats of copying and the ~83 % of scores the cross mask
-                // discards. The profile only picks the kernel entry point.
+                // discards.
                 if uniq_static {
                     self.project_static_unique(
                         &e_u[..(1 + b) * d],
@@ -881,12 +823,7 @@ impl FrozenSeqFm {
                         [&qd[..nd * d], &kd[..nd * d], &vd[..nd * d]]
                     }
                 };
-                let kernel = if fastp {
-                    attention_cross_shared_fast_into
-                } else {
-                    attention_cross_shared_into
-                };
-                kernel(
+                attention_cross_shared_into(
                     bufs.q,
                     bufs.k,
                     bufs.v,
@@ -929,7 +866,6 @@ impl FrozenSeqFm {
                     d,
                     scale,
                     Some(cross),
-                    Some(ns),
                     Some((pad_counts.as_slice(), ns)),
                     view_col,
                     views,
@@ -1110,7 +1046,6 @@ fn ffn_layer(
     d: usize,
     residual: bool,
     layer_norm: bool,
-    fast: bool,
 ) {
     let h = &mut h[..b * d];
     let normed = &mut normed[..b * d];
@@ -1133,11 +1068,7 @@ fn ffn_layer(
     };
     // Linear + bias + ReLU.
     lin.fill(0.0);
-    if fast {
-        matmul_nn_fast_into(src, w, lin, b, d, d);
-    } else {
-        matmul_nn_into(src, w, lin, b, d, d);
-    }
+    matmul_nn_into(src, w, lin, b, d, d);
     for row in lin.chunks_exact_mut(d) {
         for (o, &bv) in row.iter_mut().zip(bias) {
             *o += bv;
@@ -1257,6 +1188,69 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// θ′ as plain `f32`: a copy of `ps` with every parameter the `Fast`
+    /// profile quantises replaced by the effective value it reads.
+    fn quantised_store(ps: &ParamStore, d: usize) -> ParamStore {
+        use crate::precision::{f16_effective, QuantMatrix};
+        let mut qs = ps.worker_clone();
+        for id in qs.ids() {
+            let name = qs.param(id).name().to_string();
+            let t = qs.value(id);
+            let eff = if name.starts_with("seqfm.emb_") || name.starts_with("seqfm.attn_") {
+                f16_effective(t)
+            } else if name.starts_with("seqfm.ffn") && name.ends_with(".lin.w") {
+                QuantMatrix::from_tensor(t, d).eff
+            } else {
+                continue;
+            };
+            qs.value_mut(id).data_mut().copy_from_slice(&eff);
+        }
+        qs
+    }
+
+    #[test]
+    fn fast_is_exact_on_the_quantised_parameters_bit_for_bit() {
+        // The whole contract of `Fast`: same kernels, quantised parameters.
+        // Freeze θ′ as an ordinary `Exact` model and the two must agree on
+        // every bit, for per-row histories, a shared-history batch, and a
+        // cached view.
+        for (name, ab) in all_variants() {
+            let cfg =
+                SeqFmConfig { d: 8, max_seq: 6, dropout: 0.0, ablation: ab, ..Default::default() };
+            let mut ps = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(29);
+            let model = SeqFm::new(&mut ps, &mut rng, &slate_layout(), cfg);
+            let fast = FrozenSeqFm::freeze(&model, &ps).with_precision(ScorerPrecision::Fast);
+            let exact_q = FrozenSeqFm::freeze(&model, &quantised_store(&ps, cfg.d));
+            let exact = FrozenSeqFm::freeze(&model, &ps);
+            let (mut sf, mut sq) = (Scratch::new(), Scratch::new());
+
+            let (per_row, shared) = (batch(6), slate(&[1, 2, 5, 8], 6));
+            let vf = fast.history_view(&shared.dyn_idx[..6], &mut sf);
+            let vq = exact_q.history_view(&shared.dyn_idx[..6], &mut sq);
+            let got = [
+                fast.score(&per_row, &mut sf).to_vec(),
+                fast.score(&shared, &mut sf).to_vec(),
+                fast.score_with_view(&shared, &vf, &mut sf).to_vec(),
+            ];
+            let want = [
+                exact_q.score(&per_row, &mut sq).to_vec(),
+                exact_q.score(&shared, &mut sq).to_vec(),
+                exact_q.score_with_view(&shared, &vq, &mut sq).to_vec(),
+            ];
+            for (shape, (g, w)) in
+                ["per-row", "shared", "cached view"].iter().zip(got.iter().zip(&want))
+            {
+                assert_eq!(g.len(), w.len());
+                for (i, (g, w)) in g.iter().zip(w).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{name}, {shape}: logit {i} ({g} vs {w})");
+                }
+            }
+            // Not vacuous: quantisation moved the parameters.
+            assert_ne!(got[1], exact.score(&shared, &mut sq), "{name}: θ′ == θ");
         }
     }
 

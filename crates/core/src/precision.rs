@@ -1,40 +1,38 @@
-//! Reduced-precision serving profile: [`ScorerPrecision`] and the quantized
+//! Quantised-parameter serving profile: [`ScorerPrecision`] and the
 //! parameter bundle [`FrozenParamsFast`].
 //!
-//! The exact serving path ([`crate::FrozenSeqFm`] at
-//! [`ScorerPrecision::Exact`]) reproduces the training graph's `f32` logits
-//! bit for bit: every value it computes runs the graph's own chain of
-//! operations. It is not the graph's *dense* arithmetic, though — on a
-//! shared-history batch its cross view has the same splice-free structured
-//! layout as the fast profile's and never forms the pairs the cross mask
-//! discards (`seqfm_tensor::attention_cross_shared_into`; with non-finite
-//! parameters the two agree on which logits are NaN rather than on their
-//! payload bits). The **fast** profile trades bit-exactness for throughput
-//! along three axes, all deterministic:
+//! There is **one arithmetic**. Both profiles of [`crate::FrozenSeqFm`] run
+//! the same kernels — the ones that reproduce the training graph's `f32`
+//! logits bit for bit, every value computed by the graph's own chain of
+//! operations. (It is not the graph's *dense* arithmetic: on a
+//! shared-history batch the cross view has a splice-free structured layout
+//! and never forms the pairs the cross mask discards —
+//! `seqfm_tensor::attention_cross_shared_into`; with non-finite parameters
+//! the two agree on which logits are NaN rather than on their payload bits.)
+//! A profile only chooses which parameters those kernels read:
 //!
-//! 1. **Storage** — the big embedding tables are stored as IEEE `binary16`
-//!    (`f16`) bit patterns and widened to `f32` at gather time, halving the
-//!    memory traffic of the dominant full-catalog gather. The per-view
-//!    attention projection matrices are quantized the same way; the FFN
-//!    weight matrices use symmetric per-row `i8` with an `f32` scale.
-//! 2. **Compute** — matmuls and attention run the fused-FMA kernels
-//!    (`mul_add` / `vfmadd`), and the softmax uses the deterministic
-//!    polynomial `exp_fast`. Both are correctly rounded or
-//!    polynomial-deterministic, so fast logits are *identical across the
-//!    AVX2 and scalar dispatch arms* — "fast" never means "run-to-run
-//!    varying".
-//! 3. **Bounds** — the small quantized matrices are eagerly dequantized once
-//!    into cached `f32` *effective* weights `θ′ = decode(encode(θ))`; both
-//!    the fast forward pass and the retrieval pruning bounds read `θ′`, so
-//!    the quantization error contributes **zero** width to the pruning
-//!    envelope and pruned fast retrieval stays bitwise-equal to brute-force
-//!    fast retrieval.
+//! * [`ScorerPrecision::Exact`] reads the snapshot's `f32` parameters θ.
+//! * [`ScorerPrecision::Fast`] reads quantised parameters θ′. The two
+//!   embedding tables are stored as IEEE `binary16` (`f16`) bit patterns and
+//!   widened to `f32` at gather time, so the dominant full-catalog gather
+//!   moves half the bytes. The small matrices are eagerly dequantised once
+//!   into cached `f32` *effective* weights `θ′ = decode(encode(θ))`: the
+//!   per-view attention projections through `f16`, the FFN weight matrices
+//!   through symmetric per-row `i8` with an `f32` scale.
+//!
+//! So `Fast` on θ **is** `Exact` on θ′, bit for bit — a unit test in
+//! `frozen.rs` pins this on every Table-V variant and every forward shape —
+//! and everything proved about the exact kernels (cross-arm and
+//! worker-count determinism, batch independence) holds for `Fast` with no
+//! suite of its own. The retrieval pruning bounds read the same θ′, so
+//! quantisation contributes **zero** width to the pruning envelope and
+//! pruned `Fast` retrieval stays bitwise-equal to brute-force `Fast`
+//! retrieval.
 //!
 //! The documented per-logit error budget versus the exact profile is
 //! `|fast − exact| ≤ 2e-2 + 1e-2·|exact|` on the paper's Table-V
-//! configurations; the dominant term is the `f16` embedding step
-//! (relative error ≤ 2⁻¹¹ ≈ 4.9e-4 per coordinate), with the FMA/`exp_fast`
-//! drift two to three orders of magnitude below it. The
+//! configurations. It is quantisation error only, dominated by the `f16`
+//! embedding step (relative error ≤ 2⁻¹¹ ≈ 4.9e-4 per coordinate). The
 //! `precision_parity` integration tests pin both the ε envelope and
 //! ranking-order preservation on every Table-V variant.
 
@@ -42,14 +40,15 @@ use crate::frozen::FrozenSeqFm;
 use seqfm_data::PAD;
 use seqfm_tensor::{f16_from_f32, f32_from_f16, widen_f16, Tensor};
 
-/// Which arithmetic profile a frozen scorer runs.
+/// Which parameters a frozen scorer feeds its (single set of) kernels.
 ///
-/// * [`Exact`](ScorerPrecision::Exact) — bit-identical to the training
-///   graph; the reference the fast profile is validated against.
-/// * [`Fast`](ScorerPrecision::Fast) — `f16`/`i8` parameter storage plus
-///   fused-FMA kernels and a polynomial softmax `exp`. Deterministic on
-///   every target (identical bits on the AVX2 and forced-scalar arms), with
-///   a documented per-logit ε versus `Exact` (see the
+/// * [`Exact`](ScorerPrecision::Exact) — the snapshot's `f32` parameters:
+///   bit-identical to the training graph.
+/// * [`Fast`](ScorerPrecision::Fast) — quantised parameters: `f16`
+///   embedding tables widened on gather, `f16`-effective attention
+///   projections and `i8`-effective FFN matrices, run through the *same*
+///   kernels. Bit-identical to `Exact` on the quantised values, with a
+///   documented per-logit ε versus `Exact` on the originals (see the
 ///   [module docs](crate::precision)).
 ///
 /// Select it per engine via `EngineConfig::builder().precision(..)` or
@@ -59,7 +58,8 @@ pub enum ScorerPrecision {
     /// Bit-exact `f32` serving — the graph's logits, bit for bit.
     #[default]
     Exact,
-    /// Reduced-precision serving: quantized parameters + fused-FMA kernels.
+    /// Quantised-parameter serving: `f16`/`i8`-effective θ′ through the
+    /// exact kernels.
     Fast,
 }
 
@@ -112,47 +112,36 @@ pub(crate) struct FastAttn {
     pub(crate) wv: Vec<f32>,
 }
 
-fn f16_effective(t: &Tensor) -> Vec<f32> {
+pub(crate) fn f16_effective(t: &Tensor) -> Vec<f32> {
     t.data().iter().map(|&x| f32_from_f16(f16_from_f32(x))).collect()
 }
 
-/// A symmetric per-row `i8` quantized matrix plus its dequantized `f32`
-/// effective form. Row `i`'s scale is `max_j |w[i][j]| / 127`; the `i8`
-/// codes are what a bandwidth-bound deployment would stream, while `eff`
-/// (`q · scale`, a few KB per FFN layer at serving `d`) is what both the
-/// fast forward pass and the bounds read — keeping the two in exact
-/// agreement.
+/// The dequantized `f32` effective form of a symmetric per-row `i8`
+/// quantized matrix: `eff[i][j] = code · scale_i` with
+/// `scale_i = max_j |w[i][j]| / 127` and `code = round(w / scale_i)`. Only
+/// `eff` (a few KB per FFN layer at serving `d`) is kept — both the `Fast`
+/// forward pass and the bounds read it, keeping the two in exact agreement.
 pub(crate) struct QuantMatrix {
-    #[allow(dead_code)] // the storage form; compute reads `eff` (= q·scale).
-    pub(crate) q: Vec<i8>,
-    #[allow(dead_code)]
-    pub(crate) scale: Vec<f32>,
     pub(crate) eff: Vec<f32>,
 }
 
 impl QuantMatrix {
-    fn from_tensor(t: &Tensor, cols: usize) -> Self {
+    pub(crate) fn from_tensor(t: &Tensor, cols: usize) -> Self {
         let data = t.data();
         assert_eq!(data.len() % cols, 0, "QuantMatrix: len not a multiple of cols");
-        let rows = data.len() / cols;
-        let mut q = vec![0i8; data.len()];
-        let mut scale = vec![0.0f32; rows];
         let mut eff = vec![0.0f32; data.len()];
-        for r in 0..rows {
-            let row = &data[r * cols..(r + 1) * cols];
+        for (row, eff_row) in data.chunks_exact(cols).zip(eff.chunks_exact_mut(cols)) {
             let max_abs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
             if max_abs == 0.0 {
                 continue; // all-zero row: scale 0, codes 0, eff 0.
             }
             let s = max_abs / 127.0;
-            scale[r] = s;
-            for (c, &x) in row.iter().enumerate() {
+            for (e, &x) in eff_row.iter_mut().zip(row) {
                 let code = (x / s).round().clamp(-127.0, 127.0) as i8;
-                q[r * cols + c] = code;
-                eff[r * cols + c] = code as f32 * s;
+                *e = code as f32 * s;
             }
         }
-        Self { q, scale, eff }
+        Self { eff }
     }
 }
 
@@ -226,8 +215,6 @@ mod tests {
             for (c, &rv) in row.iter().enumerate() {
                 let err = (qm.eff[r * 8 + c] - rv).abs();
                 assert!(err <= step * 0.5 + 1e-7, "({r},{c}): err {err} > step/2 {step}");
-                // eff must be exactly code · scale.
-                assert_eq!(qm.eff[r * 8 + c], qm.q[r * 8 + c] as f32 * qm.scale[r]);
             }
         }
     }
@@ -237,6 +224,5 @@ mod tests {
         let t = Tensor::from_vec(Shape::d2(2, 4), vec![0.0; 8]);
         let qm = QuantMatrix::from_tensor(&t, 4);
         assert!(qm.eff.iter().all(|&x| x == 0.0));
-        assert!(qm.scale.iter().all(|&s| s == 0.0));
     }
 }

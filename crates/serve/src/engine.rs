@@ -85,11 +85,11 @@ pub struct EngineConfig {
     /// Bound on the [`ViewCache`](crate::ViewCache) memoising history-side
     /// panels for stored-history requests; `0` disables caching.
     pub cache_entries: usize,
-    /// Serving arithmetic profile, applied to the model by
+    /// Serving parameter profile, applied to the model by
     /// [`Engine::new_frozen`]: [`ScorerPrecision::Exact`] replays the
-    /// training graph bit for bit; [`ScorerPrecision::Fast`] serves from
-    /// quantized parameters with fused-FMA kernels (deterministic, with a
-    /// documented per-logit ε — see `seqfm_core::precision`). The generic
+    /// training graph bit for bit; [`ScorerPrecision::Fast`] runs the same
+    /// kernels on quantized (`f16`/`i8`-effective) parameters, with a
+    /// documented per-logit ε — see `seqfm_core::precision`. The generic
     /// [`Engine::new`] ignores this knob: an arbitrary scorer cannot be
     /// re-quantized, so callers choosing `Fast` there must pass a scorer
     /// already converted via `FrozenSeqFm::with_precision`.
@@ -631,9 +631,8 @@ impl Engine {
     /// Spawns an engine over a frozen SeqFM, first switching the model to
     /// `cfg.precision` (see [`EngineConfig::precision`]). This is the
     /// profile-aware front door: `.precision(ScorerPrecision::Fast)` on the
-    /// config builder is all it takes to serve the reduced-precision
-    /// profile, with every worker sharing the one quantized parameter
-    /// bundle.
+    /// config builder is all it takes to serve the quantized-parameter
+    /// profile, with every worker sharing the one quantized bundle.
     ///
     /// # Errors
     /// [`ServeError::BadConfig`] when [`EngineConfig::validate`] rejects

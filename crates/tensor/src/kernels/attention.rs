@@ -1,21 +1,22 @@
 //! Fused scaled-dot-product attention over raw slices — the graph-free
 //! inference counterpart of the tape ops `bmm_nt → scale → softmax → bmm`.
 //!
-//! Every *output element* of the exact kernels here runs the same chain of
+//! Every *output element* of the kernels here runs the same chain of
 //! floating-point operations, in the same order, as the graph path — so a
 //! frozen forward pass that uses them reproduces `Graph`-built logits bit
-//! for bit. The dense [`attention_into`] gets there by replaying the tape's
-//! ops wholesale; the structured [`attention_cross_shared_into`] replays
-//! only the chains of the pairs the cross mask admits and never forms the
-//! masked ones (whose contribution to every admitted chain is an exact
-//! no-op). The caller provides both the output buffer and a scores scratch
+//! for bit (there is no second, approximate family: both serving profiles
+//! call these). The dense [`attention_into`] gets there by replaying the
+//! tape's ops wholesale; the structured [`attention_cross_shared_into`]
+//! replays only the chains of the pairs the cross mask admits and never
+//! forms the masked ones (whose contribution to every admitted chain is an
+//! exact no-op). The caller provides both the output buffer and a scores scratch
 //! buffer, so repeated calls allocate nothing. Above the dispatch threshold
 //! the batch dimension fans out over the global thread pool — per-slice
 //! arithmetic is untouched, so the bit-for-bit guarantee survives parallel
 //! execution.
 
-use super::bmm::{bmm_nn_fast_into, bmm_nn_into, bmm_nt_fast_into, bmm_nt_into};
-use super::softmax::{softmax2_fast, softmax_row_inplace, softmax_row_inplace_fast, AttnMask};
+use super::bmm::{bmm_nn_into, bmm_nt_into};
+use super::softmax::{softmax_row_inplace, AttnMask};
 
 /// `out[b,n,d] = softmax(scale · Q·Kᵀ + M) · V` per batch slice.
 ///
@@ -174,45 +175,17 @@ pub fn attention_cross_shared_into(
     scores: &mut [f32],
     out: &mut [f32],
 ) {
-    cross_shared_dispatch(
-        "attention_cross_shared_into",
-        cross_shared_slices_exact,
-        [qs, ks, vs],
-        [qh, kh, vh],
-        scale,
-        [bs, ns, nd, d],
-        scores,
-        out,
-    );
-}
-
-/// Serial body of a shared-history cross kernel over `bs` slices:
-/// `(static [q, k, v], history [q, k, v], scale, [bs, ns, nd, d], scores, out)`.
-type CrossSharedSlices = fn([&[f32]; 3], [&[f32]; 3], f32, [usize; 4], &mut [f32], &mut [f32]);
-
-/// Buffer checks, the empty-side shortcut and the batch fan-out shared by
-/// [`attention_cross_shared_into`] and [`attention_cross_shared_fast_into`];
-/// the profile only picks `body`.
-#[allow(clippy::too_many_arguments)]
-fn cross_shared_dispatch(
-    name: &str,
-    body: CrossSharedSlices,
-    stat: [&[f32]; 3],
-    hist: [&[f32]; 3],
-    scale: f32,
-    [bs, ns, nd, d]: [usize; 4],
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
+    const NAME: &str = "attention_cross_shared_into";
+    let (stat, hist) = ([qs, ks, vs], [qh, kh, vh]);
     let n = ns + nd;
     for (s, side) in stat.iter().zip(["qs", "ks", "vs"]) {
-        assert!(s.len() >= bs * ns * d, "{name}: {side} too small");
+        assert!(s.len() >= bs * ns * d, "{NAME}: {side} too small");
     }
     for (h, side) in hist.iter().zip(["qh", "kh", "vh"]) {
-        assert!(h.len() >= nd * d, "{name}: {side} too small");
+        assert!(h.len() >= nd * d, "{NAME}: {side} too small");
     }
-    assert!(scores.len() >= bs * ns * nd, "{name}: scores scratch too small");
-    assert!(out.len() >= bs * n * d, "{name}: out too small");
+    assert!(scores.len() >= bs * ns * nd, "{NAME}: scores scratch too small");
+    assert!(out.len() >= bs * n * d, "{NAME}: out too small");
     let out = &mut out[..bs * n * d];
     if ns == 0 || nd == 0 {
         // One side empty ⇒ every row is fully masked ⇒ all-zero context
@@ -237,18 +210,25 @@ fn cross_shared_dispatch(
             |b0, scores_chunk, out_chunk| {
                 let slices = scores_chunk.len() / (ns * nd);
                 let stat = stat.map(|s| &s[b0 * ns * d..(b0 + slices) * ns * d]);
-                body(stat, hist, scale, [slices, ns, nd, d], scores_chunk, out_chunk);
+                cross_shared_slices(
+                    stat,
+                    hist,
+                    scale,
+                    [slices, ns, nd, d],
+                    scores_chunk,
+                    out_chunk,
+                );
             },
         );
     } else {
-        body(stat, hist, scale, [bs, ns, nd, d], scores, out);
+        cross_shared_slices(stat, hist, scale, [bs, ns, nd, d], scores, out);
     }
 }
 
 /// Serial body of [`attention_cross_shared_into`] over `bs` slices: four
 /// small `A·B` products per slice through [`nn_chains`], with the canonical
 /// row softmax between each pair.
-fn cross_shared_slices_exact(
+fn cross_shared_slices(
     [qs, ks, vs]: [&[f32]; 3],
     [qh, kh, vh]: [&[f32]; 3],
     scale: f32,
@@ -394,584 +374,6 @@ fn chain_tile<const R: usize, const L: usize, const SKIP: bool>(
     L
 }
 
-/// Fast-profile [`attention_into`]: the same fused pipeline and the same
-/// buffer/mask contract, with the score and value products running the
-/// fused-FMA matmuls and the softmax using the deterministic polynomial
-/// `exp_fast`. Masked positions still produce *exactly* zero weights and
-/// fully-masked rows all-zero output, so padding stays inert and the
-/// retrieval bounds' convexity argument applies unchanged. Deterministic on
-/// every target, but not bit-equal to [`attention_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn attention_fast_into(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    mask: Option<&AttnMask>,
-    scale: f32,
-    bs: usize,
-    n: usize,
-    d: usize,
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    assert!(q.len() >= bs * n * d, "attention_fast_into: q too small");
-    assert!(k.len() >= bs * n * d, "attention_fast_into: k too small");
-    assert!(v.len() >= bs * n * d, "attention_fast_into: v too small");
-    assert!(scores.len() >= bs * n * n, "attention_fast_into: scores scratch too small");
-    assert!(out.len() >= bs * n * d, "attention_fast_into: out too small");
-    if let Some(mk) = mask {
-        assert_eq!(
-            (mk.rows(), mk.cols()),
-            (n, n),
-            "attention mask [{}x{}] does not match n = {n}",
-            mk.rows(),
-            mk.cols()
-        );
-    }
-    let (q, k, v) = (&q[..bs * n * d], &k[..bs * n * d], &v[..bs * n * d]);
-    let scores = &mut scores[..bs * n * n];
-    let out = &mut out[..bs * n * d];
-
-    let work_per_slice = 2 * n * n * d + 16 * n * n;
-    if super::dispatch::should_par(bs * work_per_slice, bs) {
-        seqfm_parallel::par_units2(
-            seqfm_parallel::global(),
-            scores,
-            n * n,
-            out,
-            n * d,
-            |b0, scores_chunk, out_chunk| {
-                let slices = scores_chunk.len() / (n * n);
-                let q = &q[b0 * n * d..(b0 + slices) * n * d];
-                let k = &k[b0 * n * d..(b0 + slices) * n * d];
-                let v = &v[b0 * n * d..(b0 + slices) * n * d];
-                attention_fast_slices(q, k, v, mask, scale, slices, n, d, scores_chunk, out_chunk);
-            },
-        );
-    } else {
-        attention_fast_slices(q, k, v, mask, scale, bs, n, d, scores, out);
-    }
-}
-
-/// Fast-profile body of [`attention_fast_slices`]'s pipeline over `bs`
-/// slices: fused-FMA `Q·Kᵀ` → scale → fast masked softmax → fused-FMA `·V`.
-#[allow(clippy::too_many_arguments)]
-fn attention_fast_slices(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    mask: Option<&AttnMask>,
-    scale: f32,
-    bs: usize,
-    n: usize,
-    d: usize,
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    scores.fill(0.0);
-    bmm_nt_fast_into(q, k, scores, bs, n, d, n);
-    for s in scores.iter_mut() {
-        *s *= scale;
-    }
-    for (ri, row) in scores.chunks_exact_mut(n).enumerate() {
-        let mask_row = mask.map(|mk| {
-            let r = ri % n;
-            &mk.data()[r * n..(r + 1) * n]
-        });
-        softmax_row_inplace_fast(row, mask_row);
-    }
-    out.fill(0.0);
-    bmm_nn_fast_into(scores, v, out, bs, n, n, d);
-}
-
-/// Block-structured fast attention for the **cross view**: equivalent to
-/// [`attention_fast_into`] with [`AttnMask::cross(ns, nd)`](AttnMask::cross)
-/// over `n = ns + nd` positions, but it never touches the masked blocks.
-///
-/// The cross mask only admits static↔dynamic interactions, so a dense
-/// `n × n` score matrix is `(ns² + nd²)/n²` wasted work — at serving
-/// geometry (`ns = 2`, `nd = 20`) **83 % of the scores are computed and
-/// discarded**. This kernel computes exactly the admitted pairs: each
-/// static row softmaxes over the `nd` dynamic columns, each dynamic row
-/// over the `ns` static columns.
-///
-/// Output is **bit-identical** to the dense masked fast path, not merely
-/// close: the dense pipeline's per-element score is the same seeded-zero
-/// ascending-`p` `mul_add` chain this kernel runs; blocked entries enter
-/// the dense softmax as `−∞` (never the max, exactly `+0.0` weight) and
-/// enter the dense value product as `+0.0 · vⱼ` (an exact no-op on the
-/// non-negative partial sums) — so dropping them changes nothing. A test
-/// below pins this equivalence. Every op is scalar `f32`/`mul_add`
-/// (one shared path, no SIMD arm), so cross-arm determinism is structural.
-///
-/// `scores` keeps the dense scratch contract (≥ `bs·n·n`) so the kernel is
-/// a drop-in for the dense call, but only the first `ns·nd` slots of each
-/// slice's block are used (as block weight scratch); the rest is left
-/// untouched, so callers must not read the scores buffer back.
-///
-/// Degenerate sides behave like fully-masked rows: with `nd = 0` every
-/// static row (and with `ns = 0` every dynamic row) outputs zeros.
-///
-/// # Panics
-/// Panics if any buffer is too small.
-#[allow(clippy::too_many_arguments)]
-pub fn attention_cross_fast_into(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    scale: f32,
-    bs: usize,
-    ns: usize,
-    nd: usize,
-    d: usize,
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    let n = ns + nd;
-    assert!(q.len() >= bs * n * d, "attention_cross_fast_into: q too small");
-    assert!(k.len() >= bs * n * d, "attention_cross_fast_into: k too small");
-    assert!(v.len() >= bs * n * d, "attention_cross_fast_into: v too small");
-    assert!(scores.len() >= bs * n * n, "attention_cross_fast_into: scores scratch too small");
-    assert!(out.len() >= bs * n * d, "attention_cross_fast_into: out too small");
-    let (q, k, v) = (&q[..bs * n * d], &k[..bs * n * d], &v[..bs * n * d]);
-    let scores = &mut scores[..bs * n * n];
-    let out = &mut out[..bs * n * d];
-
-    // Two admitted blocks of ns·nd scores, each read once for the weighted
-    // value sum → 4·ns·nd·d multiply-adds plus 2·ns·nd exp-weighted ops.
-    let work_per_slice = 4 * ns * nd * d + 32 * ns * nd;
-    if super::dispatch::should_par(bs * work_per_slice, bs) {
-        seqfm_parallel::par_units2(
-            seqfm_parallel::global(),
-            scores,
-            n * n,
-            out,
-            n * d,
-            |b0, scores_chunk, out_chunk| {
-                let slices = scores_chunk.len() / (n * n);
-                let q = &q[b0 * n * d..(b0 + slices) * n * d];
-                let k = &k[b0 * n * d..(b0 + slices) * n * d];
-                let v = &v[b0 * n * d..(b0 + slices) * n * d];
-                cross_fast_slices(q, k, v, scale, slices, ns, nd, d, scores_chunk, out_chunk);
-            },
-        );
-    } else {
-        cross_fast_slices(q, k, v, scale, bs, ns, nd, d, scores, out);
-    }
-}
-
-/// Serial body of [`attention_cross_fast_into`] over `bs` slices.
-#[allow(clippy::too_many_arguments)]
-fn cross_fast_slices(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    scale: f32,
-    bs: usize,
-    ns: usize,
-    nd: usize,
-    d: usize,
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    let n = ns + nd;
-    for b in 0..bs {
-        let qs = &q[b * n * d..(b + 1) * n * d];
-        let ks = &k[b * n * d..(b + 1) * n * d];
-        let vs = &v[b * n * d..(b + 1) * n * d];
-        let (out_stat, out_dyn) = out[b * n * d..(b + 1) * n * d].split_at_mut(ns * d);
-        let w = &mut scores[b * n * n..b * n * n + ns * nd];
-        // Static rows (0..ns) attend to the nd dynamic columns.
-        cross_block(&qs[..ns * d], &ks[ns * d..], &vs[ns * d..], out_stat, w, scale, ns, nd, d);
-        // Dynamic rows (ns..n) attend to the ns static columns.
-        cross_block(&qs[ns * d..], &ks[..ns * d], &vs[..ns * d], out_dyn, w, scale, nd, ns, d);
-    }
-}
-
-/// One admitted block: `rows` query rows softmax over `cols` key/value rows
-/// and write their context rows (all buffers are the block itself,
-/// row-major). The per-element op chains match the dense fast pipeline
-/// exactly (see [`attention_cross_fast_into`]); `w` provides ≥ `rows·cols`
-/// scratch.
-#[allow(clippy::too_many_arguments)]
-fn cross_block(
-    q: &[f32],
-    kblk: &[f32],
-    vblk: &[f32],
-    out: &mut [f32],
-    w: &mut [f32],
-    scale: f32,
-    rows: usize,
-    cols: usize,
-    d: usize,
-) {
-    if cols == 0 {
-        // Fully-masked rows: the dense pipeline softmaxes an all-−∞ row to
-        // exact zeros, so the context rows are zero.
-        out[..rows * d].fill(0.0);
-        return;
-    }
-    let kblk = &kblk[..cols * d];
-    let vblk = &vblk[..cols * d];
-    let w = &mut w[..rows * cols];
-
-    // Scores for the whole block first, 2×2-register-tiled: each score is
-    // still its own seeded-zero ascending-p fused chain (the dense fast nt
-    // walk, so every element's op sequence — and its bits — is unchanged),
-    // but four chains run interleaved so the FMA unit pipelines instead of
-    // stalling on one chain's latency.
-    let mut i = 0;
-    while i + 2 <= rows {
-        let q0 = &q[i * d..(i + 1) * d];
-        let q1 = &q[(i + 1) * d..(i + 2) * d];
-        let (w0, rest) = w[i * cols..].split_at_mut(cols);
-        let w1 = &mut rest[..cols];
-        let mut j = 0;
-        while j + 2 <= cols {
-            let k0 = &kblk[j * d..(j + 1) * d];
-            let k1 = &kblk[(j + 1) * d..(j + 2) * d];
-            let (mut a00, mut a01, mut a10, mut a11) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for p in 0..d {
-                let (q0p, q1p) = (q0[p], q1[p]);
-                a00 = q0p.mul_add(k0[p], a00);
-                a01 = q0p.mul_add(k1[p], a01);
-                a10 = q1p.mul_add(k0[p], a10);
-                a11 = q1p.mul_add(k1[p], a11);
-            }
-            w0[j] = a00;
-            w0[j + 1] = a01;
-            w1[j] = a10;
-            w1[j + 1] = a11;
-            j += 2;
-        }
-        if j < cols {
-            let kj = &kblk[j * d..(j + 1) * d];
-            let (mut a0, mut a1) = (0.0f32, 0.0f32);
-            for p in 0..d {
-                a0 = q0[p].mul_add(kj[p], a0);
-                a1 = q1[p].mul_add(kj[p], a1);
-            }
-            w0[j] = a0;
-            w1[j] = a1;
-        }
-        i += 2;
-    }
-    if i < rows {
-        let q0 = &q[i * d..(i + 1) * d];
-        let wrow = &mut w[i * cols..(i + 1) * cols];
-        let mut j = 0;
-        while j + 2 <= cols {
-            let k0 = &kblk[j * d..(j + 1) * d];
-            let k1 = &kblk[(j + 1) * d..(j + 2) * d];
-            let (mut a0, mut a1) = (0.0f32, 0.0f32);
-            for p in 0..d {
-                let q0p = q0[p];
-                a0 = q0p.mul_add(k0[p], a0);
-                a1 = q0p.mul_add(k1[p], a1);
-            }
-            wrow[j] = a0;
-            wrow[j + 1] = a1;
-            j += 2;
-        }
-        if j < cols {
-            let kj = &kblk[j * d..(j + 1) * d];
-            let mut a = 0.0f32;
-            for p in 0..d {
-                a = q0[p].mul_add(kj[p], a);
-            }
-            wrow[j] = a;
-        }
-    }
-
-    // Scale, softmax, and weighted value sum per row; the value loop's d
-    // independent chains auto-vectorize across the context lane. Two-wide
-    // rows (the dynamic rows' softmax over `ns = 2` static columns — the
-    // bulk of the calls at serving geometry) inline the pair softmax,
-    // which is bit-identical to the row kernel without its call overhead.
-    for (r, wrow) in w.chunks_exact_mut(cols).enumerate() {
-        for slot in wrow.iter_mut() {
-            *slot *= scale;
-        }
-        if cols == 2 {
-            let (w0, w1) = softmax2_fast(wrow[0], wrow[1]);
-            wrow[0] = w0;
-            wrow[1] = w1;
-        } else {
-            softmax_row_inplace_fast(wrow, None);
-        }
-        let o = &mut out[r * d..(r + 1) * d];
-        o.fill(0.0);
-        for (&wj, vj) in wrow.iter().zip(vblk.chunks_exact(d)) {
-            for (ot, &vt) in o.iter_mut().zip(vj) {
-                *ot = wj.mul_add(vt, *ot);
-            }
-        }
-    }
-}
-
-/// [`attention_cross_fast_into`] for a **shared history**: every slice
-/// shares one `[nd, d]` block of history-row Q/K/V (`qh`/`kh`/`vh`) under
-/// its own `[ns, d]` static rows (`qs`/`ks`/`vs`, laid out `[bs, ns, d]`).
-///
-/// A candidate-expansion batch repeats one user history under every
-/// candidate, so the interleaved layout the dense kernel wants costs
-/// `3·bs·nd·d` floats of pure copying per call just to place the same
-/// history rows under each slice. This entry point reads the shared block
-/// in place instead — per-slice arithmetic is `cross_block` either way,
-/// so the output is **bit-identical** to splicing the history under each
-/// slice and calling [`attention_cross_fast_into`] (a test below pins
-/// this). `out` keeps the full interleaved `[bs, ns + nd, d]` layout
-/// (every slice's history rows attend to *its* static rows, so their
-/// context differs per slice). Unlike the dense drop-in, `scores` only
-/// needs the slots actually used — `ns·nd` block-weight scratch per
-/// slice (≥ `bs·ns·nd` total) instead of the dense `bs·n²` — so callers
-/// can right-size the allocation; its contents are still scratch and
-/// must not be read back.
-///
-/// # Panics
-/// Panics if any buffer is too small.
-#[allow(clippy::too_many_arguments)]
-pub fn attention_cross_shared_fast_into(
-    qs: &[f32],
-    ks: &[f32],
-    vs: &[f32],
-    qh: &[f32],
-    kh: &[f32],
-    vh: &[f32],
-    scale: f32,
-    bs: usize,
-    ns: usize,
-    nd: usize,
-    d: usize,
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    cross_shared_dispatch(
-        "attention_cross_shared_fast_into",
-        cross_shared_slices,
-        [qs, ks, vs],
-        [qh, kh, vh],
-        scale,
-        [bs, ns, nd, d],
-        scores,
-        out,
-    );
-}
-
-/// Serial body of [`attention_cross_shared_fast_into`] over `bs` slices.
-///
-/// At the candidate-expansion geometry (`ns = 2` static rows against a
-/// history wide enough to fill a vector register) the score chains move to
-/// [`cross_shared_slices_avx2`] when the AVX2 arm is active; the scalar
-/// [`cross_block`] walk is the reference arm (and the only arm elsewhere).
-/// Both arms run the same per-element fused chains, so the choice never
-/// changes bits — the spliced-parity test below pins the AVX2 body against
-/// the scalar interleaved kernel on AVX2 hosts, and CI's `SEQFM_SIMD=scalar`
-/// job pins the fallback.
-fn cross_shared_slices(
-    [qs, ks, vs]: [&[f32]; 3],
-    [qh, kh, vh]: [&[f32]; 3],
-    scale: f32,
-    [bs, ns, nd, d]: [usize; 4],
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if ns == 2
-        && nd >= 8
-        && crate::kernels::simd::active_arm() == crate::kernels::simd::SimdArm::Avx2
-    {
-        cross_shared_slices_avx2(qs, ks, vs, qh, kh, vh, scale, bs, nd, d, scores, out);
-        return;
-    }
-    let n = ns + nd;
-    for b in 0..bs {
-        let sq = &qs[b * ns * d..(b + 1) * ns * d];
-        let sk = &ks[b * ns * d..(b + 1) * ns * d];
-        let sv = &vs[b * ns * d..(b + 1) * ns * d];
-        let (out_stat, out_dyn) = out[b * n * d..(b + 1) * n * d].split_at_mut(ns * d);
-        let w = &mut scores[b * ns * nd..(b + 1) * ns * nd];
-        // Static rows attend to the shared history's nd columns.
-        cross_block(sq, kh, vh, out_stat, w, scale, ns, nd, d);
-        // History rows attend to this slice's ns static columns.
-        cross_block(qh, sk, sv, out_dyn, w, scale, nd, ns, d);
-    }
-}
-
-/// AVX2 arm of [`cross_shared_slices`] for `ns = 2`, `nd ≥ 8`.
-///
-/// The scalar walk is latency-bound: each score is one serial FMA chain,
-/// and at this geometry there are only `2·(ns·nd)` short rows per slice to
-/// interleave, so the 2×2 register tiling of [`cross_block`] tops out at
-/// ~4 chains in flight. Because the history block is *shared*, its Q/K rows
-/// can be packed transposed **once per call** (`kt[p·nd + j] = k[j·d + p]`)
-/// and every slice then walks scores column-major with
-/// [`scores_colmajor_fast_avx2`][simd]: 16+ chains in flight, unit-stride
-/// loads, one load shared by both query rows. Each vector lane still runs
-/// the seeded-zero ascending-`p` fused chain of the scalar walk (`q·k` dots
-/// commute multiplicand-for-multiplicand on the history side), and the
-/// scale/softmax/value tail repeats [`cross_block`]'s scalar ops verbatim —
-/// so the output is bit-identical to the scalar arm.
-///
-/// [simd]: crate::kernels::simd
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn cross_shared_slices_avx2(
-    qs: &[f32],
-    ks: &[f32],
-    vs: &[f32],
-    qh: &[f32],
-    kh: &[f32],
-    vh: &[f32],
-    scale: f32,
-    bs: usize,
-    nd: usize,
-    d: usize,
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    use crate::kernels::simd::scores_colmajor_fast_avx2;
-    const NS: usize = 2;
-    let n = NS + nd;
-    crate::workspace::with_thread(|ws| {
-        // Transposed packs of the shared history's K rows (for the static
-        // rows' scores) and Q rows (for the history rows' scores) — packed
-        // once, reused by every slice in this chunk.
-        let mut kht = ws.take(d * nd);
-        let mut qht = ws.take(d * nd);
-        pack_transposed(kh, nd, d, &mut kht);
-        pack_transposed(qh, nd, d, &mut qht);
-        for b in 0..bs {
-            let sq = &qs[b * NS * d..(b + 1) * NS * d];
-            let sk = &ks[b * NS * d..(b + 1) * NS * d];
-            let sv = &vs[b * NS * d..(b + 1) * NS * d];
-            let (out_stat, out_dyn) = out[b * n * d..(b + 1) * n * d].split_at_mut(NS * d);
-            let w = &mut scores[b * NS * nd..(b + 1) * NS * nd];
-
-            // Static rows attend to the shared history's nd columns:
-            // scores land row-major, then cross_block's exact scalar tail.
-            // SAFETY: the dispatch in `cross_shared_slices` only selects
-            // this arm when the CPU reports AVX2+FMA.
-            unsafe { scores_colmajor_fast_avx2(sq, &kht, w, NS, nd, d) };
-            for r in 0..NS {
-                let wrow = &mut w[r * nd..(r + 1) * nd];
-                for slot in wrow.iter_mut() {
-                    *slot *= scale;
-                }
-                softmax_row_inplace_fast(wrow, None);
-                let o = &mut out_stat[r * d..(r + 1) * d];
-                o.fill(0.0);
-                for (&wj, vj) in wrow.iter().zip(vh.chunks_exact(d)) {
-                    for (ot, &vt) in o.iter_mut().zip(vj) {
-                        *ot = wj.mul_add(vt, *ot);
-                    }
-                }
-            }
-
-            // History rows attend to this slice's 2 static columns. Swap
-            // the operands so the lanes run across history rows instead:
-            // `w[c·nd + r]` holds history row r's score against static
-            // column c — the same `qh_r · sk_c` fused chain (multiplication
-            // commutes per element), laid out column-major.
-            // SAFETY: as above — this arm requires AVX2+FMA.
-            unsafe { scores_colmajor_fast_avx2(sk, &qht, w, NS, nd, d) };
-            let (v0, v1) = sv[..NS * d].split_at(d);
-            for r in 0..nd {
-                let (w0, w1) = softmax2_fast(w[r] * scale, w[nd + r] * scale);
-                let o = &mut out_dyn[r * d..(r + 1) * d];
-                for t in 0..d {
-                    o[t] = w1.mul_add(v1[t], w0.mul_add(v0[t], 0.0));
-                }
-            }
-        }
-    });
-}
-
-/// Fast maskless attention specialized to `n = 2` — the static view's
-/// `(user, candidate)` pair at serving geometry. One fused, fully-unrolled
-/// pass per slice: four 2×2-register-tiled fused dots, two pair softmaxes
-/// (`softmax2_fast`), and two value blends — no bmm dispatch, no scores
-/// scratch, no per-row kernel calls.
-///
-/// Output is **bit-identical** to [`attention_fast_into`] at `n = 2` with
-/// no mask (pinned by a test below): the dense fast pipeline's score is
-/// the same seeded-zero ascending-`p` `mul_add` chain, its length-2 row
-/// softmax runs exactly the `softmax2_fast` op sequence, and its value
-/// product is the same seeded-zero ascending-`j` chain. Every op is
-/// scalar `f32`/`mul_add`/`exp_fast` (one shared path, no SIMD arm), so
-/// cross-arm determinism is structural.
-///
-/// # Panics
-/// Panics if any buffer is too small.
-pub fn attention_pair_fast_into(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    scale: f32,
-    bs: usize,
-    d: usize,
-    out: &mut [f32],
-) {
-    assert!(q.len() >= bs * 2 * d, "attention_pair_fast_into: q too small");
-    assert!(k.len() >= bs * 2 * d, "attention_pair_fast_into: k too small");
-    assert!(v.len() >= bs * 2 * d, "attention_pair_fast_into: v too small");
-    assert!(out.len() >= bs * 2 * d, "attention_pair_fast_into: out too small");
-    let (q, k, v) = (&q[..bs * 2 * d], &k[..bs * 2 * d], &v[..bs * 2 * d]);
-    let out = &mut out[..bs * 2 * d];
-
-    let work_per_slice = 6 * d + 64;
-    if super::dispatch::should_par(bs * work_per_slice, bs) {
-        seqfm_parallel::par_units(seqfm_parallel::global(), out, 2 * d, |b0, chunk| {
-            let slices = chunk.len() / (2 * d);
-            pair_fast_slices(
-                &q[b0 * 2 * d..(b0 + slices) * 2 * d],
-                &k[b0 * 2 * d..(b0 + slices) * 2 * d],
-                &v[b0 * 2 * d..(b0 + slices) * 2 * d],
-                scale,
-                slices,
-                d,
-                chunk,
-            );
-        });
-    } else {
-        pair_fast_slices(q, k, v, scale, bs, d, out);
-    }
-}
-
-/// Serial body of [`attention_pair_fast_into`] over `bs` slices.
-fn pair_fast_slices(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    scale: f32,
-    bs: usize,
-    d: usize,
-    out: &mut [f32],
-) {
-    for b in 0..bs {
-        let base = b * 2 * d;
-        let (q0, q1) = q[base..base + 2 * d].split_at(d);
-        let (k0, k1) = k[base..base + 2 * d].split_at(d);
-        let (v0, v1) = v[base..base + 2 * d].split_at(d);
-        let (mut s00, mut s01, mut s10, mut s11) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for p in 0..d {
-            let (q0p, q1p) = (q0[p], q1[p]);
-            let (k0p, k1p) = (k0[p], k1[p]);
-            s00 = q0p.mul_add(k0p, s00);
-            s01 = q0p.mul_add(k1p, s01);
-            s10 = q1p.mul_add(k0p, s10);
-            s11 = q1p.mul_add(k1p, s11);
-        }
-        let (w00, w01) = softmax2_fast(s00 * scale, s01 * scale);
-        let (w10, w11) = softmax2_fast(s10 * scale, s11 * scale);
-        let (o0, o1) = out[base..base + 2 * d].split_at_mut(d);
-        for t in 0..d {
-            o0[t] = w01.mul_add(v1[t], w00.mul_add(v0[t], 0.0));
-            o1[t] = w11.mul_add(v1[t], w10.mul_add(v0[t], 0.0));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1037,132 +439,6 @@ mod tests {
         let mut scratch = vec![0.0; 3];
         let mut out = vec![0.0; 8];
         attention_into(&q, &q, &q, None, 1.0, 1, 2, 4, &mut scratch, &mut out);
-    }
-
-    #[test]
-    fn cross_fast_matches_dense_masked_fast_bitwise() {
-        // Serving geometry, an odd small shape, and both degenerate sides
-        // (one of them makes a whole block fully masked → zeros).
-        for &(bs, ns, nd, d) in
-            &[(3usize, 2usize, 20usize, 32usize), (2, 3, 5, 7), (1, 2, 0, 4), (1, 0, 4, 4)]
-        {
-            let n = ns + nd;
-            let mut seed = 77 + (ns * 31 + nd) as u64;
-            let q = rand_tensor(Shape::d3(bs, n, d), &mut seed);
-            let k = rand_tensor(Shape::d3(bs, n, d), &mut seed);
-            let v = rand_tensor(Shape::d3(bs, n, d), &mut seed);
-            let scale = 1.0 / (d as f32).sqrt();
-            let mask = AttnMask::cross(ns, nd);
-
-            let mut scratch = vec![0.0f32; bs * n * n];
-            let mut dense = vec![0.0f32; bs * n * d];
-            attention_fast_into(
-                q.data(),
-                k.data(),
-                v.data(),
-                Some(&mask),
-                scale,
-                bs,
-                n,
-                d,
-                &mut scratch,
-                &mut dense,
-            );
-            let mut structured = vec![0.0f32; bs * n * d];
-            attention_cross_fast_into(
-                q.data(),
-                k.data(),
-                v.data(),
-                scale,
-                bs,
-                ns,
-                nd,
-                d,
-                &mut scratch,
-                &mut structured,
-            );
-            for (i, (&a, &b)) in dense.iter().zip(&structured).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "ns={ns} nd={nd} d={d}: element {i} diverges ({a} vs {b})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cross_shared_matches_spliced_cross_bitwise() {
-        // Retrieval/serving geometry, odd shapes, and both degenerate sides;
-        // the ns = 2, nd ≥ 8 entries drive the AVX2 score-walk arm (exact
-        // vector chunk, multi-chunk, and ragged-tail column counts) against
-        // the scalar interleaved reference on AVX2 hosts.
-        for &(bs, ns, nd, d) in &[
-            (64usize, 2usize, 10usize, 32usize),
-            (3, 2, 13, 16),
-            (2, 2, 8, 8),
-            (1, 2, 16, 4),
-            (2, 3, 5, 7),
-            (4, 1, 3, 8),
-            (1, 2, 0, 4),
-            (2, 0, 4, 4),
-        ] {
-            let n = ns + nd;
-            let mut seed = 131 + (bs * 7 + ns * 31 + nd) as u64;
-            let qs = rand_tensor(Shape::d3(bs, ns.max(1), d), &mut seed);
-            let ks = rand_tensor(Shape::d3(bs, ns.max(1), d), &mut seed);
-            let vs = rand_tensor(Shape::d3(bs, ns.max(1), d), &mut seed);
-            let qh = rand_tensor(Shape::d2(nd.max(1), d), &mut seed);
-            let kh = rand_tensor(Shape::d2(nd.max(1), d), &mut seed);
-            let vh = rand_tensor(Shape::d2(nd.max(1), d), &mut seed);
-            let scale = 1.0 / (d as f32).sqrt();
-
-            // Reference: splice the shared history under every slice's
-            // static rows and run the interleaved structured kernel.
-            let (fq, fk, fv) = (
-                splice(qs.data(), qh.data(), bs, ns, nd, d),
-                splice(ks.data(), kh.data(), bs, ns, nd, d),
-                splice(vs.data(), vh.data(), bs, ns, nd, d),
-            );
-            let mut scratch = vec![0.0f32; bs * n * n];
-            let mut spliced = vec![0.0f32; bs * n * d];
-            attention_cross_fast_into(
-                &fq,
-                &fk,
-                &fv,
-                scale,
-                bs,
-                ns,
-                nd,
-                d,
-                &mut scratch,
-                &mut spliced,
-            );
-
-            let mut shared = vec![0.0f32; bs * n * d];
-            attention_cross_shared_fast_into(
-                qs.data(),
-                ks.data(),
-                vs.data(),
-                qh.data(),
-                kh.data(),
-                vh.data(),
-                scale,
-                bs,
-                ns,
-                nd,
-                d,
-                &mut scratch,
-                &mut shared,
-            );
-            for (i, (&a, &b)) in spliced.iter().zip(&shared).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "bs={bs} ns={ns} nd={nd} d={d}: element {i} diverges ({a} vs {b})"
-                );
-            }
-        }
     }
 
     /// `[bs, ns + nd, d]`: the shared `[nd, d]` block `h` spliced under every
@@ -1309,42 +585,6 @@ mod tests {
             assert!(slice[..ns * d].iter().all(|v| v.is_finite()), "slice {b}: static rows");
             let hist_row = &slice[(ns + r) * d..(ns + r + 1) * d];
             assert!(hist_row.iter().all(|v| v.is_finite()), "slice {b}: history row {r}");
-        }
-    }
-
-    #[test]
-    fn pair_fast_matches_dense_fast_bitwise() {
-        for &(bs, d) in &[(100usize, 32usize), (3, 7), (1, 1), (4, 16)] {
-            let n = 2;
-            let mut seed = 19 + (bs * 13 + d) as u64;
-            let q = rand_tensor(Shape::d3(bs, n, d), &mut seed);
-            let k = rand_tensor(Shape::d3(bs, n, d), &mut seed);
-            let v = rand_tensor(Shape::d3(bs, n, d), &mut seed);
-            let scale = 1.0 / (d as f32).sqrt();
-
-            let mut scratch = vec![0.0f32; bs * n * n];
-            let mut dense = vec![0.0f32; bs * n * d];
-            attention_fast_into(
-                q.data(),
-                k.data(),
-                v.data(),
-                None,
-                scale,
-                bs,
-                n,
-                d,
-                &mut scratch,
-                &mut dense,
-            );
-            let mut paired = vec![0.0f32; bs * n * d];
-            attention_pair_fast_into(q.data(), k.data(), v.data(), scale, bs, d, &mut paired);
-            for (i, (&a, &b)) in dense.iter().zip(&paired).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "bs={bs} d={d}: element {i} diverges ({a} vs {b})"
-                );
-            }
         }
     }
 }

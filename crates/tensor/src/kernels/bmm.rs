@@ -7,7 +7,6 @@
 //! `dA = bmm_nt(dC, B)` and `dB = bmm_tn(A, dC)`.
 
 use super::dispatch::should_par;
-use super::matmul::fast::{matmul_nn_fast_into, matmul_nt_fast_into};
 use super::matmul::{matmul_nn_into, matmul_nt_into, matmul_tn_into};
 use crate::{Shape, Tensor};
 
@@ -127,58 +126,6 @@ pub fn bmm_nt_into(a: &[f32], b: &[f32], c: &mut [f32], bs: usize, m: usize, k: 
     debug_assert_eq!(c.len(), bs * m * n);
     for_each_slice(c, bs, m * n, m * k * n, |i, c_slice| {
         matmul_nt_into(
-            &a[i * m * k..(i + 1) * m * k],
-            &b[i * n * k..(i + 1) * n * k],
-            c_slice,
-            m,
-            k,
-            n,
-        );
-    });
-}
-
-/// Fast-profile [`bmm_nn_into`]: per-slice fused-FMA matmul (see
-/// [`super::matmul::fast`]) — deterministic, but not bit-equal to the exact
-/// kernel.
-pub fn bmm_nn_fast_into(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    bs: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), bs * m * k);
-    debug_assert_eq!(b.len(), bs * k * n);
-    debug_assert_eq!(c.len(), bs * m * n);
-    for_each_slice(c, bs, m * n, m * k * n, |i, c_slice| {
-        matmul_nn_fast_into(
-            &a[i * m * k..(i + 1) * m * k],
-            &b[i * k * n..(i + 1) * k * n],
-            c_slice,
-            m,
-            k,
-            n,
-        );
-    });
-}
-
-/// Fast-profile [`bmm_nt_into`] (e.g. the fast `Q·Kᵀ`).
-pub fn bmm_nt_fast_into(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    bs: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), bs * m * k);
-    debug_assert_eq!(b.len(), bs * n * k);
-    debug_assert_eq!(c.len(), bs * m * n);
-    for_each_slice(c, bs, m * n, m * k * n, |i, c_slice| {
-        matmul_nt_fast_into(
             &a[i * m * k..(i + 1) * m * k],
             &b[i * n * k..(i + 1) * n * k],
             c_slice,

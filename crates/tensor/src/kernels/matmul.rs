@@ -738,265 +738,6 @@ pub mod tiled {
     }
 }
 
-/// Reduced-precision serving kernels: the `nn` walk of [`naive`]/[`tiled`]
-/// with every multiply-accumulate replaced by a **fused** `mul_add`.
-///
-/// Fusion skips the intermediate rounding of `acc + a·b`, so results differ
-/// from the exact kernels by at most the accumulated rounding delta — but
-/// both `f32::mul_add` and `_mm256_fmadd_ps` are *correctly rounded* fused
-/// ops, so the fast kernels are still fully deterministic: the scalar
-/// fallback and the AVX2+FMA arm produce identical bits, and the tiled and
-/// untiled paths replay the same per-element ascending-`p` fused-op
-/// sequence (the `KC` store/load round-trip is exact), so shape-based
-/// dispatch is invisible too. The `nt` flavour is *defined* as the `nn`
-/// walk over a packed transpose of `b` (see [`nt_fast_block`][self]) — a
-/// direct fused dot chain would serialise on FMA latency. On targets
-/// without hardware FMA the scalar `mul_add` falls back to a (slow, still
-/// correctly-rounded) software fma — that arm is the correctness
-/// reference, not a fast path.
-///
-/// Only the forward-serving flavours exist (`nn`, `nt`); training and
-/// backward passes always run the exact kernels.
-pub mod fast {
-    use super::{should_par, simd, tiled_worthwhile, SimdArm, KC, MR, NR};
-    use crate::workspace;
-
-    /// Fast `c[m,n] += a[m,k] · b[k,n]`: row-partitioned and tiled like the
-    /// exact [`super::matmul_nn_into`], fused accumulation, padding-row
-    /// skip preserved.
-    pub fn matmul_nn_fast_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(c.len(), m * n);
-        let arm = simd::active_arm();
-        if should_par(m * k * n, m) {
-            super::par_rows(a, c, k, n, |a_rows, c_rows, rows| {
-                nn_fast_block(arm, a_rows, b, c_rows, rows, k, n)
-            });
-        } else {
-            nn_fast_block(arm, a, b, c, m, k, n);
-        }
-    }
-
-    /// Fast `c[m,n] += a[m,k] · b[n,k]ᵀ`, row-partitioned like the exact
-    /// [`super::matmul_nt_into`] and computed as the fast `nn` walk over a
-    /// packed transpose of `b` (see [`nt_fast_block`][self]).
-    pub fn matmul_nt_fast_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), n * k);
-        debug_assert_eq!(c.len(), m * n);
-        let arm = simd::active_arm();
-        if should_par(m * k * n, m) {
-            super::par_rows(a, c, k, n, |a_rows, c_rows, rows| {
-                nt_fast_block(arm, a_rows, b, c_rows, rows, k, n)
-            });
-        } else {
-            nt_fast_block(arm, a, b, c, m, k, n);
-        }
-    }
-
-    /// Serial fast `nn` on an explicit arm — the test hook proving both
-    /// dispatch arms produce identical bits.
-    pub fn matmul_nn_fast_into_arm(
-        arm: SimdArm,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        nn_fast_block(arm, a, b, c, m, k, n);
-    }
-
-    /// Serial fast `nt` on an explicit arm (test hook).
-    pub fn matmul_nt_fast_into_arm(
-        arm: SimdArm,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        nt_fast_block(arm, a, b, c, m, k, n);
-    }
-
-    fn nn_fast_block(
-        arm: SimdArm,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        if tiled_worthwhile(m, k, n) {
-            tiled_nn_fast(arm, a, b, c, m, k, n);
-        } else {
-            nn_cols_fast(a, b, c, m, k, n, 0);
-        }
-    }
-
-    /// Fast `nt` = fast `nn` over a workspace-packed transpose of `b`.
-    ///
-    /// A direct fused `nt` walk is one serial `mul_add` dot chain per
-    /// output element — every step consumes the previous accumulator, so
-    /// the element is FMA-*latency*-bound, and measured slower than the
-    /// exact separate-mul-add kernel. Transposing `b` once (`k·n` writes,
-    /// amortised over `m·k·n` fused flops) turns the walk into the `nn`
-    /// form, whose `j` lanes are independent at unit stride and vectorise.
-    /// Per output element the value is the same ascending-`p` fused chain;
-    /// `c`-seeding and the zero-operand skip follow the `nn` convention,
-    /// and **both** dispatch arms share this single path, so cross-arm
-    /// bit-identity holds by construction.
-    fn nt_fast_block(
-        arm: SimdArm,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        workspace::with_thread(|ws| {
-            let mut bt = ws.take(k * n);
-            for (j, b_row) in b.chunks_exact(k).enumerate().take(n) {
-                for (p, &v) in b_row.iter().enumerate() {
-                    bt[p * n + j] = v;
-                }
-            }
-            nn_fast_block(arm, a, &bt, c, m, k, n);
-        });
-    }
-
-    /// Fused-reference `nn` restricted to output columns `[j_lo, n)` — the
-    /// fast analogue of `naive::nn_cols`, and the tiled path's column tail.
-    fn nn_cols_fast(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        j_lo: usize,
-    ) {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n + j_lo..(i + 1) * n];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue; // padding rows stay inert in the fast profile
-                }
-                let b_row = &b[p * n + j_lo..(p + 1) * n];
-                for (c_el, &b_el) in c_row.iter_mut().zip(b_row) {
-                    *c_el = a_ip.mul_add(b_el, *c_el);
-                }
-            }
-        }
-    }
-
-    fn tiled_nn_fast(
-        arm: SimdArm,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        workspace::with_thread(|ws| {
-            let mut panel = ws.take(k.min(KC) * NR);
-            let mut j0 = 0;
-            while j0 + NR <= n {
-                let mut p0 = 0;
-                loop {
-                    let kc = (k - p0).min(KC);
-                    super::tiled::pack_panel_cols(b, &mut panel, p0, kc, n, j0);
-                    let mut i0 = 0;
-                    while i0 < m {
-                        let rows = (m - i0).min(MR);
-                        nn_micro_fast_arm(arm, a, &panel, c, i0, rows, j0, p0, kc, k, n);
-                        i0 += rows;
-                    }
-                    p0 += kc;
-                    if p0 >= k {
-                        break;
-                    }
-                }
-                j0 += NR;
-            }
-            if j0 < n {
-                nn_cols_fast(a, b, c, m, k, n, j0);
-            }
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn nn_micro_fast_arm(
-        arm: SimdArm,
-        a: &[f32],
-        panel: &[f32],
-        c: &mut [f32],
-        i0: usize,
-        rows: usize,
-        j0: usize,
-        p0: usize,
-        kc: usize,
-        k: usize,
-        n: usize,
-    ) {
-        match arm {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the Avx2 arm is only handed out when runtime detection
-            // reported AVX2+FMA support.
-            SimdArm::Avx2 => unsafe {
-                simd::nn_micro_fast_avx2(a, panel, c, i0, rows, j0, p0, kc, k, n)
-            },
-            _ => nn_micro_fast(a, panel, c, i0, rows, j0, p0, kc, k, n),
-        }
-    }
-
-    /// Scalar fast `nn` register tile: identical walk to `tiled::nn_micro`
-    /// with fused accumulation — bit-identical to the AVX2+FMA body.
-    #[allow(clippy::too_many_arguments)]
-    fn nn_micro_fast(
-        a: &[f32],
-        panel: &[f32],
-        c: &mut [f32],
-        i0: usize,
-        rows: usize,
-        j0: usize,
-        p0: usize,
-        kc: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let mut acc = [[0.0f32; NR]; MR];
-        for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
-            acc_r.copy_from_slice(&c[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR]);
-        }
-        for p in 0..kc {
-            let bp = &panel[p * NR..(p + 1) * NR];
-            for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
-                let a_ip = a[(i0 + r) * k + p0 + p];
-                if a_ip == 0.0 {
-                    continue;
-                }
-                for (o, &bv) in acc_r.iter_mut().zip(bp) {
-                    *o = a_ip.mul_add(bv, *o);
-                }
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate().take(rows) {
-            c[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR].copy_from_slice(acc_r);
-        }
-    }
-}
-
 /// Fans `m` rows of `a`/`c` out over the global pool via
 /// [`seqfm_parallel::par_units`], calling `f(a_rows, c_rows, rows)` per
 /// contiguous block.

@@ -1,32 +1,25 @@
-//! Explicit AVX2/FMA micro-kernel bodies, runtime SIMD dispatch, and the
-//! reduced-precision (`f16` / fast-`exp`) primitives behind the serving
-//! fast profile.
+//! Explicit AVX2 micro-kernel bodies, runtime SIMD dispatch, and the `f16`
+//! storage primitives behind the serving profile's quantised tables.
 //!
-//! ## Two kinds of kernels, two guarantees
+//! ## One arithmetic
 //!
-//! * **SIMD-exact** bodies (`nn_micro_avx2`, `nt_micro_avx2`,
-//!   `tn_micro_avx2`) vectorise the register-tile lane loop of the tiled
-//!   matmul micro-kernels with *separate* `_mm256_mul_ps` + `_mm256_add_ps`
-//!   — one rounding per multiply and one per add, exactly like the scalar
-//!   `*o += a_ip * bv`. Vector lanes are independent output elements, so
-//!   the per-element f32 op sequence is unchanged and results are
-//!   **bit-identical** to the scalar tiled kernels (and therefore to the
-//!   naive reference). They exist so a binary compiled for baseline
-//!   `x86-64` still gets AVX2 throughput at runtime, without giving up a
-//!   single bit of reproducibility.
-//!
-//! * **Fast** bodies (`*_fast_avx2`) use `_mm256_fmadd_ps`. Fusion skips
-//!   the intermediate rounding, so results differ from the exact kernels —
-//!   but hardware FMA and [`f32::mul_add`] are both *correctly rounded*
-//!   fused ops, so the fast kernels are **bit-identical across dispatch
-//!   arms**: the AVX2 arm and the scalar `mul_add` fallback produce the
-//!   same bits on every input. Determinism survives; only exactness
-//!   relative to the two-rounding reference is traded away.
+//! The AVX2 bodies (`nn_micro_avx2`, `nt_micro_avx2`, `tn_micro_avx2`)
+//! vectorise the register-tile lane loop of the tiled matmul micro-kernels
+//! with *separate* `_mm256_mul_ps` + `_mm256_add_ps` — one rounding per
+//! multiply and one per add, exactly like the scalar `*o += a_ip * bv`.
+//! Vector lanes are independent output elements, so the per-element f32 op
+//! sequence is unchanged and results are **bit-identical** to the scalar
+//! tiled kernels (and therefore to the naive reference). They exist so a
+//! binary compiled for baseline `x86-64` still gets AVX2 throughput at
+//! runtime, without giving up a single bit of reproducibility. No kernel in
+//! this crate fuses a multiply into an add or approximates `exp`: the
+//! serving `Fast` profile differs from `Exact` only in the parameters it
+//! feeds these same kernels ([`f16_from_f32`] / [`widen_f16`] below).
 //!
 //! ## Runtime dispatch
 //!
-//! [`active_arm`] picks the arm once per process: AVX2+FMA when the CPU
-//! reports them (`is_x86_feature_detected!`), scalar otherwise — and scalar
+//! [`active_arm`] picks the arm once per process: AVX2 when the CPU reports
+//! it (`is_x86_feature_detected!`), scalar otherwise — and scalar
 //! unconditionally when the environment sets `SEQFM_SIMD=scalar`, which is
 //! how CI keeps the fallback arm parity-tested on AVX2 hosts. Kernels
 //! accept an explicit [`SimdArm`] in their `_arm` variants so tests can
@@ -37,10 +30,8 @@ use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{
-    __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_andnot_ps, _mm256_castsi256_ps, _mm256_cmp_ps,
-    _mm256_cvtph_ps, _mm256_cvtps_epi32, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps,
-    _mm256_min_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
-    _mm256_slli_epi32, _mm256_storeu_ps, _mm256_sub_ps, _mm_loadu_si128, _CMP_EQ_OQ,
+    __m256, _mm256_add_ps, _mm256_cvtph_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
+    _mm256_storeu_ps, _mm_loadu_si128,
 };
 
 /// Register-tile height shared with the tiled matmul kernels.
@@ -52,7 +43,7 @@ pub(crate) const NR: usize = super::matmul::NR;
 /// Which instruction-set arm a kernel dispatches to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SimdArm {
-    /// Hand-written AVX2 (+FMA for the fast kernels) micro-kernel bodies.
+    /// Hand-written AVX2 micro-kernel bodies.
     Avx2,
     /// Portable scalar bodies — the reference arm, and the only arm on
     /// non-x86_64 targets or when `SEQFM_SIMD=scalar` is set.
@@ -61,7 +52,7 @@ pub enum SimdArm {
 
 /// CPU capabilities probed once per process.
 struct Caps {
-    avx2_fma: bool,
+    avx2: bool,
     f16c: bool,
 }
 
@@ -71,27 +62,26 @@ fn caps() -> &'static Caps {
         #[cfg(target_arch = "x86_64")]
         {
             Caps {
-                avx2_fma: std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma"),
+                avx2: std::arch::is_x86_feature_detected!("avx2"),
                 f16c: std::arch::is_x86_feature_detected!("f16c"),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            Caps { avx2_fma: false, f16c: false }
+            Caps { avx2: false, f16c: false }
         }
     })
 }
 
-/// `true` when the running CPU supports AVX2 **and** FMA, independent of
-/// the `SEQFM_SIMD` override — the raw detection result, for tests that
+/// `true` when the running CPU supports AVX2, independent of the
+/// `SEQFM_SIMD` override — the raw detection result, for tests that
 /// want to exercise the AVX2 arm explicitly.
 pub fn avx2_available() -> bool {
-    caps().avx2_fma
+    caps().avx2
 }
 
 /// The dispatch arm every kernel uses by default, resolved once per
-/// process: [`SimdArm::Avx2`] iff the CPU supports AVX2+FMA and the
+/// process: [`SimdArm::Avx2`] iff the CPU supports AVX2 and the
 /// environment does **not** set `SEQFM_SIMD=scalar`.
 pub fn active_arm() -> SimdArm {
     static ARM: OnceLock<SimdArm> = OnceLock::new();
@@ -273,188 +263,6 @@ pub(crate) unsafe fn tn_micro_avx2(
 }
 
 // ---------------------------------------------------------------------------
-// Fast (FMA) micro-kernel bodies — bit-identical to the scalar `mul_add`
-// fallback, not to the exact kernels.
-// ---------------------------------------------------------------------------
-
-/// AVX2+FMA body of the fast `nn` micro-kernel over the k-chunk
-/// `[p0, p0 + kc)`.
-///
-/// Dispatches `rows` to a `ROWS`-monomorphised tile body so the
-/// accumulators live in YMM registers for the whole k-chunk. The
-/// memory-array form the exact kernels use round-trips every accumulator
-/// through the stack on each `p` step; for separate mul+add the reload
-/// hides behind the multiply, but an FMA consumes the accumulator directly,
-/// so there the store-forward latency lands on the critical path — measured
-/// ~30% *slower* than the exact kernel until the accumulators stay
-/// register-resident.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn nn_micro_fast_avx2(
-    a: &[f32],
-    panel: &[f32],
-    c: &mut [f32],
-    i0: usize,
-    rows: usize,
-    j0: usize,
-    p0: usize,
-    kc: usize,
-    k: usize,
-    n: usize,
-) {
-    // SAFETY (each arm): AVX2+FMA are enabled on this fn; `rows ≤ MR` by
-    // the tiled drivers' construction, and the tile body checks its own
-    // slice bounds.
-    match rows {
-        1 => unsafe { nn_fast_tile::<1>(a, panel, c, i0, j0, p0, kc, k, n) },
-        2 => unsafe { nn_fast_tile::<2>(a, panel, c, i0, j0, p0, kc, k, n) },
-        3 => unsafe { nn_fast_tile::<3>(a, panel, c, i0, j0, p0, kc, k, n) },
-        4 => unsafe { nn_fast_tile::<4>(a, panel, c, i0, j0, p0, kc, k, n) },
-        5 => unsafe { nn_fast_tile::<5>(a, panel, c, i0, j0, p0, kc, k, n) },
-        _ => unsafe { nn_fast_tile::<MR>(a, panel, c, i0, j0, p0, kc, k, n) },
-    }
-}
-
-/// `ROWS × NR` register tile of the fast `nn` kernel: load `c`, fuse-add
-/// ascending `p`, store — the same per-element op sequence as the scalar
-/// `nn_micro_fast`, with `ROWS` a compile-time constant so the `2·ROWS`
-/// accumulator vectors (≤ 12, plus `b0`/`b1`/broadcast = 15 of 16 YMM)
-/// never spill.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA; `ROWS` tile rows starting at `i0`
-/// must be in bounds for `a` and `c`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn nn_fast_tile<const ROWS: usize>(
-    a: &[f32],
-    panel: &[f32],
-    c: &mut [f32],
-    i0: usize,
-    j0: usize,
-    p0: usize,
-    kc: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut lo = [_mm256_setzero_ps(); ROWS];
-    let mut hi = [_mm256_setzero_ps(); ROWS];
-    for r in 0..ROWS {
-        let row = &c[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR];
-        // SAFETY: `row` holds exactly NR = 16 floats.
-        unsafe {
-            lo[r] = _mm256_loadu_ps(row.as_ptr());
-            hi[r] = _mm256_loadu_ps(row.as_ptr().add(8));
-        }
-    }
-    for p in 0..kc {
-        let bp = &panel[p * NR..(p + 1) * NR];
-        // SAFETY: `bp` is exactly NR floats; AVX2 is enabled on this fn.
-        let (b0, b1) = unsafe { load16(bp) };
-        for r in 0..ROWS {
-            let a_ip = a[(i0 + r) * k + p0 + p];
-            if a_ip == 0.0 {
-                continue; // padding rows stay inert in the fast profile too
-            }
-            let va = _mm256_set1_ps(a_ip);
-            lo[r] = _mm256_fmadd_ps(va, b0, lo[r]);
-            hi[r] = _mm256_fmadd_ps(va, b1, hi[r]);
-        }
-    }
-    for r in 0..ROWS {
-        let row = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR];
-        // SAFETY: `row` holds exactly NR = 16 floats.
-        unsafe {
-            _mm256_storeu_ps(row.as_mut_ptr(), lo[r]);
-            _mm256_storeu_ps(row.as_mut_ptr().add(8), hi[r]);
-        }
-    }
-}
-
-/// Fast score block against a **pre-transposed** key pack:
-/// `w[r·cols + j] = Σ_p q[r·d + p] · kt[p·cols + j]`, every element the
-/// seeded-zero ascending-`p` fused chain of the scalar fast kernels.
-///
-/// Where the matmul micro-kernels tile for cache reuse, this kernel exists
-/// for *latency*: a scalar score chain is one serial FMA dependency per
-/// element, so a handful of long rows (the structured cross-attention
-/// shape — 2 static rows against tens of history columns) runs at FMA
-/// latency, not throughput. Walking `kt` column-major puts 8 score chains
-/// in each vector lane-set (unit stride, one load shared by two query
-/// rows), and because lanes are independent elements the per-element op
-/// sequence — and its bits — is exactly the scalar chain's. Column tails
-/// fall back to the scalar chain itself.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn scores_colmajor_fast_avx2(
-    q: &[f32],
-    kt: &[f32],
-    w: &mut [f32],
-    rows: usize,
-    cols: usize,
-    d: usize,
-) {
-    assert!(q.len() >= rows * d, "scores_colmajor_fast_avx2: q too small");
-    assert!(kt.len() >= d * cols, "scores_colmajor_fast_avx2: kt too small");
-    assert!(w.len() >= rows * cols, "scores_colmajor_fast_avx2: w too small");
-    let mut j = 0;
-    while j + 8 <= cols {
-        let mut r = 0;
-        while r + 2 <= rows {
-            let q0 = &q[r * d..(r + 1) * d];
-            let q1 = &q[(r + 1) * d..(r + 2) * d];
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            for p in 0..d {
-                // SAFETY: `p < d`, `j + 8 ≤ cols`, and `kt` holds ≥ d·cols
-                // floats, so the 8-lane load at `p·cols + j` is in bounds;
-                // AVX2+FMA are enabled on this fn.
-                let kv = unsafe { _mm256_loadu_ps(kt.as_ptr().add(p * cols + j)) };
-                acc0 = _mm256_fmadd_ps(_mm256_set1_ps(q0[p]), kv, acc0);
-                acc1 = _mm256_fmadd_ps(_mm256_set1_ps(q1[p]), kv, acc1);
-            }
-            // SAFETY: `r + 1 < rows`, `j + 8 ≤ cols`, and `w` holds
-            // ≥ rows·cols floats, so both 8-lane stores are in bounds.
-            unsafe {
-                _mm256_storeu_ps(w.as_mut_ptr().add(r * cols + j), acc0);
-                _mm256_storeu_ps(w.as_mut_ptr().add((r + 1) * cols + j), acc1);
-            }
-            r += 2;
-        }
-        if r < rows {
-            let q0 = &q[r * d..(r + 1) * d];
-            let mut acc = _mm256_setzero_ps();
-            for (p, &q0p) in q0.iter().enumerate() {
-                // SAFETY: as above — the load at `p·cols + j` is in bounds.
-                let kv = unsafe { _mm256_loadu_ps(kt.as_ptr().add(p * cols + j)) };
-                acc = _mm256_fmadd_ps(_mm256_set1_ps(q0p), kv, acc);
-            }
-            // SAFETY: `r < rows` and `j + 8 ≤ cols` keep the store in bounds.
-            unsafe { _mm256_storeu_ps(w.as_mut_ptr().add(r * cols + j), acc) };
-        }
-        j += 8;
-    }
-    // Column tail (`cols % 8`): the scalar serial chain, element for element.
-    for r in 0..rows {
-        for jj in j..cols {
-            let mut acc = 0.0f32;
-            for p in 0..d {
-                acc = q[r * d + p].mul_add(kt[p * cols + jj], acc);
-            }
-            w[r * cols + jj] = acc;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // f16 storage (bit-cast half precision, f32 compute).
 // ---------------------------------------------------------------------------
 
@@ -582,125 +390,6 @@ unsafe fn widen_f16_f16c(src: &[u16], dst: &mut [f32]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fast exponential — the fast profile's softmax primitive.
-// ---------------------------------------------------------------------------
-
-// Shared constants of the fast exponential: the scalar [`exp_fast`] and the
-// 8-lane [`exp_fast8`] bodies must run the *same* chain on the same
-// constants, or the fast profile's cross-arm bit-identity breaks.
-const EXP_LOG2E: f32 = std::f32::consts::LOG2_E;
-// High bits of ln 2 — written out in full because the literal is exactly
-// representable (355/512), which is what makes `n·LN2_HI` exact for small n.
-#[allow(clippy::excessive_precision)]
-const EXP_LN2_HI: f32 = 0.693_359_375;
-const EXP_LN2_LO: f32 = -2.121_944_4e-4;
-/// 1.5·2²³: adding it forces round-to-nearest-even at integer precision.
-const EXP_SHIFTER: f32 = 12_582_912.0;
-// Degree-5 Taylor of eʳ on |r| ≤ ln2/2 + ε; error ~ r⁶/720 ≲ 2.5·10⁻⁶.
-const EXP_C5: f32 = 1.0 / 120.0;
-const EXP_C4: f32 = 1.0 / 24.0;
-const EXP_C3: f32 = 1.0 / 6.0;
-const EXP_C2: f32 = 0.5;
-
-/// Fast `eˣ` for the reduced-precision profile: degree-5 polynomial on the
-/// reduced argument with power-of-two reconstruction. Max relative error
-/// ≈ 3·10⁻⁶ over the softmax range (inputs ≤ 0 after max-subtraction) —
-/// far inside the fast profile's f16-dominated ε budget.
-///
-/// Every step is a plain f32 op or [`f32::mul_add`] (correctly-rounded
-/// fused), so the result is deterministic and identical on every dispatch
-/// arm and target.
-pub fn exp_fast(x: f32) -> f32 {
-    let x = x.clamp(-87.0, 88.0);
-    let t = x.mul_add(EXP_LOG2E, EXP_SHIFTER);
-    let n = t - EXP_SHIFTER; // round(x · log₂e), ties to even
-                             // Two-term Cody–Waite reduction keeps r accurate near chunk boundaries.
-    let r = n.mul_add(-EXP_LN2_HI, x);
-    let r = n.mul_add(-EXP_LN2_LO, r);
-    let p = EXP_C5
-        .mul_add(r, EXP_C4)
-        .mul_add(r, EXP_C3)
-        .mul_add(r, EXP_C2)
-        .mul_add(r, 1.0)
-        .mul_add(r, 1.0);
-    // 2ⁿ via exponent-field construction: n ∈ [-126, 127] after the clamp.
-    let scale = f32::from_bits(((n as i32 + 127) as u32) << 23);
-    p * scale
-}
-
-/// 8-lane AVX2+FMA body of [`exp_fast`]. Every step is the correctly-
-/// rounded vector counterpart of the scalar op (`_mm256_fmadd_ps` ≡
-/// [`f32::mul_add`]; `_mm256_cvtps_epi32` rounds to nearest, which equals
-/// the scalar `n as i32` because `n` is already integral), so each lane is
-/// **bit-identical** to `exp_fast` of that lane's input. The only
-/// divergence is a NaN input (min/max vs. `clamp` ordering), which the
-/// softmax contract excludes — scores are finite or `−∞`.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn exp_fast8(x: __m256) -> __m256 {
-    let x = _mm256_max_ps(_mm256_min_ps(x, _mm256_set1_ps(88.0)), _mm256_set1_ps(-87.0));
-    let shifter = _mm256_set1_ps(EXP_SHIFTER);
-    let t = _mm256_fmadd_ps(x, _mm256_set1_ps(EXP_LOG2E), shifter);
-    let n = _mm256_sub_ps(t, shifter);
-    let r = _mm256_fmadd_ps(n, _mm256_set1_ps(-EXP_LN2_HI), x);
-    let r = _mm256_fmadd_ps(n, _mm256_set1_ps(-EXP_LN2_LO), r);
-    let p = _mm256_fmadd_ps(_mm256_set1_ps(EXP_C5), r, _mm256_set1_ps(EXP_C4));
-    let p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(EXP_C3));
-    let p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(EXP_C2));
-    let p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.0));
-    let p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.0));
-    let e = _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127));
-    let scale = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(e));
-    _mm256_mul_ps(p, scale)
-}
-
-/// Vectorised exp pass of the fast softmax: overwrites each `x[i]` with
-/// `exp_fast(v − max)` where `v = x[i] (+ mask[i])`, and with exactly
-/// `+0.0` where `v == −∞` (the blocked-entry contract the retrieval
-/// bounds rely on). The remainder (`len mod 8`) runs the scalar chain,
-/// which is bit-identical per lane to [`exp_fast8`], so the whole pass
-/// matches the scalar-arm loop bit for bit.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA. `mask`, when present, must be at
-/// least as long as `x`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn softmax_exp_pass_avx2(x: &mut [f32], mask: Option<&[f32]>, max: f32) {
-    if let Some(m) = mask {
-        assert!(m.len() >= x.len(), "softmax exp pass: mask shorter than row");
-    }
-    let len = x.len();
-    let vmax = _mm256_set1_ps(max);
-    let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
-    let mut off = 0usize;
-    while off + 8 <= len {
-        // SAFETY: `off + 8 ≤ len` and the mask is at least as long as `x`
-        // (asserted above), so the 8-lane loads and the store are in
-        // bounds; AVX2+FMA are enabled on this fn.
-        unsafe {
-            let mut v = _mm256_loadu_ps(x.as_ptr().add(off));
-            if let Some(m) = mask {
-                v = _mm256_add_ps(v, _mm256_loadu_ps(m.as_ptr().add(off)));
-            }
-            let e = exp_fast8(_mm256_sub_ps(v, vmax));
-            // Blocked lanes (v = −∞) must come out exactly +0.0, like the
-            // scalar arm's explicit branch.
-            let blocked = _mm256_cmp_ps::<_CMP_EQ_OQ>(v, neg_inf);
-            _mm256_storeu_ps(x.as_mut_ptr().add(off), _mm256_andnot_ps(blocked, e));
-        }
-        off += 8;
-    }
-    for i in off..len {
-        let v = x[i] + mask.map_or(0.0, |m| m[i]);
-        x[i] = if v == f32::NEG_INFINITY { 0.0 } else { exp_fast(v - max) };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,7 +428,7 @@ mod tests {
     #[test]
     fn f16_quantisation_error_is_within_half_ulp() {
         // RNE guarantees |x − decode(encode(x))| ≤ 2⁻¹¹·|x| for normal
-        // range — the bound the fast profile's ε budget is derived from.
+        // range — the bound the `Fast` profile's ε budget is derived from.
         let mut state = 0x12345u64;
         for _ in 0..10_000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -759,103 +448,6 @@ mod tests {
         widen_f16(&src, &mut fast);
         for (i, (&h, &w)) in src.iter().zip(&fast).enumerate() {
             assert_eq!(w.to_bits(), f32_from_f16(h).to_bits(), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn exp_fast_tracks_libm_exp() {
-        let mut worst = 0.0f64;
-        for i in 0..20_000 {
-            let x = -87.0 + (i as f32) * (88.0 + 87.0) / 20_000.0;
-            let got = exp_fast(x) as f64;
-            let want = (x as f64).exp();
-            let rel = ((got - want) / want).abs();
-            if rel > worst {
-                worst = rel;
-            }
-        }
-        assert!(worst < 5e-6, "exp_fast worst relative error {worst}");
-    }
-
-    #[test]
-    fn exp_fast_edges() {
-        assert_eq!(exp_fast(0.0), 1.0);
-        assert!(exp_fast(-200.0) > 0.0, "deep negative stays positive (clamped)");
-        assert!(exp_fast(-200.0) < 1e-37);
-        assert!(exp_fast(f32::NEG_INFINITY) < 1e-37, "-inf clamps to the floor");
-        assert!(exp_fast(1000.0).is_finite(), "clamp keeps overflow finite");
-    }
-
-    /// Runs [`exp_fast8`] over `xs` in 8-lane chunks (callers guarantee the
-    /// lengths are equal multiples of 8).
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn run_exp8(xs: &[f32], out: &mut [f32]) {
-        for (chunk, o) in xs.chunks_exact(8).zip(out.chunks_exact_mut(8)) {
-            // SAFETY: both chunks are exactly 8 lanes; AVX2+FMA are enabled
-            // on this fn.
-            unsafe {
-                let v = _mm256_loadu_ps(chunk.as_ptr());
-                _mm256_storeu_ps(o.as_mut_ptr(), exp_fast8(v));
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn exp_fast8_lanes_match_scalar_bitwise() {
-        if !avx2_available() {
-            return;
-        }
-        // Sweep past both clamp edges, plus −∞ (which the clamp floors).
-        let mut xs: Vec<f32> = (0..4000).map(|i| -95.0 + i as f32 * 0.047).collect();
-        xs[0] = f32::NEG_INFINITY;
-        let mut out = vec![0.0f32; xs.len()];
-        // SAFETY: AVX2+FMA verified above.
-        unsafe { run_exp8(&xs, &mut out) };
-        for (i, (&x, &got)) in xs.iter().zip(&out).enumerate() {
-            assert_eq!(got.to_bits(), exp_fast(x).to_bits(), "lane {i} at x = {x}");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn softmax_exp_pass_matches_scalar_loop_bitwise() {
-        if !avx2_available() {
-            return;
-        }
-        // 22 elements: two full vector chunks plus a 6-wide scalar tail —
-        // the serving row width, with blocked entries in both regions.
-        let n = 22usize;
-        let x0: Vec<f32> = (0..n).map(|i| ((i * 29) % 13) as f32 * 0.37 - 2.0).collect();
-        let mut mask = vec![0.0f32; n];
-        for &i in &[1usize, 7, 12, 20] {
-            mask[i] = f32::NEG_INFINITY;
-        }
-        let max = 1.5f32;
-        let mut expect = x0.clone();
-        for (i, slot) in expect.iter_mut().enumerate() {
-            let v = *slot + mask[i];
-            *slot = if v == f32::NEG_INFINITY { 0.0 } else { exp_fast(v - max) };
-        }
-        let mut got = x0.clone();
-        // SAFETY: AVX2+FMA verified above; mask and row are equal length.
-        unsafe { softmax_exp_pass_avx2(&mut got, Some(&mask), max) };
-        for i in 0..n {
-            assert_eq!(got[i].to_bits(), expect[i].to_bits(), "element {i}");
-            if mask[i] == f32::NEG_INFINITY {
-                assert_eq!(got[i].to_bits(), 0.0f32.to_bits(), "blocked {i} must be +0.0");
-            }
-        }
-        // Unmasked variant exercises the `mask = None` path.
-        let mut got2 = x0.clone();
-        // SAFETY: as above.
-        unsafe { softmax_exp_pass_avx2(&mut got2, None, max) };
-        for (i, (&g, &x)) in got2.iter().zip(&x0).enumerate() {
-            assert_eq!(g.to_bits(), exp_fast(x - max).to_bits(), "unmasked element {i}");
         }
     }
 

@@ -172,78 +172,6 @@ pub(crate) fn softmax_row_inplace(x: &mut [f32], mask: Option<&[f32]>) {
     }
 }
 
-/// Fast-profile variant of [`softmax_row_inplace`]: identical structure
-/// (max-subtraction, fully-masked rows → zeros, blocked entries → exactly
-/// `0.0`) with `libm` `exp` replaced by the deterministic polynomial
-/// [`crate::kernels::simd::exp_fast`].
-///
-/// Keeping blocked entries *exactly* zero is load-bearing for retrieval:
-/// the pruning bounds treat attention output as a convex combination of
-/// value rows, which holds for any positive weights that sum to 1 — and it
-/// only takes masked weights being exactly 0 (not merely tiny) for the
-/// combination to range over the *allowed* rows alone.
-pub(crate) fn softmax_row_inplace_fast(x: &mut [f32], mask: Option<&[f32]>) {
-    let mut max = f32::NEG_INFINITY;
-    for (i, &v) in x.iter().enumerate() {
-        let v = v + mask.map_or(0.0, |m| m[i]);
-        if v > max {
-            max = v;
-        }
-    }
-    if max == f32::NEG_INFINITY {
-        x.fill(0.0);
-        return;
-    }
-    fast_exp_pass(x, mask, max);
-    // Serial ascending sum over the stored e values — the same addition
-    // order as the scalar arm's interleaved `sum += e`, so both arms agree
-    // bit for bit.
-    let mut sum = 0.0f32;
-    for &e in x.iter() {
-        sum += e;
-    }
-    let inv = 1.0 / sum;
-    for o in x.iter_mut() {
-        *o *= inv;
-    }
-}
-
-/// The exp pass of the fast softmax — `x[i] ← exp_fast(v − max)` with
-/// blocked entries (`v = −∞`) set to exactly `+0.0` — dispatched on the
-/// active SIMD arm. Both arms produce identical bits: each 8-wide lane of
-/// [`crate::kernels::simd::softmax_exp_pass_avx2`] runs the scalar
-/// `exp_fast` op chain (see its docs).
-fn fast_exp_pass(x: &mut [f32], mask: Option<&[f32]>, max: f32) {
-    // Short rows (e.g. the cross view's ns-wide softmaxes) take the scalar
-    // loop on every arm — the vector body would run zero 8-lane chunks, and
-    // the scalar chain is bit-identical to it anyway.
-    #[cfg(target_arch = "x86_64")]
-    if x.len() >= 8 && crate::kernels::simd::active_arm() == crate::kernels::simd::SimdArm::Avx2 {
-        // SAFETY: the Avx2 arm is only selected when the CPU reports
-        // AVX2+FMA; the mask (when present) matches the row length.
-        unsafe { crate::kernels::simd::softmax_exp_pass_avx2(x, mask, max) };
-        return;
-    }
-    for (i, slot) in x.iter_mut().enumerate() {
-        let v = *slot + mask.map_or(0.0, |m| m[i]);
-        *slot = if v == f32::NEG_INFINITY { 0.0 } else { crate::kernels::simd::exp_fast(v - max) };
-    }
-}
-
-/// Fast softmax of an unmasked two-entry row, returned as a pair. Runs the
-/// exact op sequence [`softmax_row_inplace_fast`] runs on a maskless
-/// length-2 row (max scan, scalar `exp_fast`, ascending sum, one
-/// reciprocal) — so results are bit-identical to the row kernel, without
-/// the per-call slice machinery. Callers inline it in per-pair hot loops
-/// (the cross view's `ns = 2` rows, the static pair kernel).
-pub(crate) fn softmax2_fast(a: f32, b: f32) -> (f32, f32) {
-    let max = if b > a { b } else { a };
-    let ea = crate::kernels::simd::exp_fast(a - max);
-    let eb = crate::kernels::simd::exp_fast(b - max);
-    let inv = 1.0 / (ea + eb);
-    (ea * inv, eb * inv)
-}
-
 /// Stable masked softmax of a single row. Fully-masked rows yield all zeros.
 fn softmax_row(x: &[f32], mask: Option<&[f32]>, out: &mut [f32]) {
     let mut max = f32::NEG_INFINITY;
@@ -480,39 +408,6 @@ mod tests {
         blocked.block_leading_cols(2);
         let mut x = [1.0f32, 2.0];
         softmax_row_inplace(&mut x, Some(&blocked.data()[0..2]));
-        assert_eq!(x, [0.0, 0.0]);
-    }
-
-    #[test]
-    fn fast_row_tracks_exact_and_keeps_masked_zeros() {
-        let mask_full = AttnMask::causal(4);
-        for r in 0..4 {
-            let x = [0.3f32, -1.7, 2.5, 0.01];
-            let mrow = &mask_full.data()[r * 4..(r + 1) * 4];
-            let mut exact = x;
-            softmax_row_inplace(&mut exact, Some(mrow));
-            let mut fast = x;
-            softmax_row_inplace_fast(&mut fast, Some(mrow));
-            let sum: f32 = fast.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5, "fast row {r} sums to {sum}");
-            for j in 0..4 {
-                if mrow[j] == f32::NEG_INFINITY {
-                    assert_eq!(fast[j], 0.0, "blocked ({r},{j}) must be exactly zero");
-                } else {
-                    assert!(
-                        (fast[j] - exact[j]).abs() <= 1e-5,
-                        "({r},{j}): {} vs {}",
-                        fast[j],
-                        exact[j]
-                    );
-                }
-            }
-        }
-        // Fully-masked row → zeros on the fast path too.
-        let mut blocked = AttnMask::causal(2);
-        blocked.block_leading_cols(2);
-        let mut x = [1.0f32, 2.0];
-        softmax_row_inplace_fast(&mut x, Some(&blocked.data()[0..2]));
         assert_eq!(x, [0.0, 0.0]);
     }
 

@@ -24,11 +24,11 @@
 //!   temporaries, and cache-blocked packed matmul kernels
 //!   ([`kernels::matmul::tiled`]) that are **bit-identical** to the naive
 //!   references ([`kernels::matmul::naive`]) — see the matmul module docs.
-//! * Explicit AVX2/FMA micro-kernel bodies behind runtime dispatch
-//!   ([`kernels::simd`]): SIMD-exact arms that stay bit-identical to the
-//!   scalar kernels, plus a fused-FMA **fast profile**
-//!   ([`kernels::matmul::fast`], [`attention_fast_into`], `exp_fast`, `f16`
-//!   storage) for reduced-precision serving.
+//! * Explicit AVX2 micro-kernel bodies behind runtime dispatch
+//!   ([`kernels::simd`]) that stay bit-identical to the scalar kernels, and
+//!   the `f16` storage codec ([`f16_from_f32`], [`widen_f16`]) behind the
+//!   serving profile's quantised tables. There is one arithmetic: no kernel
+//!   fuses a multiply into an add or approximates `exp`.
 //!
 //! All shape errors are programming errors and panic with a descriptive
 //! message; the panic contract is documented on each function.
@@ -40,22 +40,15 @@ pub mod kernels;
 pub mod testutil;
 pub mod workspace;
 
-pub use kernels::attention::{
-    attention_cross_fast_into, attention_cross_shared_fast_into, attention_cross_shared_into,
-    attention_fast_into, attention_into, attention_pair_fast_into,
-};
-pub use kernels::bmm::{
-    bmm_nn, bmm_nn_fast_into, bmm_nn_into, bmm_nt, bmm_nt_fast_into, bmm_nt_into, bmm_tn,
-    bmm_tn_into,
-};
+pub use kernels::attention::{attention_cross_shared_into, attention_into};
+pub use kernels::bmm::{bmm_nn, bmm_nn_into, bmm_nt, bmm_nt_into, bmm_tn, bmm_tn_into};
 pub use kernels::elementwise as ew;
-pub use kernels::matmul::fast::{matmul_nn_fast_into, matmul_nt_fast_into};
 pub use kernels::matmul::{
     matmul_nn, matmul_nn_into, matmul_nt, matmul_nt_into, matmul_tn, matmul_tn_into,
 };
 pub use kernels::reduce;
 pub use kernels::simd::{
-    active_arm, avx2_available, exp_fast, f16_from_f32, f32_from_f16, widen_f16, SimdArm,
+    active_arm, avx2_available, f16_from_f32, f32_from_f16, widen_f16, SimdArm,
 };
 pub use kernels::softmax::{
     softmax_backward_into, softmax_backward_lastdim, softmax_lastdim, softmax_lastdim_masked,

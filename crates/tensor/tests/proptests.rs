@@ -1,9 +1,10 @@
 //! Property-based tests for the tensor kernels.
 
 use proptest::prelude::*;
+use seqfm_tensor::testutil::rand_tensor;
 use seqfm_tensor::{
-    bmm_nn, ew, matmul_nn, matmul_nt, matmul_tn, reduce, softmax_lastdim, softmax_lastdim_masked,
-    AttnMask, Shape, Tensor,
+    attention_cross_shared_into, attention_into, bmm_nn, ew, matmul_nn, matmul_nt, matmul_tn,
+    reduce, softmax_lastdim, softmax_lastdim_masked, AttnMask, Shape, Tensor,
 };
 
 fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
@@ -111,5 +112,68 @@ proptest! {
     fn reshape_roundtrip(a in tensor_strategy(6, 4)) {
         let r = a.reshaped(Shape::d3(2, 3, 4)).reshaped(Shape::d2(6, 4));
         prop_assert_eq!(a.data(), r.data());
+    }
+
+    /// The structured shared-history cross kernel — the one attention kernel
+    /// both serving profiles run — equals splicing the history under every
+    /// slice and running the dense masked kernel, bit for bit, at any
+    /// geometry (empty sides, ragged lane tails, and batches big enough to
+    /// fan out under `SEQFM_WORKERS=4`).
+    #[test]
+    fn cross_shared_equals_spliced_dense_masked_bitwise(
+        bs in 1usize..10,
+        ns in 0usize..4,
+        nd in 0usize..25,
+        d in 1usize..41,
+        salt in 0u64..u64::MAX,
+    ) {
+        let n = ns + nd;
+        prop_assume!(n > 0); // the dense reference has no zero-width rows
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut seed = salt | 1;
+        let stat = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns.max(1), d), &mut seed));
+        let hist = [(); 3].map(|()| rand_tensor(Shape::d2(nd.max(1), d), &mut seed));
+
+        let [fq, fk, fv] = [0, 1, 2].map(|i| {
+            let mut full = vec![0.0f32; bs * n * d];
+            for (b, slice) in full.chunks_exact_mut(n * d).enumerate().take(bs) {
+                slice[..ns * d].copy_from_slice(&stat[i].data()[b * ns * d..(b + 1) * ns * d]);
+                slice[ns * d..].copy_from_slice(&hist[i].data()[..nd * d]);
+            }
+            full
+        });
+        let mut dense = vec![0.0f32; bs * n * d];
+        attention_into(
+            &fq,
+            &fk,
+            &fv,
+            Some(&AttnMask::cross(ns, nd)),
+            scale,
+            bs,
+            n,
+            d,
+            &mut vec![0.0f32; bs * n * n],
+            &mut dense,
+        );
+
+        let mut structured = vec![f32::NAN; bs * n * d];
+        attention_cross_shared_into(
+            stat[0].data(),
+            stat[1].data(),
+            stat[2].data(),
+            hist[0].data(),
+            hist[1].data(),
+            hist[2].data(),
+            scale,
+            bs,
+            ns,
+            nd,
+            d,
+            &mut vec![0.0f32; bs * ns * nd],
+            &mut structured,
+        );
+        for (i, (a, b)) in dense.iter().zip(&structured).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "bs={} ns={} nd={} d={}: element {}", bs, ns, nd, d, i);
+        }
     }
 }

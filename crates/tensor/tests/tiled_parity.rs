@@ -200,36 +200,6 @@ fn avx2_and_scalar_arms_are_bit_identical_for_exact_kernels() {
     }
 }
 
-/// The fast-profile kernels use *fused* ops on both arms (`vfmadd` /
-/// `f32::mul_add`), which are correctly rounded — so the fast arms must be
-/// bit-identical to each other too (fast ≠ nondeterministic).
-#[test]
-fn avx2_and_scalar_arms_are_bit_identical_for_fast_kernels() {
-    use seqfm_tensor::kernels::matmul::fast;
-    use seqfm_tensor::{avx2_available, SimdArm};
-    if !avx2_available() {
-        return;
-    }
-    let mut seed = 0x5A5A;
-    for (m, k, n) in [(1usize, 2usize, 1usize), (7, 5, 19), (16, 32, 16), (40, 33, 50)] {
-        let a = fill(&mut seed, m * k);
-        let b = fill(&mut seed, k * n);
-        let bt = fill(&mut seed, n * k);
-        let c0 = fill(&mut seed, m * n);
-
-        let (mut gv, mut gs) = (c0.clone(), c0.clone());
-        fast::matmul_nn_fast_into_arm(SimdArm::Avx2, &a, &b, &mut gv, m, k, n);
-        fast::matmul_nn_fast_into_arm(SimdArm::Scalar, &a, &b, &mut gs, m, k, n);
-        assert_eq!(gv, gs, "fast nn arms diverge at {m}x{k}x{n}");
-
-        gv.copy_from_slice(&c0);
-        gs.copy_from_slice(&c0);
-        fast::matmul_nt_fast_into_arm(SimdArm::Avx2, &a, &bt, &mut gv, m, k, n);
-        fast::matmul_nt_fast_into_arm(SimdArm::Scalar, &a, &bt, &mut gs, m, k, n);
-        assert_eq!(gv, gs, "fast nt arms diverge at {m}x{k}x{n}");
-    }
-}
-
 /// The shared-panel `nt` path (one pre-pack serving every parallel row
 /// chunk) must stay bit-identical to the per-call-packing tiled kernel and
 /// to the naive reference — the panels it shares are byte-identical to the
