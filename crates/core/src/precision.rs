@@ -22,9 +22,9 @@
 //!
 //! So `Fast` on θ **is** `Exact` on θ′, bit for bit — a unit test in
 //! `frozen.rs` pins this on every Table-V variant and every forward shape —
-//! and everything proved about the exact kernels (cross-arm and
-//! worker-count determinism, batch independence) holds for `Fast` with no
-//! suite of its own. The retrieval pruning bounds read the same θ′, so
+//! and everything proved about the exact kernels (worker-count
+//! determinism, batch independence) holds for `Fast` with no suite of its
+//! own. The retrieval pruning bounds read the same θ′, so
 //! quantisation contributes **zero** width to the pruning envelope and
 //! pruned `Fast` retrieval stays bitwise-equal to brute-force `Fast`
 //! retrieval.

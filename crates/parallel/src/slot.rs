@@ -1,70 +1,24 @@
-//! [`ArcSlot`]: a hand-rolled `ArcSwap` — one shared `Arc<T>` slot with
-//! wait-free-in-practice readers and serialized writers.
+//! [`ArcSlot`]: one shared, swappable `Arc<T>` — a `RwLock<Arc<T>>` plus a
+//! publish counter.
 //!
-//! The serving engine publishes a fresh model snapshot by *swapping* the
-//! `Arc` in this slot; every worker loads it once per drain. A
-//! `Mutex<Arc<T>>` would serialize all readers through one lock on the hot
-//! path; `ArcSlot::load` instead costs two atomic RMWs and never takes a
-//! lock, while `store` (rare — once per model publish) waits for straggler
-//! readers of the retiring cell before reusing it.
-//!
-//! ## Design: left/right cells + generation counter
-//!
-//! Two cells each hold an `Option<Arc<T>>` and a reader count. A monotone
-//! generation `g` names the active cell (`g & 1`). Readers pin the active
-//! cell by incrementing its counter, then **re-check** the generation: if it
-//! moved they back off and retry, so a successful re-check proves — in the
-//! `SeqCst` total order — that the increment landed before any writer
-//! advanced the generation, and therefore before the *next* writer's
-//! wait-for-zero scan of this cell. A writer mutates only the **inactive**
-//! cell, and only after its reader count drains to zero; publishing is a
-//! single generation store. The counter rides with the generation parity, so
-//! a reader from generation `g` can never be confused with one from `g + 2`
-//! (the ABA case a single shared counter would admit).
+//! The serving engine publishes a model snapshot by *swapping* the `Arc` in
+//! this slot; every worker loads it once per drain. Either lock is held for
+//! one pointer clone or exchange, and the slot keeps nothing alive: a
+//! replaced value belongs to `store`'s caller and to earlier readers.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 
-struct Cell<T> {
-    /// Readers currently pinning this cell (incremented before the
-    /// generation re-check, decremented after cloning).
-    readers: AtomicUsize,
-    /// The published value; mutated only by a writer that owns the write
-    /// lock *and* observed `readers == 0` on this (inactive) cell.
-    value: UnsafeCell<Option<Arc<T>>>,
-}
-
-impl<T> Cell<T> {
-    fn empty() -> Self {
-        Cell { readers: AtomicUsize::new(0), value: UnsafeCell::new(None) }
-    }
-}
-
-/// An atomically swappable `Arc<T>` slot: lock-free `load`, mutex-serialized
-/// `store`. See the module docs for the protocol.
+/// An atomically swappable `Arc<T>` slot; see the module docs.
 pub struct ArcSlot<T> {
-    cells: [Cell<T>; 2],
+    value: RwLock<Arc<T>>,
     generation: AtomicU64,
-    write: Mutex<()>,
 }
-
-// The `UnsafeCell` makes the auto-impls disappear; the reader/writer
-// protocol above restores the required exclusion by hand.
-unsafe impl<T: Send + Sync> Send for ArcSlot<T> {}
-unsafe impl<T: Send + Sync> Sync for ArcSlot<T> {}
 
 impl<T> ArcSlot<T> {
     /// A slot holding `initial` at generation 0.
     pub fn new(initial: Arc<T>) -> Self {
-        let slot = ArcSlot {
-            cells: [Cell::empty(), Cell::empty()],
-            generation: AtomicU64::new(0),
-            write: Mutex::new(()),
-        };
-        // Not yet shared: plain initialization, no protocol needed.
-        unsafe { *slot.cells[0].value.get() = Some(initial) };
-        slot
+        ArcSlot { value: RwLock::new(initial), generation: AtomicU64::new(0) }
     }
 
     /// The number of [`Self::store`]s so far — each publish advances it by
@@ -73,66 +27,26 @@ impl<T> ArcSlot<T> {
         self.generation.load(Ordering::SeqCst)
     }
 
-    /// Clones the currently published `Arc` without locking.
+    /// Clones the currently published `Arc` (uncontended: two atomic RMWs).
     pub fn load(&self) -> Arc<T> {
-        loop {
-            let g = self.generation.load(Ordering::SeqCst);
-            let cell = &self.cells[(g & 1) as usize];
-            cell.readers.fetch_add(1, Ordering::SeqCst);
-            if self.generation.load(Ordering::SeqCst) != g {
-                // A writer published between our generation read and the
-                // pin: this cell may be the next reuse target. Back off.
-                cell.readers.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            // Pinned: the re-check proves our increment precedes any future
-            // writer's wait-for-zero scan, so the value cannot be replaced
-            // under us.
-            let value = unsafe { (*cell.value.get()).clone() };
-            cell.readers.fetch_sub(1, Ordering::SeqCst);
-            return value.expect("active cell always holds a value");
-        }
+        // Poison is harmless: the only write is one `mem::replace`.
+        Arc::clone(&self.value.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Publishes `new`, returning the previously published `Arc`.
-    ///
-    /// Readers that already pinned the old generation keep their `Arc`
-    /// (epoch pinning); readers arriving after the store see `new`.
-    /// Concurrent `store`s serialize on an internal mutex; the wait for
-    /// straggler readers of the retiring cell is a bounded spin (readers
-    /// hold their pin only across one `Arc` clone).
+    /// Publishes `new`, returning the previously published `Arc`. Readers
+    /// that already loaded the old value keep it (epoch pinning); readers
+    /// arriving after the store see `new`.
     pub fn store(&self, new: Arc<T>) -> Arc<T> {
-        let _guard = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        let g = self.generation.load(Ordering::SeqCst);
-        let next = &self.cells[((g + 1) & 1) as usize];
-        // Stragglers still pinning the inactive cell come from generation
-        // g - 1; wait them out before touching its value.
-        let mut spins = 0u32;
-        while next.readers.load(Ordering::SeqCst) != 0 {
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        let previous = unsafe {
-            let retired = (*next.value.get()).replace(new);
-            let current = (*self.cells[(g & 1) as usize].value.get())
-                .clone()
-                .expect("active cell always holds a value");
-            drop(retired); // the generation g - 1 value, unreachable since g
-            current
-        };
-        self.generation.store(g + 1, Ordering::SeqCst);
-        previous
+        let mut value = self.value.write().unwrap_or_else(PoisonError::into_inner);
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        std::mem::replace(&mut *value, new)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     #[test]
     fn load_returns_what_was_stored() {
@@ -172,12 +86,24 @@ mod tests {
         for _ in 0..5 {
             slot.store(Arc::new(Counted(Arc::clone(&drops))));
         }
-        // Each store retires the value parked in the inactive cell — the one
-        // published two generations ago — so after 5 stores exactly 4 of the
-        // 6 values created are gone; the last two live in the cells.
-        assert_eq!(drops.load(Ordering::SeqCst), 4, "retired values drop once each");
+        // Every store hands the replaced value back and the slot keeps no
+        // copy, so each of the 5 replaced values is gone as soon as its
+        // returned `Arc` is; only the live one remains.
+        assert_eq!(drops.load(Ordering::SeqCst), 5, "replaced values drop once each");
         drop(slot);
-        assert_eq!(drops.load(Ordering::SeqCst), 6, "cell residents drop with the slot");
+        assert_eq!(drops.load(Ordering::SeqCst), 6, "the resident drops with the slot");
+    }
+
+    #[test]
+    fn a_replaced_value_is_released_at_once() {
+        // The engine's values are whole model snapshots: a slot that parked
+        // the replaced one until the *next* store would hold two resident.
+        let first = Arc::new(1u32);
+        let weak = Arc::downgrade(&first);
+        let slot = ArcSlot::new(first);
+        let previous = slot.store(Arc::new(2));
+        drop(previous);
+        assert!(weak.upgrade().is_none(), "the slot kept the value it replaced alive");
     }
 
     #[test]

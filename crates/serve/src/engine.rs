@@ -359,8 +359,8 @@ impl Drop for PendingResponse {
 /// revisions) the concrete frozen model that retrieval fallbacks and index
 /// rebuilds need.
 ///
-/// Revisions live in the engine's lock-free [`ArcSlot`]; each worker loads
-/// the slot **once per drain**, so every request in a coalesced super-batch
+/// Revisions live in the engine's [`ArcSlot`]; each worker loads the slot
+/// **once per drain**, so every request in a coalesced super-batch
 /// — and every cache entry it installs — is pinned to a single epoch even
 /// while [`Engine::publish_frozen`] swaps underneath it.
 pub struct ModelRev {
@@ -756,14 +756,17 @@ impl Engine {
     /// Atomically hot-swaps the engine onto a new frozen model — the
     /// serving half of the online-learning loop. Returns the epoch now
     /// being served. The whole sequence runs on the *calling* thread
-    /// (typically the trainer); scoring workers never block:
+    /// (typically the trainer); scoring workers wait for nothing longer
+    /// than the slot's one pointer exchange:
     ///
     /// 1. the engine's serving profile is applied
     ///    ([`ScorerPrecision::Fast`] re-quantizes **here**, off the hot
     ///    path — workers keep serving the old quantized bundle meanwhile);
     /// 2. the model slot is swapped — new drains score under the new
-    ///    epoch, in-flight drains finish on the one they pinned, and the
-    ///    epoch-keyed [`ViewCache`] lazily invalidates old-epoch panels;
+    ///    epoch, in-flight drains finish on the one they pinned (the
+    ///    replaced revision is freed when the last of them does: the slot
+    ///    keeps no second snapshot resident), and the epoch-keyed
+    ///    [`ViewCache`] lazily invalidates old-epoch panels;
     /// 3. any attached catalog index is rebuilt for the new model
     ///    ([`CatalogIndex::rebuild_for`] — a *delta* rebuild that reuses
     ///    every block whose envelope provably barely moved) and its slot

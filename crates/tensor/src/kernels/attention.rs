@@ -16,6 +16,7 @@
 //! execution.
 
 use super::bmm::{bmm_nn_into, bmm_nt_into};
+use super::matmul::chain_tile;
 use super::softmax::{softmax_row_inplace, AttnMask};
 
 /// `out[b,n,d] = softmax(scale · Q·Kᵀ + M) · V` per batch slice.
@@ -140,7 +141,7 @@ fn attention_slices(
 /// zero, so the dense path skips them too). Lanes run *across* history
 /// columns from transposed packs of the shared `kh`/`qh`, built once per
 /// call in the thread workspace; each lane is still one ascending chain,
-/// so SIMD width, arm and worker count cannot change a bit.
+/// so SIMD width and worker count cannot change a bit.
 ///
 /// **Not a drop-in when a blocked pair's score is non-finite.** The dense
 /// path adds the mask to *every* score, so a blocked score that is NaN or
@@ -326,14 +327,14 @@ fn nn_chains<const SKIP: bool>(
             // Widest lane block that still fits: 16, 8, 4, then single
             // columns for a ragged tail.
             j0 += match (pair, cols - j0) {
-                (true, 16..) => chain_tile::<2, 16, SKIP>(a, lda, b, ldb, depth, &mut put),
-                (true, 8..) => chain_tile::<2, 8, SKIP>(a, lda, b, ldb, depth, &mut put),
-                (true, 4..) => chain_tile::<2, 4, SKIP>(a, lda, b, ldb, depth, &mut put),
-                (true, _) => chain_tile::<2, 1, SKIP>(a, lda, b, ldb, depth, &mut put),
-                (false, 16..) => chain_tile::<1, 16, SKIP>(a, lda, b, ldb, depth, &mut put),
-                (false, 8..) => chain_tile::<1, 8, SKIP>(a, lda, b, ldb, depth, &mut put),
-                (false, 4..) => chain_tile::<1, 4, SKIP>(a, lda, b, ldb, depth, &mut put),
-                (false, _) => chain_tile::<1, 1, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (true, 16..) => zero_tile::<2, 16, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (true, 8..) => zero_tile::<2, 8, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (true, 4..) => zero_tile::<2, 4, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (true, _) => zero_tile::<2, 1, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (false, 16..) => zero_tile::<1, 16, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (false, 8..) => zero_tile::<1, 8, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (false, 4..) => zero_tile::<1, 4, SKIP>(a, lda, b, ldb, depth, &mut put),
+                (false, _) => zero_tile::<1, 1, SKIP>(a, lda, b, ldb, depth, &mut put),
             };
         }
         i0 += if pair { 2 } else { 1 };
@@ -341,10 +342,10 @@ fn nn_chains<const SKIP: bool>(
 }
 
 /// One `R × L` register tile of [`nn_chains`], anchored at `a`'s first row
-/// and `b`'s first column: `R·L` independent chains, accumulators held in
-/// registers across the whole `p` walk. Returns `L`.
+/// and `b`'s first column: `R·L` seeded-zero chains through the crate's one
+/// inner loop ([`chain_tile`]). Returns `L`.
 #[inline(always)]
-fn chain_tile<const R: usize, const L: usize, const SKIP: bool>(
+fn zero_tile<const R: usize, const L: usize, const SKIP: bool>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -352,22 +353,7 @@ fn chain_tile<const R: usize, const L: usize, const SKIP: bool>(
     depth: usize,
     put: &mut impl FnMut(usize, &[f32]),
 ) -> usize {
-    let mut acc = [[0.0f32; L]; R];
-    // Slice every operand row once, so the `p` walk carries no bounds
-    // checks beyond the one lane-block slice.
-    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * lda..r * lda + depth]);
-    for (p, bp) in b.chunks(ldb).take(depth).enumerate() {
-        let bp = &bp[..L];
-        for (acc_r, row) in acc.iter_mut().zip(rows) {
-            let ap = row[p];
-            if SKIP && ap == 0.0 {
-                continue;
-            }
-            for (slot, &bv) in acc_r.iter_mut().zip(bp) {
-                *slot += ap * bv;
-            }
-        }
-    }
+    let acc = chain_tile::<R, L, false, SKIP>([[0.0f32; L]; R], a, lda, b, ldb, depth);
     for (r, acc_r) in acc.iter().enumerate() {
         put(r, acc_r);
     }
@@ -500,9 +486,9 @@ mod tests {
         // Serving and retrieval geometry, odd shapes, an exact vector chunk
         // and a ragged tail of history columns (nd = 8, 16 / 13, 20), a
         // width with a ragged lane tail (d = 7), and both empty sides. CI
-        // runs this under the default, `SEQFM_SIMD=scalar` and
-        // `SEQFM_WORKERS=4` arms (the first shape clears the fan-out
-        // threshold, so the last one partitions it across the pool).
+        // runs this under the default and `SEQFM_WORKERS=4` arms (the
+        // first shape clears the fan-out threshold, so the latter
+        // partitions it across the pool).
         for &(bs, ns, nd, d) in &[
             (100usize, 2usize, 20usize, 32usize),
             (64, 2, 20, 32),

@@ -14,7 +14,10 @@
 //! whole `k` loop instead of streaming it through memory once per `k` step,
 //! and the packed panel makes the inner loop a contiguous, branch-free
 //! multiply-add over `NR` lanes — that is where the single-core speedup
-//! comes from.
+//! comes from. All three flavours (and the structured attention kernel)
+//! share one safe, const-generic inner loop, `chain_tile`, which the
+//! compiler vectorises for the build target; there is no per-CPU body to
+//! choose between.
 //!
 //! **Bit-identity invariant**: for every output element `c[i,j]`, both
 //! implementations perform *exactly* the same sequence of f32 operations —
@@ -35,7 +38,6 @@
 //! unchanged, so parallel results are bit-for-bit identical to serial ones.
 
 use super::dispatch::should_par;
-use super::simd::{self, SimdArm};
 use crate::{Shape, Tensor};
 
 /// Register-tile height: output rows processed per micro-kernel call.
@@ -132,13 +134,12 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     debug_assert_eq!(c.len(), m * n);
     if should_par(m * k * n, m) {
         if tiled_worthwhile(m, k, n) {
-            let arm = simd::active_arm();
             crate::workspace::with_thread(|ws| {
                 let mut panels = ws.take((n / NR) * k * NR);
                 tiled::pack_nt_panels(b, &mut panels, k, n);
                 let panels: &[f32] = &panels;
                 par_rows(a, c, k, n, |a_rows, c_rows, rows| {
-                    tiled::matmul_nt_packed_into(arm, a_rows, b, panels, c_rows, rows, k, n)
+                    tiled::matmul_nt_packed_into(a_rows, b, panels, c_rows, rows, k, n)
                 });
             });
         } else {
@@ -325,24 +326,59 @@ pub mod naive {
     }
 }
 
+/// One `R × L` block of independent multiply-add chains — the single inner
+/// loop behind every tiled matmul flavour and the structured attention
+/// kernel: `acc[r][t] += a(r, p) · b[p·ldb + t]` for ascending `p < depth`,
+/// multiply and add kept separate, steps with `a(r, p) == 0.0` skipped when
+/// `SKIP`. `a(r, p)` is `a[r·lda + p]`, or `a[p·lda + r]` when `TRANS` (the
+/// lhs read down a column). `R` and `L` are constants, so the accumulators
+/// stay in registers across the whole `p` walk and the lane loop vectorises
+/// to whatever the build target has (`vmulps` + `vaddps` under `x86-64-v3`,
+/// never fused). Lanes are independent output elements and each keeps its
+/// own ascending chain, so neither the vector width nor the tile shape can
+/// change a bit.
+#[inline(always)]
+pub(super) fn chain_tile<const R: usize, const L: usize, const TRANS: bool, const SKIP: bool>(
+    mut acc: [[f32; L]; R],
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    depth: usize,
+) -> [[f32; L]; R] {
+    // Row-major lhs: slice every row once, outside the `p` walk. `TRANS`: a
+    // step's `R` elements are contiguous and are sliced per step instead.
+    let rows: [&[f32]; R] =
+        std::array::from_fn(|r| if TRANS { &a[..0] } else { &a[r * lda..r * lda + depth] });
+    for p in 0..depth {
+        // Copied out, the step's rhs lanes are loaded once and held in
+        // registers for all `R` rows (measured: `nn` −10 % at d = 32).
+        let mut bp = [0.0f32; L];
+        bp.copy_from_slice(&b[p * ldb..p * ldb + L]);
+        let col = if TRANS { &a[p * lda..p * lda + R] } else { &a[..0] };
+        for r in 0..R {
+            let ap = if TRANS { col[r] } else { rows[r][p] };
+            if !SKIP || ap != 0.0 {
+                for t in 0..L {
+                    acc[r][t] += ap * bp[t];
+                }
+            }
+        }
+    }
+    acc
+}
+
 /// Cache-blocked, register-tiled kernels with `B` panels packed into the
 /// thread-local workspace arena. Bit-identical to [`naive`] — see the
 /// module docs for the invariant and `tests/tiled_parity.rs` for the proof.
 pub mod tiled {
-    use super::{naive, simd, SimdArm, KC, MR, NR};
+    use super::{chain_tile, naive, KC, MR, NR};
     use crate::workspace;
 
     /// Packs columns `[j0, j0 + NR)` of rows `[p0, p0 + kc)` of the
     /// row-major `[k, n]` matrix `b` into `panel` in `p`-major order:
     /// `panel[p·NR + t] = b[(p0 + p)·n + j0 + t]`.
-    pub(super) fn pack_panel_cols(
-        b: &[f32],
-        panel: &mut [f32],
-        p0: usize,
-        kc: usize,
-        n: usize,
-        j0: usize,
-    ) {
+    fn pack_panel_cols(b: &[f32], panel: &mut [f32], p0: usize, kc: usize, n: usize, j0: usize) {
         for p in 0..kc {
             let src = (p0 + p) * n + j0;
             panel[p * NR..(p + 1) * NR].copy_from_slice(&b[src..src + NR]);
@@ -352,7 +388,7 @@ pub mod tiled {
     /// Packs rows `[j0, j0 + NR)` of the row-major `[n, k]` matrix `b`
     /// (i.e. columns of `bᵀ`) into `panel` in `p`-major order:
     /// `panel[p·NR + t] = b[(j0 + t)·k + p]`.
-    pub(super) fn pack_panel_rows(b: &[f32], panel: &mut [f32], k: usize, j0: usize) {
+    fn pack_panel_rows(b: &[f32], panel: &mut [f32], k: usize, j0: usize) {
         for t in 0..NR {
             let src = &b[(j0 + t) * k..(j0 + t + 1) * k];
             for (p, &v) in src.iter().enumerate() {
@@ -361,17 +397,77 @@ pub mod tiled {
         }
     }
 
-    /// Tiled `c[m,n] += a[m,k] · b[k,n]`, k-blocked at `KC`, on the
-    /// process-wide dispatch arm.
-    pub fn matmul_nn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        matmul_nn_into_arm(simd::active_arm(), a, b, c, m, k, n);
+    /// One register tile of `rows ≤ MR` output rows by `NR` columns: `c` is
+    /// anchored at the tile's first element (row stride `n`), `a` at the
+    /// lhs element of its first row and depth step, `panel` holds `depth`
+    /// packed rows. The three flavours differ only in the flags:
+    ///
+    /// * `TRANS` — the lhs is read down a column (`tn`), see [`chain_tile`];
+    /// * `SEED` — the accumulators start from the `c` tile and are stored
+    ///   back (`nn`/`tn`: what makes `KC` chunking exact), instead of
+    ///   starting from zero and being added into `c` once (`nt`'s dot
+    ///   product);
+    /// * `SKIP` — the naive `nn`/`tn` kernels' `a == 0.0` skip.
+    ///
+    /// The row count picks a const-generic body, so a short last tile keeps
+    /// its accumulators in registers too.
+    fn micro<const TRANS: bool, const SEED: bool, const SKIP: bool>(
+        rows: usize,
+        a: &[f32],
+        lda: usize,
+        panel: &[f32],
+        depth: usize,
+        c: &mut [f32],
+        n: usize,
+    ) {
+        match rows {
+            1 => micro_rows::<1, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
+            2 => micro_rows::<2, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
+            3 => micro_rows::<3, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
+            4 => micro_rows::<4, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
+            5 => micro_rows::<5, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
+            MR => micro_rows::<MR, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
+            _ => unreachable!("a register tile has 1..={MR} rows, got {rows}"),
+        }
     }
 
-    /// [`matmul_nn_into`] on an explicit dispatch arm — the test/bench hook
-    /// that lets both arms run in one process. Both arms are bit-identical.
-    pub fn matmul_nn_into_arm(
-        arm: SimdArm,
+    /// [`micro`] at a fixed row count.
+    fn micro_rows<const R: usize, const TRANS: bool, const SEED: bool, const SKIP: bool>(
         a: &[f32],
+        lda: usize,
+        panel: &[f32],
+        depth: usize,
+        c: &mut [f32],
+        n: usize,
+    ) {
+        // Rows are indexed, not `chunks(n)`-ed: the chunk count costs an
+        // integer division per tile.
+        let mut acc = [[0.0f32; NR]; R];
+        if SEED {
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                acc_r.copy_from_slice(&c[r * n..r * n + NR]);
+            }
+        }
+        let acc = chain_tile::<R, NR, TRANS, SKIP>(acc, a, lda, panel, NR, depth);
+        for (r, acc_r) in acc.iter().enumerate() {
+            let c_row = &mut c[r * n..r * n + NR];
+            if SEED {
+                c_row.copy_from_slice(acc_r);
+            } else {
+                for (c_el, &v) in c_row.iter_mut().zip(acc_r) {
+                    *c_el += v;
+                }
+            }
+        }
+    }
+
+    /// The `nn`/`tn` walk over the full-width column panels of `b`, k-blocked
+    /// at `KC`: pack one chunk of one panel, run every row tile against it,
+    /// move on. Output row `i`, depth `p` reads `a[i·lda + p]`, or
+    /// `a[p·lda + i]` when `TRANS`.
+    fn kc_blocked<const TRANS: bool>(
+        a: &[f32],
+        lda: usize,
         b: &[f32],
         c: &mut [f32],
         m: usize,
@@ -380,131 +476,50 @@ pub mod tiled {
     ) {
         workspace::with_thread(|ws| {
             let mut panel = ws.take(k.min(KC) * NR);
-            let mut j0 = 0;
-            while j0 + NR <= n {
-                let mut p0 = 0;
-                loop {
+            for j0 in (0..n / NR).map(|t| t * NR) {
+                for p0 in (0..k).step_by(KC) {
                     let kc = (k - p0).min(KC);
                     pack_panel_cols(b, &mut panel, p0, kc, n, j0);
-                    let mut i0 = 0;
-                    while i0 < m {
-                        let rows = (m - i0).min(MR);
-                        nn_micro_arm(arm, a, &panel, c, i0, rows, j0, p0, kc, k, n);
-                        i0 += rows;
-                    }
-                    p0 += kc;
-                    if p0 >= k {
-                        break;
+                    for i0 in (0..m).step_by(MR) {
+                        let (rows, c_tile) = ((m - i0).min(MR), &mut c[i0 * n + j0..]);
+                        let a_tile = if TRANS { &a[p0 * lda + i0..] } else { &a[i0 * lda + p0..] };
+                        micro::<TRANS, true, true>(rows, a_tile, lda, &panel, kc, c_tile, n);
                     }
                 }
-                j0 += NR;
-            }
-            if j0 < n {
-                naive::nn_cols(a, b, c, m, k, n, j0);
             }
         });
     }
 
-    /// Dispatches one `nn` register tile to the selected arm. The AVX2 body
-    /// replays the identical per-element op sequence, so the choice never
-    /// changes a bit of output.
-    #[allow(clippy::too_many_arguments)]
-    fn nn_micro_arm(
-        arm: SimdArm,
-        a: &[f32],
-        panel: &[f32],
-        c: &mut [f32],
-        i0: usize,
-        rows: usize,
-        j0: usize,
-        p0: usize,
-        kc: usize,
-        k: usize,
-        n: usize,
-    ) {
-        match arm {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the Avx2 arm is only handed out when runtime detection
-            // reported AVX2 support (see `simd::active_arm`), and tests gate
-            // explicit Avx2 requests on `simd::avx2_available`.
-            SimdArm::Avx2 => unsafe {
-                simd::nn_micro_avx2(a, panel, c, i0, rows, j0, p0, kc, k, n)
-            },
-            _ => nn_micro(a, panel, c, i0, rows, j0, p0, kc, k, n),
+    /// Every row tile of `nt` against one packed full-depth panel.
+    fn nt_panel(a: &[f32], panel: &[f32], c: &mut [f32], j0: usize, m: usize, k: usize, n: usize) {
+        for i0 in (0..m).step_by(MR) {
+            let (rows, c_tile) = ((m - i0).min(MR), &mut c[i0 * n + j0..]);
+            micro::<false, false, false>(rows, &a[i0 * k..], k, panel, k, c_tile, n);
         }
     }
 
-    /// `MR × NR` register tile of the `nn` kernel over the k-chunk
-    /// `[p0, p0 + kc)`: loads the tile of `c` into accumulators, replays
-    /// the naive per-element `p`-ascending multiply-adds of the chunk
-    /// (padding skip included), stores once. Chaining chunks through the
-    /// store/load round-trip reproduces the full-depth op sequence exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn nn_micro(
-        a: &[f32],
-        panel: &[f32],
-        c: &mut [f32],
-        i0: usize,
-        rows: usize,
-        j0: usize,
-        p0: usize,
-        kc: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let mut acc = [[0.0f32; NR]; MR];
-        for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
-            acc_r.copy_from_slice(&c[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR]);
-        }
-        for p in 0..kc {
-            let bp = &panel[p * NR..(p + 1) * NR];
-            for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
-                let a_ip = a[(i0 + r) * k + p0 + p];
-                if a_ip == 0.0 {
-                    continue; // same padding-row skip as the naive kernel
-                }
-                for (o, &bv) in acc_r.iter_mut().zip(bp) {
-                    *o += a_ip * bv;
-                }
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate().take(rows) {
-            c[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR].copy_from_slice(acc_r);
+    /// Tiled `c[m,n] += a[m,k] · b[k,n]`, k-blocked at `KC`.
+    pub fn matmul_nn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        kc_blocked::<false>(a, k, b, c, m, k, n);
+        let j_tail = n - n % NR;
+        if j_tail < n {
+            naive::nn_cols(a, b, c, m, k, n, j_tail);
         }
     }
 
-    /// Tiled `c[m,n] += a[m,k] · b[n,k]ᵀ` on the process-wide dispatch arm.
+    /// Tiled `c[m,n] += a[m,k] · b[n,k]ᵀ`.
     pub fn matmul_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        matmul_nt_into_arm(simd::active_arm(), a, b, c, m, k, n);
-    }
-
-    /// [`matmul_nt_into`] on an explicit dispatch arm (test/bench hook).
-    pub fn matmul_nt_into_arm(
-        arm: SimdArm,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
         workspace::with_thread(|ws| {
             let mut panel = ws.take(k * NR);
-            let mut j0 = 0;
-            while j0 + NR <= n {
+            for j0 in (0..n / NR).map(|t| t * NR) {
                 pack_panel_rows(b, &mut panel, k, j0);
-                let mut i0 = 0;
-                while i0 < m {
-                    let rows = (m - i0).min(MR);
-                    nt_micro_arm(arm, a, &panel, c, i0, rows, j0, k, n);
-                    i0 += rows;
-                }
-                j0 += NR;
-            }
-            if j0 < n {
-                naive::nt_cols(a, b, c, m, k, n, j0);
+                nt_panel(a, &panel, c, j0, m, k, n);
             }
         });
+        let j_tail = n - n % NR;
+        if j_tail < n {
+            naive::nt_cols(a, b, c, m, k, n, j_tail);
+        }
     }
 
     /// Packs **every** full-width K-panel of the row-major `[n, k]` matrix
@@ -513,20 +528,15 @@ pub mod tiled {
     /// the per-chunk packs this replaces produced byte-identical panels, so
     /// sharing them is invisible to the output bits.
     pub fn pack_nt_panels(b: &[f32], panels: &mut [f32], k: usize, n: usize) {
-        let mut j0 = 0;
-        while j0 + NR <= n {
-            let pi = j0 / NR;
-            pack_panel_rows(b, &mut panels[pi * k * NR..(pi + 1) * k * NR], k, j0);
-            j0 += NR;
+        for t in 0..n / NR {
+            pack_panel_rows(b, &mut panels[t * k * NR..(t + 1) * k * NR], k, t * NR);
         }
     }
 
     /// Tiled `c[m,n] += a[m,k] · b[n,k]ᵀ` over pre-packed K-panels from
     /// [`pack_nt_panels`]. `b` is still needed for the `n % NR` column tail,
     /// which has no panel. Bit-identical to [`matmul_nt_into`].
-    #[allow(clippy::too_many_arguments)]
     pub fn matmul_nt_packed_into(
-        arm: SimdArm,
         a: &[f32],
         b: &[f32],
         panels: &[f32],
@@ -536,79 +546,16 @@ pub mod tiled {
         n: usize,
     ) {
         debug_assert!(panels.len() >= (n / NR) * k * NR);
-        let mut j0 = 0;
-        while j0 + NR <= n {
-            let pi = j0 / NR;
-            let panel = &panels[pi * k * NR..(pi + 1) * k * NR];
-            let mut i0 = 0;
-            while i0 < m {
-                let rows = (m - i0).min(MR);
-                nt_micro_arm(arm, a, panel, c, i0, rows, j0, k, n);
-                i0 += rows;
-            }
-            j0 += NR;
+        for t in 0..n / NR {
+            nt_panel(a, &panels[t * k * NR..(t + 1) * k * NR], c, t * NR, m, k, n);
         }
-        if j0 < n {
-            naive::nt_cols(a, b, c, m, k, n, j0);
+        let j_tail = n - n % NR;
+        if j_tail < n {
+            naive::nt_cols(a, b, c, m, k, n, j_tail);
         }
     }
 
-    /// Dispatches one `nt` register tile to the selected arm (bit-identical
-    /// either way).
-    #[allow(clippy::too_many_arguments)]
-    fn nt_micro_arm(
-        arm: SimdArm,
-        a: &[f32],
-        panel: &[f32],
-        c: &mut [f32],
-        i0: usize,
-        rows: usize,
-        j0: usize,
-        k: usize,
-        n: usize,
-    ) {
-        match arm {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the Avx2 arm is only handed out when runtime detection
-            // reported AVX2 support.
-            SimdArm::Avx2 => unsafe { simd::nt_micro_avx2(a, panel, c, i0, rows, j0, k, n) },
-            _ => nt_micro(a, panel, c, i0, rows, j0, k, n),
-        }
-    }
-
-    /// `MR × NR` register tile of the `nt` kernel: per element, the same
-    /// zero-initialised `p`-ascending dot product as the naive kernel,
-    /// added into `c` once at the end.
-    #[allow(clippy::too_many_arguments)]
-    fn nt_micro(
-        a: &[f32],
-        panel: &[f32],
-        c: &mut [f32],
-        i0: usize,
-        rows: usize,
-        j0: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let mut acc = [[0.0f32; NR]; MR];
-        for p in 0..k {
-            let bp = &panel[p * NR..(p + 1) * NR];
-            for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
-                let a_ip = a[(i0 + r) * k + p];
-                for (o, &bv) in acc_r.iter_mut().zip(bp) {
-                    *o += a_ip * bv;
-                }
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate().take(rows) {
-            let c_row = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR];
-            for (c_el, &v) in c_row.iter_mut().zip(acc_r) {
-                *c_el += v;
-            }
-        }
-    }
-
-    /// Tiled `c[m,n] += a[k,m]ᵀ · b[k,n]` on the process-wide dispatch arm.
+    /// Tiled `c[m,n] += a[k,m]ᵀ · b[k,n]`.
     pub fn matmul_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         matmul_tn_rows_into(a, b, c, 0, m, m, k, n);
     }
@@ -627,113 +574,12 @@ pub mod tiled {
         k: usize,
         n: usize,
     ) {
-        matmul_tn_rows_into_arm(simd::active_arm(), a, b, c, i0, rows, m, k, n);
-    }
-
-    /// [`matmul_tn_rows_into`] on an explicit dispatch arm (test hook).
-    #[allow(clippy::too_many_arguments)]
-    pub fn matmul_tn_rows_into_arm(
-        arm: SimdArm,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        i0: usize,
-        rows: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        workspace::with_thread(|ws| {
-            let mut panel = ws.take(k.min(KC) * NR);
-            let mut j0 = 0;
-            while j0 + NR <= n {
-                let mut p0 = 0;
-                loop {
-                    let kc = (k - p0).min(KC);
-                    pack_panel_cols(b, &mut panel, p0, kc, n, j0);
-                    let mut r0 = 0;
-                    while r0 < rows {
-                        let tile_rows = (rows - r0).min(MR);
-                        tn_micro_arm(arm, a, &panel, c, i0, r0, tile_rows, j0, p0, kc, m, n);
-                        r0 += tile_rows;
-                    }
-                    p0 += kc;
-                    if p0 >= k {
-                        break;
-                    }
-                }
-                j0 += NR;
-            }
-            if j0 < n {
-                naive::tn_cols(a, b, c, i0, rows, m, k, n, j0);
-            }
-        });
-    }
-
-    /// Dispatches one `tn` register tile to the selected arm (bit-identical
-    /// either way).
-    #[allow(clippy::too_many_arguments)]
-    fn tn_micro_arm(
-        arm: SimdArm,
-        a: &[f32],
-        panel: &[f32],
-        c: &mut [f32],
-        i0: usize,
-        r0: usize,
-        rows: usize,
-        j0: usize,
-        p0: usize,
-        kc: usize,
-        m: usize,
-        n: usize,
-    ) {
-        match arm {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the Avx2 arm is only handed out when runtime detection
-            // reported AVX2 support.
-            SimdArm::Avx2 => unsafe {
-                simd::tn_micro_avx2(a, panel, c, i0, r0, rows, j0, p0, kc, m, n)
-            },
-            _ => tn_micro(a, panel, c, i0, r0, rows, j0, p0, kc, m, n),
-        }
-    }
-
-    /// `MR × NR` register tile of the `tn` kernel over the k-chunk
-    /// `[p0, p0 + kc)`. `r0` indexes into the local `c` block; `i0 + r0` is
-    /// the global output row (the lhs column). Load/accumulate/store like
-    /// [`nn_micro`], so k-chunking preserves the op sequence bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    fn tn_micro(
-        a: &[f32],
-        panel: &[f32],
-        c: &mut [f32],
-        i0: usize,
-        r0: usize,
-        rows: usize,
-        j0: usize,
-        p0: usize,
-        kc: usize,
-        m: usize,
-        n: usize,
-    ) {
-        let mut acc = [[0.0f32; NR]; MR];
-        for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
-            acc_r.copy_from_slice(&c[(r0 + r) * n + j0..(r0 + r) * n + j0 + NR]);
-        }
-        for p in 0..kc {
-            let bp = &panel[p * NR..(p + 1) * NR];
-            for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
-                let a_pi = a[(p0 + p) * m + i0 + r0 + r];
-                if a_pi == 0.0 {
-                    continue; // same skip as the naive p-outer kernel
-                }
-                for (o, &bv) in acc_r.iter_mut().zip(bp) {
-                    *o += a_pi * bv;
-                }
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate().take(rows) {
-            c[(r0 + r) * n + j0..(r0 + r) * n + j0 + NR].copy_from_slice(acc_r);
+        // Shifting the lhs by `i0` columns makes local row `r` read
+        // `a[p·m + i0 + r]`; with `k == 0` there is nothing to shift.
+        kc_blocked::<true>(a.get(i0..).unwrap_or_default(), m, b, c, rows, k, n);
+        let j_tail = n - n % NR;
+        if j_tail < n {
+            naive::tn_cols(a, b, c, i0, rows, m, k, n, j_tail);
         }
     }
 }
@@ -867,6 +713,11 @@ mod tests {
         naive::matmul_nn_into(&a, &b, &mut want, m, k, n);
         assert_eq!(got, want);
         assert!(got.iter().all(|v| v.is_finite()), "zero-skip lost: {got:?}");
+        // Same skip in `tn`, whose lhs is `[k, m]` — all zeros either way.
+        tiled::matmul_tn_into(&a, &b, &mut got, m, k, n);
+        naive::matmul_tn_into(&a, &b, &mut want, m, k, n);
+        assert_eq!(got, want);
+        assert!(got.iter().all(|v| v.is_finite()), "tn zero-skip lost: {got:?}");
     }
 
     #[test]

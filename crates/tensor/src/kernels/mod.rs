@@ -8,9 +8,9 @@
 pub mod attention;
 pub mod bmm;
 pub mod elementwise;
+pub mod f16;
 pub mod matmul;
 pub mod reduce;
-pub mod simd;
 pub mod softmax;
 
 /// Parallel-dispatch policy shared by the hot kernels.

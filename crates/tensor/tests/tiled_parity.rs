@@ -92,9 +92,11 @@ fn tiled_matches_naive_at_model_and_serving_widths() {
 
 #[test]
 fn tiled_edge_shapes_cover_exact_tile_multiples() {
-    // Exactly one tile, one short of a tile, one past it — in both m and n.
+    // Exactly one tile, one short of a tile, one past it — in n; in m, every
+    // row count of a last tile (each arm of the tile's `match rows`), with
+    // and without a full tile before it.
     let mut seed = 0xC0DE;
-    for &m in &[5usize, 6, 7, 12, 13] {
+    for m in 1usize..=13 {
         for &n in &[15usize, 16, 17, 32, 33] {
             for &k in &[1usize, 2, 31] {
                 assert_parity(m, k, n, &mut seed);
@@ -116,6 +118,7 @@ fn tiled_k_blocking_boundaries_stay_bit_exact() {
     for &k in &[255usize, 256, 257, 300, 512, 1000] {
         assert_parity(13, k, 33, &mut seed);
         assert_parity(6, k, 16, &mut seed); // exactly one register tile
+        assert_parity(10, k, 16, &mut seed); // a 4-row last tile across chunks
     }
 }
 
@@ -161,52 +164,12 @@ fn steady_state_tiled_kernels_do_not_allocate() {
     assert_eq!(warm, after, "steady-state kernels hit the heap");
 }
 
-/// Both runtime dispatch arms of the exact tiled kernels must produce the
-/// same bits: the AVX2 micro bodies deliberately use separate multiply and
-/// add vector ops so every element sees the scalar rounding sequence.
-/// Gated on hardware support; the forced-scalar CI arm (`SEQFM_SIMD=scalar`)
-/// covers the other side of the dispatch.
-#[test]
-fn avx2_and_scalar_arms_are_bit_identical_for_exact_kernels() {
-    use seqfm_tensor::{avx2_available, SimdArm};
-    if !avx2_available() {
-        return;
-    }
-    let mut seed = 0xA5A5;
-    for (m, k, n) in [(1usize, 1usize, 1usize), (5, 3, 17), (12, 32, 16), (40, 33, 50), (64, 8, 32)]
-    {
-        let a = fill(&mut seed, m * k);
-        let b = fill(&mut seed, k * n);
-        let bt = fill(&mut seed, n * k);
-        let c0 = fill(&mut seed, m * n);
-
-        let (mut gv, mut gs) = (c0.clone(), c0.clone());
-        tiled::matmul_nn_into_arm(SimdArm::Avx2, &a, &b, &mut gv, m, k, n);
-        tiled::matmul_nn_into_arm(SimdArm::Scalar, &a, &b, &mut gs, m, k, n);
-        assert_eq!(gv, gs, "nn arms diverge at {m}x{k}x{n}");
-
-        gv.copy_from_slice(&c0);
-        gs.copy_from_slice(&c0);
-        tiled::matmul_nt_into_arm(SimdArm::Avx2, &a, &bt, &mut gv, m, k, n);
-        tiled::matmul_nt_into_arm(SimdArm::Scalar, &a, &bt, &mut gs, m, k, n);
-        assert_eq!(gv, gs, "nt arms diverge at {m}x{k}x{n}");
-
-        let at = fill(&mut seed, k * m);
-        gv.copy_from_slice(&c0);
-        gs.copy_from_slice(&c0);
-        tiled::matmul_tn_rows_into_arm(SimdArm::Avx2, &at, &b, &mut gv, 0, m, m, k, n);
-        tiled::matmul_tn_rows_into_arm(SimdArm::Scalar, &at, &b, &mut gs, 0, m, m, k, n);
-        assert_eq!(gv, gs, "tn arms diverge at {m}x{k}x{n}");
-    }
-}
-
 /// The shared-panel `nt` path (one pre-pack serving every parallel row
 /// chunk) must stay bit-identical to the per-call-packing tiled kernel and
 /// to the naive reference — the panels it shares are byte-identical to the
 /// ones each chunk would have packed itself.
 #[test]
 fn prepacked_nt_panels_match_unpacked_and_naive_bitwise() {
-    use seqfm_tensor::kernels::simd::active_arm;
     let mut seed = 0xBEEF;
     const NR: usize = 16;
     for (m, k, n) in [(9usize, 7usize, 16usize), (24, 32, 48), (33, 20, 53), (5, 3, 15)] {
@@ -218,7 +181,7 @@ fn prepacked_nt_panels_match_unpacked_and_naive_bitwise() {
         tiled::pack_nt_panels(&bt, &mut panels, k, n);
 
         let mut got = c0.clone();
-        tiled::matmul_nt_packed_into(active_arm(), &a, &bt, &panels, &mut got, m, k, n);
+        tiled::matmul_nt_packed_into(&a, &bt, &panels, &mut got, m, k, n);
 
         let mut want = c0.clone();
         naive::matmul_nt_into(&a, &bt, &mut want, m, k, n);
