@@ -4,8 +4,8 @@ use crate::graph::{Graph, Var};
 use crate::op::Op;
 use crate::store::ParamStore;
 use seqfm_tensor::{
-    bmm_nn_into, bmm_nt_into, bmm_tn_into, kernels::matmul, reduce, softmax_backward_into, Shape,
-    Tensor,
+    attention_cross_rows_backward_into, bmm_nn_into, bmm_nt_into, bmm_tn_into, kernels::matmul,
+    reduce, softmax_backward_into, Shape, Tensor,
 };
 
 impl Graph {
@@ -120,7 +120,7 @@ impl Graph {
 
             Op::Matmul(a, b) => {
                 let (av, bv) = (val(*a), val(*b));
-                let (m, k) = (av.shape().dim(0), av.shape().dim(1));
+                let (m, k) = (av.shape().outer_rows(), av.shape().last_dim());
                 let n = bv.shape().dim(1);
                 let mut da = self.pooled_zeros(av.shape());
                 matmul::matmul_nt_into(dy.data(), bv.data(), da.data_mut(), m, n, k);
@@ -211,6 +211,24 @@ impl Graph {
                     node.value.shape().last_dim(),
                 );
                 self.acc(grads, *x, dx);
+            }
+            Op::AttentionCross { q, k, v, ns, scale, weights } => {
+                let shape = node.value.shape();
+                let (bs, n, d) = (shape.dim(0), shape.dim(1), shape.dim(2));
+                let [mut dq, mut dk, mut dv] = [(); 3].map(|()| self.pooled_zeros(shape));
+                attention_cross_rows_backward_into(
+                    [val(*q).data(), val(*k).data(), val(*v).data()],
+                    weights,
+                    dy.data(),
+                    *scale,
+                    [bs, *ns, n - ns, d],
+                    [dq.data_mut(), dk.data_mut(), dv.data_mut()],
+                );
+                // The dense tape's arrival order: `bmm` reaches V before
+                // `bmm_nt` reaches Q, then K.
+                self.acc(grads, *v, dv);
+                self.acc(grads, *q, dq);
+                self.acc(grads, *k, dk);
             }
             Op::LayerNorm { x, scale, bias, cache } => {
                 let xv = val(*x);

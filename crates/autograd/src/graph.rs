@@ -19,8 +19,8 @@ use crate::op::{LnCache, Op};
 use crate::store::{ParamId, ParamStore};
 use rand::Rng;
 use seqfm_tensor::{
-    bmm_nn_into, bmm_nt_into, kernels::matmul::matmul_nn_into, reduce, softmax_rows_into, AttnMask,
-    Shape, Tensor, Workspace,
+    attention_cross_rows_into, bmm_nn_into, bmm_nt_into, kernels::matmul::matmul_nn_into, reduce,
+    softmax_rows_into, AttnMask, Shape, Tensor, Workspace,
 };
 use std::sync::Arc;
 
@@ -81,6 +81,10 @@ impl Graph {
                     self.ws.put_vec(node.value.into_vec());
                     self.ws.put_vec(cache.mean);
                     self.ws.put_vec(cache.rstd);
+                }
+                Op::AttentionCross { weights, .. } => {
+                    self.ws.put_vec(node.value.into_vec());
+                    self.ws.put_vec(weights);
                 }
                 Op::Dropout { mask, .. } => {
                     self.ws.put_vec(node.value.into_vec());
@@ -312,13 +316,24 @@ impl Graph {
 
     // --- linear algebra ------------------------------------------------------
 
-    /// `A[m,k]·B[k,n]`.
+    /// `A[m,k]·B[k,n]`. A rank-3 `A[b,r,k]` is multiplied as the `[b·r, k]`
+    /// matrix its rows already are and yields `[b,r,n]` — a projection along
+    /// the last dim with no flatten/unflatten copies.
+    ///
+    /// # Panics
+    /// Panics unless `a` is rank 2 or 3, `b` is rank 2 and the inner
+    /// dimensions agree.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let (av, bv) = (self.value(a), self.value(b));
-        let (m, k) = dims2(av, "matmul lhs");
-        let (k2, n) = dims2(bv, "matmul rhs");
-        assert_eq!(k, k2, "matmul inner dim mismatch: {} vs {}", av.shape(), bv.shape());
-        let mut out = self.pooled_zeros(Shape::d2(m, n));
+        let (sa, sb) = (self.value(a).shape(), self.value(b).shape());
+        assert!(
+            matches!(sa.rank(), 2 | 3) && sb.rank() == 2,
+            "matmul expects a rank-2 or rank-3 lhs and a rank-2 rhs, got {sa} · {sb}"
+        );
+        let (m, k, n) = (sa.outer_rows(), sa.last_dim(), sb.dim(1));
+        assert_eq!(k, sb.dim(0), "matmul inner dim mismatch: {sa} vs {sb}");
+        let out_shape =
+            if sa.rank() == 3 { Shape::d3(sa.dim(0), sa.dim(1), n) } else { Shape::d2(m, n) };
+        let mut out = self.pooled_zeros(out_shape);
         let (av, bv) = (self.value(a), self.value(b));
         seqfm_tensor::matmul_nn_into(av.data(), bv.data(), out.data_mut(), m, k, n);
         let g = self.ng(a) || self.ng(b);
@@ -449,6 +464,45 @@ impl Graph {
         softmax_rows_into(xv.data(), m, rows_per_slice, mask, out.data_mut());
         let g = self.ng(x);
         self.push(out, Op::Softmax { x }, g)
+    }
+
+    /// Structured cross-view attention (paper Eq. 11–13) over interleaved
+    /// `[b, ns + nd, d]` projections `q`/`k`/`v` whose first `ns` rows per
+    /// slice are the static features: each static row softmaxes over the
+    /// `nd` dynamic columns and each dynamic row over the `ns` static ones.
+    /// One node whose value and gradients are **bit-identical** to
+    /// `bmm_nt → scale → softmax_masked(AttnMask::cross(ns, nd)) → bmm`
+    /// (see `seqfm_tensor::attention_cross_rows_into` and its backward),
+    /// without forming the `ns² + nd²` scores per slice the mask discards.
+    ///
+    /// # Panics
+    /// Panics unless `q`, `k`, `v` share one rank-3 shape with `ns ≤ n`.
+    pub fn attention_cross(&mut self, q: Var, k: Var, v: Var, ns: usize, scale: f32) -> Var {
+        let shape = self.value(q).shape();
+        let (bs, n, d) = dims3(self.value(q), "attention_cross q");
+        for (x, what) in [(k, "k"), (v, "v")] {
+            let s = self.value(x).shape();
+            assert!(s.same(&shape), "attention_cross {what} is {s} but q is {shape}");
+        }
+        assert!(ns <= n, "attention_cross: ns = {ns} exceeds the {n} rows of {shape}");
+        let nd = n - ns;
+        let mut weights = self.ws.take_vec(bs * 2 * ns * nd);
+        let mut out = self.pooled_zeros(shape);
+        let qkv = [q, k, v].map(|x| self.value(x).data());
+        // The history rows of slice `b` start `ns·d` into it.
+        let hist = qkv.map(|x| x.get(ns * d..).unwrap_or_default());
+        attention_cross_rows_into(
+            qkv,
+            n * d,
+            hist,
+            n * d,
+            scale,
+            [bs, ns, nd, d],
+            &mut weights,
+            out.data_mut(),
+        );
+        let g = self.ng(q) || self.ng(k) || self.ng(v);
+        self.push(out, Op::AttentionCross { q, k, v, ns, scale, weights }, g)
     }
 
     /// LayerNorm over the last dimension with learned scale and bias

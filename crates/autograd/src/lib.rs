@@ -17,6 +17,14 @@
 //!   embedding tables are accessed through [`Graph::gather`], whose backward
 //!   scatter-adds only the touched rows — mirroring how FM-style models are
 //!   trained in practice (sparse "lazy" updates, see `seqfm-nn::optim`).
+//! * **Ops**: elementwise arithmetic and activations, `add_bias`;
+//!   [`Graph::matmul`] (a rank-3 lhs is read as its rows — projections need
+//!   no flatten copies), `matmul_nt`, `bmm`, `bmm_nt`, `lmatmul`, `row_dot`;
+//!   (masked) `softmax`, `layer_norm`, `dropout`, and the structured
+//!   cross-view attention node [`Graph::attention_cross`] (bit-identical to
+//!   `bmm_nt → scale → softmax_masked → bmm` under the cross mask, without
+//!   the masked scores); reshape / concat / slice / select / broadcast;
+//!   reductions; `bce_with_logits`.
 //! * **Every op is gradient-checked** against central finite differences (see
 //!   [`gradcheck`] and this crate's test-suite).
 //! * **Inference freezes the store**: [`ParamStore::freeze`] snapshots all

@@ -52,7 +52,7 @@ pub(crate) enum Op {
     },
 
     // -- linear algebra ------------------------------------------------------
-    /// `A[m,k]·B[k,n]`.
+    /// `A[m,k]·B[k,n]`; a rank-3 `A[b,r,k]` is read as `[b·r, k]`.
     Matmul(Var, Var),
     /// `A[m,k]·B[n,k]ᵀ`.
     MatmulNT(Var, Var),
@@ -74,6 +74,18 @@ pub(crate) enum Op {
     /// so the mask is not retained.
     Softmax {
         x: Var,
+    },
+    /// Structured cross-view attention over interleaved `[b, ns + nd, d]`
+    /// projections (Eq. 11–13): only static↔dynamic pairs are scored.
+    /// `weights` holds the two admitted softmax blocks per slice
+    /// (`2·ns·nd` floats), pooled like [`LnCache`].
+    AttentionCross {
+        q: Var,
+        k: Var,
+        v: Var,
+        ns: usize,
+        scale: f32,
+        weights: Vec<f32>,
     },
     /// LayerNorm over the last dim with learned `scale`/`bias` (Eq. 16).
     LayerNorm {

@@ -87,6 +87,43 @@ fn grad_matmul_both_flavours() {
         let sq = g.square(z);
         g.mean_all(sq)
     });
+    // A rank-3 lhs is multiplied as its `[b·r, k]` rows and keeps its rank.
+    let a3 = p(&mut ps, "a3", Shape::d3(2, 3, 4), 9);
+    assert_grad_check(&mut ps, &[a3, b], EPS, TOL, |g, ps| {
+        let av = g.param(ps, a3);
+        let bv = g.param(ps, b);
+        let y = g.matmul(av, bv);
+        assert_eq!(g.value(y).shape(), Shape::d3(2, 3, 2));
+        let sq = g.square(y);
+        g.mean_all(sq)
+    });
+}
+
+#[test]
+#[should_panic(expected = "rank-2 or rank-3 lhs and a rank-2 rhs, got [4] · [4x2]")]
+fn matmul_rejects_a_rank1_lhs() {
+    let mut g = Graph::new();
+    let a = g.input(Tensor::zeros(Shape::d1(4)));
+    let b = g.input(Tensor::zeros(Shape::d2(4, 2)));
+    g.matmul(a, b);
+}
+
+#[test]
+#[should_panic(expected = "rank-2 or rank-3 lhs and a rank-2 rhs, got [3x4] · [1x4x2]")]
+fn matmul_rejects_a_rank3_rhs() {
+    let mut g = Graph::new();
+    let a = g.input(Tensor::zeros(Shape::d2(3, 4)));
+    let b = g.input(Tensor::zeros(Shape::d3(1, 4, 2)));
+    g.matmul(a, b);
+}
+
+#[test]
+#[should_panic(expected = "matmul inner dim mismatch: [2x3x4] vs [5x2]")]
+fn matmul_rejects_an_inner_dim_mismatch() {
+    let mut g = Graph::new();
+    let a = g.input(Tensor::zeros(Shape::d3(2, 3, 4)));
+    let b = g.input(Tensor::zeros(Shape::d2(5, 2)));
+    g.matmul(a, b);
 }
 
 #[test]
@@ -156,6 +193,26 @@ fn grad_softmax_plain_and_masked() {
         let sq = g.square(y);
         g.sum_all(sq)
     });
+}
+
+#[test]
+fn grad_attention_cross() {
+    // Two static rows over three dynamic ones, and the degenerate one-row
+    // sides; every admitted weight is well away from 0, so the loss is
+    // smooth at finite-difference scale.
+    let mut ps = ParamStore::new();
+    let q = p(&mut ps, "q", Shape::d3(2, 5, 3), 41);
+    let k = p(&mut ps, "k", Shape::d3(2, 5, 3), 42);
+    let v = p(&mut ps, "v", Shape::d3(2, 5, 3), 43);
+    for ns in [2, 1, 4] {
+        assert_grad_check(&mut ps, &[q, k, v], 5e-3, TOL, |g, ps| {
+            let (qv, kv, vv) = (g.param(ps, q), g.param(ps, k), g.param(ps, v));
+            let h = g.attention_cross(qv, kv, vv, ns, 1.0 / (3.0f32).sqrt());
+            assert_eq!(g.value(h).shape(), Shape::d3(2, 5, 3));
+            let sq = g.square(h);
+            g.mean_all(sq)
+        });
+    }
 }
 
 #[test]
@@ -417,14 +474,16 @@ fn reset_graph_reuse_is_bit_identical_and_allocation_free() {
     let mut ps = ParamStore::new();
     let mut seed = 17;
     let w = ps.add_dense("w", rand_tensor(Shape::d2(6, 6), &mut seed));
-    let x = rand_tensor(Shape::d2(4, 6), &mut seed);
+    let x = rand_tensor(Shape::d3(2, 3, 6), &mut seed);
 
     let run = |g: &mut Graph, ps: &mut ParamStore| -> (Vec<f32>, Vec<f32>) {
         ps.zero_grads();
         let wv = g.param(ps, w);
-        let xv = g.input(Tensor::from_vec(Shape::d2(4, 6), x.data().to_vec()));
+        let xv = g.input(Tensor::from_vec(x.shape(), x.data().to_vec()));
         let y = g.matmul(xv, wv);
-        let act = g.relu(y);
+        // A node that owns a second pooled buffer (its saved weights).
+        let h = g.attention_cross(y, y, y, 1, 0.5);
+        let act = g.relu(h);
         let sq = g.square(act);
         let loss = g.mean_all(sq);
         let out = g.value(act).data().to_vec();

@@ -98,9 +98,9 @@ impl SeqModel for SasRec {
             let a = blk.attn.forward(g, ps, normed, Some(mask.clone()));
             let h1 = g.add(h, a);
             let normed2 = blk.ln2.forward(g, ps, h1);
-            let f = blk.ff1.forward_3d(g, ps, normed2);
+            let f = blk.ff1.forward(g, ps, normed2);
             let f = g.relu(f);
-            let mut f = blk.ff2.forward_3d(g, ps, f);
+            let mut f = blk.ff2.forward(g, ps, f);
             if training && self.dropout > 0.0 {
                 f = g.dropout(f, self.dropout, rng);
             }

@@ -8,6 +8,9 @@
 //! * fused [`attention_into`] latency at serving geometry, and the exact
 //!   cross view there both ways: splice + dense masked [`attention_into`]
 //!   vs. the structured [`attention_cross_shared_into`];
+//! * the cross view at the training geometry (a history per row), forward
+//!   and backward: the dense tape ops vs. [`attention_cross_rows_into`] /
+//!   [`attention_cross_rows_backward_into`];
 //! * steady-state heap **allocations per scored request** through
 //!   `FrozenSeqFm::score_into`, counted by a global allocator wrapper
 //!   (expected: 0 — the workspace-arena guarantee).
@@ -28,7 +31,11 @@ use seqfm_core::{FrozenSeqFm, Scorer, Scratch, SeqFm, SeqFmConfig};
 use seqfm_data::{build_instance, Batch, FeatureLayout};
 use seqfm_tensor::kernels::matmul::{naive, tiled};
 use seqfm_tensor::testutil::CountingAlloc;
-use seqfm_tensor::{attention_cross_shared_into, attention_into, AttnMask, Shape, Tensor};
+use seqfm_tensor::{
+    attention_cross_rows_backward_into, attention_cross_rows_into, attention_cross_shared_into,
+    attention_into, bmm_nn_into, bmm_nt_into, bmm_tn_into, softmax_backward_into,
+    softmax_rows_into, AttnMask, Shape, Tensor,
+};
 use std::time::Instant;
 
 #[global_allocator]
@@ -284,6 +291,95 @@ fn emit_kernels_json(_c: &mut Criterion) {
             "  \"attention_cross_exact_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_exact_structured_b{b}_n{n}_d{d}_us\": {:.1},\n",
             dense * 1e6,
             structured * 1e6
+        ));
+    }
+
+    // --- cross view at training geometry: the dense tape ops vs the node ----
+    // One BPR pass's cross-view attention (128 instances with their own
+    // histories, ns = 2, nd = 20, d = 32), forward and backward. Dense is
+    // what the tape used to record — `bmm_nt → scale → softmax_masked → bmm`
+    // and those four nodes' backward kernels; structured is the pair of
+    // kernels behind `Graph::attention_cross`.
+    {
+        let (b, ns, nd, d) = (128usize, 2usize, 20usize, 32usize);
+        let n = ns + nd;
+        let mut seed = 11;
+        let [q, k, v, d_out] = [(); 4].map(|()| rand(Shape::d3(b, n, d), &mut seed));
+        let (q, k, v, d_out) = (q.data(), k.data(), v.data(), d_out.data());
+        let mask = AttnMask::cross(ns, nd);
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut scores = vec![0.0f32; b * n * n];
+        let mut attn = vec![0.0f32; b * n * n];
+        let mut ctx = vec![0.0f32; b * n * d];
+        let fwd_dense = p50_of(
+            &mut || {
+                scores.fill(0.0);
+                bmm_nt_into(q, k, &mut scores, b, n, d, n);
+                scores.iter_mut().for_each(|s| *s *= scale);
+                softmax_rows_into(&scores, n, n, Some(&mask), &mut attn);
+                ctx.fill(0.0);
+                bmm_nn_into(&attn, v, &mut ctx, b, n, n, d);
+                std::hint::black_box(ctx[0]);
+            },
+            200,
+        );
+        let mut d_attn = vec![0.0f32; b * n * n];
+        let mut d_scores = vec![0.0f32; b * n * n];
+        let mut grads = [(); 3].map(|()| vec![0.0f32; b * n * d]);
+        let bwd_dense = p50_of(
+            &mut || {
+                let [dq, dk, dv] = &mut grads;
+                d_attn.fill(0.0);
+                bmm_nt_into(d_out, v, &mut d_attn, b, n, d, n);
+                dv.fill(0.0);
+                bmm_tn_into(&attn, d_out, dv, b, n, n, d);
+                softmax_backward_into(&attn, &d_attn, &mut d_scores, n);
+                d_scores.iter_mut().for_each(|s| *s *= scale);
+                dq.fill(0.0);
+                bmm_nn_into(&d_scores, k, dq, b, n, n, d);
+                dk.fill(0.0);
+                bmm_tn_into(&d_scores, q, dk, b, n, n, d);
+                std::hint::black_box(dq[0]);
+            },
+            200,
+        );
+        let qkv = [q, k, v];
+        let hist = qkv.map(|x| &x[ns * d..]);
+        let dims = [b, ns, nd, d];
+        let mut weights = vec![0.0f32; b * 2 * ns * nd];
+        let fwd_structured = p50_of(
+            &mut || {
+                attention_cross_rows_into(
+                    qkv,
+                    n * d,
+                    hist,
+                    n * d,
+                    scale,
+                    dims,
+                    &mut weights,
+                    &mut ctx,
+                );
+                std::hint::black_box(ctx[0]);
+            },
+            200,
+        );
+        let bwd_structured = p50_of(
+            &mut || {
+                let [dq, dk, dv] = &mut grads;
+                for g in [&mut *dq, &mut *dk, &mut *dv] {
+                    g.fill(0.0);
+                }
+                attention_cross_rows_backward_into(qkv, &weights, d_out, scale, dims, [dq, dk, dv]);
+                std::hint::black_box(grads[0][0]);
+            },
+            200,
+        );
+        fields.push_str(&format!(
+            "  \"attention_cross_rows_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_structured_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_backward_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_backward_structured_b{b}_n{n}_d{d}_us\": {:.1},\n",
+            fwd_dense * 1e6,
+            fwd_structured * 1e6,
+            bwd_dense * 1e6,
+            bwd_structured * 1e6
         ));
     }
 

@@ -19,7 +19,10 @@ use rand::SeedableRng;
 use seqfm_autograd::{FrozenId, FrozenParams, ModelEpoch, ParamStore};
 use seqfm_data::{Batch, FeatureLayout, PAD};
 use seqfm_nn::checkpoint::{self, CheckpointError};
-use seqfm_tensor::{attention_cross_shared_into, attention_into, matmul_nn_into, AttnMask, Tensor};
+use seqfm_tensor::{
+    attention_cross_rows_into, attention_cross_shared_into, attention_into, matmul_nn_into,
+    AttnMask, Tensor,
+};
 use std::sync::Arc;
 
 /// Must match `seqfm_nn::layers::LayerNorm::new` — the paper's "small bias
@@ -186,8 +189,9 @@ impl FrozenSeqFm {
     }
 
     /// Attention projection `out[m,d] = e[m,d] · W[d,d]` with the active
-    /// profile's weights (the flatten–matmul of `Linear::forward_3d`;
-    /// projections carry no bias). Per-row arithmetic is batch-independent,
+    /// profile's weights (the tape's rank-3 `Linear::forward` reads its
+    /// input as these same `m` rows; projections carry no bias). Per-row
+    /// arithmetic is batch-independent,
     /// so a row's projection is the same bits whether it is computed here
     /// for a forward pass or for a bounds envelope.
     pub(crate) fn project_view(
@@ -298,12 +302,10 @@ impl FrozenSeqFm {
     }
 
     /// Dense (optionally masked) attention → pooling → FFN → `hagg` column
-    /// write, on already-projected Q/K/V in `bufs`. A shared-history cross
+    /// write, on already-projected Q/K/V in `bufs` — the static view and the
+    /// causal dynamic view, replaying the tape's dense pipeline. The cross
     /// view never gets here: `forward_split` hands it to the structured
-    /// [`attention_cross_shared_into`], which scores only the `2·ns·nd` of
-    /// `n²` pairs the cross mask admits. What remains — the static view,
-    /// the causal dynamic view, and a cross view over *per-row* histories —
-    /// replays the tape's dense pipeline.
+    /// kernels, which score only the `2·ns·nd` of `n²` pairs Eq. 13 admits.
     #[allow(clippy::too_many_arguments)]
     fn finish_view(
         &self,
@@ -324,8 +326,8 @@ impl FrozenSeqFm {
 
     /// The post-attention tail of a view: pooling → FFN → `hagg` column
     /// write, on an already-computed context in `bufs.ctx`. Split out of
-    /// [`Self::finish_view`] so the shared-history cross view, which runs
-    /// its own attention entry point, shares the identical tail.
+    /// [`Self::finish_view`] so the cross view, which runs its own attention
+    /// entry points, shares the identical tail.
     #[allow(clippy::too_many_arguments)]
     fn pool_ffn_write(
         &self,
@@ -460,9 +462,8 @@ impl FrozenSeqFm {
         }
         if ab.dynamic_view {
             // The whole dynamic view collapses to one pooled `d`-vector per
-            // history. Serving expansion batches carry ns == 2 static
-            // features; the causal mask itself depends only on nd.
-            let causal = &MaskCache::for_geometry(masks, 2, nd).causal;
+            // history.
+            let causal = &MaskCache::for_geometry(masks, nd).causal;
             let mut q = ws.take(nd * d);
             let mut k = ws.take(nd * d);
             let mut v = ws.take(nd * d);
@@ -602,8 +603,8 @@ impl FrozenSeqFm {
         // temporary below; `out` stays a plain buffer because the caller's
         // returned slice borrows it past the arena scopes' lifetime.
         let Scratch { out, ws, pad_counts, masks, .. } = scratch;
-        if ab.dynamic_view || ab.cross_view {
-            MaskCache::for_geometry(masks, ns, nd);
+        if ab.dynamic_view {
+            MaskCache::for_geometry(masks, nd);
         }
         if out.len() < b {
             out.resize(b, 0.0);
@@ -638,34 +639,32 @@ impl FrozenSeqFm {
             && batch.static_idx.chunks_exact(2).skip(1).all(|r| r[0] == batch.static_idx[0]);
 
         // Workspace scopes, sized exactly for this batch (zero-filled on
-        // take; zero heap traffic once the arena has seen the shape). A
-        // shared-history batch never materializes interleaved
-        // `[b, ns + nd, d]` Q/K/V or dense `n²` score scratch — its cross
-        // view reads the one history block in place — so its scopes shrink
-        // to what the structured kernels actually read; the arena
-        // zero-fills every take, making right-sizing pure memset bandwidth
-        // saved on every request (~1 MB at serving geometry).
-        let (qkv_len, scores_len) = if shared_hist {
-            (
-                (b * ns * d).max(db * nd * d),
-                (b * ns * ns).max(db * nd * nd).max(if ab.cross_view { b * ns * nd } else { 0 }),
-            )
-        } else {
-            (b * nmax * d, b * nmax * nmax)
+        // take; zero heap traffic once the arena has seen the shape). No
+        // view materializes interleaved `[b, ns + nd, d]` Q/K/V or dense
+        // `(ns + nd)²` score scratch — the cross view reads its static and
+        // history projections from their own blocks — so the scopes hold
+        // what the kernels actually read; the arena zero-fills every take,
+        // making right-sizing pure memset bandwidth saved on every request
+        // (~1 MB at serving geometry).
+        let qkv_len = (b * ns * d).max(db * nd * d);
+        // The per-row cross kernel keeps both admitted weight blocks.
+        let cross_scores = match (ab.cross_view, shared_hist) {
+            (false, _) => 0,
+            (true, true) => b * ns * nd,
+            (true, false) => 2 * b * ns * nd,
         };
+        let scores_len = (b * ns * ns).max(db * nd * nd).max(cross_scores);
         let mut e_s = ws.take(b * ns * d);
         let mut e_d = ws.take(if need_e_d { db * nd * d } else { 0 });
-        let cross_stacked = ab.cross_view && !shared_hist;
-        let mut e_x = ws.take(if cross_stacked { b * nmax * d } else { 0 });
         let mut q = ws.take(qkv_len);
         let mut k = ws.take(qkv_len);
         let mut v = ws.take(qkv_len);
-        let hist_proj = ab.cross_view && shared_hist && need_e_d;
-        // The shared-history kernel reads all three history projections at
-        // once.
-        let mut qd = ws.take(if hist_proj { nd * d } else { 0 });
-        let mut kd = ws.take(if hist_proj { nd * d } else { 0 });
-        let mut vd = ws.take(if hist_proj { nd * d } else { 0 });
+        // The cross kernels read all three history projections at once,
+        // beside the static ones in `q`/`k`/`v`.
+        let hist_len = if ab.cross_view && need_e_d { db * nd * d } else { 0 };
+        let mut qd = ws.take(hist_len);
+        let mut kd = ws.take(hist_len);
+        let mut vd = ws.take(hist_len);
         let mut e_u = ws.take(if uniq_static { (1 + b) * d } else { 0 });
         let mut pu = ws.take(if uniq_static { (1 + b) * d } else { 0 });
         let mut scores = ws.take(scores_len);
@@ -787,42 +786,39 @@ impl FrozenSeqFm {
             view_col += d;
         }
         if ab.cross_view {
-            let nx = ns + nd;
-            if shared_hist {
-                // No splice: the candidates'
-                // static-row projections land in the leading `[b, ns, d]`
-                // blocks of Q/K/V, the shared history's three `[nd, d]`
-                // projections stay in their own small blocks (row-local, so
-                // projected once; a cached view already holds them, built
-                // by the identical call), and the structured shared-history
-                // kernel reads both in place — bit-identical to splicing the
-                // history under every slice and running the dense masked
-                // kernel (pinned in the tensor crate), minus `3·b·nd·d`
-                // floats of copying and the ~83 % of scores the cross mask
-                // discards.
-                if uniq_static {
-                    self.project_static_unique(
-                        &e_u[..(1 + b) * d],
-                        2,
-                        b,
-                        d,
-                        &mut pu,
-                        [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v],
-                    );
-                } else {
-                    self.project_view(&e_s[..b * ns * d], 2, 0, b * ns, bufs.q);
-                    self.project_view(&e_s[..b * ns * d], 2, 1, b * ns, bufs.k);
-                    self.project_view(&e_s[..b * ns * d], 2, 2, b * ns, bufs.v);
+            // No stack [E°; E˙]: projection is row-local, so the static rows
+            // land in the leading `[b, ns, d]` blocks of Q/K/V, the history
+            // rows in `db` blocks of `[nd, d]` beside them (a shared history
+            // is projected once; a cached view already holds the result of
+            // the identical call), and the structured kernels read both in
+            // place — bit-identical to the dense masked pipeline over the
+            // spliced stack (pinned in the tensor crate) and to the tape's
+            // cross-attention node, minus the splice copies and the ~83 % of
+            // scores the cross mask discards.
+            if uniq_static {
+                self.project_static_unique(
+                    &e_u[..(1 + b) * d],
+                    2,
+                    b,
+                    d,
+                    &mut pu,
+                    [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v],
+                );
+            } else {
+                self.project_view(&e_s[..b * ns * d], 2, 0, b * ns, bufs.q);
+                self.project_view(&e_s[..b * ns * d], 2, 1, b * ns, bufs.k);
+                self.project_view(&e_s[..b * ns * d], 2, 2, b * ns, bufs.v);
+            }
+            let [qh, kh, vh] = match cached {
+                Some(v) => [v.hist_q.as_slice(), v.hist_k.as_slice(), v.hist_v.as_slice()],
+                None => {
+                    self.project_view(&e_d[..db * nd * d], 2, 0, db * nd, &mut qd);
+                    self.project_view(&e_d[..db * nd * d], 2, 1, db * nd, &mut kd);
+                    self.project_view(&e_d[..db * nd * d], 2, 2, db * nd, &mut vd);
+                    [&qd[..], &kd[..], &vd[..]]
                 }
-                let [qh, kh, vh] = match cached {
-                    Some(v) => [v.hist_q.as_slice(), v.hist_k.as_slice(), v.hist_v.as_slice()],
-                    None => {
-                        self.project_view(&e_d[..nd * d], 2, 0, nd, &mut qd);
-                        self.project_view(&e_d[..nd * d], 2, 1, nd, &mut kd);
-                        self.project_view(&e_d[..nd * d], 2, 2, nd, &mut vd);
-                        [&qd[..nd * d], &kd[..nd * d], &vd[..nd * d]]
-                    }
-                };
+            };
+            if shared_hist {
                 attention_cross_shared_into(
                     bufs.q,
                     bufs.k,
@@ -838,40 +834,28 @@ impl FrozenSeqFm {
                     bufs.scores,
                     bufs.ctx,
                 );
-                self.pool_ffn_write(
-                    ffn_idx,
-                    b,
-                    nx,
-                    d,
-                    Some((pad_counts.as_slice(), ns)),
-                    view_col,
-                    views,
-                    &mut bufs,
-                );
             } else {
-                // Cross-view stack [E°; E˙] per sample (Eq. 12).
-                let cross = &masks.as_ref().expect("mask cache installed").cross;
-                for bi in 0..b {
-                    e_x[bi * nx * d..bi * nx * d + ns * d]
-                        .copy_from_slice(&e_s[bi * ns * d..(bi + 1) * ns * d]);
-                    e_x[bi * nx * d + ns * d..(bi + 1) * nx * d]
-                        .copy_from_slice(&e_d[bi * nd * d..(bi + 1) * nd * d]);
-                }
-                self.run_view(
-                    2,
-                    ffn_idx,
-                    &e_x[..b * nx * d],
-                    b,
-                    nx,
-                    d,
+                attention_cross_rows_into(
+                    [&*bufs.q, &*bufs.k, &*bufs.v],
+                    ns * d,
+                    [qh, kh, vh],
+                    nd * d,
                     scale,
-                    Some(cross),
-                    Some((pad_counts.as_slice(), ns)),
-                    view_col,
-                    views,
-                    &mut bufs,
+                    [b, ns, nd, d],
+                    bufs.scores,
+                    bufs.ctx,
                 );
             }
+            self.pool_ffn_write(
+                ffn_idx,
+                b,
+                ns + nd,
+                d,
+                Some((pad_counts.as_slice(), ns)),
+                view_col,
+                views,
+                &mut bufs,
+            );
         }
         let hagg = bufs.hagg;
 
@@ -1256,24 +1240,32 @@ mod tests {
 
     #[test]
     fn non_finite_parameters_agree_with_the_graph_up_to_nan_payload() {
-        // The one place the structured cross view is not a drop-in for the
-        // dense masked one (see `attention_cross_shared_into`): a blocked
-        // pair whose score is non-finite poisons its dense row and is never
-        // formed here. Every non-finite Q/K/V row still reaches the pooled
-        // output through an admitted pair, so frozen and graph agree on
-        // every logit — same bits, or NaN on both sides.
+        // Graph and frozen run the same structured cross-view kernels, so
+        // they agree on every logit — same bits, or NaN on both sides —
+        // whatever the parameters hold, on the shared-history path, a
+        // cached view and the per-row path alike. The last poison is the
+        // case a dense masked cross view gets wrong: finite parameters
+        // whose *blocked* static–static scores overflow to +∞ (`+∞ − ∞` is
+        // NaN and takes the dense row with it). Blocked pairs are never
+        // formed, so over an all-PAD history — every admitted score an
+        // exact 0 — the logits stay finite on both sides.
         let l = slate_layout();
-        let poisons: [(&str, &str, usize, f32); 3] = [
-            ("NaN item embedding", "seqfm.emb_static.table", l.item_feature(35) as usize, f32::NAN),
-            ("NaN wq entry", "seqfm.attn_cross.wq.w", 0, f32::NAN),
-            (
-                "Inf user embedding",
-                "seqfm.emb_static.table",
-                l.user_feature(3) as usize,
-                f32::INFINITY,
-            ),
+        let (emb, wq, wk) =
+            ("seqfm.emb_static.table", "seqfm.attn_cross.wq.w", "seqfm.attn_cross.wk.w");
+        type Poison<'a> = (&'a str, usize, f32); // parameter, row, value
+        let poisons: [(&str, &[Poison]); 4] = [
+            ("NaN item embedding", &[(emb, l.item_feature(35) as usize, f32::NAN)]),
+            ("NaN wq entry", &[(wq, 0, f32::NAN)]),
+            ("Inf user embedding", &[(emb, l.user_feature(3) as usize, f32::INFINITY)]),
+            ("overflowing blocked scores", &[(wq, 0, 1e30), (wk, 0, 1e30)]),
         ];
-        for (what, param, row, value) in poisons {
+        let mixed = Batch::try_from_instances(&[
+            build_instance(&l, 3, 35, &[1, 2, 5, 8], 6, 0.0),
+            build_instance(&l, 3, 7, &[], 6, 0.0),
+            build_instance(&l, 1, 35, &[4], 6, 0.0),
+        ])
+        .expect("valid batch");
+        for (what, entries) in poisons {
             for (name, ab) in all_variants() {
                 let cfg = SeqFmConfig {
                     d: 8,
@@ -1285,22 +1277,42 @@ mod tests {
                 let mut ps = ParamStore::new();
                 let mut rng = StdRng::seed_from_u64(23);
                 let model = SeqFm::new(&mut ps, &mut rng, &l, cfg);
-                let id = ps.id_of(param).expect("parameter exists");
-                ps.value_mut(id).data_mut()[row * cfg.d] = value;
+                for &(param, row, value) in entries {
+                    let id = ps.id_of(param).expect("parameter exists");
+                    ps.value_mut(id).data_mut()[row * cfg.d] = value;
+                }
                 let frozen = FrozenSeqFm::freeze(&model, &ps);
                 let mut scratch = Scratch::new();
+                let agree = |path: &str, expect: &[f32], got: &[f32]| {
+                    for (i, (g, f)) in expect.iter().zip(got).enumerate() {
+                        assert!(
+                            g.to_bits() == f.to_bits() || (g.is_nan() && f.is_nan()),
+                            "{what}, {name}, {path}: logit {i} ({g} vs {f})"
+                        );
+                    }
+                };
                 for hist in [&[1u32, 2, 5, 8][..], &[]] {
                     let shared = slate(hist, 6);
                     let expect = graph_logits(&model, &ps, &shared);
                     let view = frozen.history_view(&shared.dyn_idx[..6], &mut scratch);
-                    let got = frozen.score_with_view(&shared, &view, &mut scratch);
-                    for (i, (g, f)) in expect.iter().zip(got).enumerate() {
+                    agree(
+                        "cached view",
+                        &expect,
+                        frozen.score_with_view(&shared, &view, &mut scratch),
+                    );
+                    agree("shared history", &expect, frozen.score(&shared, &mut scratch));
+                    if what == "overflowing blocked scores" && hist.is_empty() {
                         assert!(
-                            g.to_bits() == f.to_bits() || (g.is_nan() && f.is_nan()),
-                            "{what}, {name}, history {hist:?}: logit {i} ({g} vs {f})"
+                            expect.iter().all(|y| y.is_finite()),
+                            "{name}: a blocked score leaked"
                         );
                     }
                 }
+                agree(
+                    "per-row",
+                    &graph_logits(&model, &ps, &mixed),
+                    frozen.score(&mixed, &mut scratch),
+                );
             }
         }
     }

@@ -14,6 +14,13 @@
 //! with intra-view mean pooling (Eq. 14) and the *shared* l-layer residual
 //! FFN (Eq. 15–16). Padding rows of the dynamic block embed to zero vectors
 //! exactly as the paper specifies (§III).
+//!
+//! The static and dynamic views record the dense attention chain
+//! (`bmm_nt → scale → softmax → bmm`). The cross view's mask (Eq. 13) admits
+//! only static↔dynamic pairs, so it records one structured node
+//! ([`Graph::attention_cross`]) that never forms the blocked `n°² + n˙²`
+//! scores — forward or backward — and is bit-identical to the dense masked
+//! chain; [`crate::FrozenSeqFm`] runs the same kernel.
 
 use crate::config::SeqFmConfig;
 use crate::SeqModel;
@@ -163,9 +170,11 @@ impl SeqModel for SeqFm {
             pooled.push(self.pool(g, h, Some((&pad_counts, 0))));
         }
         if ab.cross_view {
+            // One stack [E°; E˙] (Eq. 12) so each projection stays a single
+            // matmul, then the structured node: only the static↔dynamic
+            // pairs Eq. 13 admits are scored, forward and backward.
             let e_cross = g.concat_axis1(e_s, e_d);
-            let mask = Arc::new(AttnMask::cross(ns, nd));
-            let h = self.attn_cross.forward(g, ps, e_cross, Some(mask));
+            let h = self.attn_cross.forward_cross(g, ps, e_cross, ns);
             pooled.push(self.pool(g, h, Some((&pad_counts, ns))));
         }
 
@@ -234,6 +243,26 @@ mod tests {
         let y = m.forward(&mut g, &ps, &b, false, &mut rng);
         assert_eq!(g.value(y).shape(), Shape::d1(3));
         assert!(!g.value(y).has_non_finite());
+    }
+
+    #[test]
+    fn training_tape_has_no_flatten_copies_and_one_cross_attention_node() {
+        // The benchmark's training geometry, [128, 2 + 20, 32], dropout off:
+        // 93 nodes when every projection was reshape → matmul → reshape (18
+        // copies) and the cross view a four-node dense masked chain.
+        let l = FeatureLayout { n_users: 40, n_items: 60 };
+        let cfg = SeqFmConfig { d: 32, max_seq: 20, dropout: 0.0, ..Default::default() };
+        let mut ps = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(1);
+        let m = SeqFm::new(&mut ps, &mut rng, &l, cfg);
+        let insts: Vec<_> = (0..128u32)
+            .map(|i| build_instance(&l, i % 40, i % 60, &[i % 60, (i * 7) % 60], 20, 1.0))
+            .collect();
+        let b = Batch::try_from_instances(&insts).expect("valid batch");
+        let mut g = Graph::new();
+        let y = m.forward(&mut g, &ps, &b, true, &mut rng);
+        assert_eq!(g.value(y).shape(), Shape::d1(128));
+        assert!(g.len() <= 72, "{} tape nodes: a flatten or an unfused chain is back", g.len());
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! There is **one arithmetic**. Both profiles of [`crate::FrozenSeqFm`] run
 //! the same kernels — the ones that reproduce the training graph's `f32`
 //! logits bit for bit, every value computed by the graph's own chain of
-//! operations. (It is not the graph's *dense* arithmetic: on a
-//! shared-history batch the cross view has a splice-free structured layout
-//! and never forms the pairs the cross mask discards —
-//! `seqfm_tensor::attention_cross_shared_into`; with non-finite parameters
-//! the two agree on which logits are NaN rather than on their payload bits.)
+//! operations. (The cross view — the graph's and the frozen forward's alike —
+//! is structured, not dense: it never forms the pairs the cross mask
+//! discards, and a shared-history batch additionally reads the one history
+//! block in place, `seqfm_tensor::attention_cross_shared_into`; with
+//! non-finite parameters graph and frozen agree on which logits are NaN,
+//! NaN payload bits being no part of the contract.)
 //! A profile only chooses which parameters those kernels read:
 //!
 //! * [`ScorerPrecision::Exact`] reads the snapshot's `f32` parameters θ.

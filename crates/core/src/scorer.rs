@@ -111,26 +111,17 @@ pub trait Scorer {
     }
 }
 
-/// Cached attention masks for the dynamic and cross views, keyed by the
-/// batch geometry they were built for.
+/// The cached causal mask of the dynamic view, keyed by the history length
+/// it was built for. (The cross view needs none: its kernels are structured.)
 pub(crate) struct MaskCache {
-    pub(crate) ns: usize,
-    pub(crate) nd: usize,
     pub(crate) causal: AttnMask,
-    pub(crate) cross: AttnMask,
 }
 
 impl MaskCache {
-    /// The cached masks for a `(ns, nd)` geometry, rebuilding on change.
-    pub(crate) fn for_geometry(cache: &mut Option<MaskCache>, ns: usize, nd: usize) -> &MaskCache {
-        let stale = !matches!(&cache, Some(m) if m.ns == ns && m.nd == nd);
-        if stale {
-            *cache = Some(MaskCache {
-                ns,
-                nd,
-                causal: AttnMask::causal(nd),
-                cross: AttnMask::cross(ns, nd),
-            });
+    /// The cached mask for an `nd`-long dynamic block, rebuilding on change.
+    pub(crate) fn for_geometry(cache: &mut Option<MaskCache>, nd: usize) -> &MaskCache {
+        if !matches!(&cache, Some(m) if m.causal.rows() == nd) {
+            *cache = Some(MaskCache { causal: AttnMask::causal(nd) });
         }
         cache.as_ref().expect("just installed")
     }
@@ -325,14 +316,13 @@ mod tests {
     #[test]
     fn mask_cache_rebuilds_only_on_geometry_change() {
         let mut cache = None;
-        let m1 = MaskCache::for_geometry(&mut cache, 2, 4);
-        assert_eq!((m1.causal.rows(), m1.cross.rows()), (4, 6));
-        // Same geometry: cache hit (no observable rebuild, same dims).
-        let m2 = MaskCache::for_geometry(&mut cache, 2, 4);
-        assert_eq!(m2.nd, 4);
+        let m1 = MaskCache::for_geometry(&mut cache, 4);
+        assert_eq!(m1.causal.rows(), 4);
+        let built = m1.causal.data().as_ptr();
+        // Same geometry: cache hit — the very same mask storage.
+        assert_eq!(MaskCache::for_geometry(&mut cache, 4).causal.data().as_ptr(), built);
         // New geometry: rebuilt.
-        let m3 = MaskCache::for_geometry(&mut cache, 3, 5);
-        assert_eq!((m3.causal.rows(), m3.cross.rows()), (5, 8));
+        assert_eq!(MaskCache::for_geometry(&mut cache, 5).causal.rows(), 5);
     }
 
     #[test]

@@ -46,7 +46,8 @@ impl Linear {
         self.out_dim
     }
 
-    /// Applies the layer to a rank-2 input `[b, in] → [b, out]`.
+    /// Applies the layer along the last dim: `[b, in] → [b, out]`, or
+    /// `[b, n, in] → [b, n, out]` (one rank-3 matmul node, no flatten).
     pub fn forward(&self, g: &mut Graph, ps: &ParamStore, x: Var) -> Var {
         let w = g.param(ps, self.w);
         let mut y = g.matmul(x, w);
@@ -55,17 +56,6 @@ impl Linear {
             y = g.add_bias(y, bv);
         }
         y
-    }
-
-    /// Applies the layer along the last dim of a rank-3 input
-    /// `[b, n, in] → [b, n, out]` (flatten–matmul–unflatten).
-    pub fn forward_3d(&self, g: &mut Graph, ps: &ParamStore, x: Var) -> Var {
-        let s = g.value(x).shape();
-        assert_eq!(s.rank(), 3, "forward_3d expects rank 3, got {s}");
-        let (b, n) = (s.dim(0), s.dim(1));
-        let flat = g.reshape(x, Shape::d2(b * n, s.dim(2)));
-        let y = self.forward(g, ps, flat);
-        g.reshape(y, Shape::d3(b, n, self.out_dim))
     }
 }
 
@@ -148,7 +138,10 @@ impl LayerNorm {
 /// `H = softmax(E·W_Q·(E·W_K)ᵀ/√d + M)·E·W_V` (paper Eq. 8/9/11).
 ///
 /// No output projection and no multi-head split — the paper's formulation is
-/// a single head with `d×d` projections.
+/// a single head with `d×d` projections. [`Self::forward`] is the dense
+/// pipeline under an arbitrary additive mask (static and dynamic views);
+/// [`Self::forward_cross`] is the cross view, whose mask is structure enough
+/// to never form the blocked scores.
 pub struct SelfAttention {
     wq: Linear,
     wk: Linear,
@@ -167,6 +160,18 @@ impl SelfAttention {
         }
     }
 
+    /// `[E·W_Q, E·W_K, E·W_V]` for `e: [b, n, d]`.
+    fn project(&self, g: &mut Graph, ps: &ParamStore, e: Var) -> [Var; 3] {
+        let q = self.wq.forward(g, ps, e);
+        let k = self.wk.forward(g, ps, e);
+        let v = self.wv.forward(g, ps, e);
+        [q, k, v]
+    }
+
+    fn scale(&self) -> f32 {
+        1.0 / (self.d as f32).sqrt()
+    }
+
     /// Applies attention to `e: [b, n, d]`; `mask` is shared across the batch.
     pub fn forward(
         &self,
@@ -175,16 +180,26 @@ impl SelfAttention {
         e: Var,
         mask: Option<Arc<AttnMask>>,
     ) -> Var {
-        let q = self.wq.forward_3d(g, ps, e);
-        let k = self.wk.forward_3d(g, ps, e);
-        let v = self.wv.forward_3d(g, ps, e);
+        let [q, k, v] = self.project(g, ps, e);
         let scores = g.bmm_nt(q, k);
-        let scaled = g.scale(scores, 1.0 / (self.d as f32).sqrt());
+        let scaled = g.scale(scores, self.scale());
         let attn = match mask {
             Some(m) => g.softmax_masked(scaled, m),
             None => g.softmax(scaled),
         };
         g.bmm(attn, v)
+    }
+
+    /// Cross-view attention (Eq. 11–13) over the stack `e: [b, ns + nd, d]`
+    /// whose first `ns` rows per sample are the static features. Values and
+    /// every gradient are bit-identical to
+    /// `forward(e, Some(AttnMask::cross(ns, nd)))` — the projections are the
+    /// same three matmuls on the concatenated input — through one
+    /// [`Graph::attention_cross`] node that scores only the `2·ns·nd`
+    /// admitted pairs of each sample's `(ns + nd)²`.
+    pub fn forward_cross(&self, g: &mut Graph, ps: &ParamStore, e: Var, ns: usize) -> Var {
+        let [q, k, v] = self.project(g, ps, e);
+        g.attention_cross(q, k, v, ns, self.scale())
     }
 }
 
@@ -437,7 +452,7 @@ mod tests {
         let x3 = rand_tensor(Shape::d3(2, 4, 3), &mut seed);
         let mut g = Graph::new();
         let xv = g.input(x3.clone());
-        let y3 = lin.forward_3d(&mut g, &ps, xv);
+        let y3 = lin.forward(&mut g, &ps, xv);
         let x2 = g.input(x3.reshaped(Shape::d2(8, 3)));
         let y2 = lin.forward(&mut g, &ps, x2);
         assert_eq!(g.value(y3).data(), g.value(y2).data());
@@ -509,6 +524,129 @@ mod tests {
         let va = g.value(ha).at3(0, 4, 0);
         let vb = g.value(hb).at3(0, 4, 0);
         assert!((va - vb).abs() > 1e-6);
+    }
+
+    /// One cross-view pass over the dense parameter `e` through `path`,
+    /// reduced by `mean(h²)`: the bit patterns of `h`, then — with
+    /// `backward` — of `∂e`, `∂W_Q`, `∂W_K`, `∂W_V`.
+    fn cross_pass_bits(
+        ps: &mut ParamStore,
+        e: ParamId,
+        backward: bool,
+        path: impl Fn(&mut Graph, &ParamStore, Var) -> Var,
+    ) -> Vec<Vec<u32>> {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        ps.zero_grads();
+        let mut g = Graph::new();
+        let ev = g.param(ps, e);
+        let h = path(&mut g, ps, ev);
+        let mut out = vec![bits(g.value(h))];
+        if backward {
+            let sq = g.square(h);
+            let loss = g.mean_all(sq);
+            g.backward(loss, ps);
+            for name in ["e", "attn.wq.w", "attn.wk.w", "attn.wv.w"] {
+                out.push(bits(ps.grad(ps.id_of(name).expect("registered"))));
+            }
+        }
+        out
+    }
+
+    /// `forward_cross(e, ns)` against `forward(e, Some(AttnMask::cross(..)))`
+    /// from the same parameters: every compared tensor equal bit for bit.
+    fn assert_forward_cross_matches_dense(
+        ps: &mut ParamStore,
+        attn: &SelfAttention,
+        e: ParamId,
+        ns: usize,
+        backward: bool,
+    ) {
+        let shape = ps.value(e).shape();
+        let mask = Arc::new(AttnMask::cross(ns, shape.dim(1) - ns));
+        let dense = cross_pass_bits(ps, e, backward, |g, ps, ev| {
+            attn.forward(g, ps, ev, Some(mask.clone()))
+        });
+        let node = cross_pass_bits(ps, e, backward, |g, ps, ev| attn.forward_cross(g, ps, ev, ns));
+        for (what, (n, d)) in ["h", "∂e", "∂wq", "∂wk", "∂wv"].iter().zip(node.iter().zip(&dense))
+        {
+            assert_eq!(n, d, "{shape}, ns = {ns}: {what} diverges from the dense composition");
+        }
+    }
+
+    #[test]
+    fn forward_cross_matches_the_dense_masked_composition_bitwise() {
+        // Training geometry, ragged lane tails, both empty sides.
+        for &(b, ns, nd, d) in &[
+            (128usize, 2usize, 20usize, 32usize),
+            (3, 2, 13, 16),
+            (2, 3, 5, 7),
+            (4, 1, 3, 8),
+            (1, 2, 0, 4),
+            (2, 0, 4, 4),
+        ] {
+            let mut ps = ParamStore::new();
+            let attn = SelfAttention::new(&mut ps, &mut rng(), "attn", d);
+            let mut seed = 600 + (b + ns * 31 + nd * 7) as u64;
+            let e = ps.add_dense("e", rand_tensor(Shape::d3(b, ns + nd, d), &mut seed));
+            assert_forward_cross_matches_dense(&mut ps, &attn, e, ns, true);
+        }
+    }
+
+    #[test]
+    fn forward_cross_skips_an_underflowed_weight_like_the_dense_composition() {
+        // Q and K read coordinates 0–1 of `e`, V reads 2–3. Static row 0 and
+        // history row `j` are 30 and −40 on coordinate 0 (everyone else 0
+        // there), so the admitted pair scores ≈ −600 and its softmax weight
+        // underflows to exactly 0.0 in both blocks. The `nn` / `tn` chains
+        // skip a zero multiplier; a kernel that multiplied instead would
+        // show in the bits (a `−0.0` term) or, opposite an infinite value
+        // row, as NaN.
+        let (b, ns, nd, d, j) = (2usize, 2usize, 5usize, 4usize, 3usize);
+        let n = ns + nd;
+        let mut ps = ParamStore::new();
+        let attn = SelfAttention::new(&mut ps, &mut rng(), "attn", d);
+        let mut w = [[0.0f32; 16]; 2];
+        (w[0][0], w[0][5]) = (1.0, 1.0);
+        w[1][8..].fill(1e10);
+        for (name, w) in [("attn.wq.w", w[0]), ("attn.wk.w", w[0]), ("attn.wv.w", w[1])] {
+            let id = ps.id_of(name).expect("registered");
+            ps.value_mut(id).data_mut().copy_from_slice(&w);
+        }
+        let mut seed = 811;
+        let mut et = rand_tensor(Shape::d3(b, n, d), &mut seed);
+        for (r, row) in et.data_mut().chunks_exact_mut(d).enumerate() {
+            row[0] = match r % n {
+                0 => 30.0,
+                at if at == ns + j => -40.0,
+                _ => 0.0,
+            };
+        }
+        let e = ps.add_dense("e", et);
+        // Finite values: output and all four gradients.
+        assert_forward_cross_matches_dense(&mut ps, &attn, e, ns, true);
+
+        // The two rows the zero weights point at overflow to +∞ under
+        // `W_V`: forward bits only (`dA = dO·Vᵀ` would be NaN on both sides
+        // and NaN payloads are not part of the contract).
+        for bi in 0..b {
+            for r in [0, ns + j] {
+                let at = (bi * n + r) * d;
+                ps.value_mut(e).data_mut()[at + 2..at + 4].fill(1e30);
+            }
+        }
+        assert_forward_cross_matches_dense(&mut ps, &attn, e, ns, false);
+        let mut g = Graph::new();
+        let ev = g.param(&ps, e);
+        let h = attn.forward_cross(&mut g, &ps, ev, ns);
+        for bi in 0..b {
+            for r in [0, ns + j] {
+                let row = &g.value(h).data()[(bi * n + r) * d..(bi * n + r + 1) * d];
+                assert!(
+                    row.iter().all(|x| x.is_finite()),
+                    "sample {bi} row {r} absorbed ∞: {row:?}"
+                );
+            }
+        }
     }
 
     #[test]

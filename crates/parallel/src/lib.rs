@@ -44,7 +44,7 @@ mod slot;
 
 pub use oneshot::{Disconnected, Oneshot};
 pub use par::{
-    chunk_ranges, par_for, par_map_reduce, par_units, par_units2, partition, shard_seed,
+    chunk_ranges, par_for, par_map_reduce, par_units, par_units2, par_units3, partition, shard_seed,
 };
 pub use pool::{configured_workers, global, in_parallel_task, Scope, ThreadPool};
 pub use queue::{WorkQueue, WorkerHandle};

@@ -160,6 +160,44 @@ pub fn par_units2<T, U, F>(
     });
 }
 
+/// [`par_units2`] over three same-typed buffers (an attention backward's
+/// per-slice `dQ`/`dK`/`dV`): `f(first_unit, [a_chunk, b_chunk, c_chunk])`.
+///
+/// # Panics
+/// Panics if a unit length is zero, a buffer is not a multiple of its unit
+/// length, or the unit counts differ.
+pub fn par_units3<T, F>(pool: &ThreadPool, bufs: [&mut [T]; 3], unit_lens: [usize; 3], f: F)
+where
+    T: Send,
+    F: Fn(usize, [&mut [T]; 3]) + Sync,
+{
+    assert!(unit_lens.iter().all(|&u| u > 0), "par_units3: unit lengths must be positive");
+    let units = bufs[0].len() / unit_lens[0];
+    for (buf, &unit) in bufs.iter().zip(&unit_lens) {
+        assert_eq!(buf.len(), units * unit, "par_units3: buffer is not {units} units of {unit}");
+    }
+    let per = units.div_ceil(pool.workers()).max(1);
+    if units <= per {
+        if units > 0 {
+            f(0, bufs);
+        }
+        return;
+    }
+    let [a, b, c] = bufs;
+    let [ua, ub, uc] = unit_lens;
+    pool.scope(|s| {
+        for (((ci, a_chunk), b_chunk), c_chunk) in a
+            .chunks_mut(per * ua)
+            .enumerate()
+            .zip(b.chunks_mut(per * ub))
+            .zip(c.chunks_mut(per * uc))
+        {
+            let f = &f;
+            s.spawn(move || f(ci * per, [a_chunk, b_chunk, c_chunk]));
+        }
+    });
+}
+
 /// Parallel map + ordered reduce over `0..n`:
 /// each chunk folds `map(i)` in index order, and chunk results are folded
 /// into `init` in chunk order. For an associative `reduce` the result equals
@@ -291,6 +329,34 @@ mod tests {
         for (u, slots) in b.chunks(5).enumerate() {
             assert!(slots.iter().all(|&v| v == u as u32));
         }
+    }
+
+    #[test]
+    fn par_units3_keeps_three_buffers_in_lockstep() {
+        let pool = ThreadPool::new(4);
+        let units = [2usize, 5, 3];
+        let mut bufs = units.map(|u| vec![0u32; 9 * u]);
+        let [a, b, c] = &mut bufs;
+        par_units3(&pool, [a, b, c], units, |first, chunks| {
+            let n = chunks[0].len() / units[0];
+            for (chunk, &u) in chunks.into_iter().zip(&units) {
+                assert_eq!(chunk.len(), n * u, "chunk unit counts diverge");
+                for (i, slots) in chunk.chunks_mut(u).enumerate() {
+                    slots.fill((first + i) as u32);
+                }
+            }
+        });
+        for (buf, &u) in bufs.iter().zip(&units) {
+            for (i, slots) in buf.chunks(u).enumerate() {
+                assert!(slots.iter().all(|&v| v == i as u32), "unit {i} wrote {slots:?}");
+            }
+        }
+        // One chunk (single-worker pool) and no units at all.
+        let solo = ThreadPool::new(1);
+        par_units3(&solo, [&mut [0u8; 4], &mut [0u8; 6], &mut [0u8; 2]], [2, 3, 1], |first, c| {
+            assert_eq!((first, c[0].len(), c[1].len(), c[2].len()), (0, 4, 6, 2));
+        });
+        par_units3(&solo, [&mut [0u8; 0], &mut [], &mut []], [2, 3, 1], |_, _| unreachable!());
     }
 
     #[test]

@@ -1,19 +1,22 @@
-//! Fused scaled-dot-product attention over raw slices — the graph-free
-//! inference counterpart of the tape ops `bmm_nt → scale → softmax → bmm`.
+//! Fused scaled-dot-product attention over raw slices — the kernels behind
+//! the frozen forward pass *and* the tape's structured cross-view node.
 //!
 //! Every *output element* of the kernels here runs the same chain of
-//! floating-point operations, in the same order, as the graph path — so a
-//! frozen forward pass that uses them reproduces `Graph`-built logits bit
-//! for bit (there is no second, approximate family: both serving profiles
-//! call these). The dense [`attention_into`] gets there by replaying the
-//! tape's ops wholesale; the structured [`attention_cross_shared_into`]
-//! replays only the chains of the pairs the cross mask admits and never
-//! forms the masked ones (whose contribution to every admitted chain is an
-//! exact no-op). The caller provides both the output buffer and a scores scratch
-//! buffer, so repeated calls allocate nothing. Above the dispatch threshold
-//! the batch dimension fans out over the global thread pool — per-slice
-//! arithmetic is untouched, so the bit-for-bit guarantee survives parallel
-//! execution.
+//! floating-point operations, in the same order, as the tape ops
+//! `bmm_nt → scale → softmax → bmm` — so a frozen forward pass that uses
+//! them reproduces `Graph`-built logits bit for bit (there is no second,
+//! approximate family: both serving profiles call these). The dense
+//! [`attention_into`] gets there by replaying the tape's ops wholesale. The
+//! structured cross-view kernels — [`attention_cross_shared_into`] for one
+//! history under many candidates, [`attention_cross_rows_into`] and its
+//! backward [`attention_cross_rows_backward_into`] for a history per row,
+//! which is what `Graph::attention_cross` records — replay only the chains
+//! of the pairs the cross mask admits and never form the masked ones (whose
+//! contribution to every admitted chain, value or gradient, is an exact
+//! no-op). The caller provides the output and scratch buffers, so repeated
+//! calls allocate nothing. Above the dispatch threshold the batch dimension
+//! fans out over the global thread pool — per-slice arithmetic is
+//! untouched, so the bit-for-bit guarantee survives parallel execution.
 
 use super::bmm::{bmm_nn_into, bmm_nt_into};
 use super::matmul::chain_tile;
@@ -143,16 +146,17 @@ fn attention_slices(
 /// call in the thread workspace; each lane is still one ascending chain,
 /// so SIMD width and worker count cannot change a bit.
 ///
-/// **Not a drop-in when a blocked pair's score is non-finite.** The dense
-/// path adds the mask to *every* score, so a blocked score that is NaN or
-/// `+∞` (a non-finite Q/K row, or `|q·k|` overflowing f32) becomes NaN and
-/// poisons that whole dense row, while this kernel never forms it. The
-/// contract is bit-identity whenever blocked-pair scores are finite —
-/// always, for finite parameters of sane magnitude. Otherwise the two still
-/// agree on *which pooled outputs are NaN* whenever `ns, nd > 0`: a row's
-/// own blocked self-pair is non-finite only if its Q or K row is, and every
-/// such row also meets an admitted pair (`seqfm-core` pins this per logit
-/// against the graph).
+/// **Blocked pairs are never formed, so they cannot poison a row.** The
+/// dense path adds the mask to *every* score: a blocked score that is NaN
+/// or `+∞` (a non-finite Q/K row, or `|q·k|` overflowing f32) becomes NaN
+/// and takes its whole dense row with it, while a structured row depends on
+/// its admitted pairs alone. Bit-identity with the dense pipeline therefore
+/// holds whenever blocked-pair scores are finite — always, for finite
+/// parameters of sane magnitude. Nothing in the model still runs a dense
+/// cross view (the tape's node is [`attention_cross_rows_into`], this
+/// kernel's per-row sibling over the same tiles), so graph and frozen
+/// forwards agree on non-finite inputs by construction; the dense pipeline
+/// is the reference the tests compare against.
 ///
 /// `out` is the full interleaved `[bs, ns + nd, d]` context; `scores` needs
 /// `ns·nd` slots per slice (≥ `bs·ns·nd`) of scratch that must not be read
@@ -226,9 +230,9 @@ pub fn attention_cross_shared_into(
     }
 }
 
-/// Serial body of [`attention_cross_shared_into`] over `bs` slices: four
-/// small `A·B` products per slice through [`nn_chains`], with the canonical
-/// row softmax between each pair.
+/// Serial body of [`attention_cross_shared_into`] over `bs` slices: the two
+/// admitted blocks of each slice against one pair of transposed history
+/// packs, the `ns·nd` score scratch reused between them.
 fn cross_shared_slices(
     [qs, ks, vs]: [&[f32]; 3],
     [qh, kh, vh]: [&[f32]; 3],
@@ -250,37 +254,330 @@ fn cross_shared_slices(
             let (out_stat, out_dyn) = out[b * n * d..(b + 1) * n * d].split_at_mut(ns * d);
             let w = &mut scores[b * ns * nd..(b + 1) * ns * nd];
 
-            // Static rows attend to the shared history's nd columns
-            // (`w` is `[ns, nd]`): scores `sq · khᵀ`, then context `w · vh`.
-            nn_chains::<false>(sq, d, ns, &kht, nd, nd, d, |i, j0, acc| {
-                for (slot, &a) in w[i * nd + j0..].iter_mut().zip(acc) {
-                    *slot = (0.0 + a) * scale;
-                }
-            });
-            for wrow in w.chunks_exact_mut(nd) {
-                softmax_row_inplace(wrow, None);
-            }
-            nn_chains::<true>(w, nd, ns, vh, d, d, nd, |i, t0, acc| {
-                out_stat[i * d + t0..][..acc.len()].copy_from_slice(acc);
-            });
-
-            // History rows attend to this slice's ns static columns. The
-            // lanes still run across history rows (`sk · qhᵀ`, the same
-            // products as `qh · skᵀ`), stored transposed so `w` is the
-            // `[nd, ns]` weight block: one contiguous softmax row per
-            // history row, then context `w · sv`.
-            nn_chains::<false>(sk, d, ns, &qht, nd, nd, d, |c, r0, acc| {
-                for (slot, &a) in w[r0 * ns + c..].iter_mut().step_by(ns).zip(acc) {
-                    *slot = (0.0 + a) * scale;
-                }
-            });
-            for wrow in w.chunks_exact_mut(ns) {
-                softmax_row_inplace(wrow, None);
-            }
-            nn_chains::<true>(w, ns, nd, sv, d, d, ns, |r, t0, acc| {
-                out_dyn[r * d + t0..][..acc.len()].copy_from_slice(acc);
-            });
+            static_rows_attend(sq, &kht, vh, scale, [ns, nd, d], w, out_stat);
+            history_rows_attend(sk, sv, &qht, scale, [ns, nd, d], w, out_dyn);
         }
+    });
+}
+
+/// Exact cross-view attention over **per-row histories** — the training
+/// batch shape, and what the autograd tape's cross-attention node runs: the
+/// per-slice sibling of [`attention_cross_shared_into`], with the same two
+/// admitted blocks through the same tiles, so it is bit-identical to the
+/// dense masked pipeline under the same finite-blocked-score contract.
+///
+/// Slice `b`'s `[ns, d]` static Q/K/V rows start at `b · stat_stride` in
+/// `stat`, its `[nd, d]` history rows at `b · hist_stride` in `hist`. An
+/// interleaved `[bs, ns + nd, d]` projection `x` (the tape's) is passed as
+/// `x` and `&x[ns·d..]`, both strided `(ns + nd)·d`; separately projected
+/// blocks (the frozen forward's) are strided by their own `ns·d` / `nd·d`.
+/// The transposed history packs are rebuilt per slice (the price of a
+/// history per row).
+///
+/// `out` is the interleaved `[bs, ns + nd, d]` context. `weights` receives
+/// `2·ns·nd` floats per slice — the static rows' `[ns, nd]` softmax block,
+/// then the history rows' `[nd, ns]` one — which is everything
+/// [`attention_cross_rows_backward_into`] needs from the forward pass. An
+/// empty side means every row is fully masked: all-zero context, no
+/// weights.
+///
+/// # Panics
+/// Panics if any buffer is too small.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_cross_rows_into(
+    stat: [&[f32]; 3],
+    stat_stride: usize,
+    hist: [&[f32]; 3],
+    hist_stride: usize,
+    scale: f32,
+    [bs, ns, nd, d]: [usize; 4],
+    weights: &mut [f32],
+    out: &mut [f32],
+) {
+    const NAME: &str = "attention_cross_rows_into";
+    let n = ns + nd;
+    assert!(out.len() >= bs * n * d, "{NAME}: out too small");
+    let out = &mut out[..bs * n * d];
+    if bs == 0 || ns == 0 || nd == 0 {
+        out.fill(0.0);
+        return;
+    }
+    for (side, block, stride) in [(stat, ns * d, stat_stride), (hist, nd * d, hist_stride)] {
+        for x in side {
+            assert!(x.len() >= (bs - 1) * stride + block, "{NAME}: Q/K/V operand too small");
+        }
+    }
+    assert!(weights.len() >= bs * 2 * ns * nd, "{NAME}: weights too small");
+    let weights = &mut weights[..bs * 2 * ns * nd];
+
+    let work_per_slice = 4 * ns * nd * d + 32 * ns * nd;
+    if super::dispatch::should_par(bs * work_per_slice, bs) {
+        seqfm_parallel::par_units2(
+            seqfm_parallel::global(),
+            weights,
+            2 * ns * nd,
+            out,
+            n * d,
+            |b0, weights_chunk, out_chunk| {
+                let slices = out_chunk.len() / (n * d);
+                cross_rows_slices(
+                    stat.map(|x| &x[b0 * stat_stride..]),
+                    stat_stride,
+                    hist.map(|x| &x[b0 * hist_stride..]),
+                    hist_stride,
+                    scale,
+                    [slices, ns, nd, d],
+                    weights_chunk,
+                    out_chunk,
+                );
+            },
+        );
+    } else {
+        cross_rows_slices(
+            stat,
+            stat_stride,
+            hist,
+            hist_stride,
+            scale,
+            [bs, ns, nd, d],
+            weights,
+            out,
+        );
+    }
+}
+
+/// Serial body of [`attention_cross_rows_into`] over `bs` slices.
+#[allow(clippy::too_many_arguments)]
+fn cross_rows_slices(
+    stat: [&[f32]; 3],
+    stat_stride: usize,
+    hist: [&[f32]; 3],
+    hist_stride: usize,
+    scale: f32,
+    [bs, ns, nd, d]: [usize; 4],
+    weights: &mut [f32],
+    out: &mut [f32],
+) {
+    let n = ns + nd;
+    crate::workspace::with_thread(|ws| {
+        let mut kht = ws.take(d * nd);
+        let mut qht = ws.take(d * nd);
+        for b in 0..bs {
+            let [sq, sk, sv] = stat.map(|x| &x[b * stat_stride..][..ns * d]);
+            let [hq, hk, hv] = hist.map(|x| &x[b * hist_stride..][..nd * d]);
+            let (out_stat, out_dyn) = out[b * n * d..(b + 1) * n * d].split_at_mut(ns * d);
+            let (w_stat, w_hist) =
+                weights[b * 2 * ns * nd..(b + 1) * 2 * ns * nd].split_at_mut(ns * nd);
+            pack_transposed(hk, nd, d, &mut kht);
+            pack_transposed(hq, nd, d, &mut qht);
+            static_rows_attend(sq, &kht, hv, scale, [ns, nd, d], w_stat, out_stat);
+            history_rows_attend(sk, sv, &qht, scale, [ns, nd, d], w_hist, out_dyn);
+        }
+    });
+}
+
+/// Backward pass of [`attention_cross_rows_into`] over interleaved
+/// `[bs, ns + nd, d]` operands: given the forward's `q`/`k`/`v`, its saved
+/// `weights` and the upstream gradient `d_out` of the context, **adds** the
+/// gradients into `dq`/`dk`/`dv` (pass zeroed buffers for plain gradients).
+/// Only admitted pairs are touched — `8·ns·nd·d` multiply-adds per slice
+/// where the dense tape spends `4·n²·d`.
+///
+/// **Bit-identical** to the dense tape's backward through
+/// `bmm → softmax_masked(cross) → scale → bmm_nt`, because every gradient
+/// element runs that tape's own chain minus terms that are exact zeros
+/// there: `dA[i,j] = 0.0 + Σ_{t↑} dO[i,t]·V[j,t]` (`nt`); per row
+/// `dot = Σ_{j↑} A[i,j]·dA[i,j]` and `dS = (A·(dA − dot))·scale`
+/// (`softmax_backward_into`, then the scale node); then `dQ[i] += dS[i,j]·K[j]`
+/// over ascending `j`, `dK[j] += dS[i,j]·Q[i]` and `dV[j] += A[i,j]·dO[i]`
+/// over ascending `i`, each from a zero seed and skipping a zero multiplier
+/// as `matmul::naive`'s `nn` / `tn` chains do. A blocked weight is exactly
+/// `0.0`, so the dense path skips its term (or adds `±0` to `dot`, which
+/// can at most flip the sign of a zero `dS` that is then skipped).
+///
+/// # Panics
+/// Panics if any buffer is too small.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_cross_rows_backward_into(
+    qkv: [&[f32]; 3],
+    weights: &[f32],
+    d_out: &[f32],
+    scale: f32,
+    [bs, ns, nd, d]: [usize; 4],
+    grads: [&mut [f32]; 3],
+) {
+    const NAME: &str = "attention_cross_rows_backward_into";
+    let n = ns + nd;
+    if ns == 0 || nd == 0 {
+        return; // every row fully masked: all-zero weights, all-zero gradients
+    }
+    for x in qkv.iter().chain([&d_out]) {
+        assert!(x.len() >= bs * n * d, "{NAME}: operand too small");
+    }
+    assert!(weights.len() >= bs * 2 * ns * nd, "{NAME}: weights too small");
+    let grads = grads.map(|g| {
+        assert!(g.len() >= bs * n * d, "{NAME}: gradient buffer too small");
+        &mut g[..bs * n * d]
+    });
+
+    let work_per_slice = 8 * ns * nd * d;
+    if super::dispatch::should_par(bs * work_per_slice, bs) {
+        seqfm_parallel::par_units3(seqfm_parallel::global(), grads, [n * d; 3], |b0, grads| {
+            let slices = grads[0].len() / (n * d);
+            cross_rows_backward_slices(
+                qkv.map(|x| &x[b0 * n * d..]),
+                &weights[b0 * 2 * ns * nd..],
+                &d_out[b0 * n * d..],
+                scale,
+                [slices, ns, nd, d],
+                grads,
+            );
+        });
+    } else {
+        cross_rows_backward_slices(qkv, weights, d_out, scale, [bs, ns, nd, d], grads);
+    }
+}
+
+/// Serial body of [`attention_cross_rows_backward_into`] over `bs` slices.
+fn cross_rows_backward_slices(
+    [q, k, v]: [&[f32]; 3],
+    weights: &[f32],
+    d_out: &[f32],
+    scale: f32,
+    [bs, ns, nd, d]: [usize; 4],
+    [dq, dk, dv]: [&mut [f32]; 3],
+) {
+    let n = ns + nd;
+    crate::workspace::with_thread(|ws| {
+        let mut vht = ws.take(d * nd);
+        let mut doht = ws.take(d * nd);
+        let mut ds = ws.take(ns * nd);
+        for b in 0..bs {
+            let slice = b * n * d..(b + 1) * n * d;
+            let (sq, hq) = q[slice.clone()].split_at(ns * d);
+            let (sk, hk) = k[slice.clone()].split_at(ns * d);
+            let (sv, hv) = v[slice.clone()].split_at(ns * d);
+            let (do_s, do_h) = d_out[slice.clone()].split_at(ns * d);
+            let (dq_s, dq_h) = dq[slice.clone()].split_at_mut(ns * d);
+            let (dk_s, dk_h) = dk[slice.clone()].split_at_mut(ns * d);
+            let (dv_s, dv_h) = dv[slice].split_at_mut(ns * d);
+            let (w_stat, w_hist) =
+                weights[b * 2 * ns * nd..(b + 1) * 2 * ns * nd].split_at(ns * nd);
+            pack_transposed(hv, nd, d, &mut vht);
+            pack_transposed(do_h, nd, d, &mut doht);
+
+            // Static rows × history columns: `ds` is `[ns, nd]`.
+            nn_chains::<false>(do_s, d, ns, &vht, nd, nd, d, |i, j0, acc| {
+                for (slot, &a) in ds[i * nd + j0..].iter_mut().zip(acc) {
+                    *slot = 0.0 + a;
+                }
+            });
+            softmax_scale_backward_inplace(w_stat, &mut ds, nd, scale);
+            for i in 0..ns {
+                for j in 0..nd {
+                    let (s, a) = (ds[i * nd + j], w_stat[i * nd + j]);
+                    axpy_skip(&mut dq_s[i * d..(i + 1) * d], s, &hk[j * d..(j + 1) * d]);
+                    axpy_skip(&mut dk_h[j * d..(j + 1) * d], s, &sq[i * d..(i + 1) * d]);
+                    axpy_skip(&mut dv_h[j * d..(j + 1) * d], a, &do_s[i * d..(i + 1) * d]);
+                }
+            }
+
+            // History rows × static columns: `ds` is `[nd, ns]`, its `dA`
+            // formed with the lanes across history rows as in the forward.
+            nn_chains::<false>(sv, d, ns, &doht, nd, nd, d, |c, r0, acc| {
+                for (slot, &a) in ds[r0 * ns + c..].iter_mut().step_by(ns).zip(acc) {
+                    *slot = 0.0 + a;
+                }
+            });
+            softmax_scale_backward_inplace(w_hist, &mut ds, ns, scale);
+            for r in 0..nd {
+                for c in 0..ns {
+                    let (s, a) = (ds[r * ns + c], w_hist[r * ns + c]);
+                    axpy_skip(&mut dq_h[r * d..(r + 1) * d], s, &sk[c * d..(c + 1) * d]);
+                    axpy_skip(&mut dk_s[c * d..(c + 1) * d], s, &hq[r * d..(r + 1) * d]);
+                    axpy_skip(&mut dv_s[c * d..(c + 1) * d], a, &do_h[r * d..(r + 1) * d]);
+                }
+            }
+        }
+    });
+}
+
+/// `dA → dS` in place, row by row over rows of width `m`:
+/// `softmax_backward_into`'s `y·(dy − Σ y·dy)` followed by the tape's
+/// separate `· scale`.
+fn softmax_scale_backward_inplace(w: &[f32], ds: &mut [f32], m: usize, scale: f32) {
+    for (wr, dr) in w.chunks_exact(m).zip(ds.chunks_exact_mut(m)) {
+        let dot: f32 = wr.iter().zip(dr.iter()).map(|(&a, &b)| a * b).sum();
+        for (&a, g) in wr.iter().zip(dr.iter_mut()) {
+            *g = (a * (*g - dot)) * scale;
+        }
+    }
+}
+
+/// One step of a `matmul::naive` `nn` / `tn` row chain: `acc += s · x`
+/// (separate multiply and add), skipped when `s == 0.0`. Zipped equal-length
+/// slices, so the lanes vectorise.
+#[inline(always)]
+fn axpy_skip(acc: &mut [f32], s: f32, x: &[f32]) {
+    if s != 0.0 {
+        for (a, &x) in acc.iter_mut().zip(x) {
+            *a += s * x;
+        }
+    }
+}
+
+/// One slice's static rows attending to its history's `nd` columns: scores
+/// `sq · khᵀ` (lanes across history columns, from the transposed pack
+/// `kht`), the canonical row softmax, then context `w · vh`. Leaves the
+/// `[ns, nd]` weight block in `w`.
+#[inline(always)]
+fn static_rows_attend(
+    sq: &[f32],
+    kht: &[f32],
+    vh: &[f32],
+    scale: f32,
+    [ns, nd, d]: [usize; 3],
+    w: &mut [f32],
+    out_stat: &mut [f32],
+) {
+    nn_chains::<false>(sq, d, ns, kht, nd, nd, d, |i, j0, acc| {
+        for (slot, &a) in w[i * nd + j0..].iter_mut().zip(acc) {
+            *slot = (0.0 + a) * scale;
+        }
+    });
+    for wrow in w.chunks_exact_mut(nd) {
+        softmax_row_inplace(wrow, None);
+    }
+    nn_chains::<true>(w, nd, ns, vh, d, d, nd, |i, t0, acc| {
+        out_stat[i * d + t0..][..acc.len()].copy_from_slice(acc);
+    });
+}
+
+/// One slice's history rows attending to its `ns` static columns. The lanes
+/// still run across history rows (`sk · qhᵀ` from the transposed pack `qht`,
+/// the same products as `qh · skᵀ`), stored transposed so `w` ends up the
+/// `[nd, ns]` weight block: one contiguous softmax row per history row,
+/// then context `w · sv`.
+#[inline(always)]
+fn history_rows_attend(
+    sk: &[f32],
+    sv: &[f32],
+    qht: &[f32],
+    scale: f32,
+    [ns, nd, d]: [usize; 3],
+    w: &mut [f32],
+    out_dyn: &mut [f32],
+) {
+    nn_chains::<false>(sk, d, ns, qht, nd, nd, d, |c, r0, acc| {
+        for (slot, &a) in w[r0 * ns + c..].iter_mut().step_by(ns).zip(acc) {
+            *slot = (0.0 + a) * scale;
+        }
+    });
+    for wrow in w.chunks_exact_mut(ns) {
+        softmax_row_inplace(wrow, None);
+    }
+    nn_chains::<true>(w, ns, nd, sv, d, d, ns, |r, t0, acc| {
+        out_dyn[r * d + t0..][..acc.len()].copy_from_slice(acc);
     });
 }
 
@@ -365,7 +662,7 @@ mod tests {
     use super::*;
     use crate::kernels::softmax::softmax_lastdim_masked;
     use crate::testutil::rand_tensor;
-    use crate::{bmm_nn, bmm_nt, ew, Shape};
+    use crate::{bmm_nn, bmm_nt, ew, Shape, Tensor};
     use std::sync::Arc;
 
     #[test]
@@ -572,5 +869,127 @@ mod tests {
             let hist_row = &slice[(ns + r) * d..(ns + r + 1) * d];
             assert!(hist_row.iter().all(|v| v.is_finite()), "slice {b}: history row {r}");
         }
+    }
+
+    /// Bit patterns, so `-0.0` ≠ `0.0` and equal NaNs compare equal.
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The per-row structured kernels against the dense tape ops on
+    /// interleaved `[bs, ns + nd, d]` operands: context, saved weights and
+    /// all three gradients, bit for bit.
+    fn assert_cross_rows_match_dense(qkv: &[Tensor; 3], d_out: &Tensor, ns: usize) {
+        let [q, k, v] = qkv;
+        let (bs, n, d) = (q.shape().dim(0), q.shape().dim(1), q.shape().dim(2));
+        let nd = n - ns;
+        let scale = 1.0 / (d as f32).sqrt();
+        let what = format!("bs={bs} ns={ns} nd={nd} d={d}");
+
+        // Reference: the op sequence the dense tape records, and its backward.
+        let mask = AttnMask::cross(ns, nd);
+        let attn = softmax_lastdim_masked(&ew::scale(&bmm_nt(q, k), scale), &mask);
+        let want_out = bmm_nn(&attn, v);
+        let d_attn = bmm_nt(d_out, v);
+        let want_dv = crate::bmm_tn(&attn, d_out);
+        let d_scores = ew::scale(&crate::softmax_backward_lastdim(&attn, &d_attn), scale);
+        let want_dq = bmm_nn(&d_scores, k);
+        let want_dk = crate::bmm_tn(&d_scores, q);
+
+        let data = [q.data(), k.data(), v.data()];
+        let hist = data.map(|x| x.get(ns * d..).unwrap_or_default());
+        let mut weights = vec![f32::NAN; bs * 2 * ns * nd];
+        let mut out = vec![f32::NAN; bs * n * d];
+        let dims = [bs, ns, nd, d];
+        attention_cross_rows_into(data, n * d, hist, n * d, scale, dims, &mut weights, &mut out);
+        assert_eq!(bits(&out), bits(want_out.data()), "{what}: context");
+        for b in 0..bs {
+            let (w_stat, w_hist) =
+                weights[b * 2 * ns * nd..(b + 1) * 2 * ns * nd].split_at(ns * nd);
+            for i in 0..ns {
+                for j in 0..nd {
+                    assert_eq!(w_stat[i * nd + j].to_bits(), attn.at3(b, i, ns + j).to_bits());
+                    assert_eq!(w_hist[j * ns + i].to_bits(), attn.at3(b, ns + j, i).to_bits());
+                }
+            }
+        }
+
+        // The same rows as two separately laid-out blocks (the frozen
+        // forward's layout): same bits.
+        let split = |x: &[f32], lo: usize, rows: usize| -> Vec<f32> {
+            x.chunks_exact(n * d).flat_map(|s| s[lo * d..(lo + rows) * d].to_vec()).collect()
+        };
+        let stat = data.map(|x| split(x, 0, ns));
+        let hist = data.map(|x| split(x, ns, nd));
+        let mut out_split = vec![f32::NAN; bs * n * d];
+        attention_cross_rows_into(
+            [&stat[0], &stat[1], &stat[2]],
+            ns * d,
+            [&hist[0], &hist[1], &hist[2]],
+            nd * d,
+            scale,
+            dims,
+            &mut weights,
+            &mut out_split,
+        );
+        assert_eq!(bits(&out_split), bits(&out), "{what}: split layout");
+
+        let mut grads = [(); 3].map(|()| vec![0.0f32; bs * n * d]);
+        let [dq, dk, dv] = &mut grads;
+        attention_cross_rows_backward_into(data, &weights, d_out.data(), scale, dims, [dq, dk, dv]);
+        for (got, (want, name)) in
+            grads.iter().zip([(want_dq, "dq"), (want_dk, "dk"), (want_dv, "dv")])
+        {
+            assert_eq!(bits(got), bits(want.data()), "{what}: {name}");
+        }
+    }
+
+    #[test]
+    fn cross_rows_forward_and_backward_match_the_dense_tape_ops_bitwise() {
+        // Training geometry (clears the fan-out threshold under
+        // `SEQFM_WORKERS=4`), ragged lane tails, both empty sides.
+        for &(bs, ns, nd, d) in &[
+            (128usize, 2usize, 20usize, 32usize),
+            (3, 2, 13, 16),
+            (2, 3, 5, 7),
+            (4, 1, 3, 8),
+            (1, 2, 0, 4),
+            (2, 0, 4, 4),
+        ] {
+            let mut seed = 401 + (bs * 7 + ns * 31 + nd) as u64;
+            let qkv = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns + nd, d), &mut seed));
+            let d_out = rand_tensor(Shape::d3(bs, ns + nd, d), &mut seed);
+            assert_cross_rows_match_dense(&qkv, &d_out, ns);
+        }
+    }
+
+    #[test]
+    fn cross_rows_backward_skips_zero_weights_and_zero_score_gradients_like_dense() {
+        // Padding: zero Q/K/V history rows and zero upstream gradient rows
+        // give exact-zero `dS` entries and products, and one admitted weight
+        // per block underflows to exactly 0.0 — every skip the dense `nn` /
+        // `tn` chains take must be taken here (a `-0.0` for a `+0.0` would
+        // show in the bits).
+        let (bs, ns, nd, d) = (3usize, 2usize, 6usize, 8usize);
+        let mut seed = 1201;
+        let mut qkv = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns + nd, d), &mut seed));
+        let mut d_out = rand_tensor(Shape::d3(bs, ns + nd, d), &mut seed);
+        for b in 0..bs {
+            for pad_row in ns..ns + 2 {
+                let row = (b * (ns + nd) + pad_row) * d;
+                for t in &mut qkv {
+                    t.data_mut()[row..row + d].fill(0.0);
+                }
+                d_out.data_mut()[row..row + d].fill(0.0);
+            }
+            // Static row 0 vs history column 4, and history row 5 vs static
+            // column 1: scores ≈ −1200/√8, far below the row max.
+            let at = |r: usize| (b * (ns + nd) + r) * d;
+            qkv[0].data_mut()[at(0)] = 30.0;
+            qkv[1].data_mut()[at(ns + 4)] = -40.0;
+            qkv[0].data_mut()[at(ns + 5) + 1] = 30.0;
+            qkv[1].data_mut()[at(1) + 1] = -40.0;
+        }
+        assert_cross_rows_match_dense(&qkv, &d_out, ns);
     }
 }

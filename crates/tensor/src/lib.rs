@@ -19,7 +19,10 @@
 //! * Reductions over axis 1 and the last axis (intra-view pooling, Eq. 14).
 //! * Allocation-free `_into` variants of the hot kernels plus a fused
 //!   [`attention_into`] — the building blocks of the graph-free inference
-//!   path (`seqfm_core`'s `Scorer`/`FrozenSeqFm`).
+//!   path (`seqfm_core`'s `Scorer`/`FrozenSeqFm`) — and the structured
+//!   cross-view kernels ([`attention_cross_shared_into`],
+//!   [`attention_cross_rows_into`], [`attention_cross_rows_backward_into`])
+//!   that serving and the autograd tape share.
 //! * A thread-local [`workspace`] arena ([`Workspace`]) owning all kernel
 //!   temporaries, and cache-blocked packed matmul kernels
 //!   ([`kernels::matmul::tiled`]) that are **bit-identical** to the naive
@@ -43,7 +46,10 @@ pub mod kernels;
 pub mod testutil;
 pub mod workspace;
 
-pub use kernels::attention::{attention_cross_shared_into, attention_into};
+pub use kernels::attention::{
+    attention_cross_rows_backward_into, attention_cross_rows_into, attention_cross_shared_into,
+    attention_into,
+};
 pub use kernels::bmm::{bmm_nn, bmm_nn_into, bmm_nt, bmm_nt_into, bmm_tn, bmm_tn_into};
 pub use kernels::elementwise as ew;
 pub use kernels::f16::{f16_from_f32, f32_from_f16, widen_f16};

@@ -16,8 +16,9 @@
 
 use seqfm_tensor::testutil::rand_tensor;
 use seqfm_tensor::{
-    attention_into, bmm_nn, bmm_nt, matmul_nn, matmul_nt, matmul_tn, softmax_lastdim_masked,
-    softmax_rows_into, AttnMask, Shape, Tensor,
+    attention_cross_rows_backward_into, attention_cross_rows_into, attention_into, bmm_nn, bmm_nt,
+    matmul_nn, matmul_nt, matmul_tn, softmax_lastdim_masked, softmax_rows_into, AttnMask, Shape,
+    Tensor,
 };
 
 /// Large enough that m·k·n clears the 96 Ki-op dispatch threshold.
@@ -185,6 +186,42 @@ fn parallel_kernel_paths_match_serial_references_bitwise() {
         &mut out,
     );
     assert_eq!(out, want.data(), "fused parallel attention diverges");
+
+    // The structured per-row cross view, forward and backward, at the
+    // training geometry (both clear the threshold and fan out over slices)
+    // vs. the same kernels called one slice at a time — a single unit never
+    // leaves the caller's thread.
+    let (cb, ns, nd, cd) = (128usize, 2usize, 20usize, 32usize);
+    let (cn, wl) = (ns + nd, 2 * ns * nd);
+    let [cq, ck, cv, d_out] = [(); 4].map(|()| rand_tensor(Shape::d3(cb, cn, cd), &mut seed));
+    let scale = 1.0 / (cd as f32).sqrt();
+    let at = |x: &Tensor, lo: usize, slices: usize| -> Vec<f32> {
+        x.data()[lo * cn * cd..(lo + slices) * cn * cd].to_vec()
+    };
+    let run = |lo: usize, slices: usize| -> [Vec<f32>; 5] {
+        let qkv = [at(&cq, lo, slices), at(&ck, lo, slices), at(&cv, lo, slices)];
+        let qkv = [&qkv[0][..], &qkv[1][..], &qkv[2][..]];
+        let dims = [slices, ns, nd, cd];
+        let mut weights = vec![0.0f32; slices * wl];
+        let mut out = vec![0.0f32; slices * cn * cd];
+        let hist = qkv.map(|x| &x[ns * cd..]);
+        attention_cross_rows_into(qkv, cn * cd, hist, cn * cd, scale, dims, &mut weights, &mut out);
+        let mut grads = [(); 3].map(|()| vec![0.0f32; slices * cn * cd]);
+        let [dq, dk, dv] = &mut grads;
+        let d_out = at(&d_out, lo, slices);
+        attention_cross_rows_backward_into(qkv, &weights, &d_out, scale, dims, [dq, dk, dv]);
+        let [dq, dk, dv] = grads;
+        [weights, out, dq, dk, dv]
+    };
+    let fanned = run(0, cb);
+    for bi in 0..cb {
+        for ((got, want), what) in
+            fanned.iter().zip(run(bi, 1)).zip(["weights", "context", "dq", "dk", "dv"])
+        {
+            let unit = want.len();
+            assert_eq!(got[bi * unit..(bi + 1) * unit], want, "cross rows {what}, slice {bi}");
+        }
+    }
 
     // Per-worker workspace arenas: the fan-outs above ran tiled kernels on
     // pool workers, each packing panels into its own thread-local arena.
