@@ -8,6 +8,17 @@
 //! order) as straight-line code: no tape nodes, no parameter clones, no RNG,
 //! and no per-call allocations once the caller's [`Scratch`] is warm. Logits
 //! therefore match the graph path **bit for bit**, which the tests assert.
+//!
+//! The forward is a short pipeline of stages. Everything derived from the
+//! dynamic block alone is computed by one history stage
+//! (`build_history`) into a [`HistoryView`] — the scratch's own, rebuilt
+//! per call with one row when the batch repeats a history and one per batch
+//! row otherwise, or a one-row view the caller cached and lends. The rest
+//! (`score_static_rows`) reads every history quantity from that view and
+//! runs top to bottom like [`SeqFm`]'s forward: gather static → static view
+//! → dynamic view (a copy out of the view) → cross view → head. The only
+//! thing that depends on how the view came to be is which cross-view kernel
+//! runs (shared history vs. one per row).
 
 use crate::config::SeqFmConfig;
 use crate::precision::{FrozenParamsFast, ScorerPrecision};
@@ -20,8 +31,8 @@ use seqfm_autograd::{FrozenId, FrozenParams, ModelEpoch, ParamStore};
 use seqfm_data::{Batch, FeatureLayout, PAD};
 use seqfm_nn::checkpoint::{self, CheckpointError};
 use seqfm_tensor::{
-    attention_cross_rows_into, attention_cross_shared_into, attention_into, matmul_nn_into,
-    AttnMask, Tensor,
+    attention_cross_rows_into, attention_cross_shared_into, attention_into, matmul_nn_into, Tensor,
+    Workspace,
 };
 use std::sync::Arc;
 
@@ -224,7 +235,8 @@ impl FrozenSeqFm {
     ///
     /// # Errors
     /// Any [`CheckpointError`] of the decode (bad magic/version, truncation,
-    /// unknown/missing parameters, shape mismatch).
+    /// unknown/missing/repeated parameters, shape mismatch, non-finite
+    /// values).
     pub fn from_checkpoint(
         blob: &[u8],
         layout: &FeatureLayout,
@@ -276,58 +288,10 @@ impl FrozenSeqFm {
         self.params.value(id)
     }
 
-    /// One view of the forward pass: project Q/K/V, attend, pool, run the
-    /// (shared or per-view) FFN, and write the result into this view's
-    /// column block of `hagg`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_view(
-        &self,
-        view: usize,
-        ffn_idx: usize,
-        e: &[f32],
-        b: usize,
-        n: usize,
-        d: usize,
-        scale: f32,
-        mask: Option<&AttnMask>,
-        pads: Option<(&[usize], usize)>,
-        view_col: usize,
-        views: usize,
-        bufs: &mut ViewBufs<'_>,
-    ) {
-        self.project_view(e, view, 0, b * n, bufs.q);
-        self.project_view(e, view, 1, b * n, bufs.k);
-        self.project_view(e, view, 2, b * n, bufs.v);
-        self.finish_view(ffn_idx, b, n, d, scale, mask, pads, view_col, views, bufs);
-    }
-
-    /// Dense (optionally masked) attention → pooling → FFN → `hagg` column
-    /// write, on already-projected Q/K/V in `bufs` — the static view and the
-    /// causal dynamic view, replaying the tape's dense pipeline. The cross
-    /// view never gets here: `forward_split` hands it to the structured
-    /// kernels, which score only the `2·ns·nd` of `n²` pairs Eq. 13 admits.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_view(
-        &self,
-        ffn_idx: usize,
-        b: usize,
-        n: usize,
-        d: usize,
-        scale: f32,
-        mask: Option<&AttnMask>,
-        pads: Option<(&[usize], usize)>,
-        view_col: usize,
-        views: usize,
-        bufs: &mut ViewBufs<'_>,
-    ) {
-        attention_into(bufs.q, bufs.k, bufs.v, mask, scale, b, n, d, bufs.scores, bufs.ctx);
-        self.pool_ffn_write(ffn_idx, b, n, d, pads, view_col, views, bufs);
-    }
-
     /// The post-attention tail of a view: pooling → FFN → `hagg` column
-    /// write, on an already-computed context in `bufs.ctx`. Split out of
-    /// [`Self::finish_view`] so the cross view, which runs its own attention
-    /// entry points, shares the identical tail.
+    /// write, on an already-computed context in `bufs.ctx`. Every view is
+    /// "project Q/K/V, attend, then this", whichever attention entry point
+    /// (dense, causal-masked or structured cross) produced its context.
     #[allow(clippy::too_many_arguments)]
     fn pool_ffn_write(
         &self,
@@ -397,7 +361,8 @@ impl FrozenSeqFm {
     }
 }
 
-/// Mutable workspace slices threaded through [`FrozenSeqFm::run_view`].
+/// Mutable workspace slices of one view, threaded through
+/// [`FrozenSeqFm::pool_ffn_write`].
 struct ViewBufs<'a> {
     q: &'a mut [f32],
     k: &'a mut [f32],
@@ -411,68 +376,91 @@ struct ViewBufs<'a> {
 }
 
 impl FrozenSeqFm {
-    /// Precomputes the history-side half of the forward pass for one
-    /// left-padded dynamic index row: the dynamic view's pooled output, the
-    /// cross view's history-row Q/K/V projections, the lin˙ term, and the
-    /// padding length — everything a candidate-expansion batch over this
-    /// history would recompute identically on every request.
+    /// The history stage of the forward pass — the only code that derives
+    /// anything from a dynamic block. For each of the `rows` left-padded
+    /// index rows of `dyn_rows` (`[rows, nd]`) it counts the padding, sums
+    /// lin˙, gathers the dynamic embeddings, projects the cross view's
+    /// history rows and runs the causal dynamic view down to its pooled
+    /// `d`-vector, writing all of it into `view` in place (the view's
+    /// buffers keep their capacity, so rebuilding a warm one allocates
+    /// nothing).
     ///
-    /// The cached values are produced by the very same kernel calls the
-    /// plain forward runs, so scoring through
-    /// [`FrozenSeqFm::score_with_view`] is **bit-identical** to
-    /// [`Scorer::score`] on an inline batch carrying the same row.
-    ///
-    /// # Panics
-    /// Panics if an index in `dyn_row` is out of the embedding table's
-    /// range (callers validate ids against the feature layout first).
-    pub fn history_view(&self, dyn_row: &[i64], scratch: &mut Scratch) -> HistoryView {
-        let nd = dyn_row.len();
+    /// None of this depends on the candidates (Eq. 11–14) and per-row
+    /// arithmetic is batch-independent, so a history's outputs are the same
+    /// bits whether it is built alone for a cache, once for a batch that
+    /// repeats it, or beside the other rows of a mixed batch.
+    fn build_history(
+        &self,
+        dyn_rows: &[i64],
+        rows: usize,
+        nd: usize,
+        ws: &Workspace,
+        masks: &mut Option<MaskCache>,
+        view: &mut HistoryView,
+    ) {
         let d = self.cfg.d;
         let ab = self.cfg.ablation;
-        let scale = 1.0 / (d as f32).sqrt();
-        let Scratch { ws, masks, .. } = scratch;
+        let dyn_rows = &dyn_rows[..rows * nd];
+        view.dyn_idx.clear();
+        view.dyn_idx.extend_from_slice(dyn_rows);
+        view.nd = nd;
+        view.d = d;
 
-        let pad = dyn_row.iter().take_while(|&&i| i == PAD).count();
-        let mut view = HistoryView { dyn_idx: dyn_row.to_vec(), d, pad, ..HistoryView::default() };
-
-        // lin˙ (Eq. 4), in `sum_dyn`'s exact accumulation order.
+        // Per-row padding lengths (masked-pooling extension) and lin˙
+        // (Eq. 4), accumulated in index order — one entry per row even when
+        // the window is empty.
         let wd = self.t(self.w_dynamic).data();
-        for &i in dyn_row {
-            if i >= 0 {
-                view.lin_d += wd[i as usize];
+        view.pad.clear();
+        view.lin_d.clear();
+        for r in 0..rows {
+            let row = &dyn_rows[r * nd..(r + 1) * nd];
+            view.pad.push(row.iter().take_while(|&&i| i == PAD).count());
+            let mut lin_d = 0.0f32;
+            for &i in row {
+                if i >= 0 {
+                    lin_d += wd[i as usize];
+                }
             }
-        }
-        if !(ab.dynamic_view || ab.cross_view) || nd == 0 {
-            return view;
+            view.lin_d.push(lin_d);
         }
 
-        let mut e_d = ws.take(nd * d);
-        self.gather_dynamic(dyn_row, d, &mut e_d);
+        // An ablated view leaves its part of the representation empty.
+        let hist_len = if ab.cross_view { rows * nd * d } else { 0 };
+        for dst in [&mut view.hist_q, &mut view.hist_k, &mut view.hist_v] {
+            dst.resize(hist_len, 0.0);
+        }
+        view.dyn_pooled.resize(if ab.dynamic_view { rows * d } else { 0 }, 0.0);
+        if !(ab.dynamic_view || ab.cross_view) {
+            return;
+        }
+
+        // Embedding layer (Eq. 5): PAD rows embed to exact zeros.
+        let mut e_d = ws.take(rows * nd * d);
+        self.gather_dynamic(dyn_rows, d, &mut e_d);
 
         if ab.cross_view {
-            // The cross view's history rows are projected row-locally, so
-            // the per-request shared path can splice these under each
-            // row's per-candidate static projections (same projection call
-            // as the non-cached path, on the active profile's weights).
+            // Projection is row-local, so the cross view's history rows are
+            // projected here, apart from the static rows they will attend
+            // with, and the structured kernels read both blocks in place.
             let dsts = [&mut view.hist_q, &mut view.hist_k, &mut view.hist_v];
             for (wi, dst) in dsts.into_iter().enumerate() {
-                dst.resize(nd * d, 0.0);
-                self.project_view(&e_d[..nd * d], 2, wi, nd, dst);
+                self.project_view(&e_d, 2, wi, rows * nd, dst);
             }
         }
         if ab.dynamic_view {
             // The whole dynamic view collapses to one pooled `d`-vector per
-            // history.
+            // history: `dyn_pooled` is the `[rows, d]` aggregate of a
+            // one-view model, written by the same tail as any other view's
+            // column block.
             let causal = &MaskCache::for_geometry(masks, nd).causal;
-            let mut q = ws.take(nd * d);
-            let mut k = ws.take(nd * d);
-            let mut v = ws.take(nd * d);
-            let mut scores = ws.take(nd * nd);
-            let mut ctx = ws.take(nd * d);
-            let mut pool = ws.take(d);
-            let mut normed = ws.take(d);
-            let mut lin = ws.take(d);
-            let mut hagg = ws.take(d);
+            let mut q = ws.take(rows * nd * d);
+            let mut k = ws.take(rows * nd * d);
+            let mut v = ws.take(rows * nd * d);
+            let mut scores = ws.take(rows * nd * nd);
+            let mut ctx = ws.take(rows * nd * d);
+            let mut pool = ws.take(rows * d);
+            let mut normed = ws.take(rows * d);
+            let mut lin = ws.take(rows * d);
             let mut bufs = ViewBufs {
                 q: &mut q,
                 k: &mut k,
@@ -482,27 +470,38 @@ impl FrozenSeqFm {
                 pool: &mut pool,
                 normed: &mut normed,
                 lin: &mut lin,
-                hagg: &mut hagg,
+                hagg: &mut view.dyn_pooled,
             };
+            // Dense causally-masked attention, replaying the tape's pipeline.
+            for (wi, dst) in [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v].into_iter().enumerate() {
+                self.project_view(&e_d, 1, wi, rows * nd, dst);
+            }
+            let scale = 1.0 / (d as f32).sqrt();
+            let mask = Some(causal);
+            attention_into(bufs.q, bufs.k, bufs.v, mask, scale, rows, nd, d, bufs.scores, bufs.ctx);
             // The dynamic view's FFN slot mirrors the forward pass's
             // ffn_idx bookkeeping: 1 when the static view precedes it.
             let ffn_idx = usize::from(ab.static_view);
-            self.run_view(
-                1,
-                ffn_idx,
-                &e_d[..nd * d],
-                1,
-                nd,
-                d,
-                scale,
-                Some(causal),
-                Some((&[pad], 0)),
-                0,
-                1,
-                &mut bufs,
-            );
-            view.dyn_pooled = bufs.pool[..d].to_vec();
+            self.pool_ffn_write(ffn_idx, rows, nd, d, Some((&view.pad, 0)), 0, 1, &mut bufs);
         }
+    }
+
+    /// Precomputes the history side of the forward pass for one
+    /// left-padded dynamic index row: the dynamic view's pooled output, the
+    /// cross view's history-row Q/K/V projections, the lin˙ term, and the
+    /// padding length — everything a candidate-expansion batch over this
+    /// history would recompute identically on every request.
+    ///
+    /// The view is the forward's own history stage run once on that row, so
+    /// scoring through [`FrozenSeqFm::score_with_view`] is **bit-identical**
+    /// to [`Scorer::score`] on an inline batch carrying the same row.
+    ///
+    /// # Panics
+    /// Panics if an index in `dyn_row` is out of the embedding table's
+    /// range (callers validate ids against the feature layout first).
+    pub fn history_view(&self, dyn_row: &[i64], scratch: &mut Scratch) -> HistoryView {
+        let mut view = HistoryView::default();
+        self.build_history(dyn_row, 1, dyn_row.len(), &scratch.ws, &mut scratch.masks, &mut view);
         view
     }
 
@@ -528,10 +527,13 @@ impl FrozenSeqFm {
     /// `items` for `user` — against a cached [`HistoryView`], appending one
     /// logit per item to `out` (in `items` order).
     ///
-    /// The candidate-expansion batch (rows `[user_feature, item_feature]`
-    /// over the view's dynamic block) is rebuilt in place inside `batch`, so
-    /// a catalog scan reuses one batch's buffers across every block. Logits
-    /// are bit-identical to scoring the same rows in any other batch
+    /// Only the static side of the candidate-expansion batch is rebuilt in
+    /// place inside `batch` — rows `[user_feature, item_feature]` in
+    /// `static_idx`, with `len`, `n_static`, `n_dynamic` and zeroed
+    /// `targets` to match — so a catalog scan reuses one batch's buffers
+    /// across every block. The history side is `view` itself: `dyn_idx` is
+    /// left empty rather than filled with `len` copies of the view's row.
+    /// Logits are bit-identical to scoring the same rows in any other batch
     /// composition: per-row arithmetic in the forward pass is independent of
     /// the surrounding batch (the invariant `tests/` pins for the kernels).
     /// `items` need not be contiguous or sorted — retrieval indexes reorder
@@ -553,11 +555,10 @@ impl FrozenSeqFm {
     ) {
         assert!((user as usize) < layout.n_users, "user {user} outside layout");
         let len = items.len();
-        let nd = view.nd();
         let uf = layout.user_feature(user);
         batch.len = len;
         batch.n_static = 2;
-        batch.n_dynamic = nd;
+        batch.n_dynamic = view.nd();
         batch.static_idx.clear();
         for &item in items {
             assert!((item as usize) < layout.n_items, "item {item} outside layout");
@@ -565,120 +566,119 @@ impl FrozenSeqFm {
             batch.static_idx.push(layout.item_feature(item));
         }
         batch.dyn_idx.clear();
-        for _ in 0..len {
-            batch.dyn_idx.extend_from_slice(view.dyn_idx());
-        }
         batch.targets.clear();
         batch.targets.resize(len, 0.0);
         if len > 0 {
-            self.forward_split(batch, scratch, Some(view));
+            self.score_static_rows(&batch.static_idx, len, 2, view, &scratch.ws, &mut scratch.out);
             out.extend_from_slice(&scratch.out[..len]);
         }
     }
 
-    /// The forward pass, with the history-side work either computed in
-    /// place (`cached == None` — the classic path, including the
-    /// shared-history fast path) or spliced in from a cached
-    /// [`HistoryView`].
+    /// The forward pass: choose the history side — borrow the caller's
+    /// cached [`HistoryView`] once it is checked against the batch, or run
+    /// the history stage into the scratch's own — then score the batch's
+    /// static rows against it.
     fn forward_split(&self, batch: &Batch, scratch: &mut Scratch, cached: Option<&HistoryView>) {
-        let (b, ns, nd) = (batch.len, batch.n_static, batch.n_dynamic);
+        let (b, nd) = (batch.len, batch.n_dynamic);
+        // Disjoint field borrows: the arena hands out every kernel
+        // temporary; `out` stays a plain buffer because the caller's
+        // returned slice borrows it past the arena scopes' lifetime.
+        let Scratch { out, ws, view: own, masks, .. } = scratch;
+        let view = match cached {
+            Some(view) => {
+                // A view is tied to one exact dynamic row; serving stale
+                // history silently would be the worst possible failure mode.
+                assert_eq!(view.nd, nd, "history view covers nd={} but batch has {nd}", view.nd);
+                assert!(
+                    nd == 0 || batch.dyn_idx.chunks_exact(nd).all(|row| row == view.dyn_idx()),
+                    "history view does not match the batch's dynamic block"
+                );
+                view
+            }
+            None => {
+                // A candidate-expansion batch repeats one user history
+                // across every row: build that history once. A cached view
+                // is the same one-row build memoised across requests.
+                let repeated = b > 1
+                    && nd > 0
+                    && batch
+                        .dyn_idx
+                        .chunks_exact(nd)
+                        .skip(1)
+                        .all(|row| row == &batch.dyn_idx[..nd]);
+                let rows = if repeated { 1 } else { b };
+                self.build_history(&batch.dyn_idx, rows, nd, ws, masks, own);
+                own
+            }
+        };
+        self.score_static_rows(&batch.static_idx, b, batch.n_static, view, ws, out);
+    }
+
+    /// The candidate side of the forward pass, in [`SeqFm`]'s own order:
+    /// static view → dynamic view → cross view → head, for `b` static rows
+    /// of `ns` features each. Every history quantity is read from `view`,
+    /// which holds either one row shared by the whole batch or one row per
+    /// batch row; that choice selects the cross-view kernel and which view
+    /// row a batch row reads, and nothing else.
+    fn score_static_rows(
+        &self,
+        static_idx: &[i64],
+        b: usize,
+        ns: usize,
+        view: &HistoryView,
+        ws: &Workspace,
+        out: &mut Vec<f32>,
+    ) {
         let d = self.cfg.d;
         let ab = self.cfg.ablation;
         let views = ab.active_views();
         let scale = 1.0 / (d as f32).sqrt();
-        let nmax = ns + nd;
-
-        if let Some(view) = cached {
-            // A view is tied to one exact dynamic row; serving stale
-            // history silently would be the worst possible failure mode.
-            assert_eq!(view.d, d, "history view built at width {} but model is {d}", view.d);
-            assert_eq!(view.nd(), nd, "history view covers nd={} but batch has {nd}", view.nd());
-            assert!(
-                nd == 0 || batch.dyn_idx.chunks_exact(nd).all(|row| row == view.dyn_idx()),
-                "history view does not match the batch's dynamic block"
-            );
-        }
-
-        // Disjoint field borrows: the arena hands out every kernel
-        // temporary below; `out` stays a plain buffer because the caller's
-        // returned slice borrows it past the arena scopes' lifetime.
-        let Scratch { out, ws, pad_counts, masks, .. } = scratch;
-        if ab.dynamic_view {
-            MaskCache::for_geometry(masks, nd);
-        }
+        let (rows, nd) = (view.rows(), view.nd);
+        assert_eq!(view.d, d, "history view built at width {} but model is {d}", view.d);
+        assert!(rows == 1 || rows == b, "history view holds {rows} rows for a batch of {b}");
+        // The view row batch row `bi` reads.
+        let hrow = |bi: usize| if rows == 1 { 0 } else { bi };
         if out.len() < b {
             out.resize(b, 0.0);
         }
-        if pad_counts.len() < b {
-            pad_counts.resize(b, 0);
-        }
-
-        // Serving fast path: a candidate-expansion batch repeats one user
-        // history across every row, so everything derived from the dynamic
-        // block alone — its embeddings, the whole dynamic view, the cross
-        // view's history-row projections, the lin˙ term — is computed once
-        // and reused. Per-row arithmetic is untouched, so logits stay
-        // bit-identical to the per-row path (and to the graph). A cached
-        // view is that same once-per-batch work memoised across requests,
-        // so it rides the identical branch.
-        let shared_hist = (cached.is_some() && nd > 0)
-            || (b > 1
-                && nd > 0
-                && batch.dyn_idx.chunks_exact(nd).skip(1).all(|row| row == &batch.dyn_idx[..nd]));
-        // Rows of the dynamic block actually materialised; a cached view
-        // skips materialising the dynamic embeddings entirely.
-        let db = if shared_hist { 1 } else { b };
-        let need_e_d = cached.is_none();
 
         // Candidate-expansion batches repeat the user feature in static
         // column 0 of every row; project the `1 + b` unique static rows
         // instead of all `2·b` and broadcast the shared row's projection —
         // bit-identical per row (see [`Self::project_static_unique`]).
-        let uniq_static = ns == 2
-            && b > 1
-            && batch.static_idx.chunks_exact(2).skip(1).all(|r| r[0] == batch.static_idx[0]);
+        let uniq_static =
+            ns == 2 && b > 1 && static_idx.chunks_exact(2).skip(1).all(|r| r[0] == static_idx[0]);
 
         // Workspace scopes, sized exactly for this batch (zero-filled on
         // take; zero heap traffic once the arena has seen the shape). No
         // view materializes interleaved `[b, ns + nd, d]` Q/K/V or dense
-        // `(ns + nd)²` score scratch — the cross view reads its static and
-        // history projections from their own blocks — so the scopes hold
-        // what the kernels actually read; the arena zero-fills every take,
-        // making right-sizing pure memset bandwidth saved on every request
-        // (~1 MB at serving geometry).
-        let qkv_len = (b * ns * d).max(db * nd * d);
+        // `(ns + nd)²` score scratch — the cross view reads its static
+        // projections from here and its history projections from `view` —
+        // so the scopes hold what the kernels actually read; the arena
+        // zero-fills every take, making right-sizing pure memset bandwidth
+        // saved on every request (~1 MB at serving geometry).
+        let qkv_len = b * ns * d;
         // The per-row cross kernel keeps both admitted weight blocks.
-        let cross_scores = match (ab.cross_view, shared_hist) {
+        let cross_scores = match (ab.cross_view, rows == 1) {
             (false, _) => 0,
             (true, true) => b * ns * nd,
             (true, false) => 2 * b * ns * nd,
         };
-        let scores_len = (b * ns * ns).max(db * nd * nd).max(cross_scores);
         let mut e_s = ws.take(b * ns * d);
-        let mut e_d = ws.take(if need_e_d { db * nd * d } else { 0 });
         let mut q = ws.take(qkv_len);
         let mut k = ws.take(qkv_len);
         let mut v = ws.take(qkv_len);
-        // The cross kernels read all three history projections at once,
-        // beside the static ones in `q`/`k`/`v`.
-        let hist_len = if ab.cross_view && need_e_d { db * nd * d } else { 0 };
-        let mut qd = ws.take(hist_len);
-        let mut kd = ws.take(hist_len);
-        let mut vd = ws.take(hist_len);
         let mut e_u = ws.take(if uniq_static { (1 + b) * d } else { 0 });
         let mut pu = ws.take(if uniq_static { (1 + b) * d } else { 0 });
-        let mut scores = ws.take(scores_len);
-        let mut ctx = ws.take(b * nmax * d);
+        let mut scores = ws.take((b * ns * ns).max(cross_scores));
+        let mut ctx = ws.take(b * (ns + nd) * d);
         let mut pool = ws.take(b * d);
         let mut normed = ws.take(b * d);
         let mut lin = ws.take(b * d);
         let mut hagg = ws.take(b * views * d);
 
         // Embedding layer (Eq. 5): PAD rows embed to exact zeros.
-        self.gather_static(&batch.static_idx, d, &mut e_s);
-        if need_e_d {
-            self.gather_dynamic(&batch.dyn_idx[..db * nd], d, &mut e_d);
-        }
+        self.gather_static(static_idx, d, &mut e_s);
         if uniq_static {
             // Unique static rows: the shared user row once, then each
             // candidate's row (static column 1 of every slice).
@@ -686,20 +686,6 @@ impl FrozenSeqFm {
             for bi in 0..b {
                 e_u[(1 + bi) * d..(2 + bi) * d]
                     .copy_from_slice(&e_s[(bi * 2 + 1) * d..(bi + 1) * 2 * d]);
-            }
-        }
-
-        // Per-sample padding lengths (masked-pooling extension).
-        if let Some(view) = cached {
-            pad_counts[..b].fill(view.pad);
-        } else {
-            for (bi, slot) in pad_counts.iter_mut().enumerate().take(db) {
-                *slot =
-                    batch.dyn_idx[bi * nd..(bi + 1) * nd].iter().take_while(|&&i| i == PAD).count();
-            }
-            if shared_hist {
-                let pad0 = pad_counts[0];
-                pad_counts[1..b].fill(pad0);
             }
         }
 
@@ -716,71 +702,37 @@ impl FrozenSeqFm {
             lin: &mut lin,
             hagg: &mut hagg,
         };
+        // Static rows → the leading `[b, ns, d]` Q/K/V blocks under
+        // attention view `av`'s weights, which the static and the cross
+        // view both start from: unique-row projections broadcast in place,
+        // or all `b·ns` rows.
+        let project_static = |av: usize, pu: &mut [f32], bufs: &mut ViewBufs<'_>| {
+            let dsts = [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v];
+            if uniq_static {
+                self.project_static_unique(&e_u, av, b, d, pu, dsts);
+            } else {
+                for (wi, dst) in dsts.into_iter().enumerate() {
+                    self.project_view(&e_s, av, wi, b * ns, dst);
+                }
+            }
+        };
         let mut ffn_idx = 0usize;
         let mut view_col = 0usize;
         if ab.static_view {
-            if uniq_static {
-                // Unique-row projections straight into the leading
-                // `[b, 2, d]` Q/K/V blocks, then the same attention → FFN
-                // finish `run_view` would perform.
-                self.project_static_unique(
-                    &e_u[..(1 + b) * d],
-                    0,
-                    b,
-                    d,
-                    &mut pu,
-                    [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v],
-                );
-                self.finish_view(ffn_idx, b, ns, d, scale, None, None, view_col, views, &mut bufs);
-            } else {
-                self.run_view(
-                    0,
-                    ffn_idx,
-                    &e_s[..b * ns * d],
-                    b,
-                    ns,
-                    d,
-                    scale,
-                    None,
-                    None,
-                    view_col,
-                    views,
-                    &mut bufs,
-                );
-            }
+            // Dense unmasked attention, replaying the tape's pipeline.
+            project_static(0, &mut pu, &mut bufs);
+            attention_into(bufs.q, bufs.k, bufs.v, None, scale, b, ns, d, bufs.scores, bufs.ctx);
+            self.pool_ffn_write(ffn_idx, b, ns, d, None, view_col, views, &mut bufs);
             ffn_idx += 1;
             view_col += d;
         }
         if ab.dynamic_view {
-            if let Some(view) = cached.filter(|_| shared_hist) {
-                // The cached pooled vector *is* this history's dynamic-view
-                // output (produced by the same `run_view` call): splice it
-                // into row 0's column block and broadcast, exactly like the
-                // computed shared path below.
-                bufs.hagg[view_col..view_col + d].copy_from_slice(&view.dyn_pooled);
-                broadcast_hagg_block(bufs.hagg, b, views * d, view_col, d);
-            } else {
-                let causal = &masks.as_ref().expect("mask cache installed").causal;
-                // With a shared history the dynamic view is identical for
-                // every row: run it once (db == 1) and broadcast the pooled
-                // result.
-                self.run_view(
-                    1,
-                    ffn_idx,
-                    &e_d[..db * nd * d],
-                    db,
-                    nd,
-                    d,
-                    scale,
-                    Some(causal),
-                    Some((&pad_counts[..db], 0)),
-                    view_col,
-                    views,
-                    &mut bufs,
-                );
-                if shared_hist {
-                    broadcast_hagg_block(bufs.hagg, b, views * d, view_col, d);
-                }
+            // The history stage already ran this view down to its pooled
+            // vector: copy each row's into its column block.
+            for bi in 0..b {
+                let col = bi * views * d + view_col;
+                bufs.hagg[col..col + d]
+                    .copy_from_slice(&view.dyn_pooled[hrow(bi) * d..(hrow(bi) + 1) * d]);
             }
             ffn_idx += 1;
             view_col += d;
@@ -788,37 +740,15 @@ impl FrozenSeqFm {
         if ab.cross_view {
             // No stack [E°; E˙]: projection is row-local, so the static rows
             // land in the leading `[b, ns, d]` blocks of Q/K/V, the history
-            // rows in `db` blocks of `[nd, d]` beside them (a shared history
-            // is projected once; a cached view already holds the result of
-            // the identical call), and the structured kernels read both in
-            // place — bit-identical to the dense masked pipeline over the
-            // spliced stack (pinned in the tensor crate) and to the tape's
-            // cross-attention node, minus the splice copies and the ~83 % of
-            // scores the cross mask discards.
-            if uniq_static {
-                self.project_static_unique(
-                    &e_u[..(1 + b) * d],
-                    2,
-                    b,
-                    d,
-                    &mut pu,
-                    [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v],
-                );
-            } else {
-                self.project_view(&e_s[..b * ns * d], 2, 0, b * ns, bufs.q);
-                self.project_view(&e_s[..b * ns * d], 2, 1, b * ns, bufs.k);
-                self.project_view(&e_s[..b * ns * d], 2, 2, b * ns, bufs.v);
-            }
-            let [qh, kh, vh] = match cached {
-                Some(v) => [v.hist_q.as_slice(), v.hist_k.as_slice(), v.hist_v.as_slice()],
-                None => {
-                    self.project_view(&e_d[..db * nd * d], 2, 0, db * nd, &mut qd);
-                    self.project_view(&e_d[..db * nd * d], 2, 1, db * nd, &mut kd);
-                    self.project_view(&e_d[..db * nd * d], 2, 2, db * nd, &mut vd);
-                    [&qd[..], &kd[..], &vd[..]]
-                }
-            };
-            if shared_hist {
+            // rows sit in the view's `rows` blocks of `[nd, d]`, and the
+            // structured kernels read both in place — bit-identical to the
+            // dense masked pipeline over the spliced stack (pinned in the
+            // tensor crate) and to the tape's cross-attention node, minus
+            // the splice copies and the ~83 % of scores the cross mask
+            // discards.
+            project_static(2, &mut pu, &mut bufs);
+            let [qh, kh, vh] = [&view.hist_q[..], &view.hist_k[..], &view.hist_v[..]];
+            if rows == 1 {
                 attention_cross_shared_into(
                     bufs.q,
                     bufs.k,
@@ -851,7 +781,7 @@ impl FrozenSeqFm {
                 b,
                 ns + nd,
                 d,
-                Some((pad_counts.as_slice(), ns)),
+                Some((&view.pad, ns)),
                 view_col,
                 views,
                 &mut bufs,
@@ -866,33 +796,16 @@ impl FrozenSeqFm {
 
         // Linear terms (Eq. 4) and global bias, in the tape's association
         // order: (f + (lin° + lin˙)) + w₀.
-        let ws = self.t(self.w_static).data();
-        let wd = self.t(self.w_dynamic).data();
+        let w_static = self.t(self.w_static).data();
         let w0 = self.t(self.w0).data()[0];
-        let sum_dyn = |bi: usize| {
-            let mut lin_d = 0.0f32;
-            for &i in &batch.dyn_idx[bi * nd..(bi + 1) * nd] {
-                if i >= 0 {
-                    lin_d += wd[i as usize];
-                }
-            }
-            lin_d
-        };
-        // A cached view carries lin˙ accumulated in `sum_dyn`'s exact order,
-        // so the cached and computed values are the same bits.
-        let shared_lin_d = match cached {
-            Some(view) => Some(view.lin_d),
-            None => shared_hist.then(|| sum_dyn(0)),
-        };
         for (bi, f) in fout.iter_mut().enumerate() {
             let mut lin_s = 0.0f32;
-            for &i in &batch.static_idx[bi * ns..(bi + 1) * ns] {
+            for &i in &static_idx[bi * ns..(bi + 1) * ns] {
                 if i >= 0 {
-                    lin_s += ws[i as usize];
+                    lin_s += w_static[i as usize];
                 }
             }
-            let lin_d = shared_lin_d.unwrap_or_else(|| sum_dyn(bi));
-            *f = (*f + (lin_s + lin_d)) + w0;
+            *f = (*f + (lin_s + view.lin_d[hrow(bi)])) + w0;
         }
     }
 }
@@ -934,16 +847,6 @@ impl Scorer for FrozenSeqFm {
     }
 }
 
-/// Copies row 0's `[col, col + w)` block of the `[b, stride]` matrix `hagg`
-/// into every other row (shared-history broadcast of a view's output).
-fn broadcast_hagg_block(hagg: &mut [f32], b: usize, stride: usize, col: usize, w: usize) {
-    let (first, rest) = hagg[..b * stride].split_at_mut(stride);
-    let src = &first[col..col + w];
-    for row in rest.chunks_exact_mut(stride) {
-        row[col..col + w].copy_from_slice(src);
-    }
-}
-
 /// Embedding gather mirroring `Graph::gather`: zero rows for [`PAD`].
 ///
 /// # Panics
@@ -965,7 +868,8 @@ pub(crate) fn gather_rows(table: &Tensor, idx: &[i64], d: usize, out: &mut [f32]
 
 /// Intra-view pooling (Eq. 14), mirroring `SeqFm::pool` exactly: plain mean
 /// over rows, or — with the masked-pooling extension — an indicator-weighted
-/// sum rescaled by the true sequence length.
+/// sum rescaled by the true sequence length. `pads` holds one padding count
+/// per slice, or a single count every slice shares (a one-row history side).
 fn pool_into(
     h: &[f32],
     b: usize,
@@ -980,7 +884,7 @@ fn pool_into(
     match (masked, pads) {
         (true, Some((pads, n_fixed))) => {
             for bi in 0..b {
-                let pad = pads[bi];
+                let pad = if pads.len() == 1 { pads[0] } else { pads[bi] };
                 let inv = 1.0 / ((n - pad) as f32).max(1.0);
                 let o = &mut out[bi * d..(bi + 1) * d];
                 o.fill(0.0);

@@ -132,10 +132,12 @@ impl MaskCache {
 /// One `Scratch` belongs to exactly one serving thread. It owns a
 /// [`Workspace`] arena that hands the frozen forward pass its view buffers
 /// (embeddings, Q/K/V, attention scores, pooling and FFN temporaries) as
-/// RAII scopes sized exactly per call, plus the reused autograd tape of the
-/// [`GraphScorer`] compatibility path. Every buffer grows to the high-water
-/// mark of the batches it has seen, after which [`Scorer::score`] calls
-/// allocate nothing — a property pinned down by a counting-allocator test
+/// RAII scopes sized exactly per call, the [`HistoryView`] an uncached
+/// forward builds in place and scores against (a caller-lent view leaves it
+/// untouched), plus the reused autograd tape of the [`GraphScorer`]
+/// compatibility path. Every buffer grows to the high-water mark of the
+/// batches it has seen, after which [`Scorer::score`] calls allocate
+/// nothing — a property pinned down by a counting-allocator test
 /// (`tests/score_zero_alloc.rs`).
 pub struct Scratch {
     /// RNG handed to `SeqModel::forward` by [`GraphScorer`]. Inference
@@ -148,8 +150,9 @@ pub struct Scratch {
     pub(crate) ws: Workspace,
     /// Reused tape for [`GraphScorer`]; reset between calls.
     pub(crate) graph: Graph,
-    /// Per-sample padding lengths (masked-pooling extension).
-    pub(crate) pad_counts: Vec<usize>,
+    /// The history side of an uncached frozen forward, rebuilt in place by
+    /// every such call (its buffers keep their capacity between calls).
+    pub(crate) view: HistoryView,
     pub(crate) masks: Option<MaskCache>,
 }
 
@@ -161,7 +164,7 @@ impl Scratch {
             out: Vec::new(),
             ws: Workspace::new(),
             graph: Graph::new(),
-            pad_counts: Vec::new(),
+            view: HistoryView::default(),
             masks: None,
         }
     }

@@ -1,28 +1,31 @@
-//! Cached history-side work of a frozen forward pass: [`HistoryView`].
+//! The history side of a frozen forward pass: [`HistoryView`].
 //!
-//! SeqFM's split structure makes serving-side caching unusually cheap: in a
-//! candidate-expansion batch every row shares the user's dynamic sequence,
-//! and everything the frozen forward derives from that sequence *alone* —
-//! the dynamic-view pooled representation, the cross view's history-row
-//! Q/K/V projections, the dynamic linear term, the padding length — is
-//! independent of the candidates being scored. A [`HistoryView`] packages
-//! exactly those intermediates so a stateful serving layer can compute them
-//! **once per history version** and reuse them across requests, instead of
-//! once per request.
+//! SeqFM's split structure makes the user's sequence the object everything
+//! else is organised around: everything the frozen forward derives from the
+//! dynamic block *alone* — the dynamic view's pooled representation, the
+//! cross view's history-row Q/K/V projections, the dynamic linear term, the
+//! padding length — is independent of the candidates being scored (paper
+//! Eq. 11–14). A [`HistoryView`] is the output of the forward's own history
+//! stage (`FrozenSeqFm::build_history`, the only code that computes any of
+//! it), one row per distinct history it was run on. An uncached forward
+//! builds the view its [`Scratch`](crate::Scratch) owns — one row when the
+//! batch repeats a history, one per batch row otherwise — and scores
+//! against it; a stateful serving layer builds a **one-row** view **once
+//! per history version** and lends it to many requests instead.
 //!
-//! Views are produced by
+//! Cacheable views are produced by
 //! [`Scorer::build_history_view`](crate::Scorer::build_history_view) and
 //! consumed by
 //! [`Scorer::score_with_view_into`](crate::Scorer::score_with_view_into);
-//! for [`FrozenSeqFm`](crate::FrozenSeqFm) the cached values are bitwise
-//! the ones the plain forward would recompute, so view-based scoring is
-//! **bit-identical** to scoring the same history inline.
+//! for [`FrozenSeqFm`](crate::FrozenSeqFm) a lent view and a built one come
+//! out of the same stage, so view-based scoring is **bit-identical** to
+//! scoring the same history inline.
 
-/// The frozen forward's history-side intermediates for one dynamic
-/// sequence (left-padded to the serving window), versioned and cached by
-/// the serving layer.
+/// The frozen forward's history-side intermediates for `rows ≥ 1` dynamic
+/// sequences (each left-padded to the serving window). The views a serving
+/// layer versions and caches hold exactly one row.
 ///
-/// A view is tied to the exact padded index row it was built from
+/// A view is tied to the exact padded index rows it was built from
 /// ([`HistoryView::dyn_idx`]); scoring it against a batch with a different
 /// dynamic block is a serving-layer bug and is rejected loudly rather than
 /// silently producing stale scores.
@@ -32,23 +35,28 @@
 /// the view knows which parts it filled.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HistoryView {
-    /// The left-padded dynamic index row this view caches (`nd` entries).
+    /// The left-padded dynamic index rows this view was built from
+    /// (`rows · nd` entries).
     pub(crate) dyn_idx: Vec<i64>,
+    /// Width of the dynamic window each row covers.
+    pub(crate) nd: usize,
     /// Embedding width the view was built at.
     pub(crate) d: usize,
-    /// Number of leading padding slots in `dyn_idx`.
-    pub(crate) pad: usize,
-    /// Dynamic-side linear term Σ w˙\[i\] over non-pad history items.
-    pub(crate) lin_d: f32,
-    /// Pooled output of the dynamic view's attention + FFN stack, `[d]`
-    /// (empty when the dynamic view is ablated away).
+    /// Number of leading padding slots per row, `[rows]` (sized even when
+    /// `nd == 0`: its length *is* the row count).
+    pub(crate) pad: Vec<usize>,
+    /// Dynamic-side linear term Σ w˙\[i\] over each row's non-pad history
+    /// items, `[rows]`.
+    pub(crate) lin_d: Vec<f32>,
+    /// Pooled output of the dynamic view's attention + FFN stack,
+    /// `[rows, d]` (empty when the dynamic view is ablated away).
     pub(crate) dyn_pooled: Vec<f32>,
-    /// Cross-view Q projections of the history rows, `[nd, d]` row-major
-    /// (empty when the cross view is ablated away).
+    /// Cross-view Q projections of the history rows, `[rows · nd, d]`
+    /// row-major (empty when the cross view is ablated away).
     pub(crate) hist_q: Vec<f32>,
-    /// Cross-view K projections of the history rows, `[nd, d]`.
+    /// Cross-view K projections of the history rows, `[rows · nd, d]`.
     pub(crate) hist_k: Vec<f32>,
-    /// Cross-view V projections of the history rows, `[nd, d]`.
+    /// Cross-view V projections of the history rows, `[rows · nd, d]`.
     pub(crate) hist_v: Vec<f32>,
 }
 
@@ -60,14 +68,25 @@ impl HistoryView {
 
     /// Width of the dynamic window (`nd`) the view covers.
     pub fn nd(&self) -> usize {
-        self.dyn_idx.len()
+        self.nd
+    }
+
+    /// Number of histories the view holds: 1 for every view handed out of
+    /// the crate, the batch size for a per-row scratch view.
+    pub(crate) fn rows(&self) -> usize {
+        self.pad.len()
     }
 
     /// Approximate heap footprint in bytes — what a bounded view cache
     /// budgets per entry.
     pub fn approx_bytes(&self) -> usize {
         self.dyn_idx.len() * std::mem::size_of::<i64>()
-            + (self.dyn_pooled.len() + self.hist_q.len() + self.hist_k.len() + self.hist_v.len())
+            + self.pad.len() * std::mem::size_of::<usize>()
+            + (self.lin_d.len()
+                + self.dyn_pooled.len()
+                + self.hist_q.len()
+                + self.hist_k.len()
+                + self.hist_v.len())
                 * std::mem::size_of::<f32>()
     }
 }

@@ -8,6 +8,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use seqfm_autograd::ParamStore;
+use std::collections::HashSet;
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"SQFM";
@@ -35,6 +36,13 @@ pub enum CheckpointError {
     },
     /// Store has parameters the checkpoint lacks.
     MissingParams(usize),
+    /// Checkpoint lists the same parameter more than once.
+    DuplicateParam(String),
+    /// A stored element is NaN or ±∞.
+    NonFinite {
+        /// Parameter name.
+        name: String,
+    },
     /// Reading or writing a checkpoint file failed. Holds
     /// `"<io error kind>: <message>"` rather than the unclonable
     /// [`std::io::Error`] itself.
@@ -52,6 +60,8 @@ impl fmt::Display for CheckpointError {
                 write!(f, "parameter `{name}`: {stored} elements stored, {expected} expected")
             }
             Self::MissingParams(n) => write!(f, "checkpoint is missing {n} parameter(s)"),
+            Self::DuplicateParam(n) => write!(f, "checkpoint lists parameter `{n}` twice"),
+            Self::NonFinite { name } => write!(f, "parameter `{name}` holds a non-finite value"),
             Self::Io(e) => write!(f, "checkpoint I/O failed: {e}"),
         }
     }
@@ -80,10 +90,17 @@ pub fn save(ps: &ParamStore) -> Bytes {
 /// Restores parameter values by name.
 ///
 /// Every parameter present in the blob must exist in the store with a
-/// matching element count, and every store parameter must appear in the blob.
+/// matching element count and finite values, and every store parameter must
+/// appear in the blob exactly once. Entries are committed as they are
+/// decoded, so the store is partially overwritten when an error is returned.
 ///
 /// # Errors
-/// See [`CheckpointError`].
+/// [`CheckpointError::BadMagic`] / [`CheckpointError::BadVersion`] /
+/// [`CheckpointError::Truncated`] for a malformed blob;
+/// [`CheckpointError::UnknownParam`], [`CheckpointError::ShapeMismatch`],
+/// [`CheckpointError::DuplicateParam`] or [`CheckpointError::NonFinite`] for
+/// the first offending entry; [`CheckpointError::MissingParams`] when the
+/// blob ends with store parameters still unrestored.
 pub fn load(ps: &mut ParamStore, blob: &[u8]) -> Result<(), CheckpointError> {
     let mut buf = blob;
     if buf.remaining() < 10 {
@@ -99,7 +116,7 @@ pub fn load(ps: &mut ParamStore, blob: &[u8]) -> Result<(), CheckpointError> {
         return Err(CheckpointError::BadVersion(version));
     }
     let count = buf.get_u32_le() as usize;
-    let mut restored = 0usize;
+    let mut restored = HashSet::new();
     for _ in 0..count {
         if buf.remaining() < 2 {
             return Err(CheckpointError::Truncated);
@@ -119,13 +136,20 @@ pub fn load(ps: &mut ParamStore, blob: &[u8]) -> Result<(), CheckpointError> {
         if expected != numel {
             return Err(CheckpointError::ShapeMismatch { name, stored: numel, expected });
         }
+        // A repeated entry would otherwise stand in for a missing one in
+        // the completeness count below.
+        if !restored.insert(id) {
+            return Err(CheckpointError::DuplicateParam(name));
+        }
         for v in ps.value_mut(id).data_mut() {
             *v = buf.get_f32_le();
+            if !v.is_finite() {
+                return Err(CheckpointError::NonFinite { name });
+            }
         }
-        restored += 1;
     }
-    if restored < ps.len() {
-        return Err(CheckpointError::MissingParams(ps.len() - restored));
+    if restored.len() < ps.len() {
+        return Err(CheckpointError::MissingParams(ps.len() - restored.len()));
     }
     Ok(())
 }
@@ -248,6 +272,50 @@ mod tests {
         match save_file(&ps, &dir) {
             Err(CheckpointError::Io(_)) => {}
             other => panic!("expected Io error, got {other:?}"),
+        }
+    }
+
+    /// Re-encodes `entries` as a blob by hand, so a test can repeat or
+    /// poison an entry `save` would never write.
+    fn blob_of(entries: &[(&str, &[f32])]) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u16_le(VERSION);
+        buf.put_u32_le(entries.len() as u32);
+        for (name, values) in entries {
+            buf.put_u16_le(name.len() as u16);
+            buf.put_slice(name.as_bytes());
+            buf.put_u32_le(values.len() as u32);
+            for &v in *values {
+                buf.put_f32_le(v);
+            }
+        }
+        buf.freeze()
+    }
+
+    #[test]
+    fn a_repeated_entry_does_not_stand_in_for_a_missing_one() {
+        // Two entries for a two-parameter store, but both are `w`: `emb`
+        // would keep its initial values behind an `Ok(())`.
+        let w = [1.0, 2.0, 3.0, 4.0];
+        let blob = blob_of(&[("w", &w), ("w", &w)]);
+        let mut ps = sample_store();
+        assert_eq!(load(&mut ps, &blob), Err(CheckpointError::DuplicateParam("w".into())));
+        // And once duplicates are out, completeness counts parameters.
+        let blob = blob_of(&[("w", &w)]);
+        assert_eq!(load(&mut sample_store(), &blob), Err(CheckpointError::MissingParams(1)));
+    }
+
+    #[test]
+    fn rejects_non_finite_values() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let blob = blob_of(&[("w", &[1.0, bad, 3.0, 4.0]), ("emb", &[0.5; 6])]);
+            let mut ps = sample_store();
+            assert_eq!(
+                load(&mut ps, &blob),
+                Err(CheckpointError::NonFinite { name: "w".into() }),
+                "{bad} must not load"
+            );
         }
     }
 

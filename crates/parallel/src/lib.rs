@@ -16,9 +16,10 @@
 //!   [`ThreadPool::scope`] lets tasks borrow from the caller's stack frame
 //!   (crossbeam-style), and a blocked scope *helps* by executing queued
 //!   tasks, so nested scopes cannot deadlock the pool.
-//! * [`par_for`] / [`par_map_reduce`] — data-parallel loops over index
-//!   ranges. Chunking is deterministic (a pure function of the inputs), so
-//!   results never depend on thread scheduling.
+//! * [`par_units`] / [`par_units2`] / [`par_units3`] — fan one, two or
+//!   three unit-aligned buffers out over the pool in contiguous chunks.
+//!   Chunking is deterministic (a pure function of the inputs), so results
+//!   never depend on thread scheduling.
 //! * [`partition`] / [`shard_seed`] — deterministic contiguous partitioning
 //!   and per-shard RNG stream derivation (SplitMix64 mixing), the building
 //!   blocks of reproducible data-parallel training.
@@ -43,9 +44,7 @@ mod shards;
 mod slot;
 
 pub use oneshot::{Disconnected, Oneshot};
-pub use par::{
-    chunk_ranges, par_for, par_map_reduce, par_units, par_units2, par_units3, partition, shard_seed,
-};
+pub use par::{par_units, par_units2, par_units3, partition, shard_seed};
 pub use pool::{configured_workers, global, in_parallel_task, Scope, ThreadPool};
 pub use queue::{WorkQueue, WorkerHandle};
 pub use slot::ArcSlot;

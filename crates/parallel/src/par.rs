@@ -1,13 +1,12 @@
-//! Data-parallel loop primitives and deterministic partitioning.
+//! Slice fan-out primitives and deterministic partitioning.
 //!
 //! Everything here is deterministic by construction: chunk boundaries are a
-//! pure function of the inputs (never of thread timing), per-chunk work is
-//! processed in index order, and reductions combine chunk results in chunk
-//! order. Parallel results therefore match their serial counterparts exactly
-//! whenever the combining operator is associative — and bit-for-bit when
-//! per-index work is independent (as in row-partitioned kernels).
+//! pure function of the inputs (never of thread timing) and each chunk is
+//! handed to exactly one task, so row-partitioned kernels — whose per-unit
+//! work is independent — produce bit-for-bit the serial result on any pool
+//! size.
 
-use crate::pool::{in_parallel_task, ThreadPool};
+use crate::pool::ThreadPool;
 use std::ops::Range;
 
 /// Splits `0..n` into exactly `min(parts, n)` contiguous ranges whose sizes
@@ -32,19 +31,6 @@ pub fn partition(n: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Splits `0..n` into at most `target_chunks` contiguous ranges of at least
-/// `min_chunk` items each (the tail range may be shorter only when
-/// `n < min_chunk`). Deterministic — used by [`par_for`] to bound task
-/// granularity.
-pub fn chunk_ranges(n: usize, target_chunks: usize, min_chunk: usize) -> Vec<Range<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let min_chunk = min_chunk.max(1);
-    let max_by_min = n.div_ceil(min_chunk);
-    partition(n, target_chunks.max(1).min(max_by_min))
-}
-
 /// Derives the RNG seed of stream `stream` from a base seed — a SplitMix64
 /// finalizer over `seed ⊕ (stream + 1)·φ64`, so consecutive streams are
 /// uncorrelated and stream 0 differs from the base seed itself.
@@ -55,31 +41,6 @@ pub fn shard_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs `f` over `0..n` in parallel chunks of at least `min_chunk` indices.
-///
-/// Falls back to one serial call `f(0..n)` when the pool has a single
-/// worker, the range fits one chunk, or the caller is already inside a pool
-/// task (nested data parallelism adds overhead, not concurrency).
-pub fn par_for<F>(pool: &ThreadPool, n: usize, min_chunk: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let chunks = chunk_ranges(n, pool.workers(), min_chunk);
-    if chunks.len() <= 1 || in_parallel_task() {
-        f(0..n);
-        return;
-    }
-    pool.scope(|s| {
-        for r in chunks {
-            let f = &f;
-            s.spawn(move || f(r));
-        }
-    });
-}
-
 /// Fans a buffer of `data.len() / unit_len` fixed-size units out over the
 /// pool in contiguous per-worker chunks, calling `f(first_unit, chunk)` for
 /// each chunk (`chunk` holds whole units; `first_unit` is the global index
@@ -87,8 +48,8 @@ where
 /// the `div_ceil`/`chunks_mut` fan-out arithmetic used by every
 /// row/slice-partitioned kernel.
 ///
-/// Like [`par_for`], a fan-out of one chunk (a single-worker pool, or fewer
-/// units than one worker's share) runs as a plain call on the caller's
+/// A fan-out of one chunk (a single-worker pool, or fewer units than one
+/// worker's share) runs as a plain call on the caller's
 /// thread: handing the only chunk to the pool and waiting for it buys no
 /// concurrency, costs a task box, a wake-up and two context switches, and
 /// leaves to the scheduler which thread ends up running it.
@@ -198,55 +159,6 @@ where
     });
 }
 
-/// Parallel map + ordered reduce over `0..n`:
-/// each chunk folds `map(i)` in index order, and chunk results are folded
-/// into `init` in chunk order. For an associative `reduce` the result equals
-/// the serial `(0..n).map(map).fold(init, reduce)` exactly — the reduction
-/// tree depends only on `n`, `min_chunk`, and the pool size, never on
-/// scheduling.
-pub fn par_map_reduce<T, M, R>(
-    pool: &ThreadPool,
-    n: usize,
-    min_chunk: usize,
-    init: T,
-    map: M,
-    reduce: R,
-) -> T
-where
-    T: Send,
-    M: Fn(usize) -> T + Sync,
-    R: Fn(T, T) -> T + Sync,
-{
-    if n == 0 {
-        return init;
-    }
-    let chunks = chunk_ranges(n, pool.workers(), min_chunk);
-    let fold_chunk = |r: Range<usize>| -> Option<T> {
-        let mut acc: Option<T> = None;
-        for i in r {
-            let v = map(i);
-            acc = Some(match acc {
-                None => v,
-                Some(a) => reduce(a, v),
-            });
-        }
-        acc
-    };
-    let mut slots: Vec<Option<T>> = Vec::new();
-    if chunks.len() <= 1 || in_parallel_task() {
-        slots.push(fold_chunk(0..n));
-    } else {
-        slots.resize_with(chunks.len(), || None);
-        pool.scope(|s| {
-            for (slot, r) in slots.iter_mut().zip(chunks) {
-                let fold_chunk = &fold_chunk;
-                s.spawn(move || *slot = fold_chunk(r));
-            }
-        });
-    }
-    slots.into_iter().flatten().fold(init, reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,16 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_ranges_respects_min_chunk() {
-        // 100 items, min chunk 40 → at most 3 chunks even on a wide pool.
-        let chunks = chunk_ranges(100, 16, 40);
-        assert_eq!(chunks.len(), 3);
-        assert!(chunks.iter().all(|r| r.len() >= 33));
-        assert_eq!(chunk_ranges(5, 8, 10), vec![0..5]);
-        assert!(chunk_ranges(0, 4, 1).is_empty());
-    }
-
-    #[test]
     fn shard_seeds_are_distinct_streams() {
         let seeds: Vec<u64> = (0..64).map(|s| shard_seed(42, s)).collect();
         let mut dedup = seeds.clone();
@@ -279,18 +181,6 @@ mod tests {
         assert_eq!(dedup.len(), seeds.len(), "stream collision");
         assert_ne!(shard_seed(42, 0), 42, "stream 0 must not echo the base seed");
         assert_ne!(shard_seed(42, 0), shard_seed(43, 0), "base seed must matter");
-    }
-
-    #[test]
-    fn par_for_covers_every_index_exactly_once() {
-        let pool = ThreadPool::new(4);
-        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        par_for(&pool, hits.len(), 16, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -385,14 +275,5 @@ mod tests {
         // No units: no call at all.
         par_units(&wide, &mut [0u8; 0], 3, |_, _| unreachable!("empty fan-out"));
         par_units2(&solo, &mut [0u8; 0], 2, &mut [0u8; 0], 3, |_, _, _| unreachable!("empty"));
-    }
-
-    #[test]
-    fn par_map_reduce_matches_serial_fold() {
-        let pool = ThreadPool::new(3);
-        let n = 1234usize;
-        let serial: u64 = (0..n).map(|i| (i as u64) * 3 + 1).fold(7, u64::wrapping_add);
-        let par = par_map_reduce(&pool, n, 10, 7u64, |i| (i as u64) * 3 + 1, u64::wrapping_add);
-        assert_eq!(par, serial);
     }
 }

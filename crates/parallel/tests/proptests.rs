@@ -1,32 +1,9 @@
 //! Property-based tests for the parallel primitives.
 
 use proptest::prelude::*;
-use seqfm_parallel::{chunk_ranges, par_for, par_map_reduce, partition, ThreadPool};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
-
-/// One shared multi-worker pool for every case — repeatedly spinning up
-/// threads per proptest case would dominate the runtime.
-fn pool() -> &'static ThreadPool {
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| ThreadPool::new(4))
-}
+use seqfm_parallel::partition;
 
 proptest! {
-    /// par_map_reduce over an exactly-associative operator equals the plain
-    /// serial fold for arbitrary input lengths and chunk granularities.
-    #[test]
-    fn par_map_reduce_equals_serial_fold(
-        values in proptest::collection::vec(0u32..1_000_000, 0..700),
-        min_chunk in 1usize..64,
-        init in 0u64..1000,
-    ) {
-        let map = |i: usize| values[i] as u64;
-        let serial = (0..values.len()).map(map).fold(init, u64::wrapping_add);
-        let par = par_map_reduce(pool(), values.len(), min_chunk, init, map, u64::wrapping_add);
-        prop_assert_eq!(par, serial);
-    }
-
     /// Partitioning is a disjoint, exhaustive, ordered cover of 0..n.
     #[test]
     fn partition_covers_exactly(n in 0usize..5000, parts in 1usize..32) {
@@ -45,39 +22,6 @@ proptest! {
             ranges.iter().map(|r| r.len()).min(),
         ) {
             prop_assert!(max - min <= 1, "unbalanced: {max} vs {min}");
-        }
-    }
-
-    /// chunk_ranges never under-fills a chunk below min_chunk (except the
-    /// single-chunk tail case) and covers 0..n exactly.
-    #[test]
-    fn chunk_ranges_cover_and_respect_granularity(
-        n in 0usize..5000,
-        target in 1usize..16,
-        min_chunk in 1usize..128,
-    ) {
-        let chunks = chunk_ranges(n, target, min_chunk);
-        let total: usize = chunks.iter().map(|r| r.len()).sum();
-        prop_assert_eq!(total, n);
-        if chunks.len() > 1 {
-            // Balanced partition of a range that supports >=2 chunks of
-            // min_chunk: every chunk is at least min_chunk/2 in practice,
-            // but the hard guarantee is chunk count <= ceil(n / min_chunk).
-            prop_assert!(chunks.len() <= n.div_ceil(min_chunk));
-        }
-    }
-
-    /// par_for visits every index exactly once for arbitrary granularity.
-    #[test]
-    fn par_for_visits_each_index_once(n in 0usize..2000, min_chunk in 1usize..96) {
-        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        par_for(pool(), n, min_chunk, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        for (i, h) in hits.iter().enumerate() {
-            prop_assert_eq!(h.load(Ordering::Relaxed), 1, "index {} hit count", i);
         }
     }
 }

@@ -8,8 +8,9 @@
 //! ones sharing a canonical history window (regardless of user), and scores
 //! every group as one super-batch through
 //! [`score_requests_stateful`](crate::score_requests_stateful). The frozen
-//! scorer's shared-history fast path then fires *across* requests and
-//! *across users*, so throughput rises with load, not only with threads.
+//! scorer's history side then has one row for the whole group — *across*
+//! requests and *across users* — so throughput rises with load, not only
+//! with threads.
 //!
 //! Since the stateful-serving redesign the engine also **owns the
 //! sequences**: a sharded [`HistoryStore`](crate::HistoryStore) sized

@@ -30,8 +30,8 @@
 //!   synchronous call;
 //! * [`score_requests`] — the **coalesced** path: many requests scored at
 //!   once, with requests sharing a canonical history window — regardless of
-//!   user — grouped into one super-batch so the frozen scorer's
-//!   shared-history fast path fires *across* requests and *across users*
+//!   user — grouped into one super-batch so the frozen scorer builds (or
+//!   borrows) one history row *across* requests and *across users*
 //!   (bit-identical to the serial path, per request);
 //! * [`Engine`] — a multi-threaded, batch-coalescing scoring engine with
 //!   **bounded admission**: the non-blocking [`Engine::submit`] sheds load

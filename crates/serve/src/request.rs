@@ -406,15 +406,15 @@ impl CoalesceScratch {
 
 /// Serves many requests as coalesced super-batches: requests with the same
 /// **canonical history window** — regardless of user — are grouped and
-/// scored through **one** batch whose rows all share the dynamic block,
-/// exactly the candidate-expansion shape the frozen scorer's
-/// shared-history fast path accelerates, now firing *across* requests and
-/// *across users* instead of only within one request.
+/// scored through **one** batch whose rows all share the dynamic block —
+/// the candidate-expansion shape, for which the frozen scorer's history
+/// side holds a single row — now shared *across* requests and *across
+/// users* instead of only within one request.
 ///
 /// Grouping is by first occurrence, scores are split back per request, and
 /// each response is ranked exactly like [`score_request`] — per-request
 /// results are **bit-identical** to the serial path (per-row arithmetic is
-/// untouched; the fast path's reuse is itself bit-exact, and the user only
+/// untouched; sharing a history row is itself bit-exact, and the user only
 /// enters through each row's own static features). Invalid requests get
 /// their own [`ServeError`] without poisoning the rest. The returned
 /// vector is index-aligned with `reqs`.

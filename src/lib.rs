@@ -11,7 +11,7 @@
 //! Crate map:
 //!
 //! * [`parallel`] — the parallelism subsystem: work-stealing thread pool,
-//!   `par_for`/`par_map_reduce`, sharded work queues, reusable oneshots
+//!   `par_units` slice fan-out, sharded work queues, reusable oneshots
 //! * [`tensor`] — dense f32 tensors and kernels (matmul/bmm/softmax/…),
 //!   auto-parallel above a size threshold
 //! * [`autograd`] — tape-based reverse-mode autodiff
