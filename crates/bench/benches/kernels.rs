@@ -7,7 +7,10 @@
 //!   shapes `d = 32` and `d = 64` (candidate-expansion row counts);
 //! * fused [`attention_into`] latency at serving geometry, and the exact
 //!   cross view there both ways: splice + dense masked [`attention_into`]
-//!   vs. the structured [`attention_cross_shared_into`];
+//!   vs. the structured [`attention_cross_shared_into`], the latter also at
+//!   the request shape (one user row shared by every candidate);
+//! * the output head's `[100, 96]·[96, 1]` matrix-vector product, naive vs.
+//!   the eight-rows-per-tile kernel;
 //! * the cross view at the training geometry (a history per row), forward
 //!   and backward: the dense tape ops vs. [`attention_cross_rows_into`] /
 //!   [`attention_cross_rows_backward_into`];
@@ -230,7 +233,9 @@ fn emit_kernels_json(_c: &mut Criterion) {
     // One request's cross-view attention (100 candidates, ns = 2, nd = 20,
     // d = 32): the dense path splices the shared history under every
     // candidate and scores all 22 × 22 pairs; the structured kernel reads
-    // the shared block in place and scores only the 80 admitted pairs.
+    // the shared block in place and scores only the 80 admitted pairs — or,
+    // told that the user row is shared too, the 40 that involve a
+    // candidate's own row, after a per-call prelude for the rest.
     {
         let (b, ns, nd, d) = (100usize, 2usize, 20usize, 32usize);
         let n = ns + nd;
@@ -266,31 +271,64 @@ fn emit_kernels_json(_c: &mut Criterion) {
             },
             200,
         );
-        let structured = p50_of(
-            &mut || {
-                attention_cross_shared_into(
-                    stat[0].data(),
-                    stat[1].data(),
-                    stat[2].data(),
-                    hist[0].data(),
-                    hist[1].data(),
-                    hist[2].data(),
-                    scale,
-                    b,
-                    ns,
-                    nd,
-                    d,
-                    &mut scores,
-                    &mut out_buf,
-                );
-                std::hint::black_box(out_buf[0]);
-            },
-            200,
-        );
+        // `[own]`: every slice brings both its static rows. `[shared user]`:
+        // the request shape — slice 0's first row is the row all slices lead
+        // with, and each brings one row of its own.
+        let [stat_d, hist_d] = [&stat, &hist].map(|x| [0, 1, 2].map(|i| x[i].data()));
+        let own: [Vec<f32>; 3] = stat_d
+            .map(|x| x.chunks_exact(ns * d).flat_map(|slice| slice[d..].iter().copied()).collect());
+        let mut time_structured = |shared: [&[f32]; 3], own: [&[f32]; 3], ns0: usize| {
+            p50_of(
+                &mut || {
+                    attention_cross_shared_into(
+                        shared,
+                        own,
+                        hist_d,
+                        scale,
+                        [b, ns0, ns - ns0, nd, d],
+                        &mut scores,
+                        &mut out_buf,
+                    );
+                    std::hint::black_box(out_buf[0]);
+                },
+                200,
+            )
+        };
+        let structured = time_structured([&[]; 3], stat_d, 0);
+        let shared_user = time_structured(stat_d.map(|x| &x[..d]), [&own[0], &own[1], &own[2]], 1);
         fields.push_str(&format!(
-            "  \"attention_cross_exact_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_exact_structured_b{b}_n{n}_d{d}_us\": {:.1},\n",
+            "  \"attention_cross_exact_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_exact_structured_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_exact_structured_shared_user_b{b}_n{n}_d{d}_us\": {:.1},\n",
             dense * 1e6,
-            structured * 1e6
+            structured * 1e6,
+            shared_user * 1e6
+        ));
+    }
+
+    // --- the output head: `[100, 96]·[96, 1]`, one request's Eq. 18 --------
+    // A matrix-vector product has no column lanes; the tiled entry runs
+    // eight rows' chains at once where the naive loop runs one.
+    {
+        let (m, k) = (100usize, 96usize);
+        let mut seed = 10;
+        let a = rand(Shape::d2(m, k), &mut seed);
+        let p = rand(Shape::d2(k, 1), &mut seed);
+        let mut f = vec![0.0f32; m];
+        type NnKernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+        let mut time = |kernel: NnKernel| {
+            p50_of(
+                &mut || {
+                    f.fill(0.0);
+                    kernel(a.data(), p.data(), &mut f, m, k, 1);
+                    std::hint::black_box(f[0]);
+                },
+                2000,
+            )
+        };
+        let (mv_naive, mv_tiled) = (time(naive::matmul_nn_into), time(tiled::matmul_nn_into));
+        fields.push_str(&format!(
+            "  \"matvec_nn_naive_m{m}_k{k}_us\": {:.2},\n  \"matvec_nn_m{m}_k{k}_us\": {:.2},\n",
+            mv_naive * 1e6,
+            mv_tiled * 1e6
         ));
     }
 

@@ -18,7 +18,12 @@
 //! runs top to bottom like [`SeqFm`]'s forward: gather static → static view
 //! → dynamic view (a copy out of the view) → cross view → head. The only
 //! thing that depends on how the view came to be is which cross-view kernel
-//! runs (shared history vs. one per row).
+//! runs and on what operands: one history per row, or one shared history —
+//! under which a request's repeated user row is shared as well, so the
+//! kernel computes that row's cross-view output and every history row's
+//! score against it once per call, and each candidate pays for its own row
+//! alone. None of that goes into the [`HistoryView`]: it depends on the
+//! user, and a view is shared across users by window content.
 
 use crate::config::SeqFmConfig;
 use crate::precision::{FrozenParamsFast, ScorerPrecision};
@@ -643,9 +648,14 @@ impl FrozenSeqFm {
         }
 
         // Candidate-expansion batches repeat the user feature in static
-        // column 0 of every row; project the `1 + b` unique static rows
-        // instead of all `2·b` and broadcast the shared row's projection —
-        // bit-identical per row (see [`Self::project_static_unique`]).
+        // column 0 of every row: everything computed from that row alone is
+        // computed once. Both views project the `1 + b` unique static rows
+        // instead of all `2·b` — the static view broadcasts the shared
+        // row's projection into its `[b, 2, d]` blocks (see
+        // [`Self::project_static_unique`]); the cross view, when the
+        // history is shared too, passes the unique rows on uncopied and the
+        // kernel hoists the user row's whole attention. Bit-identical per
+        // row either way.
         let uniq_static =
             ns == 2 && b > 1 && static_idx.chunks_exact(2).skip(1).all(|r| r[0] == static_idx[0]);
 
@@ -739,36 +749,44 @@ impl FrozenSeqFm {
         }
         if ab.cross_view {
             // No stack [E°; E˙]: projection is row-local, so the static rows
-            // land in the leading `[b, ns, d]` blocks of Q/K/V, the history
-            // rows sit in the view's `rows` blocks of `[nd, d]`, and the
-            // structured kernels read both in place — bit-identical to the
-            // dense masked pipeline over the spliced stack (pinned in the
-            // tensor crate) and to the tape's cross-attention node, minus
-            // the splice copies and the ~83 % of scores the cross mask
-            // discards.
-            project_static(2, &mut pu, &mut bufs);
-            let [qh, kh, vh] = [&view.hist_q[..], &view.hist_k[..], &view.hist_v[..]];
+            // land in the leading blocks of Q/K/V, the history rows sit in
+            // the view's `rows` blocks of `[nd, d]`, and the structured
+            // kernels read both in place — bit-identical to the dense masked
+            // pipeline over the spliced stack (pinned in the tensor crate)
+            // and to the tape's cross-attention node, minus the splice
+            // copies and the ~83 % of scores the cross mask discards.
+            //
+            // One history *and* one user: the `[1 + b, d]` unique
+            // projections go to the kernel as they are — row 0 the static
+            // row every slice shares, rows `1..` each candidate's own.
+            let shared_user = uniq_static && rows == 1;
+            if shared_user {
+                let dsts = [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v];
+                for (wi, dst) in dsts.into_iter().enumerate() {
+                    self.project_view(&e_u, 2, wi, 1 + b, dst);
+                }
+            } else {
+                project_static(2, &mut pu, &mut bufs);
+            }
+            let stat = [&*bufs.q, &*bufs.k, &*bufs.v];
+            let hist = [&view.hist_q[..], &view.hist_k[..], &view.hist_v[..]];
             if rows == 1 {
+                // Mixed-user groups share nothing on the static side.
+                let (ns0, ns1) = if shared_user { (1, 1) } else { (0, ns) };
                 attention_cross_shared_into(
-                    bufs.q,
-                    bufs.k,
-                    bufs.v,
-                    qh,
-                    kh,
-                    vh,
+                    stat.map(|x| &x[..ns0 * d]),
+                    stat.map(|x| &x[ns0 * d..]),
+                    hist,
                     scale,
-                    b,
-                    ns,
-                    nd,
-                    d,
+                    [b, ns0, ns1, nd, d],
                     bufs.scores,
                     bufs.ctx,
                 );
             } else {
                 attention_cross_rows_into(
-                    [&*bufs.q, &*bufs.k, &*bufs.v],
+                    stat,
                     ns * d,
-                    [qh, kh, vh],
+                    hist,
                     nd * d,
                     scale,
                     [b, ns, nd, d],

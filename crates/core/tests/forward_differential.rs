@@ -5,10 +5,12 @@
 //! must produce the autograd graph's logits **bit for bit**.
 //!
 //! The hand-picked parity suites sit at `d = 8`, `max_seq = 6`; this one
-//! draws odd widths, single-row batches, partially shared batches and the
-//! degenerate histories (all PAD, shorter than the window, truncated, one
-//! item repeated to capacity). The shim draws each case from a seeded RNG,
-//! so a failure reports a case index that reproduces exactly.
+//! draws odd widths, single-row batches, partially shared batches, slates
+//! long enough for the head's eight-row tile plus a tail, slates that repeat
+//! a candidate, and the degenerate histories (all PAD, shorter than the
+//! window, truncated, one item repeated to capacity). The shim draws each
+//! case from a seeded RNG, so a failure reports a case index that reproduces
+//! exactly.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -21,7 +23,7 @@ use seqfm_data::{build_instance, Batch, FeatureLayout};
 const LAYOUT: FeatureLayout = FeatureLayout { n_users: 6, n_items: 10 };
 /// Most rows a case draws, and the longest history one row can carry
 /// (`max_seq + 2` at the widest window).
-const MAX_B: usize = 12;
+const MAX_B: usize = 24;
 const MAX_HIST: usize = 10;
 
 fn all_variants() -> Vec<(&'static str, Ablation)> {
@@ -46,6 +48,7 @@ proptest! {
         one_item in vec(any::<bool>(), MAX_B),
         share_history in any::<bool>(),
         share_user in any::<bool>(),
+        duplicate_cands in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let (name, ablation) = all_variants()[variant];
@@ -71,6 +74,10 @@ proptest! {
             if one_item[r] { vec![hist_items[r * MAX_HIST]; len] } else { drawn.to_vec() }
         };
         let user = |r: usize| users[if share_user { 0 } else { r }];
+        // A slate that keeps returning to its first two candidates: equal
+        // rows must get equal logits from wherever they sit in the batch.
+        let cands: Vec<u32> =
+            (0..b).map(|r| cands[if duplicate_cands { r % 2 } else { r }]).collect();
         let insts: Vec<_> = (0..b)
             .map(|r| {
                 let hist = history(if share_history { 0 } else { r });

@@ -13,7 +13,11 @@
 //! which is what `Graph::attention_cross` records — replay only the chains
 //! of the pairs the cross mask admits and never form the masked ones (whose
 //! contribution to every admitted chain, value or gradient, is an exact
-//! no-op). The caller provides the output and scratch buffers, so repeated
+//! no-op). The shared-history kernel also runs each chain *once*: a chain's
+//! bits do not depend on the slice it is computed for, so whatever involves
+//! only the history and the static rows every slice shares (a request's
+//! user row) is a per-call prelude, and a slice pays for its own rows
+//! alone. The caller provides the output and scratch buffers, so repeated
 //! calls allocate nothing. Above the dispatch threshold the batch dimension
 //! fans out over the global thread pool — per-slice arithmetic is
 //! untouched, so the bit-for-bit guarantee survives parallel execution.
@@ -122,18 +126,36 @@ fn attention_slices(
 }
 
 /// Exact cross-view attention for a **shared history**: every slice shares
-/// one `[nd, d]` block of history-row Q/K/V (`qh`/`kh`/`vh`) under its own
-/// `[ns, d]` static rows (`qs`/`ks`/`vs`, laid out `[bs, ns, d]`), and only
-/// the static↔history pairs [`AttnMask::cross`] admits are ever scored —
-/// each static row softmaxes over the `nd` history columns, each history
-/// row over the `ns` static columns. At serving geometry (`ns = 2`,
-/// `nd = 20`) that is 80 of the 484 scores per slice the dense masked
-/// [`attention_into`] computes, and none of its `3·bs·nd·d` splice copies.
+/// one `[nd, d]` block of history-row Q/K/V (`hist`) under its `ns = ns0 + ns1`
+/// static rows, and only the static↔history pairs [`AttnMask::cross`] admits
+/// are ever scored — each static row softmaxes over the `nd` history columns,
+/// each history row over the `ns` static columns. At serving geometry
+/// (`ns = 2`, `nd = 20`) that is 80 of the 484 scores per slice the dense
+/// masked [`attention_into`] computes, and none of its `3·bs·nd·d` splice
+/// copies.
 ///
-/// **Bit-identical** to splicing the history under every slice and calling
-/// `attention_into(.., Some(&AttnMask::cross(ns, nd)), ..)`, because every
-/// output element runs the dense pipeline's own op chain: a score is
-/// `(0.0 + Σ_{p↑} q[p]·k[p]) · scale` with separate multiply and add
+/// **The static side comes in two parts**, because a candidate-expansion
+/// request repeats its user row under every candidate: `shared` holds the
+/// `[ns0, d]` Q/K/V of the static rows *every* slice leads with, `own` the
+/// `[bs, ns1, d]` rows each slice adds (`ns0 = 0` is "nothing shared": every
+/// slice brings all its rows). With the history shared as well, everything
+/// the leading rows take part in is the same for every slice up to the
+/// history rows' softmax, so it is computed once per call (per worker chunk
+/// when the batch fans out — each chunk packs and preludes in its own
+/// thread arena; bits are equal either way): the shared rows' whole
+/// attention over the history — scores, softmax, context, `ns0` output rows
+/// copied into each slice — and the `[nd, ns0]` scaled scores of every
+/// history row against the shared columns. Per slice that leaves the `ns1`
+/// own rows' attention, the `nd·ns1` fresh history-row scores, and each
+/// history row's softmax and context. **The `exp` of a history row is not
+/// hoisted**: its row maximum runs over the slice's own columns too, so
+/// `exp(score − max)` differs per slice even for a shared column; the shared
+/// *scores* are filled back in before every row softmax instead.
+///
+/// **Bit-identical** to splicing the shared rows and the history into every
+/// slice and calling `attention_into(.., Some(&AttnMask::cross(ns, nd)), ..)`,
+/// because every output element runs the dense pipeline's own op chain: a
+/// score is `(0.0 + Σ_{p↑} q[p]·k[p]) · scale` with separate multiply and add
 /// (`matmul::naive::matmul_nt_into`'s chain; f32 multiplication commutes,
 /// so which operand the lanes run along is free); the softmax is
 /// `softmax_row_inplace` over the admitted entries in ascending column
@@ -141,10 +163,12 @@ fn attention_slices(
 /// added to a non-negative running sum); and a context element is the
 /// seeded-zero ascending-`j` chain `o += w·v` that skips `w == 0.0`
 /// (`matmul::naive::matmul_nn_into`'s chain — blocked weights are exactly
-/// zero, so the dense path skips them too). Lanes run *across* history
-/// columns from transposed packs of the shared `kh`/`qh`, built once per
-/// call in the thread workspace; each lane is still one ascending chain,
-/// so SIMD width and worker count cannot change a bit.
+/// zero, so the dense path skips them too). A chain does not depend on
+/// which slice it is computed for, so the chains a shared row runs once
+/// here are the ones the dense path runs `bs` times. Lanes run *across* history
+/// columns from transposed packs of the shared `kh`/`qh`; each lane is
+/// still one ascending chain, so SIMD width and worker count cannot change
+/// a bit.
 ///
 /// **Blocked pairs are never formed, so they cannot poison a row.** The
 /// dense path adds the mask to *every* score: a blocked score that is NaN
@@ -158,53 +182,50 @@ fn attention_slices(
 /// forwards agree on non-finite inputs by construction; the dense pipeline
 /// is the reference the tests compare against.
 ///
-/// `out` is the full interleaved `[bs, ns + nd, d]` context; `scores` needs
-/// `ns·nd` slots per slice (≥ `bs·ns·nd`) of scratch that must not be read
-/// back. An empty side means every row is fully masked: all-zero context.
+/// `out` is the full interleaved `[bs, ns + nd, d]` context, shared rows
+/// first; `scores` needs `ns·nd` slots per slice (≥ `bs·ns·nd`) of scratch
+/// that must not be read back. An empty side means every row is fully
+/// masked: all-zero context.
 ///
 /// # Panics
 /// Panics if any buffer is too small.
-#[allow(clippy::too_many_arguments)]
 pub fn attention_cross_shared_into(
-    qs: &[f32],
-    ks: &[f32],
-    vs: &[f32],
-    qh: &[f32],
-    kh: &[f32],
-    vh: &[f32],
+    shared: [&[f32]; 3],
+    own: [&[f32]; 3],
+    hist: [&[f32]; 3],
     scale: f32,
-    bs: usize,
-    ns: usize,
-    nd: usize,
-    d: usize,
+    [bs, ns0, ns1, nd, d]: [usize; 5],
     scores: &mut [f32],
     out: &mut [f32],
 ) {
     const NAME: &str = "attention_cross_shared_into";
-    let (stat, hist) = ([qs, ks, vs], [qh, kh, vh]);
+    let ns = ns0 + ns1;
     let n = ns + nd;
-    for (s, side) in stat.iter().zip(["qs", "ks", "vs"]) {
-        assert!(s.len() >= bs * ns * d, "{NAME}: {side} too small");
-    }
-    for (h, side) in hist.iter().zip(["qh", "kh", "vh"]) {
-        assert!(h.len() >= nd * d, "{NAME}: {side} too small");
+    for (side, len, what) in
+        [(shared, ns0 * d, "shared"), (own, bs * ns1 * d, "own"), (hist, nd * d, "hist")]
+    {
+        for x in side {
+            assert!(x.len() >= len, "{NAME}: {what} Q/K/V operand too small");
+        }
     }
     assert!(scores.len() >= bs * ns * nd, "{NAME}: scores scratch too small");
     assert!(out.len() >= bs * n * d, "{NAME}: out too small");
     let out = &mut out[..bs * n * d];
-    if ns == 0 || nd == 0 {
+    if bs == 0 || ns == 0 || nd == 0 {
         // One side empty ⇒ every row is fully masked ⇒ all-zero context
         // (exactly what the dense masked pipeline produces).
         out.fill(0.0);
         return;
     }
-    let stat = stat.map(|s| &s[..bs * ns * d]);
-    let hist = hist.map(|h| &h[..nd * d]);
+    let shared = shared.map(|x| &x[..ns0 * d]);
+    let own = own.map(|x| &x[..bs * ns1 * d]);
+    let hist = hist.map(|x| &x[..nd * d]);
     let scores = &mut scores[..bs * ns * nd];
 
-    // Two admitted blocks of ns·nd scores, each read once for the weighted
-    // value sum → 4·ns·nd·d multiply-adds plus 2·ns·nd exp-weighted ops.
-    let work_per_slice = 4 * ns * nd * d + 32 * ns * nd;
+    // Per slice: ns1·nd fresh scores in each admitted block, the own rows'
+    // weighted value sum over nd columns and the history rows' over all ns,
+    // plus the exp-weighted softmax ops of both blocks.
+    let work_per_slice = (3 * ns1 + ns) * nd * d + 32 * ns * nd;
     if super::dispatch::should_par(bs * work_per_slice, bs) {
         seqfm_parallel::par_units2(
             seqfm_parallel::global(),
@@ -214,48 +235,63 @@ pub fn attention_cross_shared_into(
             n * d,
             |b0, scores_chunk, out_chunk| {
                 let slices = scores_chunk.len() / (ns * nd);
-                let stat = stat.map(|s| &s[b0 * ns * d..(b0 + slices) * ns * d]);
-                cross_shared_slices(
-                    stat,
-                    hist,
-                    scale,
-                    [slices, ns, nd, d],
-                    scores_chunk,
-                    out_chunk,
-                );
+                let own = own.map(|x| &x[b0 * ns1 * d..(b0 + slices) * ns1 * d]);
+                let dims = [slices, ns0, ns1, nd, d];
+                cross_shared_slices(shared, own, hist, scale, dims, scores_chunk, out_chunk);
             },
         );
     } else {
-        cross_shared_slices(stat, hist, scale, [bs, ns, nd, d], scores, out);
+        cross_shared_slices(shared, own, hist, scale, [bs, ns0, ns1, nd, d], scores, out);
     }
 }
 
-/// Serial body of [`attention_cross_shared_into`] over `bs` slices: the two
-/// admitted blocks of each slice against one pair of transposed history
-/// packs, the `ns·nd` score scratch reused between them.
+/// Serial body of [`attention_cross_shared_into`] over `bs` slices: the
+/// transposed history packs and the shared rows' prelude once, then each
+/// slice's own part of the two admitted blocks, the `ns·nd` score scratch
+/// reused between them.
 fn cross_shared_slices(
-    [qs, ks, vs]: [&[f32]; 3],
+    [q0, k0, v0]: [&[f32]; 3],
+    [q1, k1, v1]: [&[f32]; 3],
     [qh, kh, vh]: [&[f32]; 3],
     scale: f32,
-    [bs, ns, nd, d]: [usize; 4],
+    [bs, ns0, ns1, nd, d]: [usize; 5],
     scores: &mut [f32],
     out: &mut [f32],
 ) {
+    let ns = ns0 + ns1;
     let n = ns + nd;
     crate::workspace::with_thread(|ws| {
         let mut kht = ws.take(d * nd);
         let mut qht = ws.take(d * nd);
         pack_transposed(kh, nd, d, &mut kht);
         pack_transposed(qh, nd, d, &mut qht);
+
+        // The prelude: the shared rows' context, their `[nd, ns0]` score
+        // columns, and a `[ns, d]` value block whose leading rows they fill
+        // for good (a slice copies its own rows in underneath).
+        let mut ctx0 = ws.take(ns0 * d);
+        let mut cols0 = ws.take(nd * ns0);
+        let mut sv = ws.take(ns * d);
+        static_rows_attend(q0, &kht, vh, scale, [ns0, nd, d], &mut scores[..ns0 * nd], &mut ctx0);
+        history_rows_score(k0, &qht, scale, [ns0, nd, d], &mut cols0, ns0);
+        sv[..ns0 * d].copy_from_slice(v0);
+
         for b in 0..bs {
-            let sq = &qs[b * ns * d..(b + 1) * ns * d];
-            let sk = &ks[b * ns * d..(b + 1) * ns * d];
-            let sv = &vs[b * ns * d..(b + 1) * ns * d];
+            let own = b * ns1 * d..(b + 1) * ns1 * d;
             let (out_stat, out_dyn) = out[b * n * d..(b + 1) * n * d].split_at_mut(ns * d);
             let w = &mut scores[b * ns * nd..(b + 1) * ns * nd];
 
-            static_rows_attend(sq, &kht, vh, scale, [ns, nd, d], w, out_stat);
-            history_rows_attend(sk, sv, &qht, scale, [ns, nd, d], w, out_dyn);
+            let (out_shared, out_own) = out_stat.split_at_mut(ns0 * d);
+            out_shared.copy_from_slice(&ctx0);
+            let w_own = &mut w[..ns1 * nd];
+            static_rows_attend(&q1[own.clone()], &kht, vh, scale, [ns1, nd, d], w_own, out_own);
+
+            for r in 0..nd {
+                w[r * ns..r * ns + ns0].copy_from_slice(&cols0[r * ns0..(r + 1) * ns0]);
+            }
+            history_rows_score(&k1[own.clone()], &qht, scale, [ns1, nd, d], &mut w[ns0..], ns);
+            sv[ns0 * d..].copy_from_slice(&v1[own]);
+            history_rows_finish(&sv, [ns, nd, d], w, out_dyn);
         }
     });
 }
@@ -371,7 +407,8 @@ fn cross_rows_slices(
             pack_transposed(hk, nd, d, &mut kht);
             pack_transposed(hq, nd, d, &mut qht);
             static_rows_attend(sq, &kht, hv, scale, [ns, nd, d], w_stat, out_stat);
-            history_rows_attend(sk, sv, &qht, scale, [ns, nd, d], w_hist, out_dyn);
+            history_rows_score(sk, &qht, scale, [ns, nd, d], w_hist, ns);
+            history_rows_finish(sv, [ns, nd, d], w_hist, out_dyn);
         }
     });
 }
@@ -553,26 +590,33 @@ fn static_rows_attend(
     });
 }
 
-/// One slice's history rows attending to its `ns` static columns. The lanes
-/// still run across history rows (`sk · qhᵀ` from the transposed pack `qht`,
-/// the same products as `qh · skᵀ`), stored transposed so `w` ends up the
-/// `[nd, ns]` weight block: one contiguous softmax row per history row,
-/// then context `w · sv`.
+/// The scores of `nd` history rows against `ns` static columns, scaled:
+/// column `c` of row `r` lands in `w[r·ldw + c]` (`ldw ≥ ns`, so the block
+/// can sit inside wider rows). The lanes still run across history rows
+/// (`sk · qhᵀ` from the transposed pack `qht`, the same products as
+/// `qh · skᵀ`) and are stored transposed, so a history row's scores are
+/// contiguous.
 #[inline(always)]
-fn history_rows_attend(
+fn history_rows_score(
     sk: &[f32],
-    sv: &[f32],
     qht: &[f32],
     scale: f32,
     [ns, nd, d]: [usize; 3],
     w: &mut [f32],
-    out_dyn: &mut [f32],
+    ldw: usize,
 ) {
     nn_chains::<false>(sk, d, ns, qht, nd, nd, d, |c, r0, acc| {
-        for (slot, &a) in w[r0 * ns + c..].iter_mut().step_by(ns).zip(acc) {
+        for (slot, &a) in w[r0 * ldw + c..].iter_mut().step_by(ldw).zip(acc) {
             *slot = (0.0 + a) * scale;
         }
     });
+}
+
+/// History rows, given their `[nd, ns]` score block in `w`: one contiguous
+/// canonical softmax row per history row (leaving the weight block in `w`),
+/// then context `w · sv`.
+#[inline(always)]
+fn history_rows_finish(sv: &[f32], [ns, nd, d]: [usize; 3], w: &mut [f32], out_dyn: &mut [f32]) {
     for wrow in w.chunks_exact_mut(ns) {
         softmax_row_inplace(wrow, None);
     }
@@ -724,28 +768,41 @@ mod tests {
         attention_into(&q, &q, &q, None, 1.0, 1, 2, 4, &mut scratch, &mut out);
     }
 
-    /// `[bs, ns + nd, d]`: the shared `[nd, d]` block `h` spliced under every
-    /// slice's `[ns, d]` rows of `s` — the layout the dense kernels want.
-    fn splice(s: &[f32], h: &[f32], bs: usize, ns: usize, nd: usize, d: usize) -> Vec<f32> {
-        let n = ns + nd;
-        let mut full = vec![0.0f32; bs * n * d];
+    /// A `[bs, ns, d]` static block as the shared-history kernel takes it:
+    /// slice 0's leading `ns0` rows become the rows every slice shares, and
+    /// each slice keeps its rows `ns0..` as its own.
+    fn split_static(s: &[f32], bs: usize, ns: usize, ns0: usize, d: usize) -> (Vec<f32>, Vec<f32>) {
+        let own = (0..bs).flat_map(|b| s[(b * ns + ns0) * d..(b + 1) * ns * d].to_vec());
+        (s[..ns0 * d].to_vec(), own.collect())
+    }
+
+    /// `[bs, ns0 + ns1 + nd, d]`: the shared rows `s0`, slice `b`'s own rows
+    /// of `s1` and the shared `[nd, d]` block `h` spliced into every slice —
+    /// the layout the dense kernels want.
+    fn splice(s0: &[f32], s1: &[f32], h: &[f32], [bs, ns0, ns1, nd, d]: [usize; 5]) -> Vec<f32> {
+        let mut full = Vec::new();
         for b in 0..bs {
-            full[b * n * d..b * n * d + ns * d].copy_from_slice(&s[b * ns * d..(b + 1) * ns * d]);
-            full[b * n * d + ns * d..(b + 1) * n * d].copy_from_slice(&h[..nd * d]);
+            full.extend_from_slice(&s0[..ns0 * d]);
+            full.extend_from_slice(&s1[b * ns1 * d..(b + 1) * ns1 * d]);
+            full.extend_from_slice(&h[..nd * d]);
         }
         full
     }
 
-    /// Asserts the structured exact kernel equals splice + dense masked
-    /// `attention_into` bit for bit on `[qs, ks, vs]` × `[qh, kh, vh]`.
+    /// Runs the structured kernel on `[qs, ks, vs]` (`[bs, ns, d]`, split at
+    /// `ns0` by [`split_static`]) × `[qh, kh, vh]`, asserts it equals splice +
+    /// dense masked `attention_into` bit for bit, and returns the context.
     fn assert_cross_shared_exact_matches_dense(
         stat: [&[f32]; 3],
         hist: [&[f32]; 3],
         [bs, ns, nd, d]: [usize; 4],
-    ) {
+        ns0: usize,
+    ) -> Vec<f32> {
         let n = ns + nd;
+        let dims = [bs, ns0, ns - ns0, nd, d];
         let scale = 1.0 / (d as f32).sqrt();
-        let [fq, fk, fv] = [0, 1, 2].map(|i| splice(stat[i], hist[i], bs, ns, nd, d));
+        let split = stat.map(|s| split_static(s, bs, ns, ns0, d));
+        let [fq, fk, fv] = [0, 1, 2].map(|i| splice(&split[i].0, &split[i].1, hist[i], dims));
         let mut scratch = vec![0.0f32; bs * n * n];
         let mut dense = vec![0.0f32; bs * n * d];
         let mask = AttnMask::cross(ns, nd);
@@ -755,17 +812,11 @@ mod tests {
         let mut scratch = vec![0.0f32; bs * ns * nd];
         let mut structured = vec![f32::NAN; bs * n * d];
         attention_cross_shared_into(
-            stat[0],
-            stat[1],
-            stat[2],
-            hist[0],
-            hist[1],
-            hist[2],
+            [&split[0].0, &split[1].0, &split[2].0],
+            [&split[0].1, &split[1].1, &split[2].1],
+            hist,
             scale,
-            bs,
-            ns,
-            nd,
-            d,
+            dims,
             &mut scratch,
             &mut structured,
         );
@@ -773,19 +824,21 @@ mod tests {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "bs={bs} ns={ns} nd={nd} d={d}: element {i} diverges ({a} vs {b})"
+                "bs={bs} ns0={ns0} ns={ns} nd={nd} d={d}: element {i} diverges ({a} vs {b})"
             );
         }
+        structured
     }
 
     #[test]
     fn cross_shared_exact_matches_dense_masked_exact_bitwise() {
         // Serving and retrieval geometry, odd shapes, an exact vector chunk
         // and a ragged tail of history columns (nd = 8, 16 / 13, 20), a
-        // width with a ragged lane tail (d = 7), and both empty sides. CI
+        // width with a ragged lane tail (d = 7), and both empty sides — each
+        // with none, some and all (`ns1 = 0`) of its static rows shared. CI
         // runs this under the default and `SEQFM_WORKERS=4` arms (the
         // first shape clears the fan-out threshold, so the latter
-        // partitions it across the pool).
+        // partitions it across the pool, one prelude per chunk).
         for &(bs, ns, nd, d) in &[
             (100usize, 2usize, 20usize, 32usize),
             (64, 2, 20, 32),
@@ -800,11 +853,14 @@ mod tests {
             let mut seed = 211 + (bs * 7 + ns * 31 + nd) as u64;
             let stat = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns.max(1), d), &mut seed));
             let hist = [(); 3].map(|()| rand_tensor(Shape::d2(nd.max(1), d), &mut seed));
-            assert_cross_shared_exact_matches_dense(
-                [stat[0].data(), stat[1].data(), stat[2].data()],
-                [hist[0].data(), hist[1].data(), hist[2].data()],
-                [bs, ns, nd, d],
-            );
+            for ns0 in 0..=ns {
+                assert_cross_shared_exact_matches_dense(
+                    [stat[0].data(), stat[1].data(), stat[2].data()],
+                    [hist[0].data(), hist[1].data(), hist[2].data()],
+                    [bs, ns, nd, d],
+                    ns0,
+                );
+            }
         }
     }
 
@@ -814,7 +870,9 @@ mod tests {
         // softmax weight underflows to exactly 0.0 — and the value row it
         // would have weighted is +∞. The dense `nn` product skips
         // `w == 0.0`; a kernel that multiplied instead would turn 0·∞ into
-        // NaN. Both admitted blocks get such a column.
+        // NaN. Both admitted blocks get such a column, and static column 0
+        // (the one carrying it) is driven both as each slice's own row and
+        // as the shared row, where its score column comes from the prelude.
         let (bs, ns, nd, d) = (3usize, 2usize, 20usize, 32usize);
         let mut seed = 977;
         let mut stat = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns, d), &mut seed));
@@ -841,33 +899,18 @@ mod tests {
         }
         let stat_d = [stat[0].data(), stat[1].data(), stat[2].data()];
         let hist_d = [hist[0].data(), hist[1].data(), hist[2].data()];
-        assert_cross_shared_exact_matches_dense(stat_d, hist_d, [bs, ns, nd, d]);
+        for ns0 in 0..=ns {
+            let out = assert_cross_shared_exact_matches_dense(stat_d, hist_d, [bs, ns, nd, d], ns0);
 
-        // The skip is what keeps those rows finite: static rows never
-        // absorb column j's ∞, and history row r never absorbs column 0's.
-        let n = ns + nd;
-        let mut scratch = vec![0.0f32; bs * ns * nd];
-        let mut out = vec![0.0f32; bs * n * d];
-        attention_cross_shared_into(
-            stat_d[0],
-            stat_d[1],
-            stat_d[2],
-            hist_d[0],
-            hist_d[1],
-            hist_d[2],
-            1.0 / (d as f32).sqrt(),
-            bs,
-            ns,
-            nd,
-            d,
-            &mut scratch,
-            &mut out,
-        );
-        for b in 0..bs {
-            let slice = &out[b * n * d..(b + 1) * n * d];
-            assert!(slice[..ns * d].iter().all(|v| v.is_finite()), "slice {b}: static rows");
-            let hist_row = &slice[(ns + r) * d..(ns + r + 1) * d];
-            assert!(hist_row.iter().all(|v| v.is_finite()), "slice {b}: history row {r}");
+            // The skip is what keeps those rows finite: static rows never
+            // absorb column j's ∞, and history row r never absorbs column 0's.
+            let n = ns + nd;
+            for b in 0..bs {
+                let slice = &out[b * n * d..(b + 1) * n * d];
+                assert!(slice[..ns * d].iter().all(|v| v.is_finite()), "slice {b}: static rows");
+                let hist_row = &slice[(ns + r) * d..(ns + r + 1) * d];
+                assert!(hist_row.iter().all(|v| v.is_finite()), "slice {b}: history row {r}");
+            }
         }
     }
 

@@ -17,7 +17,9 @@
 //! comes from. All three flavours (and the structured attention kernel)
 //! share one safe, const-generic inner loop, `chain_tile`, which the
 //! compiler vectorises for the build target; there is no per-CPU body to
-//! choose between.
+//! choose between. A matrix-vector `nn` product (`n == 1`, the model's
+//! output head) has no column lanes to run across, so its tile runs across
+//! rows instead — eight rows' chains in flight, no panel to pack.
 //!
 //! **Bit-identity invariant**: for every output element `c[i,j]`, both
 //! implementations perform *exactly* the same sequence of f32 operations —
@@ -167,9 +169,10 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     }
 }
 
-/// Serial `nn` over a row block: tiled when worthwhile, else naive.
+/// Serial `nn` over a row block: tiled when worthwhile — a matrix-vector
+/// product always is, its tile needs no packed panel — else naive.
 fn nn_block(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    if tiled_worthwhile(m, k, n) {
+    if n == 1 || tiled_worthwhile(m, k, n) {
         tiled::matmul_nn_into(a, b, c, m, k, n);
     } else {
         naive::matmul_nn_into(a, b, c, m, k, n);
@@ -498,8 +501,34 @@ pub mod tiled {
         }
     }
 
+    /// Output rows per tile of the `n == 1` walk: eight independent chains
+    /// cover the add latency a single row's chain is bound by.
+    const MV: usize = 8;
+
+    /// `c[m] += a[m,k] · b[k]` — the `n == 1` case of `nn` (the model's
+    /// output head, Eq. 18). One output element per row leaves no lanes to
+    /// run across columns, and a row's chain is serial by definition, so the
+    /// tile runs across *rows* instead: `MV` rows' seeded ascending-`p`
+    /// chains (with the `a == 0.0` skip) in flight at once, `b` read in
+    /// place — a `[k, 1]` matrix is its own packed panel. Rows past the last
+    /// full tile take the naive loop.
+    fn matvec_nn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize) {
+        let full = m - m % MV;
+        for (t, c_tile) in c[..full].chunks_exact_mut(MV).enumerate() {
+            let seed: [[f32; 1]; MV] = std::array::from_fn(|r| [c_tile[r]]);
+            let acc = chain_tile::<MV, 1, false, true>(seed, &a[t * MV * k..], k, b, 1, k);
+            for (c_el, acc_r) in c_tile.iter_mut().zip(acc) {
+                *c_el = acc_r[0];
+            }
+        }
+        naive::matmul_nn_into(&a[full * k..m * k], b, &mut c[full..m], m - full, k, 1);
+    }
+
     /// Tiled `c[m,n] += a[m,k] · b[k,n]`, k-blocked at `KC`.
     pub fn matmul_nn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        if n == 1 {
+            return matvec_nn_into(a, b, c, m, k);
+        }
         kc_blocked::<false>(a, k, b, c, m, k, n);
         let j_tail = n - n % NR;
         if j_tail < n {

@@ -145,9 +145,32 @@ fn softmax_impl(x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
     out
 }
 
-/// In-place variant of [`softmax_row`] — identical arithmetic in identical
-/// order, for callers that own the row buffer (see `kernels::attention`).
+/// Stable masked softmax of a single row, in place — the one home of the
+/// row arithmetic (the out-of-place [`softmax_row`] copies, then calls this).
+/// Fully-masked rows yield all zeros.
+///
+/// An unmasked row of two finite entries — every history row of the cross
+/// view at `n° = 2`, every row of the static view there — takes one `exp`
+/// instead of two: the generic loop's term for the row maximum is
+/// `exp(hi − hi) = exp(+0.0)`, which is exactly `1.0` (pinned in the tests),
+/// so only `e = exp(lo − hi)` is computed and `(1, e)` / `(e, 1)` placed by
+/// a select; the sum `(0 + e₀) + e₁` and the `· 1/sum` are the generic
+/// expressions. Same bits, half the `exp` calls; a non-finite entry (whose
+/// `hi − hi` is NaN, or which the `−∞` rules cover) takes the generic loop.
 pub(crate) fn softmax_row_inplace(x: &mut [f32], mask: Option<&[f32]>) {
+    if let (None, [x0, x1]) = (mask, &mut *x) {
+        if x0.is_finite() && x1.is_finite() {
+            // Strict `>` in column order, as the generic max scan: a tie
+            // (incl. `+0.0` vs `-0.0`) keeps column 0 as the maximum.
+            let hi_is_1 = *x1 > *x0;
+            let e = (if hi_is_1 { *x0 - *x1 } else { *x1 - *x0 }).exp();
+            let (e0, e1) = if hi_is_1 { (e, 1.0) } else { (1.0, e) };
+            let inv = 1.0 / ((0.0f32 + e0) + e1);
+            *x0 = e0 * inv;
+            *x1 = e1 * inv;
+            return;
+        }
+    }
     let mut max = f32::NEG_INFINITY;
     for (i, &v) in x.iter().enumerate() {
         let v = v + mask.map_or(0.0, |m| m[i]);
@@ -172,30 +195,10 @@ pub(crate) fn softmax_row_inplace(x: &mut [f32], mask: Option<&[f32]>) {
     }
 }
 
-/// Stable masked softmax of a single row. Fully-masked rows yield all zeros.
+/// Out-of-place [`softmax_row_inplace`]: copy, then the one row body.
 fn softmax_row(x: &[f32], mask: Option<&[f32]>, out: &mut [f32]) {
-    let mut max = f32::NEG_INFINITY;
-    for (i, &v) in x.iter().enumerate() {
-        let v = v + mask.map_or(0.0, |m| m[i]);
-        if v > max {
-            max = v;
-        }
-    }
-    if max == f32::NEG_INFINITY {
-        out.fill(0.0);
-        return;
-    }
-    let mut sum = 0.0f32;
-    for (i, &v) in x.iter().enumerate() {
-        let v = v + mask.map_or(0.0, |m| m[i]);
-        let e = if v == f32::NEG_INFINITY { 0.0 } else { (v - max).exp() };
-        out[i] = e;
-        sum += e;
-    }
-    let inv = 1.0 / sum;
-    for o in out.iter_mut() {
-        *o *= inv;
-    }
+    out.copy_from_slice(x);
+    softmax_row_inplace(out, mask);
 }
 
 /// Out-buffer variant of [`softmax_lastdim`] / [`softmax_lastdim_masked`]
@@ -409,6 +412,57 @@ mod tests {
         let mut x = [1.0f32, 2.0];
         softmax_row_inplace(&mut x, Some(&blocked.data()[0..2]));
         assert_eq!(x, [0.0, 0.0]);
+    }
+
+    #[test]
+    fn exp_of_zero_is_exactly_one() {
+        // The two-column path of `softmax_row_inplace` writes `1.0` where
+        // the generic loop computes `exp(hi − hi)`; it is the same bits only
+        // while libm's `expf(±0.0)` is exactly `1.0`.
+        assert_eq!(0.0f32.exp().to_bits(), 1.0f32.to_bits());
+        assert_eq!((-0.0f32).exp().to_bits(), 1.0f32.to_bits());
+    }
+
+    #[test]
+    fn two_column_path_matches_the_generic_loop_bitwise() {
+        // An all-open mask row sends the same pair through the generic loop
+        // (`v + 0.0` is what the unmasked loop adds too).
+        let check = |pair: [f32; 2]| {
+            let (mut fast, mut generic) = (pair, pair);
+            softmax_row_inplace(&mut fast, None);
+            softmax_row_inplace(&mut generic, Some(&[0.0, 0.0]));
+            assert_eq!(fast.map(f32::to_bits), generic.map(f32::to_bits), "{pair:?}");
+        };
+        let sub = f32::MIN_POSITIVE / 4.0; // subnormal
+        let edges = [
+            0.0,
+            -0.0,
+            1.5,
+            -1.5,
+            sub,
+            -sub,
+            f32::MIN_POSITIVE,
+            88.0,
+            -104.0, // exp underflows to a subnormal / zero against 0.0
+            f32::MAX,
+            f32::MIN, // MIN − MAX overflows to −∞ → weight exactly 0
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for &a in &edges {
+            for &b in &edges {
+                check([a, b]);
+            }
+        }
+        let mut seed = 0x5EED_u64;
+        let mut draw = || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((seed >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 40.0
+        };
+        for _ in 0..20_000 {
+            check([draw(), draw()]);
+        }
     }
 
     #[test]

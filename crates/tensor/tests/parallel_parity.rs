@@ -16,9 +16,9 @@
 
 use seqfm_tensor::testutil::rand_tensor;
 use seqfm_tensor::{
-    attention_cross_rows_backward_into, attention_cross_rows_into, attention_into, bmm_nn, bmm_nt,
-    matmul_nn, matmul_nt, matmul_tn, softmax_lastdim_masked, softmax_rows_into, AttnMask, Shape,
-    Tensor,
+    attention_cross_rows_backward_into, attention_cross_rows_into, attention_cross_shared_into,
+    attention_into, bmm_nn, bmm_nt, matmul_nn, matmul_nt, matmul_tn, softmax_lastdim_masked,
+    softmax_rows_into, AttnMask, Shape, Tensor,
 };
 
 /// Large enough that m·k·n clears the 96 Ki-op dispatch threshold.
@@ -221,6 +221,36 @@ fn parallel_kernel_paths_match_serial_references_bitwise() {
             let unit = want.len();
             assert_eq!(got[bi * unit..(bi + 1) * unit], want, "cross rows {what}, slice {bi}");
         }
+    }
+
+    // The shared-history cross view at the serving shape — one user row
+    // shared by 100 candidates (`ns0 = ns1 = 1`) — fans out over slices,
+    // every chunk building the packs and the shared-row prelude in its own
+    // worker's arena; vs. one slice per call, which stays on this thread.
+    let (sb, nd, sd) = (100usize, 20usize, 32usize);
+    let shared = [(); 3].map(|()| rand_tensor(Shape::d2(1, sd), &mut seed));
+    let own = [(); 3].map(|()| rand_tensor(Shape::d3(sb, 1, sd), &mut seed));
+    let hist = [(); 3].map(|()| rand_tensor(Shape::d2(nd, sd), &mut seed));
+    let [shared, own, hist] = [&shared, &own, &hist].map(|x| [0, 1, 2].map(|i| x[i].data()));
+    let unit = (2 + nd) * sd;
+    let run = |lo: usize, slices: usize| -> Vec<f32> {
+        let mut out = vec![f32::NAN; slices * unit];
+        attention_cross_shared_into(
+            shared,
+            own.map(|x| &x[lo * sd..(lo + slices) * sd]),
+            hist,
+            1.0 / (sd as f32).sqrt(),
+            [slices, 1, 1, nd, sd],
+            &mut vec![0.0f32; slices * 2 * nd],
+            &mut out,
+        );
+        out
+    };
+    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let fanned = run(0, sb);
+    for bi in 0..sb {
+        let got = &fanned[bi * unit..(bi + 1) * unit];
+        assert_eq!(bits(got), bits(&run(bi, 1)), "cross shared, slice {bi}");
     }
 
     // Per-worker workspace arenas: the fan-outs above ran tiled kernels on

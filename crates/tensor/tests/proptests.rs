@@ -115,29 +115,36 @@ proptest! {
     }
 
     /// The structured shared-history cross kernel — the one attention kernel
-    /// both serving profiles run — equals splicing the history under every
-    /// slice and running the dense masked kernel, bit for bit, at any
-    /// geometry (empty sides, ragged lane tails, and batches big enough to
-    /// fan out under `SEQFM_WORKERS=4`).
+    /// both serving profiles run — equals splicing the shared static rows and
+    /// the history into every slice and running the dense masked kernel, bit
+    /// for bit, at any geometry (empty sides, none / some / all of the
+    /// static rows shared, ragged lane tails, and batches big enough to fan
+    /// out under `SEQFM_WORKERS=4`).
     #[test]
     fn cross_shared_equals_spliced_dense_masked_bitwise(
         bs in 1usize..10,
         ns in 0usize..4,
+        shared_rows in 0usize..3,
         nd in 0usize..25,
         d in 1usize..41,
         salt in 0u64..u64::MAX,
     ) {
         let n = ns + nd;
         prop_assume!(n > 0); // the dense reference has no zero-width rows
+        let ns0 = shared_rows.min(ns);
+        let ns1 = ns - ns0;
         let scale = 1.0 / (d as f32).sqrt();
         let mut seed = salt | 1;
-        let stat = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns.max(1), d), &mut seed));
+        let shared = [(); 3].map(|()| rand_tensor(Shape::d2(ns0.max(1), d), &mut seed));
+        let own = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns1.max(1), d), &mut seed));
         let hist = [(); 3].map(|()| rand_tensor(Shape::d2(nd.max(1), d), &mut seed));
 
         let [fq, fk, fv] = [0, 1, 2].map(|i| {
             let mut full = vec![0.0f32; bs * n * d];
             for (b, slice) in full.chunks_exact_mut(n * d).enumerate().take(bs) {
-                slice[..ns * d].copy_from_slice(&stat[i].data()[b * ns * d..(b + 1) * ns * d]);
+                slice[..ns0 * d].copy_from_slice(&shared[i].data()[..ns0 * d]);
+                slice[ns0 * d..ns * d]
+                    .copy_from_slice(&own[i].data()[b * ns1 * d..(b + 1) * ns1 * d]);
                 slice[ns * d..].copy_from_slice(&hist[i].data()[..nd * d]);
             }
             full
@@ -158,22 +165,19 @@ proptest! {
 
         let mut structured = vec![f32::NAN; bs * n * d];
         attention_cross_shared_into(
-            stat[0].data(),
-            stat[1].data(),
-            stat[2].data(),
-            hist[0].data(),
-            hist[1].data(),
-            hist[2].data(),
+            [shared[0].data(), shared[1].data(), shared[2].data()],
+            [own[0].data(), own[1].data(), own[2].data()],
+            [hist[0].data(), hist[1].data(), hist[2].data()],
             scale,
-            bs,
-            ns,
-            nd,
-            d,
+            [bs, ns0, ns1, nd, d],
             &mut vec![0.0f32; bs * ns * nd],
             &mut structured,
         );
         for (i, (a, b)) in dense.iter().zip(&structured).enumerate() {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "bs={} ns={} nd={} d={}: element {}", bs, ns, nd, d, i);
+            prop_assert_eq!(
+                a.to_bits(), b.to_bits(),
+                "bs={} ns0={} ns1={} nd={} d={}: element {}", bs, ns0, ns1, nd, d, i
+            );
         }
     }
 }

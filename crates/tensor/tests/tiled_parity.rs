@@ -91,6 +91,45 @@ fn tiled_matches_naive_at_model_and_serving_widths() {
 }
 
 #[test]
+fn matvec_matches_naive_bitwise_with_zero_skips_and_a_seeded_output() {
+    // `nn` with `n == 1` (the output head) runs eight rows' chains per tile:
+    // no tile, exactly one, one plus a tail, several — at a one-step, the
+    // head's and a past-`KC` depth. `c` starts non-zero (the `+=` contract),
+    // `a` carries exact zeros, and in the poisoned pass whole columns of `a`
+    // are zero opposite `±∞` / NaN entries of `b`: a kernel that multiplied
+    // instead of skipping would emit NaN where naive leaves `c` finite.
+    let mut seed = 0xAB1E;
+    for &m in &[1usize, 7, 8, 9, 16, 100, 128] {
+        for &k in &[1usize, 96, 257] {
+            for poisoned in [false, true] {
+                let mut a = fill(&mut seed, m * k);
+                let mut b = fill(&mut seed, k);
+                let c0: Vec<f32> =
+                    fill(&mut seed, m).iter().map(|&v| if v == 0.0 { 0.75 } else { v }).collect();
+                if poisoned {
+                    for p in (0..k).step_by(5) {
+                        b[p] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][p / 5 % 3];
+                        a.iter_mut().skip(p).step_by(k).for_each(|v| *v = 0.0);
+                    }
+                }
+                let mut want = c0.clone();
+                naive::matmul_nn_into(&a, &b, &mut want, m, k, 1);
+                assert!(want.iter().all(|v| v.is_finite()), "reference lost the skip");
+                let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                // The tiled kernel itself, and the dispatching entry point
+                // the head and the tape call.
+                for kernel in [tiled::matmul_nn_into, seqfm_tensor::matmul_nn_into] {
+                    let mut got = c0.clone();
+                    kernel(&a, &b, &mut got, m, k, 1);
+                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "matvec diverges at m={m} k={k} poisoned={poisoned}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn tiled_edge_shapes_cover_exact_tile_multiples() {
     // Exactly one tile, one short of a tile, one past it — in n; in m, every
     // row count of a last tile (each arm of the tile's `match rows`), with
