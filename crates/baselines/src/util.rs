@@ -2,7 +2,7 @@
 
 use rand::Rng;
 use seqfm_autograd::{Graph, ParamStore, Var};
-use seqfm_data::{Batch, FeatureLayout, PAD};
+use seqfm_data::{Batch, FeatureLayout};
 use seqfm_nn::Embedding;
 use seqfm_tensor::Shape;
 
@@ -18,8 +18,9 @@ pub fn candidate_items(batch: &Batch, layout: &FeatureLayout) -> Vec<i64> {
         .collect()
 }
 
-/// The most recent dynamic item per instance ([`PAD`] when the history is
-/// empty). Sequences are left-padded, so this is simply the last column.
+/// The most recent dynamic item per instance ([`seqfm_data::PAD`] when the
+/// history is empty). Sequences are left-padded, so this is simply the last
+/// column.
 pub fn last_items(batch: &Batch) -> Vec<i64> {
     (0..batch.len).map(|i| batch.dyn_idx[(i + 1) * batch.n_dynamic - 1]).collect()
 }
@@ -118,18 +119,6 @@ impl FmBase {
         let s3 = g.sum_axis1(cube);
         (s1, s2, s3)
     }
-}
-
-/// Number of real (non-padding) history items per instance.
-pub fn history_lengths(batch: &Batch) -> Vec<usize> {
-    (0..batch.len)
-        .map(|i| {
-            batch.dyn_idx[i * batch.n_dynamic..(i + 1) * batch.n_dynamic]
-                .iter()
-                .filter(|&&x| x != PAD)
-                .count()
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -80,52 +80,6 @@ pub struct ItemBlockStats {
     pub vx_max: Vec<f32>,
 }
 
-impl ItemBlockStats {
-    /// This envelope widened by `delta` in every coordinate (and `lin_max`
-    /// replaced with a freshly computed value) — the delta-rebuild path:
-    /// when the V-projection of every item in the block provably moved less
-    /// than `delta` between two published models
-    /// ([`FrozenSeqFm::block_envelope_drift`]), the widened envelope
-    /// contains the new model's projections without re-running them.
-    pub fn widened(&self, delta: f32, lin_max: f32) -> ItemBlockStats {
-        let lo = |v: &[f32]| v.iter().map(|&x| x - delta).collect();
-        let hi = |v: &[f32]| v.iter().map(|&x| x + delta).collect();
-        ItemBlockStats {
-            lin_max,
-            vs_min: lo(&self.vs_min),
-            vs_max: hi(&self.vs_max),
-            vx_min: lo(&self.vx_min),
-            vx_max: hi(&self.vx_max),
-        }
-    }
-}
-
-/// Model-pair factors for bounding envelope drift between two published
-/// revisions, computed once per rebuild by [`FrozenSeqFm::envelope_drift`]
-/// and shared across every block's [`FrozenSeqFm::block_envelope_drift`].
-///
-/// Holds, per bounded attention view (static and/or cross, as the ablation
-/// admits), the Frobenius norms `(‖W_new‖_F, ‖W_new − W_old‖_F)` of the
-/// view's **active-profile** V matrix — under [`Fast`], the `f16`-effective
-/// copies the projections actually multiply.
-///
-/// [`Fast`]: crate::ScorerPrecision::Fast
-#[derive(Clone, Debug)]
-pub struct EnvelopeDrift {
-    /// `(‖W_new‖_F, ‖ΔW‖_F)` per active envelope view.
-    views: Vec<(f64, f64)>,
-}
-
-/// Relative padding on the analytic drift bound, absorbing the `f32`
-/// rounding of the norm computations themselves.
-const DRIFT_REL_SLACK: f64 = 1e-3;
-/// Absolute padding on the analytic drift bound, absorbing the projection
-/// kernels' accumulation rounding (both models' envelopes are built from
-/// `f32` kernel outputs; the real-arithmetic drift bound must be widened to
-/// cover both roundings). Orders of magnitude above achievable drift at
-/// paper widths, orders of magnitude below any useful rebuild tolerance.
-const DRIFT_ABS_SLACK: f64 = 1e-4;
-
 /// Query-side bound terms, computed once per retrieval from the user's
 /// cached [`HistoryView`] by [`FrozenSeqFm::query_bounds`] and shared across
 /// every block's [`FrozenSeqFm::block_upper_bound`] call.
@@ -272,107 +226,6 @@ impl FrozenSeqFm {
             })
             .collect();
         QueryBounds { vs_user, vx_lo, vx_hi, dyn_exact, lin_base, spec }
-    }
-
-    /// Computes the shared factors for bounding how far this model's
-    /// V-projection envelopes can sit from `old`'s — the once-per-rebuild
-    /// half of the delta-rebuild bound (the per-block half is
-    /// [`FrozenSeqFm::block_envelope_drift`]).
-    ///
-    /// Returns `None` when the pair is not delta-comparable: different
-    /// width `d` or a different ablation (the envelope layout itself would
-    /// change). Serving profiles may differ — each model contributes the
-    /// weights its own forward pass actually reads.
-    pub fn envelope_drift(&self, old: &FrozenSeqFm) -> Option<EnvelopeDrift> {
-        let d = self.config().d;
-        let ab = self.config().ablation;
-        if old.config().d != d || old.config().ablation != ab {
-            return None;
-        }
-        let mut views = Vec::new();
-        for (view, active) in [(0usize, ab.static_view), (2, ab.cross_view)] {
-            if !active {
-                continue;
-            }
-            let wn = self.attn_w(view, 2);
-            let wo = old.attn_w(view, 2);
-            if wn.len() != d * d || wo.len() != d * d {
-                return None;
-            }
-            let mut wf = 0.0f64;
-            let mut dwf = 0.0f64;
-            for (&a, &b) in wn.iter().zip(wo) {
-                let (a, b) = (a as f64, b as f64);
-                wf += a * a;
-                let e = a - b;
-                dwf += e * e;
-            }
-            views.push((wf.sqrt(), dwf.sqrt()));
-        }
-        Some(EnvelopeDrift { views })
-    }
-
-    /// A sound uniform bound on how far any coordinate of any of `items`'
-    /// V-projections moved from `old` to `self`, for every bounded view:
-    /// widening `old`'s block envelope by the returned `delta`
-    /// ([`ItemBlockStats::widened`]) provably contains this model's
-    /// projections of the same items.
-    ///
-    /// The decomposition: with `e` the item's static embedding row and `W`
-    /// a view's V matrix,
-    ///
-    /// ```text
-    /// e_new·W_new − e_old·W_old = Δe·W_new + e_old·ΔW
-    /// ```
-    ///
-    /// so each output coordinate moves at most
-    /// `‖Δe‖₂·‖W_new‖₂→∞ + ‖e_old‖₂·‖ΔW‖₂→∞`, which the Frobenius norms of
-    /// [`EnvelopeDrift`] dominate column by column. Embedding norms come
-    /// from the same profile-aware gathers the projections read, maximised
-    /// over the block; the result is padded (relative + absolute) for the
-    /// `f32` rounding of both models' projection kernels. Cost is
-    /// `O(block·d)` — the factor-`d` saving over recomputing the envelope.
-    ///
-    /// # Panics
-    /// Panics if any id in `items` is outside `layout`'s item range.
-    pub fn block_envelope_drift(
-        &self,
-        drift: &EnvelopeDrift,
-        old: &FrozenSeqFm,
-        layout: &FeatureLayout,
-        items: &[u32],
-    ) -> f32 {
-        let d = self.config().d;
-        let n = items.len();
-        let idx: Vec<i64> = items
-            .iter()
-            .map(|&c| {
-                assert!((c as usize) < layout.n_items, "item {c} outside layout");
-                layout.item_feature(c)
-            })
-            .collect();
-        let mut e_new = vec![0.0f32; n * d];
-        let mut e_old = vec![0.0f32; n * d];
-        self.gather_static(&idx, d, &mut e_new);
-        old.gather_static(&idx, d, &mut e_old);
-        let mut max_de2 = 0.0f64;
-        let mut max_eo2 = 0.0f64;
-        for (rn, ro) in e_new.chunks_exact(d).zip(e_old.chunks_exact(d)) {
-            let mut de2 = 0.0f64;
-            let mut eo2 = 0.0f64;
-            for (&a, &b) in rn.iter().zip(ro) {
-                let (a, b) = (a as f64, b as f64);
-                let e = a - b;
-                de2 += e * e;
-                eo2 += b * b;
-            }
-            max_de2 = max_de2.max(de2);
-            max_eo2 = max_eo2.max(eo2);
-        }
-        let (max_de, max_eo) = (max_de2.sqrt(), max_eo2.sqrt());
-        let delta =
-            drift.views.iter().map(|&(wf, dwf)| max_de * wf + max_eo * dwf).fold(0.0f64, f64::max);
-        (delta + DRIFT_REL_SLACK * delta + DRIFT_ABS_SLACK) as f32
     }
 
     /// The static linear weight `lin°(c)` of one catalog item — the
@@ -776,86 +629,6 @@ mod tests {
     #[test]
     fn block_upper_bound_dominates_fast_profile_scores_too() {
         dominance_check(crate::ScorerPrecision::Fast);
-    }
-
-    /// Delta-rebuild soundness: after perturbing the embeddings and the
-    /// attention V matrices, the *old* block envelope widened by
-    /// [`FrozenSeqFm::block_envelope_drift`] must contain the *new* model's
-    /// freshly computed envelope — the containment claim `rebuild_for`
-    /// relies on when it reuses a block's stats instead of recomputing them.
-    #[test]
-    fn widened_old_envelope_contains_the_perturbed_models_envelope() {
-        let layout = FeatureLayout { n_users: 7, n_items: 41 };
-        let cfg = SeqFmConfig { d: 8, max_seq: 6, dropout: 0.0, ..Default::default() };
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(17);
-        let _model = SeqFm::new(&mut ps, &mut rng, &layout, cfg);
-        let old = FrozenSeqFm::freeze(&_model, &ps);
-        // A small but non-trivial update, the size of one optimizer step.
-        for (name, step) in [
-            ("seqfm.emb_static.table", 8e-4f32),
-            ("seqfm.attn_static.wv.w", -5e-4),
-            ("seqfm.attn_cross.wv.w", 4e-4),
-        ] {
-            let id = ps.id_of(name).expect(name);
-            for (i, w) in ps.value_mut(id).data_mut().iter_mut().enumerate() {
-                *w += step * (1.0 + (i % 5) as f32 * 0.3);
-            }
-        }
-        let new = FrozenSeqFm::freeze(&_model, &ps);
-        let probe = new.envelope_drift(&old).expect("same d and ablation");
-        let n = layout.n_items as u32;
-        let catalog: Vec<u32> = (0..n).map(|i| (i * 7) % n).collect();
-        let mut reused = 0usize;
-        for items in catalog.chunks(8) {
-            let delta = new.block_envelope_drift(&probe, &old, &layout, items);
-            assert!(delta.is_finite() && delta > 0.0, "drift bound must be a positive float");
-            if delta <= 0.05 {
-                reused += 1;
-            }
-            let fresh = new.item_block_stats(&layout, items);
-            let widened = old.item_block_stats(&layout, items).widened(delta, fresh.lin_max);
-            let contains = |flo: &[f32], fhi: &[f32], wlo: &[f32], whi: &[f32]| {
-                for i in 0..flo.len() {
-                    assert!(
-                        wlo[i] <= flo[i] && fhi[i] <= whi[i],
-                        "coord {i}: fresh [{}, {}] outside widened [{}, {}] (delta {delta})",
-                        flo[i],
-                        fhi[i],
-                        wlo[i],
-                        whi[i]
-                    );
-                }
-            };
-            contains(&fresh.vs_min, &fresh.vs_max, &widened.vs_min, &widened.vs_max);
-            contains(&fresh.vx_min, &fresh.vx_max, &widened.vx_min, &widened.vx_max);
-        }
-        // The perturbation is small, so the drift bound must be usable: the
-        // delta-rebuild tolerance (0.05 in seqfm-retrieval) would accept it.
-        assert!(reused > 0, "a one-step perturbation should fall inside a usable tolerance");
-    }
-
-    /// Delta comparability gates: width or ablation changes make the pair
-    /// non-comparable and `envelope_drift` must refuse.
-    #[test]
-    fn envelope_drift_refuses_incompatible_pairs() {
-        let layout = FeatureLayout { n_users: 4, n_items: 9 };
-        let freeze = |cfg: SeqFmConfig, seed: u64| {
-            let mut ps = ParamStore::new();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let m = SeqFm::new(&mut ps, &mut rng, &layout, cfg);
-            FrozenSeqFm::freeze(&m, &ps)
-        };
-        let base = SeqFmConfig { d: 8, max_seq: 4, dropout: 0.0, ..Default::default() };
-        let a = freeze(base, 1);
-        let wider = freeze(SeqFmConfig { d: 16, ..base }, 1);
-        assert!(a.envelope_drift(&wider).is_none(), "width change is not delta-comparable");
-        let ablated = freeze(
-            SeqFmConfig { ablation: Ablation { cross_view: false, ..Ablation::default() }, ..base },
-            1,
-        );
-        assert!(a.envelope_drift(&ablated).is_none(), "ablation change is not delta-comparable");
-        assert!(a.envelope_drift(&freeze(base, 2)).is_some(), "same shape is comparable");
     }
 
     /// The blocked catalog scorer must agree bit-for-bit with scoring the

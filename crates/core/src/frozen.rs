@@ -182,7 +182,7 @@ impl FrozenSeqFm {
     /// View `view`'s attention weight matrix (`which`: 0 = Q, 1 = K, 2 = V)
     /// in the active profile — the exact tensor, or the `f16`-effective copy
     /// the `Fast` forward pass *and* the retrieval bounds both read.
-    pub(crate) fn attn_w(&self, view: usize, which: usize) -> &[f32] {
+    fn attn_w(&self, view: usize, which: usize) -> &[f32] {
         match self.fast_active() {
             Some(fp) => {
                 let fa = &fp.attn[view];

@@ -53,7 +53,7 @@ pub mod scorer;
 pub mod train;
 pub mod view;
 
-pub use bounds::{EnvelopeDrift, ItemBlockStats, QueryBounds};
+pub use bounds::{ItemBlockStats, QueryBounds};
 pub use config::{Ablation, SeqFmConfig};
 pub use eval::{
     evaluate_ctr, evaluate_ctr_on, evaluate_ranking, evaluate_ranking_on, evaluate_rating,

@@ -212,11 +212,6 @@ impl<M: SeqModel> GraphScorer<M> {
     pub fn params(&self) -> &ParamStore {
         &self.ps
     }
-
-    /// Unwraps into `(model, params)` — e.g. to resume training.
-    pub fn into_parts(self) -> (M, ParamStore) {
-        (self.model, self.ps)
-    }
 }
 
 impl<M: SeqModel> Scorer for GraphScorer<M> {

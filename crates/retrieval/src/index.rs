@@ -29,13 +29,6 @@ impl fmt::Display for RetrievalError {
 
 impl std::error::Error for RetrievalError {}
 
-/// Accumulated-widening budget (in logits) for delta rebuilds — see
-/// [`CatalogIndex::rebuild_for`]. Small against the adversarial
-/// bound's typical slack, so reused envelopes cost almost no prune quality,
-/// yet large against the per-publish drift of an incremental training step,
-/// so long publish chains keep reusing most blocks.
-const DELTA_TOLERANCE: f32 = 0.05;
-
 /// The outcome of one catalog retrieval.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Retrieval {
@@ -122,10 +115,6 @@ pub struct CatalogIndex {
     /// attention-free partial score, precomputed at build. Indexed by item
     /// id, not by `order` position.
     lin_item: Vec<f32>,
-    /// Accumulated per-block envelope widening from delta rebuilds (zero
-    /// for freshly computed envelopes); once it would exceed the rebuild
-    /// tolerance the block's envelope is recomputed exactly.
-    slack: Vec<f32>,
 }
 
 impl CatalogIndex {
@@ -148,79 +137,37 @@ impl CatalogIndex {
         });
         let stats: Vec<ItemBlockStats> =
             order.chunks(block).map(|items| model.item_block_stats(&layout, items)).collect();
-        let slack = vec![0.0; stats.len()];
-        CatalogIndex { model, layout, block, order, stats, lin_item, slack }
+        CatalogIndex { model, layout, block, order, stats, lin_item }
     }
 
-    /// Re-anchors this index on a freshly published model revision,
-    /// recomputing every model-dependent partial — per-item linear weights,
-    /// per-block bound envelopes — while **reusing the existing block
-    /// membership** instead of re-cutting the catalog from scratch.
+    /// Re-anchors this index on a freshly published model revision:
+    /// recomputes every model-dependent partial — per-item linear weights,
+    /// each block's exact bound envelope — over the **existing block
+    /// membership**. Nothing is inherited from the previous model, so the
+    /// result depends on `(order, model)` alone, not on the chain of
+    /// publishes that led here.
     ///
     /// Correctness never depends on *which* items share a block: bounds are
     /// recomputed for the new model over the blocks as they stand, so pruned
     /// retrieval on the rebuilt index stays bit-identical to brute force.
     /// The grouping of similar linear weights is purely a prune-*quality*
     /// lever; after an incremental training step the weights moved little,
-    /// so the stale grouping stays close to optimal. It degrades gradually
-    /// over many swaps — re-sort lazily by paying for a full
-    /// [`CatalogIndex::build`] off-peak when the observed
+    /// so the stale grouping stays close to optimal, and skipping the sort
+    /// saves its `n log n` on every publish (a fresh build measured 13 %
+    /// slower at 5 k items, and the gap grows with the catalog). The
+    /// grouping degrades gradually over many swaps — re-sort lazily by
+    /// paying for a full [`CatalogIndex::build`] off-peak when the observed
     /// [`Retrieval::prune_rate`] drifts down.
     ///
     /// The layout and block size carry over; `model` must be trained for the
     /// same [`FeatureLayout`].
-    ///
-    /// This is a **delta** rebuild: a block whose envelope provably moved
-    /// less than a fixed tolerance (accumulated across consecutive delta
-    /// rebuilds) **keeps its existing envelope, widened** by a sound
-    /// per-coordinate drift bound instead of re-running the V-projection
-    /// over its items — an `O(block·d)` touch instead of `O(block·d²)` (see
-    /// `FrozenSeqFm::block_envelope_drift`). Per-item linear partials are
-    /// always recomputed exactly (cheap table reads), as is each block's
-    /// `lin_max`.
-    ///
-    /// Soundness: the widened envelope contains every new-model V row by the
-    /// drift bound, so block upper bounds stay sound. Widening only ever
-    /// *loosens* bounds — the tolerance caps how much prune quality a chain
-    /// of delta rebuilds may give up before a block pays for an exact
-    /// recompute. Blocks whose drift cannot be bounded (incompatible
-    /// geometry or ablation between the models, non-finite drift) are
-    /// recomputed exactly.
     pub fn rebuild_for(&self, model: Arc<FrozenSeqFm>) -> CatalogIndex {
-        self.rebuild_for_with(model, DELTA_TOLERANCE)
-    }
-
-    /// [`CatalogIndex::rebuild_for`] with the exact envelopes recomputed for
-    /// **every** block — the delta rebuild's reference semantics, and the
-    /// off-peak answer to accumulated widening.
-    pub fn rebuild_full(&self, model: Arc<FrozenSeqFm>) -> CatalogIndex {
-        self.rebuild_for_with(model, 0.0)
-    }
-
-    /// `tolerance == 0` disables envelope reuse entirely.
-    fn rebuild_for_with(&self, model: Arc<FrozenSeqFm>, tolerance: f32) -> CatalogIndex {
         let n = self.layout.n_items as u32;
         let lin_item: Vec<f32> = (0..n).map(|c| model.item_linear(&self.layout, c)).collect();
-        let probe = if tolerance > 0.0 { model.envelope_drift(&self.model) } else { None };
-        let mut slack = Vec::with_capacity(self.stats.len());
         let stats: Vec<ItemBlockStats> = self
             .order
             .chunks(self.block)
-            .enumerate()
-            .map(|(bi, items)| {
-                let lin_max =
-                    items.iter().map(|&c| lin_item[c as usize]).fold(f32::NEG_INFINITY, f32::max);
-                if let Some(probe) = &probe {
-                    let delta = model.block_envelope_drift(probe, &self.model, &self.layout, items);
-                    let acc = self.slack[bi] + delta;
-                    if delta.is_finite() && acc <= tolerance {
-                        slack.push(acc);
-                        return self.stats[bi].widened(delta, lin_max);
-                    }
-                }
-                slack.push(0.0);
-                model.item_block_stats(&self.layout, items)
-            })
+            .map(|items| model.item_block_stats(&self.layout, items))
             .collect();
         CatalogIndex {
             model,
@@ -229,15 +176,14 @@ impl CatalogIndex {
             order: self.order.clone(),
             stats,
             lin_item,
-            slack,
         }
     }
 
-    /// How many blocks the last (delta) rebuild reused-and-widened instead
-    /// of recomputing — `0` for a fresh [`CatalogIndex::build`] or a
-    /// [`CatalogIndex::rebuild_full`].
+    /// Always 0 — no rebuild reuses a block's envelope. Kept only because
+    /// `benchmark/src/online.rs` (its one caller) reads it, until the repo
+    /// benchmark's `retrieval.delta_reused_share` is retired in its own PR.
     pub fn delta_reused_blocks(&self) -> usize {
-        self.slack.iter().filter(|&&s| s > 0.0).count()
+        0
     }
 
     /// The item ids making up block `bi`, in scoring order.

@@ -46,7 +46,9 @@
 //! drain, and the worker keeps serving subsequent requests.
 
 use crate::error::ServeError;
-use crate::request::{score_requests_stateful, CoalesceScratch, ScoreRequest, ScoreResponse};
+use crate::request::{
+    push_canonical_row, score_requests_stateful, CoalesceScratch, ScoreRequest, ScoreResponse,
+};
 use crate::store::{CacheStats, HistoryBackend, HistoryStore, ViewCache};
 use seqfm_core::{FrozenSeqFm, ModelEpoch, Scorer, ScorerPrecision, Scratch};
 use seqfm_data::{Dataset, FeatureLayout};
@@ -252,6 +254,10 @@ const MAX_PARKED_SLOTS: usize = 256;
 
 thread_local! {
     static PARKED_SLOTS: RefCell<Vec<Slot>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's scratch for the history views
+    /// [`Engine::retrieve_top_k`] builds on a view-cache miss (retrieval
+    /// runs on the caller, not on a worker with its own scratch).
+    static VIEW_SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// Pops this thread's most recently parked slot (or allocates the first
@@ -687,16 +693,24 @@ impl Engine {
                         st = mailbox.cv.wait(st).expect("rebuild mailbox poisoned");
                     }
                 };
-                // The delta rebuild runs outside the lock — publishers
-                // keep posting (and overwriting) jobs meanwhile.
-                let rebuilt = slot.load().rebuild_for(Arc::clone(&job));
+                // The rebuild runs outside the lock — publishers keep
+                // posting (and overwriting) jobs meanwhile. A panicking
+                // rebuild (say a model frozen for another layout) is
+                // contained: the slot keeps the last good index, retrieval
+                // stays on the brute-force fallback under the serving model,
+                // and `busy` is still cleared below — a dead builder with
+                // `busy` set would block `wait_for_index` forever.
+                let rebuilt =
+                    catch_unwind(AssertUnwindSafe(|| slot.load().rebuild_for(Arc::clone(&job))));
                 let mut st = mailbox.state.lock().expect("rebuild mailbox poisoned");
                 // Latest-wins: land the rebuilt index only while its
                 // model is still the one being served and no newer job
                 // is queued — a stale index would undo a newer publish's
                 // fallback-to-fresh-model behaviour.
-                if st.job.is_none() && model.load().epoch == job.epoch() {
-                    slot.store(Arc::new(rebuilt));
+                if let Ok(rebuilt) = rebuilt {
+                    if st.job.is_none() && model.load().epoch == job.epoch() {
+                        slot.store(Arc::new(rebuilt));
+                    }
                 }
                 st.busy = false;
                 mailbox.cv.notify_all();
@@ -769,8 +783,8 @@ impl Engine {
     ///    keeps no second snapshot resident), and the epoch-keyed
     ///    [`ViewCache`] lazily invalidates old-epoch panels;
     /// 3. any attached catalog index is rebuilt for the new model
-    ///    ([`CatalogIndex::rebuild_for`] — a *delta* rebuild that reuses
-    ///    every block whose envelope provably barely moved) and its slot
+    ///    ([`CatalogIndex::rebuild_for`] — exact envelopes over the
+    ///    existing block membership, no re-sort) and its slot
     ///    swapped. The rebuild runs on the engine's builder thread and this
     ///    call returns at slot-swap latency; consecutive publishes coalesce —
     ///    the builder only ever works toward the newest epoch. Until the
@@ -848,15 +862,12 @@ impl Engine {
         let view = match self.cache.as_ref().and_then(|c| c.get(user, version, epoch)) {
             Some(view) => view,
             None => {
-                // Same canonical row the scoring path builds: the last
-                // `max_seq` events, left-padded with PAD — so the view (and
-                // its cache entry) is bit-identical to the scoring path's.
-                let max_seq = self.cfg.max_seq;
-                let window = &snap[snap.len() - snap.len().min(max_seq)..];
-                let mut row: Vec<i64> = Vec::with_capacity(max_seq);
-                row.resize(max_seq - window.len(), seqfm_data::PAD);
-                row.extend(window.iter().map(|&it| it as i64));
-                let build = || Some(model.history_view(&row, &mut Scratch::new()));
+                // The scoring path's own canonical row, so the view (and its
+                // cache entry) is bit-identical to the scoring path's.
+                let mut row: Vec<i64> = Vec::with_capacity(self.cfg.max_seq);
+                push_canonical_row(&snap, self.cfg.max_seq, &mut row);
+                let build =
+                    || Some(VIEW_SCRATCH.with(|s| model.history_view(&row, &mut s.borrow_mut())));
                 let view = match &self.cache {
                     Some(cache) => cache.shared_or_build(epoch, &row, build),
                     None => build().map(Arc::new),

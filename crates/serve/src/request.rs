@@ -130,6 +130,15 @@ fn effective_window(history: &[u32], max_seq: usize) -> &[u32] {
     &history[history.len() - take..]
 }
 
+/// Appends `history`'s canonical dynamic row to `row`: `max_seq` slots, the
+/// [`effective_window`] left-padded with [`PAD`] — the one row the scoring
+/// path and `Engine::retrieve_top_k` both key and build history views from.
+pub(crate) fn push_canonical_row(history: &[u32], max_seq: usize, row: &mut Vec<i64>) {
+    let window = effective_window(history, max_seq);
+    row.resize(row.len() + max_seq - window.len(), PAD);
+    row.extend(window.iter().map(|&it| it as i64));
+}
+
 /// Per-request outcome of history resolution: where the canonical window
 /// sits in [`CoalesceScratch::hist_buf`], plus (for stored requests) the
 /// cache identity and any cached view found for it.
@@ -239,8 +248,7 @@ fn expand_group_into_impl<R: std::borrow::Borrow<ScoreRequest>>(
     // buffer-internal copy (no scratch allocation).
     batch.dyn_idx.clear();
     batch.dyn_idx.reserve(total * max_seq);
-    batch.dyn_idx.resize(max_seq - hist.len(), PAD);
-    batch.dyn_idx.extend(hist.iter().map(|&it| it as i64));
+    push_canonical_row(hist, max_seq, &mut batch.dyn_idx);
     for _ in 1..total {
         batch.dyn_idx.extend_from_within(0..max_seq);
     }

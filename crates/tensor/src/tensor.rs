@@ -115,15 +115,6 @@ impl Tensor {
         Tensor { data: self.data.clone(), shape }
     }
 
-    /// In-place reshape (no data movement).
-    ///
-    /// # Panics
-    /// Panics if `numel` differs.
-    pub fn reshape_in_place(&mut self, shape: Shape) {
-        assert_eq!(self.numel(), shape.numel(), "cannot reshape {} into {shape}", self.shape);
-        self.shape = shape;
-    }
-
     /// Applies `f` elementwise, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor { data: self.data.iter().map(|&x| f(x)).collect(), shape: self.shape }

@@ -31,7 +31,8 @@ use seqfm_serve::{
 };
 use seqfm_train::{OnlineConfig, OnlineTrainer};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 const MAX_SEQ: usize = 6;
 
@@ -299,48 +300,41 @@ fn engine_retrieval_after_publish_matches_a_cold_engine_on_the_new_model() {
     }
 }
 
-/// Delta vs full rebuild: across a chain of published epochs, an index
-/// maintained by *delta* rebuilds (reused, drift-widened envelopes) must
-/// retrieve bit-identically to one maintained by *full* rebuilds and to a
-/// from-scratch build on the final model — widening only loosens bounds,
-/// never results. Also pins that the delta path actually reuses blocks on
-/// an incremental-training-sized step (otherwise it is dead code).
+/// No state survives a rebuild: an index walked through a whole chain of
+/// published epochs equals — block counters included — the same index
+/// rebuilt once for the final epoch, and both retrieve bit-identically to a
+/// from-scratch build on the final model and to brute force. A rebuilt
+/// index depends on `(order, model)` alone.
 #[test]
-fn delta_rebuild_chain_matches_full_rebuilds_and_a_fresh_build() {
+fn rebuild_chain_is_path_independent_and_matches_a_fresh_build() {
     let (model, ps) = build_model(11);
     let old = Arc::new(FrozenSeqFm::freeze(&model, &ps));
     let mut trainer = OnlineTrainer::new(model, ps, layout(), online_cfg());
     let snapshots = trainer.ingest(&stream(32)); // e1..e4
     assert!(snapshots.len() >= 3, "need a chain of epochs");
 
-    let mut delta = CatalogIndex::build(Arc::clone(&old), layout(), 8);
-    let mut full = CatalogIndex::build(Arc::clone(&old), layout(), 8);
-    let mut reused_any = 0usize;
-    for snap in &snapshots {
-        let new = Arc::new(trainer.frozen_for(snap));
-        delta = delta.rebuild_for(Arc::clone(&new));
-        full = full.rebuild_full(new);
-        reused_any += delta.delta_reused_blocks();
-        assert_eq!(full.delta_reused_blocks(), 0, "a full rebuild reuses nothing");
+    let base = CatalogIndex::build(Arc::clone(&old), layout(), 8);
+    let mut chain = base.rebuild_for(Arc::new(trainer.frozen_for(&snapshots[0])));
+    for snap in &snapshots[1..] {
+        chain = chain.rebuild_for(Arc::new(trainer.frozen_for(snap)));
     }
-    assert!(
-        reused_any > 0,
-        "incremental steps must let the delta rebuild reuse some envelopes \
-         (drift bound too loose, or the tolerance collapsed)"
-    );
     let last = Arc::new(trainer.frozen_for(snapshots.last().expect("some")));
-    let fresh = CatalogIndex::build(last.clone(), layout(), 8);
+    let direct = base.rebuild_for(Arc::clone(&last));
+    let fresh = CatalogIndex::build(Arc::clone(&last), layout(), 8);
+    assert_eq!(chain.delta_reused_blocks(), 0, "no rebuild reuses an envelope");
 
     let mut scratch = Scratch::new();
     for (user, hist) in [(0u32, vec![3i64, 12, 9]), (5, vec![30i64, 1, 1, 22])] {
         let mut row = vec![seqfm_data::PAD; MAX_SEQ - hist.len()];
         row.extend(&hist);
         let view = last.history_view(&row, &mut scratch);
-        let via_delta = delta.retrieve(user, &view, 12).expect("valid retrieval");
-        let via_full = full.retrieve(user, &view, 12).expect("valid retrieval");
+        let via_chain = chain.retrieve(user, &view, 12).expect("valid retrieval");
+        let via_direct = direct.retrieve(user, &view, 12).expect("valid retrieval");
         let via_fresh = fresh.retrieve(user, &view, 12).expect("valid retrieval");
-        assert_retrievals_bit_identical(&via_delta, &via_full, "delta chain vs full chain");
-        assert_retrievals_bit_identical(&via_delta, &via_fresh, "delta chain vs fresh build");
+        let brute = fresh.retrieve_brute(user, &view, 12).expect("valid retrieval");
+        assert_eq!(via_chain, via_direct, "user {user}: the publish path left state behind");
+        assert_retrievals_bit_identical(&via_chain, &via_fresh, "chain vs fresh build");
+        assert_retrievals_bit_identical(&via_chain, &brute, "chain vs brute force");
     }
 }
 
@@ -493,6 +487,53 @@ fn rollback_mid_rebuild_settles_the_index_on_the_rolled_back_epoch() {
     let want = reference.retrieve(3, &view, 7).expect("valid retrieval");
     let got = engine.retrieve_top_k(3, 7).expect("valid retrieval");
     assert_retrievals_bit_identical(&got, &want, "post-rollback retrieval");
+}
+
+/// A panicking rebuild is contained on the builder thread. Publishing a
+/// model frozen for a *smaller* item layout makes `rebuild_for` index past
+/// its tables; the builder must survive that with `busy` cleared — so
+/// `wait_for_index` returns instead of blocking forever — keep the last
+/// good index in the slot, and still land the next good publish.
+#[test]
+fn a_panicking_rebuild_neither_wedges_wait_for_index_nor_kills_the_builder() {
+    let (model, ps) = build_model(23);
+    let initial = Arc::new(FrozenSeqFm::freeze(&model, &ps));
+    let engine = Arc::new(
+        Engine::new_frozen(FrozenSeqFm::freeze(&model, &ps), layout(), engine_cfg())
+            .expect("valid")
+            .with_catalog_index(Arc::new(CatalogIndex::build(Arc::clone(&initial), layout(), 16))),
+    );
+    let events = stream(16);
+    for &(u, i) in &events {
+        engine.append_event(u, i).expect("known ids");
+    }
+
+    let small = FeatureLayout { n_items: 20, ..layout() };
+    let mut small_ps = ParamStore::new();
+    let small_model =
+        SeqFm::new(&mut small_ps, &mut StdRng::seed_from_u64(23), &small, *model.config());
+    engine.publish_frozen(FrozenSeqFm::freeze(&small_model, &small_ps));
+
+    // Bounded wait: at a wedged builder this helper never answers.
+    let (tx, rx) = mpsc::channel();
+    let waiter = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || tx.send(engine.wait_for_index()).expect("receiver alive"))
+    };
+    let kept = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("wait_for_index must return after a panicking rebuild")
+        .expect("attached");
+    waiter.join().expect("waiter finished");
+    assert!(Arc::ptr_eq(kept.model(), &initial), "the slot keeps the last good index");
+
+    // The builder is still alive: a good publish lands a rebuilt index.
+    let mut trainer = OnlineTrainer::new(model, ps, layout(), online_cfg());
+    let snapshots = trainer.ingest(&events);
+    let published = engine.publish_frozen(trainer.frozen_for(snapshots.last().expect("some")));
+    let settled = engine.wait_for_index().expect("attached");
+    assert_eq!(settled.model().epoch(), published, "the next publish still gets its index");
+    assert_eq!(engine.score_stored(4, vec![7, 9, 33]).expect("valid").epoch, published);
 }
 
 /// Rollback: republishing a retained epoch restores its serving behaviour
