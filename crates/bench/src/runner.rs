@@ -316,8 +316,8 @@ pub fn run_one(kind: ModelKind, task: Task, prep: &Prepared, args: &HarnessArgs)
 }
 
 /// Runs a list of independent jobs, optionally in parallel over a
-/// [`seqfm_parallel::ThreadPool`] scope (work-stealing, so long-running
-/// models don't serialise behind each other), preserving job order in the
+/// [`seqfm_parallel::ThreadPool`] scope (workers pull jobs off one queue, so
+/// long-running models don't serialise behind each other), preserving job order in the
 /// output. A job panic propagates to the caller after every sibling has
 /// finished.
 pub fn run_jobs<T, F>(n_jobs: usize, serial: bool, job: F) -> Vec<T>

@@ -125,6 +125,17 @@ fn shard_batch(instances: &[Instance]) -> Batch {
     Batch::try_from_instances(instances).expect("training batches are non-empty and rectangular")
 }
 
+/// The BPR pairwise loss (Eq. 21) over paired positive / negative scores:
+/// the mean of −log σ(ŷ⁺ − ŷ⁻) = softplus(−(ŷ⁺ − ŷ⁻)). The offline loop and
+/// the online trainer both end their step here, so "replay ≡ online ≡
+/// offline" op order is this one body.
+pub fn bpr_loss(g: &mut Graph, y_pos: Var, y_neg: Var) -> Var {
+    let diff = g.sub(y_pos, y_neg);
+    let ndiff = g.neg(diff);
+    let per = g.softplus(ndiff);
+    g.mean_all(per)
+}
+
 /// Builds the BPR pairwise loss (Eq. 21) for one shard of positions,
 /// drawing one negative per positive from `rng`. Shared verbatim by the
 /// serial path (shard == whole chunk, `rng` == the run RNG) and by every
@@ -155,11 +166,7 @@ fn ranking_shard_loss(
     let nb = shard_batch(&neg);
     let y_pos = model.forward(g, ps, &pb, true, rng);
     let y_neg = model.forward(g, ps, &nb, true, rng);
-    let diff = g.sub(y_pos, y_neg);
-    // −log σ(x) = softplus(−x)
-    let ndiff = g.neg(diff);
-    let per = g.softplus(ndiff);
-    g.mean_all(per)
+    bpr_loss(g, y_pos, y_neg)
 }
 
 /// Builds the CTR log loss (Eq. 24) for one shard of positions, sampling

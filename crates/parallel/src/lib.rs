@@ -3,34 +3,33 @@
 //! # seqfm-parallel
 //!
 //! The workspace's parallelism subsystem — built entirely on `std`
-//! (`Mutex`/`Condvar`/atomics/threads), because the build environment is
-//! offline. It replaced the vendored crossbeam shim (whose single global
-//! `Mutex<VecDeque>` channel serialized every dispatch) outright; the shim
-//! has since been deleted from the tree.
+//! (`Mutex` / `Condvar` / threads), because the build environment is
+//! offline.
 //!
-//! Four facilities, layered bottom-up:
+//! One queue sits under everything that hands work to another thread: a
+//! `Mutex` over a `VecDeque` with a condvar per direction, every park/wake
+//! condition read and written under that one lock (`queue.rs`). The
+//! facilities, bottom-up:
 //!
-//! * [`ThreadPool`] — a persistent pool of worker threads with **per-worker
-//!   sharded deques**: tasks are injected round-robin and idle workers
-//!   **steal** from their siblings, so no single lock funnels every dispatch.
-//!   [`ThreadPool::scope`] lets tasks borrow from the caller's stack frame
-//!   (crossbeam-style), and a blocked scope *helps* by executing queued
-//!   tasks, so nested scopes cannot deadlock the pool.
-//! * [`par_units`] / [`par_units2`] / [`par_units3`] — fan one, two or
-//!   three unit-aligned buffers out over the pool in contiguous chunks.
-//!   Chunking is deterministic (a pure function of the inputs), so results
-//!   never depend on thread scheduling.
+//! * [`WorkQueue`] / [`WorkerHandle`] — that queue as the serving engine's
+//!   admission channel: capacity-[`bounded`](WorkQueue::bounded), a
+//!   non-blocking [`try_push`](WorkQueue::try_push) backpressure signal, a
+//!   parking [`push_wait`](WorkQueue::push_wait), bulk
+//!   [`recv_many`](WorkerHandle::recv_many) draining under one lock hold
+//!   (what batch coalescing is built on), drain-on-close.
+//! * [`ThreadPool`] — persistent worker threads popping boxed tasks off the
+//!   same queue, unbounded. [`ThreadPool::scope`] lets tasks borrow from the
+//!   caller's stack frame (crossbeam-style), and a blocked scope *helps* by
+//!   executing queued tasks, so nested scopes cannot deadlock the pool.
+//! * [`par_units`] — fans `N` unit-aligned buffers out over the pool in
+//!   contiguous chunks. Chunking is deterministic (a pure function of the
+//!   inputs), so results never depend on thread scheduling.
 //! * [`partition`] / [`shard_seed`] — deterministic contiguous partitioning
 //!   and per-shard RNG stream derivation (SplitMix64 mixing), the building
 //!   blocks of reproducible data-parallel training.
-//! * [`WorkQueue`] / [`Oneshot`] — the serving-side work-distributing
-//!   channel (per-worker shards, round-robin submit, stealing, drain-on-
-//!   close; optionally capacity-[`bounded`](WorkQueue::bounded) with a
-//!   non-blocking [`try_push`](WorkQueue::try_push) backpressure signal, a
-//!   parking [`push_wait`](WorkQueue::push_wait), and bulk
-//!   [`recv_many`](WorkerHandle::recv_many) draining for batch coalescing)
-//!   and a reusable single-value reply slot that replaces per-request
-//!   channel allocation.
+//! * [`Oneshot`] / [`ArcSlot`] — a reusable single-value reply slot that
+//!   replaces per-request channel allocation, and a swappable `Arc` for
+//!   publishing model snapshots.
 //!
 //! The global pool ([`global`]) is sized by the `SEQFM_WORKERS` environment
 //! variable when set, else by [`std::thread::available_parallelism`]; the
@@ -40,11 +39,10 @@ mod oneshot;
 mod par;
 mod pool;
 mod queue;
-mod shards;
 mod slot;
 
 pub use oneshot::{Disconnected, Oneshot};
-pub use par::{par_units, par_units2, par_units3, partition, shard_seed};
+pub use par::{par_units, partition, shard_seed};
 pub use pool::{configured_workers, global, in_parallel_task, Scope, ThreadPool};
 pub use queue::{WorkQueue, WorkerHandle};
 pub use slot::ArcSlot;

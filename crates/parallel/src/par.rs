@@ -41,12 +41,15 @@ pub fn shard_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fans a buffer of `data.len() / unit_len` fixed-size units out over the
-/// pool in contiguous per-worker chunks, calling `f(first_unit, chunk)` for
-/// each chunk (`chunk` holds whole units; `first_unit` is the global index
-/// of its first one — mask/row offsets derive from it). The single home of
-/// the `div_ceil`/`chunks_mut` fan-out arithmetic used by every
-/// row/slice-partitioned kernel.
+/// Fans `N` parallel buffers of fixed-size units out over the pool in
+/// contiguous per-worker chunks. Buffer `i` holds `units` units of
+/// `unit_lens[i]` elements and the units correspond one-to-one (a matmul's
+/// output rows at `N = 1`; an attention kernel's per-slice scores and output
+/// at 2; its backward's `dQ`/`dK`/`dV` at 3). Each chunk gets one call
+/// `f(first_unit, chunks)`: `chunks[i]` holds the same whole units of buffer
+/// `i`, and `first_unit` is the global index of the first one — mask/row
+/// offsets derive from it. The single home of the `div_ceil`/`chunks_mut`
+/// fan-out arithmetic used by every row/slice-partitioned kernel.
 ///
 /// A fan-out of one chunk (a single-worker pool, or fewer units than one
 /// worker's share) runs as a plain call on the caller's
@@ -55,87 +58,21 @@ pub fn shard_seed(seed: u64, stream: u64) -> u64 {
 /// leaves to the scheduler which thread ends up running it.
 ///
 /// # Panics
-/// Panics if `unit_len == 0` or `data.len()` is not a multiple of
-/// `unit_len`.
-pub fn par_units<T, F>(pool: &ThreadPool, data: &mut [T], unit_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(unit_len > 0, "par_units: unit_len must be positive");
-    assert_eq!(data.len() % unit_len, 0, "par_units: data not a multiple of unit_len");
-    let units = data.len() / unit_len;
-    let per = units.div_ceil(pool.workers()).max(1);
-    if units <= per {
-        if units > 0 {
-            f(0, data);
-        }
-        return;
-    }
-    pool.scope(|s| {
-        for (ci, chunk) in data.chunks_mut(per * unit_len).enumerate() {
-            let f = &f;
-            s.spawn(move || f(ci * per, chunk));
-        }
-    });
-}
-
-/// Like [`par_units`], but over two parallel buffers whose units correspond
-/// one-to-one (e.g. an attention kernel's per-slice scores and output):
-/// `f(first_unit, a_chunk, b_chunk)` receives matching chunks of both.
-///
-/// # Panics
-/// Panics if either unit length is zero, either buffer is not a multiple of
-/// its unit length, or the unit counts differ.
-pub fn par_units2<T, U, F>(
+/// Panics if `N == 0`, a unit length is zero, or a buffer is not `units`
+/// whole units long (`units` being the first buffer's count).
+pub fn par_units<T, const N: usize, F>(
     pool: &ThreadPool,
-    a: &mut [T],
-    a_unit: usize,
-    b: &mut [U],
-    b_unit: usize,
+    bufs: [&mut [T]; N],
+    unit_lens: [usize; N],
     f: F,
 ) where
     T: Send,
-    U: Send,
-    F: Fn(usize, &mut [T], &mut [U]) + Sync,
+    F: Fn(usize, [&mut [T]; N]) + Sync,
 {
-    assert!(a_unit > 0 && b_unit > 0, "par_units2: unit lengths must be positive");
-    assert_eq!(a.len() % a_unit, 0, "par_units2: lhs not a multiple of its unit");
-    assert_eq!(b.len() % b_unit, 0, "par_units2: rhs not a multiple of its unit");
-    let units = a.len() / a_unit;
-    assert_eq!(units, b.len() / b_unit, "par_units2: unit count mismatch");
-    let per = units.div_ceil(pool.workers()).max(1);
-    if units <= per {
-        if units > 0 {
-            f(0, a, b);
-        }
-        return;
-    }
-    pool.scope(|s| {
-        for ((ci, a_chunk), b_chunk) in
-            a.chunks_mut(per * a_unit).enumerate().zip(b.chunks_mut(per * b_unit))
-        {
-            let f = &f;
-            s.spawn(move || f(ci * per, a_chunk, b_chunk));
-        }
-    });
-}
-
-/// [`par_units2`] over three same-typed buffers (an attention backward's
-/// per-slice `dQ`/`dK`/`dV`): `f(first_unit, [a_chunk, b_chunk, c_chunk])`.
-///
-/// # Panics
-/// Panics if a unit length is zero, a buffer is not a multiple of its unit
-/// length, or the unit counts differ.
-pub fn par_units3<T, F>(pool: &ThreadPool, bufs: [&mut [T]; 3], unit_lens: [usize; 3], f: F)
-where
-    T: Send,
-    F: Fn(usize, [&mut [T]; 3]) + Sync,
-{
-    assert!(unit_lens.iter().all(|&u| u > 0), "par_units3: unit lengths must be positive");
+    assert!(unit_lens.iter().all(|&u| u > 0), "par_units: unit lengths must be positive");
     let units = bufs[0].len() / unit_lens[0];
     for (buf, &unit) in bufs.iter().zip(&unit_lens) {
-        assert_eq!(buf.len(), units * unit, "par_units3: buffer is not {units} units of {unit}");
+        assert_eq!(buf.len(), units * unit, "par_units: buffer is not {units} units of {unit}");
     }
     let per = units.div_ceil(pool.workers()).max(1);
     if units <= per {
@@ -144,17 +81,13 @@ where
         }
         return;
     }
-    let [a, b, c] = bufs;
-    let [ua, ub, uc] = unit_lens;
+    let mut lens = unit_lens.iter();
+    let mut chunks = bufs.map(|buf| buf.chunks_mut(per * lens.next().expect("N lengths")));
     pool.scope(|s| {
-        for (((ci, a_chunk), b_chunk), c_chunk) in a
-            .chunks_mut(per * ua)
-            .enumerate()
-            .zip(b.chunks_mut(per * ub))
-            .zip(c.chunks_mut(per * uc))
-        {
+        for first in (0..units).step_by(per) {
+            let chunk = chunks.each_mut().map(|c| c.next().expect("a chunk per `per` units"));
             let f = &f;
-            s.spawn(move || f(ci * per, [a_chunk, b_chunk, c_chunk]));
+            s.spawn(move || f(first, chunk));
         }
     });
 }
@@ -188,7 +121,7 @@ mod tests {
         let pool = ThreadPool::new(3);
         let unit = 4;
         let mut data = vec![0u32; 11 * unit];
-        par_units(&pool, &mut data, unit, |first, chunk| {
+        par_units(&pool, [&mut data], [unit], |first, [chunk]| {
             assert_eq!(chunk.len() % unit, 0, "partial unit handed out");
             for (u, slots) in chunk.chunks_mut(unit).enumerate() {
                 slots.fill((first + u) as u32);
@@ -199,35 +132,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn par_units2_keeps_both_buffers_in_lockstep() {
-        let pool = ThreadPool::new(4);
-        let mut a = vec![0u32; 9 * 2];
-        let mut b = vec![0u32; 9 * 5];
-        par_units2(&pool, &mut a, 2, &mut b, 5, |first, ac, bc| {
-            assert_eq!(ac.len() / 2, bc.len() / 5, "chunk unit counts diverge");
-            for (u, slots) in ac.chunks_mut(2).enumerate() {
-                slots.fill((first + u) as u32);
-            }
-            for (u, slots) in bc.chunks_mut(5).enumerate() {
-                slots.fill((first + u) as u32);
-            }
-        });
-        for (u, slots) in a.chunks(2).enumerate() {
-            assert!(slots.iter().all(|&v| v == u as u32));
-        }
-        for (u, slots) in b.chunks(5).enumerate() {
-            assert!(slots.iter().all(|&v| v == u as u32));
-        }
-    }
-
-    #[test]
-    fn par_units3_keeps_three_buffers_in_lockstep() {
-        let pool = ThreadPool::new(4);
-        let units = [2usize, 5, 3];
-        let mut bufs = units.map(|u| vec![0u32; 9 * u]);
-        let [a, b, c] = &mut bufs;
-        par_units3(&pool, [a, b, c], units, |first, chunks| {
+    /// Every unit of every buffer is stamped with its global index.
+    fn stamps_in_lockstep<const N: usize>(pool: &ThreadPool, n_units: usize, units: [usize; N]) {
+        let mut bufs = units.map(|u| vec![0u32; n_units * u]);
+        par_units(pool, bufs.each_mut().map(|b| &mut b[..]), units, |first, chunks| {
             let n = chunks[0].len() / units[0];
             for (chunk, &u) in chunks.into_iter().zip(&units) {
                 assert_eq!(chunk.len(), n * u, "chunk unit counts diverge");
@@ -241,12 +149,22 @@ mod tests {
                 assert!(slots.iter().all(|&v| v == i as u32), "unit {i} wrote {slots:?}");
             }
         }
+    }
+
+    #[test]
+    fn par_units_keeps_two_buffers_in_lockstep() {
+        stamps_in_lockstep(&ThreadPool::new(4), 9, [2, 5]);
+    }
+
+    #[test]
+    fn par_units_keeps_three_buffers_in_lockstep() {
+        stamps_in_lockstep(&ThreadPool::new(4), 9, [2, 5, 3]);
         // One chunk (single-worker pool) and no units at all.
         let solo = ThreadPool::new(1);
-        par_units3(&solo, [&mut [0u8; 4], &mut [0u8; 6], &mut [0u8; 2]], [2, 3, 1], |first, c| {
+        par_units(&solo, [&mut [0u8; 4], &mut [0u8; 6], &mut [0u8; 2]], [2, 3, 1], |first, c| {
             assert_eq!((first, c[0].len(), c[1].len(), c[2].len()), (0, 4, 6, 2));
         });
-        par_units3(&solo, [&mut [0u8; 0], &mut [], &mut []], [2, 3, 1], |_, _| unreachable!());
+        par_units(&solo, [&mut [0u8; 0], &mut [], &mut []], [2, 3, 1], |_, _| unreachable!());
     }
 
     #[test]
@@ -260,20 +178,20 @@ mod tests {
         };
         // A single-worker pool: every fan-out is one chunk.
         let solo = ThreadPool::new(1);
-        par_units(&solo, &mut [0u8; 12], 3, |first, chunk| {
+        par_units(&solo, [&mut [0u8; 12]], [3], |first, [chunk]| {
             assert_eq!(chunk.len(), 12);
             on_caller(first);
         });
-        par_units2(&solo, &mut [0u8; 4], 2, &mut [0u8; 6], 3, |first, a, b| {
+        par_units(&solo, [&mut [0u8; 4], &mut [0u8; 6]], [2, 3], |first, [a, b]| {
             assert_eq!((a.len(), b.len()), (4, 6));
             on_caller(first);
         });
         // A wide pool, one unit: still one chunk.
         let wide = ThreadPool::new(4);
-        par_units(&wide, &mut [0u8; 3], 3, |first, _| on_caller(first));
+        par_units(&wide, [&mut [0u8; 3]], [3], |first, _| on_caller(first));
         assert_eq!(ran.load(Ordering::Relaxed), 3);
         // No units: no call at all.
-        par_units(&wide, &mut [0u8; 0], 3, |_, _| unreachable!("empty fan-out"));
-        par_units2(&solo, &mut [0u8; 0], 2, &mut [0u8; 0], 3, |_, _, _| unreachable!("empty"));
+        par_units(&wide, [&mut [0u8; 0]], [3], |_, _| unreachable!("empty fan-out"));
+        par_units(&solo, [&mut [0u8; 0], &mut [0u8; 0]], [2, 3], |_, _| unreachable!("empty"));
     }
 }

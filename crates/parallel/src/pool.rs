@@ -1,10 +1,6 @@
-//! The scoped work-stealing thread pool.
-//!
-//! Layout: one `Mutex<VecDeque>` **per worker** (a shard), an atomic count
-//! of queued tasks, and one `Condvar` for parking. Injection round-robins
-//! across shards; a worker pops its own shard first and then scans its
-//! siblings (work stealing), so a burst of submissions never serializes on
-//! one lock the way a single shared queue does.
+//! The scoped thread pool: worker threads popping boxed tasks off one
+//! unbounded [`Queue`](crate::queue) — the same queue the serving engine
+//! admits requests through.
 //!
 //! Borrowed data: [`ThreadPool::scope`] spawns closures that may borrow
 //! from the enclosing frame. Soundness rests on one invariant — `scope`
@@ -14,7 +10,7 @@
 //! the scoping thread executes queued tasks ("helping"), so a scope opened
 //! from inside a pool task cannot deadlock a fully-busy pool.
 
-use crate::shards::Shards;
+use crate::queue::Queue;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,30 +44,31 @@ fn run_task(task: Task) {
     task();
 }
 
-/// A persistent pool of worker threads with sharded deques and work
-/// stealing. See the module docs.
+/// A persistent pool of worker threads over one task queue. See the module
+/// docs.
 pub struct ThreadPool {
-    shared: Arc<Shards<Task>>,
+    tasks: Arc<Queue<Task>>,
     handles: Vec<JoinHandle<()>>,
-    /// Round-robin injection cursor.
-    next: AtomicUsize,
 }
 
 impl ThreadPool {
     /// Spawns a pool of `workers` threads (clamped to at least 1).
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shards::new(workers));
-        let handles = (0..workers)
+        let tasks = Arc::new(Queue::new(usize::MAX));
+        let handles = (0..workers.max(1))
             .map(|me| {
-                let shared = Arc::clone(&shared);
+                let tasks = Arc::clone(&tasks);
                 std::thread::Builder::new()
                     .name(format!("seqfm-pool-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
+                    .spawn(move || {
+                        while let Some(task) = tasks.pop_or_park() {
+                            run_task(task);
+                        }
+                    })
                     .expect("spawn pool worker")
             })
             .collect();
-        ThreadPool { shared, handles, next: AtomicUsize::new(0) }
+        ThreadPool { tasks, handles }
     }
 
     /// Number of worker threads.
@@ -79,10 +76,10 @@ impl ThreadPool {
         self.handles.len()
     }
 
-    /// Enqueues a raw task on the next shard (round-robin) and wakes one
-    /// parked worker.
+    /// Enqueues a raw task and wakes one parked worker.
     fn inject(&self, task: Task) {
-        self.shared.push(self.next.fetch_add(1, Ordering::Relaxed), task);
+        let refused = self.tasks.try_push(task).is_err();
+        assert!(!refused, "the pool's queue is unbounded");
     }
 
     /// Runs `f` with a [`Scope`] whose spawned tasks may borrow from the
@@ -115,14 +112,14 @@ impl ThreadPool {
     /// waiting so a scope opened from inside a pool task cannot deadlock.
     fn wait_scope(&self, state: &ScopeState) {
         while state.remaining.load(Ordering::Acquire) > 0 {
-            if let Some(task) = self.shared.try_pop(0) {
+            if let Some(task) = self.tasks.try_pop() {
                 run_task(task);
                 continue;
             }
             let guard = state.done.lock().expect("scope latch poisoned");
             if state.remaining.load(Ordering::Acquire) > 0 {
                 // Re-check with a timeout: a task queued *after* the pop
-                // scan above would otherwise leave us parked while work
+                // above would otherwise leave us parked while work
                 // we could help with sits idle.
                 let (_g, _timeout) = state
                     .cv
@@ -136,16 +133,10 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         // Close-then-join: workers drain every queued task before exiting.
-        self.shared.close();
+        self.tasks.close();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-fn worker_loop(shared: &Shards<Task>, me: usize) {
-    while let Some(task) = shared.pop_or_park(me) {
-        run_task(task);
     }
 }
 

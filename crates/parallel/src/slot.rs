@@ -1,30 +1,21 @@
-//! [`ArcSlot`]: one shared, swappable `Arc<T>` — a `RwLock<Arc<T>>` plus a
-//! publish counter.
+//! [`ArcSlot`]: one shared, swappable `Arc<T>` — a `RwLock<Arc<T>>`.
 //!
 //! The serving engine publishes a model snapshot by *swapping* the `Arc` in
 //! this slot; every worker loads it once per drain. Either lock is held for
 //! one pointer clone or exchange, and the slot keeps nothing alive: a
 //! replaced value belongs to `store`'s caller and to earlier readers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// An atomically swappable `Arc<T>` slot; see the module docs.
 pub struct ArcSlot<T> {
     value: RwLock<Arc<T>>,
-    generation: AtomicU64,
 }
 
 impl<T> ArcSlot<T> {
-    /// A slot holding `initial` at generation 0.
+    /// A slot holding `initial`.
     pub fn new(initial: Arc<T>) -> Self {
-        ArcSlot { value: RwLock::new(initial), generation: AtomicU64::new(0) }
-    }
-
-    /// The number of [`Self::store`]s so far — each publish advances it by
-    /// exactly one. Useful for cheap "did anything change?" staleness checks.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
+        ArcSlot { value: RwLock::new(initial) }
     }
 
     /// Clones the currently published `Arc` (uncontended: two atomic RMWs).
@@ -37,30 +28,25 @@ impl<T> ArcSlot<T> {
     /// that already loaded the old value keep it (epoch pinning); readers
     /// arriving after the store see `new`.
     pub fn store(&self, new: Arc<T>) -> Arc<T> {
-        let mut value = self.value.write().unwrap_or_else(PoisonError::into_inner);
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        std::mem::replace(&mut *value, new)
+        std::mem::replace(&mut *self.value.write().unwrap_or_else(PoisonError::into_inner), new)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn load_returns_what_was_stored() {
         let slot = ArcSlot::new(Arc::new(1u32));
         assert_eq!(*slot.load(), 1);
-        assert_eq!(slot.generation(), 0);
         let prev = slot.store(Arc::new(2));
         assert_eq!(*prev, 1);
         assert_eq!(*slot.load(), 2);
-        assert_eq!(slot.generation(), 1);
         let prev = slot.store(Arc::new(3));
         assert_eq!(*prev, 2);
         assert_eq!(*slot.load(), 3);
-        assert_eq!(slot.generation(), 2);
     }
 
     #[test]
@@ -132,6 +118,5 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
         });
         assert_eq!(slot.load().0, 2000);
-        assert_eq!(slot.generation(), 2000);
     }
 }

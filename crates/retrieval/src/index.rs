@@ -336,7 +336,7 @@ impl CatalogIndex {
         let workers = pool.workers().min(n_blocks).max(1);
         let mut slots: Vec<Slot> = (0..workers).map(|_| Slot::new(k_eff)).collect();
         let spans = partition(n_blocks, workers);
-        par_units(pool, &mut slots, 1, |first, chunk| {
+        par_units(pool, [&mut slots], [1], |first, [chunk]| {
             for (s, slot) in chunk.iter_mut().enumerate() {
                 for bi in spans[first + s].clone() {
                     self.score_block(model, user, view, bi, slot);
@@ -345,9 +345,9 @@ impl CatalogIndex {
         });
         let mut top = TopK::new(k_eff);
         let mut items_scored = 0;
-        for slot in slots {
+        for slot in &mut slots {
             items_scored += slot.items_scored;
-            top.absorb(slot.top);
+            top.absorb(&mut slot.top);
         }
         Ok(Retrieval {
             items: top.into_sorted(),
@@ -431,13 +431,13 @@ impl CatalogIndex {
             if wave.is_empty() {
                 break;
             }
-            par_units(pool, &mut slots[..wave.len()], 1, |first, chunk| {
+            par_units(pool, [&mut slots[..wave.len()]], [1], |first, [chunk]| {
                 for (s, slot) in chunk.iter_mut().enumerate() {
                     self.score_block(&self.model, user, view, wave[first + s].0, slot);
                 }
             });
             for slot in &mut slots[..wave.len()] {
-                top.absorb(std::mem::replace(&mut slot.top, TopK::new(k_eff)));
+                top.absorb(&mut slot.top);
             }
             pos += wave.len();
         }

@@ -116,11 +116,12 @@ impl TopK {
             .then(|| self.heap.peek().expect("full heap").0.score)
     }
 
-    /// Merges another shard's retained candidates into this accumulator.
-    /// Associativity and the total order make the merged result independent
-    /// of shard count and merge order.
-    pub fn absorb(&mut self, other: TopK) {
-        for e in other.heap {
+    /// Moves another shard's retained candidates into this accumulator,
+    /// leaving `other` empty with its allocation intact (a scan reuses one
+    /// heap per worker across its waves). Associativity and the total order
+    /// make the merged result independent of shard count and merge order.
+    pub fn absorb(&mut self, other: &mut TopK) {
+        for e in other.heap.drain() {
             self.push(e.0);
         }
     }
@@ -196,7 +197,8 @@ mod tests {
                 for &c in second {
                     s2.push(c);
                 }
-                s1.absorb(s2);
+                s1.absorb(&mut s2);
+                assert!(s2.is_empty(), "absorb drains its source");
                 let got = s1.into_sorted();
                 assert_eq!(got.len(), reference.len());
                 for (r, g) in reference.iter().zip(&got) {

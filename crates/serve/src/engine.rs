@@ -1,12 +1,12 @@
 //! The multi-threaded, batch-coalescing, **stateful** scoring engine.
 //!
 //! An [`Engine`] owns a pool of worker threads fed by a **bounded**
-//! [`WorkQueue`](seqfm_parallel::WorkQueue): requests are admitted
-//! round-robin onto per-worker sharded queues, an idle worker steals from
-//! its siblings, and — the throughput lever — each worker wakeup **drains up
-//! to [`EngineConfig::coalesce_max`] queued requests at once**, groups the
-//! ones sharing a canonical history window (regardless of user), and scores
-//! every group as one super-batch through
+//! [`WorkQueue`](seqfm_parallel::WorkQueue): requests are admitted into one
+//! FIFO every worker pops, and — the throughput lever — each worker wakeup
+//! **drains up to [`EngineConfig::coalesce_max`] queued requests at once**
+//! (one hold of the queue's lock), groups the ones sharing a canonical
+//! history window (regardless of user), and scores every group as one
+//! super-batch through
 //! [`score_requests_stateful`](crate::score_requests_stateful). The frozen
 //! scorer's history side then has one row for the whole group — *across*
 //! requests and *across users* — so throughput rises with load, not only
@@ -14,8 +14,8 @@
 //!
 //! Since the stateful-serving redesign the engine also **owns the
 //! sequences**: a sharded [`HistoryStore`](crate::HistoryStore) sized
-//! `layout.n_users × history_capacity`, warmed from a dataset
-//! ([`Engine::warm_histories`]) and kept current by
+//! `layout.n_users × max_seq` (the model cannot see further back), warmed
+//! from a dataset ([`Engine::warm_histories`]) and kept current by
 //! [`Engine::append_event`]. A [`HistorySource::Stored`](crate::HistorySource)
 //! request is just `(user, candidates)`; workers snapshot the window under
 //! one shard read lock and — when [`EngineConfig::cache_entries`] > 0 —
@@ -81,10 +81,6 @@ pub struct EngineConfig {
     /// same-history super-batches. `1` disables coalescing; larger values
     /// trade per-request latency for throughput under load. Must be ≥ 1.
     pub coalesce_max: usize,
-    /// Per-user [`HistoryStore`](crate::HistoryStore) ring capacity; `0`
-    /// (the default) means "use `max_seq`" — the window the model can see
-    /// anyway.
-    pub history_capacity: usize,
     /// Bound on the [`ViewCache`](crate::ViewCache) memoising history-side
     /// panels for stored-history requests; `0` disables caching.
     pub cache_entries: usize,
@@ -114,7 +110,6 @@ impl Default for EngineConfig {
             top_k: 0,
             queue_capacity: 1024,
             coalesce_max: 16,
-            history_capacity: 0,
             cache_entries: 1024,
             precision: ScorerPrecision::Exact,
         }
@@ -148,16 +143,6 @@ impl EngineConfig {
             return bad("coalesce_max must be >= 1 (each worker wakeup must drain a request)");
         }
         Ok(())
-    }
-
-    /// The resolved per-user store capacity (`history_capacity`, defaulting
-    /// to `max_seq` when 0).
-    fn resolved_history_capacity(&self) -> usize {
-        if self.history_capacity == 0 {
-            self.max_seq
-        } else {
-            self.history_capacity
-        }
     }
 }
 
@@ -206,13 +191,6 @@ impl EngineConfigBuilder {
     /// Per-wakeup drain bound. See [`EngineConfig::coalesce_max`].
     pub fn coalesce_max(mut self, coalesce_max: usize) -> Self {
         self.cfg.coalesce_max = coalesce_max;
-        self
-    }
-
-    /// Per-user history ring capacity. See
-    /// [`EngineConfig::history_capacity`].
-    pub fn history_capacity(mut self, history_capacity: usize) -> Self {
-        self.cfg.history_capacity = history_capacity;
         self
     }
 
@@ -527,7 +505,7 @@ pub struct Engine {
 impl Engine {
     /// Spawns `cfg.threads` workers sharing `scorer`, plus a
     /// [`HistoryStore`](crate::HistoryStore) sized
-    /// `layout.n_users × history_capacity` and (when
+    /// `layout.n_users × cfg.max_seq` and (when
     /// `cfg.cache_entries > 0`) a [`ViewCache`](crate::ViewCache).
     ///
     /// The scorer is typically a
@@ -552,7 +530,7 @@ impl Engine {
         cfg: EngineConfig,
     ) -> Result<Self, ServeError> {
         cfg.validate()?;
-        let store = Arc::new(HistoryStore::new(layout.n_users, cfg.resolved_history_capacity()));
+        let store = Arc::new(HistoryStore::new(layout.n_users, cfg.max_seq));
         let cache = (cfg.cache_entries > 0).then(|| Arc::new(ViewCache::new(cfg.cache_entries)));
         let model = Arc::new(ArcSlot::new(Arc::new(rev)));
         let (queue, handles) = WorkQueue::<Job>::bounded(cfg.threads.max(1), cfg.queue_capacity);
@@ -1273,7 +1251,7 @@ mod tests {
         let engine = Engine::new(
             Arc::new(frozen_model(&layout)),
             layout,
-            EngineConfig { threads: 1, max_seq: 6, history_capacity: 3, ..Default::default() },
+            EngineConfig { threads: 1, max_seq: 3, ..Default::default() },
         )
         .expect("valid");
         let ev = |item: u32, time: u32| Event { item, time, rating: 1.0 };
@@ -1285,7 +1263,7 @@ mod tests {
             per_user: vec![vec![ev(1, 0), ev(2, 1), ev(3, 2), ev(4, 3), ev(5, 4)], vec![ev(7, 0)]],
         };
         assert_eq!(engine.warm_histories(&ds).expect("in-layout items"), 6);
-        // Ring capacity 3: only the tail survives.
+        // The ring holds `max_seq` = 3 events: only the tail survives.
         assert_eq!(engine.history(0).expect("known"), vec![3, 4, 5]);
         assert_eq!(engine.history(1).expect("known"), vec![7]);
         // Live appends continue the warmed sequence.
@@ -1380,7 +1358,6 @@ mod tests {
             .top_k(5)
             .queue_capacity(99)
             .coalesce_max(4)
-            .history_capacity(50)
             .cache_entries(0)
             .build()
             .expect("valid");
@@ -1390,13 +1367,10 @@ mod tests {
             top_k: 5,
             queue_capacity: 99,
             coalesce_max: 4,
-            history_capacity: 50,
             cache_entries: 0,
             precision: ScorerPrecision::Exact,
         };
         assert_eq!(built, literal);
-        assert_eq!(built.resolved_history_capacity(), 50);
-        assert_eq!(EngineConfig::default().resolved_history_capacity(), 20);
         assert!(matches!(
             EngineConfig::builder().max_seq(0).build(),
             Err(ServeError::BadConfig { .. })

@@ -71,13 +71,11 @@ pub fn attention_into(
     // ~2 multiply-add passes of n·n·d plus the softmax per slice.
     let work_per_slice = 2 * n * n * d + 16 * n * n;
     if super::dispatch::should_par(bs * work_per_slice, bs) {
-        seqfm_parallel::par_units2(
+        seqfm_parallel::par_units(
             seqfm_parallel::global(),
-            scores,
-            n * n,
-            out,
-            n * d,
-            |b0, scores_chunk, out_chunk| {
+            [scores, out],
+            [n * n, n * d],
+            |b0, [scores_chunk, out_chunk]| {
                 let slices = scores_chunk.len() / (n * n);
                 let q = &q[b0 * n * d..(b0 + slices) * n * d];
                 let k = &k[b0 * n * d..(b0 + slices) * n * d];
@@ -227,13 +225,11 @@ pub fn attention_cross_shared_into(
     // plus the exp-weighted softmax ops of both blocks.
     let work_per_slice = (3 * ns1 + ns) * nd * d + 32 * ns * nd;
     if super::dispatch::should_par(bs * work_per_slice, bs) {
-        seqfm_parallel::par_units2(
+        seqfm_parallel::par_units(
             seqfm_parallel::global(),
-            scores,
-            ns * nd,
-            out,
-            n * d,
-            |b0, scores_chunk, out_chunk| {
+            [scores, out],
+            [ns * nd, n * d],
+            |b0, [scores_chunk, out_chunk]| {
                 let slices = scores_chunk.len() / (ns * nd);
                 let own = own.map(|x| &x[b0 * ns1 * d..(b0 + slices) * ns1 * d]);
                 let dims = [slices, ns0, ns1, nd, d];
@@ -348,13 +344,11 @@ pub fn attention_cross_rows_into(
 
     let work_per_slice = 4 * ns * nd * d + 32 * ns * nd;
     if super::dispatch::should_par(bs * work_per_slice, bs) {
-        seqfm_parallel::par_units2(
+        seqfm_parallel::par_units(
             seqfm_parallel::global(),
-            weights,
-            2 * ns * nd,
-            out,
-            n * d,
-            |b0, weights_chunk, out_chunk| {
+            [weights, out],
+            [2 * ns * nd, n * d],
+            |b0, [weights_chunk, out_chunk]| {
                 let slices = out_chunk.len() / (n * d);
                 cross_rows_slices(
                     stat.map(|x| &x[b0 * stat_stride..]),
@@ -459,7 +453,7 @@ pub fn attention_cross_rows_backward_into(
 
     let work_per_slice = 8 * ns * nd * d;
     if super::dispatch::should_par(bs * work_per_slice, bs) {
-        seqfm_parallel::par_units3(seqfm_parallel::global(), grads, [n * d; 3], |b0, grads| {
+        seqfm_parallel::par_units(seqfm_parallel::global(), grads, [n * d; 3], |b0, grads| {
             let slices = grads[0].len() / (n * d);
             cross_rows_backward_slices(
                 qkv.map(|x| &x[b0 * n * d..]),

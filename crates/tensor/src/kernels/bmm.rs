@@ -22,7 +22,7 @@ fn for_each_slice(
     f: impl Fn(usize, &mut [f32]) + Sync,
 ) {
     if should_par(bs * work_per_slice, bs) {
-        seqfm_parallel::par_units(seqfm_parallel::global(), c, slice_len, |b0, chunk| {
+        seqfm_parallel::par_units(seqfm_parallel::global(), [c], [slice_len], |b0, [chunk]| {
             for (j, c_slice) in chunk.chunks_mut(slice_len).enumerate() {
                 f(b0 + j, c_slice);
             }

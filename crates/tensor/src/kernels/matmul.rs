@@ -161,7 +161,7 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
     if should_par(m * k * n, m) {
-        seqfm_parallel::par_units(seqfm_parallel::global(), c, n, |i0, c_rows| {
+        seqfm_parallel::par_units(seqfm_parallel::global(), [c], [n], |i0, [c_rows]| {
             tn_block(a, b, c_rows, i0, c_rows.len() / n, m, k, n)
         });
     } else {
@@ -623,7 +623,7 @@ fn par_rows(
     n: usize,
     f: impl Fn(&[f32], &mut [f32], usize) + Sync,
 ) {
-    seqfm_parallel::par_units(seqfm_parallel::global(), c, n, |i0, c_rows| {
+    seqfm_parallel::par_units(seqfm_parallel::global(), [c], [n], |i0, [c_rows]| {
         let rows = c_rows.len() / n;
         f(&a[i0 * k..(i0 + rows) * k], c_rows, rows)
     });

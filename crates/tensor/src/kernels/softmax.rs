@@ -233,7 +233,7 @@ pub fn softmax_rows_into(
     // exp dominates a softmax row — weight the op estimate accordingly so
     // modest score matrices still clear the fan-out threshold.
     if super::dispatch::should_par(x.len() * 16, rows) {
-        seqfm_parallel::par_units(seqfm_parallel::global(), out, m, |r0, out_rows| {
+        seqfm_parallel::par_units(seqfm_parallel::global(), [out], [m], |r0, [out_rows]| {
             let x_rows = &x[r0 * m..r0 * m + out_rows.len()];
             softmax_rows(x_rows, m, rows_per_slice, mask, out_rows, r0)
         });

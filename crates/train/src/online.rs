@@ -26,6 +26,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seqfm_autograd::{FrozenParams, Graph, ModelEpoch, ParamStore};
+use seqfm_core::train::bpr_loss;
 use seqfm_core::{FrozenSeqFm, SeqFm, SeqModel};
 use seqfm_data::{build_instance, Batch, FeatureLayout, Instance};
 use seqfm_nn::Adam;
@@ -54,35 +55,14 @@ pub struct OnlineConfig {
     /// Seed for the per-minibatch RNG streams (negative sampling and
     /// training-mode dropout).
     pub seed: u64,
-    /// Shadow-history ring capacity per user; `0` means `max_seq` (events
-    /// beyond the model's window can never enter a context anyway).
-    pub history_capacity: usize,
-    /// Published epochs retained for [`OnlineTrainer::rollback_to`].
-    /// Treated as ≥ 1.
-    pub keep_epochs: usize,
 }
+
+/// Published epochs retained for [`OnlineTrainer::rollback_to`].
+const KEEP_EPOCHS: usize = 4;
 
 impl Default for OnlineConfig {
     fn default() -> Self {
-        OnlineConfig {
-            batch_size: 8,
-            publish_every: 4,
-            lr: 1e-3,
-            max_seq: 20,
-            seed: 42,
-            history_capacity: 0,
-            keep_epochs: 4,
-        }
-    }
-}
-
-impl OnlineConfig {
-    fn resolved_history_capacity(&self) -> usize {
-        if self.history_capacity == 0 {
-            self.max_seq.max(1)
-        } else {
-            self.history_capacity
-        }
+        OnlineConfig { batch_size: 8, publish_every: 4, lr: 1e-3, max_seq: 20, seed: 42 }
     }
 }
 
@@ -98,8 +78,8 @@ pub struct OnlineTrainer {
     /// Reused tape — [`Graph::reset`] between steps keeps steady-state
     /// minibatches allocation-free, same as the offline loop.
     graph: Graph,
-    /// Shadow per-user histories (most recent last), bounded by
-    /// [`OnlineConfig::history_capacity`].
+    /// Shadow per-user histories (most recent last), `max_seq` long: events
+    /// beyond the model's window can never enter a context.
     histories: Vec<VecDeque<u32>>,
     /// Events ingested but not yet consumed by a full minibatch.
     pending: VecDeque<(u32, u32)>,
@@ -107,7 +87,7 @@ pub struct OnlineTrainer {
     step: u64,
     /// Minibatches since the last published snapshot.
     since_publish: usize,
-    /// The last [`OnlineConfig::keep_epochs`] published snapshots, oldest
+    /// The last [`KEEP_EPOCHS`] published snapshots, oldest
     /// first — the rollback ring.
     ring: VecDeque<Arc<FrozenParams>>,
     /// Scratch for draining an engine's event log in [`OnlineTrainer::pump`].
@@ -182,11 +162,7 @@ impl OnlineTrainer {
         g.reset();
         let y_pos = self.model.forward(g, &self.ps, &pb, true, &mut rng);
         let y_neg = self.model.forward(g, &self.ps, &nb, true, &mut rng);
-        let diff = g.sub(y_pos, y_neg);
-        // BPR (Eq. 21): −log σ(ŷ⁺ − ŷ⁻) = softplus(−(ŷ⁺ − ŷ⁻))
-        let ndiff = g.neg(diff);
-        let per = g.softplus(ndiff);
-        let loss = g.mean_all(per);
+        let loss = bpr_loss(g, y_pos, y_neg);
         self.ps.zero_grads();
         g.backward(loss, &mut self.ps);
         self.opt.sparse_step(&mut self.ps).expect("finite online gradients");
@@ -194,7 +170,7 @@ impl OnlineTrainer {
     }
 
     fn push_history(&mut self, u: u32, item: u32) {
-        let cap = self.cfg.resolved_history_capacity();
+        let cap = self.cfg.max_seq.max(1);
         let ring = &mut self.histories[u as usize];
         if ring.len() == cap {
             ring.pop_front();
@@ -203,10 +179,10 @@ impl OnlineTrainer {
     }
 
     /// Freezes the next monotone epoch and retires the rollback ring's
-    /// oldest entry past `keep_epochs`.
+    /// oldest entry past [`KEEP_EPOCHS`].
     fn publish_snapshot(&mut self) -> Arc<FrozenParams> {
         let snap = self.ps.freeze_versioned();
-        if self.ring.len() == self.cfg.keep_epochs.max(1) {
+        if self.ring.len() == KEEP_EPOCHS {
             self.ring.pop_front();
         }
         self.ring.push_back(Arc::clone(&snap));
@@ -379,22 +355,20 @@ mod tests {
     #[test]
     fn rollback_ring_is_bounded_and_keeps_original_epoch_stamps() {
         let (model, ps) = build(Ablation::default());
-        let cfg = OnlineConfig { keep_epochs: 2, ..online_cfg() };
-        let mut tr = OnlineTrainer::new(model, ps, layout(), cfg);
+        let mut tr = OnlineTrainer::new(model, ps, layout(), online_cfg());
         // batch 4 × publish_every 2 → one publish per 8 events.
-        let published = tr.ingest(&stream(32));
-        assert_eq!(published.len(), 4);
+        let published = tr.ingest(&stream(48));
         let epochs: Vec<u64> = published.iter().map(|s| s.epoch().get()).collect();
-        assert_eq!(epochs, vec![1, 2, 3, 4], "epochs are monotone from 1");
-        // Only the last keep_epochs survive in the ring.
+        assert_eq!(epochs, vec![1, 2, 3, 4, 5, 6], "epochs are monotone from 1");
+        // Only the last KEEP_EPOCHS survive in the ring.
         assert_eq!(
             tr.rollback_epochs(),
-            vec![ModelEpoch(3), ModelEpoch(4)],
-            "ring retains the newest two"
+            (3..=6).map(ModelEpoch).collect::<Vec<_>>(),
+            "ring retains the newest four"
         );
-        assert!(tr.rollback_to(ModelEpoch(1)).is_none(), "aged out");
+        assert!(tr.rollback_to(ModelEpoch(2)).is_none(), "aged out");
         let rolled = tr.rollback_to(ModelEpoch(3)).expect("retained");
         assert_eq!(rolled.epoch(), ModelEpoch(3), "rollback keeps the original stamp");
-        assert_eq!(tr.latest_snapshot().map(|s| s.epoch()), Some(ModelEpoch(4)));
+        assert_eq!(tr.latest_snapshot().map(|s| s.epoch()), Some(ModelEpoch(6)));
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! Crate map:
 //!
-//! * [`parallel`] — the parallelism subsystem: work-stealing thread pool,
-//!   `par_units` slice fan-out, sharded work queues, reusable oneshots
+//! * [`parallel`] — the parallelism subsystem: one mutex-and-condvar queue
+//!   under a scoped thread pool and the engine's bounded admission channel,
+//!   `par_units` slice fan-out, reusable oneshots
 //! * [`tensor`] — dense f32 tensors and kernels (matmul/bmm/softmax/…),
 //!   auto-parallel above a size threshold
 //! * [`autograd`] — tape-based reverse-mode autodiff

@@ -10,7 +10,7 @@
 //!    threads never corrupt a window: every response equals the serial
 //!    score of *some* valid prefix-window of that user's appends.
 //! 3. **Bounded windows** — the per-user ring keeps exactly the most recent
-//!    `history_capacity` events through arbitrary traffic, and bulk
+//!    `max_seq` events through arbitrary traffic, and bulk
 //!    warm-up ([`Engine::warm_histories`]) matches event-by-event appends.
 
 use rand::rngs::StdRng;
@@ -181,7 +181,7 @@ fn warm_histories_matches_event_by_event_appends() {
     let l = layout();
     let (m, p) = model(97);
     let frozen = Arc::new(FrozenSeqFm::freeze(&m, &p));
-    let cfg = EngineConfig::builder().max_seq(MAX_SEQ).history_capacity(4).build().expect("valid");
+    let cfg = EngineConfig::builder().max_seq(MAX_SEQ).build().expect("valid");
     let warmed = Engine::new(Arc::clone(&frozen), l, cfg).expect("valid");
     let appended = Engine::new(Arc::clone(&frozen), l, cfg).expect("valid");
     let ev = |item: u32, time: u32| Event { item, time, rating: 1.0 };
@@ -206,8 +206,8 @@ fn warm_histories_matches_event_by_event_appends() {
             appended.history(u as u32).expect("known"),
             "user {u}: bulk load diverges from appends"
         );
-        // history_capacity(4) bounds the window regardless of traffic.
-        assert!(warmed.history(u as u32).expect("known").len() <= 4);
+        // The ring is `max_seq` wide regardless of traffic (up to 16 events).
+        assert!(warmed.history(u as u32).expect("known").len() <= MAX_SEQ);
     }
     // And the warmed store serves: stored == inline bits for a loaded user.
     let mut scratch = Scratch::new();
