@@ -4,7 +4,10 @@
 //! `BENCH_kernels.json` at the repository root:
 //!
 //! * single-core naive vs. tiled matmul throughput (GFLOP/s) at the serving
-//!   shapes `d = 32` and `d = 64` (candidate-expansion row counts);
+//!   shapes `d = 32` and `d = 64` (candidate-expansion row counts), for all
+//!   three flavours (`tn` as the weight gradient `Xᵀ·dY` over those rows);
+//! * naive vs. tiled `nn` and `tn` latency on a padded training batch
+//!   (sessions opening with all-zero rows, which the tiled kernels skip);
 //! * fused [`attention_into`] latency at serving geometry, and the exact
 //!   cross view there both ways: splice + dense masked [`attention_into`]
 //!   vs. the structured [`attention_cross_shared_into`], the latter also at
@@ -161,6 +164,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let a = rand(Shape::d2(m, d), &mut seed);
         let b = rand(Shape::d2(d, d), &mut seed);
         let bt = rand(Shape::d2(d, d), &mut seed);
+        let dy = rand(Shape::d2(m, d), &mut seed);
         let mut out = vec![0.0f32; m * d];
         let mut time = |f: &mut dyn FnMut(&mut [f32])| {
             let mut o = std::mem::take(&mut out);
@@ -187,15 +191,62 @@ fn emit_kernels_json(_c: &mut Criterion) {
             o.fill(0.0);
             tiled::matmul_nt_into(a.data(), bt.data(), o, m, d, d);
         });
-        fields.push_str(&format!(
-            "  \"matmul_nn_d{d}_gflops_naive\": {:.2},\n  \"matmul_nn_d{d}_gflops_tiled\": {:.2},\n  \"matmul_nn_d{d}_speedup_tiled_vs_naive\": {:.2},\n  \"matmul_nt_d{d}_gflops_naive\": {:.2},\n  \"matmul_nt_d{d}_gflops_tiled\": {:.2},\n  \"matmul_nt_d{d}_speedup_tiled_vs_naive\": {:.2},\n",
-            gflops(m, d, d, nn_naive),
-            gflops(m, d, d, nn_tiled),
-            nn_naive / nn_tiled,
-            gflops(m, d, d, nt_naive),
-            gflops(m, d, d, nt_tiled),
-            nt_naive / nt_tiled,
-        ));
+        // `tn` is the backward weight gradient `dW = Xᵀ·dY`: depth `m`,
+        // output `[d, d]`, the same flop count.
+        let [tn_naive, tn_tiled] = [naive::matmul_tn_into, tiled::matmul_tn_into].map(|kernel| {
+            time(&mut |o| {
+                o[..d * d].fill(0.0);
+                kernel(a.data(), dy.data(), &mut o[..d * d], d, m, d);
+            })
+        });
+        for (flavour, naive_s, tiled_s) in
+            [("nn", nn_naive, nn_tiled), ("nt", nt_naive, nt_tiled), ("tn", tn_naive, tn_tiled)]
+        {
+            fields.push_str(&format!(
+                "  \"matmul_{flavour}_d{d}_gflops_naive\": {:.2},\n  \"matmul_{flavour}_d{d}_gflops_tiled\": {:.2},\n  \"matmul_{flavour}_d{d}_speedup_tiled_vs_naive\": {:.2},\n",
+                gflops(m, d, d, naive_s),
+                gflops(m, d, d, tiled_s),
+                naive_s / tiled_s,
+            ));
+        }
+    }
+
+    // --- a padded training batch: `[128·22, 32]·[32, 32]` and its `dW` -----
+    // 128 sessions of 22 rows, each opening with 0–22 all-zero (padding)
+    // rows: the tiled `nn` never visits those rows and `tn` never visits
+    // those depth steps; naive tests every element.
+    {
+        let (b, n, d) = (128usize, 22usize, 32usize);
+        let mut seed = 12;
+        let mut x = rand(Shape::d2(b * n, d), &mut seed).data().to_vec();
+        for (s, session) in x.chunks_mut(n * d).enumerate() {
+            session[..(s * 7 + 3) % (n + 1) * d].fill(0.0);
+        }
+        let [w, dy] = [d, b * n].map(|rows| rand(Shape::d2(rows, d), &mut seed));
+        let mut out = vec![0.0f32; b * n * d];
+        type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+        let mut time = |kernel: Kernel, rhs: &[f32], [m, k]: [usize; 2]| {
+            p50_of(
+                &mut || {
+                    out[..m * d].fill(0.0);
+                    kernel(&x, rhs, &mut out[..m * d], m, k, d);
+                    std::hint::black_box(out[0]);
+                },
+                200,
+            )
+        };
+        let times = [
+            ("nn", time(tiled::matmul_nn_into, w.data(), [b * n, d])),
+            ("nn_naive", time(naive::matmul_nn_into, w.data(), [b * n, d])),
+            ("tn", time(tiled::matmul_tn_into, dy.data(), [d, b * n])),
+            ("tn_naive", time(naive::matmul_tn_into, dy.data(), [d, b * n])),
+        ];
+        for (kernel, secs) in times {
+            fields.push_str(&format!(
+                "  \"matmul_{kernel}_train_padded_b{b}_n{n}_d{d}_us\": {:.1},\n",
+                secs * 1e6
+            ));
+        }
     }
 
     // --- fused attention latency ------------------------------------------

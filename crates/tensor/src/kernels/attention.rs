@@ -23,7 +23,7 @@
 //! untouched, so the bit-for-bit guarantee survives parallel execution.
 
 use super::bmm::{bmm_nn_into, bmm_nt_into};
-use super::matmul::chain_tile;
+use super::matmul::{by_rows, chain_tile};
 use super::softmax::{softmax_row_inplace, AttnMask};
 
 /// `out[b,n,d] = softmax(scale · Q·Kᵀ + M) · V` per batch slice.
@@ -688,7 +688,8 @@ fn zero_tile<const R: usize, const L: usize, const SKIP: bool>(
     depth: usize,
     put: &mut impl FnMut(usize, &[f32]),
 ) -> usize {
-    let acc = chain_tile::<R, L, false, SKIP>([[0.0f32; L]; R], a, lda, b, ldb, depth);
+    let rows = std::array::from_fn(|r| &a[r * lda..r * lda + depth]);
+    let acc = chain_tile::<R, L, SKIP>([[0.0f32; L]; R], by_rows(rows), b, ldb, depth);
     for (r, acc_r) in acc.iter().enumerate() {
         put(r, acc_r);
     }

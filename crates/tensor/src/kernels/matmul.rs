@@ -9,7 +9,8 @@
 //! Each flavour exists twice: a [`naive`] reference kernel (simple loops,
 //! the semantic oracle) and a cache-blocked [`tiled`] kernel that packs a
 //! `k × NR` panel of `B` into the thread-local workspace arena
-//! ([`crate::workspace`]) and walks the output in `MR × NR` register tiles.
+//! ([`crate::workspace`]) and walks the output in `MR × NR` register tiles
+//! (for `nn`, tiles of up to `MR` rows taken from a list, see below).
 //! The tiled kernels hold each output element in a register across the
 //! whole `k` loop instead of streaming it through memory once per `k` step,
 //! and the packed panel makes the inner loop a contiguous, branch-free
@@ -29,10 +30,17 @@
 //! sequence. The `nn`/`tn` flavours additionally cache-block the reduction
 //! depth at `KC` — bit-safe there because their micro-kernels round-trip
 //! the `c` tile through memory between chunks (see the `KC` docs for why
-//! `nt` is excluded). Tiled results are therefore bit-for-bit equal to naive ones
-//! for any input (asserted exhaustively in `tests/tiled_parity.rs`), which
-//! lets the dispatchers pick freely by shape without perturbing a single
-//! logit.
+//! `nt` is excluded). The same round trip lets them decide the skip once per
+//! lhs row (`nn`) or per depth step (`tn`) instead of once per multiply: the
+//! naive loop skips every multiply of an all-zero row or step, which leaves
+//! `c` as it was, so the tiled walk never visits one; a zero-free row or
+//! chunk of steps could never fire the skip, so it runs the chain without
+//! the test; only rows or chunks that mix zeros with non-zeros keep the
+//! per-element test. `±0.0` counts as zero and NaN / `±∞` do not, exactly as
+//! in the naive predicate. Tiled results are therefore bit-for-bit equal to
+//! naive ones for any input (asserted exhaustively in
+//! `tests/tiled_parity.rs`), which lets the dispatchers pick freely by shape
+//! without perturbing a single logit.
 //!
 //! The `_into` entry points are additionally **row-partitioned** across the
 //! global thread pool above a size threshold (see `kernels::dispatch`):
@@ -54,10 +62,11 @@ pub(crate) const NR: usize = 16;
 /// registers, accumulate ascending `p`, and *store* it back, so splitting
 /// the `p` loop at a store/load boundary replays exactly the same
 /// per-element f32 op sequence (an f32 round-trip through memory is exact).
-/// The `nt` micro-kernel zero-initialises its accumulators and adds into
-/// `c` once at the end — k-splitting it would turn one dot product into a
-/// sum of partials with a different rounding order — so `nt` deliberately
-/// packs its full-depth panel and is excluded from k-blocking.
+/// A `tn` chunk packs only its live (not all-zero) depth steps. The `nt`
+/// micro-kernel zero-initialises its accumulators and adds into `c` once at
+/// the end — k-splitting it would turn one dot product into a sum of
+/// partials with a different rounding order — so `nt` deliberately packs its
+/// full-depth panel and is excluded from k-blocking.
 const KC: usize = 256;
 
 /// `true` when the packed/tiled path is worth its panel-packing overhead:
@@ -331,36 +340,31 @@ pub mod naive {
 
 /// One `R × L` block of independent multiply-add chains — the single inner
 /// loop behind every tiled matmul flavour and the structured attention
-/// kernel: `acc[r][t] += a(r, p) · b[p·ldb + t]` for ascending `p < depth`,
-/// multiply and add kept separate, steps with `a(r, p) == 0.0` skipped when
-/// `SKIP`. `a(r, p)` is `a[r·lda + p]`, or `a[p·lda + r]` when `TRANS` (the
-/// lhs read down a column). `R` and `L` are constants, so the accumulators
-/// stay in registers across the whole `p` walk and the lane loop vectorises
-/// to whatever the build target has (`vmulps` + `vaddps` under `x86-64-v3`,
-/// never fused). Lanes are independent output elements and each keeps its
-/// own ascending chain, so neither the vector width nor the tile shape can
-/// change a bit.
+/// kernel: `acc[r][t] += lhs(p)[r] · b[p·ldb + t]` for ascending
+/// `p < depth`, multiply and add kept separate, steps with `lhs(p)[r] == 0.0`
+/// skipped when `SKIP`. `lhs(p)` yields step `p`'s element of every row —
+/// [`by_rows`] for row-major rows, a column picked by a step list for `tn`.
+/// `R` and `L` are constants, so the accumulators stay in registers across
+/// the whole `p` walk and the lane loop vectorises to whatever the build
+/// target has (`vmulps` + `vaddps` under `x86-64-v3`, never fused). Lanes
+/// are independent output elements and each keeps its own ascending chain,
+/// so neither the vector width nor the tile shape can change a bit.
 #[inline(always)]
-pub(super) fn chain_tile<const R: usize, const L: usize, const TRANS: bool, const SKIP: bool>(
+pub(super) fn chain_tile<const R: usize, const L: usize, const SKIP: bool>(
     mut acc: [[f32; L]; R],
-    a: &[f32],
-    lda: usize,
+    lhs: impl Fn(usize) -> [f32; R],
     b: &[f32],
     ldb: usize,
     depth: usize,
 ) -> [[f32; L]; R] {
-    // Row-major lhs: slice every row once, outside the `p` walk. `TRANS`: a
-    // step's `R` elements are contiguous and are sliced per step instead.
-    let rows: [&[f32]; R] =
-        std::array::from_fn(|r| if TRANS { &a[..0] } else { &a[r * lda..r * lda + depth] });
     for p in 0..depth {
         // Copied out, the step's rhs lanes are loaded once and held in
         // registers for all `R` rows (measured: `nn` −10 % at d = 32).
         let mut bp = [0.0f32; L];
         bp.copy_from_slice(&b[p * ldb..p * ldb + L]);
-        let col = if TRANS { &a[p * lda..p * lda + R] } else { &a[..0] };
+        let step = lhs(p);
         for r in 0..R {
-            let ap = if TRANS { col[r] } else { rows[r][p] };
+            let ap = step[r];
             if !SKIP || ap != 0.0 {
                 for t in 0..L {
                     acc[r][t] += ap * bp[t];
@@ -371,20 +375,32 @@ pub(super) fn chain_tile<const R: usize, const L: usize, const TRANS: bool, cons
     acc
 }
 
+/// [`chain_tile`]'s lhs for `R` row-major rows, each sliced once to the
+/// walk's depth: step `p` of row `r` is `rows[r][p]`.
+#[inline(always)]
+pub(super) fn by_rows<'a, const R: usize>(rows: [&'a [f32]; R]) -> impl Fn(usize) -> [f32; R] + 'a {
+    move |p| std::array::from_fn(|r| rows[r][p])
+}
+
 /// Cache-blocked, register-tiled kernels with `B` panels packed into the
 /// thread-local workspace arena. Bit-identical to [`naive`] — see the
 /// module docs for the invariant and `tests/tiled_parity.rs` for the proof.
 pub mod tiled {
-    use super::{chain_tile, naive, KC, MR, NR};
+    use super::{by_rows, chain_tile, naive, KC, MR, NR};
     use crate::workspace;
 
-    /// Packs columns `[j0, j0 + NR)` of rows `[p0, p0 + kc)` of the
-    /// row-major `[k, n]` matrix `b` into `panel` in `p`-major order:
-    /// `panel[p·NR + t] = b[(p0 + p)·n + j0 + t]`.
-    fn pack_panel_cols(b: &[f32], panel: &mut [f32], p0: usize, kc: usize, n: usize, j0: usize) {
-        for p in 0..kc {
-            let src = (p0 + p) * n + j0;
-            panel[p * NR..(p + 1) * NR].copy_from_slice(&b[src..src + NR]);
+    /// Packs columns `[j0, j0 + NR)` of the listed rows of the row-major
+    /// `[k, n]` matrix `b` into `panel`, one packed row per listed row in
+    /// list order: `panel[q·NR + t] = b[steps[q]·n + j0 + t]`.
+    fn pack_panel_cols(
+        b: &[f32],
+        panel: &mut [f32],
+        steps: impl Iterator<Item = usize>,
+        n: usize,
+        j0: usize,
+    ) {
+        for (dst, p) in panel.chunks_exact_mut(NR).zip(steps) {
+            dst.copy_from_slice(&b[p * n + j0..p * n + j0 + NR]);
         }
     }
 
@@ -400,22 +416,32 @@ pub mod tiled {
         }
     }
 
-    /// One register tile of `rows ≤ MR` output rows by `NR` columns: `c` is
-    /// anchored at the tile's first element (row stride `n`), `a` at the
-    /// lhs element of its first row and depth step, `panel` holds `depth`
-    /// packed rows. The three flavours differ only in the flags:
+    /// One register tile of `rows.len() ≤ MR` output rows by `NR` columns
+    /// against `depth` packed panel rows: tile row `r` is row `rows[r]` of
+    /// `c` (anchored at the tile's first column, row stride `n`). The three
+    /// flavours differ only in the flags:
     ///
-    /// * `TRANS` — the lhs is read down a column (`tn`), see [`chain_tile`];
+    /// * `TRANS` — `false` (`nn`, `nt`): row `i` reads its lhs along
+    ///   `a[i·lda..]`, `a` anchored at the chunk's first step. `true` (`tn`):
+    ///   the rows are [`ADJACENT`] (`c` and `a` anchored at the first) and the
+    ///   lhs is read down a column through the `depth` listed `steps` — step
+    ///   `q` of row `r` is `a[steps[q]·lda + r]`;
     /// * `SEED` — the accumulators start from the `c` tile and are stored
-    ///   back (`nn`/`tn`: what makes `KC` chunking exact), instead of
-    ///   starting from zero and being added into `c` once (`nt`'s dot
-    ///   product);
-    /// * `SKIP` — the naive `nn`/`tn` kernels' `a == 0.0` skip.
+    ///   back (`nn`/`tn`: what makes `KC` chunking, and never visiting an
+    ///   all-zero row or step, exact), instead of starting from zero and
+    ///   being added into `c` once (`nt`'s dot product);
+    /// * `SKIP` — the naive `nn`/`tn` kernels' `a == 0.0` skip, run only
+    ///   where a row or chunk mixes zeros with non-zeros.
     ///
     /// The row count picks a const-generic body, so a short last tile keeps
-    /// its accumulators in registers too.
+    /// its accumulators in registers too. Inlined, an [`ADJACENT`] list folds
+    /// into fixed row offsets (measured: `nt` +7 % time with the rows read
+    /// from the list at run time).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn micro<const TRANS: bool, const SEED: bool, const SKIP: bool>(
-        rows: usize,
+        rows: &[u32],
+        steps: &[u32],
         a: &[f32],
         lda: usize,
         panel: &[f32],
@@ -423,19 +449,23 @@ pub mod tiled {
         c: &mut [f32],
         n: usize,
     ) {
-        match rows {
-            1 => micro_rows::<1, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
-            2 => micro_rows::<2, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
-            3 => micro_rows::<3, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
-            4 => micro_rows::<4, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
-            5 => micro_rows::<5, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
-            MR => micro_rows::<MR, TRANS, SEED, SKIP>(a, lda, panel, depth, c, n),
-            _ => unreachable!("a register tile has 1..={MR} rows, got {rows}"),
+        match rows.len() {
+            1 => micro_rows::<1, TRANS, SEED, SKIP>(rows, steps, a, lda, panel, depth, c, n),
+            2 => micro_rows::<2, TRANS, SEED, SKIP>(rows, steps, a, lda, panel, depth, c, n),
+            3 => micro_rows::<3, TRANS, SEED, SKIP>(rows, steps, a, lda, panel, depth, c, n),
+            4 => micro_rows::<4, TRANS, SEED, SKIP>(rows, steps, a, lda, panel, depth, c, n),
+            5 => micro_rows::<5, TRANS, SEED, SKIP>(rows, steps, a, lda, panel, depth, c, n),
+            MR => micro_rows::<MR, TRANS, SEED, SKIP>(rows, steps, a, lda, panel, depth, c, n),
+            r => unreachable!("a register tile has 1..={MR} rows, got {r}"),
         }
     }
 
     /// [`micro`] at a fixed row count.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn micro_rows<const R: usize, const TRANS: bool, const SEED: bool, const SKIP: bool>(
+        rows: &[u32],
+        steps: &[u32],
         a: &[f32],
         lda: usize,
         panel: &[f32],
@@ -445,15 +475,26 @@ pub mod tiled {
     ) {
         // Rows are indexed, not `chunks(n)`-ed: the chunk count costs an
         // integer division per tile.
+        let at: [usize; R] = std::array::from_fn(|r| rows[r] as usize);
         let mut acc = [[0.0f32; NR]; R];
         if SEED {
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                acc_r.copy_from_slice(&c[r * n..r * n + NR]);
+            for (acc_r, &i) in acc.iter_mut().zip(&at) {
+                acc_r.copy_from_slice(&c[i * n..i * n + NR]);
             }
         }
-        let acc = chain_tile::<R, NR, TRANS, SKIP>(acc, a, lda, panel, NR, depth);
-        for (r, acc_r) in acc.iter().enumerate() {
-            let c_row = &mut c[r * n..r * n + NR];
+        let acc = if TRANS {
+            let steps = &steps[..depth];
+            let lhs = |q: usize| {
+                let col = &a[steps[q] as usize * lda..][..R];
+                std::array::from_fn(|r| col[r])
+            };
+            chain_tile::<R, NR, SKIP>(acc, lhs, panel, NR, depth)
+        } else {
+            let lhs = at.map(|i| &a[i * lda..i * lda + depth]);
+            chain_tile::<R, NR, SKIP>(acc, by_rows(lhs), panel, NR, depth)
+        };
+        for (acc_r, &i) in acc.iter().zip(&at) {
+            let c_row = &mut c[i * n..i * n + NR];
             if SEED {
                 c_row.copy_from_slice(acc_r);
             } else {
@@ -464,29 +505,104 @@ pub mod tiled {
         }
     }
 
-    /// The `nn`/`tn` walk over the full-width column panels of `b`, k-blocked
-    /// at `KC`: pack one chunk of one panel, run every row tile against it,
-    /// move on. Output row `i`, depth `p` reads `a[i·lda + p]`, or
-    /// `a[p·lda + i]` when `TRANS`.
-    fn kc_blocked<const TRANS: bool>(
+    /// The rows of a tile of adjacent rows (`nt`, `tn`), anchored at its
+    /// first.
+    const ADJACENT: [u32; MR] = [0, 1, 2, 3, 4, 5];
+
+    /// How many of `v`'s elements are `±0.0` — the naive `nn` / `tn` skip
+    /// predicate, so NaN and `±∞` count as non-zero.
+    fn zeros(v: &[f32]) -> usize {
+        v.iter().map(|&x| u32::from(x == 0.0)).sum::<u32>() as usize
+    }
+
+    /// Rows per block of the `nn` walk: a block's row lists live on the
+    /// stack.
+    const RB: usize = 128;
+
+    /// The `nn` walk, `RB` rows at a time. Each lhs row is classified once:
+    /// an all-zero row (padding) is never visited — under `SEED`, skipping
+    /// every step of a row leaves its `c` row untouched, so not visiting it
+    /// is exact; zero-free rows run the branch-free chain; only rows that
+    /// mix zeros with non-zeros keep the per-element skip. Tiles are built
+    /// from the two lists, so a padding boundary never splits one. Then per
+    /// `KC` chunk and full-width column panel: pack, run every tile.
+    fn nn_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        workspace::with_thread(|ws| {
+            let mut panel = ws.take(k.min(KC) * NR);
+            let mut order = [0u32; RB];
+            for r0 in (0..m).step_by(RB) {
+                let (a, c) = (&a[r0 * k..], &mut c[r0 * n..]);
+                // The block's zero-free rows fill `order` from the front, its
+                // mixed ones from the back.
+                let (mut dense, mut mixed) = (0, RB);
+                for i in 0..(m - r0).min(RB) {
+                    let z = zeros(&a[i * k..(i + 1) * k]);
+                    if z == 0 {
+                        order[dense] = i as u32;
+                        dense += 1;
+                    } else if z < k {
+                        mixed -= 1;
+                        order[mixed] = i as u32;
+                    }
+                }
+                for p0 in (0..k).step_by(KC) {
+                    let kc = (k - p0).min(KC);
+                    for j0 in (0..n / NR).map(|t| t * NR) {
+                        pack_panel_cols(b, &mut panel, p0..p0 + kc, n, j0);
+                        let (a, c) = (&a[p0..], &mut c[j0..]);
+                        for t in order[..dense].chunks(MR) {
+                            micro::<false, true, false>(t, &[], a, k, &panel, kc, c, n);
+                        }
+                        for t in order[mixed..].chunks(MR) {
+                            micro::<false, true, true>(t, &[], a, k, &panel, kc, c, n);
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// The `tn` walk over output rows `[0, rows)` (`a` anchored at the first
+    /// one's column, row stride `lda`), one `KC` chunk at a time. Each depth
+    /// step is classified once per chunk across the rows: an all-zero step
+    /// is never visited (exact under `SEED`, as for `nn` rows) and its rhs
+    /// row is not packed; the chunk runs the branch-free chain unless one of
+    /// its live steps mixes zeros with non-zeros. The live steps keep their
+    /// ascending order.
+    fn tn_blocked(
         a: &[f32],
         lda: usize,
         b: &[f32],
         c: &mut [f32],
-        m: usize,
+        rows: usize,
         k: usize,
         n: usize,
     ) {
         workspace::with_thread(|ws| {
             let mut panel = ws.take(k.min(KC) * NR);
-            for j0 in (0..n / NR).map(|t| t * NR) {
-                for p0 in (0..k).step_by(KC) {
-                    let kc = (k - p0).min(KC);
-                    pack_panel_cols(b, &mut panel, p0, kc, n, j0);
-                    for i0 in (0..m).step_by(MR) {
-                        let (rows, c_tile) = ((m - i0).min(MR), &mut c[i0 * n + j0..]);
-                        let a_tile = if TRANS { &a[p0 * lda + i0..] } else { &a[i0 * lda + p0..] };
-                        micro::<TRANS, true, true>(rows, a_tile, lda, &panel, kc, c_tile, n);
+            let mut steps = [0u32; KC];
+            for p0 in (0..k).step_by(KC) {
+                let a = &a[p0 * lda..];
+                let (mut live, mut mixed) = (0, false);
+                for q in 0..(k - p0).min(KC) {
+                    let z = zeros(&a[q * lda..q * lda + rows]);
+                    if z < rows {
+                        steps[live] = q as u32;
+                        live += 1;
+                        mixed |= z > 0;
+                    }
+                }
+                let steps = &steps[..live];
+                for j0 in (0..n / NR).map(|t| t * NR) {
+                    pack_panel_cols(b, &mut panel, steps.iter().map(|&q| p0 + q as usize), n, j0);
+                    for i0 in (0..rows).step_by(MR) {
+                        let t = &ADJACENT[..(rows - i0).min(MR)];
+                        let (a, c) = (&a[i0..], &mut c[i0 * n + j0..]);
+                        if mixed {
+                            micro::<true, true, true>(t, steps, a, lda, &panel, live, c, n);
+                        } else {
+                            micro::<true, true, false>(t, steps, a, lda, &panel, live, c, n);
+                        }
                     }
                 }
             }
@@ -496,8 +612,8 @@ pub mod tiled {
     /// Every row tile of `nt` against one packed full-depth panel.
     fn nt_panel(a: &[f32], panel: &[f32], c: &mut [f32], j0: usize, m: usize, k: usize, n: usize) {
         for i0 in (0..m).step_by(MR) {
-            let (rows, c_tile) = ((m - i0).min(MR), &mut c[i0 * n + j0..]);
-            micro::<false, false, false>(rows, &a[i0 * k..], k, panel, k, c_tile, n);
+            let (t, c) = (&ADJACENT[..(m - i0).min(MR)], &mut c[i0 * n + j0..]);
+            micro::<false, false, false>(t, &[], &a[i0 * k..], k, panel, k, c, n);
         }
     }
 
@@ -516,7 +632,8 @@ pub mod tiled {
         let full = m - m % MV;
         for (t, c_tile) in c[..full].chunks_exact_mut(MV).enumerate() {
             let seed: [[f32; 1]; MV] = std::array::from_fn(|r| [c_tile[r]]);
-            let acc = chain_tile::<MV, 1, false, true>(seed, &a[t * MV * k..], k, b, 1, k);
+            let rows = std::array::from_fn(|r| &a[(t * MV + r) * k..(t * MV + r + 1) * k]);
+            let acc = chain_tile::<MV, 1, true>(seed, by_rows(rows), b, 1, k);
             for (c_el, acc_r) in c_tile.iter_mut().zip(acc) {
                 *c_el = acc_r[0];
             }
@@ -529,7 +646,7 @@ pub mod tiled {
         if n == 1 {
             return matvec_nn_into(a, b, c, m, k);
         }
-        kc_blocked::<false>(a, k, b, c, m, k, n);
+        nn_blocked(a, b, c, m, k, n);
         let j_tail = n - n % NR;
         if j_tail < n {
             naive::nn_cols(a, b, c, m, k, n, j_tail);
@@ -605,7 +722,7 @@ pub mod tiled {
     ) {
         // Shifting the lhs by `i0` columns makes local row `r` read
         // `a[p·m + i0 + r]`; with `k == 0` there is nothing to shift.
-        kc_blocked::<true>(a.get(i0..).unwrap_or_default(), m, b, c, rows, k, n);
+        tn_blocked(a.get(i0..).unwrap_or_default(), m, b, c, rows, k, n);
         let j_tail = n - n % NR;
         if j_tail < n {
             naive::tn_cols(a, b, c, i0, rows, m, k, n, j_tail);

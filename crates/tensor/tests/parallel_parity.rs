@@ -14,6 +14,7 @@
 //! serial tiled-vs-naive sweep at adversarial shapes lives in
 //! `tests/tiled_parity.rs`.
 
+use seqfm_tensor::kernels::matmul::naive;
 use seqfm_tensor::testutil::rand_tensor;
 use seqfm_tensor::{
     attention_cross_rows_backward_into, attention_cross_rows_into, attention_cross_shared_into,
@@ -252,6 +253,27 @@ fn parallel_kernel_paths_match_serial_references_bitwise() {
         let got = &fanned[bi * unit..(bi + 1) * unit];
         assert_eq!(bits(got), bits(&run(bi, 1)), "cross shared, slice {bi}");
     }
+
+    // A padded training batch through the dispatching entry points: sessions
+    // of 22 rows, each opening with 0–22 all-zero (padding) rows, as the
+    // projection lhs (`nn`, rows split over the pool) and as the depth rows
+    // of its weight gradient (`tn`, output rows split) — every chunk
+    // classifies its own rows or steps. `c` starts at `-0.0`, which a kernel
+    // that visited an all-zero `nn` row would flip to `+0.0`.
+    let (rows, d) = (128 * 22, 32);
+    let mut x = rand_tensor(Shape::d2(rows, d), &mut seed).data().to_vec();
+    for (s, session) in x.chunks_mut(22 * d).enumerate() {
+        session[..(s * 7 + 3) % 23 * d].fill(0.0);
+    }
+    let [w, dy] = [d, rows].map(|r| rand_tensor(Shape::d2(r, d), &mut seed));
+    let (mut got, mut want) = (vec![-0.0f32; rows * d], vec![-0.0f32; rows * d]);
+    seqfm_tensor::matmul_nn_into(&x, w.data(), &mut got, rows, d, d);
+    naive::matmul_nn_into(&x, w.data(), &mut want, rows, d, d);
+    assert_eq!(bits(&got), bits(&want), "padded matmul_nn_into diverges");
+    let (mut got, mut want) = (vec![-0.0f32; d * d], vec![-0.0f32; d * d]);
+    seqfm_tensor::matmul_tn_into(&x, dy.data(), &mut got, d, rows, d);
+    naive::matmul_tn_into(&x, dy.data(), &mut want, d, rows, d);
+    assert_eq!(bits(&got), bits(&want), "padded matmul_tn_into diverges");
 
     // Per-worker workspace arenas: the fan-outs above ran tiled kernels on
     // pool workers, each packing panels into its own thread-local arena.
