@@ -4,8 +4,8 @@ use crate::graph::{Graph, Var};
 use crate::op::Op;
 use crate::store::ParamStore;
 use seqfm_tensor::{
-    attention_cross_rows_backward_into, bmm_nn_into, bmm_nt_into, bmm_tn_into, kernels::matmul,
-    reduce, softmax_backward_into, Shape, Tensor,
+    attention_causal_backward_into, attention_cross_rows_backward_into, bmm_nn_into, bmm_nt_into,
+    bmm_tn_into, kernels::matmul, reduce, softmax_backward_into, Shape, Tensor,
 };
 
 impl Graph {
@@ -211,6 +211,23 @@ impl Graph {
                     node.value.shape().last_dim(),
                 );
                 self.acc(grads, *x, dx);
+            }
+            Op::AttentionCausal { q, k, v, scale, weights } => {
+                let shape = node.value.shape();
+                let [mut dq, mut dk, mut dv] = [(); 3].map(|()| self.pooled_zeros(shape));
+                attention_causal_backward_into(
+                    [val(*q).data(), val(*k).data(), val(*v).data()],
+                    weights,
+                    dy.data(),
+                    *scale,
+                    [shape.dim(0), shape.dim(1), shape.dim(2)],
+                    [dq.data_mut(), dk.data_mut(), dv.data_mut()],
+                );
+                // The dense tape's arrival order: `bmm` reaches V before
+                // `bmm_nt` reaches Q, then K.
+                self.acc(grads, *v, dv);
+                self.acc(grads, *q, dq);
+                self.acc(grads, *k, dk);
             }
             Op::AttentionCross { q, k, v, ns, scale, weights } => {
                 let shape = node.value.shape();

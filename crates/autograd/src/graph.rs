@@ -19,8 +19,8 @@ use crate::op::{LnCache, Op};
 use crate::store::{ParamId, ParamStore};
 use rand::Rng;
 use seqfm_tensor::{
-    attention_cross_rows_into, bmm_nn_into, bmm_nt_into, kernels::matmul::matmul_nn_into, reduce,
-    softmax_rows_into, AttnMask, Shape, Tensor, Workspace,
+    attention_causal_into, attention_cross_rows_into, bmm_nn_into, bmm_nt_into,
+    kernels::matmul::matmul_nn_into, reduce, softmax_rows_into, Shape, Tensor, Workspace,
 };
 use std::sync::Arc;
 
@@ -82,7 +82,7 @@ impl Graph {
                     self.ws.put_vec(cache.mean);
                     self.ws.put_vec(cache.rstd);
                 }
-                Op::AttentionCross { weights, .. } => {
+                Op::AttentionCausal { weights, .. } | Op::AttentionCross { weights, .. } => {
                     self.ws.put_vec(node.value.into_vec());
                     self.ws.put_vec(weights);
                 }
@@ -442,36 +442,54 @@ impl Graph {
     // --- attention / normalisation / regularisation --------------------------
 
     /// Softmax over the last dim.
+    ///
+    /// # Panics
+    /// Panics unless `x` is rank 2 or 3.
     pub fn softmax(&mut self, x: Var) -> Var {
-        self.softmax_impl(x, None)
-    }
-
-    /// Masked softmax over the last dim; the mask is shared across the batch.
-    pub fn softmax_masked(&mut self, x: Var, mask: Arc<AttnMask>) -> Var {
-        self.softmax_impl(x, Some(&mask))
-    }
-
-    fn softmax_impl(&mut self, x: Var, mask: Option<&AttnMask>) -> Var {
-        let xv = self.value(x);
-        let m = xv.shape().last_dim();
-        let rows_per_slice = match xv.shape().rank() {
-            2 => xv.shape().dim(0),
-            3 => xv.shape().dim(1),
-            r => panic!("softmax expects rank 2 or 3, got rank {r} ({})", xv.shape()),
-        };
-        let mut out = self.pooled_zeros(xv.shape());
-        let xv = self.value(x);
-        softmax_rows_into(xv.data(), m, rows_per_slice, mask, out.data_mut());
+        let s = self.value(x).shape();
+        assert!(
+            matches!(s.rank(), 2 | 3),
+            "softmax expects rank 2 or 3, got rank {} ({s})",
+            s.rank()
+        );
+        let mut out = self.pooled_zeros(s);
+        softmax_rows_into(self.value(x).data(), s.last_dim(), out.data_mut());
         let g = self.ng(x);
         self.push(out, Op::Softmax { x }, g)
+    }
+
+    /// Structured causal self-attention (paper Eq. 9–10) over `[b, n, d]`
+    /// projections `q`/`k`/`v`: row `i` softmaxes over columns `j ≤ i`.
+    /// One node whose value and gradients are **bit-identical** to the dense
+    /// `bmm_nt → scale → softmax(+ causal mask) → bmm` whenever the operands
+    /// and the upstream gradient are finite (see
+    /// `seqfm_tensor::attention_causal_into` and its backward), without
+    /// the `n·(n − 1)/2` masked scores per slice — so a non-finite value at
+    /// a future position no longer reaches an earlier row.
+    ///
+    /// # Panics
+    /// Panics unless `q`, `k`, `v` share one rank-3 shape.
+    pub fn attention_causal(&mut self, q: Var, k: Var, v: Var, scale: f32) -> Var {
+        let shape = self.value(q).shape();
+        let (bs, n, d) = dims3(self.value(q), "attention_causal q");
+        for (x, what) in [(k, "k"), (v, "v")] {
+            let s = self.value(x).shape();
+            assert!(s.same(&shape), "attention_causal {what} is {s} but q is {shape}");
+        }
+        let mut weights = self.ws.take_vec(bs * n * (n + 1) / 2);
+        let mut out = self.pooled_zeros(shape);
+        let [qv, kv, vv] = [q, k, v].map(|x| self.value(x).data());
+        attention_causal_into(qv, kv, vv, scale, [bs, n, d], &mut weights, out.data_mut());
+        let g = self.ng(q) || self.ng(k) || self.ng(v);
+        self.push(out, Op::AttentionCausal { q, k, v, scale, weights }, g)
     }
 
     /// Structured cross-view attention (paper Eq. 11–13) over interleaved
     /// `[b, ns + nd, d]` projections `q`/`k`/`v` whose first `ns` rows per
     /// slice are the static features: each static row softmaxes over the
     /// `nd` dynamic columns and each dynamic row over the `ns` static ones.
-    /// One node whose value and gradients are **bit-identical** to
-    /// `bmm_nt → scale → softmax_masked(AttnMask::cross(ns, nd)) → bmm`
+    /// One node whose value and gradients are **bit-identical** to the dense
+    /// `bmm_nt → scale → softmax(+ cross mask) → bmm`
     /// (see `seqfm_tensor::attention_cross_rows_into` and its backward),
     /// without forming the `ns² + nd²` scores per slice the mask discards.
     ///

@@ -20,11 +20,13 @@
 //! * **Ops**: elementwise arithmetic and activations, `add_bias`;
 //!   [`Graph::matmul`] (a rank-3 lhs is read as its rows — projections need
 //!   no flatten copies), `matmul_nt`, `bmm`, `bmm_nt`, `lmatmul`, `row_dot`;
-//!   (masked) `softmax`, `layer_norm`, `dropout`, and the structured
-//!   cross-view attention node [`Graph::attention_cross`] (bit-identical to
-//!   `bmm_nt → scale → softmax_masked → bmm` under the cross mask, without
-//!   the masked scores); reshape / concat / slice / select / broadcast;
-//!   reductions; `bce_with_logits`.
+//!   `softmax`, `layer_norm`, `dropout`, and the two structured attention
+//!   nodes of the paper's masked views — [`Graph::attention_causal`] (the
+//!   dynamic view) and [`Graph::attention_cross`] (the cross view), each
+//!   bit-identical to `bmm_nt → scale → softmax(+ M) → bmm` under its
+//!   additive mask `M` without forming a masked score (no op takes a mask);
+//!   reshape / concat / slice / select / broadcast; reductions;
+//!   `bce_with_logits`.
 //! * **Every op is gradient-checked** against central finite differences (see
 //!   [`gradcheck`] and this crate's test-suite).
 //! * **Inference freezes the store**: [`ParamStore::freeze`] snapshots all

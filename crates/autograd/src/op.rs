@@ -16,9 +16,9 @@ pub(crate) struct LnCache {
 /// Every differentiable operation the tape supports.
 ///
 /// Each variant stores its parent [`Var`]s plus whatever forward-pass context
-/// the backward pass needs (masks, dropout keep-masks, gather indices,
+/// the backward pass needs (attention weights, dropout keep-masks, gather indices,
 /// LayerNorm row statistics). Constant context is wrapped in [`Arc`] so nodes
-/// stay cheap to construct when the same mask/index buffer is reused across a
+/// stay cheap to construct when the same index buffer is reused across a
 /// batch.
 pub(crate) enum Op {
     /// Constant input; never receives gradient.
@@ -69,11 +69,21 @@ pub(crate) enum Op {
     RowDot(Var, Var),
 
     // -- attention / normalisation / regularisation --------------------------
-    /// Softmax over the last dim (optionally masked at forward time). The
-    /// node value *is* the softmax output; the backward pass needs only it,
-    /// so the mask is not retained.
+    /// Softmax over the last dim. The node value *is* the softmax output;
+    /// the backward pass needs only it.
     Softmax {
         x: Var,
+    },
+    /// Structured causal attention over `[b, n, d]` projections (Eq. 9–10):
+    /// only the lower triangle `j ≤ i` is scored. `weights` holds the packed
+    /// softmax triangle per slice (`n·(n + 1)/2` floats), pooled like
+    /// [`LnCache`].
+    AttentionCausal {
+        q: Var,
+        k: Var,
+        v: Var,
+        scale: f32,
+        weights: Vec<f32>,
     },
     /// Structured cross-view attention over interleaved `[b, ns + nd, d]`
     /// projections (Eq. 11–13): only static↔dynamic pairs are scored.

@@ -4,9 +4,8 @@ use crate::gradcheck::assert_grad_check;
 use crate::{Graph, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seqfm_tensor::testutil::rand_tensor;
-use seqfm_tensor::{AttnMask, Shape, Tensor};
-use std::sync::Arc;
+use seqfm_tensor::testutil::{causal_mask, rand_tensor};
+use seqfm_tensor::{Shape, Tensor};
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 2e-2;
@@ -179,19 +178,51 @@ fn grad_softmax_plain_and_masked() {
         let sq = g.square(y);
         g.sum_all(sq)
     });
-    let mask = Arc::new(AttnMask::causal(3));
+    // The masked softmaxes live inside the two structured attention nodes
+    // (the tape has no mask op): causal, and cross with one static row.
     assert_grad_check(&mut ps, &[x], 5e-3, TOL, |g, ps| {
         let xv = g.param(ps, x);
-        let y = g.softmax_masked(xv, mask.clone());
+        let y = g.attention_causal(xv, xv, xv, 1.0);
         let sq = g.square(y);
         g.sum_all(sq)
     });
-    let cross = Arc::new(AttnMask::cross(1, 2));
     assert_grad_check(&mut ps, &[x], 5e-3, TOL, |g, ps| {
         let xv = g.param(ps, x);
-        let y = g.softmax_masked(xv, cross.clone());
+        let y = g.attention_cross(xv, xv, xv, 1, 1.0);
         let sq = g.square(y);
         g.sum_all(sq)
+    });
+}
+
+#[test]
+fn grad_attention_causal() {
+    // Distinct Q/K/V, and one shared operand feeding all three (the arrival
+    // order V, Q, K then sums into one slot); n = 1 is the degenerate
+    // single-column row.
+    let mut ps = ParamStore::new();
+    let q = p(&mut ps, "q", Shape::d3(2, 5, 3), 51);
+    let k = p(&mut ps, "k", Shape::d3(2, 5, 3), 52);
+    let v = p(&mut ps, "v", Shape::d3(2, 5, 3), 53);
+    let scale = 1.0 / (3.0f32).sqrt();
+    assert_grad_check(&mut ps, &[q, k, v], 5e-3, TOL, |g, ps| {
+        let (qv, kv, vv) = (g.param(ps, q), g.param(ps, k), g.param(ps, v));
+        let h = g.attention_causal(qv, kv, vv, scale);
+        assert_eq!(g.value(h).shape(), Shape::d3(2, 5, 3));
+        let sq = g.square(h);
+        g.mean_all(sq)
+    });
+    assert_grad_check(&mut ps, &[q], 5e-3, TOL, |g, ps| {
+        let qv = g.param(ps, q);
+        let h = g.attention_causal(qv, qv, qv, scale);
+        let sq = g.square(h);
+        g.mean_all(sq)
+    });
+    let one = p(&mut ps, "one", Shape::d3(3, 1, 4), 54);
+    assert_grad_check(&mut ps, &[one], 5e-3, TOL, |g, ps| {
+        let x = g.param(ps, one);
+        let h = g.attention_causal(x, x, x, 0.5);
+        let sq = g.square(h);
+        g.mean_all(sq)
     });
 }
 
@@ -370,7 +401,6 @@ fn composite_attention_block_grad() {
     let wq = p(&mut ps, "wq", Shape::d2(3, 3), 28);
     let wk = p(&mut ps, "wk", Shape::d2(3, 3), 29);
     let wv = p(&mut ps, "wv", Shape::d2(3, 3), 30);
-    let mask = Arc::new(AttnMask::causal(4));
     assert_grad_check(&mut ps, &[e, wq, wk, wv], 5e-3, 3e-2, |g, ps| {
         let ev = g.param(ps, e);
         let q = {
@@ -391,10 +421,7 @@ fn composite_attention_block_grad() {
             let v2 = g.matmul(e2, w);
             g.reshape(v2, Shape::d3(2, 4, 3))
         };
-        let scores = g.bmm_nt(q, k);
-        let scaled = g.scale(scores, 1.0 / (3.0f32).sqrt());
-        let attn = g.softmax_masked(scaled, mask.clone());
-        let h = g.bmm(attn, v);
+        let h = g.attention_causal(q, k, v, 1.0 / (3.0f32).sqrt());
         let pooled = g.mean_axis1(h);
         let sq = g.square(pooled);
         g.mean_all(sq)
@@ -445,12 +472,9 @@ fn causal_softmax_blocks_future_gradient_flow() {
     let mut ps = ParamStore::new();
     let mut seed = 41;
     let e = ps.add_dense("e", rand_tensor(Shape::d3(1, 3, 2), &mut seed));
-    let mask = Arc::new(AttnMask::causal(3));
     let mut g = Graph::new();
     let ev = g.param(&ps, e);
-    let scores = g.bmm_nt(ev, ev);
-    let attn = g.softmax_masked(scores, mask);
-    let h = g.bmm(attn, ev);
+    let h = g.attention_causal(ev, ev, ev, 1.0);
     // Loss reads only position 0 of the output.
     let first = g.slice_axis1(h, 0, 1);
     let loss = g.sum_all(first);
@@ -462,6 +486,88 @@ fn causal_softmax_blocks_future_gradient_flow() {
     for pos in 1..3 {
         for dim in 0..2 {
             assert_eq!(grad.at3(0, pos, dim), 0.0, "future pos {pos} leaked gradient");
+        }
+    }
+}
+
+#[test]
+fn attention_causal_matches_the_dense_chain_bitwise_on_a_shared_operand() {
+    // One operand feeds Q, K and V, so its gradient sums the node's three in
+    // arrival order. The dense chain `bmm_nt → scale → + M → softmax → bmm`
+    // (the oracle's causal mask as a constant input) delivers V first (from
+    // `bmm`), then Q and K (from `bmm_nt`); the node must match its value
+    // and that sum bit for bit.
+    let (b, n, d) = (3usize, 7usize, 5usize);
+    let mut ps = ParamStore::new();
+    let x = p(&mut ps, "x", Shape::d3(b, n, d), 71);
+    let mask = causal_mask(n);
+    let mut run = |dense: bool| -> [Vec<u32>; 2] {
+        ps.zero_grads();
+        let mut g = Graph::new();
+        let xv = g.param(&ps, x);
+        let h = if dense {
+            let scores = g.bmm_nt(xv, xv);
+            let scaled = g.scale(scores, 0.5);
+            let m = g.input(Tensor::from_vec(Shape::d3(b, n, n), mask.data().repeat(b)));
+            let masked = g.add(scaled, m);
+            let w = g.softmax(masked);
+            g.bmm(w, xv)
+        } else {
+            g.attention_causal(xv, xv, xv, 0.5)
+        };
+        let sq = g.square(h);
+        let loss = g.mean_all(sq);
+        g.backward(loss, &mut ps);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+        [bits(g.value(h)), bits(ps.grad(x))]
+    };
+    let [want_h, want_dx] = run(true);
+    let [h, dx] = run(false);
+    assert_eq!(h, want_h, "value");
+    assert_eq!(dx, want_dx, "∂x");
+}
+
+#[test]
+fn causal_node_keeps_non_finite_future_positions_out_of_earlier_rows() {
+    // A NaN key, then an infinite value, at position `j`, with a loss that
+    // reads only positions `< j`: those rows' values and Q gradients keep
+    // the clean run's bits and stay finite. (The dense masked chain made
+    // them NaN: `NaN + (−∞)` in the scores, `0 · ∞` in the softmax
+    // backward's dot product.)
+    let (n, d, j) = (4usize, 3usize, 2usize);
+    let run = |poison: Option<(usize, f32)>| -> (Vec<f32>, Vec<f32>) {
+        let mut ps = ParamStore::new();
+        let mut seed = 61;
+        let ids = ["q", "k", "v"].map(|name| {
+            p(&mut ps, name, Shape::d3(2, n, d), {
+                seed += 1;
+                seed
+            })
+        });
+        if let Some((operand, x)) = poison {
+            for b in 0..2 {
+                ps.value_mut(ids[operand]).data_mut()[(b * n + j) * d + 1] = x;
+            }
+        }
+        let mut g = Graph::new();
+        let [qv, kv, vv] = ids.map(|id| g.param(&ps, id));
+        let h = g.attention_causal(qv, kv, vv, 0.5);
+        let early = g.slice_axis1(h, 0, j);
+        let sq = g.square(early);
+        let loss = g.sum_all(sq);
+        g.backward(loss, &mut ps);
+        let early_rows = |x: &[f32]| -> Vec<f32> {
+            x.chunks_exact(n * d).flat_map(|s| s[..j * d].to_vec()).collect()
+        };
+        (early_rows(g.value(h).data()), early_rows(ps.grad(ids[0]).data()))
+    };
+    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let (want_h, want_dq) = run(None);
+    for poison in [(1, f32::NAN), (2, f32::INFINITY)] {
+        let (h, dq) = run(Some(poison));
+        for (got, want, what) in [(&h, &want_h, "value"), (&dq, &want_dq, "dq")] {
+            assert_eq!(bits(got), bits(want), "{poison:?}: {what} rows < {j} moved");
+            assert!(got.iter().all(|x| x.is_finite()), "{poison:?}: {what} rows < {j}");
         }
     }
 }
@@ -481,9 +587,10 @@ fn reset_graph_reuse_is_bit_identical_and_allocation_free() {
         let wv = g.param(ps, w);
         let xv = g.input(Tensor::from_vec(x.shape(), x.data().to_vec()));
         let y = g.matmul(xv, wv);
-        // A node that owns a second pooled buffer (its saved weights).
+        // Nodes that own a second pooled buffer (their saved weights).
         let h = g.attention_cross(y, y, y, 1, 0.5);
-        let act = g.relu(h);
+        let c = g.attention_causal(h, y, h, 0.5);
+        let act = g.relu(c);
         let sq = g.square(act);
         let loss = g.mean_all(sq);
         let out = g.value(act).data().to_vec();

@@ -14,8 +14,7 @@ use seqfm_autograd::{Graph, ParamStore, Var};
 use seqfm_core::SeqModel;
 use seqfm_data::{Batch, FeatureLayout};
 use seqfm_nn::{Embedding, LayerNorm, Linear, SelfAttention};
-use seqfm_tensor::{AttnMask, Shape};
-use std::sync::Arc;
+use seqfm_tensor::Shape;
 
 struct Block {
     attn: SelfAttention,
@@ -92,10 +91,9 @@ impl SeqModel for SasRec {
         if training && self.dropout > 0.0 {
             h = g.dropout(h, self.dropout, rng);
         }
-        let mask = Arc::new(AttnMask::causal(n));
         for blk in &self.blocks {
             let normed = blk.ln1.forward(g, ps, h);
-            let a = blk.attn.forward(g, ps, normed, Some(mask.clone()));
+            let a = blk.attn.forward_causal(g, ps, normed);
             let h1 = g.add(h, a);
             let normed2 = blk.ln2.forward(g, ps, h1);
             let f = blk.ff1.forward(g, ps, normed2);

@@ -8,15 +8,21 @@
 //!   three flavours (`tn` as the weight gradient `Xᵀ·dY` over those rows);
 //! * naive vs. tiled `nn` and `tn` latency on a padded training batch
 //!   (sessions opening with all-zero rows, which the tiled kernels skip);
-//! * fused [`attention_into`] latency at serving geometry, and the exact
-//!   cross view there both ways: splice + dense masked [`attention_into`]
-//!   vs. the structured [`attention_cross_shared_into`], the latter also at
-//!   the request shape (one user row shared by every candidate);
+//! * fused, unmasked [`attention_into`] latency at `[128, 22, d]` (the
+//!   static view's kernel; no view runs a masked dense attention), and the
+//!   exact cross view at serving geometry both ways: splice + the dense
+//!   masked oracle ([`attention_masked_into`]) vs. the structured
+//!   [`attention_cross_shared_into`], the latter also at the request shape
+//!   (one user row shared by every candidate);
 //! * the output head's `[100, 96]·[96, 1]` matrix-vector product, naive vs.
 //!   the eight-rows-per-tile kernel;
 //! * the cross view at the training geometry (a history per row), forward
-//!   and backward: the dense tape ops vs. [`attention_cross_rows_into`] /
+//!   and backward: the dense masked oracle — the tape ops the node replaced
+//!   — vs. [`attention_cross_rows_into`] /
 //!   [`attention_cross_rows_backward_into`];
+//! * the causal (dynamic) view at the training geometry `[128, 20, 32]`,
+//!   forward and backward: the dense masked oracle vs.
+//!   [`attention_causal_into`] / [`attention_causal_backward_into`];
 //! * steady-state heap **allocations per scored request** through
 //!   `FrozenSeqFm::score_into`, counted by a global allocator wrapper
 //!   (expected: 0 — the workspace-arena guarantee).
@@ -36,11 +42,13 @@ use seqfm_autograd::ParamStore;
 use seqfm_core::{FrozenSeqFm, Scorer, Scratch, SeqFm, SeqFmConfig};
 use seqfm_data::{build_instance, Batch, FeatureLayout};
 use seqfm_tensor::kernels::matmul::{naive, tiled};
-use seqfm_tensor::testutil::CountingAlloc;
+use seqfm_tensor::testutil::{
+    attention_masked_backward_into, attention_masked_into, causal_mask, cross_mask, AttnMask,
+    CountingAlloc,
+};
 use seqfm_tensor::{
-    attention_cross_rows_backward_into, attention_cross_rows_into, attention_cross_shared_into,
-    attention_into, bmm_nn_into, bmm_nt_into, bmm_tn_into, softmax_backward_into,
-    softmax_rows_into, AttnMask, Shape, Tensor,
+    attention_causal_backward_into, attention_causal_into, attention_cross_rows_backward_into,
+    attention_cross_rows_into, attention_cross_shared_into, attention_into, Shape, Tensor,
 };
 use std::time::Instant;
 
@@ -89,7 +97,7 @@ fn bench_matmul_naive_vs_tiled(c: &mut Criterion) {
 
 fn bench_attention(c: &mut Criterion) {
     pin_single_core();
-    // Fused attention for a typical SeqFM batch: [batch, n° + n˙, d].
+    // Fused, unmasked attention for a typical SeqFM batch: [batch, n, d].
     let mut group = c.benchmark_group("attention_into");
     group.sample_size(20);
     for &(batch, n, d) in &[(128usize, 22usize, 32usize), (128, 22, 64)] {
@@ -97,7 +105,6 @@ fn bench_attention(c: &mut Criterion) {
         let q = rand(Shape::d3(batch, n, d), &mut seed);
         let k = rand(Shape::d3(batch, n, d), &mut seed);
         let v = rand(Shape::d3(batch, n, d), &mut seed);
-        let mask = AttnMask::causal(n);
         let scale = 1.0 / (d as f32).sqrt();
         let mut scores = vec![0.0f32; batch * n * n];
         let mut out = vec![0.0f32; batch * n * d];
@@ -110,7 +117,7 @@ fn bench_attention(c: &mut Criterion) {
                         q.data(),
                         k.data(),
                         v.data(),
-                        Some(&mask),
+                        None,
                         scale,
                         batch,
                         n,
@@ -249,13 +256,12 @@ fn emit_kernels_json(_c: &mut Criterion) {
         }
     }
 
-    // --- fused attention latency ------------------------------------------
+    // --- fused, unmasked attention latency (the static view's kernel) -----
     for &(batch, n, d) in &[(128usize, 22usize, 32usize), (128, 22, 64)] {
         let mut seed = 7;
         let q = rand(Shape::d3(batch, n, d), &mut seed);
         let k = rand(Shape::d3(batch, n, d), &mut seed);
         let v = rand(Shape::d3(batch, n, d), &mut seed);
-        let mask = AttnMask::causal(n);
         let scale = 1.0 / (d as f32).sqrt();
         let mut scores = vec![0.0f32; batch * n * n];
         let mut out_buf = vec![0.0f32; batch * n * d];
@@ -265,7 +271,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
                     q.data(),
                     k.data(),
                     v.data(),
-                    Some(&mask),
+                    None,
                     scale,
                     batch,
                     n,
@@ -293,7 +299,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let mut seed = 8;
         let stat = [(); 3].map(|()| rand(Shape::d3(b, ns, d), &mut seed));
         let hist = [(); 3].map(|()| rand(Shape::d2(nd, d), &mut seed));
-        let mask = AttnMask::cross(ns, nd);
+        let mask = cross_mask(ns, nd);
         let scale = 1.0 / (d as f32).sqrt();
         let mut full = [(); 3].map(|()| vec![0.0f32; b * n * d]);
         let mut scores = vec![0.0f32; b * n * n];
@@ -306,15 +312,12 @@ fn emit_kernels_json(_c: &mut Criterion) {
                         slice[ns * d..].copy_from_slice(h.data());
                     }
                 }
-                attention_into(
-                    &full[0],
-                    &full[1],
-                    &full[2],
-                    Some(&mask),
+                let [q, k, v] = &full;
+                attention_masked_into(
+                    [q, k, v],
+                    &mask,
                     scale,
-                    b,
-                    n,
-                    d,
+                    [b, n, d],
                     &mut scores,
                     &mut out_buf,
                 );
@@ -383,59 +386,63 @@ fn emit_kernels_json(_c: &mut Criterion) {
         ));
     }
 
-    // --- cross view at training geometry: the dense tape ops vs the node ----
+    // --- the masked views at training geometry: the dense oracle vs the nodes
     // One BPR pass's cross-view attention (128 instances with their own
-    // histories, ns = 2, nd = 20, d = 32), forward and backward. Dense is
-    // what the tape used to record — `bmm_nt → scale → softmax_masked → bmm`
-    // and those four nodes' backward kernels; structured is the pair of
-    // kernels behind `Graph::attention_cross`.
+    // histories, ns = 2, nd = 20, d = 32) and dynamic-view attention (the
+    // 20 history rows alone), forward and backward. Dense is the oracle —
+    // what the tape recorded before each node, `bmm_nt → scale → softmax
+    // (+ M) → bmm` and those four nodes' backward kernels; structured is the
+    // pair of kernels behind `Graph::attention_cross` / `attention_causal`.
+    fn dense_pair(
+        qkv: [&[f32]; 3],
+        d_out: &[f32],
+        mask: &AttnMask,
+        dims: [usize; 3],
+    ) -> (f64, f64) {
+        let [b, n, d] = dims;
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut attn = vec![0.0f32; b * n * n];
+        let mut ctx = vec![0.0f32; b * n * d];
+        let fwd = p50_of(
+            &mut || {
+                attention_masked_into(qkv, mask, scale, dims, &mut attn, &mut ctx);
+                std::hint::black_box(ctx[0]);
+            },
+            200,
+        );
+        let mut scratch = vec![0.0f32; 2 * b * n * n];
+        let mut grads = [(); 3].map(|()| vec![0.0f32; b * n * d]);
+        let bwd = p50_of(
+            &mut || {
+                let [dq, dk, dv] = &mut grads;
+                attention_masked_backward_into(
+                    qkv,
+                    &attn,
+                    d_out,
+                    scale,
+                    dims,
+                    &mut scratch,
+                    [dq, dk, dv],
+                );
+                std::hint::black_box(grads[0][0]);
+            },
+            200,
+        );
+        (fwd, bwd)
+    }
     {
         let (b, ns, nd, d) = (128usize, 2usize, 20usize, 32usize);
         let n = ns + nd;
         let mut seed = 11;
         let [q, k, v, d_out] = [(); 4].map(|()| rand(Shape::d3(b, n, d), &mut seed));
         let (q, k, v, d_out) = (q.data(), k.data(), v.data(), d_out.data());
-        let mask = AttnMask::cross(ns, nd);
         let scale = 1.0 / (d as f32).sqrt();
-        let mut scores = vec![0.0f32; b * n * n];
-        let mut attn = vec![0.0f32; b * n * n];
-        let mut ctx = vec![0.0f32; b * n * d];
-        let fwd_dense = p50_of(
-            &mut || {
-                scores.fill(0.0);
-                bmm_nt_into(q, k, &mut scores, b, n, d, n);
-                scores.iter_mut().for_each(|s| *s *= scale);
-                softmax_rows_into(&scores, n, n, Some(&mask), &mut attn);
-                ctx.fill(0.0);
-                bmm_nn_into(&attn, v, &mut ctx, b, n, n, d);
-                std::hint::black_box(ctx[0]);
-            },
-            200,
-        );
-        let mut d_attn = vec![0.0f32; b * n * n];
-        let mut d_scores = vec![0.0f32; b * n * n];
-        let mut grads = [(); 3].map(|()| vec![0.0f32; b * n * d]);
-        let bwd_dense = p50_of(
-            &mut || {
-                let [dq, dk, dv] = &mut grads;
-                d_attn.fill(0.0);
-                bmm_nt_into(d_out, v, &mut d_attn, b, n, d, n);
-                dv.fill(0.0);
-                bmm_tn_into(&attn, d_out, dv, b, n, n, d);
-                softmax_backward_into(&attn, &d_attn, &mut d_scores, n);
-                d_scores.iter_mut().for_each(|s| *s *= scale);
-                dq.fill(0.0);
-                bmm_nn_into(&d_scores, k, dq, b, n, n, d);
-                dk.fill(0.0);
-                bmm_tn_into(&d_scores, q, dk, b, n, n, d);
-                std::hint::black_box(dq[0]);
-            },
-            200,
-        );
         let qkv = [q, k, v];
+        let (fwd_dense, bwd_dense) = dense_pair(qkv, d_out, &cross_mask(ns, nd), [b, n, d]);
         let hist = qkv.map(|x| &x[ns * d..]);
         let dims = [b, ns, nd, d];
         let mut weights = vec![0.0f32; b * 2 * ns * nd];
+        let mut ctx = vec![0.0f32; b * n * d];
         let fwd_structured = p50_of(
             &mut || {
                 attention_cross_rows_into(
@@ -452,6 +459,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
             },
             200,
         );
+        let mut grads = [(); 3].map(|()| vec![0.0f32; b * n * d]);
         let bwd_structured = p50_of(
             &mut || {
                 let [dq, dk, dv] = &mut grads;
@@ -465,6 +473,50 @@ fn emit_kernels_json(_c: &mut Criterion) {
         );
         fields.push_str(&format!(
             "  \"attention_cross_rows_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_structured_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_backward_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_backward_structured_b{b}_n{n}_d{d}_us\": {:.1},\n",
+            fwd_dense * 1e6,
+            fwd_structured * 1e6,
+            bwd_dense * 1e6,
+            bwd_structured * 1e6
+        ));
+    }
+    {
+        let (b, n, d) = (128usize, 20usize, 32usize);
+        let mut seed = 13;
+        let [q, k, v, d_out] = [(); 4].map(|()| rand(Shape::d3(b, n, d), &mut seed));
+        let (q, k, v, d_out) = (q.data(), k.data(), v.data(), d_out.data());
+        let scale = 1.0 / (d as f32).sqrt();
+        let (fwd_dense, bwd_dense) = dense_pair([q, k, v], d_out, &causal_mask(n), [b, n, d]);
+        let mut weights = vec![0.0f32; b * n * (n + 1) / 2];
+        let mut ctx = vec![0.0f32; b * n * d];
+        let fwd_structured = p50_of(
+            &mut || {
+                attention_causal_into(q, k, v, scale, [b, n, d], &mut weights, &mut ctx);
+                std::hint::black_box(ctx[0]);
+            },
+            200,
+        );
+        let mut grads = [(); 3].map(|()| vec![0.0f32; b * n * d]);
+        let bwd_structured = p50_of(
+            &mut || {
+                let [dq, dk, dv] = &mut grads;
+                for g in [&mut *dq, &mut *dk, &mut *dv] {
+                    g.fill(0.0);
+                }
+                let dims = [b, n, d];
+                attention_causal_backward_into(
+                    [q, k, v],
+                    &weights,
+                    d_out,
+                    scale,
+                    dims,
+                    [dq, dk, dv],
+                );
+                std::hint::black_box(grads[0][0]);
+            },
+            200,
+        );
+        fields.push_str(&format!(
+            "  \"attention_causal_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_causal_structured_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_causal_backward_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_causal_backward_structured_b{b}_n{n}_d{d}_us\": {:.1},\n",
             fwd_dense * 1e6,
             fwd_structured * 1e6,
             bwd_dense * 1e6,

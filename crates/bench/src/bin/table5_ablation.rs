@@ -1,8 +1,9 @@
 //! Regenerates **Table V** — the ablation study (§VI-C): SeqFM variants
 //! with one component removed, across all six datasets. Columns follow the
 //! paper: HR@10 (Gowalla, Foursquare), AUC (Trivago, Taobao), MAE (Beauty,
-//! Toys). With `--extended`, the DESIGN.md extension variants
-//! (padding-masked pooling, per-view FFN) are appended.
+//! Toys). With `--extended`, the extension variants of
+//! `seqfm_core::Ablation::extension_variants` (padding-masked pooling,
+//! per-view FFN — neither is part of the paper's formulation) are appended.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

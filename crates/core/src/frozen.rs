@@ -27,7 +27,7 @@
 
 use crate::config::SeqFmConfig;
 use crate::precision::{FrozenParamsFast, ScorerPrecision};
-use crate::scorer::{MaskCache, Scorer, Scratch};
+use crate::scorer::{Scorer, Scratch};
 use crate::view::HistoryView;
 use crate::SeqFm;
 use rand::rngs::StdRng;
@@ -36,8 +36,8 @@ use seqfm_autograd::{FrozenId, FrozenParams, ModelEpoch, ParamStore};
 use seqfm_data::{Batch, FeatureLayout, PAD};
 use seqfm_nn::checkpoint::{self, CheckpointError};
 use seqfm_tensor::{
-    attention_cross_rows_into, attention_cross_shared_into, attention_into, matmul_nn_into, Tensor,
-    Workspace,
+    attention_causal_into, attention_cross_rows_into, attention_cross_shared_into, attention_into,
+    matmul_nn_into, Tensor, Workspace,
 };
 use std::sync::Arc;
 
@@ -296,7 +296,7 @@ impl FrozenSeqFm {
     /// The post-attention tail of a view: pooling → FFN → `hagg` column
     /// write, on an already-computed context in `bufs.ctx`. Every view is
     /// "project Q/K/V, attend, then this", whichever attention entry point
-    /// (dense, causal-masked or structured cross) produced its context.
+    /// (dense, structured causal or structured cross) produced its context.
     #[allow(clippy::too_many_arguments)]
     fn pool_ffn_write(
         &self,
@@ -400,7 +400,6 @@ impl FrozenSeqFm {
         rows: usize,
         nd: usize,
         ws: &Workspace,
-        masks: &mut Option<MaskCache>,
         view: &mut HistoryView,
     ) {
         let d = self.cfg.d;
@@ -457,11 +456,10 @@ impl FrozenSeqFm {
             // history: `dyn_pooled` is the `[rows, d]` aggregate of a
             // one-view model, written by the same tail as any other view's
             // column block.
-            let causal = &MaskCache::for_geometry(masks, nd).causal;
             let mut q = ws.take(rows * nd * d);
             let mut k = ws.take(rows * nd * d);
             let mut v = ws.take(rows * nd * d);
-            let mut scores = ws.take(rows * nd * nd);
+            let mut scores = ws.take(rows * nd * (nd + 1) / 2);
             let mut ctx = ws.take(rows * nd * d);
             let mut pool = ws.take(rows * d);
             let mut normed = ws.take(rows * d);
@@ -477,13 +475,14 @@ impl FrozenSeqFm {
                 lin: &mut lin,
                 hagg: &mut view.dyn_pooled,
             };
-            // Dense causally-masked attention, replaying the tape's pipeline.
+            // Causal attention through the tape node's own kernel: only the
+            // lower triangle is kept.
             for (wi, dst) in [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v].into_iter().enumerate() {
                 self.project_view(&e_d, 1, wi, rows * nd, dst);
             }
             let scale = 1.0 / (d as f32).sqrt();
-            let mask = Some(causal);
-            attention_into(bufs.q, bufs.k, bufs.v, mask, scale, rows, nd, d, bufs.scores, bufs.ctx);
+            let (q, k, v) = (&*bufs.q, &*bufs.k, &*bufs.v);
+            attention_causal_into(q, k, v, scale, [rows, nd, d], bufs.scores, bufs.ctx);
             // The dynamic view's FFN slot mirrors the forward pass's
             // ffn_idx bookkeeping: 1 when the static view precedes it.
             let ffn_idx = usize::from(ab.static_view);
@@ -506,7 +505,7 @@ impl FrozenSeqFm {
     /// range (callers validate ids against the feature layout first).
     pub fn history_view(&self, dyn_row: &[i64], scratch: &mut Scratch) -> HistoryView {
         let mut view = HistoryView::default();
-        self.build_history(dyn_row, 1, dyn_row.len(), &scratch.ws, &mut scratch.masks, &mut view);
+        self.build_history(dyn_row, 1, dyn_row.len(), &scratch.ws, &mut view);
         view
     }
 
@@ -588,7 +587,7 @@ impl FrozenSeqFm {
         // Disjoint field borrows: the arena hands out every kernel
         // temporary; `out` stays a plain buffer because the caller's
         // returned slice borrows it past the arena scopes' lifetime.
-        let Scratch { out, ws, view: own, masks, .. } = scratch;
+        let Scratch { out, ws, view: own, .. } = scratch;
         let view = match cached {
             Some(view) => {
                 // A view is tied to one exact dynamic row; serving stale
@@ -612,7 +611,7 @@ impl FrozenSeqFm {
                         .skip(1)
                         .all(|row| row == &batch.dyn_idx[..nd]);
                 let rows = if repeated { 1 } else { b };
-                self.build_history(&batch.dyn_idx, rows, nd, ws, masks, own);
+                self.build_history(&batch.dyn_idx, rows, nd, ws, own);
                 own
             }
         };

@@ -15,12 +15,13 @@
 //! FFN (Eq. 15–16). Padding rows of the dynamic block embed to zero vectors
 //! exactly as the paper specifies (§III).
 //!
-//! The static and dynamic views record the dense attention chain
-//! (`bmm_nt → scale → softmax → bmm`). The cross view's mask (Eq. 13) admits
-//! only static↔dynamic pairs, so it records one structured node
-//! ([`Graph::attention_cross`]) that never forms the blocked `n°² + n˙²`
-//! scores — forward or backward — and is bit-identical to the dense masked
-//! chain; [`crate::FrozenSeqFm`] runs the same kernel.
+//! The static view records the dense attention chain
+//! (`bmm_nt → scale → softmax → bmm`). The dynamic view's causal mask
+//! (Eq. 10) admits only `j ≤ i` and the cross view's (Eq. 13) only
+//! static↔dynamic pairs, so each records one structured node
+//! ([`Graph::attention_causal`], [`Graph::attention_cross`]) that never uses
+//! a blocked score — forward or backward — and is bit-identical to the dense
+//! masked chain; [`crate::FrozenSeqFm`] runs the same kernels.
 
 use crate::config::SeqFmConfig;
 use crate::SeqModel;
@@ -29,8 +30,7 @@ use rand::Rng;
 use seqfm_autograd::{Graph, ParamId, ParamStore, Var};
 use seqfm_data::{Batch, FeatureLayout, PAD};
 use seqfm_nn::{Embedding, ResidualFfn, SelfAttention};
-use seqfm_tensor::{AttnMask, Shape, Tensor};
-use std::sync::Arc;
+use seqfm_tensor::{Shape, Tensor};
 
 /// Sequence-Aware Factorization Machine.
 pub struct SeqFm {
@@ -161,12 +161,13 @@ impl SeqModel for SeqFm {
         // Multi-view self-attention + intra-view pooling.
         let mut pooled: Vec<Var> = Vec::with_capacity(3);
         if ab.static_view {
-            let h = self.attn_static.forward(g, ps, e_s, None);
+            let h = self.attn_static.forward(g, ps, e_s);
             pooled.push(self.pool(g, h, None));
         }
         if ab.dynamic_view {
-            let mask = Arc::new(AttnMask::causal(nd));
-            let h = self.attn_dynamic.forward(g, ps, e_d, Some(mask));
+            // One structured node: only the `j ≤ i` pairs Eq. 10 admits
+            // are scored, forward and backward.
+            let h = self.attn_dynamic.forward_causal(g, ps, e_d);
             pooled.push(self.pool(g, h, Some((&pad_counts, 0))));
         }
         if ab.cross_view {
@@ -249,7 +250,8 @@ mod tests {
     fn training_tape_has_no_flatten_copies_and_one_cross_attention_node() {
         // The benchmark's training geometry, [128, 2 + 20, 32], dropout off:
         // 93 nodes when every projection was reshape → matmul → reshape (18
-        // copies) and the cross view a four-node dense masked chain.
+        // copies) and the cross view a four-node dense masked chain; 72
+        // while the dynamic view still was such a chain.
         let l = FeatureLayout { n_users: 40, n_items: 60 };
         let cfg = SeqFmConfig { d: 32, max_seq: 20, dropout: 0.0, ..Default::default() };
         let mut ps = ParamStore::new();
@@ -262,7 +264,7 @@ mod tests {
         let mut g = Graph::new();
         let y = m.forward(&mut g, &ps, &b, true, &mut rng);
         assert_eq!(g.value(y).shape(), Shape::d1(128));
-        assert!(g.len() <= 72, "{} tape nodes: a flatten or an unfused chain is back", g.len());
+        assert!(g.len() <= 69, "{} tape nodes: a flatten or an unfused chain is back", g.len());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqfm_autograd::{Graph, ModelEpoch, ParamStore};
 use seqfm_data::Batch;
-use seqfm_tensor::{AttnMask, Workspace};
+use seqfm_tensor::Workspace;
 
 /// Maps a batch of (static features, dynamic sequence) instances to one
 /// score per instance without touching an autograd graph.
@@ -111,22 +111,6 @@ pub trait Scorer {
     }
 }
 
-/// The cached causal mask of the dynamic view, keyed by the history length
-/// it was built for. (The cross view needs none: its kernels are structured.)
-pub(crate) struct MaskCache {
-    pub(crate) causal: AttnMask,
-}
-
-impl MaskCache {
-    /// The cached mask for an `nd`-long dynamic block, rebuilding on change.
-    pub(crate) fn for_geometry(cache: &mut Option<MaskCache>, nd: usize) -> &MaskCache {
-        if !matches!(&cache, Some(m) if m.causal.rows() == nd) {
-            *cache = Some(MaskCache { causal: AttnMask::causal(nd) });
-        }
-        cache.as_ref().expect("just installed")
-    }
-}
-
 /// Reusable per-thread scoring workspace.
 ///
 /// One `Scratch` belongs to exactly one serving thread. It owns a
@@ -153,7 +137,6 @@ pub struct Scratch {
     /// The history side of an uncached frozen forward, rebuilt in place by
     /// every such call (its buffers keep their capacity between calls).
     pub(crate) view: HistoryView,
-    pub(crate) masks: Option<MaskCache>,
 }
 
 impl Scratch {
@@ -165,7 +148,6 @@ impl Scratch {
             ws: Workspace::new(),
             graph: Graph::new(),
             view: HistoryView::default(),
-            masks: None,
         }
     }
 
@@ -309,18 +291,6 @@ mod tests {
         let mut acc = Vec::new();
         stub.score_into(&batch, &mut scratch, &mut acc);
         assert_eq!(acc, vec![0.5, -2.0]);
-    }
-
-    #[test]
-    fn mask_cache_rebuilds_only_on_geometry_change() {
-        let mut cache = None;
-        let m1 = MaskCache::for_geometry(&mut cache, 4);
-        assert_eq!(m1.causal.rows(), 4);
-        let built = m1.causal.data().as_ptr();
-        // Same geometry: cache hit — the very same mask storage.
-        assert_eq!(MaskCache::for_geometry(&mut cache, 4).causal.data().as_ptr(), built);
-        // New geometry: rebuilt.
-        assert_eq!(MaskCache::for_geometry(&mut cache, 5).causal.rows(), 5);
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! Datasets for the SeqFM reproduction: the shared chronological data model,
 //! leave-one-out evaluation splits, negative samplers, batch construction,
 //! and three synthetic generators standing in for the paper's six public
-//! datasets (Gowalla, Foursquare, Trivago, Taobao, Beauty, Toys — see
-//! DESIGN.md §1 for the substitution rationale):
+//! datasets (Gowalla, Foursquare, Trivago, Taobao, Beauty, Toys). The
+//! workspace builds and runs offline with no dataset downloads, so each
+//! generator plants the sequential signal its task's datasets are used for —
+//! the comparisons the paper draws keep their shape, and trends rather than
+//! absolute values are the target (see the README's "Regenerating the
+//! paper's artifacts"):
 //!
 //! * [`ranking`] — POI check-ins with **order-2 Markov cluster transitions**;
 //! * [`ctr`] — click logs mixing **long-term preference** with **session

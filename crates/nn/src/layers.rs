@@ -9,8 +9,7 @@
 use crate::init;
 use rand::Rng;
 use seqfm_autograd::{Graph, ParamId, ParamStore, Var};
-use seqfm_tensor::{AttnMask, Shape, Tensor};
-use std::sync::Arc;
+use seqfm_tensor::{Shape, Tensor};
 
 /// Fully-connected layer `y = x·W (+ b)`.
 pub struct Linear {
@@ -138,10 +137,11 @@ impl LayerNorm {
 /// `H = softmax(E·W_Q·(E·W_K)ᵀ/√d + M)·E·W_V` (paper Eq. 8/9/11).
 ///
 /// No output projection and no multi-head split — the paper's formulation is
-/// a single head with `d×d` projections. [`Self::forward`] is the dense
-/// pipeline under an arbitrary additive mask (static and dynamic views);
-/// [`Self::forward_cross`] is the cross view, whose mask is structure enough
-/// to never form the blocked scores.
+/// a single head with `d×d` projections. [`Self::forward`] is the unmasked
+/// dense pipeline (the static view); the two masked views are structural,
+/// one tape node each that never uses a blocked score:
+/// [`Self::forward_causal`] (the dynamic view) and [`Self::forward_cross`]
+/// (the cross view).
 pub struct SelfAttention {
     wq: Linear,
     wk: Linear,
@@ -172,29 +172,31 @@ impl SelfAttention {
         1.0 / (self.d as f32).sqrt()
     }
 
-    /// Applies attention to `e: [b, n, d]`; `mask` is shared across the batch.
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        ps: &ParamStore,
-        e: Var,
-        mask: Option<Arc<AttnMask>>,
-    ) -> Var {
+    /// Unmasked attention over `e: [b, n, d]` (the static view, Eq. 8).
+    pub fn forward(&self, g: &mut Graph, ps: &ParamStore, e: Var) -> Var {
         let [q, k, v] = self.project(g, ps, e);
         let scores = g.bmm_nt(q, k);
         let scaled = g.scale(scores, self.scale());
-        let attn = match mask {
-            Some(m) => g.softmax_masked(scaled, m),
-            None => g.softmax(scaled),
-        };
+        let attn = g.softmax(scaled);
         g.bmm(attn, v)
+    }
+
+    /// Causal attention over `e: [b, n, d]` (the dynamic view, Eq. 9–10):
+    /// position `i` attends to `j ≤ i`. Values and every gradient are
+    /// bit-identical to the dense `softmax(E·W_Q·(E·W_K)ᵀ/√d + M˙)·E·W_V`
+    /// under the causal mask `M˙` for finite inputs, through one
+    /// [`Graph::attention_causal`] node that keeps only the
+    /// `n·(n + 1)/2` live scores of each sample's `n²`.
+    pub fn forward_causal(&self, g: &mut Graph, ps: &ParamStore, e: Var) -> Var {
+        let [q, k, v] = self.project(g, ps, e);
+        g.attention_causal(q, k, v, self.scale())
     }
 
     /// Cross-view attention (Eq. 11–13) over the stack `e: [b, ns + nd, d]`
     /// whose first `ns` rows per sample are the static features. Values and
-    /// every gradient are bit-identical to
-    /// `forward(e, Some(AttnMask::cross(ns, nd)))` — the projections are the
-    /// same three matmuls on the concatenated input — through one
+    /// every gradient are bit-identical to the dense pipeline under the
+    /// cross mask — the projections are the same three matmuls on the
+    /// concatenated input — through one
     /// [`Graph::attention_cross`] node that scores only the `2·ns·nd`
     /// admitted pairs of each sample's `(ns + nd)²`.
     pub fn forward_cross(&self, g: &mut Graph, ps: &ParamStore, e: Var, ns: usize) -> Var {
@@ -420,7 +422,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use seqfm_autograd::assert_grad_check;
-    use seqfm_tensor::testutil::rand_tensor;
+    use seqfm_tensor::testutil::{causal_mask, cross_mask, rand_tensor};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
@@ -506,12 +508,11 @@ mod tests {
             let i = (4 * 4) + d; // position 4
             e2.data_mut()[i] += 1.0;
         }
-        let mask = Arc::new(AttnMask::causal(5));
         let mut g = Graph::new();
         let a = g.input(e1);
         let b = g.input(e2);
-        let ha = attn.forward(&mut g, &ps, a, Some(mask.clone()));
-        let hb = attn.forward(&mut g, &ps, b, Some(mask));
+        let ha = attn.forward_causal(&mut g, &ps, a);
+        let hb = attn.forward_causal(&mut g, &ps, b);
         assert_eq!(g.value(ha).shape(), Shape::d3(1, 5, 4));
         for pos in 0..4 {
             for d in 0..4 {
@@ -552,8 +553,53 @@ mod tests {
         out
     }
 
-    /// `forward_cross(e, ns)` against `forward(e, Some(AttnMask::cross(..)))`
-    /// from the same parameters: every compared tensor equal bit for bit.
+    /// The dense masked composition on the tape,
+    /// `softmax(E·W_Q·(E·W_K)ᵀ/√d + M)·E·W_V`: the oracle's additive
+    /// `[n, n]` mask `M` enters as a constant input broadcast over the batch,
+    /// added to the scaled scores, then a plain softmax — the same
+    /// arithmetic, forward and backward, as the masked softmax node the tape
+    /// once had.
+    fn forward_dense_masked(
+        attn: &SelfAttention,
+        g: &mut Graph,
+        ps: &ParamStore,
+        e: Var,
+        mask: &[f32],
+    ) -> Var {
+        let [q, k, v] = attn.project(g, ps, e);
+        let scores = g.bmm_nt(q, k);
+        let scaled = g.scale(scores, attn.scale());
+        let (b, n) = (g.value(e).shape().dim(0), g.value(e).shape().dim(1));
+        let m = g.input(Tensor::from_vec(Shape::d3(b, n, n), mask.repeat(b)));
+        let masked = g.add(scaled, m);
+        let w = g.softmax(masked);
+        g.bmm(w, v)
+    }
+
+    /// `node` (a structured attention path) against the dense composition
+    /// under `mask` from the same parameters: every compared tensor equal
+    /// bit for bit.
+    fn assert_node_matches_dense(
+        ps: &mut ParamStore,
+        attn: &SelfAttention,
+        e: ParamId,
+        mask: &[f32],
+        backward: bool,
+        node: impl Fn(&mut Graph, &ParamStore, Var) -> Var,
+    ) {
+        let shape = ps.value(e).shape();
+        let dense = cross_pass_bits(ps, e, backward, |g, ps, ev| {
+            forward_dense_masked(attn, g, ps, ev, mask)
+        });
+        let node = cross_pass_bits(ps, e, backward, node);
+        for (what, (n, d)) in ["h", "∂e", "∂wq", "∂wk", "∂wv"].iter().zip(node.iter().zip(&dense))
+        {
+            assert_eq!(n, d, "{shape}: {what} diverges from the dense composition");
+        }
+    }
+
+    /// `forward_cross(e, ns)` against the dense composition under the cross
+    /// mask.
     fn assert_forward_cross_matches_dense(
         ps: &mut ParamStore,
         attn: &SelfAttention,
@@ -561,15 +607,31 @@ mod tests {
         ns: usize,
         backward: bool,
     ) {
-        let shape = ps.value(e).shape();
-        let mask = Arc::new(AttnMask::cross(ns, shape.dim(1) - ns));
-        let dense = cross_pass_bits(ps, e, backward, |g, ps, ev| {
-            attn.forward(g, ps, ev, Some(mask.clone()))
+        let mask = cross_mask(ns, ps.value(e).shape().dim(1) - ns);
+        assert_node_matches_dense(ps, attn, e, mask.data(), backward, |g, ps, ev| {
+            attn.forward_cross(g, ps, ev, ns)
         });
-        let node = cross_pass_bits(ps, e, backward, |g, ps, ev| attn.forward_cross(g, ps, ev, ns));
-        for (what, (n, d)) in ["h", "∂e", "∂wq", "∂wk", "∂wv"].iter().zip(node.iter().zip(&dense))
-        {
-            assert_eq!(n, d, "{shape}, ns = {ns}: {what} diverges from the dense composition");
+    }
+
+    #[test]
+    fn forward_causal_matches_the_dense_masked_composition_bitwise() {
+        // Q, K and V all project the one input `e`, so `∂e` sums the three
+        // gradients in the node's delivery order (V, Q, K) — the dense
+        // tape's. Training geometry, ragged lane tails, a single position;
+        // every sample opens with 0–n all-zero (padding) rows.
+        for &(b, n, d) in &[(128usize, 20usize, 32usize), (3, 13, 16), (2, 5, 7), (4, 1, 8)] {
+            let mut ps = ParamStore::new();
+            let attn = SelfAttention::new(&mut ps, &mut rng(), "attn", d);
+            let mut seed = 700 + (b + n * 7) as u64;
+            let mut et = rand_tensor(Shape::d3(b, n, d), &mut seed);
+            for (bi, sample) in et.data_mut().chunks_exact_mut(n * d).enumerate() {
+                sample[..(bi * 3) % (n + 1) * d].fill(0.0);
+            }
+            let e = ps.add_dense("e", et);
+            let mask = causal_mask(n);
+            assert_node_matches_dense(&mut ps, &attn, e, mask.data(), true, |g, ps, ev| {
+                attn.forward_causal(g, ps, ev)
+            });
         }
     }
 

@@ -7,7 +7,7 @@
 //! * [`init`] — deterministic weight initializers (Xavier, Gaussian,
 //!   embedding-scaled).
 //! * [`layers`] — [`Linear`], [`Embedding`] (zero-padding semantics),
-//!   [`LayerNorm`], single-head masked [`SelfAttention`] (paper Eq. 8/9/11),
+//!   [`LayerNorm`], single-head [`SelfAttention`] (paper Eq. 8/9/11),
 //!   the shared [`ResidualFfn`] (Eq. 15), [`Mlp`], and a [`GruCell`] for the
 //!   RRN baseline.
 //! * [`optim`] — [`Sgd`] and [`Adam`] with lazy sparse-row embedding updates

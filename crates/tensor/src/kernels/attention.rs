@@ -1,48 +1,62 @@
 //! Fused scaled-dot-product attention over raw slices — the kernels behind
-//! the frozen forward pass *and* the tape's structured cross-view node.
+//! the frozen forward pass *and* the tape's structured attention nodes.
 //!
 //! Every *output element* of the kernels here runs the same chain of
 //! floating-point operations, in the same order, as the tape ops
 //! `bmm_nt → scale → softmax → bmm` — so a frozen forward pass that uses
 //! them reproduces `Graph`-built logits bit for bit (there is no second,
-//! approximate family: both serving profiles call these). The dense
-//! [`attention_into`] gets there by replaying the tape's ops wholesale. The
-//! structured cross-view kernels — [`attention_cross_shared_into`] for one
-//! history under many candidates, [`attention_cross_rows_into`] and its
-//! backward [`attention_cross_rows_backward_into`] for a history per row,
-//! which is what `Graph::attention_cross` records — replay only the chains
-//! of the pairs the cross mask admits and never form the masked ones (whose
-//! contribution to every admitted chain, value or gradient, is an exact
-//! no-op). The shared-history kernel also runs each chain *once*: a chain's
+//! approximate family: both serving profiles call these). The dense,
+//! unmasked [`attention_into`] — the static view (Eq. 8) — gets there by
+//! replaying the tape's ops wholesale. The two masked views are structural
+//! instead of masked: the paper writes each as an additive `−∞` mask, but a
+//! blocked score adds an exact `+0.0` to its row's softmax sum and leaves an
+//! exact `0.0` weight that every `nn` / `tn` chain skips, so the kernels
+//! never use one. The causal kernels — [`attention_causal_into`] and its
+//! backward [`attention_causal_backward_into`], the dynamic view (Eq. 9–10)
+//! and what `Graph::attention_causal` records — keep only the lower
+//! triangle `j ≤ i`. The cross-view kernels —
+//! [`attention_cross_shared_into`] for one history under many candidates,
+//! [`attention_cross_rows_into`] and its backward
+//! [`attention_cross_rows_backward_into`] for a history per row, which is
+//! what `Graph::attention_cross` records — score only the static↔history
+//! pairs. The shared-history kernel also runs each chain *once*: a chain's
 //! bits do not depend on the slice it is computed for, so whatever involves
 //! only the history and the static rows every slice shares (a request's
 //! user row) is a per-call prelude, and a slice pays for its own rows
-//! alone. The caller provides the output and scratch buffers, so repeated
-//! calls allocate nothing. Above the dispatch threshold the batch dimension
-//! fans out over the global thread pool — per-slice arithmetic is
+//! alone. The dense masked pipeline these are bit-identical to lives on as
+//! the tests' reference oracle (`testutil::attention_masked_into` and its
+//! backward). The caller provides the output and scratch buffers, so
+//! repeated calls allocate nothing. Above the dispatch threshold the batch
+//! dimension fans out over the global thread pool — per-slice arithmetic is
 //! untouched, so the bit-for-bit guarantee survives parallel execution.
 
 use super::bmm::{bmm_nn_into, bmm_nt_into};
 use super::matmul::{by_rows, chain_tile};
-use super::softmax::{softmax_row_inplace, AttnMask};
+use super::softmax::softmax_row_inplace;
+use std::convert::Infallible;
 
-/// `out[b,n,d] = softmax(scale · Q·Kᵀ + M) · V` per batch slice.
+/// `out[b,n,d] = softmax(scale · Q·Kᵀ) · V` per batch slice — plain,
+/// unmasked attention (the static view, Eq. 8).
 ///
 /// `q`/`k`/`v` are `[bs, n, d]` row-major slices; `scores` is a scratch
 /// buffer of at least `bs·n·n` elements (overwritten with the attention
 /// weights); `out` must hold at least `bs·n·d` elements and is overwritten
-/// (not accumulated). `mask`, when given, is `[n, n]` and shared across the
-/// batch, as everywhere else in this crate; fully-masked rows produce
-/// all-zero attention weights, keeping padding rows inert.
+/// (not accumulated).
+///
+/// `_unmasked` can only be `None`: no view runs a masked dense attention
+/// (the dynamic view is [`attention_causal_into`], the cross view
+/// [`attention_cross_rows_into`] / [`attention_cross_shared_into`]). The
+/// slot keeps the ten-argument signature that existing callers — the repo
+/// benchmark's `tensor.attention_us` probe among them — pass `None` through.
 ///
 /// # Panics
-/// Panics if any buffer is too small or the mask dims do not match `n`.
+/// Panics if any buffer is too small.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_into(
     q: &[f32],
     k: &[f32],
     v: &[f32],
-    mask: Option<&AttnMask>,
+    _unmasked: Option<Infallible>,
     scale: f32,
     bs: usize,
     n: usize,
@@ -55,15 +69,6 @@ pub fn attention_into(
     assert!(v.len() >= bs * n * d, "attention_into: v too small");
     assert!(scores.len() >= bs * n * n, "attention_into: scores scratch too small");
     assert!(out.len() >= bs * n * d, "attention_into: out too small");
-    if let Some(mk) = mask {
-        assert_eq!(
-            (mk.rows(), mk.cols()),
-            (n, n),
-            "attention mask [{}x{}] does not match n = {n}",
-            mk.rows(),
-            mk.cols()
-        );
-    }
     let (q, k, v) = (&q[..bs * n * d], &k[..bs * n * d], &v[..bs * n * d]);
     let scores = &mut scores[..bs * n * n];
     let out = &mut out[..bs * n * d];
@@ -80,27 +85,23 @@ pub fn attention_into(
                 let q = &q[b0 * n * d..(b0 + slices) * n * d];
                 let k = &k[b0 * n * d..(b0 + slices) * n * d];
                 let v = &v[b0 * n * d..(b0 + slices) * n * d];
-                attention_slices(q, k, v, mask, scale, slices, n, d, scores_chunk, out_chunk);
+                attention_slices(q, k, v, scale, [slices, n, d], scores_chunk, out_chunk);
             },
         );
     } else {
-        attention_slices(q, k, v, mask, scale, bs, n, d, scores, out);
+        attention_slices(q, k, v, scale, [bs, n, d], scores, out);
     }
 }
 
 /// The fused attention pipeline over `bs` batch slices — exactly the serial
-/// op order (`Q·Kᵀ → scale → masked softmax → ·V`), used both as the serial
-/// path and as each parallel task's body.
-#[allow(clippy::too_many_arguments)]
+/// op order (`Q·Kᵀ → scale → softmax → ·V`), used both as the serial path
+/// and as each parallel task's body.
 fn attention_slices(
     q: &[f32],
     k: &[f32],
     v: &[f32],
-    mask: Option<&AttnMask>,
     scale: f32,
-    bs: usize,
-    n: usize,
-    d: usize,
+    [bs, n, d]: [usize; 3],
     scores: &mut [f32],
     out: &mut [f32],
 ) {
@@ -110,26 +111,281 @@ fn attention_slices(
     for s in scores.iter_mut() {
         *s *= scale;
     }
-    // Masked softmax, row by row in place.
-    for (ri, row) in scores.chunks_exact_mut(n).enumerate() {
-        let mask_row = mask.map(|mk| {
-            let r = ri % n;
-            &mk.data()[r * n..(r + 1) * n]
-        });
-        softmax_row_inplace(row, mask_row);
+    for row in scores.chunks_exact_mut(n) {
+        softmax_row_inplace(row);
     }
     // Attention-weighted values.
     out.fill(0.0);
     bmm_nn_into(scores, v, out, bs, n, n, d);
 }
 
+/// Causal self-attention — the dynamic view (paper Eq. 9–10) — over
+/// `[bs, n, d]` slices `q`/`k`/`v`: row `i` attends to columns `j ≤ i` only,
+/// and only those `n·(n + 1)/2` of the `n²` scores per slice are kept,
+/// softmaxed and used. What `Graph::attention_causal` records and the frozen
+/// forward's history stage runs.
+///
+/// Per row `i`, the `i + 1` live scores run with their lanes across key
+/// columns, from a transposed pack of the slice's `K` (a row pair's tile
+/// rounds its live columns up to a whole 8-lane block; the few products
+/// above the diagonal that this forms are dropped in registers); the row is
+/// softmaxed in place, then its context is accumulated over ascending `j`
+/// with the zero-weight skip. `weights` receives the packed lower triangle —
+/// `n·(n + 1)/2` floats per slice, row `i` at offset `i·(i + 1)/2` — which
+/// is everything [`attention_causal_backward_into`] needs from the forward
+/// pass; `out` is overwritten with the `[bs, n, d]` context.
+///
+/// **Bit-identical** to the dense pipeline under the additive causal mask
+/// (`bmm_nt → scale → softmax(+ M) → bmm`, the tape's old chain and the
+/// tests' oracle) whenever `q`, `k`, `v` are finite, because every output
+/// element runs that pipeline's own chain: a score is
+/// `(0.0 + Σ_{p↑} q[p]·k[p]) · scale` with separate multiply and add; the
+/// softmax is `softmax_row_inplace` over the live prefix (a masked score is
+/// `−∞`: never the row max, an exact `+0.0` added to the non-negative sum
+/// after every live term, an exact `0.0` weight); and a context element is
+/// the seeded-zero ascending-`j` chain `o += w·v` skipping `w == 0.0`
+/// (`matmul::naive::matmul_nn_into`'s chain — the masked weights are the
+/// trailing zeros it skips).
+///
+/// **A future position cannot poison a row.** The dense pipeline forms the
+/// masked scores too: a NaN or `±∞` in `k[j]` makes every score of column
+/// `j` NaN after the mask is added (`NaN + (−∞)`, `∞ + (−∞)`), and with it
+/// every row `i < j` — here row `i`'s weights and context depend on rows
+/// `0..=i` of `q`, `k`, `v` alone, so a non-finite value at a *future*
+/// position `j > i` leaves them untouched (the backward's `0 · ∞` likewise;
+/// see [`attention_causal_backward_into`]).
+///
+/// # Panics
+/// Panics if any buffer is too small.
+pub fn attention_causal_into(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    scale: f32,
+    [bs, n, d]: [usize; 3],
+    weights: &mut [f32],
+    out: &mut [f32],
+) {
+    const NAME: &str = "attention_causal_into";
+    let tri_n = tri(n);
+    for x in [q, k, v] {
+        assert!(x.len() >= bs * n * d, "{NAME}: Q/K/V operand too small");
+    }
+    assert!(weights.len() >= bs * tri_n, "{NAME}: weights too small");
+    assert!(out.len() >= bs * n * d, "{NAME}: out too small");
+    let qkv = [q, k, v].map(|x| &x[..bs * n * d]);
+    let weights = &mut weights[..bs * tri_n];
+    let out = &mut out[..bs * n * d];
+
+    // The scores and the context: one multiply-add pass of the triangle
+    // each, plus the exp-weighted softmax.
+    let work_per_slice = tri_n * (2 * d + 16);
+    if super::dispatch::should_par(bs * work_per_slice, bs) {
+        seqfm_parallel::par_units(
+            seqfm_parallel::global(),
+            [weights, out],
+            [tri_n, n * d],
+            |b0, [weights_chunk, out_chunk]| {
+                let slices = out_chunk.len() / (n * d);
+                let qkv = qkv.map(|x| &x[b0 * n * d..(b0 + slices) * n * d]);
+                causal_slices(qkv, scale, [slices, n, d], weights_chunk, out_chunk);
+            },
+        );
+    } else {
+        causal_slices(qkv, scale, [bs, n, d], weights, out);
+    }
+}
+
+/// Serial body of [`attention_causal_into`] over `bs` slices.
+fn causal_slices(
+    [q, k, v]: [&[f32]; 3],
+    scale: f32,
+    [bs, n, d]: [usize; 3],
+    weights: &mut [f32],
+    out: &mut [f32],
+) {
+    let tri_n = tri(n);
+    crate::workspace::with_thread(|ws| {
+        let mut kt = ws.take(d * n);
+        for b in 0..bs {
+            let slice = b * n * d..(b + 1) * n * d;
+            let (q, k, v) = (&q[slice.clone()], &k[slice.clone()], &v[slice.clone()]);
+            let w = &mut weights[b * tri_n..(b + 1) * tri_n];
+            pack_transposed(k, n, d, &mut kt);
+            lower_chains(q, &kt, [n, d], |i, j0, acc| {
+                for (slot, &a) in w[tri(i) + j0..].iter_mut().zip(acc) {
+                    *slot = (0.0 + a) * scale;
+                }
+            });
+            for i in 0..n {
+                softmax_row_inplace(&mut w[tri(i)..tri(i + 1)]);
+            }
+            let out = &mut out[slice];
+            out.fill(0.0);
+            lower_rows_add(w, v, [n, d], out);
+        }
+    });
+}
+
+/// Backward pass of [`attention_causal_into`]: given the forward's
+/// `q`/`k`/`v`, its saved packed `weights` and the upstream gradient `d_out`
+/// of the context, **adds** the gradients into `dq`/`dk`/`dv` (pass zeroed
+/// buffers for plain gradients). Only the lower triangle is used —
+/// `4·d` multiply-adds per live pair where the dense tape spends `4·d` per
+/// pair of all `n²`.
+///
+/// **Bit-identical** to the dense tape's backward through
+/// `bmm → softmax(+ M) → scale → bmm_nt` whenever `q`, `k`, `v` and `d_out`
+/// are finite, because every gradient element runs that tape's own chain
+/// minus terms that are exact zeros there: `dA[i,j] = 0.0 + Σ_{t↑}
+/// dO[i,t]·V[j,t]` on the live prefix (lanes across `j`, from a transposed
+/// pack of `V`); per row `dot = Σ_{j↑} A[i,j]·dA[i,j]` and
+/// `dS = (A·(dA − dot))·scale` (`softmax_backward_into`, then the scale
+/// node); then `dQ[i] += dS[i,j]·K[j]` over ascending `j ≤ i`, and
+/// `dK[j] += dS[i,j]·Q[i]`, `dV[j] += A[i,j]·dO[i]` over ascending `i ≥ j`,
+/// each from a zero seed and skipping a zero multiplier as
+/// `matmul::naive`'s `nn` / `tn` chains do. A masked weight is exactly
+/// `0.0`, so the dense path skips its term (or adds `±0` to `dot`, which
+/// can at most flip the sign of a zero `dS` that is then skipped). A
+/// non-finite `v[j]` at a future position `j > i` never reaches row `i`'s
+/// `dS` or `dQ`: the dense path's `0 · ∞` in `dot` would make them NaN.
+///
+/// # Panics
+/// Panics if any buffer is too small.
+pub fn attention_causal_backward_into(
+    qkv: [&[f32]; 3],
+    weights: &[f32],
+    d_out: &[f32],
+    scale: f32,
+    [bs, n, d]: [usize; 3],
+    grads: [&mut [f32]; 3],
+) {
+    const NAME: &str = "attention_causal_backward_into";
+    let tri_n = tri(n);
+    for x in qkv.iter().chain([&d_out]) {
+        assert!(x.len() >= bs * n * d, "{NAME}: operand too small");
+    }
+    assert!(weights.len() >= bs * tri_n, "{NAME}: weights too small");
+    let grads = grads.map(|g| {
+        assert!(g.len() >= bs * n * d, "{NAME}: gradient buffer too small");
+        &mut g[..bs * n * d]
+    });
+
+    let work_per_slice = 4 * tri_n * d;
+    if super::dispatch::should_par(bs * work_per_slice, bs) {
+        seqfm_parallel::par_units(seqfm_parallel::global(), grads, [n * d; 3], |b0, grads| {
+            let slices = grads[0].len() / (n * d);
+            causal_backward_slices(
+                qkv.map(|x| &x[b0 * n * d..]),
+                &weights[b0 * tri_n..],
+                &d_out[b0 * n * d..],
+                scale,
+                [slices, n, d],
+                grads,
+            );
+        });
+    } else {
+        causal_backward_slices(qkv, weights, d_out, scale, [bs, n, d], grads);
+    }
+}
+
+/// Serial body of [`attention_causal_backward_into`] over `bs` slices.
+fn causal_backward_slices(
+    [q, k, v]: [&[f32]; 3],
+    weights: &[f32],
+    d_out: &[f32],
+    scale: f32,
+    [bs, n, d]: [usize; 3],
+    [dq, dk, dv]: [&mut [f32]; 3],
+) {
+    let tri_n = tri(n);
+    crate::workspace::with_thread(|ws| {
+        let mut vt = ws.take(d * n);
+        let mut ds = ws.take(tri_n);
+        for b in 0..bs {
+            let slice = b * n * d..(b + 1) * n * d;
+            let (q, k, v, d_out) =
+                (&q[slice.clone()], &k[slice.clone()], &v[slice.clone()], &d_out[slice.clone()]);
+            let (dq, dk, dv) = (&mut dq[slice.clone()], &mut dk[slice.clone()], &mut dv[slice]);
+            let w = &weights[b * tri_n..(b + 1) * tri_n];
+            pack_transposed(v, n, d, &mut vt);
+            lower_chains(d_out, &vt, [n, d], |i, j0, acc| {
+                for (slot, &a) in ds[tri(i) + j0..].iter_mut().zip(acc) {
+                    *slot = 0.0 + a;
+                }
+            });
+            for i in 0..n {
+                let row = tri(i)..tri(i + 1);
+                softmax_scale_backward_inplace(&w[row.clone()], &mut ds[row], i + 1, scale);
+            }
+            lower_rows_add(&ds, k, [n, d], dq);
+            // `dK[j]` / `dV[j]` over ascending `i ≥ j`: the row loop outside,
+            // so consecutive updates land on different rows `j` here too.
+            for (i, (qi, doi)) in q.chunks_exact(d).zip(d_out.chunks_exact(d)).enumerate() {
+                let row = tri(i)..tri(i + 1);
+                let cols = dk.chunks_exact_mut(d).zip(dv.chunks_exact_mut(d));
+                for ((&s, &a), (dkj, dvj)) in ds[row.clone()].iter().zip(&w[row]).zip(cols) {
+                    axpy_skip(dkj, s, qi);
+                    axpy_skip(dvj, a, doi);
+                }
+            }
+        }
+    });
+}
+
+/// `n·(n + 1)/2`: the size of an `n`-row packed lower triangle, and the
+/// offset of its row `n`.
+#[inline(always)]
+fn tri(n: usize) -> usize {
+    n * (n + 1) / 2
+}
+
+/// `acc[i] += Σ_{j ≤ i} w[i,j] · x[j]` over the packed lower triangle `w`
+/// and row-major `x` / `acc` (`[n, d]`): each row of `acc` is the `nn`
+/// chain over ascending `j` with the zero skip ([`axpy_skip`]). The column
+/// loop is the outer one, so consecutive updates land on different rows
+/// and none waits for the previous one's store.
+#[inline(always)]
+fn lower_rows_add(w: &[f32], x: &[f32], [n, d]: [usize; 2], acc: &mut [f32]) {
+    for (j, xj) in x.chunks_exact(d).enumerate().take(n) {
+        for (i, acc_i) in acc.chunks_exact_mut(d).enumerate().take(n).skip(j) {
+            axpy_skip(acc_i, w[tri(i) + j], xj);
+        }
+    }
+}
+
+/// The lower triangle `j ≤ i` of the `[n, n]` product of row-major `a`
+/// (`[n, d]`) and the transposed pack `bt` (`[d, n]`), handed to
+/// `store(i, j0, lanes)` like [`nn_chains`] — whose two-row tiles it runs
+/// over each row pair's live columns rounded up to a whole 8-lane block
+/// (capped at `n`), storing only the lanes `j ≤ i`. A tile's cost is its
+/// `d`-step add chain whatever its width, so the few scores formed above
+/// the diagonal and dropped cost less than the one-column tiles an exact
+/// ragged edge would need. The `nt` score chain: no zero skip.
+#[inline(always)]
+fn lower_chains(
+    a: &[f32],
+    bt: &[f32],
+    [n, d]: [usize; 2],
+    mut store: impl FnMut(usize, usize, &[f32]),
+) {
+    for i0 in (0..n).step_by(2) {
+        let rows = (n - i0).min(2);
+        let cols = (i0 + rows).next_multiple_of(8).min(n);
+        nn_chains::<false>(&a[i0 * d..], d, rows, bt, n, cols, d, |r, j0, acc| {
+            let i = i0 + r;
+            store(i, j0, &acc[..acc.len().min((i + 1).saturating_sub(j0))]);
+        });
+    }
+}
+
 /// Exact cross-view attention for a **shared history**: every slice shares
 /// one `[nd, d]` block of history-row Q/K/V (`hist`) under its `ns = ns0 + ns1`
-/// static rows, and only the static↔history pairs [`AttnMask::cross`] admits
+/// static rows, and only the static↔history pairs the cross mask admits
 /// are ever scored — each static row softmaxes over the `nd` history columns,
 /// each history row over the `ns` static columns. At serving geometry
 /// (`ns = 2`, `nd = 20`) that is 80 of the 484 scores per slice the dense
-/// masked [`attention_into`] computes, and none of its `3·bs·nd·d` splice
+/// masked pipeline computes, and none of its `3·bs·nd·d` splice
 /// copies.
 ///
 /// **The static side comes in two parts**, because a candidate-expansion
@@ -151,7 +407,8 @@ fn attention_slices(
 /// *scores* are filled back in before every row softmax instead.
 ///
 /// **Bit-identical** to splicing the shared rows and the history into every
-/// slice and calling `attention_into(.., Some(&AttnMask::cross(ns, nd)), ..)`,
+/// slice and running the dense pipeline under the cross mask (the tests'
+/// oracle, `testutil::attention_masked_into` with `testutil::cross_mask`),
 /// because every output element runs the dense pipeline's own op chain: a
 /// score is `(0.0 + Σ_{p↑} q[p]·k[p]) · scale` with separate multiply and add
 /// (`matmul::naive::matmul_nt_into`'s chain; f32 multiplication commutes,
@@ -415,7 +672,7 @@ fn cross_rows_slices(
 /// where the dense tape spends `4·n²·d`.
 ///
 /// **Bit-identical** to the dense tape's backward through
-/// `bmm → softmax_masked(cross) → scale → bmm_nt`, because every gradient
+/// `bmm → softmax(+ M) → scale → bmm_nt` under the cross mask, because every gradient
 /// element runs that tape's own chain minus terms that are exact zeros
 /// there: `dA[i,j] = 0.0 + Σ_{t↑} dO[i,t]·V[j,t]` (`nt`); per row
 /// `dot = Σ_{j↑} A[i,j]·dA[i,j]` and `dS = (A·(dA − dot))·scale`
@@ -577,7 +834,7 @@ fn static_rows_attend(
         }
     });
     for wrow in w.chunks_exact_mut(nd) {
-        softmax_row_inplace(wrow, None);
+        softmax_row_inplace(wrow);
     }
     nn_chains::<true>(w, nd, ns, vh, d, d, nd, |i, t0, acc| {
         out_stat[i * d + t0..][..acc.len()].copy_from_slice(acc);
@@ -612,7 +869,7 @@ fn history_rows_score(
 #[inline(always)]
 fn history_rows_finish(sv: &[f32], [ns, nd, d]: [usize; 3], w: &mut [f32], out_dyn: &mut [f32]) {
     for wrow in w.chunks_exact_mut(ns) {
-        softmax_row_inplace(wrow, None);
+        softmax_row_inplace(wrow);
     }
     nn_chains::<true>(w, ns, nd, sv, d, d, ns, |r, t0, acc| {
         out_dyn[r * d + t0..][..acc.len()].copy_from_slice(acc);
@@ -699,10 +956,24 @@ fn zero_tile<const R: usize, const L: usize, const SKIP: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::softmax::softmax_lastdim_masked;
-    use crate::testutil::rand_tensor;
+    use crate::testutil::{
+        attention_masked_backward_into, attention_masked_into, causal_mask, cross_mask,
+        rand_tensor, softmax_lastdim_masked,
+    };
     use crate::{bmm_nn, bmm_nt, ew, Shape, Tensor};
-    use std::sync::Arc;
+
+    /// `bs` packed lower triangles (`n·(n + 1)/2` per slice) as dense
+    /// `[bs, n, n]` blocks with `+0.0` above the diagonal.
+    fn unpack_causal(w: &[f32], bs: usize, n: usize) -> Vec<f32> {
+        let mut dense = vec![0.0f32; bs * n * n];
+        let mut packed = w.iter();
+        for (i, row) in dense.chunks_exact_mut(n).enumerate() {
+            for slot in &mut row[..=i % n] {
+                *slot = *packed.next().expect("one packed weight per live pair");
+            }
+        }
+        dense
+    }
 
     #[test]
     fn fused_kernel_matches_unfused_ops_bitwise() {
@@ -712,29 +983,27 @@ mod tests {
         let k = rand_tensor(Shape::d3(bs, n, d), &mut seed);
         let v = rand_tensor(Shape::d3(bs, n, d), &mut seed);
         let scale = 1.0 / (d as f32).sqrt();
-        let mask = Arc::new(AttnMask::causal(n));
+        let mask = causal_mask(n);
 
-        // Reference: the exact op sequence the tape records.
+        // Reference: the exact op sequence the tape recorded under the mask.
         let scores = ew::scale(&bmm_nt(&q, &k), scale);
         let attn = softmax_lastdim_masked(&scores, &mask);
         let expect = bmm_nn(&attn, &v);
 
-        let mut scratch = vec![0.0f32; bs * n * n];
+        // The oracle is that sequence…
+        let qkv = [q.data(), k.data(), v.data()];
+        let mut dense_w = vec![0.0f32; bs * n * n];
+        let mut dense = vec![0.0f32; bs * n * d];
+        attention_masked_into(qkv, &mask, scale, [bs, n, d], &mut dense_w, &mut dense);
+        assert_eq!(dense, expect.data(), "oracle diverges from the tape ops");
+        assert_eq!(dense_w, attn.data(), "oracle weights diverge");
+
+        // …and the fused causal kernel never forms the masked half of it.
+        let mut weights = vec![0.0f32; bs * n * (n + 1) / 2];
         let mut out = vec![0.0f32; bs * n * d];
-        attention_into(
-            q.data(),
-            k.data(),
-            v.data(),
-            Some(&mask),
-            scale,
-            bs,
-            n,
-            d,
-            &mut scratch,
-            &mut out,
-        );
+        attention_causal_into(qkv[0], qkv[1], qkv[2], scale, [bs, n, d], &mut weights, &mut out);
         assert_eq!(out, expect.data(), "fused attention diverges from the tape ops");
-        assert_eq!(scratch, attn.data(), "attention weights diverge");
+        assert_eq!(unpack_causal(&weights, bs, n), attn.data(), "attention weights diverge");
     }
 
     #[test]
@@ -786,7 +1055,7 @@ mod tests {
 
     /// Runs the structured kernel on `[qs, ks, vs]` (`[bs, ns, d]`, split at
     /// `ns0` by [`split_static`]) × `[qh, kh, vh]`, asserts it equals splice +
-    /// dense masked `attention_into` bit for bit, and returns the context.
+    /// the dense masked oracle bit for bit, and returns the context.
     fn assert_cross_shared_exact_matches_dense(
         stat: [&[f32]; 3],
         hist: [&[f32]; 3],
@@ -800,8 +1069,8 @@ mod tests {
         let [fq, fk, fv] = [0, 1, 2].map(|i| splice(&split[i].0, &split[i].1, hist[i], dims));
         let mut scratch = vec![0.0f32; bs * n * n];
         let mut dense = vec![0.0f32; bs * n * d];
-        let mask = AttnMask::cross(ns, nd);
-        attention_into(&fq, &fk, &fv, Some(&mask), scale, bs, n, d, &mut scratch, &mut dense);
+        let mask = cross_mask(ns, nd);
+        attention_masked_into([&fq, &fk, &fv], &mask, scale, [bs, n, d], &mut scratch, &mut dense);
 
         // Right-sized scratch: the structured kernel's own contract.
         let mut scratch = vec![0.0f32; bs * ns * nd];
@@ -925,7 +1194,7 @@ mod tests {
         let what = format!("bs={bs} ns={ns} nd={nd} d={d}");
 
         // Reference: the op sequence the dense tape records, and its backward.
-        let mask = AttnMask::cross(ns, nd);
+        let mask = cross_mask(ns, nd);
         let attn = softmax_lastdim_masked(&ew::scale(&bmm_nt(q, k), scale), &mask);
         let want_out = bmm_nn(&attn, v);
         let d_attn = bmm_nt(d_out, v);
@@ -1029,5 +1298,171 @@ mod tests {
             qkv[1].data_mut()[at(1) + 1] = -40.0;
         }
         assert_cross_rows_match_dense(&qkv, &d_out, ns);
+    }
+
+    /// The causal kernels and the dense oracle on the same `[bs, n, d]`
+    /// operands: the oracle's forward (and, given `d_out`, backward)
+    /// against the structured pair — weights, context and, with the
+    /// backward, dQ / dK / dV, bit for bit. Returns the structured context
+    /// and gradients.
+    fn causal_vs_oracle(
+        qkv: [&[f32]; 3],
+        d_out: Option<&[f32]>,
+        [bs, n, d]: [usize; 3],
+    ) -> (Vec<f32>, [Vec<f32>; 3]) {
+        let scale = 1.0 / (d as f32).sqrt();
+        let what = format!("bs={bs} n={n} d={d}");
+        let mut dense_w = vec![f32::NAN; bs * n * n];
+        let mut dense = vec![f32::NAN; bs * n * d];
+        attention_masked_into(qkv, &causal_mask(n), scale, [bs, n, d], &mut dense_w, &mut dense);
+        let mut weights = vec![f32::NAN; bs * n * (n + 1) / 2];
+        let mut out = vec![f32::NAN; bs * n * d];
+        attention_causal_into(qkv[0], qkv[1], qkv[2], scale, [bs, n, d], &mut weights, &mut out);
+        assert_eq!(bits(&out), bits(&dense), "{what}: context");
+        assert_eq!(bits(&unpack_causal(&weights, bs, n)), bits(&dense_w), "{what}: weights");
+
+        let mut grads = [(); 3].map(|()| vec![0.0f32; bs * n * d]);
+        if let Some(d_out) = d_out {
+            let mut scratch = vec![0.0f32; 2 * bs * n * n];
+            let mut want = [(); 3].map(|()| vec![f32::NAN; bs * n * d]);
+            let [dq, dk, dv] = &mut want;
+            let dims = [bs, n, d];
+            attention_masked_backward_into(
+                qkv,
+                &dense_w,
+                d_out,
+                scale,
+                dims,
+                &mut scratch,
+                [dq, dk, dv],
+            );
+            let [dq, dk, dv] = &mut grads;
+            attention_causal_backward_into(qkv, &weights, d_out, scale, dims, [dq, dk, dv]);
+            for ((got, want), name) in grads.iter().zip(&want).zip(["dq", "dk", "dv"]) {
+                assert_eq!(bits(got), bits(want), "{what}: {name}");
+            }
+        }
+        (out, grads)
+    }
+
+    #[test]
+    fn causal_forward_and_backward_match_the_dense_oracle_bitwise() {
+        // Training geometry (clears the fan-out threshold under
+        // `SEQFM_WORKERS=4`), a ragged lane tail of key columns (n = 13, 9),
+        // odd widths, a single position. Each slice opens with 0–n all-zero
+        // (padding) rows, and in each slice the last row scores ≈ −200 below
+        // its row max against the second-to-last, so that weight underflows
+        // to exactly 0.0 — the `nn` / `tn` chains skip it, and opposite a
+        // `+∞` value row a kernel that multiplied instead would turn
+        // `0 · ∞` into NaN.
+        for &(bs, n, d) in
+            &[(128usize, 20usize, 32usize), (3, 13, 16), (2, 5, 7), (4, 1, 8), (1, 9, 4)]
+        {
+            let mut seed = 1301 + (bs * 7 + n * 31 + d) as u64;
+            let mut qkv = [(); 3].map(|()| rand_tensor(Shape::d3(bs, n, d), &mut seed));
+            let d_out = rand_tensor(Shape::d3(bs, n, d), &mut seed);
+            let underflow = (n >= 2).then(|| (n - 1, n - 2));
+            for b in 0..bs {
+                let pad = (b * 5 + 2) % (if n >= 2 { n - 1 } else { n + 1 });
+                let at = |r: usize| (b * n + r) * d;
+                for t in &mut qkv {
+                    t.data_mut()[at(0)..at(pad)].fill(0.0);
+                }
+                if let Some((i, j)) = underflow {
+                    for r in pad..n {
+                        qkv[0].data_mut()[at(r)] = if r == i { 30.0 } else { 0.0 };
+                        qkv[1].data_mut()[at(r)] = if r == j { -40.0 } else { 0.0 };
+                    }
+                }
+            }
+            fn data(qkv: &[Tensor; 3]) -> [&[f32]; 3] {
+                [qkv[0].data(), qkv[1].data(), qkv[2].data()]
+            }
+            let dims = [bs, n, d];
+            causal_vs_oracle(data(&qkv), Some(d_out.data()), dims);
+
+            // The value row the zero weight points at overflows: forward
+            // bits only (`dA = dO·Vᵀ` is ±∞ there, and the oracle's masked
+            // `0 · ∞` makes earlier rows NaN — the one documented change).
+            if let Some((i, j)) = underflow {
+                for b in 0..bs {
+                    qkv[2].data_mut()[(b * n + j) * d..(b * n + j + 1) * d].fill(f32::INFINITY);
+                }
+                let (out, _) = causal_vs_oracle(data(&qkv), None, dims);
+                for b in 0..bs {
+                    let row = &out[(b * n + i) * d..(b * n + i + 1) * d];
+                    assert!(row.iter().all(|x| x.is_finite()), "slice {b}: row {i} absorbed ∞");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn causal_rows_ignore_non_finite_future_positions() {
+        // A NaN key, then an infinite value, at position `j`: every row
+        // `i < j` of the structured kernels reads rows `0..=i` alone, so its
+        // context (NaN case) and its dQ (∞ case) keep the clean run's bits.
+        // The dense oracle adds the mask to the NaN score (`NaN + (−∞)`) and
+        // multiplies the masked weight into the infinite `dA` (`0 · ∞`):
+        // its rows `< j` go NaN.
+        let (bs, n, d, j) = (2usize, 6usize, 8usize, 3usize);
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut seed = 1409;
+        let clean = [(); 3].map(|()| rand_tensor(Shape::d3(bs, n, d), &mut seed));
+        let d_out = rand_tensor(Shape::d3(bs, n, d), &mut seed);
+        let run = |qkv: &[Tensor; 3]| {
+            let qkv = [qkv[0].data(), qkv[1].data(), qkv[2].data()];
+            let mut weights = vec![0.0f32; bs * n * (n + 1) / 2];
+            let mut out = vec![0.0f32; bs * n * d];
+            attention_causal_into(
+                qkv[0],
+                qkv[1],
+                qkv[2],
+                scale,
+                [bs, n, d],
+                &mut weights,
+                &mut out,
+            );
+            let mut dq = vec![0.0f32; bs * n * d];
+            let [mut dk, mut dv] = [(); 2].map(|()| vec![0.0f32; bs * n * d]);
+            let grads = [&mut dq[..], &mut dk, &mut dv];
+            attention_causal_backward_into(qkv, &weights, d_out.data(), scale, [bs, n, d], grads);
+            let (mut dense_w, mut dense) = (vec![0.0; bs * n * n], vec![0.0; bs * n * d]);
+            let causal = causal_mask(n);
+            attention_masked_into(qkv, &causal, scale, [bs, n, d], &mut dense_w, &mut dense);
+            let mut scratch = vec![0.0; 2 * bs * n * n];
+            let mut dense_grads = [(); 3].map(|()| vec![0.0f32; bs * n * d]);
+            let [ddq, ddk, ddv] = &mut dense_grads;
+            let dims = [bs, n, d];
+            let grads = [&mut ddq[..], ddk, ddv];
+            attention_masked_backward_into(
+                qkv,
+                &dense_w,
+                d_out.data(),
+                scale,
+                dims,
+                &mut scratch,
+                grads,
+            );
+            [out, dq, dense, dense_grads[0].clone()]
+        };
+        let early = |x: &[f32], b: usize| x[b * n * d..(b * n + j) * d].to_vec();
+        let [want_out, want_dq, ..] = run(&clean);
+
+        for (operand, poison, output) in [(1, f32::NAN, 0), (2, f32::INFINITY, 1)] {
+            let mut qkv = clean.clone();
+            for b in 0..bs {
+                qkv[operand].data_mut()[(b * n + j) * d + 1] = poison;
+            }
+            let got = run(&qkv);
+            let want = [&want_out, &want_dq][output];
+            for b in 0..bs {
+                let rows = early(&got[output], b);
+                assert_eq!(bits(&rows), bits(&early(want, b)), "slice {b}: rows < {j} moved");
+                assert!(rows.iter().all(|x| x.is_finite()), "slice {b}: rows < {j} not finite");
+                let dense = early(&got[output + 2], b);
+                assert!(dense.iter().all(|x| x.is_nan()), "slice {b}: the oracle stayed finite");
+            }
+        }
     }
 }

@@ -13,16 +13,22 @@
 //!   ([`matmul_nn`], [`matmul_nt`], [`matmul_tn`]) with cache-friendly loop
 //!   ordering.
 //! * Batched (rank-3) matrix multiplies ([`bmm_nn`], [`bmm_nt`], [`bmm_tn`]).
-//! * Numerically-stable masked softmax over the last dimension
-//!   ([`softmax_lastdim`], [`softmax_lastdim_masked`]) — the core primitive of
-//!   the paper's multi-view self-attention (Eq. 8, 9, 11).
+//! * Numerically-stable softmax over the last dimension
+//!   ([`softmax_lastdim`]) — the core primitive of the paper's multi-view
+//!   self-attention (Eq. 8, 9, 11). No view applies a mask: the causal and
+//!   cross views are structural kernels that never use a blocked score.
 //! * Reductions over axis 1 and the last axis (intra-view pooling, Eq. 14).
 //! * Allocation-free `_into` variants of the hot kernels plus a fused
-//!   [`attention_into`] — the building blocks of the graph-free inference
-//!   path (`seqfm_core`'s `Scorer`/`FrozenSeqFm`) — and the structured
-//!   cross-view kernels ([`attention_cross_shared_into`],
-//!   [`attention_cross_rows_into`], [`attention_cross_rows_backward_into`])
-//!   that serving and the autograd tape share.
+//!   [`attention_into`] (the static view) — the building blocks of the
+//!   graph-free inference path (`seqfm_core`'s `Scorer`/`FrozenSeqFm`) — and
+//!   the structured kernels of the two masked views that serving and the
+//!   autograd tape share: causal ([`attention_causal_into`],
+//!   [`attention_causal_backward_into`]) and cross-view
+//!   ([`attention_cross_shared_into`], [`attention_cross_rows_into`],
+//!   [`attention_cross_rows_backward_into`]).
+//! * [`testutil`]: test helpers and the kernels' reference oracle — the
+//!   dense masked attention pipeline and its additive masks — which nothing
+//!   outside tests and benches calls.
 //! * A thread-local [`workspace`] arena ([`Workspace`]) owning all kernel
 //!   temporaries, and cache-blocked packed matmul kernels
 //!   ([`kernels::matmul::tiled`]) that are **bit-identical** to the naive
@@ -47,8 +53,8 @@ pub mod testutil;
 pub mod workspace;
 
 pub use kernels::attention::{
-    attention_cross_rows_backward_into, attention_cross_rows_into, attention_cross_shared_into,
-    attention_into,
+    attention_causal_backward_into, attention_causal_into, attention_cross_rows_backward_into,
+    attention_cross_rows_into, attention_cross_shared_into, attention_into,
 };
 pub use kernels::bmm::{bmm_nn, bmm_nn_into, bmm_nt, bmm_nt_into, bmm_tn, bmm_tn_into};
 pub use kernels::elementwise as ew;
@@ -58,8 +64,7 @@ pub use kernels::matmul::{
 };
 pub use kernels::reduce;
 pub use kernels::softmax::{
-    softmax_backward_into, softmax_backward_lastdim, softmax_lastdim, softmax_lastdim_masked,
-    softmax_rows_into, AttnMask,
+    softmax_backward_into, softmax_backward_lastdim, softmax_lastdim, softmax_rows_into,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -17,9 +17,9 @@
 use seqfm_tensor::kernels::matmul::naive;
 use seqfm_tensor::testutil::rand_tensor;
 use seqfm_tensor::{
-    attention_cross_rows_backward_into, attention_cross_rows_into, attention_cross_shared_into,
-    attention_into, bmm_nn, bmm_nt, matmul_nn, matmul_nt, matmul_tn, softmax_lastdim_masked,
-    softmax_rows_into, AttnMask, Shape, Tensor,
+    attention_causal_backward_into, attention_causal_into, attention_cross_rows_backward_into,
+    attention_cross_rows_into, attention_cross_shared_into, attention_into, bmm_nn, bmm_nt,
+    matmul_nn, matmul_nt, matmul_tn, softmax_lastdim, softmax_rows_into, Shape, Tensor,
 };
 
 /// Large enough that m·k·n clears the 96 Ki-op dispatch threshold.
@@ -122,22 +122,16 @@ fn parallel_kernel_paths_match_serial_references_bitwise() {
     let rows = 96;
     let width = 80;
     let x = rand_tensor(Shape::d2(rows, width), &mut seed);
-    let mask = AttnMask::causal(width);
-    let mask_rect = AttnMask::allow_all(rows, width); // all-open: exercises the mask plumbing
-    let got = softmax_lastdim_masked(
-        &rand_tensor(Shape::d2(width, width), &mut seed),
-        &mask, // square case exercises the masked parallel path
-    );
+    let got = softmax_lastdim(&rand_tensor(Shape::d2(width, width), &mut seed));
     for r in 0..width {
-        let row: Vec<f32> = got.row(r).to_vec();
-        let live = r + 1; // causal row r allows columns 0..=r
-        let sum: f32 = row.iter().sum();
+        let sum: f32 = got.row(r).iter().sum();
         assert!((sum - 1.0).abs() < 1e-5, "row {r} not a distribution");
-        assert!(row[live..].iter().all(|&v| v == 0.0), "mask leak in row {r}");
     }
-    // Unmasked parallel softmax vs. naive reference, bitwise.
+    // Parallel softmax vs. naive reference, bitwise (the tensor entry point
+    // dispatches through the same row kernel).
     let mut got = vec![0.0f32; rows * width];
-    softmax_rows_into(x.data(), width, rows, Some(&mask_rect), &mut got);
+    softmax_rows_into(x.data(), width, &mut got);
+    assert_eq!(softmax_lastdim(&x).data(), &got[..], "tensor softmax diverges from rows_into");
     for r in 0..rows {
         let xin = &x.data()[r * width..(r + 1) * width];
         let mut max = f32::NEG_INFINITY;
@@ -160,33 +154,54 @@ fn parallel_kernel_paths_match_serial_references_bitwise() {
         assert_eq!(&got[r * width..(r + 1) * width], want, "softmax row {r} diverges");
     }
 
-    // attention_into: slice-partitioned fused kernel vs. the unfused tensor
-    // ops at the same shape (whose own kernels are bit-identical serial or
-    // parallel, as proven above).
+    // attention_into (unmasked — the static view): slice-partitioned fused
+    // kernel vs. the unfused tensor ops at the same shape (whose own kernels
+    // are bit-identical serial or parallel, as proven above).
     let (abs, an, ad) = (16, 24, 16);
     let q = rand_tensor(Shape::d3(abs, an, ad), &mut seed);
     let kk = rand_tensor(Shape::d3(abs, an, ad), &mut seed);
     let v = rand_tensor(Shape::d3(abs, an, ad), &mut seed);
     let scale = 1.0 / (ad as f32).sqrt();
-    let amask = AttnMask::causal(an);
     let scores = seqfm_tensor::ew::scale(&bmm_nt(&q, &kk), scale);
-    let attn = softmax_lastdim_masked(&scores, &amask);
+    let attn = softmax_lastdim(&scores);
     let want = bmm_nn(&attn, &v);
     let mut scratch = vec![0.0f32; abs * an * an];
     let mut out = vec![0.0f32; abs * an * ad];
-    attention_into(
-        q.data(),
-        kk.data(),
-        v.data(),
-        Some(&amask),
-        scale,
-        abs,
-        an,
-        ad,
-        &mut scratch,
-        &mut out,
-    );
+    attention_into(q.data(), kk.data(), v.data(), None, scale, abs, an, ad, &mut scratch, &mut out);
     assert_eq!(out, want.data(), "fused parallel attention diverges");
+
+    // The causal view, forward and backward, at the training geometry
+    // (both clear the threshold and fan out over slices) vs. the same
+    // kernels called one slice at a time.
+    let (cb, cn, cd) = (128usize, 20usize, 32usize);
+    let tri = cn * (cn + 1) / 2;
+    let [cq, ck, cv, d_out] = [(); 4].map(|()| rand_tensor(Shape::d3(cb, cn, cd), &mut seed));
+    let scale = 1.0 / (cd as f32).sqrt();
+    let at = |x: &Tensor, lo: usize, slices: usize| -> Vec<f32> {
+        x.data()[lo * cn * cd..(lo + slices) * cn * cd].to_vec()
+    };
+    let run = |lo: usize, slices: usize| -> [Vec<f32>; 5] {
+        let [q, k, v] = [at(&cq, lo, slices), at(&ck, lo, slices), at(&cv, lo, slices)];
+        let dims = [slices, cn, cd];
+        let mut weights = vec![0.0f32; slices * tri];
+        let mut out = vec![0.0f32; slices * cn * cd];
+        attention_causal_into(&q, &k, &v, scale, dims, &mut weights, &mut out);
+        let mut grads = [(); 3].map(|()| vec![0.0f32; slices * cn * cd]);
+        let [dq, dk, dv] = &mut grads;
+        let d_out = at(&d_out, lo, slices);
+        attention_causal_backward_into([&q, &k, &v], &weights, &d_out, scale, dims, [dq, dk, dv]);
+        let [dq, dk, dv] = grads;
+        [weights, out, dq, dk, dv]
+    };
+    let fanned = run(0, cb);
+    for bi in 0..cb {
+        for ((got, want), what) in
+            fanned.iter().zip(run(bi, 1)).zip(["weights", "context", "dq", "dk", "dv"])
+        {
+            let unit = want.len();
+            assert_eq!(got[bi * unit..(bi + 1) * unit], want, "causal {what}, slice {bi}");
+        }
+    }
 
     // The structured per-row cross view, forward and backward, at the
     // training geometry (both clear the threshold and fan out over slices)

@@ -1,10 +1,13 @@
 //! Property-based tests for the tensor kernels.
 
 use proptest::prelude::*;
-use seqfm_tensor::testutil::rand_tensor;
+use seqfm_tensor::testutil::{
+    attention_masked_backward_into, attention_masked_into, causal_mask, cross_mask, rand_tensor,
+    softmax_lastdim_masked,
+};
 use seqfm_tensor::{
-    attention_cross_shared_into, attention_into, bmm_nn, ew, matmul_nn, matmul_nt, matmul_tn,
-    reduce, softmax_lastdim, softmax_lastdim_masked, AttnMask, Shape, Tensor,
+    attention_causal_backward_into, attention_causal_into, attention_cross_shared_into, bmm_nn, ew,
+    matmul_nn, matmul_nt, matmul_tn, reduce, softmax_lastdim, Shape, Tensor,
 };
 
 fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
@@ -76,7 +79,7 @@ proptest! {
     /// Softmax rows are a probability distribution, masked or not.
     #[test]
     fn softmax_rows_are_distributions(x in tensor_strategy(5, 5)) {
-        for y in [softmax_lastdim(&x), softmax_lastdim_masked(&x, &AttnMask::causal(5))] {
+        for y in [softmax_lastdim(&x), softmax_lastdim_masked(&x, &causal_mask(5))] {
             for r in 0..5 {
                 let row = y.row(r);
                 prop_assert!(row.iter().all(|&v| (0.0..=1.0 + 1e-6).contains(&v)));
@@ -89,7 +92,7 @@ proptest! {
     /// Causal softmax at row i never assigns weight to columns > i.
     #[test]
     fn causal_softmax_respects_mask(x in tensor_strategy(6, 6)) {
-        let y = softmax_lastdim_masked(&x, &AttnMask::causal(6));
+        let y = softmax_lastdim_masked(&x, &causal_mask(6));
         for i in 0..6 {
             for j in (i + 1)..6 {
                 prop_assert_eq!(y.at2(i, j), 0.0);
@@ -150,15 +153,11 @@ proptest! {
             full
         });
         let mut dense = vec![0.0f32; bs * n * d];
-        attention_into(
-            &fq,
-            &fk,
-            &fv,
-            Some(&AttnMask::cross(ns, nd)),
+        attention_masked_into(
+            [&fq, &fk, &fv],
+            &cross_mask(ns, nd),
             scale,
-            bs,
-            n,
-            d,
+            [bs, n, d],
             &mut vec![0.0f32; bs * n * n],
             &mut dense,
         );
@@ -178,6 +177,44 @@ proptest! {
                 a.to_bits(), b.to_bits(),
                 "bs={} ns0={} ns1={} nd={} d={}: element {}", bs, ns0, ns1, nd, d, i
             );
+        }
+    }
+
+    /// The causal kernels — the tape's dynamic-view node and the frozen
+    /// forward's history stage — equal the dense pipeline under the causal
+    /// mask, forward and backward, bit for bit, at any geometry (a single
+    /// position, ragged lane tails, odd and even row counts, batches big
+    /// enough to fan out under `SEQFM_WORKERS=4`).
+    #[test]
+    fn causal_equals_dense_masked_bitwise(
+        bs in 1usize..10,
+        n in 1usize..25,
+        d in 1usize..41,
+        salt in 0u64..u64::MAX,
+    ) {
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut seed = salt | 1;
+        let [q, k, v, d_out] = [(); 4].map(|()| rand_tensor(Shape::d3(bs, n, d), &mut seed));
+        let qkv = [q.data(), k.data(), v.data()];
+        let dims = [bs, n, d];
+        let mut dense_w = vec![0.0f32; bs * n * n];
+        let mut dense = vec![0.0f32; bs * n * d];
+        attention_masked_into(qkv, &causal_mask(n), scale, dims, &mut dense_w, &mut dense);
+        let mut want = [(); 3].map(|()| vec![0.0f32; bs * n * d]);
+        let [dq, dk, dv] = &mut want;
+        let mut scratch = vec![0.0f32; 2 * bs * n * n];
+        attention_masked_backward_into(qkv, &dense_w, d_out.data(), scale, dims, &mut scratch, [dq, dk, dv]);
+
+        let mut weights = vec![f32::NAN; bs * n * (n + 1) / 2];
+        let mut structured = vec![f32::NAN; bs * n * d];
+        attention_causal_into(qkv[0], qkv[1], qkv[2], scale, dims, &mut weights, &mut structured);
+        let mut got = [(); 3].map(|()| vec![0.0f32; bs * n * d]);
+        let [dq, dk, dv] = &mut got;
+        attention_causal_backward_into(qkv, &weights, d_out.data(), scale, dims, [dq, dk, dv]);
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&structured), bits(&dense), "bs={} n={} d={}: context", bs, n, d);
+        for (name, (g, w)) in ["dq", "dk", "dv"].iter().zip(got.iter().zip(&want)) {
+            prop_assert_eq!(bits(g), bits(w), "bs={} n={} d={}: {}", bs, n, d, name);
         }
     }
 }
