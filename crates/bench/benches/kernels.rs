@@ -1,19 +1,18 @@
-//! Criterion micro-benchmarks for the tensor kernels that dominate SeqFM's
-//! runtime — now centred on the cache-blocked **tiled** matmul paths vs.
-//! their naive references — plus a hand-timed sweep persisted to
-//! `BENCH_kernels.json` at the repository root:
+//! Same-run comparisons of the tensor kernels that dominate SeqFM's
+//! runtime — each kernel against its naive or dense-masked reference —
+//! written to `BENCH_kernels.json` at the repository root:
 //!
 //! * single-core naive vs. tiled matmul throughput (GFLOP/s) at the serving
 //!   shapes `d = 32` and `d = 64` (candidate-expansion row counts), for all
 //!   three flavours (`tn` as the weight gradient `Xᵀ·dY` over those rows);
 //! * naive vs. tiled `nn` and `tn` latency on a padded training batch
 //!   (sessions opening with all-zero rows, which the tiled kernels skip);
-//! * fused, unmasked [`attention_into`] latency at `[128, 22, d]` (the
-//!   static view's kernel; no view runs a masked dense attention), and the
-//!   exact cross view at serving geometry both ways: splice + the dense
-//!   masked oracle ([`attention_masked_into`]) vs. the structured
-//!   [`attention_cross_shared_into`], the latter also at the request shape
-//!   (one user row shared by every candidate);
+//! * fused, unmasked [`attention_into`] latency at `[128, 22, 64]` (the
+//!   static view's kernel; the repo benchmark's `tensor.attention_us` owns
+//!   `d = 32`), and the exact cross view at serving geometry both ways:
+//!   splice + the dense masked oracle ([`attention_masked_into`]) vs. the
+//!   structured [`attention_cross_shared_into`], the latter also at the
+//!   request shape (one user row shared by every candidate);
 //! * the output head's `[100, 96]·[96, 1]` matrix-vector product, naive vs.
 //!   the eight-rows-per-tile kernel;
 //! * the cross view at the training geometry (a history per row), forward
@@ -35,10 +34,10 @@
 //! number is a **single-core** measurement (the tiled-vs-naive ratio is
 //! exactly what each pool worker gains).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqfm_autograd::ParamStore;
+use seqfm_bench::timing::{calib_spin_us, host_cpus, p50};
 use seqfm_core::{FrozenSeqFm, Scorer, Scratch, SeqFm, SeqFmConfig};
 use seqfm_data::{build_instance, Batch, FeatureLayout};
 use seqfm_tensor::kernels::matmul::{naive, tiled};
@@ -50,16 +49,9 @@ use seqfm_tensor::{
     attention_causal_backward_into, attention_causal_into, attention_cross_rows_backward_into,
     attention_cross_rows_into, attention_cross_shared_into, attention_into, Shape, Tensor,
 };
-use std::time::Instant;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Pins the kernel pool to one worker (read once per process, so this must
-/// run before the first dispatch).
-fn pin_single_core() {
-    std::env::set_var("SEQFM_WORKERS", "1");
-}
 
 fn rand(shape: Shape, seed: &mut u64) -> Tensor {
     seqfm_tensor::testutil::rand_tensor(shape, seed)
@@ -68,101 +60,15 @@ fn rand(shape: Shape, seed: &mut u64) -> Tensor {
 /// Serving-shape matmuls: `m` candidate-expansion rows, `d × d` weights.
 const SERVING_SHAPES: [(usize, usize); 2] = [(2048, 32), (2048, 64)];
 
-fn bench_matmul_naive_vs_tiled(c: &mut Criterion) {
-    pin_single_core();
-    let mut group = c.benchmark_group("matmul_nn_serving");
-    group.sample_size(20);
-    for &(m, d) in &SERVING_SHAPES {
-        let mut seed = 1;
-        let a = rand(Shape::d2(m, d), &mut seed);
-        let b = rand(Shape::d2(d, d), &mut seed);
-        let mut out = vec![0.0f32; m * d];
-        group.bench_with_input(BenchmarkId::new("naive", d), &d, |bench, _| {
-            bench.iter(|| {
-                out.fill(0.0);
-                naive::matmul_nn_into(a.data(), b.data(), &mut out, m, d, d);
-                std::hint::black_box(out[0])
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("tiled", d), &d, |bench, _| {
-            bench.iter(|| {
-                out.fill(0.0);
-                tiled::matmul_nn_into(a.data(), b.data(), &mut out, m, d, d);
-                std::hint::black_box(out[0])
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_attention(c: &mut Criterion) {
-    pin_single_core();
-    // Fused, unmasked attention for a typical SeqFM batch: [batch, n, d].
-    let mut group = c.benchmark_group("attention_into");
-    group.sample_size(20);
-    for &(batch, n, d) in &[(128usize, 22usize, 32usize), (128, 22, 64)] {
-        let mut seed = 2;
-        let q = rand(Shape::d3(batch, n, d), &mut seed);
-        let k = rand(Shape::d3(batch, n, d), &mut seed);
-        let v = rand(Shape::d3(batch, n, d), &mut seed);
-        let scale = 1.0 / (d as f32).sqrt();
-        let mut scores = vec![0.0f32; batch * n * n];
-        let mut out = vec![0.0f32; batch * n * d];
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("b{batch}_n{n}_d{d}")),
-            &n,
-            |bench, _| {
-                bench.iter(|| {
-                    attention_into(
-                        q.data(),
-                        k.data(),
-                        v.data(),
-                        None,
-                        scale,
-                        batch,
-                        n,
-                        d,
-                        &mut scores,
-                        &mut out,
-                    );
-                    std::hint::black_box(out[0])
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Median wall-clock of `f` over `iters` runs (after warm-up).
-fn p50_of(f: &mut dyn FnMut(), iters: usize) -> f64 {
-    for _ in 0..10 {
-        f();
-    }
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed());
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2].as_secs_f64()
-}
-
 /// GFLOP/s of one `m·k·n` matmul whose median call takes `secs`.
 fn gflops(m: usize, k: usize, n: usize, secs: f64) -> f64 {
     (2.0 * m as f64 * k as f64 * n as f64) / secs / 1e9
 }
 
-/// Hand-timed measurements persisted to `BENCH_kernels.json`.
-///
-/// Skipped when a benchmark filter is passed (iterating on one criterion
-/// group should not overwrite the recorded numbers with a partial run).
-fn emit_kernels_json(_c: &mut Criterion) {
-    if std::env::args().skip(1).any(|a| !a.starts_with('-')) {
-        println!("benchmark filter given — skipping BENCH_kernels.json emission");
-        return;
-    }
-    pin_single_core();
+fn main() {
+    // The kernel pool reads this once per process, before its first dispatch.
+    std::env::set_var("SEQFM_WORKERS", "1");
+    let calib_spin = calib_spin_us();
 
     // --- naive vs tiled matmul throughput at serving shapes ---------------
     let mut fields = String::new();
@@ -173,15 +79,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let bt = rand(Shape::d2(d, d), &mut seed);
         let dy = rand(Shape::d2(m, d), &mut seed);
         let mut out = vec![0.0f32; m * d];
-        let mut time = |f: &mut dyn FnMut(&mut [f32])| {
-            let mut o = std::mem::take(&mut out);
-            let secs = {
-                let mut run = || f(&mut o);
-                p50_of(&mut run, 40)
-            };
-            out = o;
-            secs
-        };
+        let mut time = |f: &mut dyn FnMut(&mut [f32])| p50(10, 40, || f(&mut out));
         let nn_naive = time(&mut |o| {
             o.fill(0.0);
             naive::matmul_nn_into(a.data(), b.data(), o, m, d, d);
@@ -233,14 +131,11 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let mut out = vec![0.0f32; b * n * d];
         type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
         let mut time = |kernel: Kernel, rhs: &[f32], [m, k]: [usize; 2]| {
-            p50_of(
-                &mut || {
-                    out[..m * d].fill(0.0);
-                    kernel(&x, rhs, &mut out[..m * d], m, k, d);
-                    std::hint::black_box(out[0]);
-                },
-                200,
-            )
+            p50(10, 200, || {
+                out[..m * d].fill(0.0);
+                kernel(&x, rhs, &mut out[..m * d], m, k, d);
+                std::hint::black_box(out[0]);
+            })
         };
         let times = [
             ("nn", time(tiled::matmul_nn_into, w.data(), [b * n, d])),
@@ -257,7 +152,8 @@ fn emit_kernels_json(_c: &mut Criterion) {
     }
 
     // --- fused, unmasked attention latency (the static view's kernel) -----
-    for &(batch, n, d) in &[(128usize, 22usize, 32usize), (128, 22, 64)] {
+    {
+        let (batch, n, d) = (128usize, 22usize, 64usize);
         let mut seed = 7;
         let q = rand(Shape::d3(batch, n, d), &mut seed);
         let k = rand(Shape::d3(batch, n, d), &mut seed);
@@ -265,24 +161,21 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let scale = 1.0 / (d as f32).sqrt();
         let mut scores = vec![0.0f32; batch * n * n];
         let mut out_buf = vec![0.0f32; batch * n * d];
-        let secs = p50_of(
-            &mut || {
-                attention_into(
-                    q.data(),
-                    k.data(),
-                    v.data(),
-                    None,
-                    scale,
-                    batch,
-                    n,
-                    d,
-                    &mut scores,
-                    &mut out_buf,
-                );
-                std::hint::black_box(out_buf[0]);
-            },
-            40,
-        );
+        let secs = p50(10, 40, || {
+            attention_into(
+                q.data(),
+                k.data(),
+                v.data(),
+                None,
+                scale,
+                batch,
+                n,
+                d,
+                &mut scores,
+                &mut out_buf,
+            );
+            std::hint::black_box(out_buf[0]);
+        });
         fields.push_str(&format!("  \"attention_b{batch}_n{n}_d{d}_us\": {:.1},\n", secs * 1e6));
     }
 
@@ -304,27 +197,17 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let mut full = [(); 3].map(|()| vec![0.0f32; b * n * d]);
         let mut scores = vec![0.0f32; b * n * n];
         let mut out_buf = vec![0.0f32; b * n * d];
-        let dense = p50_of(
-            &mut || {
-                for (f, (s, h)) in full.iter_mut().zip(stat.iter().zip(&hist)) {
-                    for (bi, slice) in f.chunks_exact_mut(n * d).enumerate() {
-                        slice[..ns * d].copy_from_slice(&s.data()[bi * ns * d..(bi + 1) * ns * d]);
-                        slice[ns * d..].copy_from_slice(h.data());
-                    }
+        let dense = p50(10, 200, || {
+            for (f, (s, h)) in full.iter_mut().zip(stat.iter().zip(&hist)) {
+                for (bi, slice) in f.chunks_exact_mut(n * d).enumerate() {
+                    slice[..ns * d].copy_from_slice(&s.data()[bi * ns * d..(bi + 1) * ns * d]);
+                    slice[ns * d..].copy_from_slice(h.data());
                 }
-                let [q, k, v] = &full;
-                attention_masked_into(
-                    [q, k, v],
-                    &mask,
-                    scale,
-                    [b, n, d],
-                    &mut scores,
-                    &mut out_buf,
-                );
-                std::hint::black_box(out_buf[0]);
-            },
-            200,
-        );
+            }
+            let [q, k, v] = &full;
+            attention_masked_into([q, k, v], &mask, scale, [b, n, d], &mut scores, &mut out_buf);
+            std::hint::black_box(out_buf[0]);
+        });
         // `[own]`: every slice brings both its static rows. `[shared user]`:
         // the request shape — slice 0's first row is the row all slices lead
         // with, and each brings one row of its own.
@@ -332,21 +215,18 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let own: [Vec<f32>; 3] = stat_d
             .map(|x| x.chunks_exact(ns * d).flat_map(|slice| slice[d..].iter().copied()).collect());
         let mut time_structured = |shared: [&[f32]; 3], own: [&[f32]; 3], ns0: usize| {
-            p50_of(
-                &mut || {
-                    attention_cross_shared_into(
-                        shared,
-                        own,
-                        hist_d,
-                        scale,
-                        [b, ns0, ns - ns0, nd, d],
-                        &mut scores,
-                        &mut out_buf,
-                    );
-                    std::hint::black_box(out_buf[0]);
-                },
-                200,
-            )
+            p50(10, 200, || {
+                attention_cross_shared_into(
+                    shared,
+                    own,
+                    hist_d,
+                    scale,
+                    [b, ns0, ns - ns0, nd, d],
+                    &mut scores,
+                    &mut out_buf,
+                );
+                std::hint::black_box(out_buf[0]);
+            })
         };
         let structured = time_structured([&[]; 3], stat_d, 0);
         let shared_user = time_structured(stat_d.map(|x| &x[..d]), [&own[0], &own[1], &own[2]], 1);
@@ -369,14 +249,11 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let mut f = vec![0.0f32; m];
         type NnKernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
         let mut time = |kernel: NnKernel| {
-            p50_of(
-                &mut || {
-                    f.fill(0.0);
-                    kernel(a.data(), p.data(), &mut f, m, k, 1);
-                    std::hint::black_box(f[0]);
-                },
-                2000,
-            )
+            p50(10, 2000, || {
+                f.fill(0.0);
+                kernel(a.data(), p.data(), &mut f, m, k, 1);
+                std::hint::black_box(f[0]);
+            })
         };
         let (mv_naive, mv_tiled) = (time(naive::matmul_nn_into), time(tiled::matmul_nn_into));
         fields.push_str(&format!(
@@ -403,31 +280,25 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let scale = 1.0 / (d as f32).sqrt();
         let mut attn = vec![0.0f32; b * n * n];
         let mut ctx = vec![0.0f32; b * n * d];
-        let fwd = p50_of(
-            &mut || {
-                attention_masked_into(qkv, mask, scale, dims, &mut attn, &mut ctx);
-                std::hint::black_box(ctx[0]);
-            },
-            200,
-        );
+        let fwd = p50(10, 200, || {
+            attention_masked_into(qkv, mask, scale, dims, &mut attn, &mut ctx);
+            std::hint::black_box(ctx[0]);
+        });
         let mut scratch = vec![0.0f32; 2 * b * n * n];
         let mut grads = [(); 3].map(|()| vec![0.0f32; b * n * d]);
-        let bwd = p50_of(
-            &mut || {
-                let [dq, dk, dv] = &mut grads;
-                attention_masked_backward_into(
-                    qkv,
-                    &attn,
-                    d_out,
-                    scale,
-                    dims,
-                    &mut scratch,
-                    [dq, dk, dv],
-                );
-                std::hint::black_box(grads[0][0]);
-            },
-            200,
-        );
+        let bwd = p50(10, 200, || {
+            let [dq, dk, dv] = &mut grads;
+            attention_masked_backward_into(
+                qkv,
+                &attn,
+                d_out,
+                scale,
+                dims,
+                &mut scratch,
+                [dq, dk, dv],
+            );
+            std::hint::black_box(grads[0][0]);
+        });
         (fwd, bwd)
     }
     {
@@ -443,34 +314,19 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let dims = [b, ns, nd, d];
         let mut weights = vec![0.0f32; b * 2 * ns * nd];
         let mut ctx = vec![0.0f32; b * n * d];
-        let fwd_structured = p50_of(
-            &mut || {
-                attention_cross_rows_into(
-                    qkv,
-                    n * d,
-                    hist,
-                    n * d,
-                    scale,
-                    dims,
-                    &mut weights,
-                    &mut ctx,
-                );
-                std::hint::black_box(ctx[0]);
-            },
-            200,
-        );
+        let fwd_structured = p50(10, 200, || {
+            attention_cross_rows_into(qkv, n * d, hist, n * d, scale, dims, &mut weights, &mut ctx);
+            std::hint::black_box(ctx[0]);
+        });
         let mut grads = [(); 3].map(|()| vec![0.0f32; b * n * d]);
-        let bwd_structured = p50_of(
-            &mut || {
-                let [dq, dk, dv] = &mut grads;
-                for g in [&mut *dq, &mut *dk, &mut *dv] {
-                    g.fill(0.0);
-                }
-                attention_cross_rows_backward_into(qkv, &weights, d_out, scale, dims, [dq, dk, dv]);
-                std::hint::black_box(grads[0][0]);
-            },
-            200,
-        );
+        let bwd_structured = p50(10, 200, || {
+            let [dq, dk, dv] = &mut grads;
+            for g in [&mut *dq, &mut *dk, &mut *dv] {
+                g.fill(0.0);
+            }
+            attention_cross_rows_backward_into(qkv, &weights, d_out, scale, dims, [dq, dk, dv]);
+            std::hint::black_box(grads[0][0]);
+        });
         fields.push_str(&format!(
             "  \"attention_cross_rows_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_structured_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_backward_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_backward_structured_b{b}_n{n}_d{d}_us\": {:.1},\n",
             fwd_dense * 1e6,
@@ -488,33 +344,20 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let (fwd_dense, bwd_dense) = dense_pair([q, k, v], d_out, &causal_mask(n), [b, n, d]);
         let mut weights = vec![0.0f32; b * n * (n + 1) / 2];
         let mut ctx = vec![0.0f32; b * n * d];
-        let fwd_structured = p50_of(
-            &mut || {
-                attention_causal_into(q, k, v, scale, [b, n, d], &mut weights, &mut ctx);
-                std::hint::black_box(ctx[0]);
-            },
-            200,
-        );
+        let fwd_structured = p50(10, 200, || {
+            attention_causal_into(q, k, v, scale, [b, n, d], &mut weights, &mut ctx);
+            std::hint::black_box(ctx[0]);
+        });
         let mut grads = [(); 3].map(|()| vec![0.0f32; b * n * d]);
-        let bwd_structured = p50_of(
-            &mut || {
-                let [dq, dk, dv] = &mut grads;
-                for g in [&mut *dq, &mut *dk, &mut *dv] {
-                    g.fill(0.0);
-                }
-                let dims = [b, n, d];
-                attention_causal_backward_into(
-                    [q, k, v],
-                    &weights,
-                    d_out,
-                    scale,
-                    dims,
-                    [dq, dk, dv],
-                );
-                std::hint::black_box(grads[0][0]);
-            },
-            200,
-        );
+        let bwd_structured = p50(10, 200, || {
+            let [dq, dk, dv] = &mut grads;
+            for g in [&mut *dq, &mut *dk, &mut *dv] {
+                g.fill(0.0);
+            }
+            let dims = [b, n, d];
+            attention_causal_backward_into([q, k, v], &weights, d_out, scale, dims, [dq, dk, dv]);
+            std::hint::black_box(grads[0][0]);
+        });
         fields.push_str(&format!(
             "  \"attention_causal_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_causal_structured_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_causal_backward_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_causal_backward_structured_b{b}_n{n}_d{d}_us\": {:.1},\n",
             fwd_dense * 1e6,
@@ -550,14 +393,11 @@ fn emit_kernels_json(_c: &mut Criterion) {
     let allocs = CountingAlloc::allocations() - before;
     let allocs_per_request = allocs as f64 / requests as f64;
 
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"config\": {{ \"serving_rows\": 2048, \"widths\": [32, 64], \"workers\": 1 }},\n  \"host_cpus\": {host_cpus},\n{fields}  \"allocs_per_scored_request\": {allocs_per_request:.3}\n}}\n"
+        "{{\n  \"bench\": \"kernels\",\n  \"config\": {{ \"serving_rows\": 2048, \"widths\": [32, 64], \"workers\": 1 }},\n  \"host_cpus\": {host_cpus},\n  \"calib_spin_us\": {calib_spin:.1},\n{fields}  \"allocs_per_scored_request\": {allocs_per_request:.3}\n}}\n",
+        host_cpus = host_cpus(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     std::fs::write(path, &json).expect("write BENCH_kernels.json");
     println!("== BENCH_kernels.json ==\n{json}");
 }
-
-criterion_group!(benches, bench_matmul_naive_vs_tiled, bench_attention, emit_kernels_json);
-criterion_main!(benches);

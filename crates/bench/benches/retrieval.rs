@@ -1,12 +1,11 @@
 //! Full-catalog retrieval benchmarks: the blocked, upper-bound-pruned
 //! `CatalogIndex` scan at catalog sizes from 10k to 1M items.
 //!
-//! Besides the criterion group, this bench writes `BENCH_retrieval.json`
-//! at the repository root (catalog items/sec at 10k/100k/1M, p50 latency
-//! of a top-100-of-1M query, measured prune rate, the blocked-scan
-//! speedup over naive one-item-at-a-time scoring, and what the embedding
-//! tables of a 1M-item replica hold resident under each profile) so the
-//! retrieval trajectory is recorded PR over PR:
+//! Writes `BENCH_retrieval.json` at the repository root (catalog items/sec
+//! at 10k/100k/1M, p50 latency of a top-100-of-1M query, measured prune
+//! rate, the blocked-scan speedup over naive one-item-at-a-time scoring,
+//! and what the embedding tables of a 1M-item replica hold resident under
+//! each profile) so the retrieval trajectory is recorded PR over PR:
 //!
 //! ```text
 //! cargo bench -p seqfm-bench --bench retrieval
@@ -17,15 +16,14 @@
 //! the upper-bound prune actually fires. Pruned results stay bit-identical
 //! to brute force by construction (asserted here on every measured run).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqfm_autograd::ParamStore;
+use seqfm_bench::timing::{calib_spin_us, host_cpus, p50};
 use seqfm_core::{FrozenSeqFm, HistoryView, ScorerPrecision, Scratch, SeqFm, SeqFmConfig};
 use seqfm_data::{build_instance, FeatureLayout};
 use seqfm_retrieval::CatalogIndex;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 const D: usize = 32;
 const MAX_SEQ: usize = 10;
@@ -67,72 +65,8 @@ fn query_view(model: &FrozenSeqFm, layout: &FeatureLayout, user: u32) -> History
     model.history_view(&inst.dyn_idx, &mut Scratch::new())
 }
 
-fn median(durations: &mut [Duration]) -> Duration {
-    durations.sort_unstable();
-    durations[durations.len() / 2]
-}
-
-/// p50 of `iters` timed runs of `f`, after `warm` warm-up runs.
-fn p50_of(mut f: impl FnMut(), warm: usize, iters: usize) -> Duration {
-    for _ in 0..warm {
-        f();
-    }
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed());
-    }
-    median(&mut samples)
-}
-
-/// Criterion: pruned vs. brute-force retrieval over a 10k-item catalog.
-fn bench_retrieval_10k(c: &mut Criterion) {
-    let (model, layout) = build_model(10_000);
-    let index = CatalogIndex::build(Arc::clone(&model), layout, BLOCK);
-    let view = query_view(&model, &layout, 7);
-
-    let mut group = c.benchmark_group(format!("retrieval_top{K}_of_10k_d{D}"));
-    group.sample_size(10);
-    group.bench_function("pruned", |b| {
-        b.iter(|| std::hint::black_box(index.retrieve(7, &view, K).expect("valid")));
-    });
-    group.bench_function("brute", |b| {
-        b.iter(|| std::hint::black_box(index.retrieve_brute(7, &view, K).expect("valid")));
-    });
-    group.finish();
-}
-
-/// Hand-timed measurements persisted to `BENCH_retrieval.json`.
-///
-/// Skipped when a benchmark filter is passed (`cargo bench --bench
-/// retrieval -- pruned`): iterating on one criterion group should neither
-/// pay for the 1M-item sweep nor overwrite the recorded numbers with a
-/// partial run.
-fn emit_retrieval_json(_c: &mut Criterion) {
-    if std::env::args().skip(1).any(|a| !a.starts_with('-')) {
-        println!("benchmark filter given — skipping BENCH_retrieval.json emission");
-        return;
-    }
-
-    // Host-speed canary: a fixed, deterministic chunk of scalar FMA work,
-    // timed the same way as the latencies below. Absolute numbers in this
-    // file are only comparable between records taken on comparably fast
-    // hosts; when two records disagree, compare their `calib_spin_us` first
-    // — a 2× swing there means the host changed, not the code.
-    let calib_spin = p50_of(
-        || {
-            let mut acc = 0.0f32;
-            let mut x = 1.000_000_1f32;
-            for _ in 0..2_000_000u32 {
-                acc = x.mul_add(1.000_000_1, acc);
-                x = std::hint::black_box(x);
-            }
-            std::hint::black_box(acc);
-        },
-        3,
-        30,
-    );
+fn main() {
+    let calib_spin = calib_spin_us();
 
     // items/sec of the pruned scan at each catalog size (the whole catalog
     // counts: skipped blocks are work *avoided*, not work unmeasured), plus
@@ -141,7 +75,7 @@ fn emit_retrieval_json(_c: &mut Criterion) {
     // worse than useless. The index is immutable, so the checked run does
     // exactly the work of every timed one.
     let mut items_per_sec = Vec::new();
-    let mut p50_1m = Duration::ZERO;
+    let mut p50_1m = 0.0;
     let mut prune_rate_1m = 0.0f64;
     let mut blocks_scored_1m = 0usize;
     let mut n_blocks_1m = 0usize;
@@ -157,23 +91,19 @@ fn emit_retrieval_json(_c: &mut Criterion) {
             "pruned retrieval diverged from brute force at n = {n}"
         );
         let iters = if n >= 1_000_000 { 5 } else { 20 };
-        let p50 = p50_of(
-            || {
-                std::hint::black_box(index.retrieve(7, &view, K).expect("valid"));
-            },
-            2,
-            iters,
-        );
-        items_per_sec.push(n as f64 / p50.as_secs_f64());
+        let secs = p50(2, iters, || {
+            std::hint::black_box(index.retrieve(7, &view, K).expect("valid"));
+        });
+        items_per_sec.push(n as f64 / secs);
         if n == 1_000_000 {
-            p50_1m = p50;
+            p50_1m = secs;
             prune_rate_1m = pruned.prune_rate();
             blocks_scored_1m = pruned.blocks_scored;
             n_blocks_1m = index.n_blocks();
         }
         println!(
             "n = {n}: p50 {:.2} ms, prune rate {:.3}, blocks scored {} of {}",
-            p50.as_secs_f64() * 1e3,
+            secs * 1e3,
             pruned.prune_rate(),
             pruned.blocks_scored,
             index.n_blocks()
@@ -194,14 +124,10 @@ fn emit_retrieval_json(_c: &mut Criterion) {
         fast_pruned.items.iter().map(|s| (s.item, s.score.to_bits())).collect::<Vec<_>>(),
         "fast pruned retrieval diverged from fast brute force"
     );
-    let fast_p50_1m = p50_of(
-        || {
-            std::hint::black_box(fast_index.retrieve(7, &fast_view, K).expect("valid"));
-        },
-        2,
-        5,
-    );
-    let items_per_sec_1m_fast = 1_000_000f64 / fast_p50_1m.as_secs_f64();
+    let fast_p50_1m = p50(2, 5, || {
+        std::hint::black_box(fast_index.retrieve(7, &fast_view, K).expect("valid"));
+    });
+    let items_per_sec_1m_fast = 1_000_000f64 / fast_p50_1m;
     // What the two embedding tables hold resident at 1M items: the `f32`
     // snapshot every replica keeps, and under `Fast` the `f16` copy beside
     // it (the gather reads only the `f16` half; nothing is freed).
@@ -213,7 +139,7 @@ fn emit_retrieval_json(_c: &mut Criterion) {
     let emb_table_mb_fast_resident = (emb_elems * (4 + 2)) as f64 / 1e6;
     println!(
         "n = 1000000 [fast]: p50 {:.2} ms, prune rate {:.3}",
-        fast_p50_1m.as_secs_f64() * 1e3,
+        fast_p50_1m * 1e3,
         fast_pruned.prune_rate()
     );
 
@@ -224,42 +150,29 @@ fn emit_retrieval_json(_c: &mut Criterion) {
     let naive_index = CatalogIndex::build(Arc::clone(&model), layout, 1);
     let blocked_index = CatalogIndex::build(Arc::clone(&model), layout, BLOCK);
     let view = query_view(&model, &layout, 7);
-    let naive_p50 = p50_of(
-        || {
-            std::hint::black_box(naive_index.retrieve_brute(7, &view, K).expect("valid"));
-        },
-        1,
-        5,
-    );
-    let blocked_p50 = p50_of(
-        || {
-            std::hint::black_box(blocked_index.retrieve_brute(7, &view, K).expect("valid"));
-        },
-        2,
-        20,
-    );
-    let blocked_vs_naive = naive_p50.as_secs_f64() / blocked_p50.as_secs_f64();
-
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let naive_p50 = p50(1, 5, || {
+        std::hint::black_box(naive_index.retrieve_brute(7, &view, K).expect("valid"));
+    });
+    let blocked_p50 = p50(2, 20, || {
+        std::hint::black_box(blocked_index.retrieve_brute(7, &view, K).expect("valid"));
+    });
+    let blocked_vs_naive = naive_p50 / blocked_p50;
     // `parity_check` records that every timed configuration above asserted
     // bit-identity against brute force before its numbers were written —
     // the asserts panic on divergence, so reaching this line proves it.
     let json = format!(
-        "{{\n  \"bench\": \"retrieval\",\n  \"config\": {{ \"d\": {D}, \"max_seq\": {MAX_SEQ}, \"block\": {BLOCK}, \"k\": {K} }},\n  \"host_cpus\": {host_cpus},\n  \"calib_spin_us\": {:.1},\n  \"parity_check\": true,\n  \"items_per_sec_10k\": {:.0},\n  \"items_per_sec_100k\": {:.0},\n  \"items_per_sec_1m\": {:.0},\n  \"items_per_sec_1m_fast\": {:.0},\n  \"fast_vs_exact_speedup_1m\": {:.2},\n  \"emb_table_mb_f32_1m\": {emb_table_mb_f32:.1},\n  \"emb_table_mb_fast_resident_1m\": {emb_table_mb_fast_resident:.1},\n  \"p50_top100_of_1m_ms\": {:.2},\n  \"prune_rate_1m\": {:.3},\n  \"blocks_scored_1m\": {blocks_scored_1m},\n  \"n_blocks_1m\": {n_blocks_1m},\n  \"blocked_vs_naive_per_item_speedup_10k\": {:.2}\n}}\n",
-        calib_spin.as_secs_f64() * 1e6,
+        "{{\n  \"bench\": \"retrieval\",\n  \"config\": {{ \"d\": {D}, \"max_seq\": {MAX_SEQ}, \"block\": {BLOCK}, \"k\": {K} }},\n  \"host_cpus\": {host_cpus},\n  \"calib_spin_us\": {calib_spin:.1},\n  \"parity_check\": true,\n  \"items_per_sec_10k\": {:.0},\n  \"items_per_sec_100k\": {:.0},\n  \"items_per_sec_1m\": {:.0},\n  \"items_per_sec_1m_fast\": {:.0},\n  \"fast_vs_exact_speedup_1m\": {:.2},\n  \"emb_table_mb_f32_1m\": {emb_table_mb_f32:.1},\n  \"emb_table_mb_fast_resident_1m\": {emb_table_mb_fast_resident:.1},\n  \"p50_top100_of_1m_ms\": {:.2},\n  \"prune_rate_1m\": {:.3},\n  \"blocks_scored_1m\": {blocks_scored_1m},\n  \"n_blocks_1m\": {n_blocks_1m},\n  \"blocked_vs_naive_per_item_speedup_10k\": {:.2}\n}}\n",
         items_per_sec[0],
         items_per_sec[1],
         items_per_sec[2],
         items_per_sec_1m_fast,
         items_per_sec_1m_fast / items_per_sec[2],
-        p50_1m.as_secs_f64() * 1e3,
+        p50_1m * 1e3,
         prune_rate_1m,
         blocked_vs_naive,
+        host_cpus = host_cpus(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_retrieval.json");
     std::fs::write(path, &json).expect("write BENCH_retrieval.json");
     println!("== BENCH_retrieval.json ==\n{json}");
 }
-
-criterion_group!(benches, bench_retrieval_10k, emit_retrieval_json);
-criterion_main!(benches);

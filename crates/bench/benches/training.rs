@@ -1,20 +1,19 @@
 //! Training-path benchmarks: data-parallel minibatch training at 1 and 4
 //! workers.
 //!
-//! Besides the criterion group, this bench writes `BENCH_training.json` at
-//! the repository root (training instances/sec at `workers = 1` and
-//! `workers = 4`, plus the host's CPU count so the scaling number can be
-//! interpreted) so the training-throughput trajectory is recorded PR over
-//! PR:
+//! Writes `BENCH_training.json` at the repository root: training
+//! instances/sec and final loss at `workers = 1` and `workers = 4`, with the
+//! host's CPU count so the scaling number can be interpreted and the host
+//! canary so records from different hosts can be compared:
 //!
 //! ```text
 //! cargo bench -p seqfm-bench --bench training
 //! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqfm_autograd::ParamStore;
+use seqfm_bench::timing::{calib_spin_us, host_cpus};
 use seqfm_core::{train_ranking, SeqFm, SeqFmConfig, TrainConfig};
 use seqfm_data::{ranking::RankingConfig, FeatureLayout, LeaveOneOut, NegativeSampler, Scale};
 
@@ -68,44 +67,21 @@ fn run_once(s: &Setup, workers: usize) -> (f64, f64) {
     (instances / report.seconds.max(1e-9), report.final_loss())
 }
 
-/// Criterion: wall-clock of one training job at 1 and 4 workers.
-fn bench_training(c: &mut Criterion) {
-    let s = setup();
-    let mut group = c.benchmark_group(format!("train_ranking_d{D}_{}pos", s.positions));
-    group.sample_size(10);
-    for workers in [1usize, 4] {
-        group.bench_function(format!("{workers}workers"), |b| {
-            b.iter(|| std::hint::black_box(run_once(&s, workers)));
-        });
-    }
-    group.finish();
-}
-
-/// Hand-timed measurements persisted to `BENCH_training.json`.
-///
-/// Skipped when a benchmark filter is passed, so iterating on one group
-/// neither pays for the sweep nor overwrites the recorded numbers.
-fn emit_training_json(_c: &mut Criterion) {
-    if std::env::args().skip(1).any(|a| !a.starts_with('-')) {
-        println!("benchmark filter given — skipping BENCH_training.json emission");
-        return;
-    }
+fn main() {
     let s = setup();
     // Warm-up (pool spin-up, allocator), then measure.
     let _ = run_once(&s, 1);
     let (ips1, loss1) = run_once(&s, 1);
     let _ = run_once(&s, 4);
     let (ips4, loss4) = run_once(&s, 4);
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let calib_spin = calib_spin_us();
 
     let json = format!(
-        "{{\n  \"bench\": \"training\",\n  \"config\": {{ \"d\": {D}, \"max_seq\": {MAX_SEQ}, \"epochs\": {EPOCHS}, \"positions_per_epoch\": {}, \"task\": \"ranking\" }},\n  \"host_cpus\": {host_cpus},\n  \"instances_per_sec_1_worker\": {:.0},\n  \"instances_per_sec_4_workers\": {:.0},\n  \"final_loss_1_worker\": {:.4},\n  \"final_loss_4_workers\": {:.4}\n}}\n",
-        s.positions, ips1, ips4, loss1, loss4,
+        "{{\n  \"bench\": \"training\",\n  \"config\": {{ \"d\": {D}, \"max_seq\": {MAX_SEQ}, \"epochs\": {EPOCHS}, \"positions_per_epoch\": {positions}, \"task\": \"ranking\" }},\n  \"host_cpus\": {host_cpus},\n  \"calib_spin_us\": {calib_spin:.1},\n  \"instances_per_sec_1_worker\": {ips1:.0},\n  \"instances_per_sec_4_workers\": {ips4:.0},\n  \"final_loss_1_worker\": {loss1:.4},\n  \"final_loss_4_workers\": {loss4:.4}\n}}\n",
+        positions = s.positions,
+        host_cpus = host_cpus(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_training.json");
     std::fs::write(path, &json).expect("write BENCH_training.json");
     println!("== BENCH_training.json ==\n{json}");
 }
-
-criterion_group!(benches, bench_training, emit_training_json);
-criterion_main!(benches);

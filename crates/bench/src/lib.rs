@@ -17,14 +17,16 @@
 //! | `fig3_sensitivity` | Fig. 3 — hyperparameter sweeps (d, l, n˙, ρ) |
 //! | `fig4_scalability` | Fig. 4 — training time vs data proportion |
 //!
-//! Criterion micro-benches (`cargo bench -p seqfm-bench`) cover the §III-I
-//! complexity claims: kernel latency, per-model step latency, and
-//! forward/backward scaling in n˙ and d.
+//! Four emitters under `benches/` (`cargo bench -p seqfm-bench --bench
+//! {kernels,retrieval,serving,training}`) record what the repo benchmark
+//! (`benchmark/`) does not measure — same-run kernel ratios, the 1 M-item
+//! scan, thread scaling — to `BENCH_*.json`, timed by [`timing`].
 
 pub mod args;
 pub mod paper;
 pub mod report;
 pub mod runner;
+pub mod timing;
 
 pub use args::HarnessArgs;
 pub use report::{vs, Table};
