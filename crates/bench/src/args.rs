@@ -24,8 +24,9 @@ pub struct HarnessArgs {
     pub serial: bool,
     /// Extended variant sets where applicable (`--extended`).
     pub extended: bool,
-    /// TSV output path (`--out PATH`); defaults to `results/<binary>.tsv`.
-    pub out: Option<String>,
+    /// TSV output directory (`--out DIR`; default `results`): each binary
+    /// writes its fixed file names under it ([`HarnessArgs::out_file`]).
+    pub out: String,
     /// Master seed (`--seed N`).
     pub seed: u64,
 }
@@ -42,7 +43,7 @@ impl Default for HarnessArgs {
             quick: false,
             serial: false,
             extended: false,
-            out: None,
+            out: "results".into(),
             seed: 42,
         }
     }
@@ -85,7 +86,7 @@ impl HarnessArgs {
                 "--negatives" => out.negatives = parse_num(&value("--negatives")?, "--negatives")?,
                 "--seq" => out.max_seq = parse_num(&value("--seq")?, "--seq")?,
                 "--seed" => out.seed = parse_num(&value("--seed")?, "--seed")? as u64,
-                "--out" => out.out = Some(value("--out")?),
+                "--out" => out.out = value("--out")?,
                 "--quick" => out.quick = true,
                 "--serial" => out.serial = true,
                 "--extended" => out.extended = true,
@@ -97,6 +98,11 @@ impl HarnessArgs {
             out.negatives = out.negatives.min(100);
         }
         Ok(out)
+    }
+
+    /// Path of the output file `name` under the `--out` directory.
+    pub fn out_file(&self, name: &str) -> String {
+        format!("{}/{name}", self.out)
     }
 
     /// Effective epoch count for a task default.
@@ -126,7 +132,7 @@ usage: <binary> [options]
   --quick               halve epochs, cap J at 100
   --serial              disable parallel execution
   --extended            include extension variants (ablation binary)
-  --out PATH            TSV output path (default results/<name>.tsv)";
+  --out DIR             TSV output directory (default results)";
 
 #[cfg(test)]
 mod tests {
@@ -155,6 +161,17 @@ mod tests {
         assert_eq!(a.epochs_or(20), 10);
         let b = parse(&[]).unwrap();
         assert_eq!(b.epochs_or(20), 20);
+    }
+
+    #[test]
+    fn out_names_a_directory_for_every_file() {
+        assert_eq!(
+            parse(&[]).unwrap().out_file("table5_ablation.tsv"),
+            "results/table5_ablation.tsv"
+        );
+        let a = parse(&["--out", "runs/a"]).unwrap();
+        assert_eq!(a.out_file("table2_gowalla-sim.tsv"), "runs/a/table2_gowalla-sim.tsv");
+        assert_eq!(a.out_file("table2_foursquare-sim.tsv"), "runs/a/table2_foursquare-sim.tsv");
     }
 
     #[test]

@@ -2,129 +2,61 @@
 //! factor-at-a-time sweeps of the latent dimension `d`, FFN depth `l`,
 //! maximum sequence length `n˙`, and dropout ratio `ρ` around the standard
 //! setting, reporting HR@10 (ranking), AUC (CTR), and MAE (regression) on
-//! all six datasets — the same panels as the paper's Fig. 3.
+//! all six datasets — the same panels as the paper's Fig. 3. Every point is
+//! trained and evaluated by `run_one`, so the standard setting's row is the
+//! SeqFM row of Tables II–IV.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use seqfm_autograd::ParamStore;
-use seqfm_bench::{paper::fig3, run_jobs, HarnessArgs, Prepared, Table, Task};
-use seqfm_core::{
-    evaluate_ctr, evaluate_ranking, evaluate_rating, train_ctr, train_ranking, train_rating,
-    RankingEvalConfig, SeqFm, SeqFmConfig, TrainConfig,
+use seqfm_bench::{
+    all_datasets, paper::fig3, protocol, run_jobs, run_one, HarnessArgs, ModelSpec, Table,
+    DATASET_COLUMNS,
 };
-
-/// One swept hyperparameter point.
-#[derive(Clone, Copy, Debug)]
-struct Point {
-    d: usize,
-    l: usize,
-    n_seq: usize,
-    rho: f32,
-}
-
-fn run_point(p: Point, task: Task, prep: &Prepared, args: &HarnessArgs) -> f64 {
-    let tc = TrainConfig {
-        epochs: args.epochs_or(seqfm_bench::default_epochs(task)),
-        batch_size: 128,
-        lr: args.lr,
-        max_seq: p.n_seq,
-        ctr_negatives: 5,
-        seed: args.seed,
-        ..TrainConfig::default()
-    };
-    let cfg =
-        SeqFmConfig { d: p.d, layers: p.l, max_seq: p.n_seq, dropout: p.rho, ..Default::default() };
-    let mut ps = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(args.seed ^ 0xC0FFEE);
-    let model = SeqFm::new(&mut ps, &mut rng, &prep.layout, cfg);
-    match task {
-        Task::Ranking => {
-            train_ranking(&model, &mut ps, &prep.split, &prep.layout, &prep.sampler, &tc);
-            let ec = RankingEvalConfig {
-                negatives: args.negatives,
-                max_seq: p.n_seq,
-                batch_size: 256,
-                seed: args.seed ^ 0xE7A1,
-            };
-            evaluate_ranking(&model, &ps, &prep.split, &prep.layout, &prep.sampler, &ec).hr(10)
-        }
-        Task::Ctr => {
-            train_ctr(&model, &mut ps, &prep.split, &prep.layout, &prep.sampler, &tc);
-            evaluate_ctr(
-                &model,
-                &ps,
-                &prep.split,
-                &prep.layout,
-                &prep.sampler,
-                p.n_seq,
-                args.seed ^ 0xE7A2,
-            )
-            .auc
-        }
-        Task::Rating => {
-            let report = train_rating(&model, &mut ps, &prep.split, &prep.layout, &tc);
-            evaluate_rating(&model, &ps, &prep.split, &prep.layout, p.n_seq, report.target_offset)
-                .mae
-        }
-    }
-}
+use seqfm_core::SeqFmConfig;
 
 fn main() {
     let args = HarnessArgs::parse();
-    // Standard setting (paper: {d=64, l=1, n˙=20, ρ=0.6}; d follows --d).
-    let base = Point { d: args.d, l: 1, n_seq: args.max_seq, rho: 0.6 };
-    let sweeps: Vec<(&str, Vec<Point>)> = vec![
-        ("d", fig3::D.iter().map(|&d| Point { d, ..base }).collect()),
-        ("l", fig3::L.iter().map(|&l| Point { l, ..base }).collect()),
-        ("n_seq", fig3::N_SEQ.iter().map(|&n_seq| Point { n_seq, ..base }).collect()),
-        ("rho", fig3::RHO.iter().map(|&rho| Point { rho, ..base }).collect()),
+    // Standard setting (paper: {d=64, l=1, n˙=20, ρ=0.6}; d and n˙ follow
+    // --d and --seq).
+    let base = SeqFmConfig { d: args.d, max_seq: args.max_seq, ..Default::default() };
+    let sweeps: [(&str, Vec<SeqFmConfig>); 4] = [
+        ("d", fig3::D.iter().map(|&d| SeqFmConfig { d, ..base }).collect()),
+        ("l", fig3::L.iter().map(|&layers| SeqFmConfig { layers, ..base }).collect()),
+        ("n_seq", fig3::N_SEQ.iter().map(|&max_seq| SeqFmConfig { max_seq, ..base }).collect()),
+        ("rho", fig3::RHO.iter().map(|&dropout| SeqFmConfig { dropout, ..base }).collect()),
     ];
-    let datasets: Vec<(Task, Prepared)> = seqfm_data::all_presets(args.scale)
-        .into_iter()
-        .zip([Task::Ranking, Task::Ranking, Task::Ctr, Task::Ctr, Task::Rating, Task::Rating])
-        .map(|(ds, task)| (task, Prepared::new(ds)))
-        .collect();
-
-    // flatten all (sweep, point, dataset) jobs
-    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-    for (si, (_, points)) in sweeps.iter().enumerate() {
-        for pi in 0..points.len() {
-            for di in 0..datasets.len() {
-                jobs.push((si, pi, di));
-            }
+    // The standard setting sits in every sweep: train each distinct point once.
+    let mut points: Vec<SeqFmConfig> = Vec::new();
+    for p in sweeps.iter().flat_map(|(_, sweep)| sweep) {
+        if !points.contains(p) {
+            points.push(*p);
         }
     }
-    eprintln!("fig3: {} jobs ({} sweeps x 5 points x 6 datasets)", jobs.len(), sweeps.len());
-    let results = run_jobs(jobs.len(), args.serial, |j| {
-        let (si, pi, di) = jobs[j];
-        let (task, prep) = &datasets[di];
-        run_point(sweeps[si].1[pi], *task, prep, &args)
+    let datasets = all_datasets(args.scale);
+    let jobs = points.len() * datasets.len();
+    eprintln!("fig3: {jobs} jobs ({} points x {} datasets)", points.len(), datasets.len());
+    println!("{}", protocol(&args));
+    let results = run_jobs(jobs, args.serial, |j| {
+        let p = points[j / datasets.len()];
+        let (task, prep) = &datasets[j % datasets.len()];
+        let args = HarnessArgs { d: p.d, max_seq: p.max_seq, ..args.clone() };
+        task.headline(&run_one(ModelSpec::SeqFm(p), *task, prep, &args).metrics)
     });
 
-    for (si, (param, points)) in sweeps.iter().enumerate() {
+    for (param, sweep) in &sweeps {
         let mut table = Table::new(
             format!("Fig. 3 — SeqFM sensitivity to {param} (HR@10 | AUC | MAE)"),
-            &["gowalla", "foursquare", "trivago", "taobao", "beauty", "toys"],
+            &DATASET_COLUMNS,
         );
-        for (pi, point) in points.iter().enumerate() {
+        for p in sweep {
             let label = match *param {
-                "d" => format!("d={}", point.d),
-                "l" => format!("l={}", point.l),
-                "n_seq" => format!("n˙={}", point.n_seq),
-                _ => format!("ρ={}", point.rho),
+                "d" => format!("d={}", p.d),
+                "l" => format!("l={}", p.layers),
+                "n_seq" => format!("n˙={}", p.max_seq),
+                _ => format!("ρ={}", p.dropout),
             };
-            let vals: Vec<f64> = (0..datasets.len())
-                .map(|di| {
-                    let j = jobs
-                        .iter()
-                        .position(|&(s, p, d)| (s, p, d) == (si, pi, di))
-                        .expect("job exists");
-                    results[j]
-                })
-                .collect();
-            table.row_f64(label, &vals);
+            let pi = points.iter().position(|q| q == p).expect("every point ran");
+            table.row_f64(label, &results[pi * datasets.len()..][..datasets.len()]);
         }
         print!("{}", table.render());
-        table.write_tsv(&format!("results/fig3_{param}.tsv"));
+        table.write_tsv(&args.out_file(&format!("fig3_{param}.tsv")));
     }
 }

@@ -4,11 +4,10 @@
 //! 1.0}, plus a least-squares linearity check mirroring the paper's
 //! "approximately linear" conclusion.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use seqfm_autograd::ParamStore;
-use seqfm_bench::{paper, run_jobs, HarnessArgs, Prepared, Table, Task};
-use seqfm_core::{train_ctr, SeqFm, SeqFmConfig, TrainConfig};
+use seqfm_baselines::registry::ModelKind;
+use seqfm_bench::{paper, run_jobs, train_config, HarnessArgs, ModelSpec, Prepared, Table, Task};
+use seqfm_core::train_ctr;
 use seqfm_data::ctr::{generate, CtrConfig};
 
 fn main() {
@@ -22,20 +21,13 @@ fn main() {
     let results = run_jobs(proportions.len(), true, |i| {
         let ds = full.subset(proportions[i]);
         let prep = Prepared::new(ds);
-        let tc = TrainConfig {
-            epochs: args.epochs_or(seqfm_bench::default_epochs(Task::Ctr)),
-            batch_size: 128,
-            lr: args.lr,
-            max_seq: args.max_seq,
-            ctr_negatives: 5,
-            seed: args.seed,
-            ..TrainConfig::default()
-        };
-        let cfg = SeqFmConfig { d: args.d, max_seq: args.max_seq, ..Default::default() };
+        // The shared trainer config and init seed, but a fixed epoch budget:
+        // early stopping would break the time-vs-data-size measurement.
         let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(args.seed ^ 0xC0FFEE);
-        let model = SeqFm::new(&mut ps, &mut rng, &prep.layout, cfg);
-        let report = train_ctr(&model, &mut ps, &prep.split, &prep.layout, &prep.sampler, &tc);
+        let model = ModelSpec::Roster(ModelKind::SeqFm).build(&mut ps, &prep.layout, &args);
+        let tc = train_config(Task::Ctr, &args);
+        let report =
+            train_ctr(model.as_ref(), &mut ps, &prep.split, &prep.layout, &prep.sampler, &tc);
         (prep.ds.n_instances(), report.seconds)
     });
 
@@ -55,7 +47,7 @@ fn main() {
         );
     }
     print!("{}", table.render());
-    table.write_tsv(args.out.as_deref().unwrap_or("results/fig4_scalability.tsv"));
+    table.write_tsv(&args.out_file("fig4_scalability.tsv"));
 
     // Linearity check: R² of seconds ~ proportion.
     let xs = proportions;

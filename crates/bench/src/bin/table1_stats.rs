@@ -40,5 +40,5 @@ fn main() {
         );
     }
     print!("{}", table.render());
-    table.write_tsv(args.out.as_deref().unwrap_or("results/table1_stats.tsv"));
+    table.write_tsv(&args.out_file("table1_stats.tsv"));
 }

@@ -2,53 +2,9 @@
 //! HR@{5,10,20} and NDCG@{5,10,20} for all eight models on the Gowalla-like
 //! and Foursquare-like datasets. Paper values are printed in parentheses.
 
-use seqfm_baselines::registry::ranking_models;
-use seqfm_bench::{paper, run_jobs, run_one, vs, HarnessArgs, Prepared, Table, Task};
-use seqfm_data::ranking::{generate, RankingConfig};
+use seqfm_bench::{paper, run_table, HarnessArgs, Task};
 
 fn main() {
     let args = HarnessArgs::parse();
-    let models = ranking_models();
-    let datasets = [
-        Prepared::new(generate(&RankingConfig::gowalla(args.scale)).expect("preset valid")),
-        Prepared::new(generate(&RankingConfig::foursquare(args.scale)).expect("preset valid")),
-    ];
-    eprintln!(
-        "table2: {} models x {} datasets, d={}, J={}, epochs={}",
-        models.len(),
-        datasets.len(),
-        args.d,
-        args.negatives,
-        args.epochs_or(seqfm_bench::default_epochs(Task::Ranking)),
-    );
-
-    // one job per (dataset, model)
-    let jobs: Vec<(usize, usize)> =
-        (0..datasets.len()).flat_map(|di| (0..models.len()).map(move |mi| (di, mi))).collect();
-    let results = run_jobs(jobs.len(), args.serial, |j| {
-        let (di, mi) = jobs[j];
-        run_one(models[mi], Task::Ranking, &datasets[di], &args)
-    });
-
-    for (di, prep) in datasets.iter().enumerate() {
-        let mut table = Table::new(
-            format!("Table II — ranking on {} (measured (paper))", prep.ds.name),
-            &["HR@5", "HR@10", "HR@20", "NDCG@5", "NDCG@10", "NDCG@20"],
-        );
-        for (mi, _) in models.iter().enumerate() {
-            let row = &results[di * models.len() + mi];
-            let paper_row = &paper::TABLE2[mi];
-            let paper_vals = if di == 0 { &paper_row.1 } else { &paper_row.2 };
-            table.row(
-                row.model.clone(),
-                (0..6).map(|k| vs(row.metrics[k], paper_vals[k])).collect(),
-            );
-        }
-        print!("{}", table.render());
-        let path =
-            args.out.clone().unwrap_or_else(|| format!("results/table2_{}.tsv", prep.ds.name));
-        table.write_tsv(&path);
-    }
-    let total: f64 = results.iter().map(|r| r.train_seconds).sum();
-    println!("total training time: {total:.1}s across {} runs", results.len());
+    run_table(&args, Task::Ranking, "Table II — ranking", "table2", paper::TABLE2);
 }

@@ -2,51 +2,9 @@
 //! MAE and RRSE for all eight models on the Beauty-like and Toys-like
 //! datasets. Paper values are printed in parentheses.
 
-use seqfm_baselines::registry::rating_models;
-use seqfm_bench::{paper, run_jobs, run_one, vs, HarnessArgs, Prepared, Table, Task};
-use seqfm_data::rating::{generate, RatingConfig};
+use seqfm_bench::{paper, run_table, HarnessArgs, Task};
 
 fn main() {
     let args = HarnessArgs::parse();
-    let models = rating_models();
-    let datasets = [
-        Prepared::new(generate(&RatingConfig::beauty(args.scale)).expect("preset valid")),
-        Prepared::new(generate(&RatingConfig::toys(args.scale)).expect("preset valid")),
-    ];
-    eprintln!(
-        "table4: {} models x {} datasets, d={}, epochs={}",
-        models.len(),
-        datasets.len(),
-        args.d,
-        args.epochs_or(seqfm_bench::default_epochs(Task::Rating)),
-    );
-
-    let jobs: Vec<(usize, usize)> =
-        (0..datasets.len()).flat_map(|di| (0..models.len()).map(move |mi| (di, mi))).collect();
-    let results = run_jobs(jobs.len(), args.serial, |j| {
-        let (di, mi) = jobs[j];
-        run_one(models[mi], Task::Rating, &datasets[di], &args)
-    });
-
-    for (di, prep) in datasets.iter().enumerate() {
-        let mut table = Table::new(
-            format!("Table IV — rating prediction on {} (measured (paper))", prep.ds.name),
-            &["MAE", "RRSE"],
-        );
-        for (mi, _) in models.iter().enumerate() {
-            let row = &results[di * models.len() + mi];
-            let paper_row = &paper::TABLE4[mi];
-            let paper_vals = if di == 0 { &paper_row.1 } else { &paper_row.2 };
-            table.row(
-                row.model.clone(),
-                vec![vs(row.metrics[0], paper_vals[0]), vs(row.metrics[1], paper_vals[1])],
-            );
-        }
-        print!("{}", table.render());
-        let path =
-            args.out.clone().unwrap_or_else(|| format!("results/table4_{}.tsv", prep.ds.name));
-        table.write_tsv(&path);
-    }
-    let total: f64 = results.iter().map(|r| r.train_seconds).sum();
-    println!("total training time: {total:.1}s across {} runs", results.len());
+    run_table(&args, Task::Rating, "Table IV — rating prediction", "table4", paper::TABLE4);
 }

@@ -4,8 +4,8 @@
 //!
 //! The experiment harness: every table and figure of the paper's evaluation
 //! section is regenerated by one binary in `src/bin/`, printing the paper's
-//! reported numbers next to the measured ones and writing a TSV under
-//! `results/`:
+//! reported numbers next to the measured ones and writing TSVs under the
+//! `--out` directory (default `results/`):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -16,6 +16,14 @@
 //! | `table5_ablation` | Table V — SeqFM component ablations |
 //! | `fig3_sensitivity` | Fig. 3 — hyperparameter sweeps (d, l, n˙, ρ) |
 //! | `fig4_scalability` | Fig. 4 — training time vs data proportion |
+//!
+//! One protocol serves Tables II–V and Fig. 3: [`runner::run_one`] trains
+//! a roster model or a SeqFM configuration ([`runner::ModelSpec`]) with
+//! best-epoch selection on the validation event and reports its test
+//! metrics; [`runner::protocol`] states the split, the candidate sets, the
+//! selection rule and the seed. Tables II–IV share [`runner::run_table`];
+//! `fig4_scalability` reuses only the trainer config and init seed, since
+//! it times a fixed epoch budget.
 //!
 //! Four emitters under `benches/` (`cargo bench -p seqfm-bench --bench
 //! {kernels,retrieval,serving,training}`) record what the repo benchmark
@@ -30,4 +38,7 @@ pub mod timing;
 
 pub use args::HarnessArgs;
 pub use report::{vs, Table};
-pub use runner::{default_epochs, run_jobs, run_one, Prepared, ResultRow, Task};
+pub use runner::{
+    all_datasets, protocol, run_jobs, run_one, run_table, train_config, ModelSpec, Prepared,
+    ResultRow, Task, DATASET_COLUMNS,
+};

@@ -82,7 +82,7 @@ impl Table {
         out
     }
 
-    /// Writes the TSV next to a `results/` directory (created on demand).
+    /// Writes the TSV to `path`, creating its directory on demand.
     ///
     /// # Panics
     /// Panics on IO errors (harness binaries have no recovery path).

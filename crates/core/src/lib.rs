@@ -65,8 +65,8 @@ pub use precision::{FrozenParamsFast, ScorerPrecision};
 pub use scorer::{GraphScorer, Scorer, Scratch};
 pub use seqfm_autograd::ModelEpoch;
 pub use train::{
-    train_ctr, train_ctr_with_hook, train_ranking, train_ranking_with_hook, train_rating,
-    train_rating_with_hook, TrainConfig, TrainReport,
+    rating_offset, train_ctr, train_ctr_with_hook, train_ranking, train_ranking_with_hook,
+    train_rating, train_rating_with_hook, TrainConfig, TrainReport,
 };
 pub use view::HistoryView;
 

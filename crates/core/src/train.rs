@@ -462,6 +462,18 @@ pub fn train_rating(
     train_rating_with_hook(model, ps, split, layout, cfg, |_, _| false)
 }
 
+/// The training-set mean rating: the constant [`train_rating`] centres its
+/// targets on and reports as [`TrainReport::target_offset`]. Known before
+/// training starts, so a validation hook can de-centre predictions with it.
+pub fn rating_offset(split: &LeaveOneOut) -> f32 {
+    let (sum, count) = split
+        .train
+        .iter()
+        .flatten()
+        .fold((0.0f64, 0usize), |(s, c), e| (s + e.rating as f64, c + 1));
+    (sum / count.max(1) as f64) as f32
+}
+
 /// [`train_rating`] with an `after_epoch(epoch, ps) -> stop` hook (see
 /// [`train_ranking_with_hook`]).
 pub fn train_rating_with_hook(
@@ -474,14 +486,7 @@ pub fn train_rating_with_hook(
 ) -> TrainReport {
     let mut positions = training_positions(split);
     let start = Instant::now();
-    let offset = {
-        let (sum, count) = split
-            .train
-            .iter()
-            .flatten()
-            .fold((0.0f64, 0usize), |(s, c), e| (s + e.rating as f64, c + 1));
-        (sum / count.max(1) as f64) as f32
-    };
+    let offset = rating_offset(split);
     let (epoch_losses, steps) =
         run_epochs(ps, &mut positions, cfg.batch_size, cfg, after_epoch, |g, ps, shard, rng| {
             rating_shard_loss(model, g, ps, split, layout, cfg, offset, shard, rng)
