@@ -89,7 +89,6 @@ impl Graph {
                 let s = *s;
                 self.acc(grads, *x, self.pooled_unary(dy, |v| v * s));
             }
-            Op::AddScalar(x) => self.acc(grads, *x, self.pooled_copy(dy)),
             Op::Square(x) => {
                 let dx = self.pooled_zip(val(*x), dy, |xv, g| 2.0 * xv * g);
                 self.acc(grads, *x, dx);
@@ -127,17 +126,6 @@ impl Graph {
                 self.acc(grads, *a, da);
                 let mut db = self.pooled_zeros(bv.shape());
                 matmul::matmul_tn_into(av.data(), dy.data(), db.data_mut(), k, m, n);
-                self.acc(grads, *b, db);
-            }
-            Op::MatmulNT(a, b) => {
-                let (av, bv) = (val(*a), val(*b));
-                let (m, k) = (av.shape().dim(0), av.shape().dim(1));
-                let n = bv.shape().dim(0);
-                let mut da = self.pooled_zeros(av.shape());
-                matmul::matmul_nn_into(dy.data(), bv.data(), da.data_mut(), m, n, k);
-                self.acc(grads, *a, da);
-                let mut db = self.pooled_zeros(bv.shape());
-                matmul::matmul_tn_into(dy.data(), av.data(), db.data_mut(), n, m, k);
                 self.acc(grads, *b, db);
             }
             Op::Bmm(a, b) => {

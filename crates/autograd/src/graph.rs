@@ -262,11 +262,6 @@ impl Graph {
         self.unary(x, |v| v * s, Op::Scale(x, s))
     }
 
-    /// `x + c` elementwise with a constant.
-    pub fn add_scalar(&mut self, x: Var, c: f32) -> Var {
-        self.unary(x, |v| v + c, Op::AddScalar(x))
-    }
-
     /// `x²` elementwise.
     pub fn square(&mut self, x: Var) -> Var {
         self.unary(x, |v| v * v, Op::Square(x))
@@ -338,19 +333,6 @@ impl Graph {
         seqfm_tensor::matmul_nn_into(av.data(), bv.data(), out.data_mut(), m, k, n);
         let g = self.ng(a) || self.ng(b);
         self.push(out, Op::Matmul(a, b), g)
-    }
-
-    /// `A[m,k]·B[n,k]ᵀ`.
-    pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
-        let (av, bv) = (self.value(a), self.value(b));
-        let (m, k) = dims2(av, "matmul_nt lhs");
-        let (n, k2) = dims2(bv, "matmul_nt rhs");
-        assert_eq!(k, k2, "matmul_nt inner dim mismatch: {} vs {}", av.shape(), bv.shape());
-        let mut out = self.pooled_zeros(Shape::d2(m, n));
-        let (av, bv) = (self.value(a), self.value(b));
-        seqfm_tensor::matmul_nt_into(av.data(), bv.data(), out.data_mut(), m, k, n);
-        let g = self.ng(a) || self.ng(b);
-        self.push(out, Op::MatmulNT(a, b), g)
     }
 
     /// Batched `A[b,m,k]·B[b,k,n]`.
@@ -807,11 +789,6 @@ impl Graph {
         let g = self.ng(logits);
         self.push(out, Op::BceWithLogits { logits, targets: Arc::new(targets.to_vec()) }, g)
     }
-}
-
-fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
-    assert_eq!(t.shape().rank(), 2, "{what} must be rank 2, got {}", t.shape());
-    (t.shape().dim(0), t.shape().dim(1))
 }
 
 fn dims3(t: &Tensor, what: &str) -> (usize, usize, usize) {

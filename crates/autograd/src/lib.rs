@@ -19,7 +19,7 @@
 //!   trained in practice (sparse "lazy" updates, see `seqfm-nn::optim`).
 //! * **Ops**: elementwise arithmetic and activations, `add_bias`;
 //!   [`Graph::matmul`] (a rank-3 lhs is read as its rows — projections need
-//!   no flatten copies), `matmul_nt`, `bmm`, `bmm_nt`, `lmatmul`, `row_dot`;
+//!   no flatten copies), `bmm`, `bmm_nt`, `lmatmul`, `row_dot`;
 //!   `softmax`, `layer_norm`, `dropout`, and the two structured attention
 //!   nodes of the paper's masked views — [`Graph::attention_causal`] (the
 //!   dynamic view) and [`Graph::attention_cross`] (the cross view), each

@@ -39,7 +39,6 @@ pub(crate) enum Op {
     Mul(Var, Var),
     Neg(Var),
     Scale(Var, f32),
-    AddScalar(Var),
     Square(Var),
     Relu(Var),
     Sigmoid(Var),
@@ -54,8 +53,6 @@ pub(crate) enum Op {
     // -- linear algebra ------------------------------------------------------
     /// `A[m,k]·B[k,n]`; a rank-3 `A[b,r,k]` is read as `[b·r, k]`.
     Matmul(Var, Var),
-    /// `A[m,k]·B[n,k]ᵀ`.
-    MatmulNT(Var, Var),
     /// Batched `A[b,m,k]·B[b,k,n]`.
     Bmm(Var, Var),
     /// Batched `A[b,m,k]·B[b,n,k]ᵀ` (attention scores `Q·Kᵀ`).

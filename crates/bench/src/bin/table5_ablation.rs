@@ -2,10 +2,7 @@
 //! with one component removed, across all six datasets, each trained and
 //! evaluated by `run_one` (so the Default row is the SeqFM row of Tables
 //! II–IV). Columns follow the paper: HR@10 (Gowalla, Foursquare), AUC
-//! (Trivago, Taobao), MAE (Beauty, Toys). With `--extended`, the extension
-//! variants of `seqfm_core::Ablation::extension_variants` (padding-masked
-//! pooling, per-view FFN — neither is part of the paper's formulation) are
-//! appended.
+//! (Trivago, Taobao), MAE (Beauty, Toys), each cell beside the paper's.
 
 use seqfm_bench::{
     all_datasets, paper, protocol, run_jobs, run_one, vs, HarnessArgs, ModelSpec, Table,
@@ -15,10 +12,7 @@ use seqfm_core::{Ablation, SeqFmConfig};
 
 fn main() {
     let args = HarnessArgs::parse();
-    let mut variants = Ablation::table5_variants();
-    if args.extended {
-        variants.extend(Ablation::extension_variants());
-    }
+    let variants = Ablation::table5_variants();
     let datasets = all_datasets(args.scale);
     eprintln!("table5: {} variants x {} datasets", variants.len(), datasets.len());
     println!("{}", protocol(&args));
@@ -35,13 +29,14 @@ fn main() {
         &DATASET_COLUMNS,
     );
     for ((name, _), measured) in variants.iter().zip(results.chunks(datasets.len())) {
+        let (_, hr, auc, mae) = paper::TABLE5
+            .iter()
+            .find(|(n, ..)| n == name)
+            .expect("every Table V variant has a paper row");
         let cells: Vec<String> = measured
             .iter()
             .enumerate()
-            .map(|(di, &measured)| match paper::TABLE5.iter().find(|(n, ..)| n == name) {
-                Some((_, hr, auc, mae)) => vs(measured, [hr, auc, mae][di / 2][di % 2]),
-                None => format!("{measured:.3}"),
-            })
+            .map(|(di, &measured)| vs(measured, [hr, auc, mae][di / 2][di % 2]))
             .collect();
         table.row(*name, cells);
     }

@@ -21,9 +21,9 @@
 //! * **Attention rows are convex combinations of V rows** (softmax weights
 //!   are non-negative and sum to one over whichever positions the mask
 //!   admits), so every attention output lies coordinate-wise inside the
-//!   envelope `[min, max]` of the view's V-projected input rows. Pooling —
-//!   plain mean or the masked-pooling subset average — is again convex, so
-//!   the pooled vector stays inside the same envelope.
+//!   envelope `[min, max]` of the view's V-projected input rows. Mean
+//!   pooling is again convex, so the pooled vector stays inside the same
+//!   envelope.
 //! * The per-view V rows split into a **query part** (the user's static
 //!   feature, the history rows) and an **item part** (the candidate's
 //!   static feature). [`ItemBlockStats`] holds the coordinate-wise envelope
@@ -97,11 +97,11 @@ pub struct QueryBounds {
     dyn_exact: f64,
     /// `lin°(user) + lin˙ + w₀`, exact in `f64`.
     lin_base: f64,
-    /// Sound spectral-norm upper bounds, `spec[ffn][layer]`, for each FFN
+    /// Sound spectral-norm upper bounds, `spec[layer]`, for each shared-FFN
     /// layer's effective matrix (`scale∘W` under layer norm, `W` without).
     /// Model constants, but recomputed per retrieval here — a few `d³`
     /// multiplies, negligible next to scoring even one block.
-    spec: Vec<Vec<f64>>,
+    spec: Vec<f64>,
 }
 
 impl FrozenSeqFm {
@@ -203,26 +203,21 @@ impl FrozenSeqFm {
             + view.lin_d[0] as f64
             + self.t(self.w0).data()[0] as f64;
         let spec = self
-            .ffns
+            .ffn
             .iter()
             .enumerate()
-            .map(|(fi, ffn)| {
-                ffn.iter()
-                    .enumerate()
-                    .map(|(li, layer)| {
-                        // The active profile's weights — the quantized
-                        // effective matrix under `Fast`, so the spectral
-                        // bound covers exactly what the fast FFN multiplies.
-                        let w = self.ffn_w_data(fi, li);
-                        let m: Vec<f64> = if ab.layer_norm {
-                            let scale = self.t(layer.ln_scale).data();
-                            (0..d * d).map(|ij| scale[ij / d] as f64 * w[ij] as f64).collect()
-                        } else {
-                            w.iter().map(|&x| x as f64).collect()
-                        };
-                        spec_ub(&m, d)
-                    })
-                    .collect()
+            .map(|(li, layer)| {
+                // The active profile's weights — the quantized effective
+                // matrix under `Fast`, so the spectral bound covers exactly
+                // what the fast FFN multiplies.
+                let w = self.ffn_w_data(li);
+                let m: Vec<f64> = if ab.layer_norm {
+                    let scale = self.t(layer.ln_scale).data();
+                    (0..d * d).map(|ij| scale[ij / d] as f64 * w[ij] as f64).collect()
+                } else {
+                    w.iter().map(|&x| x as f64).collect()
+                };
+                spec_ub(&m, d)
             })
             .collect();
         QueryBounds { vs_user, vx_lo, vx_hi, dyn_exact, lin_base, spec }
@@ -251,22 +246,19 @@ impl FrozenSeqFm {
         let mut lo = vec![0.0f64; d];
         let mut hi = vec![0.0f64; d];
         let mut col = 0usize;
-        let mut ffn_idx = 0usize;
         if ab.static_view {
             for i in 0..d {
                 lo[i] = q.vs_user[i].min(stats.vs_min[i]) as f64;
                 hi[i] = q.vs_user[i].max(stats.vs_max[i]) as f64;
             }
             widen(&mut lo, &mut hi);
-            let (c, r) = self.ffn_interval(ffn_idx, &q.spec, &mut lo, &mut hi);
+            let (c, r) = self.ffn_interval(&q.spec, &mut lo, &mut hi);
             ub += seg_bound(&lo, &hi, &c, r, &p[col..col + d]);
             col += d;
-            ffn_idx += 1;
         }
         if ab.dynamic_view {
             ub += q.dyn_exact;
             col += d;
-            ffn_idx += 1;
         }
         if ab.cross_view {
             for i in 0..d {
@@ -274,14 +266,14 @@ impl FrozenSeqFm {
                 hi[i] = q.vx_hi[i].max(stats.vx_max[i]) as f64;
             }
             widen(&mut lo, &mut hi);
-            let (c, r) = self.ffn_interval(ffn_idx, &q.spec, &mut lo, &mut hi);
+            let (c, r) = self.ffn_interval(&q.spec, &mut lo, &mut hi);
             ub += seg_bound(&lo, &hi, &c, r, &p[col..col + d]);
         }
         let _ = col;
         (ub + FINAL_SLACK + FINAL_SLACK * ub.abs()) as f32
     }
 
-    /// Propagates a coordinate interval through one view's FFN stack
+    /// Propagates a coordinate interval through the shared FFN stack
     /// (layer norm → linear+bias → ReLU → residual, per the ablation), in
     /// `f64` interval arithmetic, widening after each layer to absorb the
     /// real forward's `f32` rounding. Returns an **ℓ2 ball** `(center, r)`
@@ -305,19 +297,10 @@ impl FrozenSeqFm {
     ///   ℓ2 (center clamps, radius unchanged), and residual adds centers and
     ///   radii. The box is intersected with the ball per coordinate after
     ///   every layer, so each representation tightens the other.
-    fn ffn_interval(
-        &self,
-        ffn_idx: usize,
-        spec_all: &[Vec<f64>],
-        lo: &mut [f64],
-        hi: &mut [f64],
-    ) -> (Vec<f64>, f64) {
+    fn ffn_interval(&self, spec: &[f64], lo: &mut [f64], hi: &mut [f64]) -> (Vec<f64>, f64) {
         let d = lo.len();
         let cap = (d as f64).sqrt();
         let ab = self.config().ablation;
-        let which = if ab.shared_ffn { 0 } else { ffn_idx };
-        let ffn = &self.ffns[which];
-        let spec = &spec_all[which];
         // Entry ball: box midpoint, radius = ℓ2 norm of the half-widths
         // (the farthest corner) — a lossless box→ball conversion.
         let mut center: Vec<f64> = lo.iter().zip(hi.iter()).map(|(l, h)| 0.5 * (l + h)).collect();
@@ -328,7 +311,7 @@ impl FrozenSeqFm {
         let mut llo = vec![0.0f64; d];
         let mut lhi = vec![0.0f64; d];
         let mut bc = vec![0.0f64; d];
-        for (li, layer) in ffn.iter().enumerate() {
+        for (li, layer) in self.ffn.iter().enumerate() {
             let mut ln_params: Option<(&[f32], &[f32])> = None;
             let (src_lo, src_hi): (&[f64], &[f64]) = if ab.layer_norm {
                 let scale = self.t(layer.ln_scale).data();
@@ -339,7 +322,7 @@ impl FrozenSeqFm {
             } else {
                 (lo, hi)
             };
-            let w = self.ffn_w_data(which, li);
+            let w = self.ffn_w_data(li);
             let b = self.t(layer.b).data();
             for j in 0..d {
                 let mut alo = b[j] as f64;
@@ -557,12 +540,6 @@ mod tests {
     use seqfm_autograd::ParamStore;
     use seqfm_data::{build_instance, Batch};
 
-    fn all_variants() -> Vec<(&'static str, Ablation)> {
-        let mut v = Ablation::table5_variants();
-        v.extend(Ablation::extension_variants());
-        v
-    }
-
     /// Monte-Carlo soundness: for random models across every variant, every
     /// item's true logit must sit at or below its block's upper bound — in
     /// whichever precision profile the model serves.
@@ -571,7 +548,7 @@ mod tests {
         let max_seq = 6;
         let block = 8usize;
         for seed in [2u64, 9, 23] {
-            for (name, ab) in all_variants() {
+            for (name, ab) in Ablation::table5_variants() {
                 let cfg =
                     SeqFmConfig { d: 8, max_seq, dropout: 0.0, ablation: ab, ..Default::default() };
                 let mut ps = ParamStore::new();

@@ -1,9 +1,10 @@
 //! SeqFM hyperparameters and ablation switches.
 
-/// Ablation switches matching the paper's Table V plus two extensions.
+/// Table V's switches: the five components the paper's ablation study
+/// (§VI-C) removes one at a time.
 ///
 /// Every switch defaults to the full model; turning one off produces the
-/// corresponding "Remove X" variant from the ablation study (§VI-C).
+/// corresponding "Remove X" variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ablation {
     /// Static-view self-attention head ("Remove SV" when false).
@@ -16,13 +17,6 @@ pub struct Ablation {
     pub residual: bool,
     /// Layer normalisation in the FFN ("Remove LN" when false).
     pub layer_norm: bool,
-    /// **Extension** (not in the paper): padding-aware intra-view pooling —
-    /// padded positions are excluded from the mean and the divisor is the
-    /// true sequence length instead of n˙.
-    pub masked_pooling: bool,
-    /// **Extension**: share the residual FFN across views (paper behaviour,
-    /// §III-F) vs. one FFN per view.
-    pub shared_ffn: bool,
 }
 
 impl Default for Ablation {
@@ -33,8 +27,6 @@ impl Default for Ablation {
             cross_view: true,
             residual: true,
             layer_norm: true,
-            masked_pooling: false,
-            shared_ffn: true,
         }
     }
 }
@@ -50,15 +42,6 @@ impl Ablation {
             ("Remove CV", Ablation { cross_view: false, ..base }),
             ("Remove RC", Ablation { residual: false, ..base }),
             ("Remove LN", Ablation { layer_norm: false, ..base }),
-        ]
-    }
-
-    /// Extension variants benchmarked by `table5_ablation --extended`.
-    pub fn extension_variants() -> Vec<(&'static str, Ablation)> {
-        let base = Ablation::default();
-        vec![
-            ("+MaskedPool", Ablation { masked_pooling: true, ..base }),
-            ("PerViewFFN", Ablation { shared_ffn: false, ..base }),
         ]
     }
 

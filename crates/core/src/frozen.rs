@@ -33,7 +33,7 @@ use crate::SeqFm;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqfm_autograd::{FrozenId, FrozenParams, ModelEpoch, ParamStore};
-use seqfm_data::{Batch, FeatureLayout, PAD};
+use seqfm_data::{Batch, FeatureLayout};
 use seqfm_nn::checkpoint::{self, CheckpointError};
 use seqfm_tensor::{
     attention_causal_into, attention_cross_rows_into, attention_cross_shared_into, attention_into,
@@ -72,7 +72,7 @@ pub struct FrozenSeqFm {
     w_dynamic: FrozenId,
     pub(crate) w0: FrozenId,
     pub(crate) attn: [AttnIds; 3],
-    pub(crate) ffns: Vec<Vec<FfnLayerIds>>,
+    pub(crate) ffn: Vec<FfnLayerIds>,
     pub(crate) p: FrozenId,
     precision: ScorerPrecision,
     fast: Option<Arc<FrozenParamsFast>>,
@@ -88,45 +88,57 @@ impl FrozenSeqFm {
     ///
     /// # Panics
     /// Panics if the snapshot is missing any `seqfm.*` parameter the config
-    /// implies (wrong depth, wrong FFN sharing, or a non-SeqFM snapshot).
+    /// implies (wrong depth or a non-SeqFM snapshot), or if one's shape does
+    /// not fit the config (another width `d` or another set of views).
     pub fn from_params(params: Arc<FrozenParams>, cfg: SeqFmConfig) -> Self {
         cfg.validate();
-        let r = |name: &str| {
-            params
-                .index_of(name)
-                .unwrap_or_else(|| panic!("frozen SeqFM: parameter `{name}` missing from snapshot"))
+        let d = cfg.d;
+        // Names alone do not pin the geometry, and the kernels trust it: a
+        // snapshot of another width or view set would serve wrong logits.
+        let r = |name: &str, want: &[usize]| {
+            let id = params.index_of(name).unwrap_or_else(|| {
+                panic!("frozen SeqFM: parameter `{name}` missing from snapshot")
+            });
+            let got = params.value(id).shape();
+            let got = got.dims();
+            assert!(
+                got == want,
+                "frozen SeqFM: parameter `{name}` is {got:?}, config implies {want:?}"
+            );
+            id
+        };
+        // A table's row count is the feature layout's, which `cfg` does not
+        // carry: only its width is checked.
+        let table = |name: &str, width: usize| {
+            let rows = params.index_of(name).map_or(0, |id| params.value(id).shape().dim(0));
+            r(name, &[rows, width])
         };
         let attn_ids = |prefix: &str| AttnIds {
-            wq: r(&format!("{prefix}.wq.w")),
-            wk: r(&format!("{prefix}.wk.w")),
-            wv: r(&format!("{prefix}.wv.w")),
+            wq: r(&format!("{prefix}.wq.w"), &[d, d]),
+            wk: r(&format!("{prefix}.wk.w"), &[d, d]),
+            wv: r(&format!("{prefix}.wv.w"), &[d, d]),
         };
-        let n_ffns = if cfg.ablation.shared_ffn { 1 } else { cfg.ablation.active_views() };
-        let ffns = (0..n_ffns)
-            .map(|i| {
-                (0..cfg.layers)
-                    .map(|j| FfnLayerIds {
-                        ln_scale: r(&format!("seqfm.ffn{i}.{j}.ln.scale")),
-                        ln_bias: r(&format!("seqfm.ffn{i}.{j}.ln.bias")),
-                        w: r(&format!("seqfm.ffn{i}.{j}.lin.w")),
-                        b: r(&format!("seqfm.ffn{i}.{j}.lin.b")),
-                    })
-                    .collect()
+        let ffn = (0..cfg.layers)
+            .map(|j| FfnLayerIds {
+                ln_scale: r(&format!("seqfm.ffn0.{j}.ln.scale"), &[d]),
+                ln_bias: r(&format!("seqfm.ffn0.{j}.ln.bias"), &[d]),
+                w: r(&format!("seqfm.ffn0.{j}.lin.w"), &[d, d]),
+                b: r(&format!("seqfm.ffn0.{j}.lin.b"), &[d]),
             })
             .collect();
         FrozenSeqFm {
-            emb_static: r("seqfm.emb_static.table"),
-            emb_dynamic: r("seqfm.emb_dynamic.table"),
-            w_static: r("seqfm.w_static.table"),
-            w_dynamic: r("seqfm.w_dynamic.table"),
-            w0: r("seqfm.w0"),
+            emb_static: table("seqfm.emb_static.table", d),
+            emb_dynamic: table("seqfm.emb_dynamic.table", d),
+            w_static: table("seqfm.w_static.table", 1),
+            w_dynamic: table("seqfm.w_dynamic.table", 1),
+            w0: r("seqfm.w0", &[1]),
             attn: [
                 attn_ids("seqfm.attn_static"),
                 attn_ids("seqfm.attn_dynamic"),
                 attn_ids("seqfm.attn_cross"),
             ],
-            ffns,
-            p: r("seqfm.p"),
+            ffn,
+            p: r("seqfm.p", &[cfg.ablation.active_views() * d, 1]),
             cfg,
             params,
             precision: ScorerPrecision::Exact,
@@ -225,12 +237,12 @@ impl FrozenSeqFm {
         matmul_nn_into(e, w, out, m, d, d);
     }
 
-    /// FFN `which`'s layer-`li` weight matrix in the active profile (the
+    /// The shared FFN's layer-`li` weight matrix in the active profile (the
     /// `i8`-effective copy under `Fast`, shared with the bounds).
-    pub(crate) fn ffn_w_data(&self, which: usize, li: usize) -> &[f32] {
+    pub(crate) fn ffn_w_data(&self, li: usize) -> &[f32] {
         match self.fast_active() {
-            Some(fp) => &fp.ffn_w[which][li].eff,
-            None => self.t(self.ffns[which][li].w).data(),
+            Some(fp) => &fp.ffn_w[li].eff,
+            None => self.t(self.ffn[li].w).data(),
         }
     }
 
@@ -297,29 +309,25 @@ impl FrozenSeqFm {
     /// write, on an already-computed context in `bufs.ctx`. Every view is
     /// "project Q/K/V, attend, then this", whichever attention entry point
     /// (dense, structured causal or structured cross) produced its context.
-    #[allow(clippy::too_many_arguments)]
     fn pool_ffn_write(
         &self,
-        ffn_idx: usize,
         b: usize,
         n: usize,
         d: usize,
-        pads: Option<(&[usize], usize)>,
         view_col: usize,
         views: usize,
         bufs: &mut ViewBufs<'_>,
     ) {
         let ab = self.cfg.ablation;
-        pool_into(bufs.ctx, b, n, d, ab.masked_pooling, pads, bufs.pool);
-        let which = if ab.shared_ffn { 0 } else { ffn_idx };
-        for (li, layer) in self.ffns[which].iter().enumerate() {
+        pool_into(bufs.ctx, b, n, d, bufs.pool);
+        for (li, layer) in self.ffn.iter().enumerate() {
             ffn_layer(
                 bufs.pool,
                 bufs.normed,
                 bufs.lin,
                 self.t(layer.ln_scale).data(),
                 self.t(layer.ln_bias).data(),
-                self.ffn_w_data(which, li),
+                self.ffn_w_data(li),
                 self.t(layer.b).data(),
                 b,
                 d,
@@ -383,8 +391,7 @@ struct ViewBufs<'a> {
 impl FrozenSeqFm {
     /// The history stage of the forward pass — the only code that derives
     /// anything from a dynamic block. For each of the `rows` left-padded
-    /// index rows of `dyn_rows` (`[rows, nd]`) it counts the padding, sums
-    /// lin˙, gathers the dynamic embeddings, projects the cross view's
+    /// index rows of `dyn_rows` (`[rows, nd]`) it sums lin˙, gathers the dynamic embeddings, projects the cross view's
     /// history rows and runs the causal dynamic view down to its pooled
     /// `d`-vector, writing all of it into `view` in place (the view's
     /// buffers keep their capacity, so rebuilding a warm one allocates
@@ -410,15 +417,12 @@ impl FrozenSeqFm {
         view.nd = nd;
         view.d = d;
 
-        // Per-row padding lengths (masked-pooling extension) and lin˙
-        // (Eq. 4), accumulated in index order — one entry per row even when
-        // the window is empty.
+        // Per-row lin˙ (Eq. 4), accumulated in index order — one entry per
+        // row even when the window is empty.
         let wd = self.t(self.w_dynamic).data();
-        view.pad.clear();
         view.lin_d.clear();
         for r in 0..rows {
             let row = &dyn_rows[r * nd..(r + 1) * nd];
-            view.pad.push(row.iter().take_while(|&&i| i == PAD).count());
             let mut lin_d = 0.0f32;
             for &i in row {
                 if i >= 0 {
@@ -483,17 +487,14 @@ impl FrozenSeqFm {
             let scale = 1.0 / (d as f32).sqrt();
             let (q, k, v) = (&*bufs.q, &*bufs.k, &*bufs.v);
             attention_causal_into(q, k, v, scale, [rows, nd, d], bufs.scores, bufs.ctx);
-            // The dynamic view's FFN slot mirrors the forward pass's
-            // ffn_idx bookkeeping: 1 when the static view precedes it.
-            let ffn_idx = usize::from(ab.static_view);
-            self.pool_ffn_write(ffn_idx, rows, nd, d, Some((&view.pad, 0)), 0, 1, &mut bufs);
+            self.pool_ffn_write(rows, nd, d, 0, 1, &mut bufs);
         }
     }
 
     /// Precomputes the history side of the forward pass for one
     /// left-padded dynamic index row: the dynamic view's pooled output, the
-    /// cross view's history-row Q/K/V projections, the lin˙ term, and the
-    /// padding length — everything a candidate-expansion batch over this
+    /// cross view's history-row Q/K/V projections and the lin˙ term —
+    /// everything a candidate-expansion batch over this
     /// history would recompute identically on every request.
     ///
     /// The view is the forward's own history stage run once on that row, so
@@ -725,14 +726,12 @@ impl FrozenSeqFm {
                 }
             }
         };
-        let mut ffn_idx = 0usize;
         let mut view_col = 0usize;
         if ab.static_view {
             // Dense unmasked attention, replaying the tape's pipeline.
             project_static(0, &mut pu, &mut bufs);
             attention_into(bufs.q, bufs.k, bufs.v, None, scale, b, ns, d, bufs.scores, bufs.ctx);
-            self.pool_ffn_write(ffn_idx, b, ns, d, None, view_col, views, &mut bufs);
-            ffn_idx += 1;
+            self.pool_ffn_write(b, ns, d, view_col, views, &mut bufs);
             view_col += d;
         }
         if ab.dynamic_view {
@@ -743,7 +742,6 @@ impl FrozenSeqFm {
                 bufs.hagg[col..col + d]
                     .copy_from_slice(&view.dyn_pooled[hrow(bi) * d..(hrow(bi) + 1) * d]);
             }
-            ffn_idx += 1;
             view_col += d;
         }
         if ab.cross_view {
@@ -793,16 +791,7 @@ impl FrozenSeqFm {
                     bufs.ctx,
                 );
             }
-            self.pool_ffn_write(
-                ffn_idx,
-                b,
-                ns + nd,
-                d,
-                Some((&view.pad, ns)),
-                view_col,
-                views,
-                &mut bufs,
-            );
+            self.pool_ffn_write(b, ns + nd, d, view_col, views, &mut bufs);
         }
         let hagg = bufs.hagg;
 
@@ -864,7 +853,8 @@ impl Scorer for FrozenSeqFm {
     }
 }
 
-/// Embedding gather mirroring `Graph::gather`: zero rows for [`PAD`].
+/// Embedding gather mirroring `Graph::gather`: zero rows for
+/// [`PAD`](seqfm_data::PAD).
 ///
 /// # Panics
 /// Panics if an index is out of table range.
@@ -883,55 +873,23 @@ pub(crate) fn gather_rows(table: &Tensor, idx: &[i64], d: usize, out: &mut [f32]
     }
 }
 
-/// Intra-view pooling (Eq. 14), mirroring `SeqFm::pool` exactly: plain mean
-/// over rows, or — with the masked-pooling extension — an indicator-weighted
-/// sum rescaled by the true sequence length. `pads` holds one padding count
-/// per slice, or a single count every slice shares (a one-row history side).
-fn pool_into(
-    h: &[f32],
-    b: usize,
-    n: usize,
-    d: usize,
-    masked: bool,
-    pads: Option<(&[usize], usize)>,
-    out: &mut [f32],
-) {
+/// Intra-view mean pooling (Eq. 14), mirroring `Graph::mean_axis1`: the
+/// mean over the `n` rows of each of `b` slices.
+fn pool_into(h: &[f32], b: usize, n: usize, d: usize, out: &mut [f32]) {
     let h = &h[..b * n * d];
     let out = &mut out[..b * d];
-    match (masked, pads) {
-        (true, Some((pads, n_fixed))) => {
-            for bi in 0..b {
-                let pad = if pads.len() == 1 { pads[0] } else { pads[bi] };
-                let inv = 1.0 / ((n - pad) as f32).max(1.0);
-                let o = &mut out[bi * d..(bi + 1) * d];
-                o.fill(0.0);
-                for r in 0..n {
-                    let ind = if r >= n_fixed && r < n_fixed + pad { 0.0 } else { 1.0 };
-                    let row = &h[(bi * n + r) * d..(bi * n + r + 1) * d];
-                    for (ov, &hv) in o.iter_mut().zip(row) {
-                        *ov += hv * ind;
-                    }
-                }
-                for ov in o.iter_mut() {
-                    *ov *= inv;
-                }
+    let nf = n as f32;
+    for bi in 0..b {
+        let o = &mut out[bi * d..(bi + 1) * d];
+        o.fill(0.0);
+        for r in 0..n {
+            let row = &h[(bi * n + r) * d..(bi * n + r + 1) * d];
+            for (ov, &hv) in o.iter_mut().zip(row) {
+                *ov += hv;
             }
         }
-        _ => {
-            let nf = n as f32;
-            for bi in 0..b {
-                let o = &mut out[bi * d..(bi + 1) * d];
-                o.fill(0.0);
-                for r in 0..n {
-                    let row = &h[(bi * n + r) * d..(bi * n + r + 1) * d];
-                    for (ov, &hv) in o.iter_mut().zip(row) {
-                        *ov += hv;
-                    }
-                }
-                for ov in o.iter_mut() {
-                    *ov /= nf;
-                }
-            }
+        for ov in o.iter_mut() {
+            *ov /= nf;
         }
     }
 }
@@ -1021,15 +979,9 @@ mod tests {
         g.value(y).data().to_vec()
     }
 
-    fn all_variants() -> Vec<(&'static str, Ablation)> {
-        let mut v = Ablation::table5_variants();
-        v.extend(Ablation::extension_variants());
-        v
-    }
-
     #[test]
     fn frozen_matches_graph_bit_for_bit_across_all_variants() {
-        for (name, ab) in all_variants() {
+        for (name, ab) in Ablation::table5_variants() {
             let cfg =
                 SeqFmConfig { d: 8, max_seq: 6, dropout: 0.0, ablation: ab, ..Default::default() };
             let mut ps = ParamStore::new();
@@ -1069,7 +1021,7 @@ mod tests {
         // cached view, on an ordinary window and the degenerate ones (all
         // PAD, one item repeated to capacity, shorter than the window).
         let histories: [&[u32]; 4] = [&[1, 2, 5, 8, 3, 9], &[], &[7; 6], &[1, 2, 5, 8]];
-        for (name, ab) in all_variants() {
+        for (name, ab) in Ablation::table5_variants() {
             let cfg =
                 SeqFmConfig { d: 8, max_seq: 6, dropout: 0.0, ablation: ab, ..Default::default() };
             let mut ps = ParamStore::new();
@@ -1122,7 +1074,7 @@ mod tests {
         // Freeze θ′ as an ordinary `Exact` model and the two must agree on
         // every bit, for per-row histories, a shared-history batch, and a
         // cached view.
-        for (name, ab) in all_variants() {
+        for (name, ab) in Ablation::table5_variants() {
             let cfg =
                 SeqFmConfig { d: 8, max_seq: 6, dropout: 0.0, ablation: ab, ..Default::default() };
             let mut ps = ParamStore::new();
@@ -1187,7 +1139,7 @@ mod tests {
         ])
         .expect("valid batch");
         for (what, entries) in poisons {
-            for (name, ab) in all_variants() {
+            for (name, ab) in Ablation::table5_variants() {
                 let cfg = SeqFmConfig {
                     d: 8,
                     max_seq: 6,
@@ -1273,5 +1225,29 @@ mod tests {
     fn from_params_rejects_foreign_snapshot() {
         let ps = ParamStore::new();
         let _ = FrozenSeqFm::from_params(Arc::new(ps.freeze()), SeqFmConfig::default());
+    }
+
+    /// A snapshot of the default model at `d = 8`, three views.
+    fn snapshot_d8() -> Arc<FrozenParams> {
+        let cfg = SeqFmConfig { d: 8, max_seq: 6, ..Default::default() };
+        let mut ps = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        let _ = SeqFm::new(&mut ps, &mut rng, &layout(), cfg);
+        Arc::new(ps.freeze())
+    }
+
+    #[test]
+    #[should_panic(expected = "`seqfm.ffn0.0.ln.scale` is [8], config implies [4]")]
+    fn from_params_rejects_a_snapshot_of_another_width() {
+        let cfg = SeqFmConfig { d: 4, max_seq: 6, ..Default::default() };
+        let _ = FrozenSeqFm::from_params(snapshot_d8(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "`seqfm.p` is [24, 1], config implies [16, 1]")]
+    fn from_params_rejects_a_snapshot_of_another_view_set() {
+        let ablation = Ablation { static_view: false, ..Default::default() };
+        let cfg = SeqFmConfig { d: 8, max_seq: 6, ablation, ..Default::default() };
+        let _ = FrozenSeqFm::from_params(snapshot_d8(), cfg);
     }
 }

@@ -28,7 +28,7 @@ use crate::SeqModel;
 use rand::rngs::StdRng;
 use rand::Rng;
 use seqfm_autograd::{Graph, ParamId, ParamStore, Var};
-use seqfm_data::{Batch, FeatureLayout, PAD};
+use seqfm_data::{Batch, FeatureLayout};
 use seqfm_nn::{Embedding, ResidualFfn, SelfAttention};
 use seqfm_tensor::{Shape, Tensor};
 
@@ -46,8 +46,8 @@ pub struct SeqFm {
     attn_static: SelfAttention,
     attn_dynamic: SelfAttention,
     attn_cross: SelfAttention,
-    /// One shared FFN (paper) or one per active view (extension ablation).
-    ffns: Vec<ResidualFfn>,
+    /// The residual FFN every view shares (Eq. 15).
+    ffn: ResidualFfn,
     /// Output projection p ∈ R^{(views·d)×1} (Eq. 18).
     p: ParamId,
 }
@@ -73,10 +73,8 @@ impl SeqFm {
         let attn_static = SelfAttention::new(ps, rng, "seqfm.attn_static", d);
         let attn_dynamic = SelfAttention::new(ps, rng, "seqfm.attn_dynamic", d);
         let attn_cross = SelfAttention::new(ps, rng, "seqfm.attn_cross", d);
-        let n_ffns = if cfg.ablation.shared_ffn { 1 } else { cfg.ablation.active_views() };
-        let ffns = (0..n_ffns)
-            .map(|i| ResidualFfn::new(ps, rng, &format!("seqfm.ffn{i}"), d, cfg.layers))
-            .collect();
+        // `ffn0`, not `ffn`: the name checkpoints already carry.
+        let ffn = ResidualFfn::new(ps, rng, "seqfm.ffn0", d, cfg.layers);
         let views = cfg.ablation.active_views();
         let p = ps.add_dense("seqfm.p", seqfm_nn::init::xavier_uniform(rng, views * d, 1));
         SeqFm {
@@ -89,7 +87,7 @@ impl SeqFm {
             attn_static,
             attn_dynamic,
             attn_cross,
-            ffns,
+            ffn,
             p,
         }
     }
@@ -97,37 +95,6 @@ impl SeqFm {
     /// Model configuration.
     pub fn config(&self) -> &SeqFmConfig {
         &self.cfg
-    }
-
-    /// Intra-view pooling (Eq. 14): plain mean over rows, or — with the
-    /// `masked_pooling` extension — a mean over *real* (non-padded) rows
-    /// only.
-    fn pool(&self, g: &mut Graph, h: Var, pad_counts: Option<(&[usize], usize)>) -> Var {
-        match (self.cfg.ablation.masked_pooling, pad_counts) {
-            (true, Some((pads, n_fixed))) => {
-                let s = g.value(h).shape();
-                let (b, n, d) = (s.dim(0), s.dim(1), s.dim(2));
-                // indicator[b, n, d]: 0 for padded rows, 1 for real rows;
-                // the first `n - seq_len` *dynamic* rows of each sample are
-                // padded. `n_fixed` leading rows (cross view: the static
-                // block) are always real.
-                let mut ind = Tensor::ones(Shape::d3(b, n, d));
-                let mut inv = Tensor::zeros(Shape::d2(b, d));
-                for (bi, &pad) in pads.iter().enumerate().take(b) {
-                    for r in n_fixed..n_fixed + pad {
-                        ind.data_mut()[(bi * n + r) * d..(bi * n + r + 1) * d].fill(0.0);
-                    }
-                    let real = (n - pad) as f32;
-                    inv.data_mut()[bi * d..(bi + 1) * d].fill(1.0 / real.max(1.0));
-                }
-                let ind = g.input(ind);
-                let inv = g.input(inv);
-                let masked = g.mul(h, ind);
-                let summed = g.sum_axis1(masked);
-                g.mul(summed, inv)
-            }
-            _ => g.mean_axis1(h),
-        }
     }
 }
 
@@ -151,24 +118,17 @@ impl SeqModel for SeqFm {
         let e_s = self.emb_static.lookup(g, ps, &batch.static_idx, b, ns);
         let e_d = self.emb_dynamic.lookup(g, ps, &batch.dyn_idx, b, nd);
 
-        // Per-sample padding lengths (for the masked-pooling extension).
-        let pad_counts: Vec<usize> = (0..b)
-            .map(|bi| {
-                batch.dyn_idx[bi * nd..(bi + 1) * nd].iter().take_while(|&&i| i == PAD).count()
-            })
-            .collect();
-
-        // Multi-view self-attention + intra-view pooling.
+        // Multi-view self-attention + intra-view mean pooling (Eq. 14).
         let mut pooled: Vec<Var> = Vec::with_capacity(3);
         if ab.static_view {
             let h = self.attn_static.forward(g, ps, e_s);
-            pooled.push(self.pool(g, h, None));
+            pooled.push(g.mean_axis1(h));
         }
         if ab.dynamic_view {
             // One structured node: only the `j ≤ i` pairs Eq. 10 admits
             // are scored, forward and backward.
             let h = self.attn_dynamic.forward_causal(g, ps, e_d);
-            pooled.push(self.pool(g, h, Some((&pad_counts, 0))));
+            pooled.push(g.mean_axis1(h));
         }
         if ab.cross_view {
             // One stack [E°; E˙] (Eq. 12) so each projection stays a single
@@ -176,17 +136,14 @@ impl SeqModel for SeqFm {
             // pairs Eq. 13 admits are scored, forward and backward.
             let e_cross = g.concat_axis1(e_s, e_d);
             let h = self.attn_cross.forward_cross(g, ps, e_cross, ns);
-            pooled.push(self.pool(g, h, Some((&pad_counts, ns))));
+            pooled.push(g.mean_axis1(h));
         }
 
-        // Shared (or per-view) residual FFN (Eq. 15).
+        // Shared residual FFN (Eq. 15).
+        let (dropout, res, ln) = (self.cfg.dropout, ab.residual, ab.layer_norm);
         let processed: Vec<Var> = pooled
             .iter()
-            .enumerate()
-            .map(|(i, &h)| {
-                let ffn = if ab.shared_ffn { &self.ffns[0] } else { &self.ffns[i] };
-                ffn.forward(g, ps, h, self.cfg.dropout, training, rng, ab.residual, ab.layer_norm)
-            })
+            .map(|&h| self.ffn.forward(g, ps, h, dropout, training, rng, res, ln))
             .collect();
 
         // View-wise aggregation (Eq. 17) and output projection (Eq. 18).
@@ -344,6 +301,43 @@ mod tests {
     }
 
     #[test]
+    fn parameter_names_and_order_are_the_checkpoint_format() {
+        // Checkpoints are keyed by these names, and the creation order fixes
+        // the initial draws: a rename (say `ffn0` → `ffn`) would orphan every
+        // checkpoint already written.
+        for layers in [1usize, 2] {
+            let (_, ps, _) = build(SeqFmConfig { d: 8, layers, ..Default::default() });
+            let mut want: Vec<String> = [
+                "emb_static.table",
+                "emb_dynamic.table",
+                "w_static.table",
+                "w_dynamic.table",
+                "w0",
+                "attn_static.wq.w",
+                "attn_static.wk.w",
+                "attn_static.wv.w",
+                "attn_dynamic.wq.w",
+                "attn_dynamic.wk.w",
+                "attn_dynamic.wv.w",
+                "attn_cross.wq.w",
+                "attn_cross.wk.w",
+                "attn_cross.wv.w",
+            ]
+            .iter()
+            .map(|n| format!("seqfm.{n}"))
+            .collect();
+            for j in 0..layers {
+                for n in ["ln.scale", "ln.bias", "lin.w", "lin.b"] {
+                    want.push(format!("seqfm.ffn0.{j}.{n}"));
+                }
+            }
+            want.push("seqfm.p".into());
+            let got: Vec<&str> = ps.iter().map(|(_, p)| p.name()).collect();
+            assert_eq!(got, want, "layers = {layers}");
+        }
+    }
+
+    #[test]
     fn ablations_change_output_and_param_count() {
         let l = layout();
         let base_cfg = SeqFmConfig { d: 8, max_seq: 6, dropout: 0.0, ..Default::default() };
@@ -365,34 +359,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn masked_pooling_extension_changes_padded_outputs_only_slightly() {
-        // Same inputs, two pooling modes: outputs differ for padded samples.
-        let l = layout();
-        let mk = |masked: bool| {
-            let ab = Ablation { masked_pooling: masked, ..Default::default() };
-            let cfg =
-                SeqFmConfig { d: 8, max_seq: 6, dropout: 0.0, ablation: ab, ..Default::default() };
-            let mut ps = ParamStore::new();
-            let mut rng = StdRng::seed_from_u64(1);
-            let m = SeqFm::new(&mut ps, &mut rng, &l, cfg);
-            (m, ps)
-        };
-        let (m0, ps0) = mk(false);
-        let (m1, ps1) = mk(true);
-        let b = batch(&l, 6);
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut g0 = Graph::new();
-        let y0 = m0.forward(&mut g0, &ps0, &b, false, &mut rng);
-        let mut g1 = Graph::new();
-        let y1 = m1.forward(&mut g1, &ps1, &b, false, &mut rng);
-        // instance 2 has a full-length history (8 > 6 → no padding): with
-        // identical seeds the parameters are identical, so its logit matches.
-        let a = g0.value(y0).data();
-        let c = g1.value(y1).data();
-        assert!((a[2] - c[2]).abs() < 1e-5, "unpadded sample should be unaffected");
-        assert!((a[1] - c[1]).abs() > 1e-6, "heavily padded sample should differ");
     }
 }

@@ -156,7 +156,7 @@ pub struct FrozenParamsFast {
     pub(crate) emb_static: F16Table,
     pub(crate) emb_dynamic: F16Table,
     pub(crate) attn: [FastAttn; 3],
-    pub(crate) ffn_w: Vec<Vec<QuantMatrix>>,
+    pub(crate) ffn_w: Vec<QuantMatrix>,
 }
 
 impl FrozenParamsFast {
@@ -172,11 +172,7 @@ impl FrozenParamsFast {
                 wv: f16_effective(m.t(ids.wv)),
             }
         });
-        let ffn_w = m
-            .ffns
-            .iter()
-            .map(|layers| layers.iter().map(|l| QuantMatrix::from_tensor(m.t(l.w), d)).collect())
-            .collect();
+        let ffn_w = m.ffn.iter().map(|l| QuantMatrix::from_tensor(m.t(l.w), d)).collect();
         Self {
             emb_static: F16Table::from_tensor(m.t(m.emb_static), d),
             emb_dynamic: F16Table::from_tensor(m.t(m.emb_dynamic), d),

@@ -3,11 +3,11 @@
 //! SeqFM's split structure makes the user's sequence the object everything
 //! else is organised around: everything the frozen forward derives from the
 //! dynamic block *alone* — the dynamic view's pooled representation, the
-//! cross view's history-row Q/K/V projections, the dynamic linear term, the
-//! padding length — is independent of the candidates being scored (paper
-//! Eq. 11–14). A [`HistoryView`] is the output of the forward's own history
-//! stage (`FrozenSeqFm::build_history`, the only code that computes any of
-//! it), one row per distinct history it was run on. An uncached forward
+//! cross view's history-row Q/K/V projections, the dynamic linear term — is
+//! independent of the candidates being scored (paper Eq. 11–14). A
+//! [`HistoryView`] is the output of the forward's own history stage
+//! (`FrozenSeqFm::build_history`, the only code that computes any of it),
+//! one row per distinct history it was run on. An uncached forward
 //! builds the view its [`Scratch`](crate::Scratch) owns — one row when the
 //! batch repeats a history, one per batch row otherwise — and scores
 //! against it; a stateful serving layer builds a **one-row** view **once
@@ -42,11 +42,9 @@ pub struct HistoryView {
     pub(crate) nd: usize,
     /// Embedding width the view was built at.
     pub(crate) d: usize,
-    /// Number of leading padding slots per row, `[rows]` (sized even when
-    /// `nd == 0`: its length *is* the row count).
-    pub(crate) pad: Vec<usize>,
     /// Dynamic-side linear term Σ w˙\[i\] over each row's non-pad history
-    /// items, `[rows]`.
+    /// items, `[rows]` (sized even when `nd == 0`: its length *is* the row
+    /// count).
     pub(crate) lin_d: Vec<f32>,
     /// Pooled output of the dynamic view's attention + FFN stack,
     /// `[rows, d]` (empty when the dynamic view is ablated away).
@@ -74,19 +72,6 @@ impl HistoryView {
     /// Number of histories the view holds: 1 for every view handed out of
     /// the crate, the batch size for a per-row scratch view.
     pub(crate) fn rows(&self) -> usize {
-        self.pad.len()
-    }
-
-    /// Approximate heap footprint in bytes — what a bounded view cache
-    /// budgets per entry.
-    pub fn approx_bytes(&self) -> usize {
-        self.dyn_idx.len() * std::mem::size_of::<i64>()
-            + self.pad.len() * std::mem::size_of::<usize>()
-            + (self.lin_d.len()
-                + self.dyn_pooled.len()
-                + self.hist_q.len()
-                + self.hist_k.len()
-                + self.hist_v.len())
-                * std::mem::size_of::<f32>()
+        self.lin_d.len()
     }
 }

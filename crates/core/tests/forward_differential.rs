@@ -26,18 +26,12 @@ const LAYOUT: FeatureLayout = FeatureLayout { n_users: 6, n_items: 10 };
 const MAX_B: usize = 24;
 const MAX_HIST: usize = 10;
 
-fn all_variants() -> Vec<(&'static str, Ablation)> {
-    let mut v = Ablation::table5_variants();
-    v.extend(Ablation::extension_variants());
-    v
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn every_history_side_matches_the_graph_bitwise(
-        variant in 0..all_variants().len(),
+        variant in 0..Ablation::table5_variants().len(),
         d in 1usize..=12,
         max_seq in 1usize..=8,
         b in 1..=MAX_B,
@@ -51,7 +45,7 @@ proptest! {
         duplicate_cands in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let (name, ablation) = all_variants()[variant];
+        let (name, ablation) = Ablation::table5_variants()[variant];
         let cfg = SeqFmConfig { d, max_seq, dropout: 0.0, ablation, ..Default::default() };
         let mut ps = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(seed);

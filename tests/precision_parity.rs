@@ -1,7 +1,7 @@
 //! Fast-profile parity: `ScorerPrecision::Fast` must track the exact
 //! scorer within the documented per-logit ε, preserve ranking order, and
 //! keep pruned retrieval bit-identical to brute force — on every Table-V
-//! ablation variant and both extensions.
+//! ablation variant.
 //!
 //! The documented envelope (see `seqfm_core::precision`) is
 //! `|fast − exact| ≤ 2e-2 + 1e-2·|exact|`; the dominant error source is
@@ -25,12 +25,6 @@ const N_ITEMS: usize = 150;
 /// The documented per-logit ε budget of the fast profile.
 fn eps(exact: f32) -> f64 {
     2e-2 + 1e-2 * exact.abs() as f64
-}
-
-fn all_variants() -> Vec<(&'static str, Ablation)> {
-    let mut v = Ablation::table5_variants();
-    v.extend(Ablation::extension_variants());
-    v
 }
 
 fn build_pair(ablation: Ablation, seed: u64) -> (FrozenSeqFm, FrozenSeqFm, FeatureLayout) {
@@ -62,7 +56,7 @@ fn catalog_logits(model: &FrozenSeqFm, layout: &FeatureLayout, user: u32) -> Vec
 
 #[test]
 fn fast_logits_stay_inside_the_documented_epsilon_on_every_variant() {
-    for (vi, (name, ablation)) in all_variants().into_iter().enumerate() {
+    for (vi, (name, ablation)) in Ablation::table5_variants().into_iter().enumerate() {
         let (exact, fast, layout) = build_pair(ablation, 101 + vi as u64);
         assert_eq!(exact.name(), "SeqFM[frozen]");
         assert_eq!(fast.name(), "SeqFM[frozen:fast]");
@@ -94,7 +88,7 @@ fn fast_logits_stay_inside_the_documented_epsilon_on_every_variant() {
 #[test]
 fn fast_profile_preserves_ranking_order_on_every_variant() {
     const K: usize = 10;
-    for (vi, (name, ablation)) in all_variants().into_iter().enumerate() {
+    for (vi, (name, ablation)) in Ablation::table5_variants().into_iter().enumerate() {
         let (exact, fast, layout) = build_pair(ablation, 101 + vi as u64);
         let se = catalog_logits(&exact, &layout, 3);
         let sf = catalog_logits(&fast, &layout, 3);
@@ -143,7 +137,7 @@ fn fast_profile_preserves_ranking_order_on_every_variant() {
 /// scan bit-identical to fast brute force (same ids, same logit bits).
 #[test]
 fn fast_pruned_retrieval_is_bit_identical_to_fast_brute_force() {
-    for (vi, (name, ablation)) in all_variants().into_iter().enumerate() {
+    for (vi, (name, ablation)) in Ablation::table5_variants().into_iter().enumerate() {
         let (_, fast, layout) = build_pair(ablation, 211 + vi as u64);
         let fast = Arc::new(fast);
         let index = CatalogIndex::build(Arc::clone(&fast), layout, 16);

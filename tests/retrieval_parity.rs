@@ -1,8 +1,8 @@
 //! Full-catalog retrieval parity: the upper-bound-pruned blocked scan must
 //! return **exactly** the brute-force top-K — same item ids, same logit
-//! bits — for every Table-V ablation variant and both extensions, both on
-//! a cold stored history and immediately after a live `append_event`
-//! (the freshly bumped version forces a view rebuild mid-flight).
+//! bits — for every Table-V ablation variant, both on a cold stored history
+//! and immediately after a live `append_event` (the freshly bumped version
+//! forces a view rebuild mid-flight).
 //!
 //! The soundness chain under test: candidate-side convex envelopes and the
 //! LN z-ball (see `seqfm_core::bounds`) make every per-block upper bound
@@ -61,10 +61,7 @@ fn assert_bit_identical(name: &str, when: &str, pruned: &Retrieval, brute: &Retr
 
 #[test]
 fn pruned_retrieval_is_bit_identical_to_brute_force_across_all_variants() {
-    let mut variants = Ablation::table5_variants();
-    variants.extend(Ablation::extension_variants());
-
-    for (vi, (name, ablation)) in variants.into_iter().enumerate() {
+    for (vi, (name, ablation)) in Ablation::table5_variants().into_iter().enumerate() {
         let (frozen, layout) = build_variant(ablation, 150, 41 + vi as u64);
         let index = Arc::new(CatalogIndex::build(Arc::clone(&frozen), layout, 16));
         let engine_cfg =
