@@ -217,23 +217,39 @@ impl Graph {
                 self.acc(grads, *q, dq);
                 self.acc(grads, *k, dk);
             }
-            Op::AttentionCross { q, k, v, ns, scale, weights } => {
+            Op::AttentionCross { stat, hist, scale, weights } => {
                 let shape = node.value.shape();
                 let (bs, n, d) = (shape.dim(0), shape.dim(1), shape.dim(2));
-                let [mut dq, mut dk, mut dv] = [(); 3].map(|()| self.pooled_zeros(shape));
+                let ns = val(stat[0]).shape().dim(1);
+                let nd = n - ns;
+                let [mut sq, mut sk, mut sv] =
+                    [(); 3].map(|()| self.pooled_zeros(Shape::d3(bs, ns, d)));
+                let [mut hq, mut hk, mut hv] =
+                    [(); 3].map(|()| self.pooled_zeros(Shape::d3(bs, nd, d)));
                 attention_cross_rows_backward_into(
-                    [val(*q).data(), val(*k).data(), val(*v).data()],
+                    stat.map(|x| val(x).data()),
+                    ns * d,
+                    hist.map(|x| val(x).data()),
+                    nd * d,
                     weights,
                     dy.data(),
                     *scale,
-                    [bs, *ns, n - ns, d],
-                    [dq.data_mut(), dk.data_mut(), dv.data_mut()],
+                    [bs, ns, nd, d],
+                    [sq.data_mut(), sk.data_mut(), sv.data_mut()],
+                    [hq.data_mut(), hk.data_mut(), hv.data_mut()],
                 );
-                // The dense tape's arrival order: `bmm` reaches V before
-                // `bmm_nt` reaches Q, then K.
-                self.acc(grads, *v, dv);
-                self.acc(grads, *q, dq);
-                self.acc(grads, *k, dk);
+                // Per side, the dense tape's arrival order: `bmm` reaches V
+                // before `bmm_nt` reaches Q, then K (it fixes the sum's bits
+                // when one operand feeds all three). The sides are distinct
+                // operands, the history side first.
+                let [q_s, k_s, v_s] = *stat;
+                let [q_h, k_h, v_h] = *hist;
+                self.acc(grads, v_h, hv);
+                self.acc(grads, q_h, hq);
+                self.acc(grads, k_h, hk);
+                self.acc(grads, v_s, sv);
+                self.acc(grads, q_s, sq);
+                self.acc(grads, k_s, sk);
             }
             Op::LayerNorm { x, scale, bias, cache } => {
                 let xv = val(*x);

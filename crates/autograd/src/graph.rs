@@ -466,43 +466,48 @@ impl Graph {
         self.push(out, Op::AttentionCausal { q, k, v, scale, weights }, g)
     }
 
-    /// Structured cross-view attention (paper Eq. 11–13) over interleaved
-    /// `[b, ns + nd, d]` projections `q`/`k`/`v` whose first `ns` rows per
-    /// slice are the static features: each static row softmaxes over the
-    /// `nd` dynamic columns and each dynamic row over the `ns` static ones.
-    /// One node whose value and gradients are **bit-identical** to the dense
-    /// `bmm_nt → scale → softmax(+ cross mask) → bmm`
-    /// (see `seqfm_tensor::attention_cross_rows_into` and its backward),
-    /// without forming the `ns² + nd²` scores per slice the mask discards.
+    /// Structured cross-view attention (paper Eq. 11–13) between the static
+    /// rows' projections `stat = [q°, k°, v°]` (`[b, ns, d]` each) and the
+    /// history rows' `hist = [q˙, k˙, v˙]` (`[b, nd, d]` each): each static
+    /// row softmaxes over the `nd` history columns and each history row over
+    /// the `ns` static ones, into the interleaved `[b, ns + nd, d]` context
+    /// (static rows first). One node whose value and gradients are
+    /// **bit-identical** to the dense `bmm_nt → scale → softmax(+ cross
+    /// mask) → bmm` over the two sides stacked per operand (`[q°; q˙]`, …;
+    /// see `seqfm_tensor::attention_cross_rows_into` and its backward),
+    /// without the stack's copy or the `ns² + nd²` scores per slice the mask
+    /// discards. The two sides stay separate operands, so a history side
+    /// projected once can serve several candidate sides.
     ///
     /// # Panics
-    /// Panics unless `q`, `k`, `v` share one rank-3 shape with `ns ≤ n`.
-    pub fn attention_cross(&mut self, q: Var, k: Var, v: Var, ns: usize, scale: f32) -> Var {
-        let shape = self.value(q).shape();
-        let (bs, n, d) = dims3(self.value(q), "attention_cross q");
-        for (x, what) in [(k, "k"), (v, "v")] {
-            let s = self.value(x).shape();
-            assert!(s.same(&shape), "attention_cross {what} is {s} but q is {shape}");
-        }
-        assert!(ns <= n, "attention_cross: ns = {ns} exceeds the {n} rows of {shape}");
-        let nd = n - ns;
+    /// Panics unless the three `stat` operands share one rank-3 shape, the
+    /// three `hist` operands another, and the two agree on `b` and `d`.
+    pub fn attention_cross(&mut self, stat: [Var; 3], hist: [Var; 3], scale: f32) -> Var {
+        let side = |g: &Self, xs: [Var; 3], what: &str| {
+            let shape = g.value(xs[0]).shape();
+            for (x, name) in xs.into_iter().zip(["q", "k", "v"]) {
+                let s = g.value(x).shape();
+                assert!(s.same(&shape), "attention_cross {what} {name} is {s} but q is {shape}");
+            }
+            dims3(g.value(xs[0]), "attention_cross operand")
+        };
+        let (bs, ns, d) = side(self, stat, "static");
+        let (bh, nd, dh) = side(self, hist, "history");
+        assert_eq!((bs, d), (bh, dh), "attention_cross: static and history sides disagree");
         let mut weights = self.ws.take_vec(bs * 2 * ns * nd);
-        let mut out = self.pooled_zeros(shape);
-        let qkv = [q, k, v].map(|x| self.value(x).data());
-        // The history rows of slice `b` start `ns·d` into it.
-        let hist = qkv.map(|x| x.get(ns * d..).unwrap_or_default());
+        let mut out = self.pooled_zeros(Shape::d3(bs, ns + nd, d));
         attention_cross_rows_into(
-            qkv,
-            n * d,
-            hist,
-            n * d,
+            stat.map(|x| self.value(x).data()),
+            ns * d,
+            hist.map(|x| self.value(x).data()),
+            nd * d,
             scale,
             [bs, ns, nd, d],
             &mut weights,
             out.data_mut(),
         );
-        let g = self.ng(q) || self.ng(k) || self.ng(v);
-        self.push(out, Op::AttentionCross { q, k, v, ns, scale, weights }, g)
+        let g = stat.iter().chain(&hist).any(|&x| self.ng(x));
+        self.push(out, Op::AttentionCross { stat, hist, scale, weights }, g)
     }
 
     /// LayerNorm over the last dimension with learned scale and bias
@@ -608,8 +613,8 @@ impl Graph {
         self.push(out, Op::ConcatCols(parts.to_vec()), g)
     }
 
-    /// Concatenates two `[b,n,d]` tensors along axis 1 (cross-view stack,
-    /// Eq. 12).
+    /// Concatenates two `[b,n,d]` tensors along axis 1 (the baselines'
+    /// feature stacks).
     ///
     /// # Panics
     /// Panics if ranks/batch/last dims disagree.

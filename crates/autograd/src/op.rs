@@ -82,15 +82,14 @@ pub(crate) enum Op {
         scale: f32,
         weights: Vec<f32>,
     },
-    /// Structured cross-view attention over interleaved `[b, ns + nd, d]`
-    /// projections (Eq. 11–13): only static↔dynamic pairs are scored.
-    /// `weights` holds the two admitted softmax blocks per slice
-    /// (`2·ns·nd` floats), pooled like [`LnCache`].
+    /// Structured cross-view attention (Eq. 11–13) between the static
+    /// rows' `[b, ns, d]` projections `stat = [q°, k°, v°]` and the history
+    /// rows' `[b, nd, d]` projections `hist = [q˙, k˙, v˙]`: only
+    /// static↔dynamic pairs are scored. `weights` holds the two admitted
+    /// softmax blocks per slice (`2·ns·nd` floats), pooled like [`LnCache`].
     AttentionCross {
-        q: Var,
-        k: Var,
-        v: Var,
-        ns: usize,
+        stat: [Var; 3],
+        hist: [Var; 3],
         scale: f32,
         weights: Vec<f32>,
     },
@@ -111,7 +110,8 @@ pub(crate) enum Op {
     Reshape(Var),
     /// Concatenate rank-2 tensors along the last dim: `[b,d_i] → [b,Σd_i]`.
     ConcatCols(Vec<Var>),
-    /// Concatenate rank-3 tensors along axis 1 (cross-view stack, Eq. 12).
+    /// Concatenate rank-3 tensors along axis 1 (the baselines' feature
+    /// stacks).
     ConcatAxis1(Var, Var),
     /// Select rows along axis 1 by constant indices: `[b,n,d] → [b,|idx|,d]`.
     IndexSelectAxis1 {

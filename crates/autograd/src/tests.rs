@@ -187,7 +187,8 @@ fn grad_softmax_plain_and_masked() {
     });
     assert_grad_check(&mut ps, &[x], 5e-3, TOL, |g, ps| {
         let xv = g.param(ps, x);
-        let y = g.attention_cross(xv, xv, xv, 1, 1.0);
+        let (s, h) = (g.slice_axis1(xv, 0, 1), g.slice_axis1(xv, 1, 2));
+        let y = g.attention_cross([s; 3], [h; 3], 1.0);
         let sq = g.square(y);
         g.sum_all(sq)
     });
@@ -228,17 +229,24 @@ fn grad_attention_causal() {
 #[test]
 fn grad_attention_cross() {
     // Two static rows over three dynamic ones, and the degenerate one-row
-    // sides; every admitted weight is well away from 0, so the loss is
-    // smooth at finite-difference scale.
+    // sides, as separate static and history operands; every admitted weight
+    // is well away from 0, so the loss is smooth at finite-difference scale.
     let mut ps = ParamStore::new();
-    let q = p(&mut ps, "q", Shape::d3(2, 5, 3), 41);
-    let k = p(&mut ps, "k", Shape::d3(2, 5, 3), 42);
-    let v = p(&mut ps, "v", Shape::d3(2, 5, 3), 43);
-    for ns in [2, 1, 4] {
-        assert_grad_check(&mut ps, &[q, k, v], 5e-3, TOL, |g, ps| {
-            let (qv, kv, vv) = (g.param(ps, q), g.param(ps, k), g.param(ps, v));
-            let h = g.attention_cross(qv, kv, vv, ns, 1.0 / (3.0f32).sqrt());
-            assert_eq!(g.value(h).shape(), Shape::d3(2, 5, 3));
+    let scale = 1.0 / (3.0f32).sqrt();
+    for (ns, nd) in [(2usize, 3usize), (1, 4), (4, 1)] {
+        let seed = 40 + 10 * ns as u64;
+        let stat: [_; 3] = std::array::from_fn(|i| {
+            p(&mut ps, &format!("s{ns}.{i}"), Shape::d3(2, ns, 3), seed + i as u64)
+        });
+        let hist: [_; 3] = std::array::from_fn(|i| {
+            p(&mut ps, &format!("h{ns}.{i}"), Shape::d3(2, nd, 3), seed + 5 + i as u64)
+        });
+        let all: Vec<_> = stat.iter().chain(&hist).copied().collect();
+        assert_grad_check(&mut ps, &all, 5e-3, TOL, |g, ps| {
+            let sv = stat.map(|x| g.param(ps, x));
+            let hv = hist.map(|x| g.param(ps, x));
+            let h = g.attention_cross(sv, hv, scale);
+            assert_eq!(g.value(h).shape(), Shape::d3(2, ns + nd, 3));
             let sq = g.square(h);
             g.mean_all(sq)
         });
@@ -587,7 +595,8 @@ fn reset_graph_reuse_is_bit_identical_and_allocation_free() {
         let xv = g.input(Tensor::from_vec(x.shape(), x.data().to_vec()));
         let y = g.matmul(xv, wv);
         // Nodes that own a second pooled buffer (their saved weights).
-        let h = g.attention_cross(y, y, y, 1, 0.5);
+        let (ys, yh) = (g.slice_axis1(y, 0, 1), g.slice_axis1(y, 1, 2));
+        let h = g.attention_cross([ys; 3], [yh; 3], 0.5);
         let c = g.attention_causal(h, y, h, 0.5);
         let act = g.relu(c);
         let sq = g.square(act);

@@ -318,14 +318,27 @@ fn main() {
             attention_cross_rows_into(qkv, n * d, hist, n * d, scale, dims, &mut weights, &mut ctx);
             std::hint::black_box(ctx[0]);
         });
-        let mut grads = [(); 3].map(|()| vec![0.0f32; b * n * d]);
+        let mut stat_grads = [(); 3].map(|()| vec![0.0f32; b * ns * d]);
+        let mut hist_grads = [(); 3].map(|()| vec![0.0f32; b * nd * d]);
         let bwd_structured = p50(10, 200, || {
-            let [dq, dk, dv] = &mut grads;
-            for g in [&mut *dq, &mut *dk, &mut *dv] {
+            let [sq, sk, sv] = &mut stat_grads;
+            let [hq, hk, hv] = &mut hist_grads;
+            for g in [&mut *sq, &mut *sk, &mut *sv, &mut *hq, &mut *hk, &mut *hv] {
                 g.fill(0.0);
             }
-            attention_cross_rows_backward_into(qkv, &weights, d_out, scale, dims, [dq, dk, dv]);
-            std::hint::black_box(grads[0][0]);
+            attention_cross_rows_backward_into(
+                qkv,
+                n * d,
+                hist,
+                n * d,
+                &weights,
+                d_out,
+                scale,
+                dims,
+                [sq, sk, sv],
+                [hq, hk, hv],
+            );
+            std::hint::black_box(stat_grads[0][0]);
         });
         fields.push_str(&format!(
             "  \"attention_cross_rows_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_structured_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_backward_dense_b{b}_n{n}_d{d}_us\": {:.1},\n  \"attention_cross_rows_backward_structured_b{b}_n{n}_d{d}_us\": {:.1},\n",

@@ -750,8 +750,9 @@ impl FrozenSeqFm {
             // the view's `rows` blocks of `[nd, d]`, and the structured
             // kernels read both in place — bit-identical to the dense masked
             // pipeline over the spliced stack (pinned in the tensor crate)
-            // and to the tape's cross-attention node, minus the splice
-            // copies and the ~83 % of scores the cross mask discards.
+            // and to the tape's cross-attention node, which takes the same
+            // split operands, minus the splice copies and the ~83 % of
+            // scores the cross mask discards.
             //
             // One history *and* one user: the `[1 + b, d]` unique
             // projections go to the kernel as they are — row 0 the static

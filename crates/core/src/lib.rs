@@ -97,6 +97,52 @@ pub trait SeqModel: Send + Sync {
         training: bool,
         rng: &mut StdRng,
     ) -> Var;
+
+    /// Scores a BPR pair (Eq. 21): `(forward(pos), forward(neg))` on one
+    /// tape, with the RNG drawn in that order — the positive's draws, then
+    /// the negative's.
+    ///
+    /// **Precondition:** `pos` and `neg` hold the same rows' histories —
+    /// equal `n_dynamic` and `dyn_idx` — and differ only in their static
+    /// features (each positive's user with a sampled negative item). A
+    /// sequence-aware model may then build everything that depends on the
+    /// history once for both batches; SeqFM does (its dynamic view, the
+    /// cross view's history projections and `w˙`), and its scores are
+    /// bit-identical to two [`forward`](Self::forward)s.
+    ///
+    /// The default implementation is exactly those two `forward`s, so a
+    /// model without a shared history side (every baseline) trains bit for
+    /// bit as before.
+    ///
+    /// # Panics
+    /// Panics if `pos` and `neg` differ in their dynamic features.
+    fn forward_pair(
+        &self,
+        g: &mut Graph,
+        ps: &ParamStore,
+        pos: &Batch,
+        neg: &Batch,
+        training: bool,
+        rng: &mut StdRng,
+    ) -> (Var, Var) {
+        assert_same_histories(pos, neg);
+        let y_pos = self.forward(g, ps, pos, training, rng);
+        let y_neg = self.forward(g, ps, neg, training, rng);
+        (y_pos, y_neg)
+    }
+}
+
+/// [`SeqModel::forward_pair`]'s precondition: `pos` and `neg` share every
+/// row's history.
+///
+/// # Panics
+/// Panics if their dynamic widths or dynamic indices differ.
+pub(crate) fn assert_same_histories(pos: &Batch, neg: &Batch) {
+    assert!(
+        pos.n_dynamic == neg.n_dynamic && pos.dyn_idx == neg.dyn_idx,
+        "forward_pair: the positive and negative batches must share their histories \
+         (equal n_dynamic and dyn_idx)"
+    );
 }
 
 // Boxed models forward the trait, so `Box<dyn SeqModel + Send + Sync>` (the
@@ -116,6 +162,18 @@ impl<M: SeqModel + ?Sized> SeqModel for Box<M> {
         rng: &mut StdRng,
     ) -> Var {
         (**self).forward(g, ps, batch, training, rng)
+    }
+
+    fn forward_pair(
+        &self,
+        g: &mut Graph,
+        ps: &ParamStore,
+        pos: &Batch,
+        neg: &Batch,
+        training: bool,
+        rng: &mut StdRng,
+    ) -> (Var, Var) {
+        (**self).forward_pair(g, ps, pos, neg, training, rng)
     }
 }
 

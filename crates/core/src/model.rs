@@ -8,7 +8,7 @@
 //!
 //! hagg = [ FFN(pool(SelfAttn(E°)))            — static view   (Eq. 8)
 //!        ; FFN(pool(CausalSelfAttn(E˙)))      — dynamic view  (Eq. 9–10)
-//!        ; FFN(pool(CrossSelfAttn([E°;E˙]))) ] — cross view    (Eq. 11–13)
+//!        ; FFN(pool(CrossSelfAttn(E°, E˙)))  ] — cross view    (Eq. 11–13)
 //! ```
 //!
 //! with intra-view mean pooling (Eq. 14) and the *shared* l-layer residual
@@ -22,14 +22,33 @@
 //! ([`Graph::attention_causal`], [`Graph::attention_cross`]) that never uses
 //! a blocked score — forward or backward — and is bit-identical to the dense
 //! masked chain; [`crate::FrozenSeqFm`] runs the same kernels.
+//!
+//! ## History side, then candidate side
+//!
+//! A pass runs in two halves, the frozen forward's structure. The **history
+//! side** depends on the dynamic features alone: `E˙`, the dynamic view
+//! (pooled), the cross view's history projections `E˙·W_Q/K/V` (with the
+//! param vars the static rows reuse) and `Σ w˙`. The **candidate side**
+//! takes it from there: `E°`, the static view, the cross node over the
+//! static rows' projections and the history side's, the shared FFN over
+//! every view, the head and the linear terms. [`SeqModel::forward`] is the
+//! candidate side of its own history side; [`SeqModel::forward_pair`] builds
+//! one history side for a BPR pair and runs the candidate side twice, every
+//! value bit-identical to two `forward`s.
+//!
+//! The dynamic view and `Σ w˙` are candidate-independent: they shift ŷ⁺ and
+//! ŷ⁻ of a pair alike. Under BPR (Eq. 21), which sees only ŷ⁺ − ŷ⁻, `w˙`
+//! therefore gets an exactly-zero gradient, and the dynamic view trains
+//! only through the dropout noise that makes its two FFN passes differ;
+//! neither can reorder the candidates of one history.
 
 use crate::config::SeqFmConfig;
-use crate::SeqModel;
+use crate::{assert_same_histories, SeqModel};
 use rand::rngs::StdRng;
 use rand::Rng;
 use seqfm_autograd::{Graph, ParamId, ParamStore, Var};
 use seqfm_data::{Batch, FeatureLayout};
-use seqfm_nn::{Embedding, ResidualFfn, SelfAttention};
+use seqfm_nn::{CrossHistory, Embedding, ResidualFfn, SelfAttention};
 use seqfm_tensor::{Shape, Tensor};
 
 /// Sequence-Aware Factorization Machine.
@@ -50,6 +69,18 @@ pub struct SeqFm {
     ffn: ResidualFfn,
     /// Output projection p ∈ R^{(views·d)×1} (Eq. 18).
     p: ParamId,
+}
+
+/// What a pass derives from the dynamic features alone (Eq. 9–12 and the
+/// `w˙` linear term): the same for every candidate scored against these
+/// histories. Built by [`SeqFm::history`], consumed by [`SeqFm::candidate`].
+struct HistorySide {
+    /// The dynamic view, mean-pooled (`[b, d]`), when the view is active.
+    dynamic: Option<Var>,
+    /// The cross view's history rows projected, when the view is active.
+    cross: Option<CrossHistory>,
+    /// `Σ w˙ᵢ` over the active dynamic features (`[b, 1]`).
+    lin_d: Var,
 }
 
 impl SeqFm {
@@ -96,6 +127,82 @@ impl SeqFm {
     pub fn config(&self) -> &SeqFmConfig {
         &self.cfg
     }
+
+    /// The history side of one pass over `batch` (see the module docs).
+    /// Draws nothing from an RNG: dropout lives in the candidate side.
+    fn history(&self, g: &mut Graph, ps: &ParamStore, batch: &Batch) -> HistorySide {
+        let (b, nd) = (batch.len, batch.n_dynamic);
+        let ab = &self.cfg.ablation;
+        // Embedding layer (Eq. 5), dynamic block.
+        let e_d = self.emb_dynamic.lookup(g, ps, &batch.dyn_idx, b, nd);
+        // One structured node: only the `j ≤ i` pairs Eq. 10 admits are
+        // scored, forward and backward; then intra-view pooling (Eq. 14).
+        let dynamic = ab.dynamic_view.then(|| {
+            let h = self.attn_dynamic.forward_causal(g, ps, e_d);
+            g.mean_axis1(h)
+        });
+        let cross = ab.cross_view.then(|| self.attn_cross.project_history(g, ps, e_d));
+        let wd = self.w_dynamic.lookup(g, ps, &batch.dyn_idx, b, nd);
+        let lin_d = g.sum_axis1(wd);
+        HistorySide { dynamic, cross, lin_d }
+    }
+
+    /// The candidate side of one pass over `batch`, against the history
+    /// side `h` of the same histories: the static view, the cross node, the
+    /// shared FFN over every active view (the only RNG draws, in view
+    /// order), the head and the linear terms.
+    fn candidate(
+        &self,
+        g: &mut Graph,
+        ps: &ParamStore,
+        batch: &Batch,
+        h: &HistorySide,
+        training: bool,
+        rng: &mut StdRng,
+    ) -> Var {
+        let (b, ns) = (batch.len, batch.n_static);
+        let ab = &self.cfg.ablation;
+
+        // Embedding layer (Eq. 5), static block.
+        let e_s = self.emb_static.lookup(g, ps, &batch.static_idx, b, ns);
+
+        // Multi-view self-attention + intra-view mean pooling (Eq. 14).
+        let mut pooled: Vec<Var> = Vec::with_capacity(3);
+        if ab.static_view {
+            let hs = self.attn_static.forward(g, ps, e_s);
+            pooled.push(g.mean_axis1(hs));
+        }
+        pooled.extend(h.dynamic);
+        if let Some(cross) = &h.cross {
+            // The static rows through the history side's projections, then
+            // the structured node: only the static↔dynamic pairs Eq. 13
+            // admits are scored, forward and backward.
+            let hc = self.attn_cross.forward_cross(g, e_s, cross);
+            pooled.push(g.mean_axis1(hc));
+        }
+
+        // Shared residual FFN (Eq. 15).
+        let (dropout, res, ln) = (self.cfg.dropout, ab.residual, ab.layer_norm);
+        let processed: Vec<Var> = pooled
+            .iter()
+            .map(|&x| self.ffn.forward(g, ps, x, dropout, training, rng, res, ln))
+            .collect();
+
+        // View-wise aggregation (Eq. 17) and output projection (Eq. 18).
+        let hagg = if processed.len() == 1 { processed[0] } else { g.concat_cols(&processed) };
+        let p = g.param(ps, self.p);
+        let f = g.matmul(hagg, p); // [b, 1]
+
+        // Linear terms (Eq. 4): w₀ + Σ w°ᵢ + Σ w˙ᵢ over active features.
+        let ws = self.w_static.lookup(g, ps, &batch.static_idx, b, ns); // [b, ns, 1]
+        let lin_s = g.sum_axis1(ws); // [b, 1]
+        let lin = g.add(lin_s, h.lin_d);
+
+        let mut out = g.add(f, lin);
+        let w0 = g.param(ps, self.w0);
+        out = g.add_bias(out, w0);
+        g.reshape(out, Shape::d1(b))
+    }
 }
 
 impl SeqModel for SeqFm {
@@ -111,57 +218,24 @@ impl SeqModel for SeqFm {
         training: bool,
         rng: &mut StdRng,
     ) -> Var {
-        let (b, ns, nd) = (batch.len, batch.n_static, batch.n_dynamic);
-        let ab = &self.cfg.ablation;
+        let h = self.history(g, ps, batch);
+        self.candidate(g, ps, batch, &h, training, rng)
+    }
 
-        // Embedding layer (Eq. 5).
-        let e_s = self.emb_static.lookup(g, ps, &batch.static_idx, b, ns);
-        let e_d = self.emb_dynamic.lookup(g, ps, &batch.dyn_idx, b, nd);
-
-        // Multi-view self-attention + intra-view mean pooling (Eq. 14).
-        let mut pooled: Vec<Var> = Vec::with_capacity(3);
-        if ab.static_view {
-            let h = self.attn_static.forward(g, ps, e_s);
-            pooled.push(g.mean_axis1(h));
-        }
-        if ab.dynamic_view {
-            // One structured node: only the `j ≤ i` pairs Eq. 10 admits
-            // are scored, forward and backward.
-            let h = self.attn_dynamic.forward_causal(g, ps, e_d);
-            pooled.push(g.mean_axis1(h));
-        }
-        if ab.cross_view {
-            // One stack [E°; E˙] (Eq. 12) so each projection stays a single
-            // matmul, then the structured node: only the static↔dynamic
-            // pairs Eq. 13 admits are scored, forward and backward.
-            let e_cross = g.concat_axis1(e_s, e_d);
-            let h = self.attn_cross.forward_cross(g, ps, e_cross, ns);
-            pooled.push(g.mean_axis1(h));
-        }
-
-        // Shared residual FFN (Eq. 15).
-        let (dropout, res, ln) = (self.cfg.dropout, ab.residual, ab.layer_norm);
-        let processed: Vec<Var> = pooled
-            .iter()
-            .map(|&h| self.ffn.forward(g, ps, h, dropout, training, rng, res, ln))
-            .collect();
-
-        // View-wise aggregation (Eq. 17) and output projection (Eq. 18).
-        let hagg = if processed.len() == 1 { processed[0] } else { g.concat_cols(&processed) };
-        let p = g.param(ps, self.p);
-        let f = g.matmul(hagg, p); // [b, 1]
-
-        // Linear terms (Eq. 4): w₀ + Σ w°ᵢ + Σ w˙ᵢ over active features.
-        let ws = self.w_static.lookup(g, ps, &batch.static_idx, b, ns); // [b, ns, 1]
-        let lin_s = g.sum_axis1(ws); // [b, 1]
-        let wd = self.w_dynamic.lookup(g, ps, &batch.dyn_idx, b, nd);
-        let lin_d = g.sum_axis1(wd);
-        let lin = g.add(lin_s, lin_d);
-
-        let mut out = g.add(f, lin);
-        let w0 = g.param(ps, self.w0);
-        out = g.add_bias(out, w0);
-        g.reshape(out, Shape::d1(b))
+    fn forward_pair(
+        &self,
+        g: &mut Graph,
+        ps: &ParamStore,
+        pos: &Batch,
+        neg: &Batch,
+        training: bool,
+        rng: &mut StdRng,
+    ) -> (Var, Var) {
+        assert_same_histories(pos, neg);
+        let h = self.history(g, ps, pos);
+        let y_pos = self.candidate(g, ps, pos, &h, training, rng);
+        let y_neg = self.candidate(g, ps, neg, &h, training, rng);
+        (y_pos, y_neg)
     }
 }
 
@@ -208,20 +282,134 @@ mod tests {
         // The benchmark's training geometry, [128, 2 + 20, 32], dropout off:
         // 93 nodes when every projection was reshape → matmul → reshape (18
         // copies) and the cross view a four-node dense masked chain; 72
-        // while the dynamic view still was such a chain.
+        // while the dynamic view still was such a chain; 69 while the cross
+        // view projected a stacked `[E°; E˙]` copy. Now 71: the stack is
+        // gone and the static rows take three projection matmuls of their
+        // own, through the history side's param vars.
         let l = FeatureLayout { n_users: 40, n_items: 60 };
         let cfg = SeqFmConfig { d: 32, max_seq: 20, dropout: 0.0, ..Default::default() };
         let mut ps = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(1);
         let m = SeqFm::new(&mut ps, &mut rng, &l, cfg);
-        let insts: Vec<_> = (0..128u32)
-            .map(|i| build_instance(&l, i % 40, i % 60, &[i % 60, (i * 7) % 60], 20, 1.0))
-            .collect();
-        let b = Batch::try_from_instances(&insts).expect("valid batch");
+        let insts = |item: fn(u32) -> u32| -> Batch {
+            let insts: Vec<_> = (0..128u32)
+                .map(|i| build_instance(&l, i % 40, item(i), &[i % 60, (i * 7) % 60], 20, 1.0))
+                .collect();
+            Batch::try_from_instances(&insts).expect("valid batch")
+        };
+        let (pos, neg) = (insts(|i| i % 60), insts(|i| (i * 11 + 5) % 60));
         let mut g = Graph::new();
-        let y = m.forward(&mut g, &ps, &b, true, &mut rng);
+        let y = m.forward(&mut g, &ps, &pos, true, &mut rng);
         assert_eq!(g.value(y).shape(), Shape::d1(128));
-        assert!(g.len() <= 69, "{} tape nodes: a flatten or an unfused chain is back", g.len());
+        assert!(g.len() <= 71, "{} tape nodes: a flatten or an unfused chain is back", g.len());
+
+        // One BPR pair: 125 nodes, the 17 of the history side (the gather
+        // of E˙, the dynamic view, the cross view's history projections,
+        // `w˙`) once — two forwards take 142 (138 with the stacked copy).
+        let mut g = Graph::new();
+        let (y_pos, y_neg) = m.forward_pair(&mut g, &ps, &pos, &neg, true, &mut rng);
+        assert_eq!(g.value(y_pos).shape(), Shape::d1(128));
+        assert_eq!(g.value(y_neg).shape(), Shape::d1(128));
+        assert!(g.len() <= 125, "{} tape nodes: the pair builds its history side twice", g.len());
+    }
+
+    /// The benchmark's training geometry as one BPR pair: 128 rows over 40
+    /// users × 60 items, histories of 0–24 items (so both padded and
+    /// truncated windows of n˙ = 20), each negative with its positive's
+    /// user and history.
+    fn bpr_pair(l: &FeatureLayout) -> (Batch, Batch) {
+        let rows = |neg: bool| -> Batch {
+            let insts: Vec<_> = (0..128u32)
+                .map(|i| {
+                    let hist: Vec<u32> = (0..i % 25).map(|t| (i * 3 + t * 7) % 60).collect();
+                    let item = if neg { (i * 11 + 5) % 60 } else { (i * 13) % 60 };
+                    build_instance(l, i % 40, item, &hist, 20, if neg { 0.0 } else { 1.0 })
+                })
+                .collect();
+            Batch::try_from_instances(&insts).expect("valid batch")
+        };
+        (rows(false), rows(true))
+    }
+
+    /// One BPR step from a seeded RNG, `paired` through `forward_pair`,
+    /// else through two `forward`s: the bits of `y⁺`, `y⁻` and the loss,
+    /// then every parameter's gradient.
+    fn bpr_step(
+        m: &dyn SeqModel,
+        ps: &mut ParamStore,
+        (pos, neg): &(Batch, Batch),
+        paired: bool,
+    ) -> ([Vec<u32>; 3], Vec<Vec<f32>>) {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut g = Graph::new();
+        let (y_pos, y_neg) = if paired {
+            m.forward_pair(&mut g, ps, pos, neg, true, &mut rng)
+        } else {
+            let y_pos = m.forward(&mut g, ps, pos, true, &mut rng);
+            (y_pos, m.forward(&mut g, ps, neg, true, &mut rng))
+        };
+        let loss = crate::train::bpr_loss(&mut g, y_pos, y_neg);
+        ps.zero_grads();
+        g.backward(loss, ps);
+        let values = [bits(g.value(y_pos)), bits(g.value(y_neg)), bits(g.value(loss))];
+        (values, ps.iter().map(|(_, p)| p.grad().data().to_vec()).collect())
+    }
+
+    #[test]
+    fn forward_pair_scores_like_two_forwards_and_shares_the_history_gradient() {
+        // Dropout on, so each candidate side draws its own masks: the
+        // positive's, then the negative's, as two forwards would.
+        let l = FeatureLayout { n_users: 40, n_items: 60 };
+        let pair = bpr_pair(&l);
+        for (name, ablation) in Ablation::table5_variants() {
+            let cfg =
+                SeqFmConfig { d: 32, max_seq: 20, dropout: 0.6, ablation, ..Default::default() };
+            let mut ps = ParamStore::new();
+            let m = SeqFm::new(&mut ps, &mut StdRng::seed_from_u64(1), &l, cfg);
+            let (want, want_grads) = bpr_step(&m, &mut ps, &pair, false);
+            let (got, got_grads) = bpr_step(&m, &mut ps, &pair, true);
+            for (what, (g, w)) in ["y⁺", "y⁻", "loss"].iter().zip(got.iter().zip(&want)) {
+                assert_eq!(g, w, "{name}: {what} moved");
+            }
+            // Gradients move only by rounding: the history side sums its
+            // two candidates' contributions before projecting them back.
+            for ((_, p), (g, w)) in ps.iter().zip(got_grads.iter().zip(&want_grads)) {
+                if p.name() == "seqfm.w_dynamic.table" {
+                    // Σ w˙ is one shared term of ŷ⁺ and ŷ⁻, so BPR's
+                    // gradient of it cancels exactly.
+                    assert!(g.iter().all(|&x| x == 0.0), "{name}: w˙ gradient not zero");
+                    continue;
+                }
+                let norm = |x: &mut dyn Iterator<Item = f32>| {
+                    x.map(|v| v as f64 * v as f64).sum::<f64>().sqrt()
+                };
+                let diff = norm(&mut g.iter().zip(w).map(|(a, b)| a - b));
+                let scale = norm(&mut w.iter().copied());
+                assert!(
+                    diff <= 1e-5 * scale,
+                    "{name}: {} gradient moved by {:.2e} (L2-relative)",
+                    p.name(),
+                    diff / scale
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must share their histories")]
+    fn forward_pair_rejects_batches_with_different_histories() {
+        let l = layout();
+        let cfg = SeqFmConfig { d: 8, max_seq: 6, ..Default::default() };
+        let (m, ps, mut rng) = build(cfg);
+        let pos = batch(&l, 6);
+        let insts = vec![
+            build_instance(&l, 0, 4, &[1, 2, 5], 6, 0.0),
+            build_instance(&l, 2, 8, &[4, 4], 6, 0.0),
+            build_instance(&l, 5, 1, &[0, 1, 2, 3, 4, 5, 6, 7], 6, 0.0),
+        ];
+        let neg = Batch::try_from_instances(&insts).expect("valid batch");
+        m.forward_pair(&mut Graph::new(), &ps, &pos, &neg, true, &mut rng);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! [`SeqModel`], apply the task loss, and step Adam (§IV-D).
 //!
 //! * ranking — BPR pairwise loss over (positive, sampled-negative) pairs
-//!   (Eq. 21);
+//!   (Eq. 21). A negative keeps its positive's user and history, so each
+//!   step runs one paired pass, [`SeqModel::forward_pair`]: SeqFM builds
+//!   the history side (the dynamic view, the cross view's history
+//!   projections, `w˙`) once for both batches;
 //! * CTR — log loss with `ctr_negatives` sampled negatives per positive
 //!   (Eq. 24, §IV-D uses 5);
 //! * rating — squared error (Eq. 26), no negative sampling.
@@ -137,10 +140,12 @@ pub fn bpr_loss(g: &mut Graph, y_pos: Var, y_neg: Var) -> Var {
 }
 
 /// Builds the BPR pairwise loss (Eq. 21) for one shard of positions,
-/// drawing one negative per positive from `rng`. Shared verbatim by the
-/// serial path (shard == whole chunk, `rng` == the run RNG) and by every
-/// data-parallel worker (shard slice, per-shard stream), so both consume
-/// randomness and emit graph ops in the identical order.
+/// drawing one negative per positive from `rng`. The negatives share their
+/// positives' histories, so one [`SeqModel::forward_pair`] scores both
+/// batches. Shared verbatim by the serial path (shard == whole chunk, `rng`
+/// == the run RNG) and by every data-parallel worker (shard slice,
+/// per-shard stream), so both consume randomness and emit graph ops in the
+/// identical order.
 #[allow(clippy::too_many_arguments)]
 fn ranking_shard_loss(
     model: &dyn SeqModel,
@@ -164,8 +169,7 @@ fn ranking_shard_loss(
     }
     let pb = shard_batch(&pos);
     let nb = shard_batch(&neg);
-    let y_pos = model.forward(g, ps, &pb, true, rng);
-    let y_neg = model.forward(g, ps, &nb, true, rng);
+    let (y_pos, y_neg) = model.forward_pair(g, ps, &pb, &nb, true, rng);
     bpr_loss(g, y_pos, y_neg)
 }
 

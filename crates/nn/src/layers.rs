@@ -141,7 +141,8 @@ impl LayerNorm {
 /// dense pipeline (the static view); the two masked views are structural,
 /// one tape node each that never uses a blocked score:
 /// [`Self::forward_causal`] (the dynamic view) and [`Self::forward_cross`]
-/// (the cross view).
+/// (the cross view, whose history side [`Self::project_history`] builds
+/// once).
 pub struct SelfAttention {
     wq: Linear,
     wk: Linear,
@@ -192,17 +193,41 @@ impl SelfAttention {
         g.attention_causal(q, k, v, self.scale())
     }
 
-    /// Cross-view attention (Eq. 11–13) over the stack `e: [b, ns + nd, d]`
-    /// whose first `ns` rows per sample are the static features. Values and
-    /// every gradient are bit-identical to the dense pipeline under the
-    /// cross mask — the projections are the same three matmuls on the
-    /// concatenated input — through one
-    /// [`Graph::attention_cross`] node that scores only the `2·ns·nd`
-    /// admitted pairs of each sample's `(ns + nd)²`.
-    pub fn forward_cross(&self, g: &mut Graph, ps: &ParamStore, e: Var, ns: usize) -> Var {
-        let [q, k, v] = self.project(g, ps, e);
-        g.attention_cross(q, k, v, ns, self.scale())
+    /// The cross view's history side (Eq. 11–12): `E˙·W_Q`, `E˙·W_K` and
+    /// `E˙·W_V` for the history block `e_d: [b, nd, d]`, projected once and
+    /// kept with the three projection param vars that the static rows
+    /// reuse in [`Self::forward_cross`].
+    pub fn project_history(&self, g: &mut Graph, ps: &ParamStore, e_d: Var) -> CrossHistory {
+        let w = [&self.wq, &self.wk, &self.wv].map(|l| g.param(ps, l.w));
+        let qkv = w.map(|w| g.matmul(e_d, w));
+        CrossHistory { w, qkv }
     }
+
+    /// Cross-view attention (Eq. 11–13) of the static rows `e_s: [b, ns, d]`
+    /// against a history side from [`Self::project_history`]: the static
+    /// rows are projected through the history side's own param vars, then
+    /// one [`Graph::attention_cross`] node scores only the `2·ns·nd`
+    /// admitted pairs of each sample's `(ns + nd)²`. Output
+    /// `[b, ns + nd, d]`, static rows first. Values and every gradient are
+    /// bit-identical to the dense pipeline under the cross mask over these
+    /// same projections stacked (`[E°·W; E˙·W]`). Against one projection of
+    /// the stacked input `[E°; E˙]`, every value is still identical — each
+    /// projected row is its own chain — and only each `∂W` sum moves by
+    /// rounding, now a static part plus a history part.
+    pub fn forward_cross(&self, g: &mut Graph, e_s: Var, hist: &CrossHistory) -> Var {
+        let stat = hist.w.map(|w| g.matmul(e_s, w));
+        g.attention_cross(stat, hist.qkv, self.scale())
+    }
+}
+
+/// The history side of a [`SelfAttention::forward_cross`]: the history
+/// block's Q/K/V projections and the `W_Q`/`W_K`/`W_V` param vars behind
+/// them. Independent of the static rows, so several candidate batches over
+/// the same histories share one.
+#[derive(Clone, Copy, Debug)]
+pub struct CrossHistory {
+    w: [Var; 3],
+    qkv: [Var; 3],
 }
 
 /// One layer of the paper's residual feed-forward network:
@@ -553,44 +578,34 @@ mod tests {
         out
     }
 
-    /// The dense masked composition on the tape,
-    /// `softmax(E·W_Q·(E·W_K)ᵀ/√d + M)·E·W_V`: the oracle's additive
+    /// The dense masked composition on the tape over projections
+    /// `[q, k, v]`, `softmax(Q·Kᵀ/√d + M)·V`: the oracle's additive
     /// `[n, n]` mask `M` enters as a constant input broadcast over the batch,
     /// added to the scaled scores, then a plain softmax — the same
     /// arithmetic, forward and backward, as the masked softmax node the tape
     /// once had.
-    fn forward_dense_masked(
-        attn: &SelfAttention,
-        g: &mut Graph,
-        ps: &ParamStore,
-        e: Var,
-        mask: &[f32],
-    ) -> Var {
-        let [q, k, v] = attn.project(g, ps, e);
+    fn dense_masked(attn: &SelfAttention, g: &mut Graph, [q, k, v]: [Var; 3], mask: &[f32]) -> Var {
         let scores = g.bmm_nt(q, k);
         let scaled = g.scale(scores, attn.scale());
-        let (b, n) = (g.value(e).shape().dim(0), g.value(e).shape().dim(1));
+        let (b, n) = (g.value(q).shape().dim(0), g.value(q).shape().dim(1));
         let m = g.input(Tensor::from_vec(Shape::d3(b, n, n), mask.repeat(b)));
         let masked = g.add(scaled, m);
         let w = g.softmax(masked);
         g.bmm(w, v)
     }
 
-    /// `node` (a structured attention path) against the dense composition
-    /// under `mask` from the same parameters: every compared tensor equal
+    /// `node` (a structured attention path) against `dense` (its dense
+    /// composition) from the same parameters: every compared tensor equal
     /// bit for bit.
     fn assert_node_matches_dense(
         ps: &mut ParamStore,
-        attn: &SelfAttention,
         e: ParamId,
-        mask: &[f32],
         backward: bool,
+        dense: impl Fn(&mut Graph, &ParamStore, Var) -> Var,
         node: impl Fn(&mut Graph, &ParamStore, Var) -> Var,
     ) {
         let shape = ps.value(e).shape();
-        let dense = cross_pass_bits(ps, e, backward, |g, ps, ev| {
-            forward_dense_masked(attn, g, ps, ev, mask)
-        });
+        let dense = cross_pass_bits(ps, e, backward, dense);
         let node = cross_pass_bits(ps, e, backward, node);
         for (what, (n, d)) in ["h", "∂e", "∂wq", "∂wk", "∂wv"].iter().zip(node.iter().zip(&dense))
         {
@@ -598,8 +613,18 @@ mod tests {
         }
     }
 
-    /// `forward_cross(e, ns)` against the dense composition under the cross
-    /// mask.
+    /// The cross view of `e: [b, ns + nd, d]` as the model records it: the
+    /// history rows' side once, then the static rows through its param vars.
+    fn cross_node(attn: &SelfAttention, g: &mut Graph, ps: &ParamStore, e: Var, ns: usize) -> Var {
+        let nd = g.value(e).shape().dim(1) - ns;
+        let (e_s, e_d) = (g.slice_axis1(e, 0, ns), g.slice_axis1(e, ns, nd));
+        let hist = attn.project_history(g, ps, e_d);
+        attn.forward_cross(g, e_s, &hist)
+    }
+
+    /// `forward_cross` against the dense composition under the cross mask,
+    /// built from the same split projections (the history side, then the
+    /// static rows' matmuls through its param vars) stacked per operand.
     fn assert_forward_cross_matches_dense(
         ps: &mut ParamStore,
         attn: &SelfAttention,
@@ -607,9 +632,17 @@ mod tests {
         ns: usize,
         backward: bool,
     ) {
-        let mask = cross_mask(ns, ps.value(e).shape().dim(1) - ns);
-        assert_node_matches_dense(ps, attn, e, mask.data(), backward, |g, ps, ev| {
-            attn.forward_cross(g, ps, ev, ns)
+        let nd = ps.value(e).shape().dim(1) - ns;
+        let mask = cross_mask(ns, nd);
+        let dense = |g: &mut Graph, ps: &ParamStore, ev: Var| {
+            let (e_s, e_d) = (g.slice_axis1(ev, 0, ns), g.slice_axis1(ev, ns, nd));
+            let hist = attn.project_history(g, ps, e_d);
+            let stat = hist.w.map(|w| g.matmul(e_s, w));
+            let qkv = [0, 1, 2].map(|i| g.concat_axis1(stat[i], hist.qkv[i]));
+            dense_masked(attn, g, qkv, mask.data())
+        };
+        assert_node_matches_dense(ps, e, backward, dense, |g, ps, ev| {
+            cross_node(attn, g, ps, ev, ns)
         });
     }
 
@@ -629,7 +662,11 @@ mod tests {
             }
             let e = ps.add_dense("e", et);
             let mask = causal_mask(n);
-            assert_node_matches_dense(&mut ps, &attn, e, mask.data(), true, |g, ps, ev| {
+            let dense = |g: &mut Graph, ps: &ParamStore, ev: Var| {
+                let qkv = attn.project(g, ps, ev);
+                dense_masked(&attn, g, qkv, mask.data())
+            };
+            assert_node_matches_dense(&mut ps, e, true, dense, |g, ps, ev| {
                 attn.forward_causal(g, ps, ev)
             });
         }
@@ -637,7 +674,9 @@ mod tests {
 
     #[test]
     fn forward_cross_matches_the_dense_masked_composition_bitwise() {
-        // Training geometry, ragged lane tails, both empty sides.
+        // Training geometry, ragged lane tails, both empty sides. The oracle
+        // stacks the same split projections the node takes, so `∂W` runs
+        // the same static-then-history sums on both sides.
         for &(b, ns, nd, d) in &[
             (128usize, 2usize, 20usize, 32usize),
             (3, 2, 13, 16),
@@ -699,7 +738,7 @@ mod tests {
         assert_forward_cross_matches_dense(&mut ps, &attn, e, ns, false);
         let mut g = Graph::new();
         let ev = g.param(&ps, e);
-        let h = attn.forward_cross(&mut g, &ps, ev, ns);
+        let h = cross_node(&attn, &mut g, &ps, ev, ns);
         for bi in 0..b {
             for r in [0, ns + j] {
                 let row = &g.value(h).data()[(bi * n + r) * d..(bi * n + r + 1) * d];

@@ -19,5 +19,7 @@ pub mod init;
 pub mod layers;
 pub mod optim;
 
-pub use layers::{Embedding, GruCell, LayerNorm, Linear, Mlp, ResidualFfn, SelfAttention};
+pub use layers::{
+    CrossHistory, Embedding, GruCell, LayerNorm, Linear, Mlp, ResidualFfn, SelfAttention,
+};
 pub use optim::{clip_grad_norm, Adam, LrSchedule, NonFiniteGradError, Optimizer, Sgd};

@@ -556,10 +556,11 @@ fn cross_shared_slices(
 /// dense masked pipeline under the same finite-blocked-score contract.
 ///
 /// Slice `b`'s `[ns, d]` static Q/K/V rows start at `b · stat_stride` in
-/// `stat`, its `[nd, d]` history rows at `b · hist_stride` in `hist`. An
-/// interleaved `[bs, ns + nd, d]` projection `x` (the tape's) is passed as
-/// `x` and `&x[ns·d..]`, both strided `(ns + nd)·d`; separately projected
-/// blocks (the frozen forward's) are strided by their own `ns·d` / `nd·d`.
+/// `stat`, its `[nd, d]` history rows at `b · hist_stride` in `hist`.
+/// Separately projected blocks (the tape's and the frozen forward's) are
+/// strided by their own `ns·d` / `nd·d`; an interleaved `[bs, ns + nd, d]`
+/// projection `x` is passed as `x` and `&x[ns·d..]`, both strided
+/// `(ns + nd)·d`.
 /// The transposed history packs are rebuilt per slice (the price of a
 /// history per row).
 ///
@@ -664,12 +665,16 @@ fn cross_rows_slices(
     });
 }
 
-/// Backward pass of [`attention_cross_rows_into`] over interleaved
-/// `[bs, ns + nd, d]` operands: given the forward's `q`/`k`/`v`, its saved
-/// `weights` and the upstream gradient `d_out` of the context, **adds** the
-/// gradients into `dq`/`dk`/`dv` (pass zeroed buffers for plain gradients).
-/// Only admitted pairs are touched — `8·ns·nd·d` multiply-adds per slice
-/// where the dense tape spends `4·n²·d`.
+/// Backward pass of [`attention_cross_rows_into`], over the same split,
+/// strided operands: slice `b`'s static Q/K/V rows at `b · stat_stride` in
+/// `stat`, its history rows at `b · hist_stride` in `hist` (an interleaved
+/// projection is passed as the forward takes it). Given the forward's saved
+/// `weights` and the upstream gradient `d_out` of the interleaved
+/// `[bs, ns + nd, d]` context, **adds** the static rows' gradients into
+/// `stat_grads` (`[bs, ns, d]` each, Q/K/V) and the history rows' into
+/// `hist_grads` (`[bs, nd, d]` each) — pass zeroed buffers for plain
+/// gradients. Only admitted pairs are touched — `8·ns·nd·d` multiply-adds per
+/// slice where the dense tape spends `4·n²·d`.
 ///
 /// **Bit-identical** to the dense tape's backward through
 /// `bmm → softmax(+ M) → scale → bmm_nt` under the cross mask, because every gradient
@@ -681,74 +686,106 @@ fn cross_rows_slices(
 /// over ascending `i`, each from a zero seed and skipping a zero multiplier
 /// as `matmul::naive`'s `nn` / `tn` chains do. A blocked weight is exactly
 /// `0.0`, so the dense path skips its term (or adds `±0` to `dot`, which
-/// can at most flip the sign of a zero `dS` that is then skipped).
+/// can at most flip the sign of a zero `dS` that is then skipped). Where
+/// the operands live does not enter any chain.
 ///
 /// # Panics
 /// Panics if any buffer is too small.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_cross_rows_backward_into(
-    qkv: [&[f32]; 3],
+    stat: [&[f32]; 3],
+    stat_stride: usize,
+    hist: [&[f32]; 3],
+    hist_stride: usize,
     weights: &[f32],
     d_out: &[f32],
     scale: f32,
     [bs, ns, nd, d]: [usize; 4],
-    grads: [&mut [f32]; 3],
+    stat_grads: [&mut [f32]; 3],
+    hist_grads: [&mut [f32]; 3],
 ) {
     const NAME: &str = "attention_cross_rows_backward_into";
     let n = ns + nd;
-    if ns == 0 || nd == 0 {
+    if bs == 0 || ns == 0 || nd == 0 {
         return; // every row fully masked: all-zero weights, all-zero gradients
     }
-    for x in qkv.iter().chain([&d_out]) {
-        assert!(x.len() >= bs * n * d, "{NAME}: operand too small");
+    for (side, block, stride) in [(stat, ns * d, stat_stride), (hist, nd * d, hist_stride)] {
+        for x in side {
+            assert!(x.len() >= (bs - 1) * stride + block, "{NAME}: Q/K/V operand too small");
+        }
     }
+    assert!(d_out.len() >= bs * n * d, "{NAME}: d_out too small");
     assert!(weights.len() >= bs * 2 * ns * nd, "{NAME}: weights too small");
-    let grads = grads.map(|g| {
-        assert!(g.len() >= bs * n * d, "{NAME}: gradient buffer too small");
-        &mut g[..bs * n * d]
+    let [sq, sk, sv] = stat_grads.map(|g| {
+        assert!(g.len() >= bs * ns * d, "{NAME}: static gradient buffer too small");
+        &mut g[..bs * ns * d]
     });
+    let [hq, hk, hv] = hist_grads.map(|g| {
+        assert!(g.len() >= bs * nd * d, "{NAME}: history gradient buffer too small");
+        &mut g[..bs * nd * d]
+    });
+    let grads = [sq, sk, sv, hq, hk, hv];
+    let units = [ns * d, ns * d, ns * d, nd * d, nd * d, nd * d];
 
     let work_per_slice = 8 * ns * nd * d;
     if super::dispatch::should_par(bs * work_per_slice, bs) {
-        seqfm_parallel::par_units(seqfm_parallel::global(), grads, [n * d; 3], |b0, grads| {
-            let slices = grads[0].len() / (n * d);
+        seqfm_parallel::par_units(seqfm_parallel::global(), grads, units, |b0, grads| {
             cross_rows_backward_slices(
-                qkv.map(|x| &x[b0 * n * d..]),
+                stat.map(|x| &x[b0 * stat_stride..]),
+                stat_stride,
+                hist.map(|x| &x[b0 * hist_stride..]),
+                hist_stride,
                 &weights[b0 * 2 * ns * nd..],
                 &d_out[b0 * n * d..],
                 scale,
-                [slices, ns, nd, d],
+                [grads[0].len() / (ns * d), ns, nd, d],
                 grads,
             );
         });
     } else {
-        cross_rows_backward_slices(qkv, weights, d_out, scale, [bs, ns, nd, d], grads);
+        let dims = [bs, ns, nd, d];
+        cross_rows_backward_slices(
+            stat,
+            stat_stride,
+            hist,
+            hist_stride,
+            weights,
+            d_out,
+            scale,
+            dims,
+            grads,
+        );
     }
 }
 
-/// Serial body of [`attention_cross_rows_backward_into`] over `bs` slices.
+/// Serial body of [`attention_cross_rows_backward_into`] over `bs` slices;
+/// `grads` is the static rows' dQ/dK/dV, then the history rows'.
+#[allow(clippy::too_many_arguments)]
 fn cross_rows_backward_slices(
-    [q, k, v]: [&[f32]; 3],
+    stat: [&[f32]; 3],
+    stat_stride: usize,
+    hist: [&[f32]; 3],
+    hist_stride: usize,
     weights: &[f32],
     d_out: &[f32],
     scale: f32,
     [bs, ns, nd, d]: [usize; 4],
-    [dq, dk, dv]: [&mut [f32]; 3],
+    grads: [&mut [f32]; 6],
 ) {
     let n = ns + nd;
+    let [dq_s, dk_s, dv_s, dq_h, dk_h, dv_h] = grads;
     crate::workspace::with_thread(|ws| {
         let mut vht = ws.take(d * nd);
         let mut doht = ws.take(d * nd);
         let mut ds = ws.take(ns * nd);
         for b in 0..bs {
-            let slice = b * n * d..(b + 1) * n * d;
-            let (sq, hq) = q[slice.clone()].split_at(ns * d);
-            let (sk, hk) = k[slice.clone()].split_at(ns * d);
-            let (sv, hv) = v[slice.clone()].split_at(ns * d);
-            let (do_s, do_h) = d_out[slice.clone()].split_at(ns * d);
-            let (dq_s, dq_h) = dq[slice.clone()].split_at_mut(ns * d);
-            let (dk_s, dk_h) = dk[slice.clone()].split_at_mut(ns * d);
-            let (dv_s, dv_h) = dv[slice].split_at_mut(ns * d);
+            let [sq, sk, sv] = stat.map(|x| &x[b * stat_stride..][..ns * d]);
+            let [hq, hk, hv] = hist.map(|x| &x[b * hist_stride..][..nd * d]);
+            let (do_s, do_h) = d_out[b * n * d..(b + 1) * n * d].split_at(ns * d);
+            let [dq_s, dk_s, dv_s] =
+                [&mut *dq_s, &mut *dk_s, &mut *dv_s].map(|g| &mut g[b * ns * d..][..ns * d]);
+            let [dq_h, dk_h, dv_h] =
+                [&mut *dq_h, &mut *dk_h, &mut *dv_h].map(|g| &mut g[b * nd * d..][..nd * d]);
             let (w_stat, w_hist) =
                 weights[b * 2 * ns * nd..(b + 1) * 2 * ns * nd].split_at(ns * nd);
             pack_transposed(hv, nd, d, &mut vht);
@@ -1241,13 +1278,42 @@ mod tests {
         );
         assert_eq!(bits(&out_split), bits(&out), "{what}: split layout");
 
-        let mut grads = [(); 3].map(|()| vec![0.0f32; bs * n * d]);
-        let [dq, dk, dv] = &mut grads;
-        attention_cross_rows_backward_into(data, &weights, d_out.data(), scale, dims, [dq, dk, dv]);
-        for (got, (want, name)) in
-            grads.iter().zip([(want_dq, "dq"), (want_dk, "dk"), (want_dv, "dv")])
-        {
-            assert_eq!(bits(got), bits(want.data()), "{what}: {name}");
+        // The backward, on both layouts: static and history gradients come
+        // back separately, each the oracle's rows bit for bit.
+        let want = [(want_dq, "dq"), (want_dk, "dk"), (want_dv, "dv")];
+        let hist_interleaved = data.map(|x| x.get(ns * d..).unwrap_or_default());
+        let layouts = [
+            ("interleaved", data, n * d, hist_interleaved, n * d),
+            (
+                "split",
+                stat.each_ref().map(|x| &x[..]),
+                ns * d,
+                hist.each_ref().map(|x| &x[..]),
+                nd * d,
+            ),
+        ];
+        for (layout, stat, stat_stride, hist, hist_stride) in layouts {
+            let mut sg = [(); 3].map(|()| vec![0.0f32; bs * ns * d]);
+            let mut hg = [(); 3].map(|()| vec![0.0f32; bs * nd * d]);
+            let [sq, sk, sv] = &mut sg;
+            let [hq, hk, hv] = &mut hg;
+            attention_cross_rows_backward_into(
+                stat,
+                stat_stride,
+                hist,
+                hist_stride,
+                &weights,
+                d_out.data(),
+                scale,
+                dims,
+                [sq, sk, sv],
+                [hq, hk, hv],
+            );
+            for ((s, h), (want, name)) in sg.iter().zip(&hg).zip(&want) {
+                let w = want.data();
+                assert_eq!(bits(s), bits(&split(w, 0, ns)), "{what} ({layout}): static {name}");
+                assert_eq!(bits(h), bits(&split(w, ns, nd)), "{what} ({layout}): history {name}");
+            }
         }
     }
 

@@ -214,7 +214,7 @@ fn parallel_kernel_paths_match_serial_references_bitwise() {
     let at = |x: &Tensor, lo: usize, slices: usize| -> Vec<f32> {
         x.data()[lo * cn * cd..(lo + slices) * cn * cd].to_vec()
     };
-    let run = |lo: usize, slices: usize| -> [Vec<f32>; 5] {
+    let run = |lo: usize, slices: usize| -> [Vec<f32>; 8] {
         let qkv = [at(&cq, lo, slices), at(&ck, lo, slices), at(&cv, lo, slices)];
         let qkv = [&qkv[0][..], &qkv[1][..], &qkv[2][..]];
         let dims = [slices, ns, nd, cd];
@@ -222,18 +222,31 @@ fn parallel_kernel_paths_match_serial_references_bitwise() {
         let mut out = vec![0.0f32; slices * cn * cd];
         let hist = qkv.map(|x| &x[ns * cd..]);
         attention_cross_rows_into(qkv, cn * cd, hist, cn * cd, scale, dims, &mut weights, &mut out);
-        let mut grads = [(); 3].map(|()| vec![0.0f32; slices * cn * cd]);
-        let [dq, dk, dv] = &mut grads;
+        let mut stat_grads = [(); 3].map(|()| vec![0.0f32; slices * ns * cd]);
+        let mut hist_grads = [(); 3].map(|()| vec![0.0f32; slices * nd * cd]);
+        let [sq, sk, sv] = &mut stat_grads;
+        let [hq, hk, hv] = &mut hist_grads;
         let d_out = at(&d_out, lo, slices);
-        attention_cross_rows_backward_into(qkv, &weights, &d_out, scale, dims, [dq, dk, dv]);
-        let [dq, dk, dv] = grads;
-        [weights, out, dq, dk, dv]
+        attention_cross_rows_backward_into(
+            qkv,
+            cn * cd,
+            hist,
+            cn * cd,
+            &weights,
+            &d_out,
+            scale,
+            dims,
+            [sq, sk, sv],
+            [hq, hk, hv],
+        );
+        let [sq, sk, sv] = stat_grads;
+        let [hq, hk, hv] = hist_grads;
+        [weights, out, sq, sk, sv, hq, hk, hv]
     };
     let fanned = run(0, cb);
+    let names = ["weights", "context", "dq°", "dk°", "dv°", "dq˙", "dk˙", "dv˙"];
     for bi in 0..cb {
-        for ((got, want), what) in
-            fanned.iter().zip(run(bi, 1)).zip(["weights", "context", "dq", "dk", "dv"])
-        {
+        for ((got, want), what) in fanned.iter().zip(run(bi, 1)).zip(names) {
             let unit = want.len();
             assert_eq!(got[bi * unit..(bi + 1) * unit], want, "cross rows {what}, slice {bi}");
         }

@@ -121,7 +121,25 @@ impl OnlineTrainer {
     /// (possibly none, possibly several). Call granularity is
     /// behaviour-free: `ingest(a); ingest(b)` ≡ `ingest(a ++ b)`, bit for
     /// bit.
+    ///
+    /// # Panics
+    /// Panics if an event's user is not below the layout's `n_users` or its
+    /// item not below its `n_items`, naming the event, the id and the bound.
+    /// The whole slice is checked before any of it is taken in, so a
+    /// rejected slice leaves the trainer exactly as it was: nothing pending,
+    /// no shadow history advanced, no step taken.
     pub fn ingest(&mut self, events: &[(u32, u32)]) -> Vec<Arc<FrozenParams>> {
+        let FeatureLayout { n_users, n_items } = self.layout;
+        for (i, &(u, item)) in events.iter().enumerate() {
+            assert!(
+                (u as usize) < n_users,
+                "OnlineTrainer::ingest: event {i} names user {u}, outside the layout's {n_users} users"
+            );
+            assert!(
+                (item as usize) < n_items,
+                "OnlineTrainer::ingest: event {i} names item {item}, outside the layout's {n_items} items"
+            );
+        }
         self.pending.extend(events.iter().copied());
         let bs = self.cfg.batch_size.max(1);
         let mut published = Vec::new();
@@ -160,8 +178,7 @@ impl OnlineTrainer {
         let nb = Batch::try_from_instances(&neg).expect("minibatches are non-empty");
         let g = &mut self.graph;
         g.reset();
-        let y_pos = self.model.forward(g, &self.ps, &pb, true, &mut rng);
-        let y_neg = self.model.forward(g, &self.ps, &nb, true, &mut rng);
+        let (y_pos, y_neg) = self.model.forward_pair(g, &self.ps, &pb, &nb, true, &mut rng);
         let loss = bpr_loss(g, y_pos, y_neg);
         self.ps.zero_grads();
         g.backward(loss, &mut self.ps);
@@ -229,6 +246,10 @@ impl OnlineTrainer {
     /// The engine must have been built
     /// [`with_event_log`](seqfm_serve::Engine::with_event_log); a pump
     /// against an engine without one is a no-op.
+    ///
+    /// # Panics
+    /// Panics as [`ingest`](Self::ingest) does on an out-of-range event; the
+    /// drained events are then dropped and the trainer is unchanged.
     pub fn pump(&mut self, engine: &Engine) -> Vec<ModelEpoch> {
         let Some(log) = engine.event_log() else {
             return Vec::new();
@@ -335,6 +356,33 @@ mod tests {
             assert!(!one_shot.is_empty(), "{name}: stream should publish at least once");
             assert_snapshots_identical(&one_by_one, &odd_chunks, name);
             assert_snapshots_identical(&one_by_one, &one_shot, name);
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_event_is_rejected_before_the_trainer_changes() {
+        // An item past the catalog, then a user past the user count, in the
+        // middle of a full minibatch: the slice panics naming the id and
+        // the bound, and the trainer goes on exactly as a fresh one would.
+        for (bad, what) in [
+            ((2, 12), "item 12, outside the layout's 12 items"),
+            ((5, 4), "user 5, outside the layout's 5 users"),
+        ] {
+            let (model, ps) = build(Ablation::default());
+            let mut tr = OnlineTrainer::new(model, ps, layout(), online_cfg());
+            let slice = [(0, 1), (1, 2), bad, (3, 4)];
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tr.ingest(&slice)))
+                .expect_err("an out-of-range event was accepted");
+            let msg = err.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+            assert!(msg.contains(&format!("event 2 names {what}")), "unexpected panic: {msg}");
+            assert_eq!((tr.steps(), tr.pending_events()), (0, 0), "{what}: the trainer moved");
+
+            let (model, ps) = build(Ablation::default());
+            let mut fresh = OnlineTrainer::new(model, ps, layout(), online_cfg());
+            let events = stream(24);
+            let (got, want) = (tr.ingest(&events), fresh.ingest(&events));
+            assert!(!want.is_empty(), "the stream should publish");
+            assert_snapshots_identical(&got, &want, what);
         }
     }
 

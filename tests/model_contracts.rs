@@ -127,3 +127,55 @@ fn every_model_trains_one_step_without_panic() {
         assert!(!ps.has_non_finite(), "{kind:?} produced non-finite parameters");
     }
 }
+
+/// One BPR step from a seeded RNG, paired or as two `forward`s: the bits
+/// of `y⁺`, `y⁻`, the loss and every parameter's gradient.
+fn bpr_step_bits(model: &dyn SeqModel, ps: &mut ParamStore, paired: bool) -> Vec<Vec<u32>> {
+    let l = layout();
+    let batch = |items: [u32; 3]| {
+        let hists: [&[u32]; 3] = [&[2, 7, 11], &[], &[4, 4, 9, 1, 3, 12, 5]];
+        let insts: Vec<_> =
+            (0..3).map(|i| build_instance(&l, i as u32, items[i], hists[i], 6, 1.0)).collect();
+        Batch::try_from_instances(&insts).expect("valid batch")
+    };
+    let (pos, neg) = (batch([5, 0, 13]), batch([9, 17, 2]));
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut g = Graph::new();
+    let (y_pos, y_neg) = if paired {
+        model.forward_pair(&mut g, ps, &pos, &neg, true, &mut rng)
+    } else {
+        let y_pos = model.forward(&mut g, ps, &pos, true, &mut rng);
+        (y_pos, model.forward(&mut g, ps, &neg, true, &mut rng))
+    };
+    let loss = seqfm_core::train::bpr_loss(&mut g, y_pos, y_neg);
+    ps.zero_grads();
+    g.backward(loss, ps);
+    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut out = vec![bits(g.value(y_pos).data()), bits(g.value(y_neg).data())];
+    out.push(bits(g.value(loss).data()));
+    out.extend(ps.iter().map(|(_, p)| bits(p.grad().data())));
+    out
+}
+
+#[test]
+fn forward_pair_is_two_forwards_for_every_baseline_and_scores_alike_for_seqfm() {
+    for kind in ALL {
+        let mut ps = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(9);
+        let model = build(kind, &mut ps, &mut rng, &layout(), 8, 6);
+        let two = bpr_step_bits(model.as_ref(), &mut ps, false);
+        let pair = bpr_step_bits(model.as_ref(), &mut ps, true);
+        // SeqFM (reached through the registry's box) shares its history
+        // side, so only its gradients may move, by rounding; every baseline
+        // runs the default, two `forward`s, to the bit.
+        let compared = if kind == ModelKind::SeqFm { 3 } else { two.len() };
+        for (i, (p, t)) in pair.iter().zip(&two).take(compared).enumerate() {
+            assert_eq!(p, t, "{kind:?}: output {i} of the pair moved");
+        }
+        if let Some(w_dyn) = ps.id_of("seqfm.w_dynamic.table") {
+            // The shared `Σ w˙` cancels exactly in ŷ⁺ − ŷ⁻.
+            let at = 3 + ps.iter().position(|(id, _)| id == w_dyn).expect("registered");
+            assert!(pair[at].iter().all(|&b| f32::from_bits(b) == 0.0), "w˙ gradient not zero");
+        }
+    }
+}

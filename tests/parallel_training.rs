@@ -58,7 +58,9 @@ fn train_cfg(workers: usize) -> TrainConfig {
 
 /// An independent re-implementation of the serial BPR loop (paper §IV-A):
 /// one continuous RNG stream seeded from `cfg.seed` drives shuffling,
-/// negative sampling, and dropout, exactly as the pre-parallel trainer did.
+/// negative sampling, and dropout, exactly as the pre-parallel trainer did;
+/// each pair is scored by one `forward_pair` (the negatives share their
+/// positives' histories).
 fn reference_serial_ranking(
     model: &SeqFm,
     ps: &mut ParamStore,
@@ -93,8 +95,7 @@ fn reference_serial_ranking(
             let pb = Batch::try_from_instances(&pos).unwrap();
             let nb = Batch::try_from_instances(&neg).unwrap();
             let mut g = Graph::new();
-            let y_pos = model.forward(&mut g, ps, &pb, true, &mut rng);
-            let y_neg = model.forward(&mut g, ps, &nb, true, &mut rng);
+            let (y_pos, y_neg) = model.forward_pair(&mut g, ps, &pb, &nb, true, &mut rng);
             let diff = g.sub(y_pos, y_neg);
             let ndiff = g.neg(diff);
             let per = g.softplus(ndiff);
