@@ -19,7 +19,7 @@ use crate::op::{LnCache, Op};
 use crate::store::{ParamId, ParamStore};
 use rand::Rng;
 use seqfm_tensor::{
-    attention_causal_into, attention_cross_rows_into, bmm_nn_into, bmm_nt_into,
+    attention_causal_into, attention_cross_rows_into, bmm_nn_into, bmm_nt_into, ew,
     kernels::matmul::matmul_nn_into, reduce, softmax_rows_into, Shape, Tensor, Workspace,
 };
 use std::sync::Arc;
@@ -191,17 +191,9 @@ impl Graph {
     ) -> Var {
         assert_eq!(idx.len(), b * n, "gather: idx len {} != {}x{}", idx.len(), b, n);
         let tbl = ps.value(table);
-        let (rows, d) = (tbl.shape().dim(0), tbl.shape().dim(1));
+        let d = tbl.shape().dim(1);
         let mut out = self.pooled_zeros(Shape::d3(b, n, d));
-        for (slot, &i) in idx.iter().enumerate() {
-            if i < 0 {
-                continue;
-            }
-            let i = i as usize;
-            assert!(i < rows, "gather index {i} out of range ({rows} rows)");
-            out.data_mut()[slot * d..(slot + 1) * d]
-                .copy_from_slice(&tbl.data()[i * d..(i + 1) * d]);
-        }
+        ew::gather_rows_into(tbl.data(), d, idx, out.data_mut());
         self.push(out, Op::Gather { table, idx: Arc::new(idx.to_vec()) }, true)
     }
 
@@ -299,12 +291,7 @@ impl Graph {
             xv.shape()
         );
         let mut v = self.pooled_copy(xv);
-        let bv = self.value(b);
-        for row in v.data_mut().chunks_exact_mut(d) {
-            for (o, &bias) in row.iter_mut().zip(bv.data()) {
-                *o += bias;
-            }
-        }
+        ew::add_bias_rows_inplace(v.data_mut(), self.value(b).data());
         let g = self.ng(x) || self.ng(b);
         self.push(v, Op::AddBias { x, b }, g)
     }
@@ -525,21 +512,8 @@ impl Graph {
         let mut mean = self.ws.take_vec(rows);
         let mut rstd = self.ws.take_vec(rows);
         let mut out = self.pooled_zeros(xv.shape());
-        let (xv, sv, bv) = (self.value(x), self.value(scale), self.value(bias));
-        for (r, (row, orow)) in
-            xv.data().chunks_exact(d).zip(out.data_mut().chunks_exact_mut(d)).enumerate()
-        {
-            let mu = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
-            let rs = 1.0 / (var + eps).sqrt();
-            mean[r] = mu;
-            rstd[r] = rs;
-            for ((&xi, o), (&sc, &bi)) in
-                row.iter().zip(orow.iter_mut()).zip(sv.data().iter().zip(bv.data()))
-            {
-                *o = (xi - mu) * rs * sc + bi;
-            }
-        }
+        let [xv, sv, bv] = [x, scale, bias].map(|v| self.value(v).data());
+        ew::layer_norm_into(xv, sv, bv, eps, out.data_mut(), &mut mean, &mut rstd);
         let g = self.ng(x) || self.ng(scale) || self.ng(bias);
         self.push(out, Op::LayerNorm { x, scale, bias, cache: LnCache { mean, rstd } }, g)
     }

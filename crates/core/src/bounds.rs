@@ -45,9 +45,10 @@
 //! above the achievable drift at these dimensions — a margin the
 //! Monte-Carlo test below exercises across every Table-V variant.
 
-use crate::frozen::{FrozenSeqFm, LN_EPS};
+use crate::frozen::FrozenSeqFm;
 use crate::view::HistoryView;
 use seqfm_data::FeatureLayout;
+use seqfm_nn::LN_EPS;
 
 /// Per-coordinate leaf-interval widening (absolute / relative), covering
 /// `f32` rounding of projection, attention, and pooling.

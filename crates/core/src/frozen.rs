@@ -2,12 +2,17 @@
 //!
 //! A `FrozenSeqFm` is built from a trained `(SeqFm, ParamStore)` pair — or
 //! directly from a checkpoint blob — by snapshotting every parameter into an
-//! immutable, `Arc`-shareable [`FrozenParams`]. Its forward pass replays the
-//! exact floating-point operations of the graph forward pass
-//! ([`SeqModel::forward`](crate::SeqModel::forward) on [`SeqFm`] — same kernels, same
-//! order) as straight-line code: no tape nodes, no parameter clones, no RNG,
-//! and no per-call allocations once the caller's [`Scratch`] is warm. Logits
-//! therefore match the graph path **bit for bit**, which the tests assert.
+//! immutable, `Arc`-shareable [`FrozenParams`]. Its forward pass calls the
+//! kernels the graph forward pass's ops run
+//! ([`SeqModel::forward`](crate::SeqModel::forward) on [`SeqFm`]), in the same
+//! order: the gather, the projections, the three attention kernels, pooling,
+//! LayerNorm, the bias adds and the linear terms each have one body in
+//! `seqfm_tensor`, which the tape's op and this forward both call. What is
+//! left here is orchestration (which rows are shared, which buffers are
+//! used, which cross kernel runs), with no tape nodes, no parameter clones,
+//! no RNG, and no per-call allocations once the caller's [`Scratch`] is
+//! warm. Logits therefore match the graph path **bit for bit**, which the
+//! tests assert.
 //!
 //! The forward is a short pipeline of stages. Everything derived from the
 //! dynamic block alone is computed by one history stage
@@ -35,15 +40,12 @@ use rand::SeedableRng;
 use seqfm_autograd::{FrozenId, FrozenParams, ModelEpoch, ParamStore};
 use seqfm_data::{Batch, FeatureLayout};
 use seqfm_nn::checkpoint::{self, CheckpointError};
+use seqfm_nn::{attention_scale, LN_EPS};
 use seqfm_tensor::{
     attention_causal_into, attention_cross_rows_into, attention_cross_shared_into, attention_into,
-    matmul_nn_into, Tensor, Workspace,
+    ew, matmul_nn_into, reduce, Tensor, Workspace,
 };
 use std::sync::Arc;
-
-/// Must match `seqfm_nn::layers::LayerNorm::new` — the paper's "small bias
-/// term added in case σ = 0" (Eq. 16).
-pub(crate) const LN_EPS: f32 = 1e-5;
 
 pub(crate) struct AttnIds {
     pub(crate) wq: FrozenId,
@@ -179,7 +181,7 @@ impl FrozenSeqFm {
     pub(crate) fn gather_static(&self, idx: &[i64], d: usize, out: &mut [f32]) {
         match self.fast_active() {
             Some(fp) => fp.emb_static.gather(idx, out),
-            None => gather_rows(self.t(self.emb_static), idx, d, out),
+            None => ew::gather_rows_into(self.t(self.emb_static).data(), d, idx, out),
         }
     }
 
@@ -187,7 +189,7 @@ impl FrozenSeqFm {
     pub(crate) fn gather_dynamic(&self, idx: &[i64], d: usize, out: &mut [f32]) {
         match self.fast_active() {
             Some(fp) => fp.emb_dynamic.gather(idx, out),
-            None => gather_rows(self.t(self.emb_dynamic), idx, d, out),
+            None => ew::gather_rows_into(self.t(self.emb_dynamic).data(), d, idx, out),
         }
     }
 
@@ -305,40 +307,46 @@ impl FrozenSeqFm {
         self.params.value(id)
     }
 
-    /// The post-attention tail of a view: pooling → FFN → `hagg` column
+    /// The post-attention tail of a view: intra-view mean pooling (Eq. 14)
+    /// → the shared residual FFN (Eq. 15–16, dropout off) → `hagg` column
     /// write, on an already-computed context in `bufs.ctx`. Every view is
     /// "project Q/K/V, attend, then this", whichever attention entry point
     /// (dense, structured causal or structured cross) produced its context.
+    /// Pooling, LayerNorm, the matmul and the bias add are the tape's own
+    /// kernels; only the ReLU and the residual add are written here.
     fn pool_ffn_write(
         &self,
         b: usize,
         n: usize,
-        d: usize,
         view_col: usize,
         views: usize,
         bufs: &mut ViewBufs<'_>,
     ) {
-        let ab = self.cfg.ablation;
-        pool_into(bufs.ctx, b, n, d, bufs.pool);
+        let (d, ab) = (self.cfg.d, self.cfg.ablation);
+        let (h, rest) = bufs.ffn[..ViewBufs::ffn_len(b, d)].split_at_mut(b * d);
+        let (normed, rest) = rest.split_at_mut(b * d);
+        let (lin, rest) = rest.split_at_mut(b * d);
+        let (mean, rstd) = rest.split_at_mut(b);
+        reduce::mean_axis1_into(bufs.ctx, h, b, n, d);
         for (li, layer) in self.ffn.iter().enumerate() {
-            ffn_layer(
-                bufs.pool,
-                bufs.normed,
-                bufs.lin,
-                self.t(layer.ln_scale).data(),
-                self.t(layer.ln_bias).data(),
-                self.ffn_w_data(li),
-                self.t(layer.b).data(),
-                b,
-                d,
-                ab.residual,
-                ab.layer_norm,
-            );
+            let src: &[f32] = if ab.layer_norm {
+                let (scale, bias) = (self.t(layer.ln_scale).data(), self.t(layer.ln_bias).data());
+                ew::layer_norm_into(h, scale, bias, LN_EPS, normed, mean, rstd);
+                normed
+            } else {
+                h
+            };
+            lin.fill(0.0);
+            matmul_nn_into(src, self.ffn_w_data(li), lin, b, d, d);
+            ew::add_bias_rows_inplace(lin, self.t(layer.b).data());
+            for (hv, &lv) in h.iter_mut().zip(lin.iter()) {
+                let act = lv.max(0.0);
+                *hv = if ab.residual { *hv + act } else { act };
+            }
         }
         let stride = views * d;
-        for bi in 0..b {
-            bufs.hagg[bi * stride + view_col..bi * stride + view_col + d]
-                .copy_from_slice(&bufs.pool[bi * d..(bi + 1) * d]);
+        for (bi, row) in h.chunks_exact(d).enumerate() {
+            bufs.hagg[bi * stride + view_col..bi * stride + view_col + d].copy_from_slice(row);
         }
     }
 
@@ -382,10 +390,16 @@ struct ViewBufs<'a> {
     v: &'a mut [f32],
     scores: &'a mut [f32],
     ctx: &'a mut [f32],
-    pool: &'a mut [f32],
-    normed: &'a mut [f32],
-    lin: &'a mut [f32],
+    /// The FFN's `[b, d]` activations, LayerNorm output and linear output,
+    /// then its `[b]` row means and rstds: [`ViewBufs::ffn_len`] floats.
+    ffn: &'a mut [f32],
     hagg: &'a mut [f32],
+}
+
+impl ViewBufs<'_> {
+    fn ffn_len(b: usize, d: usize) -> usize {
+        b * (3 * d + 2)
+    }
 }
 
 impl FrozenSeqFm {
@@ -417,20 +431,13 @@ impl FrozenSeqFm {
         view.nd = nd;
         view.d = d;
 
-        // Per-row lin˙ (Eq. 4), accumulated in index order — one entry per
-        // row even when the window is empty.
-        let wd = self.t(self.w_dynamic).data();
-        view.lin_d.clear();
-        for r in 0..rows {
-            let row = &dyn_rows[r * nd..(r + 1) * nd];
-            let mut lin_d = 0.0f32;
-            for &i in row {
-                if i >= 0 {
-                    lin_d += wd[i as usize];
-                }
-            }
-            view.lin_d.push(lin_d);
-        }
+        // Per-row lin˙ (Eq. 4): the tape's gather of the width-1 table and
+        // its sum over the window — one entry per row even when the window
+        // is empty.
+        let mut w_d = ws.take(rows * nd);
+        ew::gather_rows_into(self.t(self.w_dynamic).data(), 1, dyn_rows, &mut w_d);
+        view.lin_d.resize(rows, 0.0);
+        reduce::sum_axis1_into(&w_d, &mut view.lin_d, rows, nd, 1);
 
         // An ablated view leaves its part of the representation empty.
         let hist_len = if ab.cross_view { rows * nd * d } else { 0 };
@@ -465,18 +472,14 @@ impl FrozenSeqFm {
             let mut v = ws.take(rows * nd * d);
             let mut scores = ws.take(rows * nd * (nd + 1) / 2);
             let mut ctx = ws.take(rows * nd * d);
-            let mut pool = ws.take(rows * d);
-            let mut normed = ws.take(rows * d);
-            let mut lin = ws.take(rows * d);
+            let mut ffn = ws.take(ViewBufs::ffn_len(rows, d));
             let mut bufs = ViewBufs {
                 q: &mut q,
                 k: &mut k,
                 v: &mut v,
                 scores: &mut scores,
                 ctx: &mut ctx,
-                pool: &mut pool,
-                normed: &mut normed,
-                lin: &mut lin,
+                ffn: &mut ffn,
                 hagg: &mut view.dyn_pooled,
             };
             // Causal attention through the tape node's own kernel: only the
@@ -484,10 +487,10 @@ impl FrozenSeqFm {
             for (wi, dst) in [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v].into_iter().enumerate() {
                 self.project_view(&e_d, 1, wi, rows * nd, dst);
             }
-            let scale = 1.0 / (d as f32).sqrt();
+            let scale = attention_scale(d);
             let (q, k, v) = (&*bufs.q, &*bufs.k, &*bufs.v);
             attention_causal_into(q, k, v, scale, [rows, nd, d], bufs.scores, bufs.ctx);
-            self.pool_ffn_write(rows, nd, d, 0, 1, &mut bufs);
+            self.pool_ffn_write(rows, nd, 0, 1, &mut bufs);
         }
     }
 
@@ -637,7 +640,7 @@ impl FrozenSeqFm {
         let d = self.cfg.d;
         let ab = self.cfg.ablation;
         let views = ab.active_views();
-        let scale = 1.0 / (d as f32).sqrt();
+        let scale = attention_scale(d);
         let (rows, nd) = (view.rows(), view.nd);
         assert_eq!(view.d, d, "history view built at width {} but model is {d}", view.d);
         assert!(rows == 1 || rows == b, "history view holds {rows} rows for a batch of {b}");
@@ -682,10 +685,10 @@ impl FrozenSeqFm {
         let mut pu = ws.take(if uniq_static { (1 + b) * d } else { 0 });
         let mut scores = ws.take((b * ns * ns).max(cross_scores));
         let mut ctx = ws.take(b * (ns + nd) * d);
-        let mut pool = ws.take(b * d);
-        let mut normed = ws.take(b * d);
-        let mut lin = ws.take(b * d);
+        let mut ffn = ws.take(ViewBufs::ffn_len(b, d));
         let mut hagg = ws.take(b * views * d);
+        let mut w_s = ws.take(b * ns);
+        let mut lin_s = ws.take(b);
 
         // Embedding layer (Eq. 5): PAD rows embed to exact zeros.
         self.gather_static(static_idx, d, &mut e_s);
@@ -707,9 +710,7 @@ impl FrozenSeqFm {
             v: &mut v,
             scores: &mut scores,
             ctx: &mut ctx,
-            pool: &mut pool,
-            normed: &mut normed,
-            lin: &mut lin,
+            ffn: &mut ffn,
             hagg: &mut hagg,
         };
         // Static rows → the leading `[b, ns, d]` Q/K/V blocks under
@@ -731,7 +732,7 @@ impl FrozenSeqFm {
             // Dense unmasked attention, replaying the tape's pipeline.
             project_static(0, &mut pu, &mut bufs);
             attention_into(bufs.q, bufs.k, bufs.v, None, scale, b, ns, d, bufs.scores, bufs.ctx);
-            self.pool_ffn_write(b, ns, d, view_col, views, &mut bufs);
+            self.pool_ffn_write(b, ns, view_col, views, &mut bufs);
             view_col += d;
         }
         if ab.dynamic_view {
@@ -792,7 +793,7 @@ impl FrozenSeqFm {
                     bufs.ctx,
                 );
             }
-            self.pool_ffn_write(b, ns + nd, d, view_col, views, &mut bufs);
+            self.pool_ffn_write(b, ns + nd, view_col, views, &mut bufs);
         }
         let hagg = bufs.hagg;
 
@@ -801,19 +802,14 @@ impl FrozenSeqFm {
         fout.fill(0.0);
         matmul_nn_into(&hagg[..b * views * d], self.t(self.p).data(), fout, b, views * d, 1);
 
-        // Linear terms (Eq. 4) and global bias, in the tape's association
-        // order: (f + (lin° + lin˙)) + w₀.
-        let w_static = self.t(self.w_static).data();
-        let w0 = self.t(self.w0).data()[0];
+        // Linear terms (Eq. 4) and global bias, through the tape's kernels
+        // and in its association order: (f + (lin° + lin˙)) + w₀.
+        ew::gather_rows_into(self.t(self.w_static).data(), 1, &static_idx[..b * ns], &mut w_s);
+        reduce::sum_axis1_into(&w_s, &mut lin_s, b, ns, 1);
         for (bi, f) in fout.iter_mut().enumerate() {
-            let mut lin_s = 0.0f32;
-            for &i in &static_idx[bi * ns..(bi + 1) * ns] {
-                if i >= 0 {
-                    lin_s += w_static[i as usize];
-                }
-            }
-            *f = (*f + (lin_s + view.lin_d[hrow(bi)])) + w0;
+            *f += lin_s[bi] + view.lin_d[hrow(bi)];
         }
+        ew::add_bias_rows_inplace(fout, self.t(self.w0).data());
     }
 }
 
@@ -851,103 +847,6 @@ impl Scorer for FrozenSeqFm {
     ) {
         self.forward_split(batch, scratch, Some(view));
         out.extend_from_slice(&scratch.out[..batch.len]);
-    }
-}
-
-/// Embedding gather mirroring `Graph::gather`: zero rows for
-/// [`PAD`](seqfm_data::PAD).
-///
-/// # Panics
-/// Panics if an index is out of table range.
-pub(crate) fn gather_rows(table: &Tensor, idx: &[i64], d: usize, out: &mut [f32]) {
-    let rows = table.shape().dim(0);
-    debug_assert_eq!(table.shape().dim(1), d);
-    let out = &mut out[..idx.len() * d];
-    out.fill(0.0);
-    for (slot, &i) in idx.iter().enumerate() {
-        if i < 0 {
-            continue;
-        }
-        let i = i as usize;
-        assert!(i < rows, "gather index {i} out of range ({rows} rows)");
-        out[slot * d..(slot + 1) * d].copy_from_slice(&table.data()[i * d..(i + 1) * d]);
-    }
-}
-
-/// Intra-view mean pooling (Eq. 14), mirroring `Graph::mean_axis1`: the
-/// mean over the `n` rows of each of `b` slices.
-fn pool_into(h: &[f32], b: usize, n: usize, d: usize, out: &mut [f32]) {
-    let h = &h[..b * n * d];
-    let out = &mut out[..b * d];
-    let nf = n as f32;
-    for bi in 0..b {
-        let o = &mut out[bi * d..(bi + 1) * d];
-        o.fill(0.0);
-        for r in 0..n {
-            let row = &h[(bi * n + r) * d..(bi * n + r + 1) * d];
-            for (ov, &hv) in o.iter_mut().zip(row) {
-                *ov += hv;
-            }
-        }
-        for ov in o.iter_mut() {
-            *ov /= nf;
-        }
-    }
-}
-
-/// One residual FFN layer (Eq. 15/16) on `h [b, d]` in place, mirroring
-/// `ResidualFfnLayer::forward` with dropout off (inference).
-#[allow(clippy::too_many_arguments)]
-fn ffn_layer(
-    h: &mut [f32],
-    normed: &mut [f32],
-    lin: &mut [f32],
-    ln_scale: &[f32],
-    ln_bias: &[f32],
-    w: &[f32],
-    bias: &[f32],
-    b: usize,
-    d: usize,
-    residual: bool,
-    layer_norm: bool,
-) {
-    let h = &mut h[..b * d];
-    let normed = &mut normed[..b * d];
-    let lin = &mut lin[..b * d];
-    // LayerNorm (ablatable), mirroring `Graph::layer_norm`.
-    let src: &[f32] = if layer_norm {
-        for (row, orow) in h.chunks_exact(d).zip(normed.chunks_exact_mut(d)) {
-            let mu = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
-            let rs = 1.0 / (var + LN_EPS).sqrt();
-            for ((&xi, o), (&sc, &bi)) in
-                row.iter().zip(orow.iter_mut()).zip(ln_scale.iter().zip(ln_bias))
-            {
-                *o = (xi - mu) * rs * sc + bi;
-            }
-        }
-        normed
-    } else {
-        h
-    };
-    // Linear + bias + ReLU.
-    lin.fill(0.0);
-    matmul_nn_into(src, w, lin, b, d, d);
-    for row in lin.chunks_exact_mut(d) {
-        for (o, &bv) in row.iter_mut().zip(bias) {
-            *o += bv;
-        }
-    }
-    for o in lin.iter_mut() {
-        *o = o.max(0.0);
-    }
-    // Residual connection (ablatable).
-    if residual {
-        for (hv, &lv) in h.iter_mut().zip(lin.iter()) {
-            *hv += lv;
-        }
-    } else {
-        h.copy_from_slice(lin);
     }
 }
 

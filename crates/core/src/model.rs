@@ -397,6 +397,35 @@ mod tests {
     }
 
     #[test]
+    fn bpr_without_dropout_gives_the_dynamic_view_no_gradient() {
+        // The dynamic view's pooled output and Σ w˙ are the same bits in ŷ⁺
+        // and ŷ⁻ of a pair, so at dropout 0 BPR's gradient of p's dynamic
+        // block (rows d..2d), of w˙ and of w₀ cancels exactly. Only dropout,
+        // whose masks differ between the two candidate sides, moves them.
+        let l = FeatureLayout { n_users: 40, n_items: 60 };
+        let pair = bpr_pair(&l);
+        let d = 32;
+        for dropout in [0.0, 0.6] {
+            let cfg = SeqFmConfig { d, max_seq: 20, dropout, ..Default::default() };
+            let mut ps = ParamStore::new();
+            let m = SeqFm::new(&mut ps, &mut StdRng::seed_from_u64(1), &l, cfg);
+            let (_, grads) = bpr_step(&m, &mut ps, &pair, true);
+            let grad = |name: &str| &grads[ps.iter().position(|(_, p)| p.name() == name).unwrap()];
+            let zero = |g: &[f32]| g.iter().all(|&x| x == 0.0);
+            let p = grad("seqfm.p");
+            assert!(!zero(&p[..d]), "dropout {dropout}: p's static block got no gradient");
+            if dropout == 0.0 {
+                assert!(zero(&p[d..2 * d]), "p's dynamic block got a gradient");
+                for name in ["seqfm.w_dynamic.table", "seqfm.w0"] {
+                    assert!(zero(grad(name)), "`{name}` got a gradient");
+                }
+            } else {
+                assert!(!zero(&p[d..2 * d]), "dropout {dropout}: p's dynamic block got none");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "must share their histories")]
     fn forward_pair_rejects_batches_with_different_histories() {
         let l = layout();

@@ -81,8 +81,9 @@ impl F16Table {
         Self { rows: data.len() / d, d, bits }
     }
 
-    /// Decoded-`f32` gather with the same contract as
-    /// `frozen::gather_rows`: `PAD` (negative) ids produce zero rows.
+    /// Decoded-`f32` gather with the same contract as the exact profile's
+    /// [`seqfm_tensor::ew::gather_rows_into`]: `PAD` (negative) ids produce
+    /// zero rows.
     ///
     /// # Panics
     /// Panics if `out` is smaller than `idx.len() · d` or an id is out of

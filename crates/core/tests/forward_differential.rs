@@ -4,9 +4,10 @@
 //! history, or lent as a cached [`HistoryView`](seqfm_core::HistoryView) —
 //! must produce the autograd graph's logits **bit for bit**.
 //!
-//! The hand-picked parity suites sit at `d = 8`, `max_seq = 6`; this one
-//! draws odd widths, single-row batches, partially shared batches, slates
-//! long enough for the head's eight-row tile plus a tail, slates that repeat
+//! The hand-picked parity suites sit at `d = 8`, `max_seq = 6` and one FFN
+//! layer; this one draws odd widths, FFN depths of one to three (Fig. 3
+//! sweeps `l`), single-row batches, partially shared batches, slates long
+//! enough for the head's eight-row tile plus a tail, slates that repeat
 //! a candidate, and the degenerate histories (all PAD, shorter than the
 //! window, truncated, one item repeated to capacity). The shim draws each
 //! case from a seeded RNG, so a failure reports a case index that reproduces
@@ -34,6 +35,7 @@ proptest! {
         variant in 0..Ablation::table5_variants().len(),
         d in 1usize..=12,
         max_seq in 1usize..=8,
+        layers in 1usize..=3,
         b in 1..=MAX_B,
         users in vec(0..LAYOUT.n_users as u32, MAX_B),
         cands in vec(0..LAYOUT.n_items as u32, MAX_B),
@@ -46,7 +48,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (name, ablation) = Ablation::table5_variants()[variant];
-        let cfg = SeqFmConfig { d, max_seq, dropout: 0.0, ablation, ..Default::default() };
+        let cfg =
+            SeqFmConfig { d, max_seq, layers, dropout: 0.0, ablation };
         let mut ps = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let model = SeqFm::new(&mut ps, &mut rng, &LAYOUT, cfg);
@@ -84,7 +87,7 @@ proptest! {
         let y = model.forward(&mut g, &ps, &batch, false, &mut StdRng::seed_from_u64(77));
         let bits = |logits: &[f32]| logits.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         let expect = bits(g.value(y).data());
-        let shape = format!("{name}, d={d}, max_seq={max_seq}, b={b}");
+        let shape = format!("{name}, d={d}, max_seq={max_seq}, layers={layers}, b={b}");
 
         let mut scratch = Scratch::new();
         prop_assert_eq!(&bits(frozen.score(&batch, &mut scratch)), &expect, "score: {}", shape);

@@ -109,11 +109,21 @@ impl Embedding {
     }
 }
 
+/// The LayerNorm variance guard: the paper's "small bias term added in case
+/// σ = 0" (Eq. 16). Every LayerNorm — the tape's and the frozen forward's —
+/// and the retrieval bounds over it read this one value.
+pub const LN_EPS: f32 = 1e-5;
+
+/// The scaled-dot-product factor `1/√d` of attention at width `d` (paper
+/// Eq. 8/9/11), shared by [`SelfAttention`] and the frozen forward.
+pub fn attention_scale(d: usize) -> f32 {
+    1.0 / (d as f32).sqrt()
+}
+
 /// LayerNorm over the last dimension with learned scale/bias (paper Eq. 16).
 pub struct LayerNorm {
     scale: ParamId,
     bias: ParamId,
-    eps: f32,
 }
 
 impl LayerNorm {
@@ -121,14 +131,14 @@ impl LayerNorm {
     pub fn new(ps: &mut ParamStore, name: &str, dim: usize) -> Self {
         let scale = ps.add_dense(format!("{name}.scale"), Tensor::ones(Shape::d1(dim)));
         let bias = ps.add_dense(format!("{name}.bias"), Tensor::zeros(Shape::d1(dim)));
-        LayerNorm { scale, bias, eps: 1e-5 }
+        LayerNorm { scale, bias }
     }
 
     /// Normalises the last dimension of `x`.
     pub fn forward(&self, g: &mut Graph, ps: &ParamStore, x: Var) -> Var {
         let s = g.param(ps, self.scale);
         let b = g.param(ps, self.bias);
-        g.layer_norm(x, s, b, self.eps)
+        g.layer_norm(x, s, b, LN_EPS)
     }
 }
 
@@ -170,7 +180,7 @@ impl SelfAttention {
     }
 
     fn scale(&self) -> f32 {
-        1.0 / (self.d as f32).sqrt()
+        attention_scale(self.d)
     }
 
     /// Unmasked attention over `e: [b, n, d]` (the static view, Eq. 8).

@@ -20,6 +20,7 @@ pub mod layers;
 pub mod optim;
 
 pub use layers::{
-    CrossHistory, Embedding, GruCell, LayerNorm, Linear, Mlp, ResidualFfn, SelfAttention,
+    attention_scale, CrossHistory, Embedding, GruCell, LayerNorm, Linear, Mlp, ResidualFfn,
+    SelfAttention, LN_EPS,
 };
 pub use optim::{clip_grad_norm, Adam, LrSchedule, NonFiniteGradError, Optimizer, Sgd};

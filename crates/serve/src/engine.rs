@@ -18,9 +18,9 @@
 //! from a dataset ([`Engine::warm_histories`]) and kept current by
 //! [`Engine::append_event`]. A [`HistorySource::Stored`](crate::HistorySource)
 //! request is just `(user, candidates)`; workers snapshot the window under
-//! one shard read lock and — when [`EngineConfig::cache_entries`] > 0 —
-//! memoise the scorer's history-side panel in a versioned
-//! [`ViewCache`](crate::ViewCache), so a cache hit skips the history half
+//! one shard read lock and memoise the scorer's history-side panel in a
+//! versioned [`ViewCache`](crate::ViewCache) of `VIEW_CACHE_ENTRIES`
+//! entries, so a cache hit skips the history half
 //! of the forward entirely. All of it is bit-identical to inline scoring.
 //!
 //! Admission is explicit: the non-blocking [`Engine::submit`] sheds load
@@ -81,9 +81,6 @@ pub struct EngineConfig {
     /// same-history super-batches. `1` disables coalescing; larger values
     /// trade per-request latency for throughput under load. Must be ≥ 1.
     pub coalesce_max: usize,
-    /// Bound on the [`ViewCache`](crate::ViewCache) memoising history-side
-    /// panels for stored-history requests; `0` disables caching.
-    pub cache_entries: usize,
     /// Serving parameter profile, applied to the model by
     /// [`Engine::new_frozen`]: [`ScorerPrecision::Exact`] replays the
     /// training graph bit for bit; [`ScorerPrecision::Fast`] runs the same
@@ -101,16 +98,13 @@ impl Default for EngineConfig {
         // caller opts into more. The admission queue absorbs a healthy burst
         // before shedding; modest coalescing is on by default — it only
         // batches requests that are *already* waiting, so an unloaded engine
-        // keeps single-request latency. The view cache defaults on: a cached
-        // panel is bit-identical to a rebuilt one, so it is purely a
-        // throughput lever.
+        // keeps single-request latency.
         EngineConfig {
             threads: 1,
             max_seq: 20,
             top_k: 0,
             queue_capacity: 1024,
             coalesce_max: 16,
-            cache_entries: 1024,
             precision: ScorerPrecision::Exact,
         }
     }
@@ -194,12 +188,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// View-cache bound. See [`EngineConfig::cache_entries`].
-    pub fn cache_entries(mut self, cache_entries: usize) -> Self {
-        self.cfg.cache_entries = cache_entries;
-        self
-    }
-
     /// Serving arithmetic profile. See [`EngineConfig::precision`].
     pub fn precision(mut self, precision: ScorerPrecision) -> Self {
         self.cfg.precision = precision;
@@ -215,6 +203,11 @@ impl EngineConfigBuilder {
         Ok(self.cfg)
     }
 }
+
+/// Bound on the engine's [`ViewCache`]: history-side panels memoised for
+/// stored-history requests and retrievals. A cached panel is bit-identical
+/// to a rebuilt one, so the bound only trades memory for throughput.
+const VIEW_CACHE_ENTRIES: usize = 1024;
 
 type Reply = Result<ScoreResponse, ServeError>;
 type Slot = Arc<Oneshot<Reply>>;
@@ -495,7 +488,7 @@ pub struct Engine {
     layout: FeatureLayout,
     cfg: EngineConfig,
     store: Arc<HistoryStore>,
-    cache: Option<Arc<ViewCache>>,
+    cache: Arc<ViewCache>,
     model: Arc<ArcSlot<ModelRev>>,
     index: Option<Arc<ArcSlot<CatalogIndex>>>,
     rebuilder: Option<Rebuilder>,
@@ -505,8 +498,8 @@ pub struct Engine {
 impl Engine {
     /// Spawns `cfg.threads` workers sharing `scorer`, plus a
     /// [`HistoryStore`](crate::HistoryStore) sized
-    /// `layout.n_users × cfg.max_seq` and (when
-    /// `cfg.cache_entries > 0`) a [`ViewCache`](crate::ViewCache).
+    /// `layout.n_users × cfg.max_seq` and a [`ViewCache`](crate::ViewCache)
+    /// of `VIEW_CACHE_ENTRIES` entries.
     ///
     /// The scorer is typically a
     /// [`FrozenSeqFm`](seqfm_core::FrozenSeqFm) (graph-free fast path) or a
@@ -531,7 +524,7 @@ impl Engine {
     ) -> Result<Self, ServeError> {
         cfg.validate()?;
         let store = Arc::new(HistoryStore::new(layout.n_users, cfg.max_seq));
-        let cache = (cfg.cache_entries > 0).then(|| Arc::new(ViewCache::new(cfg.cache_entries)));
+        let cache = Arc::new(ViewCache::new(VIEW_CACHE_ENTRIES));
         let model = Arc::new(ArcSlot::new(Arc::new(rev)));
         let (queue, handles) = WorkQueue::<Job>::bounded(cfg.threads.max(1), cfg.queue_capacity);
         let workers = handles
@@ -539,14 +532,14 @@ impl Engine {
             .map(|handle| {
                 let model = Arc::clone(&model);
                 let store = Arc::clone(&store);
-                let cache = cache.clone();
+                let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     let mut scratch = Scratch::new();
                     let mut coalesce = CoalesceScratch::new();
                     let mut jobs: Vec<Job> = Vec::new();
                     let mut reqs: Vec<ScoreRequest> = Vec::new();
                     let mut replies: Vec<Reply> = Vec::new();
-                    let backend = HistoryBackend { store: &store, cache: cache.as_deref() };
+                    let backend = HistoryBackend { store: &store, cache: Some(&cache) };
                     // The coalescer: drain up to `coalesce_max` queued
                     // requests per wakeup and score them as grouped
                     // super-batches. Under light load the drain holds one
@@ -837,7 +830,7 @@ impl Engine {
         let epoch = model.epoch();
         let mut snap = Vec::new();
         let version = self.store.snapshot_into(user, &mut snap);
-        let view = match self.cache.as_ref().and_then(|c| c.get(user, version, epoch)) {
+        let view = match self.cache.get(user, version, epoch) {
             Some(view) => view,
             None => {
                 // The scoring path's own canonical row, so the view (and its
@@ -846,14 +839,11 @@ impl Engine {
                 push_canonical_row(&snap, self.cfg.max_seq, &mut row);
                 let build =
                     || Some(VIEW_SCRATCH.with(|s| model.history_view(&row, &mut s.borrow_mut())));
-                let view = match &self.cache {
-                    Some(cache) => cache.shared_or_build(epoch, &row, build),
-                    None => build().map(Arc::new),
-                }
-                .expect("a frozen model always builds a view");
-                if let Some(cache) = &self.cache {
-                    cache.insert(user, version, epoch, Arc::clone(&view));
-                }
+                let view = self
+                    .cache
+                    .shared_or_build(epoch, &row, build)
+                    .expect("a frozen model always builds a view");
+                self.cache.insert(user, version, epoch, Arc::clone(&view));
                 view
             }
         };
@@ -937,9 +927,9 @@ impl Engine {
         Ok(self.store.snapshot(user).0)
     }
 
-    /// View-cache counters (all zero when `cache_entries == 0`).
+    /// View-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
+        self.cache.stats()
     }
 
     /// Non-blocking admission: enqueues the request and returns immediately,
@@ -1358,7 +1348,6 @@ mod tests {
             .top_k(5)
             .queue_capacity(99)
             .coalesce_max(4)
-            .cache_entries(0)
             .build()
             .expect("valid");
         let literal = EngineConfig {
@@ -1367,7 +1356,6 @@ mod tests {
             top_k: 5,
             queue_capacity: 99,
             coalesce_max: 4,
-            cache_entries: 0,
             precision: ScorerPrecision::Exact,
         };
         assert_eq!(built, literal);
@@ -1375,14 +1363,6 @@ mod tests {
             EngineConfig::builder().max_seq(0).build(),
             Err(ServeError::BadConfig { .. })
         ));
-        // cache_entries == 0 disables the cache rather than breaking it.
-        let layout = FeatureLayout { n_users: 4, n_items: 10 };
-        let cfg = EngineConfig { max_seq: 6, cache_entries: 0, ..Default::default() };
-        let engine = Engine::new(Arc::new(frozen_model(&layout)), layout, cfg).expect("valid");
-        engine.append_event(1, 2).expect("valid");
-        engine.score_stored(1, vec![0, 3]).expect("valid");
-        engine.score_stored(1, vec![0, 3]).expect("valid");
-        assert_eq!(engine.cache_stats(), CacheStats::default());
     }
 
     /// Shared gate state: (worker entered, gate open).

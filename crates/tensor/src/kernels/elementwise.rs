@@ -68,12 +68,72 @@ pub fn add_bias(x: &Tensor, b: &Tensor) -> Tensor {
     let d = b.numel();
     assert_eq!(x.shape().last_dim(), d, "bias dim {d} does not match last dim of {}", x.shape());
     let mut out = x.clone();
-    for row in out.data_mut().chunks_exact_mut(d) {
-        for (o, &bv) in row.iter_mut().zip(b.data()) {
+    add_bias_rows_inplace(out.data_mut(), b.data());
+    out
+}
+
+/// `x[r, :] += bias` for every length-`bias.len()` row of `x` — the bias
+/// add of [`add_bias`], of the autograd tape's `Graph::add_bias` and of the
+/// frozen forward's FFN and head, which all run this body.
+pub fn add_bias_rows_inplace(x: &mut [f32], bias: &[f32]) {
+    for row in x.chunks_exact_mut(bias.len()) {
+        for (o, &bv) in row.iter_mut().zip(bias) {
             *o += bv;
         }
     }
-    out
+}
+
+/// Embedding gather: slot `s` of `out` receives row `idx[s]` of the
+/// row-major `[rows, d]` `table`, or zeros for a negative (padding) index.
+/// Overwrites `out[..idx.len() * d]`. The autograd tape's `Graph::gather`
+/// and the frozen forward's exact-profile gathers both run this body.
+///
+/// # Panics
+/// Panics if `d == 0`, an index is out of table range or `out` is
+/// shorter than `idx.len() * d`.
+pub fn gather_rows_into(table: &[f32], d: usize, idx: &[i64], out: &mut [f32]) {
+    let rows = table.len() / d;
+    for (&i, dst) in idx.iter().zip(out[..idx.len() * d].chunks_exact_mut(d)) {
+        if i < 0 {
+            dst.fill(0.0);
+            continue;
+        }
+        let i = i as usize;
+        assert!(i < rows, "gather index {i} out of range ({rows} rows)");
+        dst.copy_from_slice(&table[i * d..(i + 1) * d]);
+    }
+}
+
+/// LayerNorm over each length-`d` row of `x` (`d = scale.len()`, paper
+/// Eq. 16): `out = (x − μ)·rstd·scale + bias` with `rstd = 1/√(σ² + eps)`,
+/// writing each row's `μ` and `rstd` to `mean[r]` / `rstd[r]` for the
+/// backward pass. The autograd tape's `Graph::layer_norm` and the frozen
+/// forward's FFN both run this body.
+///
+/// # Panics
+/// Panics if `out`, `mean` or `rstd` is shorter than `x` needs, or `bias`
+/// is shorter than `scale`.
+pub fn layer_norm_into(
+    x: &[f32],
+    scale: &[f32],
+    bias: &[f32],
+    eps: f32,
+    out: &mut [f32],
+    mean: &mut [f32],
+    rstd: &mut [f32],
+) {
+    let d = scale.len();
+    let (bias, out) = (&bias[..d], &mut out[..x.len()]);
+    for (r, (row, orow)) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)).enumerate() {
+        let mu = row.iter().sum::<f32>() / d as f32;
+        let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
+        let rs = 1.0 / (var + eps).sqrt();
+        mean[r] = mu;
+        rstd[r] = rs;
+        for ((&xi, o), (&sc, &bi)) in row.iter().zip(orow.iter_mut()).zip(scale.iter().zip(bias)) {
+            *o = (xi - mu) * rs * sc + bi;
+        }
+    }
 }
 
 /// Sums each length-`d` row of `x` into a rank-1 accumulator (the backward
