@@ -23,8 +23,9 @@ pub struct FrozenId(usize);
 ///
 /// Epochs are handed out by [`ParamStore::freeze_versioned`] in strictly
 /// increasing order per store, so any layer that derives state from a
-/// snapshot (view caches, retrieval indexes, quantized bundles) can key on
-/// the epoch and detect staleness with a single integer compare. Plain
+/// snapshot (view caches, retrieval indexes) can key on the epoch and
+/// detect staleness with a single integer compare; a copy made by
+/// [`FrozenParams::map_values`] keeps its source's epoch. Plain
 /// [`ParamStore::freeze`] stamps [`ModelEpoch::ZERO`] — the "unversioned /
 /// offline" epoch — which keeps every pre-existing call site byte-for-byte
 /// unchanged.
@@ -125,6 +126,14 @@ impl FrozenParams {
         &self.names[id.0]
     }
 
+    /// A snapshot with the same names, order and epoch whose value at each
+    /// id is `f(id, value)`: a transformed copy of the same parameters.
+    pub fn map_values(&self, mut f: impl FnMut(FrozenId, &Tensor) -> Tensor) -> Self {
+        let values = self.values.iter().enumerate().map(|(i, v)| f(FrozenId(i), v)).collect();
+        let (names, by_name) = (self.names.clone(), self.by_name.clone());
+        FrozenParams { names, values, by_name, epoch: self.epoch }
+    }
+
     /// Iterates over `(name, value)` pairs in registration order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
         self.names.iter().map(String::as_str).zip(self.values.iter())
@@ -159,8 +168,7 @@ impl ParamStore {
     ///
     /// Successive calls on the same store return strictly increasing epochs
     /// starting at 1, so epoch equality is snapshot identity for everything
-    /// derived downstream (view caches, retrieval indexes, quantized fast
-    /// profiles).
+    /// derived downstream (view caches, retrieval indexes).
     pub fn freeze_versioned(&mut self) -> Arc<FrozenParams> {
         let epoch = ModelEpoch(self.bump_epoch());
         Arc::new(FrozenParams::from_store_versioned(self, epoch))
@@ -229,6 +237,19 @@ mod tests {
         let after = ps.freeze_versioned();
         assert_eq!(before.get("w").unwrap().data()[0], 1.0);
         assert_eq!(after.get("w").unwrap().data()[0], 42.0);
+    }
+
+    #[test]
+    fn map_values_keeps_names_order_and_epoch() {
+        let mut ps = sample();
+        let frozen = ps.freeze_versioned();
+        let w = frozen.index_of("w").unwrap();
+        let mapped = frozen.map_values(|id, t| if id == w { t.map(|x| -x) } else { t.clone() });
+        assert_eq!(mapped.epoch(), frozen.epoch());
+        let names: Vec<&str> = mapped.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["w", "emb"]);
+        assert_eq!(mapped.value(w).data(), &[-1.0, -2.0, -3.0, -4.0]);
+        assert_eq!(mapped.get("emb").unwrap().data(), frozen.get("emb").unwrap().data());
     }
 
     #[test]

@@ -498,12 +498,11 @@ impl Graph {
     }
 
     /// LayerNorm over the last dimension with learned scale and bias
-    /// (paper Eq. 16). `eps` guards the variance as the paper's "small bias
-    /// term added in case σ = 0".
+    /// (paper Eq. 16), its variance guarded by [`ew::LN_EPS`].
     ///
     /// # Panics
     /// Panics if `scale`/`bias` are not rank-1 of the last-dim size.
-    pub fn layer_norm(&mut self, x: Var, scale: Var, bias: Var, eps: f32) -> Var {
+    pub fn layer_norm(&mut self, x: Var, scale: Var, bias: Var) -> Var {
         let xv = self.value(x);
         let d = xv.shape().last_dim();
         assert_eq!(self.value(scale).numel(), d, "layer_norm scale width mismatch");
@@ -513,7 +512,7 @@ impl Graph {
         let mut rstd = self.ws.take_vec(rows);
         let mut out = self.pooled_zeros(xv.shape());
         let [xv, sv, bv] = [x, scale, bias].map(|v| self.value(v).data());
-        ew::layer_norm_into(xv, sv, bv, eps, out.data_mut(), &mut mean, &mut rstd);
+        ew::layer_norm_into(xv, sv, bv, out.data_mut(), &mut mean, &mut rstd);
         let g = self.ng(x) || self.ng(scale) || self.ng(bias);
         self.push(out, Op::LayerNorm { x, scale, bias, cache: LnCache { mean, rstd } }, g)
     }

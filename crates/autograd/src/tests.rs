@@ -263,7 +263,7 @@ fn grad_layer_norm() {
         let xv = g.param(ps, x);
         let sv = g.param(ps, s);
         let bv = g.param(ps, b);
-        let y = g.layer_norm(xv, sv, bv, 1e-5);
+        let y = g.layer_norm(xv, sv, bv);
         let sq = g.square(y);
         g.mean_all(sq)
     });

@@ -129,14 +129,14 @@ fn main() {
     });
     let items_per_sec_1m_fast = 1_000_000f64 / fast_p50_1m;
     // What the two embedding tables hold resident at 1M items: the `f32`
-    // snapshot every replica keeps, and under `Fast` the `f16` copy beside
-    // it (the gather reads only the `f16` half; nothing is freed).
+    // snapshot θ every replica keeps, and under `Fast` the quantised `f32`
+    // copy θ′ beside it (the forward reads only θ′; nothing is freed).
     let emb_elems: usize = ["seqfm.emb_static.table", "seqfm.emb_dynamic.table"]
         .iter()
         .map(|name| fast_model.params().get(name).expect("embedding table").numel())
         .sum();
     let emb_table_mb_f32 = (emb_elems * 4) as f64 / 1e6;
-    let emb_table_mb_fast_resident = (emb_elems * (4 + 2)) as f64 / 1e6;
+    let emb_table_mb_fast_resident = (emb_elems * (4 + 4)) as f64 / 1e6;
     println!(
         "n = 1000000 [fast]: p50 {:.2} ms, prune rate {:.3}",
         fast_p50_1m * 1e3,

@@ -49,6 +49,7 @@ use crate::frozen::FrozenSeqFm;
 use crate::view::HistoryView;
 use seqfm_data::FeatureLayout;
 use seqfm_nn::LN_EPS;
+use seqfm_tensor::ew;
 
 /// Per-coordinate leaf-interval widening (absolute / relative), covering
 /// `f32` rounding of projection, attention, and pooling.
@@ -127,10 +128,10 @@ impl FrozenSeqFm {
             })
             .collect();
         let mut e = vec![0.0f32; n * d];
-        self.gather_static(&idx, d, &mut e);
+        ew::gather_rows_into(self.t(self.emb_static).data(), d, &idx, &mut e);
         let mut proj = vec![0.0f32; n * d];
         let mut envelope = |view: usize| -> (Vec<f32>, Vec<f32>) {
-            self.project_view(&e, view, 2, n, &mut proj);
+            self.project_view(&e, self.attn[view].wv, n, &mut proj);
             let mut lo = vec![f32::INFINITY; d];
             let mut hi = vec![f32::NEG_INFINITY; d];
             for row in proj[..n * d].chunks_exact(d) {
@@ -167,18 +168,18 @@ impl FrozenSeqFm {
         let ab = self.config().ablation;
         let uf = [layout.user_feature(user)];
         let mut e = vec![0.0f32; d];
-        self.gather_static(&uf, d, &mut e);
+        ew::gather_rows_into(self.t(self.emb_static).data(), d, &uf, &mut e);
 
         let mut vs_user = Vec::new();
         if ab.static_view {
             vs_user = vec![0.0f32; d];
-            self.project_view(&e, 0, 2, 1, &mut vs_user);
+            self.project_view(&e, self.attn[0].wv, 1, &mut vs_user);
         }
 
         let (mut vx_lo, mut vx_hi) = (Vec::new(), Vec::new());
         if ab.cross_view {
             let mut vx_user = vec![0.0f32; d];
-            self.project_view(&e, 2, 2, 1, &mut vx_user);
+            self.project_view(&e, self.attn[2].wv, 1, &mut vx_user);
             vx_lo = vx_user.clone();
             vx_hi = vx_user;
             // The cached history V projections are the forward pass's own
@@ -206,12 +207,10 @@ impl FrozenSeqFm {
         let spec = self
             .ffn
             .iter()
-            .enumerate()
-            .map(|(li, layer)| {
-                // The active profile's weights — the quantized effective
-                // matrix under `Fast`, so the spectral bound covers exactly
-                // what the fast FFN multiplies.
-                let w = self.ffn_w_data(li);
+            .map(|layer| {
+                // The served weights, so the spectral bound covers exactly
+                // what the forward's FFN multiplies.
+                let w = self.t(layer.w).data();
                 let m: Vec<f64> = if ab.layer_norm {
                     let scale = self.t(layer.ln_scale).data();
                     (0..d * d).map(|ij| scale[ij / d] as f64 * w[ij] as f64).collect()
@@ -323,7 +322,7 @@ impl FrozenSeqFm {
             } else {
                 (lo, hi)
             };
-            let w = self.ffn_w_data(li);
+            let w = self.t(layer.w).data();
             let b = self.t(layer.b).data();
             for j in 0..d {
                 let mut alo = b[j] as f64;

@@ -31,7 +31,7 @@
 //! user, and a view is shared across users by window content.
 
 use crate::config::SeqFmConfig;
-use crate::precision::{FrozenParamsFast, ScorerPrecision};
+use crate::precision::ScorerPrecision;
 use crate::scorer::{Scorer, Scratch};
 use crate::view::HistoryView;
 use crate::SeqFm;
@@ -39,8 +39,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqfm_autograd::{FrozenId, FrozenParams, ModelEpoch, ParamStore};
 use seqfm_data::{Batch, FeatureLayout};
+use seqfm_nn::attention_scale;
 use seqfm_nn::checkpoint::{self, CheckpointError};
-use seqfm_nn::{attention_scale, LN_EPS};
 use seqfm_tensor::{
     attention_causal_into, attention_cross_rows_into, attention_cross_shared_into, attention_into,
     ew, matmul_nn_into, reduce, Tensor, Workspace,
@@ -51,6 +51,13 @@ pub(crate) struct AttnIds {
     pub(crate) wq: FrozenId,
     pub(crate) wk: FrozenId,
     pub(crate) wv: FrozenId,
+}
+
+impl AttnIds {
+    /// The Q, K and V projection ids, in that order.
+    pub(crate) fn qkv(&self) -> [FrozenId; 3] {
+        [self.wq, self.wk, self.wv]
+    }
 }
 
 pub(crate) struct FfnLayerIds {
@@ -68,6 +75,9 @@ pub(crate) struct FfnLayerIds {
 pub struct FrozenSeqFm {
     cfg: SeqFmConfig,
     params: Arc<FrozenParams>,
+    /// The snapshot the forward and the bounds read: `params` itself, or
+    /// the profile's transform of it (see [`crate::precision`]).
+    pub(crate) served: Arc<FrozenParams>,
     pub(crate) emb_static: FrozenId,
     pub(crate) emb_dynamic: FrozenId,
     pub(crate) w_static: FrozenId,
@@ -76,8 +86,7 @@ pub struct FrozenSeqFm {
     pub(crate) attn: [AttnIds; 3],
     pub(crate) ffn: Vec<FfnLayerIds>,
     pub(crate) p: FrozenId,
-    precision: ScorerPrecision,
-    fast: Option<Arc<FrozenParamsFast>>,
+    pub(crate) precision: ScorerPrecision,
 }
 
 impl FrozenSeqFm {
@@ -142,110 +151,22 @@ impl FrozenSeqFm {
             ffn,
             p: r("seqfm.p", &[cfg.ablation.active_views() * d, 1]),
             cfg,
+            served: Arc::clone(&params),
             params,
             precision: ScorerPrecision::Exact,
-            fast: None,
         }
     }
 
-    /// Switches the serving profile, quantizing the parameters on first use
-    /// of [`ScorerPrecision::Fast`] (see [`crate::precision`] for the error
-    /// budget and guarantees). The profile selects *parameters only*: both
-    /// run the same kernels, so `Fast` is bit-identical to an `Exact` model
-    /// frozen from the quantized values. The quantized bundle is kept when
-    /// toggling back to `Exact`, so flipping profiles is cheap after the
-    /// first build.
-    #[must_use]
-    pub fn with_precision(mut self, precision: ScorerPrecision) -> Self {
-        self.precision = precision;
-        if precision == ScorerPrecision::Fast && self.fast.is_none() {
-            self.fast = Some(Arc::new(FrozenParamsFast::build(&self)));
-        }
-        self
-    }
-
-    /// The active serving profile.
-    pub fn precision(&self) -> ScorerPrecision {
-        self.precision
-    }
-
-    /// The quantized bundle, when the fast profile is active.
-    fn fast_active(&self) -> Option<&FrozenParamsFast> {
-        match self.precision {
-            ScorerPrecision::Fast => self.fast.as_deref(),
-            ScorerPrecision::Exact => None,
-        }
-    }
-
-    /// Profile-aware static-embedding gather (`f16`-decoded under `Fast`).
-    pub(crate) fn gather_static(&self, idx: &[i64], d: usize, out: &mut [f32]) {
-        match self.fast_active() {
-            Some(fp) => fp.emb_static.gather(idx, out),
-            None => ew::gather_rows_into(self.t(self.emb_static).data(), d, idx, out),
-        }
-    }
-
-    /// Profile-aware dynamic-embedding gather.
-    pub(crate) fn gather_dynamic(&self, idx: &[i64], d: usize, out: &mut [f32]) {
-        match self.fast_active() {
-            Some(fp) => fp.emb_dynamic.gather(idx, out),
-            None => ew::gather_rows_into(self.t(self.emb_dynamic).data(), d, idx, out),
-        }
-    }
-
-    /// View `view`'s attention weight matrix (`which`: 0 = Q, 1 = K, 2 = V)
-    /// in the active profile — the exact tensor, or the `f16`-effective copy
-    /// the `Fast` forward pass *and* the retrieval bounds both read.
-    fn attn_w(&self, view: usize, which: usize) -> &[f32] {
-        match self.fast_active() {
-            Some(fp) => {
-                let fa = &fp.attn[view];
-                match which {
-                    0 => &fa.wq,
-                    1 => &fa.wk,
-                    _ => &fa.wv,
-                }
-            }
-            None => {
-                let ids = &self.attn[view];
-                self.t(match which {
-                    0 => ids.wq,
-                    1 => ids.wk,
-                    _ => ids.wv,
-                })
-                .data()
-            }
-        }
-    }
-
-    /// Attention projection `out[m,d] = e[m,d] · W[d,d]` with the active
-    /// profile's weights (the tape's rank-3 `Linear::forward` reads its
-    /// input as these same `m` rows; projections carry no bias). Per-row
-    /// arithmetic is batch-independent,
-    /// so a row's projection is the same bits whether it is computed here
-    /// for a forward pass or for a bounds envelope.
-    pub(crate) fn project_view(
-        &self,
-        e: &[f32],
-        view: usize,
-        which: usize,
-        m: usize,
-        out: &mut [f32],
-    ) {
+    /// Attention projection `out[m,d] = e[m,d] · W[d,d]` with the served
+    /// weight `w` (the tape's rank-3 `Linear::forward` reads its input as
+    /// these same `m` rows; projections carry no bias). Per-row arithmetic
+    /// is batch-independent, so a row's projection is the same bits whether
+    /// it is computed here for a forward pass or for a bounds envelope.
+    pub(crate) fn project_view(&self, e: &[f32], w: FrozenId, m: usize, out: &mut [f32]) {
         let d = self.cfg.d;
-        let w = self.attn_w(view, which);
         let out = &mut out[..m * d];
         out.fill(0.0);
-        matmul_nn_into(e, w, out, m, d, d);
-    }
-
-    /// The shared FFN's layer-`li` weight matrix in the active profile (the
-    /// `i8`-effective copy under `Fast`, shared with the bounds).
-    pub(crate) fn ffn_w_data(&self, li: usize) -> &[f32] {
-        match self.fast_active() {
-            Some(fp) => &fp.ffn_w[li].eff,
-            None => self.t(self.ffn[li].w).data(),
-        }
+        matmul_nn_into(e, self.t(w).data(), out, m, d, d);
     }
 
     /// Restores a frozen model straight from a checkpoint blob (see
@@ -292,7 +213,9 @@ impl FrozenSeqFm {
         &self.cfg
     }
 
-    /// The shared parameter snapshot.
+    /// The shared parameter snapshot θ — under either profile (the
+    /// forward reads the profile's served snapshot; see
+    /// [`FrozenSeqFm::with_precision`]).
     pub fn params(&self) -> &Arc<FrozenParams> {
         &self.params
     }
@@ -303,8 +226,9 @@ impl FrozenSeqFm {
         self.params.epoch()
     }
 
+    /// A served parameter value.
     pub(crate) fn t(&self, id: FrozenId) -> &Tensor {
-        self.params.value(id)
+        self.served.value(id)
     }
 
     /// The post-attention tail of a view: intra-view mean pooling (Eq. 14)
@@ -328,16 +252,16 @@ impl FrozenSeqFm {
         let (lin, rest) = rest.split_at_mut(b * d);
         let (mean, rstd) = rest.split_at_mut(b);
         reduce::mean_axis1_into(bufs.ctx, h, b, n, d);
-        for (li, layer) in self.ffn.iter().enumerate() {
+        for layer in &self.ffn {
             let src: &[f32] = if ab.layer_norm {
                 let (scale, bias) = (self.t(layer.ln_scale).data(), self.t(layer.ln_bias).data());
-                ew::layer_norm_into(h, scale, bias, LN_EPS, normed, mean, rstd);
+                ew::layer_norm_into(h, scale, bias, normed, mean, rstd);
                 normed
             } else {
                 h
             };
             lin.fill(0.0);
-            matmul_nn_into(src, self.ffn_w_data(li), lin, b, d, d);
+            matmul_nn_into(src, self.t(layer.w).data(), lin, b, d, d);
             ew::add_bias_rows_inplace(lin, self.t(layer.b).data());
             for (hv, &lv) in h.iter_mut().zip(lin.iter()) {
                 let act = lv.max(0.0);
@@ -371,8 +295,8 @@ impl FrozenSeqFm {
         pu: &mut [f32],
         dsts: [&mut [f32]; 3],
     ) {
-        for (wi, dst) in dsts.into_iter().enumerate() {
-            self.project_view(e_u, view, wi, 1 + b, pu);
+        for (w, dst) in self.attn[view].qkv().into_iter().zip(dsts) {
+            self.project_view(e_u, w, 1 + b, pu);
             for bi in 0..b {
                 let base = bi * 2 * d;
                 dst[base..base + d].copy_from_slice(&pu[..d]);
@@ -451,15 +375,15 @@ impl FrozenSeqFm {
 
         // Embedding layer (Eq. 5): PAD rows embed to exact zeros.
         let mut e_d = ws.take(rows * nd * d);
-        self.gather_dynamic(dyn_rows, d, &mut e_d);
+        ew::gather_rows_into(self.t(self.emb_dynamic).data(), d, dyn_rows, &mut e_d);
 
         if ab.cross_view {
             // Projection is row-local, so the cross view's history rows are
             // projected here, apart from the static rows they will attend
             // with, and the structured kernels read both blocks in place.
             let dsts = [&mut view.hist_q, &mut view.hist_k, &mut view.hist_v];
-            for (wi, dst) in dsts.into_iter().enumerate() {
-                self.project_view(&e_d, 2, wi, rows * nd, dst);
+            for (w, dst) in self.attn[2].qkv().into_iter().zip(dsts) {
+                self.project_view(&e_d, w, rows * nd, dst);
             }
         }
         if ab.dynamic_view {
@@ -484,8 +408,9 @@ impl FrozenSeqFm {
             };
             // Causal attention through the tape node's own kernel: only the
             // lower triangle is kept.
-            for (wi, dst) in [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v].into_iter().enumerate() {
-                self.project_view(&e_d, 1, wi, rows * nd, dst);
+            let dsts = [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v];
+            for (w, dst) in self.attn[1].qkv().into_iter().zip(dsts) {
+                self.project_view(&e_d, w, rows * nd, dst);
             }
             let scale = attention_scale(d);
             let (q, k, v) = (&*bufs.q, &*bufs.k, &*bufs.v);
@@ -691,7 +616,7 @@ impl FrozenSeqFm {
         let mut lin_s = ws.take(b);
 
         // Embedding layer (Eq. 5): PAD rows embed to exact zeros.
-        self.gather_static(static_idx, d, &mut e_s);
+        ew::gather_rows_into(self.t(self.emb_static).data(), d, static_idx, &mut e_s);
         if uniq_static {
             // Unique static rows: the shared user row once, then each
             // candidate's row (static column 1 of every slice).
@@ -722,8 +647,8 @@ impl FrozenSeqFm {
             if uniq_static {
                 self.project_static_unique(&e_u, av, b, d, pu, dsts);
             } else {
-                for (wi, dst) in dsts.into_iter().enumerate() {
-                    self.project_view(&e_s, av, wi, b * ns, dst);
+                for (w, dst) in self.attn[av].qkv().into_iter().zip(dsts) {
+                    self.project_view(&e_s, w, b * ns, dst);
                 }
             }
         };
@@ -761,8 +686,8 @@ impl FrozenSeqFm {
             let shared_user = uniq_static && rows == 1;
             if shared_user {
                 let dsts = [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v];
-                for (wi, dst) in dsts.into_iter().enumerate() {
-                    self.project_view(&e_u, 2, wi, 1 + b, dst);
+                for (w, dst) in self.attn[2].qkv().into_iter().zip(dsts) {
+                    self.project_view(&e_u, w, 1 + b, dst);
                 }
             } else {
                 project_static(2, &mut pu, &mut bufs);
@@ -815,10 +740,7 @@ impl FrozenSeqFm {
 
 impl Scorer for FrozenSeqFm {
     fn name(&self) -> &str {
-        match self.precision {
-            ScorerPrecision::Exact => "SeqFM[frozen]",
-            ScorerPrecision::Fast => "SeqFM[frozen:fast]",
-        }
+        self.precision.frozen_name()
     }
 
     fn score<'s>(&self, batch: &Batch, scratch: &'s mut Scratch) -> &'s [f32] {
@@ -1008,6 +930,26 @@ mod tests {
             }
             // Not vacuous: quantisation moved the parameters.
             assert_ne!(got[1], exact.score(&shared, &mut sq), "{name}: θ′ == θ");
+            // Toggled back, the same model serves θ again.
+            let back = fast.with_precision(ScorerPrecision::Exact);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (vb, ve) =
+                (back.history_view(&vf.dyn_idx, &mut sf), exact.history_view(&vf.dyn_idx, &mut sq));
+            for (shape, g, w) in [
+                (
+                    "per-row",
+                    bits(back.score(&per_row, &mut sf)),
+                    bits(exact.score(&per_row, &mut sq)),
+                ),
+                ("shared", bits(back.score(&shared, &mut sf)), bits(exact.score(&shared, &mut sq))),
+                (
+                    "cached view",
+                    bits(back.score_with_view(&shared, &vb, &mut sf)),
+                    bits(exact.score_with_view(&shared, &ve, &mut sq)),
+                ),
+            ] {
+                assert_eq!(g, w, "{name}, {shape}: toggled back to Exact serves θ′");
+            }
         }
     }
 

@@ -61,7 +61,7 @@ pub use eval::{
 };
 pub use frozen::FrozenSeqFm;
 pub use model::SeqFm;
-pub use precision::{FrozenParamsFast, ScorerPrecision};
+pub use precision::ScorerPrecision;
 pub use scorer::{GraphScorer, Scorer, Scratch};
 pub use seqfm_autograd::ModelEpoch;
 pub use train::{

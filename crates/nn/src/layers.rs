@@ -109,11 +109,6 @@ impl Embedding {
     }
 }
 
-/// The LayerNorm variance guard: the paper's "small bias term added in case
-/// σ = 0" (Eq. 16). Every LayerNorm — the tape's and the frozen forward's —
-/// and the retrieval bounds over it read this one value.
-pub const LN_EPS: f32 = 1e-5;
-
 /// The scaled-dot-product factor `1/√d` of attention at width `d` (paper
 /// Eq. 8/9/11), shared by [`SelfAttention`] and the frozen forward.
 pub fn attention_scale(d: usize) -> f32 {
@@ -138,7 +133,7 @@ impl LayerNorm {
     pub fn forward(&self, g: &mut Graph, ps: &ParamStore, x: Var) -> Var {
         let s = g.param(ps, self.scale);
         let b = g.param(ps, self.bias);
-        g.layer_norm(x, s, b, LN_EPS)
+        g.layer_norm(x, s, b)
     }
 }
 

@@ -21,6 +21,8 @@ pub mod optim;
 
 pub use layers::{
     attention_scale, CrossHistory, Embedding, GruCell, LayerNorm, Linear, Mlp, ResidualFfn,
-    SelfAttention, LN_EPS,
+    SelfAttention,
 };
 pub use optim::{clip_grad_norm, Adam, LrSchedule, NonFiniteGradError, Optimizer, Sgd};
+/// The LayerNorm variance guard, re-exported from the kernel it guards.
+pub use seqfm_tensor::ew::LN_EPS;

@@ -82,13 +82,15 @@ pub struct EngineConfig {
     /// trade per-request latency for throughput under load. Must be ≥ 1.
     pub coalesce_max: usize,
     /// Serving parameter profile, applied to the model by
-    /// [`Engine::new_frozen`]: [`ScorerPrecision::Exact`] replays the
-    /// training graph bit for bit; [`ScorerPrecision::Fast`] runs the same
-    /// kernels on quantized (`f16`/`i8`-effective) parameters, with a
-    /// documented per-logit ε — see `seqfm_core::precision`. The generic
-    /// [`Engine::new`] ignores this knob: an arbitrary scorer cannot be
-    /// re-quantized, so callers choosing `Fast` there must pass a scorer
-    /// already converted via `FrozenSeqFm::with_precision`.
+    /// [`Engine::new_frozen`] and [`Engine::publish_frozen`]:
+    /// [`ScorerPrecision::Exact`] replays the training graph bit for bit;
+    /// [`ScorerPrecision::Fast`] runs the same kernels on a quantised `f32`
+    /// copy of the parameters, with a documented per-logit ε — see
+    /// `seqfm_core::precision`. An attached catalog index must serve the
+    /// same profile. The generic [`Engine::new`] does not apply this knob:
+    /// an arbitrary scorer cannot be re-quantized, so callers choosing
+    /// `Fast` there must pass a scorer already converted via
+    /// `FrozenSeqFm::with_precision`.
     pub precision: ScorerPrecision,
 }
 
@@ -610,7 +612,7 @@ impl Engine {
     /// `cfg.precision` (see [`EngineConfig::precision`]). This is the
     /// profile-aware front door: `.precision(ScorerPrecision::Fast)` on the
     /// config builder is all it takes to serve the quantized-parameter
-    /// profile, with every worker sharing the one quantized bundle.
+    /// profile, with every worker sharing the one quantised snapshot.
     ///
     /// # Errors
     /// [`ServeError::BadConfig`] when [`EngineConfig::validate`] rejects
@@ -635,14 +637,25 @@ impl Engine {
     /// brute-force scan with the fresh model during the window where the
     /// index still carries the previous epoch.
     ///
+    /// The index must be built at [`EngineConfig::precision`]: both profiles
+    /// share an epoch, so its history views would enter the scorer's cache.
+    /// [`Engine::new`] callers build it at their scorer's profile and set
+    /// `cfg.precision` to match.
+    ///
     /// # Panics
-    /// Panics if the index's layout disagrees with the engine's.
+    /// Panics if the index's layout disagrees with the engine's, or its
+    /// model serves another precision profile than `cfg.precision`.
     #[must_use]
     pub fn with_catalog_index(mut self, index: Arc<CatalogIndex>) -> Self {
         assert_eq!(
             (index.layout().n_users, index.layout().n_items),
             (self.layout.n_users, self.layout.n_items),
             "catalog index layout must match the engine's"
+        );
+        assert_eq!(
+            index.model().precision(),
+            self.cfg.precision,
+            "catalog index must be built at the engine's precision profile"
         );
         let slot = Arc::new(ArcSlot::new(index));
         let mailbox = Arc::new(RebuildMailbox::new());
@@ -747,7 +760,7 @@ impl Engine {
     ///
     /// 1. the engine's serving profile is applied
     ///    ([`ScorerPrecision::Fast`] re-quantizes **here**, off the hot
-    ///    path — workers keep serving the old quantized bundle meanwhile);
+    ///    path — workers keep serving the old quantised snapshot meanwhile);
     /// 2. the model slot is swapped — new drains score under the new
     ///    epoch, in-flight drains finish on the one they pinned (the
     ///    replaced revision is freed when the last of them does: the slot
@@ -1197,6 +1210,46 @@ mod tests {
             assert_eq!(g.item, w.item);
             assert_eq!(g.score.to_bits(), w.score.to_bits());
         }
+    }
+
+    /// The requests of the two precision tests: user 3's stored window
+    /// `[4, 19, 2]`, scored against four candidates after a retrieval.
+    fn retrieve_then_score_stored(engine: &Engine) -> ScoreResponse {
+        for item in [4u32, 19, 2] {
+            engine.append_event(3, item).expect("valid ids");
+        }
+        engine.retrieve_top_k(3, 5).expect("valid");
+        engine.score_stored(3, vec![5, 9, 40, 41]).expect("valid")
+    }
+
+    #[test]
+    fn a_fast_engine_with_a_fast_index_serves_fast_logits() {
+        let layout = FeatureLayout { n_users: 6, n_items: 48 };
+        let fast = Arc::new(frozen_model(&layout).with_precision(ScorerPrecision::Fast));
+        let cfg = EngineConfig { precision: ScorerPrecision::Fast, ..engine_cfg(1, 0) };
+        let engine = Engine::new_frozen(frozen_model(&layout), layout, cfg)
+            .expect("valid cfg")
+            .with_catalog_index(Arc::new(CatalogIndex::build(Arc::clone(&fast), layout, 8)));
+        let got = retrieve_then_score_stored(&engine);
+        // The view the retrieval cached is the `Fast` scorer's own.
+        let req = ScoreRequest::inline(3, vec![4u32, 19, 2], vec![5u32, 9, 40, 41]);
+        let want = score_request(&*fast, &layout, 6, 0, &req, &mut Scratch::new()).expect("valid");
+        assert_eq!(got.ranked.len(), want.ranked.len());
+        for (g, w) in got.ranked.iter().zip(&want.ranked) {
+            assert_eq!((g.item, g.score.to_bits()), (w.item, w.score.to_bits()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "catalog index must be built at the engine's precision profile")]
+    fn a_catalog_index_at_another_precision_is_rejected() {
+        let layout = FeatureLayout { n_users: 6, n_items: 48 };
+        let exact = Arc::new(frozen_model(&layout));
+        let cfg = EngineConfig { precision: ScorerPrecision::Fast, ..engine_cfg(1, 0) };
+        let engine = Engine::new_frozen(frozen_model(&layout), layout, cfg)
+            .expect("valid cfg")
+            .with_catalog_index(Arc::new(CatalogIndex::build(exact, layout, 8)));
+        retrieve_then_score_stored(&engine);
     }
 
     #[test]

@@ -104,8 +104,14 @@ pub fn gather_rows_into(table: &[f32], d: usize, idx: &[i64], out: &mut [f32]) {
     }
 }
 
+/// The LayerNorm variance guard: the paper's "small bias term added in case
+/// σ = 0" (Eq. 16). Every LayerNorm — the tape's and the frozen forward's —
+/// and the retrieval bounds over it read this one value.
+pub const LN_EPS: f32 = 1e-5;
+
 /// LayerNorm over each length-`d` row of `x` (`d = scale.len()`, paper
-/// Eq. 16): `out = (x − μ)·rstd·scale + bias` with `rstd = 1/√(σ² + eps)`,
+/// Eq. 16): `out = (x − μ)·rstd·scale + bias` with
+/// `rstd = 1/√(σ² + LN_EPS)`,
 /// writing each row's `μ` and `rstd` to `mean[r]` / `rstd[r]` for the
 /// backward pass. The autograd tape's `Graph::layer_norm` and the frozen
 /// forward's FFN both run this body.
@@ -117,7 +123,6 @@ pub fn layer_norm_into(
     x: &[f32],
     scale: &[f32],
     bias: &[f32],
-    eps: f32,
     out: &mut [f32],
     mean: &mut [f32],
     rstd: &mut [f32],
@@ -127,7 +132,7 @@ pub fn layer_norm_into(
     for (r, (row, orow)) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)).enumerate() {
         let mu = row.iter().sum::<f32>() / d as f32;
         let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
-        let rs = 1.0 / (var + eps).sqrt();
+        let rs = 1.0 / (var + LN_EPS).sqrt();
         mean[r] = mu;
         rstd[r] = rs;
         for ((&xi, o), (&sc, &bi)) in row.iter().zip(orow.iter_mut()).zip(scale.iter().zip(bias)) {

@@ -1,21 +1,13 @@
-//! The `f16` storage codec behind the serving profile's quantised tables:
-//! bit-cast half precision in memory, `f32` compute.
+//! The IEEE `binary16` (`f16`) codec behind the serving `Fast` profile's
+//! quantised parameters.
 //!
-//! The serving `Fast` profile differs from `Exact` only in the parameters it
-//! feeds the one set of kernels this crate has: tables are encoded once with
-//! [`f16_from_f32`] and widened on gather with [`widen_f16`]. Decoding is
-//! exact (every `f16` value is an `f32` value), so the software decode
-//! [`f32_from_f16`] and the F16C `vcvtph2ps` instruction agree bit for bit on
-//! all 65 536 patterns, and [`widen_f16`] may pick between them by what the
-//! running CPU reports — the one run-time hardware check in this crate.
-#![deny(unsafe_op_in_unsafe_fn)]
-
-#[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::{_mm256_cvtph_ps, _mm256_storeu_ps, _mm_loadu_si128};
+//! `Fast` serves θ′ = `decode(encode(θ))` for some tensors, held as ordinary
+//! `f32`: [`f16_from_f32`] is the one deterministic encoder and
+//! [`f32_from_f16`] the exact decoder (every `f16` value is an `f32` value).
+//! Nothing is stored or computed in half precision.
 
 /// Converts one f32 to IEEE-754 binary16 bits, round-to-nearest-even — the
-/// single deterministic encoder used when building `FrozenParamsFast`
-/// snapshots.
+/// single deterministic encoder the `Fast` profile's parameters go through.
 pub fn f16_from_f32(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
@@ -71,8 +63,7 @@ pub fn f16_from_f32(x: f32) -> u16 {
 }
 
 /// Decodes IEEE-754 binary16 bits to f32. Exact: every finite f16 value is
-/// representable in f32, so this is the inverse-free direction — software
-/// decode and the F16C `vcvtph2ps` hardware path agree bit for bit.
+/// representable in f32, so this is the inverse-free direction.
 pub fn f32_from_f16(h: u16) -> f32 {
     let sign32 = ((h as u32) & 0x8000) << 16;
     let exp = ((h >> 10) & 0x1f) as u32;
@@ -87,53 +78,11 @@ pub fn f32_from_f16(h: u16) -> f32 {
             if mant == 0 {
                 f32::from_bits(sign32 | 0x7f80_0000)
             } else {
-                // NaN: shift the payload up, keep it quiet (matches F16C).
+                // NaN: shift the payload up, keep it quiet.
                 f32::from_bits(sign32 | 0x7fc0_0000 | (mant << 13))
             }
         }
         _ => f32::from_bits(sign32 | ((exp + 112) << 23) | (mant << 13)),
-    }
-}
-
-/// Widens a slice of f16 bits into f32, taking the hardware F16C path when
-/// the running CPU has it (bit-identical to the software decode for every
-/// input — both are exact).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn widen_f16(src: &[u16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "widen_f16 length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") && std::arch::is_x86_feature_detected!("f16c") {
-        // SAFETY: the running CPU reports both features the body is
-        // compiled with (AVX and F16C), and the lengths were just checked.
-        unsafe { widen_f16_f16c(src, dst) };
-        return;
-    }
-    for (d, &h) in dst.iter_mut().zip(src) {
-        *d = f32_from_f16(h);
-    }
-}
-
-/// Hardware-widening body of [`widen_f16`]: 8 halves per `vcvtph2ps`.
-///
-/// # Safety
-/// The CPU must support F16C and AVX. `src` and `dst` must be equal length
-/// (asserted by the caller).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx,f16c")]
-unsafe fn widen_f16_f16c(src: &[u16], dst: &mut [f32]) {
-    let chunks = src.len() / 8;
-    for i in 0..chunks {
-        // SAFETY: `i < len / 8`, so the 8-halfword load and the 8-float
-        // store are both in bounds.
-        unsafe {
-            let h = _mm_loadu_si128(src.as_ptr().add(i * 8).cast());
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i * 8), _mm256_cvtph_ps(h));
-        }
-    }
-    for j in chunks * 8..src.len() {
-        dst[j] = f32_from_f16(src[j]);
     }
 }
 
@@ -185,19 +134,6 @@ mod tests {
                 (back - v).abs() <= v.abs() * 4.9e-4 + 1e-8,
                 "f16 error too large at {v}: {back}"
             );
-        }
-    }
-
-    #[test]
-    fn widen_matches_scalar_decode_bitwise() {
-        // All 65 536 halves — NaN payloads, both zeros, subnormals — plus
-        // three repeats, so the length is not a multiple of 8 and the F16C
-        // body's vector loop and its scalar tail both run.
-        let src: Vec<u16> = (0..=u16::MAX).chain([0x7e01, 0x8000, 0x0001]).collect();
-        let mut wide = vec![0.0f32; src.len()];
-        widen_f16(&src, &mut wide);
-        for (&h, &w) in src.iter().zip(&wide) {
-            assert_eq!(w.to_bits(), f32_from_f16(h).to_bits(), "half {h:#06x}");
         }
     }
 }

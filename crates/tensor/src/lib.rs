@@ -33,14 +33,14 @@
 //!   temporaries, and cache-blocked packed matmul kernels
 //!   ([`kernels::matmul::tiled`]) that are **bit-identical** to the naive
 //!   references ([`kernels::matmul::naive`]) — see the matmul module docs.
-//! * The `f16` storage codec ([`f16_from_f32`], [`widen_f16`]) behind the
-//!   serving profile's quantised tables.
+//! * The `f16` codec ([`f16_from_f32`], [`f32_from_f16`]) behind the
+//!   serving `Fast` profile's quantised parameters.
 //!
 //! There is one arithmetic and one body per kernel: every kernel is safe,
 //! portable Rust that the compiler vectorises for the build target
 //! (`x86-64-v3` in this workspace), and none fuses a multiply into an add or
-//! approximates `exp` — so every target computes the same bits. The F16C
-//! widen inside [`widen_f16`] is the only hardware-specific code.
+//! approximates `exp` — so every target computes the same bits. No code
+//! here is specific to a CPU or checks one at run time.
 //!
 //! All shape errors are programming errors and panic with a descriptive
 //! message; the panic contract is documented on each function.
@@ -58,7 +58,7 @@ pub use kernels::attention::{
 };
 pub use kernels::bmm::{bmm_nn, bmm_nn_into, bmm_nt, bmm_nt_into, bmm_tn, bmm_tn_into};
 pub use kernels::elementwise as ew;
-pub use kernels::f16::{f16_from_f32, f32_from_f16, widen_f16};
+pub use kernels::f16::{f16_from_f32, f32_from_f16};
 pub use kernels::matmul::{
     matmul_nn, matmul_nn_into, matmul_nt, matmul_nt_into, matmul_tn, matmul_tn_into,
 };
