@@ -243,20 +243,13 @@ impl CatalogIndex {
         Ok(k.min(self.layout.n_items))
     }
 
-    /// Scores block `bi` with `model` into `slot` and offers every logit to
-    /// the slot's top-K shard.
-    fn score_block(
-        &self,
-        model: &FrozenSeqFm,
-        user: u32,
-        view: &HistoryView,
-        bi: usize,
-        slot: &mut Slot,
-    ) {
+    /// Scores block `bi` into `slot` and offers every logit to the slot's
+    /// top-K shard.
+    fn score_block(&self, user: u32, view: &HistoryView, bi: usize, slot: &mut Slot) {
         let items = self.block_items(bi);
         slot.items_scored += items.len();
         slot.out.clear();
-        model.score_catalog_into(
+        self.model.score_catalog_into(
             &self.layout,
             user,
             items,
@@ -300,37 +293,6 @@ impl CatalogIndex {
         k: usize,
         pool: &ThreadPool,
     ) -> Result<Retrieval, RetrievalError> {
-        self.brute_impl(&self.model, user, view, k, pool)
-    }
-
-    /// Brute-force scan scored with a **foreign** model instead of the
-    /// index's own — the hot-swap fallback: while a fresh model revision is
-    /// published but this index's candidate-side partials still describe the
-    /// retired one, the engine serves retrieval through this path (no bound,
-    /// nothing model-stale consulted), so swaps never block and
-    /// never serve old-model logits. `view` must have been built by `model`.
-    ///
-    /// # Errors
-    /// [`RetrievalError::BadConfig`] for `k == 0`, an unknown user, or an
-    /// empty history view.
-    pub fn retrieve_brute_with(
-        &self,
-        model: &Arc<FrozenSeqFm>,
-        user: u32,
-        view: &HistoryView,
-        k: usize,
-    ) -> Result<Retrieval, RetrievalError> {
-        self.brute_impl(model, user, view, k, global())
-    }
-
-    fn brute_impl(
-        &self,
-        model: &Arc<FrozenSeqFm>,
-        user: u32,
-        view: &HistoryView,
-        k: usize,
-        pool: &ThreadPool,
-    ) -> Result<Retrieval, RetrievalError> {
         let k_eff = self.validate(user, view, k)?;
         let n_blocks = self.stats.len();
         let workers = pool.workers().min(n_blocks).max(1);
@@ -339,7 +301,7 @@ impl CatalogIndex {
         par_units(pool, [&mut slots], [1], |first, [chunk]| {
             for (s, slot) in chunk.iter_mut().enumerate() {
                 for bi in spans[first + s].clone() {
-                    self.score_block(model, user, view, bi, slot);
+                    self.score_block(user, view, bi, slot);
                 }
             }
         });
@@ -433,7 +395,7 @@ impl CatalogIndex {
             }
             par_units(pool, [&mut slots[..wave.len()]], [1], |first, [chunk]| {
                 for (s, slot) in chunk.iter_mut().enumerate() {
-                    self.score_block(&self.model, user, view, wave[first + s].0, slot);
+                    self.score_block(user, view, wave[first + s].0, slot);
                 }
             });
             for slot in &mut slots[..wave.len()] {

@@ -50,13 +50,14 @@ use crate::request::{
     push_canonical_row, score_requests_stateful, CoalesceScratch, ScoreRequest, ScoreResponse,
 };
 use crate::store::{CacheStats, HistoryBackend, HistoryStore, ViewCache};
-use seqfm_core::{FrozenSeqFm, ModelEpoch, Scorer, ScorerPrecision, Scratch};
+use seqfm_core::{FrozenSeqFm, ModelEpoch, Scorer, Scratch};
 use seqfm_data::{Dataset, FeatureLayout};
 use seqfm_parallel::{ArcSlot, Oneshot, WorkQueue};
 use seqfm_retrieval::{CatalogIndex, Retrieval, RetrievalError};
+use std::any::Any;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Engine sizing, admission, ranking, and history-store policy.
@@ -81,17 +82,6 @@ pub struct EngineConfig {
     /// same-history super-batches. `1` disables coalescing; larger values
     /// trade per-request latency for throughput under load. Must be ≥ 1.
     pub coalesce_max: usize,
-    /// Serving parameter profile, applied to the model by
-    /// [`Engine::new_frozen`] and [`Engine::publish_frozen`]:
-    /// [`ScorerPrecision::Exact`] replays the training graph bit for bit;
-    /// [`ScorerPrecision::Fast`] runs the same kernels on a quantised `f32`
-    /// copy of the parameters, with a documented per-logit ε — see
-    /// `seqfm_core::precision`. An attached catalog index must serve the
-    /// same profile. The generic [`Engine::new`] does not apply this knob:
-    /// an arbitrary scorer cannot be re-quantized, so callers choosing
-    /// `Fast` there must pass a scorer already converted via
-    /// `FrozenSeqFm::with_precision`.
-    pub precision: ScorerPrecision,
 }
 
 impl Default for EngineConfig {
@@ -101,14 +91,7 @@ impl Default for EngineConfig {
         // before shedding; modest coalescing is on by default — it only
         // batches requests that are *already* waiting, so an unloaded engine
         // keeps single-request latency.
-        EngineConfig {
-            threads: 1,
-            max_seq: 20,
-            top_k: 0,
-            queue_capacity: 1024,
-            coalesce_max: 16,
-            precision: ScorerPrecision::Exact,
-        }
+        EngineConfig { threads: 1, max_seq: 20, top_k: 0, queue_capacity: 1024, coalesce_max: 16 }
     }
 }
 
@@ -187,12 +170,6 @@ impl EngineConfigBuilder {
     /// Per-wakeup drain bound. See [`EngineConfig::coalesce_max`].
     pub fn coalesce_max(mut self, coalesce_max: usize) -> Self {
         self.cfg.coalesce_max = coalesce_max;
-        self
-    }
-
-    /// Serving arithmetic profile. See [`EngineConfig::precision`].
-    pub fn precision(mut self, precision: ScorerPrecision) -> Self {
-        self.cfg.precision = precision;
         self
     }
 
@@ -336,53 +313,51 @@ impl Drop for PendingResponse {
 
 /// One published model revision: the type-erased scorer the workers run,
 /// stamped with the [`ModelEpoch`] it serves, plus (for frozen-SeqFM
-/// revisions) the concrete frozen model that retrieval fallbacks and index
-/// rebuilds need.
+/// revisions) the concrete frozen model, and the catalog index retrieval
+/// scans under it.
 ///
-/// Revisions live in the engine's [`ArcSlot`]; each worker loads the slot
-/// **once per drain**, so every request in a coalesced super-batch
+/// Revisions live in the engine's one [`ArcSlot`]; each worker loads the
+/// slot **once per drain**, so every request in a coalesced super-batch
 /// — and every cache entry it installs — is pinned to a single epoch even
-/// while [`Engine::publish_frozen`] swaps underneath it.
+/// while [`Engine::publish`] swaps underneath it. A retrieval loads the
+/// slot once too; on a frozen revision the index it finds there was built
+/// for that revision's own model, so it never scans another model's index.
+#[derive(Clone)]
 pub struct ModelRev {
     epoch: ModelEpoch,
     scorer: Arc<dyn Scorer + Send + Sync>,
     frozen: Option<Arc<FrozenSeqFm>>,
+    index: Option<Arc<CatalogIndex>>,
 }
 
-/// Conversion into the engine's type-erased scorer handle. Implemented for
-/// any sized `Arc<S: Scorer + Send + Sync>` (the unsizing coercion) and for
-/// an already-erased `Arc<dyn Scorer + Send + Sync>`, so both spell
-/// `Engine::new(scorer, ..)` / `Engine::publish(scorer)` the same way.
+/// Conversion of a scorer handle into an engine [`ModelRev`], so
+/// `Engine::new(scorer, ..)` / `Engine::publish(scorer)` take any
+/// `Arc<S: Scorer + Send + Sync>` and an already-erased
+/// `Arc<dyn Scorer + Send + Sync>` the same way.
+///
+/// An `Arc<FrozenSeqFm>` keeps its concrete model, so an attached catalog
+/// index follows it across publishes. Any other handle — an
+/// `Arc<dyn Scorer + Send + Sync>` too, even over a `FrozenSeqFm` — counts
+/// as non-frozen: its revision keeps the attached index as it stands.
 pub trait IntoScorer {
-    /// Type-erases the handle.
-    fn into_scorer(self) -> Arc<dyn Scorer + Send + Sync>;
+    /// The revision serving this scorer, with no index yet.
+    fn into_rev(self) -> ModelRev;
 }
 
 impl IntoScorer for Arc<dyn Scorer + Send + Sync> {
-    fn into_scorer(self) -> Arc<dyn Scorer + Send + Sync> {
-        self
+    fn into_rev(self) -> ModelRev {
+        ModelRev { epoch: self.model_epoch(), scorer: self, frozen: None, index: None }
     }
 }
 
 impl<S: Scorer + Send + Sync + 'static> IntoScorer for Arc<S> {
-    fn into_scorer(self) -> Arc<dyn Scorer + Send + Sync> {
-        self
+    fn into_rev(self) -> ModelRev {
+        let frozen = (&self as &dyn Any).downcast_ref::<Arc<FrozenSeqFm>>().cloned();
+        ModelRev { epoch: self.model_epoch(), scorer: self, frozen, index: None }
     }
 }
 
 impl ModelRev {
-    fn of_scorer(scorer: Arc<dyn Scorer + Send + Sync>) -> Self {
-        ModelRev { epoch: scorer.model_epoch(), scorer, frozen: None }
-    }
-
-    fn of_frozen(model: Arc<FrozenSeqFm>) -> Self {
-        ModelRev {
-            epoch: model.epoch(),
-            scorer: Arc::clone(&model) as Arc<dyn Scorer + Send + Sync>,
-            frozen: Some(model),
-        }
-    }
-
     /// The epoch this revision serves.
     pub fn epoch(&self) -> ModelEpoch {
         self.epoch
@@ -394,11 +369,22 @@ impl ModelRev {
     }
 
     /// The concrete frozen model behind this revision, when it has one
-    /// (revisions published via [`Engine::publish_frozen`] or
-    /// [`Engine::new_frozen`] do; type-erased [`Engine::publish`] revisions
-    /// don't).
+    /// (revisions of an `Arc<FrozenSeqFm>` do — see [`IntoScorer`]).
     pub fn frozen(&self) -> Option<&Arc<FrozenSeqFm>> {
         self.frozen.as_ref()
+    }
+
+    /// This revision carrying `index` re-anchored on its frozen model: the
+    /// same `Arc` when the index already scores with that model (or the
+    /// revision has none), else [`CatalogIndex::rebuild_for`] it. The
+    /// rebuild runs on the calling thread and panics there, for a model
+    /// frozen for another item layout.
+    fn anchored(mut self, index: Option<&Arc<CatalogIndex>>) -> Self {
+        self.index = index.map(|index| match &self.frozen {
+            Some(m) if !Arc::ptr_eq(index.model(), m) => Arc::new(index.rebuild_for(Arc::clone(m))),
+            _ => Arc::clone(index),
+        });
+        self
     }
 }
 
@@ -440,48 +426,6 @@ impl EventLog {
     }
 }
 
-/// Latest-wins handoff between [`Engine::publish_frozen`] and the index
-/// builder thread. Depth-one by design: a publish overwrites any rebuild
-/// job still waiting — only the newest model is worth an index, and the
-/// builder's post-rebuild epoch check discards work that a faster publisher
-/// obsoleted mid-rebuild. `busy` tracks a rebuild in flight so
-/// [`Engine::wait_for_index`] can wait for a genuinely settled index, not
-/// just an empty mailbox.
-struct RebuildMailbox {
-    state: Mutex<RebuildState>,
-    cv: Condvar,
-}
-
-struct RebuildState {
-    /// The model awaiting an index rebuild (newest only).
-    job: Option<Arc<FrozenSeqFm>>,
-    /// A rebuild is running right now.
-    busy: bool,
-    /// Engine teardown: the builder exits instead of sleeping.
-    shutdown: bool,
-}
-
-impl RebuildMailbox {
-    fn new() -> Self {
-        RebuildMailbox {
-            state: Mutex::new(RebuildState { job: None, busy: false, shutdown: false }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Posts a rebuild job, replacing any job not yet picked up.
-    fn post(&self, model: Arc<FrozenSeqFm>) {
-        self.state.lock().expect("rebuild mailbox poisoned").job = Some(model);
-        self.cv.notify_all();
-    }
-}
-
-/// The engine's index builder thread: mailbox plus join handle.
-struct Rebuilder {
-    mailbox: Arc<RebuildMailbox>,
-    handle: Option<JoinHandle<()>>,
-}
-
 /// Multi-threaded batch-coalescing scoring engine that owns the user
 /// histories. See the module docs.
 pub struct Engine {
@@ -492,8 +436,6 @@ pub struct Engine {
     store: Arc<HistoryStore>,
     cache: Arc<ViewCache>,
     model: Arc<ArcSlot<ModelRev>>,
-    index: Option<Arc<ArcSlot<CatalogIndex>>>,
-    rebuilder: Option<Rebuilder>,
     events: Option<Arc<EventLog>>,
 }
 
@@ -506,7 +448,9 @@ impl Engine {
     /// The scorer is typically a
     /// [`FrozenSeqFm`](seqfm_core::FrozenSeqFm) (graph-free fast path) or a
     /// [`GraphScorer`](seqfm_core::GraphScorer) over any baseline
-    /// (compatibility path) — anything `Scorer + Send + Sync` works.
+    /// (compatibility path) — anything `Scorer + Send + Sync` works. The
+    /// engine serves exactly the scorer it is handed: a `Fast` profile is
+    /// chosen by the caller, with `FrozenSeqFm::with_precision`.
     ///
     /// # Errors
     /// [`ServeError::BadConfig`] when [`EngineConfig::validate`] rejects
@@ -516,18 +460,10 @@ impl Engine {
         layout: FeatureLayout,
         cfg: EngineConfig,
     ) -> Result<Self, ServeError> {
-        Self::from_rev(ModelRev::of_scorer(scorer.into_scorer()), layout, cfg)
-    }
-
-    fn from_rev(
-        rev: ModelRev,
-        layout: FeatureLayout,
-        cfg: EngineConfig,
-    ) -> Result<Self, ServeError> {
         cfg.validate()?;
         let store = Arc::new(HistoryStore::new(layout.n_users, cfg.max_seq));
         let cache = Arc::new(ViewCache::new(VIEW_CACHE_ENTRIES));
-        let model = Arc::new(ArcSlot::new(Arc::new(rev)));
+        let model = Arc::new(ArcSlot::new(Arc::new(scorer.into_rev())));
         let (queue, handles) = WorkQueue::<Job>::bounded(cfg.threads.max(1), cfg.queue_capacity);
         let workers = handles
             .into_iter()
@@ -594,25 +530,11 @@ impl Engine {
                 })
             })
             .collect();
-        Ok(Engine {
-            queue: Some(queue),
-            workers,
-            layout,
-            cfg,
-            store,
-            cache,
-            model,
-            index: None,
-            rebuilder: None,
-            events: None,
-        })
+        Ok(Engine { queue: Some(queue), workers, layout, cfg, store, cache, model, events: None })
     }
 
-    /// Spawns an engine over a frozen SeqFM, first switching the model to
-    /// `cfg.precision` (see [`EngineConfig::precision`]). This is the
-    /// profile-aware front door: `.precision(ScorerPrecision::Fast)` on the
-    /// config builder is all it takes to serve the quantized-parameter
-    /// profile, with every worker sharing the one quantised snapshot.
+    /// [`Engine::new`] over a frozen SeqFM, served as handed (quantise it
+    /// with `FrozenSeqFm::with_precision` first to serve `Fast`).
     ///
     /// # Errors
     /// [`ServeError::BadConfig`] when [`EngineConfig::validate`] rejects
@@ -622,86 +544,33 @@ impl Engine {
         layout: FeatureLayout,
         cfg: EngineConfig,
     ) -> Result<Self, ServeError> {
-        let model = Arc::new(model.with_precision(cfg.precision));
-        Self::from_rev(ModelRev::of_frozen(model), layout, cfg)
+        Self::new(Arc::new(model), layout, cfg)
     }
 
     /// Attaches a full-catalog [`CatalogIndex`] so [`Engine::retrieve_top_k`]
     /// can answer "best k items of the *whole* catalog" queries. The index
-    /// must be built over the same frozen model and feature layout the
-    /// engine serves — retrieval scores come from the index's model.
+    /// must be built over the engine's feature layout; it is re-anchored on
+    /// the served frozen model (kept as is when it already scores with that
+    /// very `Arc`, else [`CatalogIndex::rebuild_for`] it), so retrieval
+    /// scores with the model the engine serves whatever model — or
+    /// precision profile — the index was built with.
     ///
-    /// The index lives in its own hot-swap slot: [`Engine::publish_frozen`]
-    /// rebuilds it for each new epoch off the serving path, on a dedicated
-    /// builder thread, and [`Engine::retrieve_top_k`] falls back to a
-    /// brute-force scan with the fresh model during the window where the
-    /// index still carries the previous epoch.
-    ///
-    /// The index must be built at [`EngineConfig::precision`]: both profiles
-    /// share an epoch, so its history views would enter the scorer's cache.
-    /// [`Engine::new`] callers build it at their scorer's profile and set
-    /// `cfg.precision` to match.
+    /// The index becomes part of the current [`ModelRev`], and every later
+    /// [`Engine::publish`] carries it over to the new revision the same way.
+    /// A revision with no frozen model (a non-`FrozenSeqFm` scorer) keeps
+    /// the index as it stands, scoring with the index's own model.
     ///
     /// # Panics
-    /// Panics if the index's layout disagrees with the engine's, or its
-    /// model serves another precision profile than `cfg.precision`.
+    /// Panics if the index's layout disagrees with the engine's.
     #[must_use]
-    pub fn with_catalog_index(mut self, index: Arc<CatalogIndex>) -> Self {
+    pub fn with_catalog_index(self, index: Arc<CatalogIndex>) -> Self {
         assert_eq!(
             (index.layout().n_users, index.layout().n_items),
             (self.layout.n_users, self.layout.n_items),
             "catalog index layout must match the engine's"
         );
-        assert_eq!(
-            index.model().precision(),
-            self.cfg.precision,
-            "catalog index must be built at the engine's precision profile"
-        );
-        let slot = Arc::new(ArcSlot::new(index));
-        let mailbox = Arc::new(RebuildMailbox::new());
-        let handle = {
-            let mailbox = Arc::clone(&mailbox);
-            let slot = Arc::clone(&slot);
-            let model = Arc::clone(&self.model);
-            std::thread::spawn(move || loop {
-                let job = {
-                    let mut st = mailbox.state.lock().expect("rebuild mailbox poisoned");
-                    loop {
-                        if st.shutdown {
-                            return;
-                        }
-                        if let Some(m) = st.job.take() {
-                            st.busy = true;
-                            break m;
-                        }
-                        st = mailbox.cv.wait(st).expect("rebuild mailbox poisoned");
-                    }
-                };
-                // The rebuild runs outside the lock — publishers keep
-                // posting (and overwriting) jobs meanwhile. A panicking
-                // rebuild (say a model frozen for another layout) is
-                // contained: the slot keeps the last good index, retrieval
-                // stays on the brute-force fallback under the serving model,
-                // and `busy` is still cleared below — a dead builder with
-                // `busy` set would block `wait_for_index` forever.
-                let rebuilt =
-                    catch_unwind(AssertUnwindSafe(|| slot.load().rebuild_for(Arc::clone(&job))));
-                let mut st = mailbox.state.lock().expect("rebuild mailbox poisoned");
-                // Latest-wins: land the rebuilt index only while its
-                // model is still the one being served and no newer job
-                // is queued — a stale index would undo a newer publish's
-                // fallback-to-fresh-model behaviour.
-                if let Ok(rebuilt) = rebuilt {
-                    if st.job.is_none() && model.load().epoch == job.epoch() {
-                        slot.store(Arc::new(rebuilt));
-                    }
-                }
-                st.busy = false;
-                mailbox.cv.notify_all();
-            })
-        };
-        self.rebuilder = Some(Rebuilder { mailbox, handle: Some(handle) });
-        self.index = Some(slot);
+        let rev = ModelRev::clone(&self.model.load()).anchored(Some(&index));
+        self.model.store(Arc::new(rev));
         self
     }
 
@@ -715,11 +584,12 @@ impl Engine {
         self
     }
 
-    /// The currently attached catalog index, if any (the slot's live value
-    /// — a publish may retire it at any time; holding the `Arc` keeps this
-    /// snapshot valid regardless).
+    /// The catalog index of the revision being served right now, if one is
+    /// attached — built for that revision's frozen model when it has one. A
+    /// publish may replace it at any time; holding the `Arc` keeps this
+    /// snapshot valid regardless.
     pub fn catalog_index(&self) -> Option<Arc<CatalogIndex>> {
-        self.index.as_ref().map(|slot| slot.load())
+        self.model.load().index.clone()
     }
 
     /// The attached append-event log, if [`Engine::with_event_log`] was
@@ -738,77 +608,58 @@ impl Engine {
         self.model.load().epoch
     }
 
-    /// Atomically publishes a new type-erased scorer. Workers pick it up at
-    /// their next drain; in-flight super-batches finish on the revision they
-    /// pinned. Returns the epoch now being served.
+    /// Atomically hot-swaps the engine onto a new scorer — the serving half
+    /// of the online-learning loop. Returns the epoch now being served. The
+    /// whole sequence runs on the *calling* thread (typically the trainer);
+    /// scoring workers wait for nothing longer than the slot's one pointer
+    /// exchange:
     ///
-    /// This variant cannot refresh an attached catalog index (it has no
-    /// concrete frozen model to rebuild with) — frozen-SeqFM engines should
-    /// publish through [`Engine::publish_frozen`].
+    /// 1. any attached catalog index is re-anchored on the new frozen model
+    ///    ([`CatalogIndex::rebuild_for`] — exact envelopes over the
+    ///    existing block membership, no re-sort); workers and retrievals
+    ///    keep serving the previous revision meanwhile;
+    /// 2. the model slot is swapped for a revision carrying the new scorer
+    ///    and its index — new drains and retrievals run under the new
+    ///    epoch, in-flight drains finish on the one they pinned (the
+    ///    replaced revision is freed when the last of them does), and the
+    ///    epoch-keyed [`ViewCache`] lazily invalidates old-epoch panels.
+    ///
+    /// The scorer is served as handed. A non-`FrozenSeqFm` scorer (see
+    /// [`IntoScorer`]) carries the attached index over unchanged. Between
+    /// concurrent publishers the last swap wins, so one trainer thread
+    /// should own publishing.
+    ///
+    /// # Panics
+    /// Panics, before the swap, if the index rebuild does — for a model
+    /// frozen for another item layout. The engine then keeps serving the
+    /// previous revision with its index; no lock is held across the rebuild.
     pub fn publish<S: IntoScorer>(&self, scorer: S) -> ModelEpoch {
-        let rev = ModelRev::of_scorer(scorer.into_scorer());
+        let rev = scorer.into_rev().anchored(self.model.load().index.as_ref());
         let epoch = rev.epoch;
         self.model.store(Arc::new(rev));
         epoch
     }
 
-    /// Atomically hot-swaps the engine onto a new frozen model — the
-    /// serving half of the online-learning loop. Returns the epoch now
-    /// being served. The whole sequence runs on the *calling* thread
-    /// (typically the trainer); scoring workers wait for nothing longer
-    /// than the slot's one pointer exchange:
+    /// [`Engine::publish`] of a frozen SeqFM, served as handed (a `Fast`
+    /// loop publishes `trainer.frozen_for(s).with_precision(Fast)`).
     ///
-    /// 1. the engine's serving profile is applied
-    ///    ([`ScorerPrecision::Fast`] re-quantizes **here**, off the hot
-    ///    path — workers keep serving the old quantised snapshot meanwhile);
-    /// 2. the model slot is swapped — new drains score under the new
-    ///    epoch, in-flight drains finish on the one they pinned (the
-    ///    replaced revision is freed when the last of them does: the slot
-    ///    keeps no second snapshot resident), and the epoch-keyed
-    ///    [`ViewCache`] lazily invalidates old-epoch panels;
-    /// 3. any attached catalog index is rebuilt for the new model
-    ///    ([`CatalogIndex::rebuild_for`] — exact envelopes over the
-    ///    existing block membership, no re-sort) and its slot
-    ///    swapped. The rebuild runs on the engine's builder thread and this
-    ///    call returns at slot-swap latency; consecutive publishes coalesce —
-    ///    the builder only ever works toward the newest epoch. Until the
-    ///    rebuilt index lands, [`Engine::retrieve_top_k`] serves
-    ///    brute-force scans with the *new* model — fresh results,
-    ///    temporarily without the pruning speedup, never a stale-epoch
-    ///    answer. [`Engine::wait_for_index`] blocks until the index has
-    ///    caught up (tests and benchmarks that need a settled index).
+    /// # Panics
+    /// As [`Engine::publish`]: when re-anchoring an attached index panics,
+    /// before the swap.
     pub fn publish_frozen(&self, model: FrozenSeqFm) -> ModelEpoch {
-        let model = Arc::new(model.with_precision(self.cfg.precision));
-        let epoch = model.epoch();
-        self.model.store(Arc::new(ModelRev::of_frozen(Arc::clone(&model))));
-        if let Some(r) = &self.rebuilder {
-            r.mailbox.post(model);
-        }
-        epoch
+        self.publish(Arc::new(model))
     }
 
-    /// Blocks until the background index builder is idle — no rebuild
-    /// running, no job waiting — and returns the attached index's live
-    /// value (current for the last published frozen model). Returns `None`
-    /// when no index is attached.
-    ///
-    /// This is the settle point for callers that must observe the rebuilt
-    /// index rather than the brute-force window: tests asserting on index
-    /// epochs, benchmarks measuring steady-state retrieval.
+    /// [`Engine::catalog_index`]. Every revision carries an index for its
+    /// own model, so there is nothing to wait for; kept because the repo
+    /// benchmark calls it.
     pub fn wait_for_index(&self) -> Option<Arc<CatalogIndex>> {
-        let slot = self.index.as_ref()?;
-        if let Some(r) = &self.rebuilder {
-            let mut st = r.mailbox.state.lock().expect("rebuild mailbox poisoned");
-            while st.busy || st.job.is_some() {
-                st = r.mailbox.cv.wait(st).expect("rebuild mailbox poisoned");
-            }
-        }
-        Some(slot.load())
+        self.catalog_index()
     }
 
     /// Retrieves the best `k` items of the **entire catalog** for `user`'s
-    /// current stored history, using the attached [`CatalogIndex`]'s
-    /// upper-bound-pruned blocked scan.
+    /// current stored history, using the served revision's
+    /// [`CatalogIndex`] and its upper-bound-pruned blocked scan.
     ///
     /// Runs on the calling thread (the scan parallelises internally over
     /// the global thread pool) rather than through the admission queue —
@@ -825,21 +676,12 @@ impl Engine {
     /// [`ServeError::UnknownUser`] for a user outside the layout;
     /// [`ServeError::BadConfig`] for `k == 0`.
     pub fn retrieve_top_k(&self, user: u32, k: usize) -> Result<Retrieval, ServeError> {
-        let slot = self.index.as_ref().ok_or(ServeError::NoCatalogIndex)?;
+        let rev = self.model.load();
+        let index = rev.index.as_ref().ok_or(ServeError::NoCatalogIndex)?;
         if user as usize >= self.layout.n_users {
             return Err(ServeError::UnknownUser { user, n_users: self.layout.n_users });
         }
-        let index = slot.load();
-        let rev = self.model.load();
-        // Pick the scoring model. Normally the index already serves the
-        // published epoch and the pruned scan applies. Mid-swap — the model
-        // slot advanced but the index rebuild hasn't landed — score with
-        // the *new* frozen model via the index's brute-force fallback:
-        // fresh results, temporarily without pruning, never a stale epoch.
-        let (model, index_current) = match rev.frozen.as_ref() {
-            Some(m) if m.epoch() != index.model().epoch() => (m, false),
-            _ => (index.model(), true),
-        };
+        let model = index.model();
         let epoch = model.epoch();
         let mut snap = Vec::new();
         let version = self.store.snapshot_into(user, &mut snap);
@@ -860,12 +702,7 @@ impl Engine {
                 view
             }
         };
-        let result = if index_current {
-            index.retrieve(user, &view, k)
-        } else {
-            index.retrieve_brute_with(model, user, &view, k)
-        };
-        result.map_err(|e| match e {
+        index.retrieve(user, &view, k).map_err(|e| match e {
             RetrievalError::BadConfig { reason } => ServeError::BadConfig { reason },
             other => ServeError::BadConfig { reason: other.to_string() },
         })
@@ -1043,22 +880,11 @@ impl Drop for Engine {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Then the index builder: raise shutdown and join. A rebuild in
-        // flight finishes its (now pointless) pass and exits at the next
-        // mailbox check; a job never picked up is simply abandoned — the
-        // engine is dying with it.
-        if let Some(r) = self.rebuilder.take() {
-            r.mailbox.state.lock().expect("rebuild mailbox poisoned").shutdown = true;
-            r.mailbox.cv.notify_all();
-            if let Some(handle) = r.handle {
-                let _ = handle.join();
-            }
-        }
     }
 }
 
 /// Renders a caught panic payload for [`ServeError::WorkerPanicked`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1075,7 +901,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use seqfm_autograd::ParamStore;
-    use seqfm_core::{FrozenSeqFm, SeqFm, SeqFmConfig};
+    use seqfm_core::{FrozenSeqFm, ScorerPrecision, SeqFm, SeqFmConfig};
     use seqfm_data::{Batch, Event};
     use std::sync::{Condvar, Mutex};
 
@@ -1212,28 +1038,18 @@ mod tests {
         }
     }
 
-    /// The requests of the two precision tests: user 3's stored window
-    /// `[4, 19, 2]`, scored against four candidates after a retrieval.
-    fn retrieve_then_score_stored(engine: &Engine) -> ScoreResponse {
+    /// The check of the two precision tests: user 3's stored window
+    /// `[4, 19, 2]`, scored against four candidates after a retrieval, must
+    /// carry `fast`'s own bits — the view the retrieval cached is the
+    /// served scorer's.
+    fn assert_serves_after_retrieval(engine: &Engine, fast: &FrozenSeqFm, layout: &FeatureLayout) {
         for item in [4u32, 19, 2] {
             engine.append_event(3, item).expect("valid ids");
         }
         engine.retrieve_top_k(3, 5).expect("valid");
-        engine.score_stored(3, vec![5, 9, 40, 41]).expect("valid")
-    }
-
-    #[test]
-    fn a_fast_engine_with_a_fast_index_serves_fast_logits() {
-        let layout = FeatureLayout { n_users: 6, n_items: 48 };
-        let fast = Arc::new(frozen_model(&layout).with_precision(ScorerPrecision::Fast));
-        let cfg = EngineConfig { precision: ScorerPrecision::Fast, ..engine_cfg(1, 0) };
-        let engine = Engine::new_frozen(frozen_model(&layout), layout, cfg)
-            .expect("valid cfg")
-            .with_catalog_index(Arc::new(CatalogIndex::build(Arc::clone(&fast), layout, 8)));
-        let got = retrieve_then_score_stored(&engine);
-        // The view the retrieval cached is the `Fast` scorer's own.
+        let got = engine.score_stored(3, vec![5, 9, 40, 41]).expect("valid");
         let req = ScoreRequest::inline(3, vec![4u32, 19, 2], vec![5u32, 9, 40, 41]);
-        let want = score_request(&*fast, &layout, 6, 0, &req, &mut Scratch::new()).expect("valid");
+        let want = score_request(fast, layout, 6, 0, &req, &mut Scratch::new()).expect("valid");
         assert_eq!(got.ranked.len(), want.ranked.len());
         for (g, w) in got.ranked.iter().zip(&want.ranked) {
             assert_eq!((g.item, g.score.to_bits()), (w.item, w.score.to_bits()));
@@ -1241,15 +1057,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "catalog index must be built at the engine's precision profile")]
-    fn a_catalog_index_at_another_precision_is_rejected() {
+    fn a_fast_engine_with_a_fast_index_serves_fast_logits() {
         let layout = FeatureLayout { n_users: 6, n_items: 48 };
+        let fast = Arc::new(frozen_model(&layout).with_precision(ScorerPrecision::Fast));
+        let engine = Engine::new(Arc::clone(&fast), layout, engine_cfg(1, 0))
+            .expect("valid cfg")
+            .with_catalog_index(Arc::new(CatalogIndex::build(Arc::clone(&fast), layout, 8)));
+        assert!(Arc::ptr_eq(engine.catalog_index().expect("attached").model(), &fast));
+        assert_serves_after_retrieval(&engine, &fast, &layout);
+    }
+
+    #[test]
+    fn a_catalog_index_at_another_precision_is_re_anchored_on_the_served_model() {
+        let layout = FeatureLayout { n_users: 6, n_items: 48 };
+        let fast = Arc::new(frozen_model(&layout).with_precision(ScorerPrecision::Fast));
         let exact = Arc::new(frozen_model(&layout));
-        let cfg = EngineConfig { precision: ScorerPrecision::Fast, ..engine_cfg(1, 0) };
-        let engine = Engine::new_frozen(frozen_model(&layout), layout, cfg)
+        let cfg = EngineConfig::builder().threads(1).max_seq(6).build().expect("valid");
+        let engine = Engine::new(Arc::clone(&fast), layout, cfg)
             .expect("valid cfg")
             .with_catalog_index(Arc::new(CatalogIndex::build(exact, layout, 8)));
-        retrieve_then_score_stored(&engine);
+        assert!(Arc::ptr_eq(engine.catalog_index().expect("attached").model(), &fast));
+        assert_serves_after_retrieval(&engine, &fast, &layout);
     }
 
     #[test]
@@ -1403,14 +1231,8 @@ mod tests {
             .coalesce_max(4)
             .build()
             .expect("valid");
-        let literal = EngineConfig {
-            threads: 3,
-            max_seq: 7,
-            top_k: 5,
-            queue_capacity: 99,
-            coalesce_max: 4,
-            precision: ScorerPrecision::Exact,
-        };
+        let literal =
+            EngineConfig { threads: 3, max_seq: 7, top_k: 5, queue_capacity: 99, coalesce_max: 4 };
         assert_eq!(built, literal);
         assert!(matches!(
             EngineConfig::builder().max_seq(0).build(),

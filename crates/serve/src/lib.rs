@@ -54,8 +54,9 @@
 //!   its [`ModelEpoch`](seqfm_core::ModelEpoch)) without pausing serving —
 //!   in-flight super-batches finish on the epoch they pinned, the
 //!   [`ViewCache`] keys on `(user, version, epoch)` so stale-model panels
-//!   lazily invalidate, the catalog index is rebuilt per epoch with a
-//!   brute-force fallback mid-swap, and an optional [`EventLog`]
+//!   lazily invalidate, the catalog index is rebuilt for each revision
+//!   before its swap (so retrieval always scans an index of the served
+//!   model), and an optional [`EventLog`]
 //!   ([`Engine::with_event_log`]) streams appended events to an online
 //!   trainer.
 //!

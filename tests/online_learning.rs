@@ -12,14 +12,18 @@
 //! * **swap-under-load atomicity** — while models swap mid-traffic, every
 //!   response is bit-identical to a single-epoch rescore under the epoch it
 //!   reports; no response ever mixes revisions.
-//! * **mid-swap retrieval** — the brute-force fallback with the freshly
-//!   published model, the incrementally rebuilt index
-//!   (`CatalogIndex::rebuild_for`), and a from-scratch index all return the
-//!   same bits.
+//! * **one index per revision** — a publish re-anchors the catalog index on
+//!   the new model before its swap, so retrieval right after `publish` (or
+//!   `publish_frozen`) returns already scans the new model's index; the
+//!   incrementally rebuilt index (`CatalogIndex::rebuild_for`), brute force
+//!   and a from-scratch index all return the same bits; a rebuild that
+//!   panics does so on the publisher and leaves the served revision as it
+//!   was.
 //! * **rollback** — republishing a retained epoch restores its serving
 //!   behaviour exactly, original epoch stamp included.
-//! * **reduced precision** — a `Fast`-profile engine re-quantizes on
-//!   publish; post-swap responses match a direct reduced-precision rescore.
+//! * **reduced precision** — a `Fast` model quantised by the caller is
+//!   served at `Fast`, attached index included; post-swap responses match a
+//!   direct reduced-precision rescore.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,8 +35,8 @@ use seqfm_serve::{
 };
 use seqfm_train::{OnlineConfig, OnlineTrainer};
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 const MAX_SEQ: usize = 6;
 
@@ -218,11 +222,11 @@ fn swap_under_load_every_response_is_single_epoch_consistent() {
     assert_eq!(checked, 300);
 }
 
-/// Mid-swap retrieval parity: with the index still built for the old
-/// epoch, the brute-force fallback scored by the *new* model must match
-/// both the incrementally rebuilt index and a from-scratch index — same
-/// items, same logit bits. This is the soundness test for
-/// `CatalogIndex::rebuild_for`'s reuse of old block membership.
+/// Rebuild parity: an index built for the old epoch and rebuilt for the
+/// *new* model must match a from-scratch index on the new model, and so
+/// must that index's brute-force scan — same items, same logit bits. This
+/// is the soundness test for `CatalogIndex::rebuild_for`'s reuse of old
+/// block membership.
 #[test]
 fn mid_swap_brute_fallback_and_rebuilt_index_match_a_fresh_build() {
     let (model, ps) = build_model(9);
@@ -240,10 +244,10 @@ fn mid_swap_brute_fallback_and_rebuilt_index_match_a_fresh_build() {
         let mut row = vec![seqfm_data::PAD; MAX_SEQ - hist.len()];
         row.extend(&hist);
         let view = new.history_view(&row, &mut scratch);
-        let brute = index_old.retrieve_brute_with(&new, user, &view, 10).expect("valid retrieval");
+        let brute = fresh.retrieve_brute(user, &view, 10).expect("valid retrieval");
         let via_rebuilt = rebuilt.retrieve(user, &view, 10).expect("valid retrieval");
         let via_fresh = fresh.retrieve(user, &view, 10).expect("valid retrieval");
-        assert_retrievals_bit_identical(&brute, &via_fresh, "brute fallback vs fresh index");
+        assert_retrievals_bit_identical(&brute, &via_fresh, "brute force vs fresh index");
         assert_retrievals_bit_identical(&via_rebuilt, &via_fresh, "rebuilt index vs fresh index");
     }
 }
@@ -271,12 +275,9 @@ fn engine_retrieval_after_publish_matches_a_cold_engine_on_the_new_model() {
     let snapshots = trainer.ingest(&events);
     let published = engine.publish_frozen(trainer.frozen_for(snapshots.last().expect("some")));
     assert_eq!(published, engine.current_epoch());
-    // Retrieval is correct *during* the background rebuild (brute-force
-    // fallback on the new model) — but this test pins the rebuilt-index
-    // path, so wait for the builder to land it.
-    let settled = engine.wait_for_index().expect("attached");
+    let index = engine.catalog_index().expect("attached");
     assert_eq!(
-        settled.model().epoch(),
+        index.model().epoch(),
         published,
         "publish_frozen rebuilds the index for the new epoch"
     );
@@ -338,15 +339,19 @@ fn rebuild_chain_is_path_independent_and_matches_a_fresh_build() {
     }
 }
 
-/// Background rebuild, race one: retrieval *during* the rebuild window.
-/// Immediately after `publish_frozen` returns (builder likely still
-/// working), `retrieve_top_k` must already serve the new model's exact
-/// answer — via the brute-force fallback if the index hasn't landed, via
-/// the rebuilt index if it has. Both paths are bit-identical to a fresh
-/// index on the new model, so the test holds regardless of who wins the
-/// race.
+/// `user`'s stored window in the engine as the canonical padded row.
+fn stored_row(engine: &Engine, user: u32) -> Vec<i64> {
+    let items = engine.history(user).expect("known user");
+    let mut row: Vec<i64> = vec![seqfm_data::PAD; MAX_SEQ - items.len().min(MAX_SEQ)];
+    row.extend(items[items.len() - items.len().min(MAX_SEQ)..].iter().map(|&it| it as i64));
+    row
+}
+
+/// One index per revision: the moment `publish_frozen` returns — no wait —
+/// the served revision's index is built for the published epoch, and
+/// `retrieve_top_k` returns a fresh index's exact answer on the new model.
 #[test]
-fn retrieval_during_the_background_rebuild_window_serves_the_new_model() {
+fn retrieval_right_after_publish_frozen_scans_the_new_models_index() {
     let (model, ps) = build_model(13);
     let old = Arc::new(FrozenSeqFm::freeze(&model, &ps));
     let engine = Engine::new_frozen(FrozenSeqFm::freeze(&model, &ps), layout(), engine_cfg())
@@ -361,31 +366,51 @@ fn retrieval_during_the_background_rebuild_window_serves_the_new_model() {
     let new = Arc::new(trainer.frozen_for(snapshots.last().expect("some")));
     let reference = CatalogIndex::build(Arc::clone(&new), layout(), 16);
 
-    let published = engine.publish_frozen(trainer.frozen_for(snapshots.last().expect("some")));
-    // No wait: this retrieval races the builder thread.
-    let racing = engine.retrieve_top_k(4, 8).expect("valid retrieval");
-    let mut scratch = Scratch::new();
-    let items = engine.history(4).expect("known user");
-    let mut row: Vec<i64> = vec![seqfm_data::PAD; MAX_SEQ - items.len().min(MAX_SEQ)];
-    row.extend(items[items.len() - items.len().min(MAX_SEQ)..].iter().map(|&it| it as i64));
-    let view = new.history_view(&row, &mut scratch);
+    engine.publish_frozen(trainer.frozen_for(snapshots.last().expect("some")));
+    let index = engine.catalog_index().expect("attached");
+    assert_eq!(index.model().epoch(), engine.current_epoch());
+    let got = engine.retrieve_top_k(4, 8).expect("valid retrieval");
+    let view = new.history_view(&stored_row(&engine, 4), &mut Scratch::new());
     let want = reference.retrieve(4, &view, 8).expect("valid retrieval");
-    assert_retrievals_bit_identical(&racing, &want, "mid-rebuild retrieval");
-
-    // After settling, the index itself serves the published epoch and the
-    // same bits.
-    let settled = engine.wait_for_index().expect("attached");
-    assert_eq!(settled.model().epoch(), published);
-    let after = engine.retrieve_top_k(4, 8).expect("valid retrieval");
-    assert_retrievals_bit_identical(&after, &want, "post-rebuild retrieval");
+    assert_retrievals_bit_identical(&got, &want, "retrieval right after publish");
 }
 
-/// Background rebuild, race two: publishes *overlapping* retrievals and
-/// each other. A retrieval loop runs while the main thread publishes a
-/// whole chain of epochs back to back (each publish likely interrupting
-/// the previous rebuild — latest wins). Every retrieval must be
-/// bit-identical to some published epoch's exact answer, and the index
-/// must settle on the final epoch.
+/// The generic `publish` of an `Arc<FrozenSeqFm>` re-anchors the attached
+/// index too: retrieval after it answers under the new model, bit for bit
+/// a fresh index's answer, not under the model the index was built with.
+#[test]
+fn generic_publish_of_a_frozen_model_re_anchors_the_index() {
+    let (model, ps) = build_model(5);
+    let old = Arc::new(FrozenSeqFm::freeze(&model, &ps));
+    let engine = Engine::new(Arc::clone(&old), layout(), engine_cfg())
+        .expect("valid")
+        .with_catalog_index(Arc::new(CatalogIndex::build(Arc::clone(&old), layout(), 16)));
+    let events = stream(16);
+    for &(u, i) in &events {
+        engine.append_event(u, i).expect("known ids");
+    }
+    let mut trainer = OnlineTrainer::new(model, ps, layout(), online_cfg());
+    let snapshots = trainer.ingest(&events);
+    let new = Arc::new(trainer.frozen_for(snapshots.last().expect("some")));
+    let published = engine.publish(Arc::clone(&new));
+
+    let index = engine.catalog_index().expect("attached");
+    assert!(Arc::ptr_eq(index.model(), &new), "the index scores with the published model");
+    assert_eq!(index.model().epoch(), published);
+    let reference = CatalogIndex::build(Arc::clone(&new), layout(), 16);
+    let mut scratch = Scratch::new();
+    for user in 0..6 {
+        let got = engine.retrieve_top_k(user, 5).expect("valid retrieval");
+        let view = new.history_view(&stored_row(&engine, user), &mut scratch);
+        let want = reference.retrieve(user, &view, 5).expect("valid retrieval");
+        assert_retrievals_bit_identical(&got, &want, &format!("user {user} after publish"));
+    }
+}
+
+/// Publishes racing retrievals: a retrieval loop runs while the main
+/// thread publishes a whole chain of epochs back to back. Every retrieval
+/// must be bit-identical to some published epoch's exact answer, and the
+/// index must end on the final epoch.
 #[test]
 fn rapid_publishes_mid_retrieve_stay_single_epoch_exact_and_settle_on_the_last() {
     let (model, ps) = build_model(17);
@@ -450,9 +475,8 @@ fn rapid_publishes_mid_retrieve_stay_single_epoch_exact_and_settle_on_the_last()
     );
 }
 
-/// Background rebuild, race three: rollback published while the previous
-/// epoch's rebuild may still be in flight. Latest wins — the index must
-/// settle on the *rolled-back* epoch, and serve its exact bits.
+/// Rollback published right after a newer epoch: latest wins — the index
+/// must end on the *rolled-back* epoch, and serve its exact bits.
 #[test]
 fn rollback_mid_rebuild_settles_the_index_on_the_rolled_back_epoch() {
     let (model, ps) = build_model(19);
@@ -489,50 +513,44 @@ fn rollback_mid_rebuild_settles_the_index_on_the_rolled_back_epoch() {
     assert_retrievals_bit_identical(&got, &want, "post-rollback retrieval");
 }
 
-/// A panicking rebuild is contained on the builder thread. Publishing a
-/// model frozen for a *smaller* item layout makes `rebuild_for` index past
-/// its tables; the builder must survive that with `busy` cleared — so
-/// `wait_for_index` returns instead of blocking forever — keep the last
-/// good index in the slot, and still land the next good publish.
+/// A panicking rebuild panics on the publisher, before the swap. Publishing
+/// a model frozen for a *smaller* item layout makes `rebuild_for` index
+/// past its tables; the engine must keep serving the previous revision —
+/// same epoch, same index, same replies — and still land the next good
+/// publish with its index.
 #[test]
-fn a_panicking_rebuild_neither_wedges_wait_for_index_nor_kills_the_builder() {
+fn a_panicking_rebuild_panics_on_the_publisher_and_keeps_the_served_revision() {
     let (model, ps) = build_model(23);
     let initial = Arc::new(FrozenSeqFm::freeze(&model, &ps));
-    let engine = Arc::new(
-        Engine::new_frozen(FrozenSeqFm::freeze(&model, &ps), layout(), engine_cfg())
-            .expect("valid")
-            .with_catalog_index(Arc::new(CatalogIndex::build(Arc::clone(&initial), layout(), 16))),
-    );
+    let engine = Engine::new_frozen(FrozenSeqFm::freeze(&model, &ps), layout(), engine_cfg())
+        .expect("valid")
+        .with_catalog_index(Arc::new(CatalogIndex::build(Arc::clone(&initial), layout(), 16)));
     let events = stream(16);
     for &(u, i) in &events {
         engine.append_event(u, i).expect("known ids");
     }
+    let epoch = engine.current_epoch();
+    let index = engine.catalog_index().expect("attached");
+    let before = engine.score_stored(4, vec![7, 9, 33]).expect("valid");
 
     let small = FeatureLayout { n_items: 20, ..layout() };
     let mut small_ps = ParamStore::new();
     let small_model =
         SeqFm::new(&mut small_ps, &mut StdRng::seed_from_u64(23), &small, *model.config());
-    engine.publish_frozen(FrozenSeqFm::freeze(&small_model, &small_ps));
+    let bad = FrozenSeqFm::freeze(&small_model, &small_ps);
+    let publish = catch_unwind(AssertUnwindSafe(|| engine.publish_frozen(bad)));
+    assert!(publish.is_err(), "a rebuild past the model's tables panics on the publisher");
+    assert_eq!(engine.current_epoch(), epoch);
+    let kept = engine.catalog_index().expect("attached");
+    assert!(Arc::ptr_eq(&kept, &index), "the served revision keeps its index");
+    let after = engine.score_stored(4, vec![7, 9, 33]).expect("valid");
+    assert_responses_bit_identical(&after, &before, "reply after the failed publish");
 
-    // Bounded wait: at a wedged builder this helper never answers.
-    let (tx, rx) = mpsc::channel();
-    let waiter = {
-        let engine = Arc::clone(&engine);
-        std::thread::spawn(move || tx.send(engine.wait_for_index()).expect("receiver alive"))
-    };
-    let kept = rx
-        .recv_timeout(Duration::from_secs(20))
-        .expect("wait_for_index must return after a panicking rebuild")
-        .expect("attached");
-    waiter.join().expect("waiter finished");
-    assert!(Arc::ptr_eq(kept.model(), &initial), "the slot keeps the last good index");
-
-    // The builder is still alive: a good publish lands a rebuilt index.
     let mut trainer = OnlineTrainer::new(model, ps, layout(), online_cfg());
     let snapshots = trainer.ingest(&events);
     let published = engine.publish_frozen(trainer.frozen_for(snapshots.last().expect("some")));
-    let settled = engine.wait_for_index().expect("attached");
-    assert_eq!(settled.model().epoch(), published, "the next publish still gets its index");
+    let rebuilt = engine.catalog_index().expect("attached");
+    assert_eq!(rebuilt.model().epoch(), published, "the next publish still gets its index");
     assert_eq!(engine.score_stored(4, vec![7, 9, 33]).expect("valid").epoch, published);
 }
 
@@ -570,25 +588,25 @@ fn rollback_restores_a_prior_epoch_as_served() {
     assert_responses_bit_identical(&replayed, &served[&2], "rollback replay");
 }
 
-/// `ScorerPrecision::Fast` engines re-quantize each published model off
-/// the hot path: post-swap responses must match a direct reduced-precision
-/// rescore of the new model, and stay at reduced precision (not silently
-/// fall back to exact).
+/// The engine serves the model it is handed: a `Fast` model quantised by
+/// the caller is served at `Fast` after publish — responses match a direct
+/// reduced-precision rescore, not the exact one — and the attached index
+/// follows it to `Fast`.
 #[test]
-fn fast_profile_requantizes_on_publish() {
+fn a_fast_model_published_by_the_caller_is_served_at_fast() {
     let (model, ps) = build_model(3);
-    let cfg = EngineConfig::builder()
-        .threads(1)
-        .max_seq(MAX_SEQ)
-        .precision(ScorerPrecision::Fast)
-        .build()
-        .expect("valid config");
-    let engine =
-        Engine::new_frozen(FrozenSeqFm::freeze(&model, &ps), layout(), cfg).expect("valid");
+    let initial = Arc::new(FrozenSeqFm::freeze(&model, &ps));
+    let cfg = EngineConfig::builder().threads(1).max_seq(MAX_SEQ).build().expect("valid config");
+    let engine = Engine::new_frozen(FrozenSeqFm::freeze(&model, &ps), layout(), cfg)
+        .expect("valid")
+        .with_catalog_index(Arc::new(CatalogIndex::build(initial, layout(), 16)));
 
     let mut trainer = OnlineTrainer::new(model, ps, layout(), online_cfg());
     let snapshots = trainer.ingest(&stream(8));
-    let epoch = engine.publish_frozen(trainer.frozen_for(&snapshots[0]));
+    let epoch = engine
+        .publish_frozen(trainer.frozen_for(&snapshots[0]).with_precision(ScorerPrecision::Fast));
+    let index = engine.catalog_index().expect("attached");
+    assert_eq!(index.model().precision(), ScorerPrecision::Fast);
 
     let req = ScoreRequest::inline(1, vec![4, 17, 2], vec![3, 9, 30, 12]);
     let got = engine.score(req.clone()).expect("valid request");
