@@ -202,7 +202,7 @@ impl FrozenSeqFm {
         }
 
         let lin_base = self.t(self.w_static).data()[uf[0] as usize] as f64
-            + view.lin_d[0] as f64
+            + view.lin_d as f64
             + self.t(self.w0).data()[0] as f64;
         let spec = self
             .ffn

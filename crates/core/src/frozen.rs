@@ -15,20 +15,19 @@
 //! tests assert.
 //!
 //! The forward is a short pipeline of stages. Everything derived from the
-//! dynamic block alone is computed by one history stage
-//! (`build_history`) into a [`HistoryView`] — the scratch's own, rebuilt
-//! per call with one row when the batch repeats a history and one per batch
-//! row otherwise, or a one-row view the caller cached and lends. The rest
-//! (`score_static_rows`) reads every history quantity from that view and
-//! runs top to bottom like [`SeqFm`]'s forward: gather static → static view
-//! → dynamic view (a copy out of the view) → cross view → head. The only
-//! thing that depends on how the view came to be is which cross-view kernel
-//! runs and on what operands: one history per row, or one shared history —
-//! under which a request's repeated user row is shared as well, so the
-//! kernel computes that row's cross-view output and every history row's
-//! score against it once per call, and each candidate pays for its own row
-//! alone. None of that goes into the [`HistoryView`]: it depends on the
-//! user, and a view is shared across users by window content.
+//! dynamic block alone is computed by one history stage (`build_history`)
+//! into a one-history [`HistoryView`]: a view the caller cached and lends,
+//! or the scratch's own, rebuilt once for each run of consecutive batch rows
+//! that repeat one history (a candidate-expansion batch is one run). The
+//! rest (`score_static_rows`) scores a run's static rows against that view
+//! and runs top to bottom like [`SeqFm`]'s forward: gather static → static
+//! view → dynamic view (a copy out of the view) → cross view → head. The
+//! cross view always runs the shared-history kernel; when the run repeats
+//! its user row too, that row is shared as well, so the kernel computes the
+//! row's cross-view output and every history row's score against it once
+//! per run, and each candidate pays for its own row alone. None of that
+//! goes into the [`HistoryView`]: it depends on the user, and a view is
+//! shared across users by window content.
 
 use crate::config::SeqFmConfig;
 use crate::precision::ScorerPrecision;
@@ -42,8 +41,8 @@ use seqfm_data::{Batch, FeatureLayout};
 use seqfm_nn::attention_scale;
 use seqfm_nn::checkpoint::{self, CheckpointError};
 use seqfm_tensor::{
-    attention_causal_into, attention_cross_rows_into, attention_cross_shared_into, attention_into,
-    ew, matmul_nn_into, reduce, Tensor, Workspace,
+    attention_causal_into, attention_cross_shared_into, attention_into, ew, matmul_nn_into, reduce,
+    Tensor, Workspace,
 };
 use std::sync::Arc;
 
@@ -169,6 +168,15 @@ impl FrozenSeqFm {
         matmul_nn_into(e, self.t(w).data(), out, m, d, d);
     }
 
+    /// Attention view `view`'s Q, K and V projections of the `m` rows of
+    /// `e`, into `q`, `k` and `v`.
+    fn project_qkv(&self, view: usize, e: &[f32], m: usize, [q, k, v]: [&mut [f32]; 3]) {
+        let a = &self.attn[view];
+        self.project_view(e, a.wq, m, q);
+        self.project_view(e, a.wk, m, k);
+        self.project_view(e, a.wv, m, v);
+    }
+
     /// Restores a frozen model straight from a checkpoint blob (see
     /// [`seqfm_nn::checkpoint`]). `layout` and `cfg` must describe the model
     /// that wrote the checkpoint.
@@ -273,37 +281,6 @@ impl FrozenSeqFm {
             bufs.hagg[bi * stride + view_col..bi * stride + view_col + d].copy_from_slice(row);
         }
     }
-
-    /// Projects the `1 + b` unique static rows of a constant-user
-    /// candidate-expansion batch (`e_u` = `[user_row, cand_0, …,
-    /// cand_{b−1}]`) with view `view`'s Q/K/V weights and interleaves the
-    /// results into the leading `[b, 2, d]` blocks of `dsts`
-    /// (Q, K, V order), using `pu` (≥ `(1 + b)·d`) as projection scratch.
-    ///
-    /// Candidate-expansion batches repeat the user feature in static
-    /// column 0 of every row; projection arithmetic is row-local, so
-    /// projecting that row once and broadcasting its output is the same
-    /// bits per row as projecting it `b` times inside the batched call
-    /// (the batch-independence invariant the tiled-kernel tests pin) at
-    /// roughly half the projection arithmetic.
-    fn project_static_unique(
-        &self,
-        e_u: &[f32],
-        view: usize,
-        b: usize,
-        d: usize,
-        pu: &mut [f32],
-        dsts: [&mut [f32]; 3],
-    ) {
-        for (w, dst) in self.attn[view].qkv().into_iter().zip(dsts) {
-            self.project_view(e_u, w, 1 + b, pu);
-            for bi in 0..b {
-                let base = bi * 2 * d;
-                dst[base..base + d].copy_from_slice(&pu[..d]);
-                dst[base + d..base + 2 * d].copy_from_slice(&pu[(1 + bi) * d..(2 + bi) * d]);
-            }
-        }
-    }
 }
 
 /// Mutable workspace slices of one view, threaded through
@@ -328,75 +305,60 @@ impl ViewBufs<'_> {
 
 impl FrozenSeqFm {
     /// The history stage of the forward pass — the only code that derives
-    /// anything from a dynamic block. For each of the `rows` left-padded
-    /// index rows of `dyn_rows` (`[rows, nd]`) it sums lin˙, gathers the dynamic embeddings, projects the cross view's
-    /// history rows and runs the causal dynamic view down to its pooled
-    /// `d`-vector, writing all of it into `view` in place (the view's
-    /// buffers keep their capacity, so rebuilding a warm one allocates
-    /// nothing).
+    /// anything from a dynamic block. For one left-padded index row
+    /// `dyn_row` it sums lin˙, gathers the dynamic embeddings, projects the
+    /// cross view's history rows and runs the causal dynamic view down to
+    /// its pooled `d`-vector, writing all of it into `view` in place (the
+    /// view's buffers keep their capacity, so rebuilding a warm one
+    /// allocates nothing).
     ///
-    /// None of this depends on the candidates (Eq. 11–14) and per-row
-    /// arithmetic is batch-independent, so a history's outputs are the same
-    /// bits whether it is built alone for a cache, once for a batch that
-    /// repeats it, or beside the other rows of a mixed batch.
-    fn build_history(
-        &self,
-        dyn_rows: &[i64],
-        rows: usize,
-        nd: usize,
-        ws: &Workspace,
-        view: &mut HistoryView,
-    ) {
-        let d = self.cfg.d;
+    /// None of this depends on the candidates (Eq. 11–14), so a history's
+    /// outputs are the same bits whether it is built for a cache or for a
+    /// run of batch rows that repeat it.
+    fn build_history(&self, dyn_row: &[i64], ws: &Workspace, view: &mut HistoryView) {
+        let (d, nd) = (self.cfg.d, dyn_row.len());
         let ab = self.cfg.ablation;
-        let dyn_rows = &dyn_rows[..rows * nd];
         view.dyn_idx.clear();
-        view.dyn_idx.extend_from_slice(dyn_rows);
+        view.dyn_idx.extend_from_slice(dyn_row);
         view.nd = nd;
         view.d = d;
 
-        // Per-row lin˙ (Eq. 4): the tape's gather of the width-1 table and
-        // its sum over the window — one entry per row even when the window
-        // is empty.
-        let mut w_d = ws.take(rows * nd);
-        ew::gather_rows_into(self.t(self.w_dynamic).data(), 1, dyn_rows, &mut w_d);
-        view.lin_d.resize(rows, 0.0);
-        reduce::sum_axis1_into(&w_d, &mut view.lin_d, rows, nd, 1);
+        // lin˙ (Eq. 4): the tape's gather of the width-1 table and its sum
+        // over the window (0 for an empty one).
+        let mut w_d = ws.take(nd);
+        ew::gather_rows_into(self.t(self.w_dynamic).data(), 1, dyn_row, &mut w_d);
+        reduce::sum_axis1_into(&w_d, std::slice::from_mut(&mut view.lin_d), 1, nd, 1);
 
         // An ablated view leaves its part of the representation empty.
-        let hist_len = if ab.cross_view { rows * nd * d } else { 0 };
+        let hist_len = if ab.cross_view { nd * d } else { 0 };
         for dst in [&mut view.hist_q, &mut view.hist_k, &mut view.hist_v] {
             dst.resize(hist_len, 0.0);
         }
-        view.dyn_pooled.resize(if ab.dynamic_view { rows * d } else { 0 }, 0.0);
+        view.dyn_pooled.resize(if ab.dynamic_view { d } else { 0 }, 0.0);
         if !(ab.dynamic_view || ab.cross_view) {
             return;
         }
 
         // Embedding layer (Eq. 5): PAD rows embed to exact zeros.
-        let mut e_d = ws.take(rows * nd * d);
-        ew::gather_rows_into(self.t(self.emb_dynamic).data(), d, dyn_rows, &mut e_d);
+        let mut e_d = ws.take(nd * d);
+        ew::gather_rows_into(self.t(self.emb_dynamic).data(), d, dyn_row, &mut e_d);
 
         if ab.cross_view {
             // Projection is row-local, so the cross view's history rows are
             // projected here, apart from the static rows they will attend
-            // with, and the structured kernels read both blocks in place.
-            let dsts = [&mut view.hist_q, &mut view.hist_k, &mut view.hist_v];
-            for (w, dst) in self.attn[2].qkv().into_iter().zip(dsts) {
-                self.project_view(&e_d, w, rows * nd, dst);
-            }
+            // with, and the structured kernel reads both blocks in place.
+            self.project_qkv(2, &e_d, nd, [&mut view.hist_q, &mut view.hist_k, &mut view.hist_v]);
         }
         if ab.dynamic_view {
-            // The whole dynamic view collapses to one pooled `d`-vector per
-            // history: `dyn_pooled` is the `[rows, d]` aggregate of a
-            // one-view model, written by the same tail as any other view's
-            // column block.
-            let mut q = ws.take(rows * nd * d);
-            let mut k = ws.take(rows * nd * d);
-            let mut v = ws.take(rows * nd * d);
-            let mut scores = ws.take(rows * nd * (nd + 1) / 2);
-            let mut ctx = ws.take(rows * nd * d);
-            let mut ffn = ws.take(ViewBufs::ffn_len(rows, d));
+            // The whole dynamic view collapses to one pooled `d`-vector:
+            // `dyn_pooled` is the `[1, d]` aggregate of a one-view model,
+            // written by the same tail as any other view's column block.
+            let mut q = ws.take(nd * d);
+            let mut k = ws.take(nd * d);
+            let mut v = ws.take(nd * d);
+            let mut scores = ws.take(nd * (nd + 1) / 2);
+            let mut ctx = ws.take(nd * d);
+            let mut ffn = ws.take(ViewBufs::ffn_len(1, d));
             let mut bufs = ViewBufs {
                 q: &mut q,
                 k: &mut k,
@@ -408,14 +370,10 @@ impl FrozenSeqFm {
             };
             // Causal attention through the tape node's own kernel: only the
             // lower triangle is kept.
-            let dsts = [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v];
-            for (w, dst) in self.attn[1].qkv().into_iter().zip(dsts) {
-                self.project_view(&e_d, w, rows * nd, dst);
-            }
+            self.project_qkv(1, &e_d, nd, [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v]);
             let scale = attention_scale(d);
-            let (q, k, v) = (&*bufs.q, &*bufs.k, &*bufs.v);
-            attention_causal_into(q, k, v, scale, [rows, nd, d], bufs.scores, bufs.ctx);
-            self.pool_ffn_write(rows, nd, 0, 1, &mut bufs);
+            attention_causal_into(bufs.q, bufs.k, bufs.v, scale, [1, nd, d], bufs.scores, bufs.ctx);
+            self.pool_ffn_write(1, nd, 0, 1, &mut bufs);
         }
     }
 
@@ -434,7 +392,7 @@ impl FrozenSeqFm {
     /// range (callers validate ids against the feature layout first).
     pub fn history_view(&self, dyn_row: &[i64], scratch: &mut Scratch) -> HistoryView {
         let mut view = HistoryView::default();
-        self.build_history(dyn_row, 1, dyn_row.len(), &scratch.ws, &mut view);
+        self.build_history(dyn_row, &scratch.ws, &mut view);
         view
     }
 
@@ -502,57 +460,53 @@ impl FrozenSeqFm {
         batch.targets.clear();
         batch.targets.resize(len, 0.0);
         if len > 0 {
+            scratch.out.resize(len, 0.0);
             self.score_static_rows(&batch.static_idx, len, 2, view, &scratch.ws, &mut scratch.out);
-            out.extend_from_slice(&scratch.out[..len]);
+            out.extend_from_slice(&scratch.out);
         }
     }
 
-    /// The forward pass: choose the history side — borrow the caller's
-    /// cached [`HistoryView`] once it is checked against the batch, or run
-    /// the history stage into the scratch's own — then score the batch's
-    /// static rows against it.
+    /// The forward pass, one history at a time: the caller's cached
+    /// [`HistoryView`], once it is checked against the batch, scores every
+    /// row; otherwise each maximal run of consecutive rows that repeat one
+    /// dynamic row gets that history built into the scratch's own view and
+    /// its static rows scored against it.
     fn forward_split(&self, batch: &Batch, scratch: &mut Scratch, cached: Option<&HistoryView>) {
-        let (b, nd) = (batch.len, batch.n_dynamic);
+        let (b, ns, nd) = (batch.len, batch.n_static, batch.n_dynamic);
         // Disjoint field borrows: the arena hands out every kernel
         // temporary; `out` stays a plain buffer because the caller's
         // returned slice borrows it past the arena scopes' lifetime.
         let Scratch { out, ws, view: own, .. } = scratch;
-        let view = match cached {
-            Some(view) => {
-                // A view is tied to one exact dynamic row; serving stale
-                // history silently would be the worst possible failure mode.
-                assert_eq!(view.nd, nd, "history view covers nd={} but batch has {nd}", view.nd);
-                assert!(
-                    nd == 0 || batch.dyn_idx.chunks_exact(nd).all(|row| row == view.dyn_idx()),
-                    "history view does not match the batch's dynamic block"
-                );
-                view
-            }
-            None => {
-                // A candidate-expansion batch repeats one user history
-                // across every row: build that history once. A cached view
-                // is the same one-row build memoised across requests.
-                let repeated = b > 1
-                    && nd > 0
-                    && batch
-                        .dyn_idx
-                        .chunks_exact(nd)
-                        .skip(1)
-                        .all(|row| row == &batch.dyn_idx[..nd]);
-                let rows = if repeated { 1 } else { b };
-                self.build_history(&batch.dyn_idx, rows, nd, ws, own);
-                own
-            }
-        };
-        self.score_static_rows(&batch.static_idx, b, batch.n_static, view, ws, out);
+        out.resize(b, 0.0);
+        if let Some(view) = cached {
+            // A view is tied to one exact dynamic row; serving stale
+            // history silently would be the worst possible failure mode.
+            assert_eq!(view.nd, nd, "history view covers nd={} but batch has {nd}", view.nd);
+            assert!(
+                nd == 0 || batch.dyn_idx.chunks_exact(nd).all(|row| row == view.dyn_idx()),
+                "history view does not match the batch's dynamic block"
+            );
+            self.score_static_rows(&batch.static_idx, b, ns, view, ws, out);
+            return;
+        }
+        // A candidate-expansion batch repeats one history across every row
+        // (and with `nd == 0` every row is the empty one): one run, one
+        // build. A cached view is the same build memoised across requests.
+        let dyn_row = |r: usize| &batch.dyn_idx[r * nd..(r + 1) * nd];
+        let mut lo = 0;
+        while lo < b {
+            let hi = (lo + 1..b).find(|&r| dyn_row(r) != dyn_row(lo)).unwrap_or(b);
+            self.build_history(dyn_row(lo), ws, own);
+            let static_idx = &batch.static_idx[lo * ns..hi * ns];
+            self.score_static_rows(static_idx, hi - lo, ns, own, ws, &mut out[lo..hi]);
+            lo = hi;
+        }
     }
 
     /// The candidate side of the forward pass, in [`SeqFm`]'s own order:
     /// static view → dynamic view → cross view → head, for `b` static rows
-    /// of `ns` features each. Every history quantity is read from `view`,
-    /// which holds either one row shared by the whole batch or one row per
-    /// batch row; that choice selects the cross-view kernel and which view
-    /// row a batch row reads, and nothing else.
+    /// of `ns` features each, all scored against the one history `view`
+    /// holds, one logit per row into `out`.
     fn score_static_rows(
         &self,
         static_idx: &[i64],
@@ -560,30 +514,22 @@ impl FrozenSeqFm {
         ns: usize,
         view: &HistoryView,
         ws: &Workspace,
-        out: &mut Vec<f32>,
+        out: &mut [f32],
     ) {
         let d = self.cfg.d;
         let ab = self.cfg.ablation;
         let views = ab.active_views();
         let scale = attention_scale(d);
-        let (rows, nd) = (view.rows(), view.nd);
+        let nd = view.nd;
         assert_eq!(view.d, d, "history view built at width {} but model is {d}", view.d);
-        assert!(rows == 1 || rows == b, "history view holds {rows} rows for a batch of {b}");
-        // The view row batch row `bi` reads.
-        let hrow = |bi: usize| if rows == 1 { 0 } else { bi };
-        if out.len() < b {
-            out.resize(b, 0.0);
-        }
 
         // Candidate-expansion batches repeat the user feature in static
         // column 0 of every row: everything computed from that row alone is
         // computed once. Both views project the `1 + b` unique static rows
-        // instead of all `2·b` — the static view broadcasts the shared
-        // row's projection into its `[b, 2, d]` blocks (see
-        // [`Self::project_static_unique`]); the cross view, when the
-        // history is shared too, passes the unique rows on uncopied and the
-        // kernel hoists the user row's whole attention. Bit-identical per
-        // row either way.
+        // instead of all `2·b`: the static view spreads them into its
+        // `[b, 2, d]` blocks, and the cross view passes them on as they are
+        // and the kernel hoists the user row's whole attention. Projection
+        // is row-local, so this is bit-identical per row.
         let uniq_static =
             ns == 2 && b > 1 && static_idx.chunks_exact(2).skip(1).all(|r| r[0] == static_idx[0]);
 
@@ -596,18 +542,12 @@ impl FrozenSeqFm {
         // zero-fills every take, making right-sizing pure memset bandwidth
         // saved on every request (~1 MB at serving geometry).
         let qkv_len = b * ns * d;
-        // The per-row cross kernel keeps both admitted weight blocks.
-        let cross_scores = match (ab.cross_view, rows == 1) {
-            (false, _) => 0,
-            (true, true) => b * ns * nd,
-            (true, false) => 2 * b * ns * nd,
-        };
+        let cross_scores = if ab.cross_view { b * ns * nd } else { 0 };
         let mut e_s = ws.take(b * ns * d);
         let mut q = ws.take(qkv_len);
         let mut k = ws.take(qkv_len);
         let mut v = ws.take(qkv_len);
         let mut e_u = ws.take(if uniq_static { (1 + b) * d } else { 0 });
-        let mut pu = ws.take(if uniq_static { (1 + b) * d } else { 0 });
         let mut scores = ws.take((b * ns * ns).max(cross_scores));
         let mut ctx = ws.take(b * (ns + nd) * d);
         let mut ffn = ws.take(ViewBufs::ffn_len(b, d));
@@ -638,86 +578,70 @@ impl FrozenSeqFm {
             ffn: &mut ffn,
             hagg: &mut hagg,
         };
-        // Static rows → the leading `[b, ns, d]` Q/K/V blocks under
-        // attention view `av`'s weights, which the static and the cross
-        // view both start from: unique-row projections broadcast in place,
-        // or all `b·ns` rows.
-        let project_static = |av: usize, pu: &mut [f32], bufs: &mut ViewBufs<'_>| {
+        // Static rows → the leading rows of Q/K/V under attention view
+        // `av`'s weights, which the static and the cross view both start
+        // from: the `1 + b` unique rows, or all `b·ns`.
+        let project_static = |av: usize, bufs: &mut ViewBufs<'_>| {
             let dsts = [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v];
             if uniq_static {
-                self.project_static_unique(&e_u, av, b, d, pu, dsts);
+                self.project_qkv(av, &e_u, 1 + b, dsts);
             } else {
-                for (w, dst) in self.attn[av].qkv().into_iter().zip(dsts) {
-                    self.project_view(&e_s, w, b * ns, dst);
-                }
+                self.project_qkv(av, &e_s, b * ns, dsts);
             }
         };
         let mut view_col = 0usize;
         if ab.static_view {
             // Dense unmasked attention, replaying the tape's pipeline.
-            project_static(0, &mut pu, &mut bufs);
+            project_static(0, &mut bufs);
+            if uniq_static {
+                // `[user, cand_0, …]` → `[b, 2, d]` blocks `[user, cand_bi]`
+                // in place, last block first: every row is read before a
+                // later block overwrites it.
+                for x in [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v] {
+                    for bi in (0..b).rev() {
+                        x.copy_within((1 + bi) * d..(2 + bi) * d, (2 * bi + 1) * d);
+                        x.copy_within(..d, 2 * bi * d);
+                    }
+                }
+            }
             attention_into(bufs.q, bufs.k, bufs.v, None, scale, b, ns, d, bufs.scores, bufs.ctx);
             self.pool_ffn_write(b, ns, view_col, views, &mut bufs);
             view_col += d;
         }
         if ab.dynamic_view {
             // The history stage already ran this view down to its pooled
-            // vector: copy each row's into its column block.
-            for bi in 0..b {
-                let col = bi * views * d + view_col;
-                bufs.hagg[col..col + d]
-                    .copy_from_slice(&view.dyn_pooled[hrow(bi) * d..(hrow(bi) + 1) * d]);
+            // vector: copy it into every row's column block.
+            for row in bufs.hagg.chunks_exact_mut(views * d) {
+                row[view_col..view_col + d].copy_from_slice(&view.dyn_pooled);
             }
             view_col += d;
         }
         if ab.cross_view {
             // No stack [E°; E˙]: projection is row-local, so the static rows
             // land in the leading blocks of Q/K/V, the history rows sit in
-            // the view's `rows` blocks of `[nd, d]`, and the structured
-            // kernels read both in place — bit-identical to the dense masked
-            // pipeline over the spliced stack (pinned in the tensor crate)
-            // and to the tape's cross-attention node, which takes the same
-            // split operands, minus the splice copies and the ~83 % of
-            // scores the cross mask discards.
+            // the view's `[nd, d]` blocks, and the structured kernel reads
+            // both in place — bit-identical to the dense masked pipeline
+            // over the spliced stack (pinned in the tensor crate) and to the
+            // tape's cross-attention node, which takes the same split
+            // operands, minus the splice copies and the ~83 % of scores the
+            // cross mask discards.
             //
-            // One history *and* one user: the `[1 + b, d]` unique
-            // projections go to the kernel as they are — row 0 the static
-            // row every slice shares, rows `1..` each candidate's own.
-            let shared_user = uniq_static && rows == 1;
-            if shared_user {
-                let dsts = [&mut *bufs.q, &mut *bufs.k, &mut *bufs.v];
-                for (w, dst) in self.attn[2].qkv().into_iter().zip(dsts) {
-                    self.project_view(&e_u, w, 1 + b, dst);
-                }
-            } else {
-                project_static(2, &mut pu, &mut bufs);
-            }
+            // One user: the `[1 + b, d]` unique projections go to the kernel
+            // as they are — row 0 the static row every slice shares, rows
+            // `1..` each candidate's own. Mixed users share nothing on the
+            // static side.
+            project_static(2, &mut bufs);
+            let (ns0, ns1) = if uniq_static { (1, 1) } else { (0, ns) };
             let stat = [&*bufs.q, &*bufs.k, &*bufs.v];
-            let hist = [&view.hist_q[..], &view.hist_k[..], &view.hist_v[..]];
-            if rows == 1 {
-                // Mixed-user groups share nothing on the static side.
-                let (ns0, ns1) = if shared_user { (1, 1) } else { (0, ns) };
-                attention_cross_shared_into(
-                    stat.map(|x| &x[..ns0 * d]),
-                    stat.map(|x| &x[ns0 * d..]),
-                    hist,
-                    scale,
-                    [b, ns0, ns1, nd, d],
-                    bufs.scores,
-                    bufs.ctx,
-                );
-            } else {
-                attention_cross_rows_into(
-                    stat,
-                    ns * d,
-                    hist,
-                    nd * d,
-                    scale,
-                    [b, ns, nd, d],
-                    bufs.scores,
-                    bufs.ctx,
-                );
-            }
+            attention_cross_shared_into(
+                stat.map(|x| &x[..ns0 * d]),
+                stat.map(|x| &x[ns0 * d..]),
+                [&view.hist_q[..], &view.hist_k[..], &view.hist_v[..]],
+                scale,
+                [b, ns0, ns1, nd, d],
+                bufs.scores,
+                bufs.ctx,
+            );
             self.pool_ffn_write(b, ns + nd, view_col, views, &mut bufs);
         }
         let hagg = bufs.hagg;
@@ -731,8 +655,8 @@ impl FrozenSeqFm {
         // and in its association order: (f + (lin° + lin˙)) + w₀.
         ew::gather_rows_into(self.t(self.w_static).data(), 1, &static_idx[..b * ns], &mut w_s);
         reduce::sum_axis1_into(&w_s, &mut lin_s, b, ns, 1);
-        for (bi, f) in fout.iter_mut().enumerate() {
-            *f += lin_s[bi] + view.lin_d[hrow(bi)];
+        for (f, &ls) in fout.iter_mut().zip(lin_s.iter()) {
+            *f += ls + view.lin_d;
         }
         ew::add_bias_rows_inplace(fout, self.t(self.w0).data());
     }
@@ -894,7 +818,7 @@ mod tests {
     fn fast_is_exact_on_the_quantised_parameters_bit_for_bit() {
         // The whole contract of `Fast`: same kernels, quantised parameters.
         // Freeze θ′ as an ordinary `Exact` model and the two must agree on
-        // every bit, for per-row histories, a shared-history batch, and a
+        // every bit, for a batch of distinct histories, a shared-history batch, and a
         // cached view.
         for (name, ab) in Ablation::table5_variants() {
             let cfg =
@@ -921,7 +845,7 @@ mod tests {
                 exact_q.score_with_view(&shared, &vq, &mut sq).to_vec(),
             ];
             for (shape, (g, w)) in
-                ["per-row", "shared", "cached view"].iter().zip(got.iter().zip(&want))
+                ["mixed", "shared", "cached view"].iter().zip(got.iter().zip(&want))
             {
                 assert_eq!(g.len(), w.len());
                 for (i, (g, w)) in g.iter().zip(w).enumerate() {
@@ -937,7 +861,7 @@ mod tests {
                 (back.history_view(&vf.dyn_idx, &mut sf), exact.history_view(&vf.dyn_idx, &mut sq));
             for (shape, g, w) in [
                 (
-                    "per-row",
+                    "mixed",
                     bits(back.score(&per_row, &mut sf)),
                     bits(exact.score(&per_row, &mut sq)),
                 ),
@@ -958,12 +882,12 @@ mod tests {
         // Graph and frozen run the same structured cross-view kernels, so
         // they agree on every logit — same bits, or NaN on both sides —
         // whatever the parameters hold, on the shared-history path, a
-        // cached view and the per-row path alike. The last poison is the
-        // case a dense masked cross view gets wrong: finite parameters
-        // whose *blocked* static–static scores overflow to +∞ (`+∞ − ∞` is
-        // NaN and takes the dense row with it). Blocked pairs are never
-        // formed, so over an all-PAD history — every admitted score an
-        // exact 0 — the logits stay finite on both sides.
+        // cached view and a batch of distinct histories alike. The last
+        // poison is the case a dense masked cross view gets wrong: finite
+        // parameters whose *blocked* static–static scores overflow to +∞
+        // (`+∞ − ∞` is NaN and takes the dense row with it). Blocked pairs
+        // are never formed, so over an all-PAD history — every admitted
+        // score an exact 0 — the logits stay finite on both sides.
         let l = slate_layout();
         let (emb, wq, wk) =
             ("seqfm.emb_static.table", "seqfm.attn_cross.wq.w", "seqfm.attn_cross.wk.w");
@@ -1024,7 +948,7 @@ mod tests {
                     }
                 }
                 agree(
-                    "per-row",
+                    "mixed",
                     &graph_logits(&model, &ps, &mixed),
                     frozen.score(&mixed, &mut scratch),
                 );

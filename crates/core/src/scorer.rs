@@ -134,8 +134,9 @@ pub struct Scratch {
     pub(crate) ws: Workspace,
     /// Reused tape for [`GraphScorer`]; reset between calls.
     pub(crate) graph: Graph,
-    /// The history side of an uncached frozen forward, rebuilt in place by
-    /// every such call (its buffers keep their capacity between calls).
+    /// The history side of an uncached frozen forward, rebuilt in place for
+    /// each run of rows that repeat a history (its buffers keep their
+    /// capacity between calls).
     pub(crate) view: HistoryView,
 }
 

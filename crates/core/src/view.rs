@@ -6,12 +6,12 @@
 //! cross view's history-row Q/K/V projections, the dynamic linear term — is
 //! independent of the candidates being scored (paper Eq. 11–14). A
 //! [`HistoryView`] is the output of the forward's own history stage
-//! (`FrozenSeqFm::build_history`, the only code that computes any of it),
-//! one row per distinct history it was run on. An uncached forward
-//! builds the view its [`Scratch`](crate::Scratch) owns — one row when the
-//! batch repeats a history, one per batch row otherwise — and scores
-//! against it; a stateful serving layer builds a **one-row** view **once
-//! per history version** and lends it to many requests instead.
+//! (`FrozenSeqFm::build_history`, the only code that computes any of it)
+//! run on one history. An uncached forward rebuilds the view its
+//! [`Scratch`](crate::Scratch) owns once per run of batch rows that share a
+//! history and scores that run against it; a stateful serving layer builds
+//! a view **once per history version** and lends it to many requests
+//! instead.
 //!
 //! Cacheable views are produced by
 //! [`Scorer::build_history_view`](crate::Scorer::build_history_view) and
@@ -21,11 +21,10 @@
 //! out of the same stage, so view-based scoring is **bit-identical** to
 //! scoring the same history inline.
 
-/// The frozen forward's history-side intermediates for `rows ≥ 1` dynamic
-/// sequences (each left-padded to the serving window). The views a serving
-/// layer versions and caches hold exactly one row.
+/// The frozen forward's history-side intermediates for one dynamic
+/// sequence, left-padded to the serving window.
 ///
-/// A view is tied to the exact padded index rows it was built from
+/// A view is tied to the exact padded index row it was built from
 /// ([`HistoryView::dyn_idx`]); scoring it against a batch with a different
 /// dynamic block is a serving-layer bug and is rejected loudly rather than
 /// silently producing stale scores.
@@ -35,26 +34,23 @@
 /// the view knows which parts it filled.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HistoryView {
-    /// The left-padded dynamic index rows this view was built from
-    /// (`rows · nd` entries).
+    /// The left-padded dynamic index row this view was built from.
     pub(crate) dyn_idx: Vec<i64>,
-    /// Width of the dynamic window each row covers.
+    /// Width of the dynamic window (`nd`).
     pub(crate) nd: usize,
     /// Embedding width the view was built at.
     pub(crate) d: usize,
-    /// Dynamic-side linear term Σ w˙\[i\] over each row's non-pad history
-    /// items, `[rows]` (sized even when `nd == 0`: its length *is* the row
-    /// count).
-    pub(crate) lin_d: Vec<f32>,
-    /// Pooled output of the dynamic view's attention + FFN stack,
-    /// `[rows, d]` (empty when the dynamic view is ablated away).
+    /// Dynamic-side linear term Σ w˙\[i\] over the non-pad history items.
+    pub(crate) lin_d: f32,
+    /// Pooled output of the dynamic view's attention + FFN stack, `[d]`
+    /// (empty when the dynamic view is ablated away).
     pub(crate) dyn_pooled: Vec<f32>,
-    /// Cross-view Q projections of the history rows, `[rows · nd, d]`
-    /// row-major (empty when the cross view is ablated away).
+    /// Cross-view Q projections of the history rows, `[nd, d]` row-major
+    /// (empty when the cross view is ablated away).
     pub(crate) hist_q: Vec<f32>,
-    /// Cross-view K projections of the history rows, `[rows · nd, d]`.
+    /// Cross-view K projections of the history rows, `[nd, d]`.
     pub(crate) hist_k: Vec<f32>,
-    /// Cross-view V projections of the history rows, `[rows · nd, d]`.
+    /// Cross-view V projections of the history rows, `[nd, d]`.
     pub(crate) hist_v: Vec<f32>,
 }
 
@@ -67,11 +63,5 @@ impl HistoryView {
     /// Width of the dynamic window (`nd`) the view covers.
     pub fn nd(&self) -> usize {
         self.nd
-    }
-
-    /// Number of histories the view holds: 1 for every view handed out of
-    /// the crate, the batch size for a per-row scratch view.
-    pub(crate) fn rows(&self) -> usize {
-        self.lin_d.len()
     }
 }

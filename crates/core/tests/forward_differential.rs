@@ -1,8 +1,11 @@
 //! Searched differential coverage of the frozen forward's pipeline: over
 //! drawn model shapes and batch compositions, every way of obtaining the
-//! history side — built per row, built once for a batch that repeats a
+//! history side — built once for each run of consecutive rows that repeat a
 //! history, or lent as a cached [`HistoryView`](seqfm_core::HistoryView) —
-//! must produce the autograd graph's logits **bit for bit**.
+//! must produce the autograd graph's logits **bit for bit**. Each case
+//! draws a pool of histories and maps every row to one of them, so batches
+//! range from one shared history (one run) through runs of several lengths
+//! with non-adjacent repeats (`A A B A`) to a history per row.
 //!
 //! The hand-picked parity suites sit at `d = 8`, `max_seq = 6` and one FFN
 //! layer; this one draws odd widths, FFN depths of one to three (Fig. 3
@@ -28,7 +31,7 @@ const MAX_B: usize = 24;
 const MAX_HIST: usize = 10;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn every_history_side_matches_the_graph_bitwise(
@@ -42,7 +45,8 @@ proptest! {
         hist_lens in vec(0..=MAX_HIST, MAX_B),
         hist_items in vec(0..LAYOUT.n_items as u32, MAX_B * MAX_HIST),
         one_item in vec(any::<bool>(), MAX_B),
-        share_history in any::<bool>(),
+        pool_log2 in 0u32..=5,
+        hist_map in vec(0..MAX_B, MAX_B),
         share_user in any::<bool>(),
         duplicate_cands in any::<bool>(),
         seed in any::<u64>(),
@@ -63,13 +67,17 @@ proptest! {
         }
         let frozen = FrozenSeqFm::freeze(&model, &ps);
 
-        // Row `r`'s history: up to two events longer than the window, or
-        // its first event repeated that many times.
-        let history = |r: usize| -> Vec<u32> {
-            let len = hist_lens[r].min(max_seq + 2);
-            let drawn = &hist_items[r * MAX_HIST..r * MAX_HIST + len];
-            if one_item[r] { vec![hist_items[r * MAX_HIST]; len] } else { drawn.to_vec() }
+        // History `h` of the pool: up to two events longer than the window,
+        // or its first event repeated that many times.
+        let history = |h: usize| -> Vec<u32> {
+            let len = hist_lens[h].min(max_seq + 2);
+            let drawn = &hist_items[h * MAX_HIST..h * MAX_HIST + len];
+            if one_item[h] { vec![hist_items[h * MAX_HIST]; len] } else { drawn.to_vec() }
         };
+        // Row `r`'s history: the drawn map into a pool of 1, 2, 4, … 32
+        // histories, or a history of its own once the pool covers the batch.
+        let pool = 1usize << pool_log2;
+        let row_history = |r: usize| if pool >= b { r } else { hist_map[r] % pool };
         let user = |r: usize| users[if share_user { 0 } else { r }];
         // A slate that keeps returning to its first two candidates: equal
         // rows must get equal logits from wherever they sit in the batch.
@@ -77,7 +85,7 @@ proptest! {
             (0..b).map(|r| cands[if duplicate_cands { r % 2 } else { r }]).collect();
         let insts: Vec<_> = (0..b)
             .map(|r| {
-                let hist = history(if share_history { 0 } else { r });
+                let hist = history(row_history(r));
                 build_instance(&LAYOUT, user(r), cands[r], &hist, max_seq, 0.0)
             })
             .collect();
@@ -87,11 +95,13 @@ proptest! {
         let y = model.forward(&mut g, &ps, &batch, false, &mut StdRng::seed_from_u64(77));
         let bits = |logits: &[f32]| logits.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         let expect = bits(g.value(y).data());
-        let shape = format!("{name}, d={d}, max_seq={max_seq}, layers={layers}, b={b}");
+        let shape = format!("{name}, d={d}, max_seq={max_seq}, layers={layers}, b={b}, pool={pool}");
 
         let mut scratch = Scratch::new();
         prop_assert_eq!(&bits(frozen.score(&batch, &mut scratch)), &expect, "score: {}", shape);
-        if share_history {
+        // One history across the batch (a pool of one, a single row, or
+        // draws that coincide): a lent view and catalog blocks must match.
+        if batch.dyn_idx.chunks_exact(max_seq).all(|row| row == &batch.dyn_idx[..max_seq]) {
             let view = frozen.history_view(&batch.dyn_idx[..max_seq], &mut scratch);
             let got = bits(frozen.score_with_view(&batch, &view, &mut scratch));
             prop_assert_eq!(&got, &expect, "score_with_view: {}", shape);

@@ -338,7 +338,9 @@ pub struct ModelRev {
 /// An `Arc<FrozenSeqFm>` keeps its concrete model, so an attached catalog
 /// index follows it across publishes. Any other handle — an
 /// `Arc<dyn Scorer + Send + Sync>` too, even over a `FrozenSeqFm` — counts
-/// as non-frozen: its revision keeps the attached index as it stands.
+/// as non-frozen: its revision carries the attached index unchanged but
+/// does not retrieve with it ([`Engine::retrieve_top_k`] answers
+/// [`ServeError::NoCatalogIndex`]) until a frozen publish re-anchors it.
 pub trait IntoScorer {
     /// The revision serving this scorer, with no index yet.
     fn into_rev(self) -> ModelRev;
@@ -557,8 +559,10 @@ impl Engine {
     ///
     /// The index becomes part of the current [`ModelRev`], and every later
     /// [`Engine::publish`] carries it over to the new revision the same way.
-    /// A revision with no frozen model (a non-`FrozenSeqFm` scorer) keeps
-    /// the index as it stands, scoring with the index's own model.
+    /// A revision with no frozen model (a non-`FrozenSeqFm` scorer) carries
+    /// the index unchanged and does not retrieve with it: the index's own
+    /// model need not be the scorer, and the two would share one epoch's
+    /// view cache.
     ///
     /// # Panics
     /// Panics if the index's layout disagrees with the engine's.
@@ -625,7 +629,8 @@ impl Engine {
     ///    epoch-keyed [`ViewCache`] lazily invalidates old-epoch panels.
     ///
     /// The scorer is served as handed. A non-`FrozenSeqFm` scorer (see
-    /// [`IntoScorer`]) carries the attached index over unchanged. Between
+    /// [`IntoScorer`]) carries the attached index over unchanged, and
+    /// retrieval answers [`ServeError::NoCatalogIndex`] under it. Between
     /// concurrent publishers the last swap wins, so one trainer thread
     /// should own publishing.
     ///
@@ -672,16 +677,21 @@ impl Engine {
     /// `score_stored` calls reuse the same panel bit-identically.
     ///
     /// # Errors
-    /// [`ServeError::NoCatalogIndex`] without an attached index;
+    /// [`ServeError::NoCatalogIndex`] without an attached index, or when the
+    /// served revision has no frozen model (see [`IntoScorer`]);
     /// [`ServeError::UnknownUser`] for a user outside the layout;
     /// [`ServeError::BadConfig`] for `k == 0`.
     pub fn retrieve_top_k(&self, user: u32, k: usize) -> Result<Retrieval, ServeError> {
         let rev = self.model.load();
-        let index = rev.index.as_ref().ok_or(ServeError::NoCatalogIndex)?;
+        // Only a frozen revision's index is anchored on the model it serves;
+        // any other index scores with a model the scorer may not be, under
+        // the same epoch, and its views would land in the shared cache.
+        let (Some(model), Some(index)) = (&rev.frozen, &rev.index) else {
+            return Err(ServeError::NoCatalogIndex);
+        };
         if user as usize >= self.layout.n_users {
             return Err(ServeError::UnknownUser { user, n_users: self.layout.n_users });
         }
-        let model = index.model();
         let epoch = model.epoch();
         let mut snap = Vec::new();
         let version = self.store.snapshot_into(user, &mut snap);
@@ -1038,15 +1048,19 @@ mod tests {
         }
     }
 
-    /// The check of the two precision tests: user 3's stored window
+    /// The check of the precision tests: user 3's stored window
     /// `[4, 19, 2]`, scored against four candidates after a retrieval, must
-    /// carry `fast`'s own bits — the view the retrieval cached is the
-    /// served scorer's.
-    fn assert_serves_after_retrieval(engine: &Engine, fast: &FrozenSeqFm, layout: &FeatureLayout) {
+    /// carry `fast`'s own bits — any view the retrieval cached is the
+    /// served scorer's. Returns the retrieval's answer.
+    fn serves_after_retrieval(
+        engine: &Engine,
+        fast: &FrozenSeqFm,
+        layout: &FeatureLayout,
+    ) -> Result<Retrieval, ServeError> {
         for item in [4u32, 19, 2] {
             engine.append_event(3, item).expect("valid ids");
         }
-        engine.retrieve_top_k(3, 5).expect("valid");
+        let retrieved = engine.retrieve_top_k(3, 5);
         let got = engine.score_stored(3, vec![5, 9, 40, 41]).expect("valid");
         let req = ScoreRequest::inline(3, vec![4u32, 19, 2], vec![5u32, 9, 40, 41]);
         let want = score_request(fast, layout, 6, 0, &req, &mut Scratch::new()).expect("valid");
@@ -1054,6 +1068,7 @@ mod tests {
         for (g, w) in got.ranked.iter().zip(&want.ranked) {
             assert_eq!((g.item, g.score.to_bits()), (w.item, w.score.to_bits()));
         }
+        retrieved
     }
 
     #[test]
@@ -1064,7 +1079,7 @@ mod tests {
             .expect("valid cfg")
             .with_catalog_index(Arc::new(CatalogIndex::build(Arc::clone(&fast), layout, 8)));
         assert!(Arc::ptr_eq(engine.catalog_index().expect("attached").model(), &fast));
-        assert_serves_after_retrieval(&engine, &fast, &layout);
+        serves_after_retrieval(&engine, &fast, &layout).expect("valid");
     }
 
     #[test]
@@ -1077,7 +1092,36 @@ mod tests {
             .expect("valid cfg")
             .with_catalog_index(Arc::new(CatalogIndex::build(exact, layout, 8)));
         assert!(Arc::ptr_eq(engine.catalog_index().expect("attached").model(), &fast));
-        assert_serves_after_retrieval(&engine, &fast, &layout);
+        serves_after_retrieval(&engine, &fast, &layout).expect("valid");
+    }
+
+    #[test]
+    fn a_non_frozen_revision_does_not_retrieve_with_another_models_index() {
+        // A type-erased `Fast` scorer shares its epoch with the `Exact`
+        // model the index was built on: scanning that index would cache
+        // the `Exact` view where `score_stored` reads it.
+        let layout = FeatureLayout { n_users: 6, n_items: 48 };
+        let fast = Arc::new(frozen_model(&layout).with_precision(ScorerPrecision::Fast));
+        let exact = Arc::new(frozen_model(&layout));
+        let erased: Arc<dyn Scorer + Send + Sync> = Arc::clone(&fast) as _;
+        let engine = Engine::new(erased, layout, engine_cfg(1, 0))
+            .expect("valid cfg")
+            .with_catalog_index(Arc::new(CatalogIndex::build(exact, layout, 8)));
+        let retrieved = serves_after_retrieval(&engine, &fast, &layout);
+        assert_eq!(retrieved, Err(ServeError::NoCatalogIndex));
+        // The index rode along; a frozen publish re-anchors it, and
+        // retrieval then answers on the published model.
+        engine.publish(Arc::clone(&fast));
+        assert!(Arc::ptr_eq(engine.catalog_index().expect("attached").model(), &fast));
+        let got = engine.retrieve_top_k(3, 5).expect("valid");
+        let row: Vec<i64> = [seqfm_data::PAD; 3].into_iter().chain([4i64, 19, 2]).collect();
+        let view = fast.history_view(&row, &mut Scratch::new());
+        let fresh = CatalogIndex::build(Arc::clone(&fast), layout, 8);
+        let want = fresh.retrieve(3, &view, 5).expect("valid");
+        assert_eq!(got.items.len(), 5);
+        for (g, w) in got.items.iter().zip(&want.items) {
+            assert_eq!((g.item, g.score.to_bits()), (w.item, w.score.to_bits()));
+        }
     }
 
     #[test]

@@ -228,7 +228,7 @@ fn swap_under_load_every_response_is_single_epoch_consistent() {
 /// is the soundness test for `CatalogIndex::rebuild_for`'s reuse of old
 /// block membership.
 #[test]
-fn mid_swap_brute_fallback_and_rebuilt_index_match_a_fresh_build() {
+fn rebuilt_index_matches_a_fresh_build_and_its_brute_scan() {
     let (model, ps) = build_model(9);
     let old = Arc::new(FrozenSeqFm::freeze(&model, &ps));
     let mut trainer = OnlineTrainer::new(model, ps, layout(), online_cfg());
@@ -467,7 +467,7 @@ fn rapid_publishes_mid_retrieve_stay_single_epoch_exact_and_settle_on_the_last()
             "retrieval {i} matches no published epoch's exact answer"
         );
     }
-    let settled = engine.wait_for_index().expect("attached");
+    let settled = engine.catalog_index().expect("attached");
     assert_eq!(
         settled.model().epoch(),
         snapshots.last().expect("some").epoch(),
@@ -497,7 +497,7 @@ fn rollback_mid_rebuild_settles_the_index_on_the_rolled_back_epoch() {
     let rolled = trainer.rollback_to(ModelEpoch(2)).expect("retained");
     assert_eq!(engine.publish_frozen(rolled), ModelEpoch(2));
 
-    let settled = engine.wait_for_index().expect("attached");
+    let settled = engine.catalog_index().expect("attached");
     assert_eq!(settled.model().epoch(), ModelEpoch(2), "latest publish wins the index");
 
     let e2 = Arc::new(trainer.frozen_for(&snapshots[1]));
