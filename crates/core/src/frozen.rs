@@ -482,6 +482,8 @@ impl FrozenSeqFm {
             // A view is tied to one exact dynamic row; serving stale
             // history silently would be the worst possible failure mode.
             assert_eq!(view.nd, nd, "history view covers nd={} but batch has {nd}", view.nd);
+            // A short `dyn_idx` would pass the row check below vacuously.
+            assert_eq!(batch.dyn_idx.len(), b * nd, "view lent to a batch without its rows");
             assert!(
                 nd == 0 || batch.dyn_idx.chunks_exact(nd).all(|row| row == view.dyn_idx()),
                 "history view does not match the batch's dynamic block"

@@ -120,6 +120,37 @@ fn stale_view_is_rejected_loudly() {
     let _ = frozen.score_with_view(&newer, &view, &mut scratch);
 }
 
+/// Lends the view of history `[1, 2, 3]` to a 2-row batch over `[9, 9, 9]`
+/// whose dynamic block has been cut to `keep` of its rows, the first of
+/// them replaced by the view's own row.
+fn lend_to_a_cut_batch(keep: usize) {
+    let (model, ps) = setup(Ablation::default(), 41);
+    let frozen = FrozenSeqFm::freeze(&model, &ps);
+    let mut scratch = Scratch::new();
+    let view =
+        frozen.history_view(&expansion_batch(0, &[1, 2, 3], 1).dyn_idx[..MAX_SEQ], &mut scratch);
+    let mut batch = expansion_batch(0, &[9, 9, 9], 2);
+    batch.dyn_idx.truncate(keep * MAX_SEQ);
+    if keep > 0 {
+        batch.dyn_idx[..MAX_SEQ].copy_from_slice(view.dyn_idx());
+    }
+    // Unchecked, both cuts score the view's history, [0.4222, 0.3861],
+    // where the batch's own history scores [-0.2900, -0.0902].
+    let _ = frozen.score_with_view(&batch, &view, &mut scratch);
+}
+
+#[test]
+#[should_panic(expected = "view lent to a batch without its rows")]
+fn a_view_lent_to_a_batch_without_a_dynamic_block_is_rejected() {
+    lend_to_a_cut_batch(0);
+}
+
+#[test]
+#[should_panic(expected = "view lent to a batch without its rows")]
+fn a_view_lent_to_a_batch_with_one_matching_row_of_two_is_rejected() {
+    lend_to_a_cut_batch(1);
+}
+
 #[test]
 fn graph_scorer_reports_no_view_support() {
     let (model, ps) = setup(Ablation::default(), 47);

@@ -18,17 +18,19 @@
 //! from a dataset ([`Engine::warm_histories`]) and kept current by
 //! [`Engine::append_event`]. A [`HistorySource::Stored`](crate::HistorySource)
 //! request is just `(user, candidates)`; workers snapshot the window under
-//! one shard read lock and memoise the scorer's history-side panel in a
-//! versioned [`ViewCache`](crate::ViewCache) of `VIEW_CACHE_ENTRIES`
-//! entries, so a cache hit skips the history half
-//! of the forward entirely. All of it is bit-identical to inline scoring.
+//! one shard read lock and memoise the scorer's history-side panel in the
+//! served model's own [`ViewCache`](crate::ViewCache), so a cache hit skips
+//! the history half of the forward entirely. All of it is bit-identical to
+//! inline scoring. A view bakes in the parameters, so each
+//! [`Engine::publish`] starts the new model on an empty cache: no model
+//! reads another model's views, whatever their epoch stamps say.
 //!
 //! Admission is explicit: the non-blocking [`Engine::submit`] sheds load
 //! with [`ServeError::Overloaded`] once
 //! [`EngineConfig::queue_capacity`] requests are queued, while
 //! [`Engine::submit_wait`] parks the caller until capacity frees up. Every
 //! worker holds its own [`Scratch`] workspace (warm buffers, no cross-thread
-//! locks on the hot path) and a shared `Arc` of the scorer — which is why
+//! locks on the hot path) and a shared `Arc` of the revision — which is why
 //! the [`Scorer`] contract requires `&self`-only scoring and why
 //! `FrozenSeqFm: Send + Sync` is load-bearing.
 //!
@@ -183,7 +185,7 @@ impl EngineConfigBuilder {
     }
 }
 
-/// Bound on the engine's [`ViewCache`]: history-side panels memoised for
+/// Bound on each revision's [`ViewCache`]: history-side panels memoised for
 /// stored-history requests and retrievals. A cached panel is bit-identical
 /// to a rebuilt one, so the bound only trades memory for throughput.
 const VIEW_CACHE_ENTRIES: usize = 1024;
@@ -311,82 +313,27 @@ impl Drop for PendingResponse {
     }
 }
 
-/// One published model revision: the type-erased scorer the workers run,
-/// stamped with the [`ModelEpoch`] it serves, plus (for frozen-SeqFM
-/// revisions) the concrete frozen model, and the catalog index retrieval
-/// scans under it.
-///
-/// Revisions live in the engine's one [`ArcSlot`]; each worker loads the
-/// slot **once per drain**, so every request in a coalesced super-batch
-/// — and every cache entry it installs — is pinned to a single epoch even
-/// while [`Engine::publish`] swaps underneath it. A retrieval loads the
-/// slot once too; on a frozen revision the index it finds there was built
-/// for that revision's own model, so it never scans another model's index.
-#[derive(Clone)]
-pub struct ModelRev {
+/// One published model revision: the model, its epoch, the catalog index
+/// built for it and the cache of the views it built. Workers and
+/// retrievals load the engine's [`ArcSlot`] once per drain or call, so
+/// each scores with one model and that model's own views and index, even
+/// while [`Engine::publish`] swaps underneath.
+struct ModelRev<S: ?Sized> {
     epoch: ModelEpoch,
-    scorer: Arc<dyn Scorer + Send + Sync>,
-    frozen: Option<Arc<FrozenSeqFm>>,
+    model: Arc<S>,
     index: Option<Arc<CatalogIndex>>,
+    views: Arc<ViewCache>,
 }
 
-/// Conversion of a scorer handle into an engine [`ModelRev`], so
-/// `Engine::new(scorer, ..)` / `Engine::publish(scorer)` take any
-/// `Arc<S: Scorer + Send + Sync>` and an already-erased
-/// `Arc<dyn Scorer + Send + Sync>` the same way.
-///
-/// An `Arc<FrozenSeqFm>` keeps its concrete model, so an attached catalog
-/// index follows it across publishes. Any other handle — an
-/// `Arc<dyn Scorer + Send + Sync>` too, even over a `FrozenSeqFm` — counts
-/// as non-frozen: its revision carries the attached index unchanged but
-/// does not retrieve with it ([`Engine::retrieve_top_k`] answers
-/// [`ServeError::NoCatalogIndex`]) until a frozen publish re-anchors it.
-pub trait IntoScorer {
-    /// The revision serving this scorer, with no index yet.
-    fn into_rev(self) -> ModelRev;
-}
-
-impl IntoScorer for Arc<dyn Scorer + Send + Sync> {
-    fn into_rev(self) -> ModelRev {
-        ModelRev { epoch: self.model_epoch(), scorer: self, frozen: None, index: None }
-    }
-}
-
-impl<S: Scorer + Send + Sync + 'static> IntoScorer for Arc<S> {
-    fn into_rev(self) -> ModelRev {
-        let frozen = (&self as &dyn Any).downcast_ref::<Arc<FrozenSeqFm>>().cloned();
-        ModelRev { epoch: self.model_epoch(), scorer: self, frozen, index: None }
-    }
-}
-
-impl ModelRev {
-    /// The epoch this revision serves.
-    pub fn epoch(&self) -> ModelEpoch {
-        self.epoch
-    }
-
-    /// The scorer this revision serves.
-    pub fn scorer(&self) -> &Arc<dyn Scorer + Send + Sync> {
-        &self.scorer
-    }
-
-    /// The concrete frozen model behind this revision, when it has one
-    /// (revisions of an `Arc<FrozenSeqFm>` do — see [`IntoScorer`]).
-    pub fn frozen(&self) -> Option<&Arc<FrozenSeqFm>> {
-        self.frozen.as_ref()
-    }
-
-    /// This revision carrying `index` re-anchored on its frozen model: the
-    /// same `Arc` when the index already scores with that model (or the
-    /// revision has none), else [`CatalogIndex::rebuild_for`] it. The
-    /// rebuild runs on the calling thread and panics there, for a model
-    /// frozen for another item layout.
-    fn anchored(mut self, index: Option<&Arc<CatalogIndex>>) -> Self {
-        self.index = index.map(|index| match &self.frozen {
-            Some(m) if !Arc::ptr_eq(index.model(), m) => Arc::new(index.rebuild_for(Arc::clone(m))),
-            _ => Arc::clone(index),
-        });
-        self
+/// `index` re-anchored on `model`: the same `Arc` when the index already
+/// scores with that very model, else [`CatalogIndex::rebuild_for`] it. The
+/// rebuild runs on the calling thread and panics there, for a model frozen
+/// for another item layout.
+fn anchored(index: &Arc<CatalogIndex>, model: &Arc<FrozenSeqFm>) -> Arc<CatalogIndex> {
+    if Arc::ptr_eq(index.model(), model) {
+        Arc::clone(index)
+    } else {
+        Arc::new(index.rebuild_for(Arc::clone(model)))
     }
 }
 
@@ -429,23 +376,24 @@ impl EventLog {
 }
 
 /// Multi-threaded batch-coalescing scoring engine that owns the user
-/// histories. See the module docs.
-pub struct Engine {
+/// histories and serves one model of type `S`. See the module docs.
+/// Retrieval and [`Engine::publish`] exist only on the default
+/// `Engine<FrozenSeqFm>`.
+pub struct Engine<S: ?Sized = FrozenSeqFm> {
     queue: Option<WorkQueue<Job>>,
     workers: Vec<JoinHandle<()>>,
     layout: FeatureLayout,
     cfg: EngineConfig,
     store: Arc<HistoryStore>,
-    cache: Arc<ViewCache>,
-    model: Arc<ArcSlot<ModelRev>>,
+    model: Arc<ArcSlot<ModelRev<S>>>,
     events: Option<Arc<EventLog>>,
 }
 
-impl Engine {
-    /// Spawns `cfg.threads` workers sharing `scorer`, plus a
+impl<S: Scorer + Send + Sync + ?Sized + 'static> Engine<S> {
+    /// Spawns `cfg.threads` workers serving `scorer`, plus a
     /// [`HistoryStore`](crate::HistoryStore) sized
-    /// `layout.n_users × cfg.max_seq` and a [`ViewCache`](crate::ViewCache)
-    /// of `VIEW_CACHE_ENTRIES` entries.
+    /// `layout.n_users × cfg.max_seq` and the scorer's own
+    /// [`ViewCache`](crate::ViewCache) of `VIEW_CACHE_ENTRIES` entries.
     ///
     /// The scorer is typically a
     /// [`FrozenSeqFm`](seqfm_core::FrozenSeqFm) (graph-free fast path) or a
@@ -457,29 +405,32 @@ impl Engine {
     /// # Errors
     /// [`ServeError::BadConfig`] when [`EngineConfig::validate`] rejects
     /// `cfg` — failing fast here instead of on the first request.
-    pub fn new<S: IntoScorer>(
-        scorer: S,
+    pub fn new(
+        scorer: Arc<S>,
         layout: FeatureLayout,
         cfg: EngineConfig,
     ) -> Result<Self, ServeError> {
         cfg.validate()?;
         let store = Arc::new(HistoryStore::new(layout.n_users, cfg.max_seq));
-        let cache = Arc::new(ViewCache::new(VIEW_CACHE_ENTRIES));
-        let model = Arc::new(ArcSlot::new(Arc::new(scorer.into_rev())));
+        let rev = ModelRev {
+            epoch: scorer.model_epoch(),
+            model: scorer,
+            index: None,
+            views: Arc::new(ViewCache::new(VIEW_CACHE_ENTRIES)),
+        };
+        let model = Arc::new(ArcSlot::new(Arc::new(rev)));
         let (queue, handles) = WorkQueue::<Job>::bounded(cfg.threads.max(1), cfg.queue_capacity);
         let workers = handles
             .into_iter()
             .map(|handle| {
                 let model = Arc::clone(&model);
                 let store = Arc::clone(&store);
-                let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     let mut scratch = Scratch::new();
                     let mut coalesce = CoalesceScratch::new();
                     let mut jobs: Vec<Job> = Vec::new();
                     let mut reqs: Vec<ScoreRequest> = Vec::new();
                     let mut replies: Vec<Reply> = Vec::new();
-                    let backend = HistoryBackend { store: &store, cache: Some(&cache) };
                     // The coalescer: drain up to `coalesce_max` queued
                     // requests per wakeup and score them as grouped
                     // super-batches. Under light load the drain holds one
@@ -490,8 +441,10 @@ impl Engine {
                     while handle.recv_many(cfg.coalesce_max, &mut jobs) {
                         // Pin the model revision for this whole drain: one
                         // slot load, so a concurrent publish never splits a
-                        // coalesced super-batch across epochs.
+                        // coalesced super-batch across models, and every
+                        // view it reads or installs is this model's own.
                         let rev = model.load();
+                        let backend = HistoryBackend { store: &store, cache: Some(&rev.views) };
                         // Move the requests out of the jobs (the `Drop`
                         // guard forbids destructuring) into the reused
                         // staging buffer — no per-wakeup reference array.
@@ -503,7 +456,7 @@ impl Engine {
                         // the drained panic text, the worker keeps serving.
                         let result = catch_unwind(AssertUnwindSafe(|| {
                             score_requests_stateful(
-                                &*rev.scorer,
+                                &*rev.model,
                                 &layout,
                                 cfg.max_seq,
                                 cfg.top_k,
@@ -532,50 +485,7 @@ impl Engine {
                 })
             })
             .collect();
-        Ok(Engine { queue: Some(queue), workers, layout, cfg, store, cache, model, events: None })
-    }
-
-    /// [`Engine::new`] over a frozen SeqFM, served as handed (quantise it
-    /// with `FrozenSeqFm::with_precision` first to serve `Fast`).
-    ///
-    /// # Errors
-    /// [`ServeError::BadConfig`] when [`EngineConfig::validate`] rejects
-    /// `cfg`.
-    pub fn new_frozen(
-        model: FrozenSeqFm,
-        layout: FeatureLayout,
-        cfg: EngineConfig,
-    ) -> Result<Self, ServeError> {
-        Self::new(Arc::new(model), layout, cfg)
-    }
-
-    /// Attaches a full-catalog [`CatalogIndex`] so [`Engine::retrieve_top_k`]
-    /// can answer "best k items of the *whole* catalog" queries. The index
-    /// must be built over the engine's feature layout; it is re-anchored on
-    /// the served frozen model (kept as is when it already scores with that
-    /// very `Arc`, else [`CatalogIndex::rebuild_for`] it), so retrieval
-    /// scores with the model the engine serves whatever model — or
-    /// precision profile — the index was built with.
-    ///
-    /// The index becomes part of the current [`ModelRev`], and every later
-    /// [`Engine::publish`] carries it over to the new revision the same way.
-    /// A revision with no frozen model (a non-`FrozenSeqFm` scorer) carries
-    /// the index unchanged and does not retrieve with it: the index's own
-    /// model need not be the scorer, and the two would share one epoch's
-    /// view cache.
-    ///
-    /// # Panics
-    /// Panics if the index's layout disagrees with the engine's.
-    #[must_use]
-    pub fn with_catalog_index(self, index: Arc<CatalogIndex>) -> Self {
-        assert_eq!(
-            (index.layout().n_users, index.layout().n_items),
-            (self.layout.n_users, self.layout.n_items),
-            "catalog index layout must match the engine's"
-        );
-        let rev = ModelRev::clone(&self.model.load()).anchored(Some(&index));
-        self.model.store(Arc::new(rev));
-        self
+        Ok(Engine { queue: Some(queue), workers, layout, cfg, store, model, events: None })
     }
 
     /// Opts the engine into event logging: every successful
@@ -588,134 +498,15 @@ impl Engine {
         self
     }
 
-    /// The catalog index of the revision being served right now, if one is
-    /// attached — built for that revision's frozen model when it has one. A
-    /// publish may replace it at any time; holding the `Arc` keeps this
-    /// snapshot valid regardless.
-    pub fn catalog_index(&self) -> Option<Arc<CatalogIndex>> {
-        self.model.load().index.clone()
-    }
-
     /// The attached append-event log, if [`Engine::with_event_log`] was
     /// called.
     pub fn event_log(&self) -> Option<&Arc<EventLog>> {
         self.events.as_ref()
     }
 
-    /// The model revision new drains are picking up right now.
-    pub fn current_rev(&self) -> Arc<ModelRev> {
-        self.model.load()
-    }
-
     /// The [`ModelEpoch`] new drains are scoring under right now.
     pub fn current_epoch(&self) -> ModelEpoch {
         self.model.load().epoch
-    }
-
-    /// Atomically hot-swaps the engine onto a new scorer — the serving half
-    /// of the online-learning loop. Returns the epoch now being served. The
-    /// whole sequence runs on the *calling* thread (typically the trainer);
-    /// scoring workers wait for nothing longer than the slot's one pointer
-    /// exchange:
-    ///
-    /// 1. any attached catalog index is re-anchored on the new frozen model
-    ///    ([`CatalogIndex::rebuild_for`] — exact envelopes over the
-    ///    existing block membership, no re-sort); workers and retrievals
-    ///    keep serving the previous revision meanwhile;
-    /// 2. the model slot is swapped for a revision carrying the new scorer
-    ///    and its index — new drains and retrievals run under the new
-    ///    epoch, in-flight drains finish on the one they pinned (the
-    ///    replaced revision is freed when the last of them does), and the
-    ///    epoch-keyed [`ViewCache`] lazily invalidates old-epoch panels.
-    ///
-    /// The scorer is served as handed. A non-`FrozenSeqFm` scorer (see
-    /// [`IntoScorer`]) carries the attached index over unchanged, and
-    /// retrieval answers [`ServeError::NoCatalogIndex`] under it. Between
-    /// concurrent publishers the last swap wins, so one trainer thread
-    /// should own publishing.
-    ///
-    /// # Panics
-    /// Panics, before the swap, if the index rebuild does — for a model
-    /// frozen for another item layout. The engine then keeps serving the
-    /// previous revision with its index; no lock is held across the rebuild.
-    pub fn publish<S: IntoScorer>(&self, scorer: S) -> ModelEpoch {
-        let rev = scorer.into_rev().anchored(self.model.load().index.as_ref());
-        let epoch = rev.epoch;
-        self.model.store(Arc::new(rev));
-        epoch
-    }
-
-    /// [`Engine::publish`] of a frozen SeqFM, served as handed (a `Fast`
-    /// loop publishes `trainer.frozen_for(s).with_precision(Fast)`).
-    ///
-    /// # Panics
-    /// As [`Engine::publish`]: when re-anchoring an attached index panics,
-    /// before the swap.
-    pub fn publish_frozen(&self, model: FrozenSeqFm) -> ModelEpoch {
-        self.publish(Arc::new(model))
-    }
-
-    /// [`Engine::catalog_index`]. Every revision carries an index for its
-    /// own model, so there is nothing to wait for; kept because the repo
-    /// benchmark calls it.
-    pub fn wait_for_index(&self) -> Option<Arc<CatalogIndex>> {
-        self.catalog_index()
-    }
-
-    /// Retrieves the best `k` items of the **entire catalog** for `user`'s
-    /// current stored history, using the served revision's
-    /// [`CatalogIndex`] and its upper-bound-pruned blocked scan.
-    ///
-    /// Runs on the calling thread (the scan parallelises internally over
-    /// the global thread pool) rather than through the admission queue —
-    /// a catalog sweep is orders of magnitude heavier than a candidate
-    /// request and would starve the latency path. The history view is
-    /// shared with the scoring path: the engine's [`ViewCache`] is
-    /// consulted first and a freshly built view is installed back, so a
-    /// retrieval immediately after [`Engine::append_event`] sees the new
-    /// window (the version bump misses the stale entry), and interleaved
-    /// `score_stored` calls reuse the same panel bit-identically.
-    ///
-    /// # Errors
-    /// [`ServeError::NoCatalogIndex`] without an attached index, or when the
-    /// served revision has no frozen model (see [`IntoScorer`]);
-    /// [`ServeError::UnknownUser`] for a user outside the layout;
-    /// [`ServeError::BadConfig`] for `k == 0`.
-    pub fn retrieve_top_k(&self, user: u32, k: usize) -> Result<Retrieval, ServeError> {
-        let rev = self.model.load();
-        // Only a frozen revision's index is anchored on the model it serves;
-        // any other index scores with a model the scorer may not be, under
-        // the same epoch, and its views would land in the shared cache.
-        let (Some(model), Some(index)) = (&rev.frozen, &rev.index) else {
-            return Err(ServeError::NoCatalogIndex);
-        };
-        if user as usize >= self.layout.n_users {
-            return Err(ServeError::UnknownUser { user, n_users: self.layout.n_users });
-        }
-        let epoch = model.epoch();
-        let mut snap = Vec::new();
-        let version = self.store.snapshot_into(user, &mut snap);
-        let view = match self.cache.get(user, version, epoch) {
-            Some(view) => view,
-            None => {
-                // The scoring path's own canonical row, so the view (and its
-                // cache entry) is bit-identical to the scoring path's.
-                let mut row: Vec<i64> = Vec::with_capacity(self.cfg.max_seq);
-                push_canonical_row(&snap, self.cfg.max_seq, &mut row);
-                let build =
-                    || Some(VIEW_SCRATCH.with(|s| model.history_view(&row, &mut s.borrow_mut())));
-                let view = self
-                    .cache
-                    .shared_or_build(epoch, &row, build)
-                    .expect("a frozen model always builds a view");
-                self.cache.insert(user, version, epoch, Arc::clone(&view));
-                view
-            }
-        };
-        index.retrieve(user, &view, k).map_err(|e| match e {
-            RetrievalError::BadConfig { reason } => ServeError::BadConfig { reason },
-            other => ServeError::BadConfig { reason: other.to_string() },
-        })
     }
 
     /// Number of worker threads.
@@ -788,8 +579,12 @@ impl Engine {
     }
 
     /// View-cache counters.
+    ///
+    /// Each publish gives the new revision an empty cache that counts into
+    /// the same hit and miss counters, so `hits` and `misses` only grow and
+    /// `entries` counts the served revision's views.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.model.load().views.stats()
     }
 
     /// Non-blocking admission: enqueues the request and returns immediately,
@@ -882,7 +677,155 @@ impl Engine {
     }
 }
 
-impl Drop for Engine {
+impl Engine {
+    /// [`Engine::new`] over a frozen SeqFM, served as handed (quantise it
+    /// with `FrozenSeqFm::with_precision` first to serve `Fast`).
+    ///
+    /// # Errors
+    /// [`ServeError::BadConfig`] when [`EngineConfig::validate`] rejects
+    /// `cfg`.
+    pub fn new_frozen(
+        model: FrozenSeqFm,
+        layout: FeatureLayout,
+        cfg: EngineConfig,
+    ) -> Result<Self, ServeError> {
+        Self::new(Arc::new(model), layout, cfg)
+    }
+
+    /// Attaches a full-catalog [`CatalogIndex`] so [`Engine::retrieve_top_k`]
+    /// can answer "best k items of the *whole* catalog" queries. The index
+    /// must be built over the engine's feature layout. It becomes part of
+    /// the served revision, re-anchored on the served model (kept when it
+    /// already scores with that very `Arc`, else
+    /// [`CatalogIndex::rebuild_for`] it), and every later
+    /// [`Engine::publish`] re-anchors it on the new model the same way.
+    ///
+    /// # Panics
+    /// Panics if the index's layout disagrees with the engine's.
+    #[must_use]
+    pub fn with_catalog_index(self, index: Arc<CatalogIndex>) -> Self {
+        assert_eq!(
+            (index.layout().n_users, index.layout().n_items),
+            (self.layout.n_users, self.layout.n_items),
+            "catalog index layout must match the engine's"
+        );
+        let old = self.model.load();
+        // The same model keeps the views it built.
+        let (model, views) = (Arc::clone(&old.model), Arc::clone(&old.views));
+        let index = Some(anchored(&index, &model));
+        self.model.store(Arc::new(ModelRev { epoch: old.epoch, model, index, views }));
+        self
+    }
+
+    /// The catalog index of the revision being served right now, if one is
+    /// attached — built for that revision's model. A publish may replace it
+    /// at any time; holding the `Arc` keeps this snapshot valid regardless.
+    pub fn catalog_index(&self) -> Option<Arc<CatalogIndex>> {
+        self.model.load().index.clone()
+    }
+
+    /// Atomically hot-swaps the engine onto a new model — the serving half
+    /// of the online-learning loop. Returns the epoch now being served. The
+    /// whole sequence runs on the *calling* thread (typically the trainer);
+    /// scoring workers wait for nothing longer than the slot's one pointer
+    /// exchange:
+    ///
+    /// 1. any attached catalog index is re-anchored on the new model
+    ///    ([`CatalogIndex::rebuild_for`] — exact envelopes over the
+    ///    existing block membership, no re-sort); workers and retrievals
+    ///    keep serving the previous revision meanwhile;
+    /// 2. the model slot is swapped for a revision carrying the new model,
+    ///    its index and an empty [`ViewCache`] of its own — new drains and
+    ///    retrievals run under the new model, in-flight drains finish on
+    ///    the one they pinned (the replaced revision, views and all, is
+    ///    freed when the last of them does).
+    ///
+    /// The model is served as handed, and never reads a view an earlier
+    /// model built, even under the same epoch stamp (a `with_precision`
+    /// twin, a second plain `freeze`, a rollback). Between concurrent
+    /// publishers the last swap wins, so one trainer thread should own
+    /// publishing.
+    ///
+    /// # Panics
+    /// Panics, before the swap, if the index rebuild does — for a model
+    /// frozen for another item layout. The engine then keeps serving the
+    /// previous revision with its index; no lock is held across the rebuild.
+    pub fn publish(&self, model: Arc<FrozenSeqFm>) -> ModelEpoch {
+        let old = self.model.load();
+        let epoch = model.model_epoch();
+        let index = old.index.as_ref().map(|index| anchored(index, &model));
+        let views = Arc::new(old.views.successor());
+        self.model.store(Arc::new(ModelRev { epoch, model, index, views }));
+        epoch
+    }
+
+    /// [`Engine::publish`] of a frozen SeqFM, served as handed (a `Fast`
+    /// loop publishes `trainer.frozen_for(s).with_precision(Fast)`).
+    ///
+    /// # Panics
+    /// As [`Engine::publish`]: when re-anchoring an attached index panics,
+    /// before the swap.
+    pub fn publish_frozen(&self, model: FrozenSeqFm) -> ModelEpoch {
+        self.publish(Arc::new(model))
+    }
+
+    /// [`Engine::catalog_index`]. Every revision carries an index for its
+    /// own model, so there is nothing to wait for; kept because the repo
+    /// benchmark calls it.
+    pub fn wait_for_index(&self) -> Option<Arc<CatalogIndex>> {
+        self.catalog_index()
+    }
+
+    /// Retrieves the best `k` items of the **entire catalog** for `user`'s
+    /// current stored history, using the served revision's
+    /// [`CatalogIndex`] and its upper-bound-pruned blocked scan.
+    ///
+    /// Runs on the calling thread (the scan parallelises internally over
+    /// the global thread pool) rather than through the admission queue —
+    /// a catalog sweep is orders of magnitude heavier than a candidate
+    /// request and would starve the latency path. The history view is
+    /// shared with the scoring path: the served revision's [`ViewCache`] is
+    /// consulted first and a freshly built view is installed back, so a
+    /// retrieval immediately after [`Engine::append_event`] sees the new
+    /// window (the version bump misses the stale entry), and interleaved
+    /// `score_stored` calls under the same revision reuse the same panel
+    /// bit-identically.
+    ///
+    /// # Errors
+    /// [`ServeError::NoCatalogIndex`] without an attached index;
+    /// [`ServeError::UnknownUser`] for a user outside the layout;
+    /// [`ServeError::BadConfig`] for `k == 0`.
+    pub fn retrieve_top_k(&self, user: u32, k: usize) -> Result<Retrieval, ServeError> {
+        let rev = self.model.load();
+        let Some(index) = &rev.index else {
+            return Err(ServeError::NoCatalogIndex);
+        };
+        if user as usize >= self.layout.n_users {
+            return Err(ServeError::UnknownUser { user, n_users: self.layout.n_users });
+        }
+        let epoch = rev.epoch;
+        let mut snap = Vec::new();
+        let version = self.store.snapshot_into(user, &mut snap);
+        let view = rev.views.get(user, version, epoch).unwrap_or_else(|| {
+            // The scoring path's own canonical row, so the view (and its
+            // cache entry) is bit-identical to the scoring path's.
+            let mut row: Vec<i64> = Vec::with_capacity(self.cfg.max_seq);
+            push_canonical_row(&snap, self.cfg.max_seq, &mut row);
+            let build =
+                || Some(VIEW_SCRATCH.with(|s| rev.model.history_view(&row, &mut s.borrow_mut())));
+            let view = rev.views.shared_or_build(epoch, &row, build);
+            let view = view.expect("a frozen model always builds a view");
+            rev.views.insert(user, version, epoch, Arc::clone(&view));
+            view
+        });
+        index.retrieve(user, &view, k).map_err(|e| match e {
+            RetrievalError::BadConfig { reason } => ServeError::BadConfig { reason },
+            other => ServeError::BadConfig { reason: other.to_string() },
+        })
+    }
+}
+
+impl<S: ?Sized> Drop for Engine<S> {
     fn drop(&mut self) {
         // Closing the queue lets every worker drain the backlog and exit;
         // in-flight requests are answered, not dropped.
@@ -916,8 +859,12 @@ mod tests {
     use std::sync::{Condvar, Mutex};
 
     fn frozen_model(layout: &FeatureLayout) -> FrozenSeqFm {
+        frozen_model_seeded(layout, 21)
+    }
+
+    fn frozen_model_seeded(layout: &FeatureLayout, seed: u64) -> FrozenSeqFm {
         let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(21);
+        let mut rng = StdRng::seed_from_u64(seed);
         let cfg = SeqFmConfig { d: 8, max_seq: 6, ..Default::default() };
         let model = SeqFm::new(&mut ps, &mut rng, layout, cfg);
         FrozenSeqFm::freeze(&model, &ps)
@@ -1048,26 +995,31 @@ mod tests {
         }
     }
 
-    /// The check of the precision tests: user 3's stored window
-    /// `[4, 19, 2]`, scored against four candidates after a retrieval, must
-    /// carry `fast`'s own bits — any view the retrieval cached is the
-    /// served scorer's. Returns the retrieval's answer.
+    /// The check of the precision and publish tests: user 3's stored window
+    /// `[4, 19, 2]`, scored against four candidates, must carry `model`'s
+    /// own bits — so any view the engine cached for it is `model`'s.
+    fn assert_serves(engine: &Engine, model: &FrozenSeqFm, layout: &FeatureLayout) {
+        let got = engine.score_stored(3, vec![5, 9, 40, 41]).expect("valid");
+        let req = ScoreRequest::inline(3, vec![4u32, 19, 2], vec![5u32, 9, 40, 41]);
+        let want = score_request(model, layout, 6, 0, &req, &mut Scratch::new()).expect("valid");
+        assert_eq!(got.ranked.len(), want.ranked.len());
+        for (g, w) in got.ranked.iter().zip(&want.ranked) {
+            assert_eq!((g.item, g.score.to_bits()), (w.item, w.score.to_bits()));
+        }
+    }
+
+    /// Appends user 3's window `[4, 19, 2]`, retrieves for it, then checks
+    /// [`assert_serves`]. Returns the retrieval's answer.
     fn serves_after_retrieval(
         engine: &Engine,
-        fast: &FrozenSeqFm,
+        model: &FrozenSeqFm,
         layout: &FeatureLayout,
     ) -> Result<Retrieval, ServeError> {
         for item in [4u32, 19, 2] {
             engine.append_event(3, item).expect("valid ids");
         }
         let retrieved = engine.retrieve_top_k(3, 5);
-        let got = engine.score_stored(3, vec![5, 9, 40, 41]).expect("valid");
-        let req = ScoreRequest::inline(3, vec![4u32, 19, 2], vec![5u32, 9, 40, 41]);
-        let want = score_request(fast, layout, 6, 0, &req, &mut Scratch::new()).expect("valid");
-        assert_eq!(got.ranked.len(), want.ranked.len());
-        for (g, w) in got.ranked.iter().zip(&want.ranked) {
-            assert_eq!((g.item, g.score.to_bits()), (w.item, w.score.to_bits()));
-        }
+        assert_serves(engine, model, layout);
         retrieved
     }
 
@@ -1096,22 +1048,19 @@ mod tests {
     }
 
     #[test]
-    fn a_non_frozen_revision_does_not_retrieve_with_another_models_index() {
-        // A type-erased `Fast` scorer shares its epoch with the `Exact`
-        // model the index was built on: scanning that index would cache
-        // the `Exact` view where `score_stored` reads it.
+    fn a_publish_at_the_same_epoch_reads_no_view_the_old_model_built() {
+        // `with_precision(Fast)` keeps its source's epoch: a cache keyed on
+        // the epoch alone would serve the `Exact` model's view to `Fast`.
         let layout = FeatureLayout { n_users: 6, n_items: 48 };
-        let fast = Arc::new(frozen_model(&layout).with_precision(ScorerPrecision::Fast));
         let exact = Arc::new(frozen_model(&layout));
-        let erased: Arc<dyn Scorer + Send + Sync> = Arc::clone(&fast) as _;
-        let engine = Engine::new(erased, layout, engine_cfg(1, 0))
+        let engine = Engine::new(Arc::clone(&exact), layout, engine_cfg(1, 0))
             .expect("valid cfg")
-            .with_catalog_index(Arc::new(CatalogIndex::build(exact, layout, 8)));
-        let retrieved = serves_after_retrieval(&engine, &fast, &layout);
-        assert_eq!(retrieved, Err(ServeError::NoCatalogIndex));
-        // The index rode along; a frozen publish re-anchors it, and
-        // retrieval then answers on the published model.
-        engine.publish(Arc::clone(&fast));
+            .with_catalog_index(Arc::new(CatalogIndex::build(Arc::clone(&exact), layout, 8)));
+        serves_after_retrieval(&engine, &exact, &layout).expect("valid");
+        let fast = Arc::new(frozen_model(&layout).with_precision(ScorerPrecision::Fast));
+        assert_eq!(engine.publish(Arc::clone(&fast)), exact.model_epoch());
+        assert_serves(&engine, &fast, &layout);
+        // Retrieval answers on the published model's re-anchored index.
         assert!(Arc::ptr_eq(engine.catalog_index().expect("attached").model(), &fast));
         let got = engine.retrieve_top_k(3, 5).expect("valid");
         let row: Vec<i64> = [seqfm_data::PAD; 3].into_iter().chain([4i64, 19, 2]).collect();
@@ -1122,6 +1071,27 @@ mod tests {
         for (g, w) in got.items.iter().zip(&want.items) {
             assert_eq!((g.item, g.score.to_bits()), (w.item, w.score.to_bits()));
         }
+    }
+
+    #[test]
+    fn a_second_unversioned_model_reads_no_view_the_first_built() {
+        // Every plain `freeze` stamps `ModelEpoch::ZERO`, so two different
+        // models share an epoch.
+        let layout = FeatureLayout { n_users: 6, n_items: 48 };
+        let first = Arc::new(frozen_model_seeded(&layout, 21));
+        let second = Arc::new(frozen_model_seeded(&layout, 99));
+        assert_eq!(first.model_epoch(), second.model_epoch());
+        let engine = Engine::new(Arc::clone(&first), layout, engine_cfg(1, 0)).expect("valid");
+        for item in [4u32, 19, 2] {
+            engine.append_event(3, item).expect("valid ids");
+        }
+        assert_serves(&engine, &first, &layout);
+        let before = engine.cache_stats();
+        engine.publish(Arc::clone(&second));
+        assert_serves(&engine, &second, &layout);
+        // The counters carry over the swap; the new model built its own view.
+        let after = engine.cache_stats();
+        assert_eq!((after.misses, after.hits, after.entries), (before.misses + 1, before.hits, 1));
     }
 
     #[test]

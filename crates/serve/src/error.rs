@@ -44,11 +44,7 @@ pub enum ServeError {
     },
     /// A full-catalog retrieval was requested but the engine was built
     /// without a [`CatalogIndex`](seqfm_retrieval::CatalogIndex) — attach
-    /// one with [`Engine::with_catalog_index`](crate::Engine::with_catalog_index)
-    /// — or the served revision has no frozen model to anchor it on (a
-    /// scorer handed over as `Arc<dyn Scorer + Send + Sync>`; see
-    /// [`IntoScorer`](crate::IntoScorer)). The index rides along unchanged,
-    /// and the next frozen publish re-anchors it.
+    /// one with [`Engine::with_catalog_index`](crate::Engine::with_catalog_index).
     NoCatalogIndex,
     /// The engine's bounded admission queue is full — the non-blocking
     /// [`Engine::submit`](crate::Engine::submit) backpressure signal. The
@@ -92,11 +88,7 @@ impl fmt::Display for ServeError {
                 write!(f, "invalid serving configuration: {reason}")
             }
             Self::NoCatalogIndex => {
-                write!(
-                    f,
-                    "full-catalog retrieval requires a CatalogIndex attached to an engine \
-                     serving a frozen model"
-                )
+                write!(f, "full-catalog retrieval requires a CatalogIndex attached to the engine")
             }
             Self::Overloaded { capacity, .. } => {
                 write!(f, "admission queue full ({capacity} requests queued); request shed")

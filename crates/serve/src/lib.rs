@@ -22,7 +22,8 @@
 //!   history-side panel ([`HistoryView`](seqfm_core::HistoryView)) per
 //!   `(user, version)`, so repeat stored-history requests skip the history
 //!   half of the forward — bit-identically — and users on the same
-//!   canonical window share one view;
+//!   canonical window share one view. The engine keeps one cache per
+//!   served model, so a view is only ever read by the model that built it;
 //! * [`expand_request`] — the candidate-expansion layer: one request becomes
 //!   one scoring [`Batch`](seqfm_data::Batch) in which every row shares the
 //!   user/history features and only the candidate column varies;
@@ -50,15 +51,15 @@
 //!   sharing the [`ViewCache`] with the scoring path;
 //! * **online learning & hot-swap** — the model is a *versioned* resource:
 //!   [`Engine::publish_frozen`] atomically swaps in a freshly trained
-//!   [`FrozenSeqFm`](seqfm_core::FrozenSeqFm) (a [`ModelRev`] stamped with
-//!   its [`ModelEpoch`](seqfm_core::ModelEpoch)) without pausing serving —
-//!   in-flight super-batches finish on the epoch they pinned, the
-//!   [`ViewCache`] keys on `(user, version, epoch)` so stale-model panels
-//!   lazily invalidate, the catalog index is rebuilt for each revision
-//!   before its swap (so retrieval always scans an index of the served
-//!   model), and an optional [`EventLog`]
-//!   ([`Engine::with_event_log`]) streams appended events to an online
-//!   trainer.
+//!   [`FrozenSeqFm`](seqfm_core::FrozenSeqFm), stamped with its
+//!   [`ModelEpoch`](seqfm_core::ModelEpoch), without pausing serving. Each
+//!   swap installs one revision: the model, the catalog index rebuilt for
+//!   it before the swap (so retrieval always scans an index of the served
+//!   model) and an empty [`ViewCache`] of its own (so no old-model panel is
+//!   read again). In-flight super-batches finish on the revision they
+//!   pinned, and an optional [`EventLog`] ([`Engine::with_event_log`])
+//!   streams appended events to an online trainer. Retrieval and publish
+//!   exist only on the default `Engine<FrozenSeqFm>`.
 //!
 //! ## Example
 //!
@@ -122,9 +123,7 @@ mod error;
 mod request;
 mod store;
 
-pub use engine::{
-    Engine, EngineConfig, EngineConfigBuilder, EventLog, IntoScorer, ModelRev, PendingResponse,
-};
+pub use engine::{Engine, EngineConfig, EngineConfigBuilder, EventLog, PendingResponse};
 pub use error::ServeError;
 pub use request::{
     expand_request, score_request, score_requests, score_requests_stateful, score_requests_with,

@@ -9,9 +9,12 @@
 //! the user's window under a shard read lock, and the frozen scorer reuses
 //! the cached panel instead of recomputing it. Appends
 //! ([`HistoryStore::append`]) bump a per-user **version**; the cache keys
-//! entries by `(user, version, model epoch)`, so both an append *and* a
-//! hot-swapped model revision invalidate lazily — the next lookup simply
-//! misses and rebuilds, with no eager cross-shard coordination.
+//! entries by `(user, version, model epoch)`, so an append invalidates
+//! lazily — the next lookup simply misses and rebuilds, with no eager
+//! cross-shard coordination. The [`Engine`](crate::Engine) gives each model
+//! revision a cache of its own, so a view never outlives the model that
+//! built it there; the epoch in the key fences direct callers that share
+//! one cache across models.
 //!
 //! Concurrency model: users are struck across `n_shards` shards
 //! (`user % n_shards`), each behind its own `RwLock` — reads (snapshot into
@@ -244,9 +247,15 @@ pub struct ViewCache {
     shards: Vec<Mutex<CacheShard>>,
     /// Per-shard entry bound (total bound split evenly, min 1).
     per_shard: usize,
+    /// Hit and miss counters, shared with every [`ViewCache::successor`].
+    counts: Arc<HitCounts>,
+    shared: Mutex<SharedViews>,
+}
+
+#[derive(Default)]
+struct HitCounts {
     hits: AtomicU64,
     misses: AtomicU64,
-    shared: Mutex<SharedViews>,
 }
 
 /// The views currently alive in some cache entry (or in flight), by
@@ -267,16 +276,22 @@ impl ViewCache {
     /// A cache holding at most `max_entries` views (must be ≥ 1).
     pub fn new(max_entries: usize) -> Self {
         assert!(max_entries >= 1, "view cache must hold at least one entry");
+        Self::empty(max_entries.div_ceil(N_SHARDS), Arc::default())
+    }
+
+    /// An empty cache of the same bound that counts its hits and misses
+    /// into this cache's counters — the cache of the next model revision,
+    /// so [`ViewCache::stats`] stays monotone across a publish while no
+    /// view built by one model is ever seen by the next.
+    pub(crate) fn successor(&self) -> Self {
+        Self::empty(self.per_shard, Arc::clone(&self.counts))
+    }
+
+    fn empty(per_shard: usize, counts: Arc<HitCounts>) -> Self {
         let shards = (0..N_SHARDS)
             .map(|_| Mutex::new(CacheShard { map: HashMap::new(), queue: VecDeque::new() }))
             .collect();
-        ViewCache {
-            shards,
-            per_shard: max_entries.div_ceil(N_SHARDS),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            shared: Mutex::new(SharedViews::default()),
-        }
+        ViewCache { shards, per_shard, counts, shared: Mutex::new(SharedViews::default()) }
     }
 
     /// The view for `dyn_row` under model `epoch` to install after a miss:
@@ -317,11 +332,11 @@ impl ViewCache {
         match shard.map.get_mut(&user) {
             Some(e) if e.version == version && e.epoch == epoch => {
                 e.referenced = true; // CLOCK: a hit earns a second chance
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counts.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(&e.view))
             }
             _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.counts.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -369,8 +384,8 @@ impl ViewCache {
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.counts.hits.load(Ordering::Relaxed),
+            misses: self.counts.misses.load(Ordering::Relaxed),
             entries: self
                 .shards
                 .iter()
@@ -523,6 +538,31 @@ mod tests {
         // A build that declines registers nothing.
         drop(table);
         assert!(cache.shared_or_build(e2, &[7], || None).is_none());
+    }
+
+    #[test]
+    fn a_successor_starts_empty_keeps_the_bound_and_shares_the_counters() {
+        let e0 = ModelEpoch::ZERO;
+        let cache = ViewCache::new(N_SHARDS); // one entry per shard
+        let view = Arc::new(HistoryView::default());
+        cache.insert(3, 1, e0, Arc::clone(&view));
+        assert!(cache.get(3, 1, e0).is_some());
+        assert!(cache.get(4, 1, e0).is_none());
+        let next = cache.successor();
+        assert_eq!(next.stats(), CacheStats { hits: 1, misses: 1, entries: 0 });
+        // The same key misses: no view crosses into the successor.
+        assert!(next.get(3, 1, e0).is_none());
+        // One entry per shard, as in its predecessor.
+        next.insert(3, 1, e0, Arc::clone(&view));
+        next.insert(3 + N_SHARDS as u32, 1, e0, Arc::clone(&view));
+        assert!(next.get(3 + N_SHARDS as u32, 1, e0).is_some());
+        // Both caches count into one pair of counters.
+        let want = CacheStats { hits: 2, misses: 2, entries: 1 };
+        assert_eq!(next.stats(), want);
+        assert_eq!(cache.stats(), want);
+        let shared = cache.shared_or_build(e0, &[1, 2], || Some(HistoryView::default()));
+        let fresh = next.shared_or_build(e0, &[1, 2], || Some(HistoryView::default()));
+        assert!(!Arc::ptr_eq(&shared.expect("built"), &fresh.expect("built")));
     }
 
     #[test]

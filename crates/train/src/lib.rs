@@ -23,7 +23,7 @@
 //! [`Engine::publish_frozen`](seqfm_serve::Engine::publish_frozen)'s atomic
 //! hot-swap. A bounded rollback ring keeps the last N published epochs so a
 //! bad update can be reverted *as served* — the republished snapshot keeps
-//! its original epoch stamp, so epoch-keyed caches recognise it.
+//! its original epoch stamp, so its responses name that model again.
 //!
 //! ## Replay determinism
 //!

@@ -220,10 +220,10 @@ impl OnlineTrainer {
 
     /// Re-materialises a previously published epoch for serving — the
     /// rollback path. The returned model carries the **original** epoch
-    /// stamp, so epoch-keyed caches and indexes recognise it as exactly the
-    /// model that was served before (old cached views become valid again
-    /// verbatim). Rollback is a *serving* decision: the trainer's own
-    /// optimizer state keeps advancing from where it is.
+    /// stamp, so its responses name exactly the model that was served
+    /// before. An engine serves it as a new revision, with an index rebuilt
+    /// for it and an empty view cache. Rollback is a *serving* decision:
+    /// the trainer's own optimizer state keeps advancing from where it is.
     ///
     /// Returns `None` if `epoch` has aged out of the ring (or was never
     /// published).
