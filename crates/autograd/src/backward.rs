@@ -2,6 +2,7 @@
 
 use crate::graph::{Graph, Var};
 use crate::op::Op;
+use crate::rowmap::PAD;
 use crate::store::ParamStore;
 use seqfm_tensor::{
     attention_causal_backward_into, attention_cross_rows_backward_into, bmm_nn_into, bmm_nt_into,
@@ -127,6 +128,39 @@ impl Graph {
                 let mut db = self.pooled_zeros(bv.shape());
                 matmul::matmul_tn_into(av.data(), dy.data(), db.data_mut(), k, m, n);
                 self.acc(grads, *b, db);
+            }
+            Op::ProjectRows { x, w, map } => {
+                let (xv, wv) = (val(*x), val(*w));
+                let (u, k, n) = (map.rows, wv.shape().dim(0), wv.shape().dim(1));
+                // Each row's slot gradients in ascending slot order. Rows are
+                // numbered by first appearance, so a row's first slot is the
+                // one where it equals the count seen so far: it is copied
+                // (an exact `−0.0` stays one), later slots add to it, and
+                // every row is written before the products read it.
+                let mut dp = self.pooled_for_overwrite(Shape::d2(u, n));
+                let mut seen = 0;
+                for (&r, src) in map.slots.iter().zip(dy.data().chunks_exact(n)) {
+                    if r == PAD {
+                        continue;
+                    }
+                    let dst = &mut dp.data_mut()[r as usize * n..(r as usize + 1) * n];
+                    if r as usize == seen {
+                        dst.copy_from_slice(src);
+                        seen += 1;
+                    } else {
+                        for (o, &g) in dst.iter_mut().zip(src) {
+                            *o += g;
+                        }
+                    }
+                }
+                debug_assert_eq!(seen, u, "a row map numbers its rows by first appearance");
+                let mut dx = self.pooled_zeros(xv.shape());
+                matmul::matmul_nt_into(dp.data(), wv.data(), dx.data_mut(), u, n, k);
+                self.acc(grads, *x, dx);
+                let mut dw = self.pooled_zeros(wv.shape());
+                matmul::matmul_tn_into(xv.data(), dp.data(), dw.data_mut(), k, u, n);
+                self.acc(grads, *w, dw);
+                self.recycle(dp);
             }
             Op::Bmm(a, b) => {
                 let (av, bv) = (val(*a), val(*b));

@@ -16,7 +16,9 @@
 //! the batch shape. Dropping the graph simply frees the pool.
 
 use crate::op::{LnCache, Op};
+use crate::rowmap::PAD;
 use crate::store::{ParamId, ParamStore};
+use crate::RowMap;
 use rand::Rng;
 use seqfm_tensor::{
     attention_causal_into, attention_cross_rows_into, bmm_nn_into, bmm_nt_into, ew,
@@ -119,6 +121,12 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
+    /// Every node's value shape, in tape order: what a test of a model's
+    /// tape structure reads.
+    pub fn shapes(&self) -> impl Iterator<Item = Shape> + '_ {
+        self.nodes.iter().map(|node| node.value.shape())
+    }
+
     /// Convenience: the single element of a `[1]`-shaped node (losses).
     ///
     /// # Panics
@@ -143,6 +151,13 @@ impl Graph {
     /// Zero-filled pooled tensor (the tape's `Tensor::zeros`).
     pub(crate) fn pooled_zeros(&self, shape: Shape) -> Tensor {
         Tensor::from_vec(shape, self.ws.take_vec(shape.numel()))
+    }
+
+    /// Pooled tensor whose elements the caller overwrites, every one,
+    /// before any is read: a recycled buffer keeps its stale values (see
+    /// [`Workspace::take_vec_for_overwrite`]).
+    pub(crate) fn pooled_for_overwrite(&self, shape: Shape) -> Tensor {
+        Tensor::from_vec(shape, self.ws.take_vec_for_overwrite(shape.numel()))
     }
 
     /// Pooled copy of `src` (the tape's `Tensor::clone`).
@@ -192,7 +207,7 @@ impl Graph {
         assert_eq!(idx.len(), b * n, "gather: idx len {} != {}x{}", idx.len(), b, n);
         let tbl = ps.value(table);
         let d = tbl.shape().dim(1);
-        let mut out = self.pooled_zeros(Shape::d3(b, n, d));
+        let mut out = self.pooled_for_overwrite(Shape::d3(b, n, d));
         ew::gather_rows_into(tbl.data(), d, idx, out.data_mut());
         self.push(out, Op::Gather { table, idx: Arc::new(idx.to_vec()) }, true)
     }
@@ -320,6 +335,46 @@ impl Graph {
         seqfm_tensor::matmul_nn_into(av.data(), bv.data(), out.data_mut(), m, k, n);
         let g = self.ng(a) || self.ng(b);
         self.push(out, Op::Matmul(a, b), g)
+    }
+
+    /// Row-mapped projection `(X·W)[slot → row]` (paper Eq. 9–12 over a
+    /// history block given as its distinct rows): `x` holds the `map.rows()`
+    /// distinct rows (any rank, read as its rows, last dim `k`), `w` is
+    /// `[k, n]`, and slot `(i, j)` of the `[b, s, n]` value (the map's
+    /// block is `[b, s]`) is the product of its row, or `+0.0` for a
+    /// padding slot.
+    /// Projection is row-local, so every value is bit-identical to
+    /// [`Self::matmul`] over the per-slot block (a padding slot's zero row
+    /// projects to `+0.0`), while the product runs over the distinct rows
+    /// only. The backward sums each row's slot gradients in ascending slot
+    /// order (a row's first slot is copied, not added to zero), then runs
+    /// `∂X = ∂P·Wᵀ` and `∂W = Xᵀ·∂P` over those rows: when every row has one
+    /// slot, both are [`Self::matmul`]'s bit for bit; otherwise they move by
+    /// rounding, the sums now taken before the products.
+    ///
+    /// # Panics
+    /// Panics unless `w` is rank 2, `x` has `map.rows()` rows and the inner
+    /// dimensions agree.
+    pub fn project_rows(&mut self, x: Var, w: Var, map: &RowMap) -> Var {
+        let (sx, sw) = (self.value(x).shape(), self.value(w).shape());
+        assert_eq!(sw.rank(), 2, "project_rows expects a rank-2 W, got {sw}");
+        let (u, k, n) = (map.rows, sx.last_dim(), sw.dim(1));
+        assert_eq!(sx.outer_rows(), u, "project_rows: {sx} does not hold the map's {u} rows");
+        assert_eq!(k, sw.dim(0), "project_rows inner dim mismatch: {sx} vs {sw}");
+        let mut proj = self.ws.take_vec(u * n);
+        matmul_nn_into(self.value(x).data(), self.value(w).data(), &mut proj, u, k, n);
+        let (b, s) = map.shape;
+        let mut out = self.pooled_for_overwrite(Shape::d3(b, s, n));
+        for (&r, dst) in map.slots.iter().zip(out.data_mut().chunks_exact_mut(n)) {
+            if r == PAD {
+                dst.fill(0.0);
+            } else {
+                dst.copy_from_slice(&proj[r as usize * n..(r as usize + 1) * n]);
+            }
+        }
+        self.ws.put_vec(proj);
+        let g = self.ng(x) || self.ng(w);
+        self.push(out, Op::ProjectRows { x, w, map: map.clone() }, g)
     }
 
     /// Batched `A[b,m,k]·B[b,k,n]`.
@@ -508,9 +563,9 @@ impl Graph {
         assert_eq!(self.value(scale).numel(), d, "layer_norm scale width mismatch");
         assert_eq!(self.value(bias).numel(), d, "layer_norm bias width mismatch");
         let rows = xv.shape().outer_rows();
-        let mut mean = self.ws.take_vec(rows);
-        let mut rstd = self.ws.take_vec(rows);
-        let mut out = self.pooled_zeros(xv.shape());
+        let mut mean = self.ws.take_vec_for_overwrite(rows);
+        let mut rstd = self.ws.take_vec_for_overwrite(rows);
+        let mut out = self.pooled_for_overwrite(xv.shape());
         let [xv, sv, bv] = [x, scale, bias].map(|v| self.value(v).data());
         ew::layer_norm_into(xv, sv, bv, out.data_mut(), &mut mean, &mut rstd);
         let g = self.ng(x) || self.ng(scale) || self.ng(bias);

@@ -19,7 +19,10 @@
 //!   trained in practice (sparse "lazy" updates, see `seqfm-nn::optim`).
 //! * **Ops**: elementwise arithmetic and activations, `add_bias`;
 //!   [`Graph::matmul`] (a rank-3 lhs is read as its rows — projections need
-//!   no flatten copies), `bmm`, `bmm_nt`, `lmatmul`, `row_dot`;
+//!   no flatten copies), [`Graph::project_rows`] (a projection of a block's
+//!   distinct rows, placed at every slot through a [`RowMap`] — SeqFM's
+//!   history side projects each distinct item once), `bmm`, `bmm_nt`,
+//!   `lmatmul`, `row_dot`;
 //!   `softmax`, `layer_norm`, `dropout`, and the two structured attention
 //!   nodes of the paper's masked views — [`Graph::attention_causal`] (the
 //!   dynamic view) and [`Graph::attention_cross`] (the cross view), each
@@ -55,6 +58,7 @@ mod backward;
 mod frozen;
 mod graph;
 mod op;
+mod rowmap;
 mod store;
 
 pub mod gradcheck;
@@ -62,6 +66,7 @@ pub mod gradcheck;
 pub use frozen::{FrozenId, FrozenParams, ModelEpoch};
 pub use gradcheck::{assert_grad_check, grad_check, GradCheckReport};
 pub use graph::{Graph, Var};
+pub use rowmap::RowMap;
 pub use store::{Param, ParamId, ParamKind, ParamStore};
 
 #[cfg(test)]

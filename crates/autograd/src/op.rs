@@ -1,7 +1,7 @@
 //! The operation set of the autodiff tape.
 
 use crate::store::ParamId;
-use crate::Var;
+use crate::{RowMap, Var};
 use std::sync::Arc;
 
 /// Per-row statistics cached by the LayerNorm forward pass for its backward.
@@ -53,6 +53,16 @@ pub(crate) enum Op {
     // -- linear algebra ------------------------------------------------------
     /// `A[m,k]·B[k,n]`; a rank-3 `A[b,r,k]` is read as `[b·r, k]`.
     Matmul(Var, Var),
+    /// Row-mapped projection `(X·W)[slot → row]`: `X[u, k]` (any rank,
+    /// read as its `u` rows) holds a block's distinct rows, `W[k, n]`, and
+    /// `map` places each row's product at every slot that holds it (a
+    /// padding slot gets `+0.0`), value `[b, s, n]`. The backward sums each
+    /// row's slot gradients first, so both products run over `u` rows.
+    ProjectRows {
+        x: Var,
+        w: Var,
+        map: RowMap,
+    },
     /// Batched `A[b,m,k]·B[b,k,n]`.
     Bmm(Var, Var),
     /// Batched `A[b,m,k]·B[b,n,k]ᵀ` (attention scores `Q·Kᵀ`).

@@ -1,7 +1,7 @@
 //! Gradient checks for every op plus tape-semantics tests.
 
 use crate::gradcheck::assert_grad_check;
-use crate::{Graph, ParamStore};
+use crate::{Graph, ParamStore, RowMap};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqfm_tensor::testutil::{causal_mask, rand_tensor};
@@ -587,13 +587,20 @@ fn reset_graph_reuse_is_bit_identical_and_allocation_free() {
     let mut ps = ParamStore::new();
     let mut seed = 17;
     let w = ps.add_dense("w", rand_tensor(Shape::d2(6, 6), &mut seed));
+    let table = ps.add_sparse("emb", rand_tensor(Shape::d2(5, 6), &mut seed));
     let x = rand_tensor(Shape::d3(2, 3, 6), &mut seed);
+    let (ids, map) = RowMap::distinct(&[-1, 4, 4, 1, 4, -1], 2, 3);
 
     let run = |g: &mut Graph, ps: &mut ParamStore| -> (Vec<f32>, Vec<f32>) {
         ps.zero_grads();
         let wv = g.param(ps, w);
         let xv = g.input(Tensor::from_vec(x.shape(), x.data().to_vec()));
-        let y = g.matmul(xv, wv);
+        let xw = g.matmul(xv, wv);
+        // A row-mapped projection: its expanded value and its backward's
+        // row sums are pooled too.
+        let e_u = g.gather(ps, table, &ids, 1, ids.len());
+        let mapped = g.project_rows(e_u, wv, &map);
+        let y = g.add(xw, mapped);
         // Nodes that own a second pooled buffer (their saved weights).
         let (ys, yh) = (g.slice_axis1(y, 0, 1), g.slice_axis1(y, 1, 2));
         let h = g.attention_cross([ys; 3], [yh; 3], 0.5);
@@ -603,7 +610,7 @@ fn reset_graph_reuse_is_bit_identical_and_allocation_free() {
         let loss = g.mean_all(sq);
         let out = g.value(act).data().to_vec();
         g.backward(loss, ps);
-        (out, ps.grad(w).data().to_vec())
+        (out, [ps.grad(w).data(), ps.grad(table).data()].concat())
     };
 
     // Fresh graph per run (the old pattern) = the reference.
@@ -627,4 +634,182 @@ fn reset_graph_reuse_is_bit_identical_and_allocation_free() {
         assert_eq!(gr, want_grad, "reset graph gradients diverged");
     }
     assert_eq!(g.ws.heap_events(), warm, "warm reset cycles must not allocate from the pool");
+}
+
+/// Index blocks `[b, n]` (`-1` = padding) for the row-mapped projection.
+fn history_blocks() -> Vec<(usize, usize, Vec<i64>)> {
+    // The training geometry: window `i` holds its last `i mod 25` items
+    // (at most 20) of a walk over 60 items, after a padding prefix, so
+    // items repeat across windows.
+    let train = (0..128 * 20)
+        .map(|s| {
+            let (i, t) = (s / 20, s % 20);
+            let pad = 20 - (i % 25).min(20);
+            if t < pad {
+                -1
+            } else {
+                ((i * 3 + (t - pad) * 7) % 60) as i64
+            }
+        })
+        .collect();
+    vec![
+        // Padding prefixes; items repeated within a window and across.
+        (3, 6, vec![-1, -1, 4, 9, 4, 4, -1, 9, 9, 2, 4, 7, 0, 1, 2, 3, 4, 9]),
+        // An all-padding history.
+        (2, 5, vec![-1; 10]),
+        // One item repeated to capacity.
+        (2, 5, vec![6; 10]),
+        (128, 20, train),
+    ]
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn row_map_numbers_distinct_indices_by_first_appearance() {
+    for (b, n, idx) in history_blocks() {
+        let (ids, map) = RowMap::distinct(&idx, b, n);
+        let mut want: Vec<i64> = Vec::new();
+        for &ix in idx.iter().filter(|&&ix| ix >= 0) {
+            if !want.contains(&ix) {
+                want.push(ix);
+            }
+        }
+        assert_eq!(ids, want);
+        assert_eq!(map.rows(), want.len());
+        assert_eq!(map.filled(), idx.iter().filter(|&&ix| ix >= 0).count());
+    }
+    // Indices far apart, and spaced so that they collide in the hash.
+    let idx: Vec<i64> = (0..64).map(|s| (s % 40) * (1 << 40) + 3).collect();
+    let (ids, map) = RowMap::distinct(&idx, 8, 8);
+    assert_eq!(ids, idx[..40].to_vec());
+    assert_eq!(map.rows(), 40);
+    let (ids, map) = RowMap::distinct(&[], 0, 4);
+    assert!(ids.is_empty() && map.rows() == 0);
+}
+
+#[test]
+fn project_rows_places_the_per_slot_projection_bits() {
+    // Projection is row-local, so every slot's value is a per-slot gather +
+    // matmul's, whatever the shape picks (tiled or naive, with or without
+    // column tails), and a padding slot is `+0.0`.
+    for (b, n, idx) in history_blocks() {
+        for (d, cols) in [(32, 32), (7, 5)] {
+            let mut ps = ParamStore::new();
+            let mut seed = 40 + (b * n + d) as u64;
+            let table = ps.add_sparse("emb", rand_tensor(Shape::d2(60, d), &mut seed));
+            let w = p(&mut ps, "w", Shape::d2(d, cols), seed);
+            let mut g = Graph::new();
+            let wv = g.param(&ps, w);
+            let e = g.gather(&ps, table, &idx, b, n);
+            let want = g.matmul(e, wv);
+            let (ids, map) = RowMap::distinct(&idx, b, n);
+            let e_u = g.gather(&ps, table, &ids, 1, ids.len());
+            let got = g.project_rows(e_u, wv, &map);
+            assert_eq!(g.value(got).shape(), Shape::d3(b, n, cols));
+            assert_eq!(bits(g.value(got).data()), bits(g.value(want).data()), "[{b}, {n}] d {d}");
+            for (slot, row) in g.value(got).data().chunks_exact(cols).enumerate() {
+                if idx[slot] < 0 {
+                    assert!(row.iter().all(|v| v.to_bits() == 0), "padding slot {slot}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn grad_project_rows() {
+    // Through the gather of the distinct rows: repeats within and across
+    // windows, and padding.
+    let mut ps = ParamStore::new();
+    let mut seed = 51;
+    let table = ps.add_sparse("emb", rand_tensor(Shape::d2(6, 4), &mut seed));
+    let w = p(&mut ps, "w", Shape::d2(4, 3), 52);
+    let idx = [-1, 2, 5, 2, 2, 0, -1, 5];
+    assert_grad_check(&mut ps, &[table, w], EPS, TOL, |g, ps| {
+        let (ids, map) = RowMap::distinct(&idx, 2, 4);
+        let e_u = g.gather(ps, table, &ids, 1, ids.len());
+        let wv = g.param(ps, w);
+        let y = g.project_rows(e_u, wv, &map);
+        let sq = g.square(y);
+        g.mean_all(sq)
+    });
+}
+
+#[test]
+fn project_rows_over_every_slot_has_matmuls_gradient_bits() {
+    // When each row has one slot, a row's first (only) visit copies its
+    // slot gradient, so `∂X` and `∂W` are `Matmul`'s bit for bit — signed
+    // zeros in the upstream gradient and all-zero rows included.
+    let (b, n, d) = (4usize, 9usize, 16usize);
+    let mut ps = ParamStore::new();
+    let mut seed = 61;
+    let mut xt = rand_tensor(Shape::d3(b, n, d), &mut seed);
+    xt.data_mut()[..2 * d].fill(0.0);
+    let x = ps.add_dense("x", xt);
+    let w = p(&mut ps, "w", Shape::d2(d, d), 62);
+    let mut c = rand_tensor(Shape::d3(b, n, d), &mut seed);
+    for v in c.data_mut().iter_mut().step_by(3) {
+        *v = -0.0;
+    }
+    let every: Vec<i64> = (0..(b * n) as i64).collect();
+    let run = |ps: &mut ParamStore, mapped: bool| -> [Vec<u32>; 3] {
+        ps.zero_grads();
+        let mut g = Graph::new();
+        let (xv, wv) = (g.param(ps, x), g.param(ps, w));
+        let y = if mapped {
+            g.project_rows(xv, wv, &RowMap::distinct(&every, b, n).1)
+        } else {
+            g.matmul(xv, wv)
+        };
+        let cv = g.input(c.clone());
+        let yc = g.mul(y, cv);
+        let loss = g.sum_all(yc);
+        g.backward(loss, ps);
+        [bits(g.value(y).data()), bits(ps.grad(x).data()), bits(ps.grad(w).data())]
+    };
+    let (want, got) = (run(&mut ps, false), run(&mut ps, true));
+    for (what, (g, w)) in ["value", "∂x", "∂w"].iter().zip(got.iter().zip(&want)) {
+        assert_eq!(g, w, "{what} differs from Matmul's");
+    }
+}
+
+#[test]
+fn overwritten_takes_read_nothing_stale_from_the_pool() {
+    // `gather`, `layer_norm`, `project_rows` and its backward take their
+    // buffers without a zero-fill: a pool full of NaN must not show.
+    let mut ps = ParamStore::new();
+    let mut seed = 71;
+    let table = ps.add_sparse("emb", rand_tensor(Shape::d2(10, 6), &mut seed));
+    let w = p(&mut ps, "w", Shape::d2(6, 6), 72);
+    let scale = p(&mut ps, "scale", Shape::d1(6), 73);
+    let bias = p(&mut ps, "bias", Shape::d1(6), 74);
+    let idx = [-1, 3, 3, 8, -1, -1, 0, 3];
+    let run = |g: &mut Graph, ps: &mut ParamStore| -> Vec<Vec<u32>> {
+        ps.zero_grads();
+        let e = g.gather(ps, table, &idx, 2, 4);
+        let (ids, map) = RowMap::distinct(&idx, 2, 4);
+        let e_u = g.gather(ps, table, &ids, 1, ids.len());
+        let wv = g.param(ps, w);
+        let y = g.project_rows(e_u, wv, &map);
+        let ey = g.add(e, y);
+        let (sv, bv) = (g.param(ps, scale), g.param(ps, bias));
+        let h = g.layer_norm(ey, sv, bv);
+        let sq = g.square(h);
+        let loss = g.sum_all(sq);
+        g.backward(loss, ps);
+        [e, y, h]
+            .map(|v| bits(g.value(v).data()))
+            .into_iter()
+            .chain([table, w, scale, bias].map(|id| bits(ps.grad(id).data())))
+            .collect()
+    };
+    let want = run(&mut Graph::new(), &mut ps);
+    let mut g = Graph::new();
+    for _ in 0..64 {
+        g.ws.put_vec(vec![f32::NAN; 256]);
+    }
+    assert_eq!(run(&mut g, &mut ps), want, "a stale pool value reached a result");
 }

@@ -28,13 +28,24 @@
 //! A pass runs in two halves, the frozen forward's structure. The **history
 //! side** depends on the dynamic features alone: `E˙`, the dynamic view
 //! (pooled), the cross view's history projections `E˙·W_Q/K/V` (with the
-//! param vars the static rows reuse) and `Σ w˙`. The **candidate side**
-//! takes it from there: `E°`, the static view, the cross node over the
-//! static rows' projections and the history side's, the shared FFN over
-//! every view, the head and the linear terms. [`SeqModel::forward`] is the
-//! candidate side of its own history side; [`SeqModel::forward_pair`] builds
-//! one history side for a BPR pair and runs the candidate side twice, every
-//! value bit-identical to two `forward`s.
+//! param vars the static rows reuse) and `Σ w˙`. `E˙` enters the tape as
+//! the batch's distinct items `E˙_u` (`[1, |U|, d]`, padding excluded) and a
+//! [`RowMap`](seqfm_autograd::RowMap) from each window slot to its row:
+//! projection is row-local, so each of the six history projections runs
+//! once per distinct item and is placed at every slot that holds it
+//! ([`Graph::project_rows`]; a padding slot reads `+0.0`). Sliding windows
+//! over one user's sequence overlap and users repeat items, so a training
+//! batch's 2 560 slots hold a few hundred distinct items. Every value is the
+//! per-slot pass's bit for bit; `∂W` and `∂E˙` move by rounding, each
+//! item's slot gradients summed before they are projected back.
+//!
+//! The **candidate side** takes it from there: `E°`, the static view, the
+//! cross node over the static rows' projections and the history side's, the
+//! shared FFN over every view, the head and the linear terms.
+//! [`SeqModel::forward`] is the candidate side of its own history side;
+//! [`SeqModel::forward_pair`] builds one history side for a BPR pair and
+//! runs the candidate side twice, every value bit-identical to two
+//! `forward`s.
 //!
 //! The dynamic view and `Σ w˙` are candidate-independent: they shift ŷ⁺ and
 //! ŷ⁻ of a pair alike. Under BPR (Eq. 21), which sees only ŷ⁺ − ŷ⁻, `w˙`
@@ -133,15 +144,16 @@ impl SeqFm {
     fn history(&self, g: &mut Graph, ps: &ParamStore, batch: &Batch) -> HistorySide {
         let (b, nd) = (batch.len, batch.n_dynamic);
         let ab = &self.cfg.ablation;
-        // Embedding layer (Eq. 5), dynamic block.
-        let e_d = self.emb_dynamic.lookup(g, ps, &batch.dyn_idx, b, nd);
+        // Embedding layer (Eq. 5), dynamic block: each distinct item once,
+        // with the map from every window slot to its row.
+        let (e_u, rows) = self.emb_dynamic.lookup_distinct(g, ps, &batch.dyn_idx, b, nd);
         // One structured node: only the `j ≤ i` pairs Eq. 10 admits are
         // scored, forward and backward; then intra-view pooling (Eq. 14).
         let dynamic = ab.dynamic_view.then(|| {
-            let h = self.attn_dynamic.forward_causal(g, ps, e_d);
+            let h = self.attn_dynamic.forward_causal_rows(g, ps, e_u, &rows);
             g.mean_axis1(h)
         });
-        let cross = ab.cross_view.then(|| self.attn_cross.project_history(g, ps, e_d));
+        let cross = ab.cross_view.then(|| self.attn_cross.project_history(g, ps, e_u, &rows));
         let wd = self.w_dynamic.lookup(g, ps, &batch.dyn_idx, b, nd);
         let lin_d = g.sum_axis1(wd);
         HistorySide { dynamic, cross, lin_d }
@@ -244,6 +256,7 @@ mod tests {
     use super::*;
     use crate::config::Ablation;
     use rand::SeedableRng;
+    use seqfm_autograd::RowMap;
     use seqfm_data::build_instance;
 
     fn layout() -> FeatureLayout {
@@ -304,8 +317,9 @@ mod tests {
         assert!(g.len() <= 71, "{} tape nodes: a flatten or an unfused chain is back", g.len());
 
         // One BPR pair: 125 nodes, the 17 of the history side (the gather
-        // of E˙, the dynamic view, the cross view's history projections,
-        // `w˙`) once — two forwards take 142 (138 with the stacked copy).
+        // of E˙'s distinct items, the dynamic view, the cross view's history
+        // projections, `w˙`) once — two forwards take 142 (138 with the
+        // stacked copy).
         let mut g = Graph::new();
         let (y_pos, y_neg) = m.forward_pair(&mut g, &ps, &pos, &neg, true, &mut rng);
         assert_eq!(g.value(y_pos).shape(), Shape::d1(128));
@@ -394,6 +408,97 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// [`SeqFm::history`] as it ran before each distinct item was projected
+    /// once: `E˙` gathered per window slot and every slot projected, the
+    /// cross view's slots through a map that gives each its own row (so
+    /// [`Graph::project_rows`] is a plain matmul there, bit for bit).
+    fn history_per_slot(m: &SeqFm, g: &mut Graph, ps: &ParamStore, batch: &Batch) -> HistorySide {
+        let (b, nd) = (batch.len, batch.n_dynamic);
+        let ab = &m.cfg.ablation;
+        let e_d = m.emb_dynamic.lookup(g, ps, &batch.dyn_idx, b, nd);
+        let every_slot: Vec<i64> = (0..(b * nd) as i64).collect();
+        let (_, every_slot) = RowMap::distinct(&every_slot, b, nd);
+        let dynamic = ab.dynamic_view.then(|| {
+            let h = m.attn_dynamic.forward_causal(g, ps, e_d);
+            g.mean_axis1(h)
+        });
+        let cross = ab.cross_view.then(|| m.attn_cross.project_history(g, ps, e_d, &every_slot));
+        let wd = m.w_dynamic.lookup(g, ps, &batch.dyn_idx, b, nd);
+        let lin_d = g.sum_axis1(wd);
+        HistorySide { dynamic, cross, lin_d }
+    }
+
+    #[test]
+    fn distinct_history_rows_score_like_per_slot_projections() {
+        // Every value is the per-slot pass's bit for bit; each gradient
+        // moves by rounding only, a distinct row's slot gradients now summed
+        // before they are projected back.
+        let l = FeatureLayout { n_users: 40, n_items: 60 };
+        let (pos, neg) = bpr_pair(&l);
+        for (name, ablation) in Ablation::table5_variants() {
+            let cfg =
+                SeqFmConfig { d: 32, max_seq: 20, dropout: 0.6, ablation, ..Default::default() };
+            let mut ps = ParamStore::new();
+            let m = SeqFm::new(&mut ps, &mut StdRng::seed_from_u64(1), &l, cfg);
+            let mut step = |per_slot: bool| {
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let mut rng = StdRng::seed_from_u64(7);
+                let mut g = Graph::new();
+                let h = if per_slot {
+                    history_per_slot(&m, &mut g, &ps, &pos)
+                } else {
+                    m.history(&mut g, &ps, &pos)
+                };
+                let y_pos = m.candidate(&mut g, &ps, &pos, &h, true, &mut rng);
+                let y_neg = m.candidate(&mut g, &ps, &neg, &h, true, &mut rng);
+                let loss = crate::train::bpr_loss(&mut g, y_pos, y_neg);
+                ps.zero_grads();
+                g.backward(loss, &mut ps);
+                let values = [y_pos, y_neg, loss].map(|v| bits(g.value(v)));
+                (values, ps.iter().map(|(_, p)| p.grad().data().to_vec()).collect::<Vec<_>>())
+            };
+            let (want, want_grads) = step(true);
+            let (got, got_grads) = step(false);
+            assert_eq!(got, want, "{name}: a value moved");
+            for ((_, p), (g, w)) in ps.iter().zip(got_grads.iter().zip(&want_grads)) {
+                let norm = |x: &mut dyn Iterator<Item = f32>| {
+                    x.map(|v| v as f64 * v as f64).sum::<f64>().sqrt()
+                };
+                let diff = norm(&mut g.iter().zip(w).map(|(a, b)| a - b));
+                let scale = norm(&mut w.iter().copied());
+                assert!(
+                    diff <= 1e-5 * scale,
+                    "{name}: {} gradient moved by {:.2e} (L2-relative)",
+                    p.name(),
+                    diff / scale
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_history_side_projects_each_distinct_item_once() {
+        // The benchmark's training geometry: 2 560 window slots, of which
+        // 1 453 hold an item, but only the 60 distinct items are gathered
+        // and projected. The history side's `[b, n˙, d]` nodes are its six
+        // projections (each expanded from the distinct rows) and the causal
+        // attention; a per-slot gather would be an eighth.
+        let l = FeatureLayout { n_users: 40, n_items: 60 };
+        let (pos, _) = bpr_pair(&l);
+        let (b, nd, d) = (128, 20, 32);
+        let (ids, rows) = RowMap::distinct(&pos.dyn_idx, b, nd);
+        assert_eq!((b * nd, rows.filled(), ids.len()), (2560, 1453, 60));
+        let cfg = SeqFmConfig { d, max_seq: nd, dropout: 0.0, ..Default::default() };
+        let mut ps = ParamStore::new();
+        let m = SeqFm::new(&mut ps, &mut StdRng::seed_from_u64(1), &l, cfg);
+        let mut g = Graph::new();
+        m.history(&mut g, &ps, &pos);
+        let shapes: Vec<Shape> = g.shapes().collect();
+        assert_eq!(shapes[0], Shape::d3(1, ids.len(), d), "E˙ is not the distinct items");
+        let slot_blocks = shapes.iter().filter(|&&s| s == Shape::d3(b, nd, d)).count();
+        assert_eq!(slot_blocks, 7, "{shapes:?}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::init;
 use rand::Rng;
-use seqfm_autograd::{Graph, ParamId, ParamStore, Var};
+use seqfm_autograd::{Graph, ParamId, ParamStore, RowMap, Var};
 use seqfm_tensor::{Shape, Tensor};
 
 /// Fully-connected layer `y = x·W (+ b)`.
@@ -107,6 +107,23 @@ impl Embedding {
     pub fn lookup(&self, g: &mut Graph, ps: &ParamStore, idx: &[i64], b: usize, n: usize) -> Var {
         g.gather(ps, self.table, idx, b, n)
     }
+
+    /// Looks up each distinct non-padding index of the `[b, n]` block `idx`
+    /// once, into `[1, u, d]` (`u` distinct indices, in order of first
+    /// appearance), with the map from every slot to its row: the block for
+    /// [`Graph::project_rows`], whose projections then run over `u` rows
+    /// instead of `b·n` slots.
+    pub fn lookup_distinct(
+        &self,
+        g: &mut Graph,
+        ps: &ParamStore,
+        idx: &[i64],
+        b: usize,
+        n: usize,
+    ) -> (Var, RowMap) {
+        let (ids, map) = RowMap::distinct(idx, b, n);
+        (g.gather(ps, self.table, &ids, 1, ids.len()), map)
+    }
 }
 
 /// The scaled-dot-product factor `1/√d` of attention at width `d` (paper
@@ -145,9 +162,13 @@ impl LayerNorm {
 /// a single head with `d×d` projections. [`Self::forward`] is the unmasked
 /// dense pipeline (the static view); the two masked views are structural,
 /// one tape node each that never uses a blocked score:
-/// [`Self::forward_causal`] (the dynamic view) and [`Self::forward_cross`]
-/// (the cross view, whose history side [`Self::project_history`] builds
-/// once).
+/// [`Self::forward_causal`] (a causal view over a `[b, n, d]` block, as
+/// SASRec runs it), [`Self::forward_causal_rows`] (SeqFM's dynamic view) and
+/// [`Self::forward_cross`] (the cross view, whose history side
+/// [`Self::project_history`] builds once). A history block enters SeqFM's
+/// two history entries as its distinct rows and a [`RowMap`], so each
+/// distinct item is projected once ([`Graph::project_rows`]), not once per
+/// window slot.
 pub struct SelfAttention {
     wq: Linear,
     wk: Linear,
@@ -174,6 +195,20 @@ impl SelfAttention {
         [q, k, v]
     }
 
+    /// The three param vars and `[E·W_Q, E·W_K, E·W_V]` of a block given as
+    /// its distinct rows `e_u` and the slot map `rows`: one
+    /// [`Graph::project_rows`] node each, `[b, n, d]` values.
+    fn project_rows(
+        &self,
+        g: &mut Graph,
+        ps: &ParamStore,
+        e_u: Var,
+        rows: &RowMap,
+    ) -> ([Var; 3], [Var; 3]) {
+        let w = [&self.wq, &self.wk, &self.wv].map(|l| g.param(ps, l.w));
+        (w, w.map(|w| g.project_rows(e_u, w, rows)))
+    }
+
     fn scale(&self) -> f32 {
         attention_scale(self.d)
     }
@@ -198,13 +233,37 @@ impl SelfAttention {
         g.attention_causal(q, k, v, self.scale())
     }
 
+    /// [`Self::forward_causal`] over the history block given as its
+    /// distinct rows `e_u` and slot map `rows` (from
+    /// [`Embedding::lookup_distinct`]; the dynamic view, Eq. 9–10): each
+    /// distinct row is projected once, then the same causal node runs over
+    /// the `[b, n˙, d]` projections. Every value is bit-identical to
+    /// `forward_causal` over the per-slot block; `∂W` and `∂E˙` move by
+    /// rounding (see [`Graph::project_rows`]).
+    pub fn forward_causal_rows(
+        &self,
+        g: &mut Graph,
+        ps: &ParamStore,
+        e_u: Var,
+        rows: &RowMap,
+    ) -> Var {
+        let (_, [q, k, v]) = self.project_rows(g, ps, e_u, rows);
+        g.attention_causal(q, k, v, self.scale())
+    }
+
     /// The cross view's history side (Eq. 11–12): `E˙·W_Q`, `E˙·W_K` and
-    /// `E˙·W_V` for the history block `e_d: [b, nd, d]`, projected once and
-    /// kept with the three projection param vars that the static rows
-    /// reuse in [`Self::forward_cross`].
-    pub fn project_history(&self, g: &mut Graph, ps: &ParamStore, e_d: Var) -> CrossHistory {
-        let w = [&self.wq, &self.wk, &self.wv].map(|l| g.param(ps, l.w));
-        let qkv = w.map(|w| g.matmul(e_d, w));
+    /// `E˙·W_V` for the history block given as its distinct rows `e_u` and
+    /// slot map `rows`, each distinct row projected once, kept with the
+    /// three projection param vars that the static rows reuse in
+    /// [`Self::forward_cross`].
+    pub fn project_history(
+        &self,
+        g: &mut Graph,
+        ps: &ParamStore,
+        e_u: Var,
+        rows: &RowMap,
+    ) -> CrossHistory {
+        let (w, qkv) = self.project_rows(g, ps, e_u, rows);
         CrossHistory { w, qkv }
     }
 
@@ -226,9 +285,10 @@ impl SelfAttention {
 }
 
 /// The history side of a [`SelfAttention::forward_cross`]: the history
-/// block's Q/K/V projections and the `W_Q`/`W_K`/`W_V` param vars behind
-/// them. Independent of the static rows, so several candidate batches over
-/// the same histories share one.
+/// block's `[b, n˙, d]` Q/K/V projections (each distinct item projected
+/// once and placed at its slots, [`Graph::project_rows`]) and the
+/// `W_Q`/`W_K`/`W_V` param vars behind them. Independent of the static
+/// rows, so several candidate batches over the same histories share one.
 #[derive(Clone, Copy, Debug)]
 pub struct CrossHistory {
     w: [Var; 3],
@@ -618,12 +678,19 @@ mod tests {
         }
     }
 
+    /// The map that gives each of a `[b, n]` block's slots its own row: the
+    /// block is its own distinct rows, and [`Graph::project_rows`] is
+    /// [`Graph::matmul`] bit for bit.
+    fn every_slot(b: usize, n: usize) -> RowMap {
+        RowMap::distinct(&(0..(b * n) as i64).collect::<Vec<_>>(), b, n).1
+    }
+
     /// The cross view of `e: [b, ns + nd, d]` as the model records it: the
     /// history rows' side once, then the static rows through its param vars.
     fn cross_node(attn: &SelfAttention, g: &mut Graph, ps: &ParamStore, e: Var, ns: usize) -> Var {
-        let nd = g.value(e).shape().dim(1) - ns;
-        let (e_s, e_d) = (g.slice_axis1(e, 0, ns), g.slice_axis1(e, ns, nd));
-        let hist = attn.project_history(g, ps, e_d);
+        let (b, n) = (g.value(e).shape().dim(0), g.value(e).shape().dim(1));
+        let (e_s, e_d) = (g.slice_axis1(e, 0, ns), g.slice_axis1(e, ns, n - ns));
+        let hist = attn.project_history(g, ps, e_d, &every_slot(b, n - ns));
         attn.forward_cross(g, e_s, &hist)
     }
 
@@ -637,11 +704,11 @@ mod tests {
         ns: usize,
         backward: bool,
     ) {
-        let nd = ps.value(e).shape().dim(1) - ns;
+        let (b, nd) = (ps.value(e).shape().dim(0), ps.value(e).shape().dim(1) - ns);
         let mask = cross_mask(ns, nd);
         let dense = |g: &mut Graph, ps: &ParamStore, ev: Var| {
             let (e_s, e_d) = (g.slice_axis1(ev, 0, ns), g.slice_axis1(ev, ns, nd));
-            let hist = attn.project_history(g, ps, e_d);
+            let hist = attn.project_history(g, ps, e_d, &every_slot(b, nd));
             let stat = hist.w.map(|w| g.matmul(e_s, w));
             let qkv = [0, 1, 2].map(|i| g.concat_axis1(stat[i], hist.qkv[i]));
             dense_masked(attn, g, qkv, mask.data())

@@ -17,7 +17,9 @@
 //! of guards can be live at once, and an inner guard returning out of order
 //! is harmless because each guard owns its storage. Buffers are **always
 //! zero-filled on take**, so a reset scope can never leak stale values from
-//! a larger earlier op into a smaller later one (see the tests).
+//! a larger earlier op into a smaller later one (see the tests). The one
+//! exception is [`Workspace::take_vec_for_overwrite`], for a caller that
+//! writes every element before it reads one.
 //!
 //! One `Workspace` belongs to one thread (`RefCell`/`Cell` inside — it is
 //! `Send` but not `Sync`). Kernels that need scratch without a caller-
@@ -62,23 +64,11 @@ impl Workspace {
     /// allocator is safe, just wasteful). This is the hook for consumers
     /// like the autograd tape whose buffers outlive any single scope.
     pub fn take_vec(&self, len: usize) -> Vec<f32> {
-        // A zero-length take must not pop a pooled buffer: conditional
-        // empty takes (a view buffer only some batch kinds need) would
-        // otherwise shift the LIFO alignment and make unrelated slots grow
-        // to each other's high-water marks.
-        if len == 0 {
-            self.live.set(self.live.get() + 1);
-            return Vec::new();
-        }
-        let mut buf = self.pool.borrow_mut().pop().unwrap_or_default();
-        if buf.capacity() < len {
-            self.heap_events.set(self.heap_events.get() + 1);
-        }
+        let mut buf = self.pop_for(len);
         // clear + resize = one memset over exactly `len` slots; stale data
         // beyond `len` stays in capacity and is never observable.
         buf.clear();
         buf.resize(len, 0.0);
-        self.live.set(self.live.get() + 1);
         buf
     }
 
@@ -87,17 +77,39 @@ impl Workspace {
     /// element is still fully defined, so the no-stale-leak guarantee
     /// holds). The pooled replacement for `Tensor::clone` on hot paths.
     pub fn take_vec_copy(&self, src: &[f32]) -> Vec<f32> {
-        if src.is_empty() {
-            self.live.set(self.live.get() + 1);
-            return Vec::new();
-        }
-        let mut buf = self.pool.borrow_mut().pop().unwrap_or_default();
-        if buf.capacity() < src.len() {
-            self.heap_events.set(self.heap_events.get() + 1);
-        }
+        let mut buf = self.pop_for(src.len());
         buf.clear();
         buf.extend_from_slice(src);
+        buf
+    }
+
+    /// Like [`take_vec`](Self::take_vec), but without the zero-fill: the
+    /// `len` elements hold whatever the recycled storage held (zeros only
+    /// where it grew), so the caller must overwrite every element before it
+    /// reads one. For outputs a kernel writes in full (a gather, a
+    /// LayerNorm), where the memset would be wasted.
+    pub fn take_vec_for_overwrite(&self, len: usize) -> Vec<f32> {
+        let mut buf = self.pop_for(len);
+        buf.truncate(len);
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// The storage every take starts from, counted live: the most recently
+    /// parked buffer (a heap event if it cannot hold `len`), or a new empty
+    /// one for a zero-length take. A zero-length take must not pop a pooled
+    /// buffer: conditional empty takes (a view buffer only some batch kinds
+    /// need) would otherwise shift the LIFO alignment and make unrelated
+    /// slots grow to each other's high-water marks.
+    fn pop_for(&self, len: usize) -> Vec<f32> {
         self.live.set(self.live.get() + 1);
+        if len == 0 {
+            return Vec::new();
+        }
+        let buf = self.pool.borrow_mut().pop().unwrap_or_default();
+        if buf.capacity() < len {
+            self.heap_events.set(self.heap_events.get() + 1);
+        }
         buf
     }
 
@@ -210,6 +222,21 @@ mod tests {
         // And a *larger* take than ever before is zeroed too.
         let huge = ws.take(256);
         assert!(huge.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn a_take_for_overwrite_skips_only_the_zero_fill() {
+        let ws = Workspace::new();
+        ws.put_vec(vec![f32::NAN; 8]);
+        let warm = ws.heap_events();
+        // Recycled storage keeps its stale values; only growth is zeroed.
+        let v = ws.take_vec_for_overwrite(12);
+        assert!(v[..8].iter().all(|x| x.is_nan()) && v[8..].iter().all(|&x| x == 0.0));
+        assert_eq!((ws.live(), ws.heap_events()), (1, warm + 1));
+        ws.put_vec(v);
+        let v = ws.take_vec_for_overwrite(5);
+        assert_eq!((v.len(), ws.heap_events()), (5, warm + 1), "a shrink is no heap event");
+        assert!(ws.take_vec_for_overwrite(0).is_empty());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! End-to-end contracts of the online-learning loop: versioned epochs
 //! threading from the incremental trainer through the engine's atomic
-//! hot-swap into the epoch-keyed caches and the per-epoch catalog index.
+//! hot-swap into each revision's own view cache and catalog index.
 //!
 //! The properties under test:
 //!
 //! * **hot-swap correctness** — after `publish_frozen`, a warm engine
-//!   (stale cached views and all) serves the new model bit-identically to a
-//!   cold engine built directly on it. This is the regression test for the
-//!   view-cache epoch key: a `(user, version)`-only cache would replay the
-//!   *old* model's history panels into post-swap scores.
+//!   (whose old revision cached views) serves the new model bit-identically
+//!   to a cold engine built directly on it. This is the regression test for
+//!   the per-revision view cache: a cache shared across revisions would
+//!   replay the *old* model's history panels into post-swap scores.
 //! * **swap-under-load atomicity** — while models swap mid-traffic, every
 //!   response is bit-identical to a single-epoch rescore under the epoch it
 //!   reports; no response ever mixes revisions.
@@ -100,10 +100,10 @@ fn assert_retrievals_bit_identical(a: &Retrieval, b: &Retrieval, what: &str) {
     }
 }
 
-/// Hot-swap + epoch-keyed view cache: a warm engine that scored (and
+/// Hot-swap + per-revision view cache: a warm engine that scored (and
 /// cached) under the old model must, after `publish_frozen`, serve the new
-/// model bit-identically to a cold engine built directly on it — the
-/// cached history panels of the old epoch may never leak into new-epoch
+/// model bit-identically to a cold engine built directly on it — the old
+/// revision's cached history panels may never leak into the new revision's
 /// scores, and the response's epoch stamp must advance.
 #[test]
 fn hot_swap_serves_the_new_model_bit_for_bit_vs_a_cold_engine() {
@@ -254,7 +254,7 @@ fn rebuilt_index_matches_a_fresh_build_and_its_brute_scan() {
 
 /// Engine-level index swap: after `publish_frozen`, `retrieve_top_k` must
 /// match a cold engine whose index was built from scratch for the new
-/// model — the incremental rebuild and the epoch-keyed view sharing are
+/// model — the incremental rebuild and the old revision's cached views are
 /// invisible in the output.
 #[test]
 fn engine_retrieval_after_publish_matches_a_cold_engine_on_the_new_model() {
