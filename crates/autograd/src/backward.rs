@@ -5,7 +5,7 @@ use crate::op::Op;
 use crate::rowmap::PAD;
 use crate::store::ParamStore;
 use seqfm_tensor::{
-    attention_causal_backward_into, attention_cross_rows_backward_into, bmm_nn_into, bmm_nt_into,
+    attention_causal_backward_into, attention_cross_backward_into, bmm_nn_into, bmm_nt_into,
     bmm_tn_into, kernels::matmul, reduce, softmax_backward_into, Shape, Tensor,
 };
 
@@ -260,11 +260,9 @@ impl Graph {
                     [(); 3].map(|()| self.pooled_zeros(Shape::d3(bs, ns, d)));
                 let [mut hq, mut hk, mut hv] =
                     [(); 3].map(|()| self.pooled_zeros(Shape::d3(bs, nd, d)));
-                attention_cross_rows_backward_into(
+                attention_cross_backward_into(
                     stat.map(|x| val(x).data()),
-                    ns * d,
                     hist.map(|x| val(x).data()),
-                    nd * d,
                     weights,
                     dy.data(),
                     *scale,

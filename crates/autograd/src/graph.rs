@@ -21,7 +21,7 @@ use crate::store::{ParamId, ParamStore};
 use crate::RowMap;
 use rand::Rng;
 use seqfm_tensor::{
-    attention_causal_into, attention_cross_rows_into, bmm_nn_into, bmm_nt_into, ew,
+    attention_causal_into, attention_cross_into, bmm_nn_into, bmm_nt_into, ew,
     kernels::matmul::matmul_nn_into, reduce, softmax_rows_into, Shape, Tensor, Workspace,
 };
 use std::sync::Arc;
@@ -516,7 +516,8 @@ impl Graph {
     /// (static rows first). One node whose value and gradients are
     /// **bit-identical** to the dense `bmm_nt → scale → softmax(+ cross
     /// mask) → bmm` over the two sides stacked per operand (`[q°; q˙]`, …;
-    /// see `seqfm_tensor::attention_cross_rows_into` and its backward),
+    /// see `seqfm_tensor::attention_cross_into`, run here with a history per
+    /// row, and its backward),
     /// without the stack's copy or the `ns² + nd²` scores per slice the mask
     /// discards. The two sides stay separate operands, so a history side
     /// projected once can serve several candidate sides.
@@ -538,14 +539,13 @@ impl Graph {
         assert_eq!((bs, d), (bh, dh), "attention_cross: static and history sides disagree");
         let mut weights = self.ws.take_vec(bs * 2 * ns * nd);
         let mut out = self.pooled_zeros(Shape::d3(bs, ns + nd, d));
-        attention_cross_rows_into(
+        attention_cross_into(
+            [&[]; 3],
             stat.map(|x| self.value(x).data()),
-            ns * d,
             hist.map(|x| self.value(x).data()),
-            nd * d,
             scale,
-            [bs, ns, nd, d],
-            &mut weights,
+            [bs, 1, 0, ns, nd, d],
+            Some(&mut weights),
             out.data_mut(),
         );
         let g = stat.iter().chain(&hist).any(|&x| self.ng(x));

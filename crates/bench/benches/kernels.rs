@@ -11,14 +11,15 @@
 //!   static view's kernel; the repo benchmark's `tensor.attention_us` owns
 //!   `d = 32`), and the exact cross view at serving geometry both ways:
 //!   splice + the dense masked oracle ([`attention_masked_into`]) vs. the
-//!   structured [`attention_cross_shared_into`], the latter also at the
-//!   request shape (one user row shared by every candidate);
+//!   structured [`attention_cross_into`] with one history under every
+//!   candidate and no weights kept (the frozen forward's call), the latter
+//!   also at the request shape (one user row shared by every candidate);
 //! * the output head's `[100, 96]·[96, 1]` matrix-vector product, naive vs.
 //!   the eight-rows-per-tile kernel;
 //! * the cross view at the training geometry (a history per row), forward
 //!   and backward: the dense masked oracle — the tape ops the node replaced
-//!   — vs. [`attention_cross_rows_into`] /
-//!   [`attention_cross_rows_backward_into`];
+//!   — vs. [`attention_cross_into`] with a history per row /
+//!   [`attention_cross_backward_into`];
 //! * the causal (dynamic) view at the training geometry `[128, 20, 32]`,
 //!   forward and backward: the dense masked oracle vs.
 //!   [`attention_causal_into`] / [`attention_causal_backward_into`];
@@ -46,8 +47,8 @@ use seqfm_tensor::testutil::{
     CountingAlloc,
 };
 use seqfm_tensor::{
-    attention_causal_backward_into, attention_causal_into, attention_cross_rows_backward_into,
-    attention_cross_rows_into, attention_cross_shared_into, attention_into, Shape, Tensor,
+    attention_causal_backward_into, attention_causal_into, attention_cross_backward_into,
+    attention_cross_into, attention_into, Shape, Tensor,
 };
 
 #[global_allocator]
@@ -216,13 +217,13 @@ fn main() {
             .map(|x| x.chunks_exact(ns * d).flat_map(|slice| slice[d..].iter().copied()).collect());
         let mut time_structured = |shared: [&[f32]; 3], own: [&[f32]; 3], ns0: usize| {
             p50(10, 200, || {
-                attention_cross_shared_into(
+                attention_cross_into(
                     shared,
                     own,
                     hist_d,
                     scale,
-                    [b, ns0, ns - ns0, nd, d],
-                    &mut scores,
+                    [1, b, ns0, ns - ns0, nd, d],
+                    None,
                     &mut out_buf,
                 );
                 std::hint::black_box(out_buf[0]);
@@ -310,12 +311,17 @@ fn main() {
         let scale = 1.0 / (d as f32).sqrt();
         let qkv = [q, k, v];
         let (fwd_dense, bwd_dense) = dense_pair(qkv, d_out, &cross_mask(ns, nd), [b, n, d]);
-        let hist = qkv.map(|x| &x[ns * d..]);
-        let dims = [b, ns, nd, d];
+        // The node's operands: each row's static and history blocks apart.
+        let rows = |x: &[f32], lo: usize, len: usize| -> Vec<f32> {
+            x.chunks_exact(n * d).flat_map(|slice| slice[lo * d..(lo + len) * d].to_vec()).collect()
+        };
+        let [stat, hist] = [(0, ns), (ns, nd)].map(|(lo, len)| qkv.map(|x| rows(x, lo, len)));
+        let [stat, hist] = [&stat, &hist].map(|x| x.each_ref().map(Vec::as_slice));
         let mut weights = vec![0.0f32; b * 2 * ns * nd];
         let mut ctx = vec![0.0f32; b * n * d];
         let fwd_structured = p50(10, 200, || {
-            attention_cross_rows_into(qkv, n * d, hist, n * d, scale, dims, &mut weights, &mut ctx);
+            let dims = [b, 1, 0, ns, nd, d];
+            attention_cross_into([&[]; 3], stat, hist, scale, dims, Some(&mut weights), &mut ctx);
             std::hint::black_box(ctx[0]);
         });
         let mut stat_grads = [(); 3].map(|()| vec![0.0f32; b * ns * d]);
@@ -326,15 +332,13 @@ fn main() {
             for g in [&mut *sq, &mut *sk, &mut *sv, &mut *hq, &mut *hk, &mut *hv] {
                 g.fill(0.0);
             }
-            attention_cross_rows_backward_into(
-                qkv,
-                n * d,
+            attention_cross_backward_into(
+                stat,
                 hist,
-                n * d,
                 &weights,
                 d_out,
                 scale,
-                dims,
+                [b, ns, nd, d],
                 [sq, sk, sv],
                 [hq, hk, hv],
             );

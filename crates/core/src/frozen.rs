@@ -9,10 +9,9 @@
 //! LayerNorm, the bias adds and the linear terms each have one body in
 //! `seqfm_tensor`, which the tape's op and this forward both call. What is
 //! left here is orchestration (which rows are shared, which buffers are
-//! used, which cross kernel runs), with no tape nodes, no parameter clones,
-//! no RNG, and no per-call allocations once the caller's [`Scratch`] is
-//! warm. Logits therefore match the graph path **bit for bit**, which the
-//! tests assert.
+//! used), with no tape nodes, no parameter clones, no RNG, and no per-call
+//! allocations once the caller's [`Scratch`] is warm. Logits therefore match
+//! the graph path **bit for bit**, which the tests assert.
 //!
 //! The forward is a short pipeline of stages. Everything derived from the
 //! dynamic block alone is computed by one history stage (`build_history`)
@@ -22,12 +21,14 @@
 //! rest (`score_static_rows`) scores a run's static rows against that view
 //! and runs top to bottom like [`SeqFm`]'s forward: gather static → static
 //! view → dynamic view (a copy out of the view) → cross view → head. The
-//! cross view always runs the shared-history kernel; when the run repeats
-//! its user row too, that row is shared as well, so the kernel computes the
-//! row's cross-view output and every history row's score against it once
-//! per run, and each candidate pays for its own row alone. None of that
-//! goes into the [`HistoryView`]: it depends on the user, and a view is
-//! shared across users by window content.
+//! cross view runs the tape's cross kernel with one history under every row
+//! (`h = 1, c = b`) and keeps no softmax weights (only the tape's backward
+//! reads them); when the run repeats its user row too, that row is
+//! shared as well, so the kernel computes the row's cross-view output and
+//! every history row's score against it once per run, and each candidate
+//! pays for its own row alone. None of that goes into the [`HistoryView`]:
+//! it depends on the user, and a view is shared across users by window
+//! content.
 
 use crate::config::SeqFmConfig;
 use crate::precision::ScorerPrecision;
@@ -41,7 +42,7 @@ use seqfm_data::{Batch, FeatureLayout};
 use seqfm_nn::attention_scale;
 use seqfm_nn::checkpoint::{self, CheckpointError};
 use seqfm_tensor::{
-    attention_causal_into, attention_cross_shared_into, attention_into, ew, matmul_nn_into, reduce,
+    attention_causal_into, attention_cross_into, attention_into, ew, matmul_nn_into, reduce,
     Tensor, Workspace,
 };
 use std::sync::Arc;
@@ -544,13 +545,12 @@ impl FrozenSeqFm {
         // zero-fills every take, making right-sizing pure memset bandwidth
         // saved on every request (~1 MB at serving geometry).
         let qkv_len = b * ns * d;
-        let cross_scores = if ab.cross_view { b * ns * nd } else { 0 };
         let mut e_s = ws.take(b * ns * d);
         let mut q = ws.take(qkv_len);
         let mut k = ws.take(qkv_len);
         let mut v = ws.take(qkv_len);
         let mut e_u = ws.take(if uniq_static { (1 + b) * d } else { 0 });
-        let mut scores = ws.take((b * ns * ns).max(cross_scores));
+        let mut scores = ws.take(b * ns * ns);
         let mut ctx = ws.take(b * (ns + nd) * d);
         let mut ffn = ws.take(ViewBufs::ffn_len(b, d));
         let mut hagg = ws.take(b * views * d);
@@ -623,10 +623,10 @@ impl FrozenSeqFm {
             // land in the leading blocks of Q/K/V, the history rows sit in
             // the view's `[nd, d]` blocks, and the structured kernel reads
             // both in place — bit-identical to the dense masked pipeline
-            // over the spliced stack (pinned in the tensor crate) and to the
-            // tape's cross-attention node, which takes the same split
-            // operands, minus the splice copies and the ~83 % of scores the
-            // cross mask discards.
+            // over the spliced stack (pinned in the tensor crate), minus the
+            // splice copies and the ~83 % of scores the cross mask discards.
+            // The tape's cross-attention node runs this kernel too, with a
+            // history per row.
             //
             // One user: the `[1 + b, d]` unique projections go to the kernel
             // as they are — row 0 the static row every slice shares, rows
@@ -635,13 +635,13 @@ impl FrozenSeqFm {
             project_static(2, &mut bufs);
             let (ns0, ns1) = if uniq_static { (1, 1) } else { (0, ns) };
             let stat = [&*bufs.q, &*bufs.k, &*bufs.v];
-            attention_cross_shared_into(
+            attention_cross_into(
                 stat.map(|x| &x[..ns0 * d]),
                 stat.map(|x| &x[ns0 * d..]),
                 [&view.hist_q[..], &view.hist_k[..], &view.hist_v[..]],
                 scale,
-                [b, ns0, ns1, nd, d],
-                bufs.scores,
+                [1, b, ns0, ns1, nd, d],
+                None,
                 bufs.ctx,
             );
             self.pool_ffn_write(b, ns + nd, view_col, views, &mut bufs);
@@ -676,10 +676,6 @@ impl Scorer for FrozenSeqFm {
 
     fn model_epoch(&self) -> ModelEpoch {
         self.params.epoch()
-    }
-
-    fn supports_history_view(&self) -> bool {
-        true
     }
 
     fn build_history_view(&self, dyn_row: &[i64], scratch: &mut Scratch) -> Option<HistoryView> {

@@ -66,16 +66,6 @@ pub trait Scorer {
         out.extend_from_slice(scores);
     }
 
-    /// Whether this scorer can split its forward pass into cacheable
-    /// history-side work ([`HistoryView`]) and per-candidate work.
-    ///
-    /// `false` (the default) tells stateful serving layers not to bother
-    /// building or caching views for this scorer — [`GraphScorer`] and other
-    /// compatibility paths recompute everything per call.
-    fn supports_history_view(&self) -> bool {
-        false
-    }
-
     /// Precomputes the history-side intermediates for one left-padded
     /// dynamic index row (`dyn_row`, as a candidate-expansion batch would
     /// carry in every row), for later reuse via
@@ -83,7 +73,11 @@ pub trait Scorer {
     ///
     /// Returns `None` when the scorer does not support views (the default);
     /// a `Some` view scores **bit-identically** to recomputing from
-    /// `dyn_row` — that is the contract caching layers rely on.
+    /// `dyn_row` — that is the contract caching layers rely on. A `None`
+    /// does not spare the caller's lookups: a stateful serving layer with a
+    /// view cache still probes its shared-window table (a row copy and a
+    /// lock) before it asks, so a view-less scorer behind a cache is not
+    /// allocation-free.
     fn build_history_view(&self, dyn_row: &[i64], scratch: &mut Scratch) -> Option<HistoryView> {
         let _ = (dyn_row, scratch);
         None

@@ -75,7 +75,6 @@ fn view_scoring_is_bit_identical_across_all_variants() {
 fn scorer_trait_hooks_route_through_the_view_path() {
     let (model, ps) = setup(Ablation::default(), 23);
     let frozen = FrozenSeqFm::freeze(&model, &ps);
-    assert!(frozen.supports_history_view());
     let batch = expansion_batch(2, &[4, 1, 9], 5);
     let mut scratch = Scratch::new();
     let expect = frozen.score(&batch, &mut scratch).to_vec();
@@ -155,7 +154,6 @@ fn a_view_lent_to_a_batch_with_one_matching_row_of_two_is_rejected() {
 fn graph_scorer_reports_no_view_support() {
     let (model, ps) = setup(Ablation::default(), 47);
     let scorer = seqfm_core::GraphScorer::new(model, ps);
-    assert!(!scorer.supports_history_view());
     let mut scratch = Scratch::new();
     assert!(scorer.build_history_view(&[1, 2, 3], &mut scratch).is_none());
 }

@@ -559,10 +559,7 @@ pub fn score_requests_stateful<S: Scorer + ?Sized, R: std::borrow::Borrow<ScoreR
         // member so the next request from any of them hits.
         let cache = backend.and_then(|b| b.cache);
         let mut view = group.iter().find_map(|&i| resolved[i].view.clone());
-        if view.is_none()
-            && scorer.supports_history_view()
-            && group.iter().any(|&i| resolved[i].cache_key.is_some())
-        {
+        if view.is_none() && group.iter().any(|&i| resolved[i].cache_key.is_some()) {
             let row = &batch.dyn_idx[..max_seq];
             let mut build = || scorer.build_history_view(row, scratch);
             view = match cache {

@@ -14,17 +14,16 @@
 //! never use one. The causal kernels — [`attention_causal_into`] and its
 //! backward [`attention_causal_backward_into`], the dynamic view (Eq. 9–10)
 //! and what `Graph::attention_causal` records — keep only the lower
-//! triangle `j ≤ i`. The cross-view kernels —
-//! [`attention_cross_shared_into`] for one history under many candidates,
-//! [`attention_cross_rows_into`] and its backward
-//! [`attention_cross_rows_backward_into`] for a history per row, which is
-//! what `Graph::attention_cross` records — score only the static↔history
-//! pairs. The shared-history kernel also runs each chain *once*: a chain's
-//! bits do not depend on the slice it is computed for, so whatever involves
-//! only the history and the static rows every slice shares (a request's
-//! user row) is a per-call prelude, and a slice pays for its own rows
-//! alone. The dense masked pipeline these are bit-identical to lives on as
-//! the tests' reference oracle (`testutil::attention_masked_into` and its
+//! triangle `j ≤ i`. The one cross-view kernel, [`attention_cross_into`],
+//! and its backward [`attention_cross_backward_into`] score only the
+//! static↔history pairs, for `h` histories under `c` slices each: the tape's
+//! `Graph::attention_cross` node runs it with a history per row, the frozen
+//! forward with one history under every candidate. A chain's bits do not
+//! depend on the slice it is computed for, so whatever involves only a
+//! history and the static rows its slices share (a request's user row) is
+//! computed once per history, and a slice pays for its own rows alone. The
+//! dense masked pipeline these are bit-identical to lives on as the tests'
+//! reference oracle (`testutil::attention_masked_into` and its
 //! backward). The caller provides the output and scratch buffers, so
 //! repeated calls allocate nothing. Above the dispatch threshold the batch
 //! dimension fans out over the global thread pool — per-slice arithmetic is
@@ -45,9 +44,9 @@ use std::convert::Infallible;
 ///
 /// `_unmasked` can only be `None`: no view runs a masked dense attention
 /// (the dynamic view is [`attention_causal_into`], the cross view
-/// [`attention_cross_rows_into`] / [`attention_cross_shared_into`]). The
-/// slot keeps the ten-argument signature that existing callers — the repo
-/// benchmark's `tensor.attention_us` probe among them — pass `None` through.
+/// [`attention_cross_into`]). The slot keeps the ten-argument signature that
+/// existing callers — the repo benchmark's `tensor.attention_us` probe among
+/// them — pass `None` through.
 ///
 /// # Panics
 /// Panics if any buffer is too small.
@@ -379,51 +378,49 @@ fn lower_chains(
     }
 }
 
-/// Exact cross-view attention for a **shared history**: every slice shares
-/// one `[nd, d]` block of history-row Q/K/V (`hist`) under its `ns = ns0 + ns1`
-/// static rows, and only the static↔history pairs the cross mask admits
-/// are ever scored — each static row softmaxes over the `nd` history columns,
-/// each history row over the `ns` static columns. At serving geometry
+/// Exact cross-view attention (paper Eq. 11–13) for `h` histories, each
+/// under `c` consecutive slices: slice `s` attends over history `s / c`,
+/// and only the static↔history pairs the cross mask admits are ever scored
+/// — each static row softmaxes over the `nd` history columns, each history
+/// row over the `ns = ns0 + ns1` static columns. At serving geometry
 /// (`ns = 2`, `nd = 20`) that is 80 of the 484 scores per slice the dense
-/// masked pipeline computes, and none of its `3·bs·nd·d` splice
-/// copies.
+/// masked pipeline computes. The tape's node runs it as `h = b, c = 1` (a
+/// history per row), the frozen forward as `h = 1, c = b` (one history
+/// under every candidate).
 ///
-/// **The static side comes in two parts**, because a candidate-expansion
-/// request repeats its user row under every candidate: `shared` holds the
-/// `[ns0, d]` Q/K/V of the static rows *every* slice leads with, `own` the
-/// `[bs, ns1, d]` rows each slice adds (`ns0 = 0` is "nothing shared": every
-/// slice brings all its rows). With the history shared as well, everything
-/// the leading rows take part in is the same for every slice up to the
-/// history rows' softmax, so it is computed once per call (per worker chunk
-/// when the batch fans out — each chunk packs and preludes in its own
-/// thread arena; bits are equal either way): the shared rows' whole
-/// attention over the history — scores, softmax, context, `ns0` output rows
-/// copied into each slice — and the `[nd, ns0]` scaled scores of every
-/// history row against the shared columns. Per slice that leaves the `ns1`
-/// own rows' attention, the `nd·ns1` fresh history-row scores, and each
-/// history row's softmax and context. **The `exp` of a history row is not
-/// hoisted**: its row maximum runs over the slice's own columns too, so
-/// `exp(score − max)` differs per slice even for a shared column; the shared
-/// *scores* are filled back in before every row softmax instead.
+/// `hist` holds the `[h, nd, d]` history-row Q/K/V. The static side comes
+/// in two parts, because a candidate-expansion request repeats its user row
+/// under every candidate: `shared` holds the `[h, ns0, d]` rows every slice
+/// of a history leads with, `own` the `[h·c, ns1, d]` rows each slice adds
+/// (`ns0 = 0` is "nothing shared"). Whatever involves only a history and
+/// its shared rows is computed once per history (and again where a worker
+/// chunk starts mid-history; bits are equal either way): the transposed
+/// history packs, the shared rows' whole attention over the history, and
+/// every history row's `[nd, ns0]` scaled scores against the shared
+/// columns. A slice pays for its own rows alone: their attention, the
+/// `nd·ns1` fresh history-row scores, and each history row's softmax and
+/// context. **The `exp` of a history row is not hoisted**: its row maximum
+/// runs over the slice's own columns too, so the shared *scores* are filled
+/// back in before every row softmax instead.
 ///
-/// **Bit-identical** to splicing the shared rows and the history into every
-/// slice and running the dense pipeline under the cross mask (the tests'
-/// oracle, `testutil::attention_masked_into` with `testutil::cross_mask`),
-/// because every output element runs the dense pipeline's own op chain: a
-/// score is `(0.0 + Σ_{p↑} q[p]·k[p]) · scale` with separate multiply and add
-/// (`matmul::naive::matmul_nt_into`'s chain; f32 multiplication commutes,
-/// so which operand the lanes run along is free); the softmax is
-/// `softmax_row_inplace` over the admitted entries in ascending column
-/// order (a blocked entry is `−∞`: never the row max, and exactly `+0.0`
-/// added to a non-negative running sum); and a context element is the
-/// seeded-zero ascending-`j` chain `o += w·v` that skips `w == 0.0`
-/// (`matmul::naive::matmul_nn_into`'s chain — blocked weights are exactly
-/// zero, so the dense path skips them too). A chain does not depend on
-/// which slice it is computed for, so the chains a shared row runs once
-/// here are the ones the dense path runs `bs` times. Lanes run *across* history
-/// columns from transposed packs of the shared `kh`/`qh`; each lane is
-/// still one ascending chain, so SIMD width and worker count cannot change
-/// a bit.
+/// **Bit-identical** to splicing each slice's static rows and history into
+/// one `[ns + nd, d]` block and running the dense pipeline under the cross
+/// mask (the tests' oracle, `testutil::attention_masked_into` with
+/// `testutil::cross_mask`), because every output element runs the dense
+/// pipeline's own op chain: a score is `(0.0 + Σ_{p↑} q[p]·k[p]) · scale`
+/// with separate multiply and add (`matmul::naive::matmul_nt_into`'s chain;
+/// f32 multiplication commutes, so which operand the lanes run along is
+/// free); the softmax is `softmax_row_inplace` over the admitted entries in
+/// ascending column order (a blocked entry is `−∞`: never the row max, and
+/// exactly `+0.0` added to a non-negative running sum); and a context
+/// element is the seeded-zero ascending-`j` chain `o += w·v` that skips
+/// `w == 0.0` (`matmul::naive::matmul_nn_into`'s chain — blocked weights
+/// are exactly zero, so the dense path skips them too). A chain does not
+/// depend on which slice it is computed for, so the chains a shared row
+/// runs once are the ones the dense path runs `c` times, and `(h = 1,
+/// c = b)` equals `(h = b, c = 1)` over a repeated history. Lanes run
+/// *across* history columns from the transposed packs; each lane is still
+/// one ascending chain, so SIMD width and worker count cannot change a bit.
 ///
 /// **Blocked pairs are never formed, so they cannot poison a row.** The
 /// dense path adds the mask to *every* score: a blocked score that is NaN
@@ -431,39 +428,44 @@ fn lower_chains(
 /// and takes its whole dense row with it, while a structured row depends on
 /// its admitted pairs alone. Bit-identity with the dense pipeline therefore
 /// holds whenever blocked-pair scores are finite — always, for finite
-/// parameters of sane magnitude. Nothing in the model still runs a dense
-/// cross view (the tape's node is [`attention_cross_rows_into`], this
-/// kernel's per-row sibling over the same tiles), so graph and frozen
-/// forwards agree on non-finite inputs by construction; the dense pipeline
-/// is the reference the tests compare against.
+/// parameters of sane magnitude. Nothing in the model runs a dense cross
+/// view, so graph and frozen forwards agree on non-finite inputs by
+/// construction.
 ///
-/// `out` is the full interleaved `[bs, ns + nd, d]` context, shared rows
-/// first; `scores` needs `ns·nd` slots per slice (≥ `bs·ns·nd`) of scratch
-/// that must not be read back. An empty side means every row is fully
-/// masked: all-zero context.
+/// `out` is the interleaved `[h·c, ns + nd, d]` context, static rows (shared
+/// first) then history rows. `Some(weights)` receives `2·ns·nd` floats per
+/// slice — the static rows' `[ns, nd]` softmax block, then the history
+/// rows' `[nd, ns]` one — which is everything
+/// [`attention_cross_backward_into`] needs from the forward pass. With
+/// `None` (inference, which has no backward) each slice's block lives in
+/// one per-thread scratch instead, so nothing is stored per slice; the
+/// context is the same bits either way. An empty side means every row is
+/// fully masked: all-zero context, no weights.
 ///
 /// # Panics
 /// Panics if any buffer is too small.
-pub fn attention_cross_shared_into(
+pub fn attention_cross_into(
     shared: [&[f32]; 3],
     own: [&[f32]; 3],
     hist: [&[f32]; 3],
     scale: f32,
-    [bs, ns0, ns1, nd, d]: [usize; 5],
-    scores: &mut [f32],
+    [h, c, ns0, ns1, nd, d]: [usize; 6],
+    weights: Option<&mut [f32]>,
     out: &mut [f32],
 ) {
-    const NAME: &str = "attention_cross_shared_into";
-    let ns = ns0 + ns1;
-    let n = ns + nd;
+    const NAME: &str = "attention_cross_into";
+    let (bs, ns) = (h * c, ns0 + ns1);
+    let (n, wl) = (ns + nd, 2 * ns * nd);
     for (side, len, what) in
-        [(shared, ns0 * d, "shared"), (own, bs * ns1 * d, "own"), (hist, nd * d, "hist")]
+        [(shared, h * ns0 * d, "shared"), (own, bs * ns1 * d, "own"), (hist, h * nd * d, "hist")]
     {
         for x in side {
             assert!(x.len() >= len, "{NAME}: {what} Q/K/V operand too small");
         }
     }
-    assert!(scores.len() >= bs * ns * nd, "{NAME}: scores scratch too small");
+    if let Some(w) = &weights {
+        assert!(w.len() >= bs * wl, "{NAME}: weights too small");
+    }
     assert!(out.len() >= bs * n * d, "{NAME}: out too small");
     let out = &mut out[..bs * n * d];
     if bs == 0 || ns == 0 || nd == 0 {
@@ -472,209 +474,132 @@ pub fn attention_cross_shared_into(
         out.fill(0.0);
         return;
     }
-    let shared = shared.map(|x| &x[..ns0 * d]);
-    let own = own.map(|x| &x[..bs * ns1 * d]);
-    let hist = hist.map(|x| &x[..nd * d]);
-    let scores = &mut scores[..bs * ns * nd];
+    let weights = weights.map(|w| &mut w[..bs * wl]);
+    let dims = [c, ns0, ns1, nd, d];
+    let body = |s0, weights: Option<&mut [f32]>, out: &mut [f32]| {
+        cross_slices(shared, own, hist, scale, dims, s0, weights, out);
+    };
 
     // Per slice: ns1·nd fresh scores in each admitted block, the own rows'
     // weighted value sum over nd columns and the history rows' over all ns,
     // plus the exp-weighted softmax ops of both blocks.
     let work_per_slice = (3 * ns1 + ns) * nd * d + 32 * ns * nd;
-    if super::dispatch::should_par(bs * work_per_slice, bs) {
+    if !super::dispatch::should_par(bs * work_per_slice, bs) {
+        body(0, weights, out);
+    } else if let Some(weights) = weights {
         seqfm_parallel::par_units(
             seqfm_parallel::global(),
-            [scores, out],
-            [ns * nd, n * d],
-            |b0, [scores_chunk, out_chunk]| {
-                let slices = scores_chunk.len() / (ns * nd);
-                let own = own.map(|x| &x[b0 * ns1 * d..(b0 + slices) * ns1 * d]);
-                let dims = [slices, ns0, ns1, nd, d];
-                cross_shared_slices(shared, own, hist, scale, dims, scores_chunk, out_chunk);
-            },
+            [weights, out],
+            [wl, n * d],
+            |s0, [weights, out]| body(s0, Some(weights), out),
         );
     } else {
-        cross_shared_slices(shared, own, hist, scale, [bs, ns0, ns1, nd, d], scores, out);
+        seqfm_parallel::par_units(seqfm_parallel::global(), [out], [n * d], |s0, [out]| {
+            body(s0, None, out);
+        });
     }
 }
 
-/// Serial body of [`attention_cross_shared_into`] over `bs` slices: the
-/// transposed history packs and the shared rows' prelude once, then each
-/// slice's own part of the two admitted blocks, the `ns·nd` score scratch
-/// reused between them.
-fn cross_shared_slices(
+/// Serial body of [`attention_cross_into`] over the slices `s0..` whose
+/// blocks `out` (and `weights`, if kept) hold: [`cross_prelude`] whenever
+/// the slice's history changes, then each slice's own part of the two
+/// admitted blocks.
+#[allow(clippy::too_many_arguments)]
+fn cross_slices(
     [q0, k0, v0]: [&[f32]; 3],
     [q1, k1, v1]: [&[f32]; 3],
     [qh, kh, vh]: [&[f32]; 3],
     scale: f32,
-    [bs, ns0, ns1, nd, d]: [usize; 5],
-    scores: &mut [f32],
+    [c, ns0, ns1, nd, d]: [usize; 5],
+    s0: usize,
+    mut weights: Option<&mut [f32]>,
     out: &mut [f32],
 ) {
     let ns = ns0 + ns1;
-    let n = ns + nd;
+    let wl = 2 * ns * nd;
     crate::workspace::with_thread(|ws| {
         let mut kht = ws.take(d * nd);
         let mut qht = ws.take(d * nd);
-        pack_transposed(kh, nd, d, &mut kht);
-        pack_transposed(qh, nd, d, &mut qht);
-
-        // The prelude: the shared rows' context, their `[nd, ns0]` score
-        // columns, and a `[ns, d]` value block whose leading rows they fill
-        // for good (a slice copies its own rows in underneath).
+        let mut w0 = ws.take(ns0 * nd);
         let mut ctx0 = ws.take(ns0 * d);
         let mut cols0 = ws.take(nd * ns0);
+        // The slice's static value rows: the shared ones, filled per
+        // history, then its own, copied in underneath.
         let mut sv = ws.take(ns * d);
-        static_rows_attend(q0, &kht, vh, scale, [ns0, nd, d], &mut scores[..ns0 * nd], &mut ctx0);
-        history_rows_score(k0, &qht, scale, [ns0, nd, d], &mut cols0, ns0);
-        sv[..ns0 * d].copy_from_slice(v0);
-
-        for b in 0..bs {
-            let own = b * ns1 * d..(b + 1) * ns1 * d;
-            let (out_stat, out_dyn) = out[b * n * d..(b + 1) * n * d].split_at_mut(ns * d);
-            let w = &mut scores[b * ns * nd..(b + 1) * ns * nd];
-
+        // The slice's weight block when the caller keeps none.
+        let mut w_slice = ws.take(if weights.is_some() { 0 } else { wl });
+        let mut vg: &[f32] = &[];
+        for (s, out) in (s0..).zip(out.chunks_exact_mut((ns + nd) * d)) {
+            if s == s0 || s.is_multiple_of(c) {
+                let g = s / c;
+                let [qg, kg] = [qh, kh].map(|x| &x[g * nd * d..][..nd * d]);
+                vg = &vh[g * nd * d..][..nd * d];
+                let shared = g * ns0 * d..(g + 1) * ns0 * d;
+                cross_prelude(
+                    [&q0[shared.clone()], &k0[shared.clone()]],
+                    [qg, kg, vg],
+                    scale,
+                    [ns0, nd, d],
+                    [&mut kht, &mut qht, &mut w0, &mut ctx0, &mut cols0],
+                );
+                sv[..ns0 * d].copy_from_slice(&v0[shared]);
+            }
+            let own = s * ns1 * d..(s + 1) * ns1 * d;
+            let w = match weights.as_deref_mut() {
+                Some(kept) => {
+                    let w = &mut kept[(s - s0) * wl..][..wl];
+                    w[..ns0 * nd].copy_from_slice(&w0);
+                    w
+                }
+                None => &mut w_slice[..],
+            };
+            let (w_stat, w_hist) = w.split_at_mut(ns * nd);
+            let (out_stat, out_dyn) = out.split_at_mut(ns * d);
+            let w_own = &mut w_stat[ns0 * nd..];
             let (out_shared, out_own) = out_stat.split_at_mut(ns0 * d);
             out_shared.copy_from_slice(&ctx0);
-            let w_own = &mut w[..ns1 * nd];
-            static_rows_attend(&q1[own.clone()], &kht, vh, scale, [ns1, nd, d], w_own, out_own);
+            static_rows_attend(&q1[own.clone()], &kht, vg, scale, [ns1, nd, d], w_own, out_own);
 
             for r in 0..nd {
-                w[r * ns..r * ns + ns0].copy_from_slice(&cols0[r * ns0..(r + 1) * ns0]);
+                w_hist[r * ns..r * ns + ns0].copy_from_slice(&cols0[r * ns0..(r + 1) * ns0]);
             }
-            history_rows_score(&k1[own.clone()], &qht, scale, [ns1, nd, d], &mut w[ns0..], ns);
+            history_rows_score(&k1[own.clone()], &qht, scale, [ns1, nd, d], &mut w_hist[ns0..], ns);
             sv[ns0 * d..].copy_from_slice(&v1[own]);
-            history_rows_finish(&sv, [ns, nd, d], w, out_dyn);
+            history_rows_finish(&sv, [ns, nd, d], w_hist, out_dyn);
         }
     });
 }
 
-/// Exact cross-view attention over **per-row histories** — the training
-/// batch shape, and what the autograd tape's cross-attention node runs: the
-/// per-slice sibling of [`attention_cross_shared_into`], with the same two
-/// admitted blocks through the same tiles, so it is bit-identical to the
-/// dense masked pipeline under the same finite-blocked-score contract.
-///
-/// Slice `b`'s `[ns, d]` static Q/K/V rows start at `b · stat_stride` in
-/// `stat`, its `[nd, d]` history rows at `b · hist_stride` in `hist`.
-/// Separately projected blocks (the tape's and the frozen forward's) are
-/// strided by their own `ns·d` / `nd·d`; an interleaved `[bs, ns + nd, d]`
-/// projection `x` is passed as `x` and `&x[ns·d..]`, both strided
-/// `(ns + nd)·d`.
-/// The transposed history packs are rebuilt per slice (the price of a
-/// history per row).
-///
-/// `out` is the interleaved `[bs, ns + nd, d]` context. `weights` receives
-/// `2·ns·nd` floats per slice — the static rows' `[ns, nd]` softmax block,
-/// then the history rows' `[nd, ns]` one — which is everything
-/// [`attention_cross_rows_backward_into`] needs from the forward pass. An
-/// empty side means every row is fully masked: all-zero context, no
-/// weights.
-///
-/// # Panics
-/// Panics if any buffer is too small.
-#[allow(clippy::too_many_arguments)]
-pub fn attention_cross_rows_into(
-    stat: [&[f32]; 3],
-    stat_stride: usize,
-    hist: [&[f32]; 3],
-    hist_stride: usize,
+/// A history's part of [`attention_cross_into`], which its slices share:
+/// the transposed packs `kht` / `qht` of its K˙ / Q˙ rows, and its `ns0`
+/// shared static rows' weights `w0`, context `ctx0` and `[nd, ns0]` score
+/// columns `cols0`. Kept out of line: inlined into the slice loop, it made
+/// the frozen forward 1–5 % slower per call (in-process, one pinned CPU,
+/// 64 and 100 candidates).
+#[inline(never)]
+fn cross_prelude(
+    [q0, k0]: [&[f32]; 2],
+    [qh, kh, vh]: [&[f32]; 3],
     scale: f32,
-    [bs, ns, nd, d]: [usize; 4],
-    weights: &mut [f32],
-    out: &mut [f32],
+    dims: [usize; 3],
+    [kht, qht, w0, ctx0, cols0]: [&mut [f32]; 5],
 ) {
-    const NAME: &str = "attention_cross_rows_into";
-    let n = ns + nd;
-    assert!(out.len() >= bs * n * d, "{NAME}: out too small");
-    let out = &mut out[..bs * n * d];
-    if bs == 0 || ns == 0 || nd == 0 {
-        out.fill(0.0);
-        return;
-    }
-    for (side, block, stride) in [(stat, ns * d, stat_stride), (hist, nd * d, hist_stride)] {
-        for x in side {
-            assert!(x.len() >= (bs - 1) * stride + block, "{NAME}: Q/K/V operand too small");
-        }
-    }
-    assert!(weights.len() >= bs * 2 * ns * nd, "{NAME}: weights too small");
-    let weights = &mut weights[..bs * 2 * ns * nd];
-
-    let work_per_slice = 4 * ns * nd * d + 32 * ns * nd;
-    if super::dispatch::should_par(bs * work_per_slice, bs) {
-        seqfm_parallel::par_units(
-            seqfm_parallel::global(),
-            [weights, out],
-            [2 * ns * nd, n * d],
-            |b0, [weights_chunk, out_chunk]| {
-                let slices = out_chunk.len() / (n * d);
-                cross_rows_slices(
-                    stat.map(|x| &x[b0 * stat_stride..]),
-                    stat_stride,
-                    hist.map(|x| &x[b0 * hist_stride..]),
-                    hist_stride,
-                    scale,
-                    [slices, ns, nd, d],
-                    weights_chunk,
-                    out_chunk,
-                );
-            },
-        );
-    } else {
-        cross_rows_slices(
-            stat,
-            stat_stride,
-            hist,
-            hist_stride,
-            scale,
-            [bs, ns, nd, d],
-            weights,
-            out,
-        );
-    }
+    let [ns0, nd, d] = dims;
+    pack_transposed(kh, nd, d, kht);
+    pack_transposed(qh, nd, d, qht);
+    static_rows_attend(q0, kht, vh, scale, dims, w0, ctx0);
+    history_rows_score(k0, qht, scale, dims, cols0, ns0);
 }
 
-/// Serial body of [`attention_cross_rows_into`] over `bs` slices.
-#[allow(clippy::too_many_arguments)]
-fn cross_rows_slices(
-    stat: [&[f32]; 3],
-    stat_stride: usize,
-    hist: [&[f32]; 3],
-    hist_stride: usize,
-    scale: f32,
-    [bs, ns, nd, d]: [usize; 4],
-    weights: &mut [f32],
-    out: &mut [f32],
-) {
-    let n = ns + nd;
-    crate::workspace::with_thread(|ws| {
-        let mut kht = ws.take(d * nd);
-        let mut qht = ws.take(d * nd);
-        for b in 0..bs {
-            let [sq, sk, sv] = stat.map(|x| &x[b * stat_stride..][..ns * d]);
-            let [hq, hk, hv] = hist.map(|x| &x[b * hist_stride..][..nd * d]);
-            let (out_stat, out_dyn) = out[b * n * d..(b + 1) * n * d].split_at_mut(ns * d);
-            let (w_stat, w_hist) =
-                weights[b * 2 * ns * nd..(b + 1) * 2 * ns * nd].split_at_mut(ns * nd);
-            pack_transposed(hk, nd, d, &mut kht);
-            pack_transposed(hq, nd, d, &mut qht);
-            static_rows_attend(sq, &kht, hv, scale, [ns, nd, d], w_stat, out_stat);
-            history_rows_score(sk, &qht, scale, [ns, nd, d], w_hist, ns);
-            history_rows_finish(sv, [ns, nd, d], w_hist, out_dyn);
-        }
-    });
-}
-
-/// Backward pass of [`attention_cross_rows_into`], over the same split,
-/// strided operands: slice `b`'s static Q/K/V rows at `b · stat_stride` in
-/// `stat`, its history rows at `b · hist_stride` in `hist` (an interleaved
-/// projection is passed as the forward takes it). Given the forward's saved
-/// `weights` and the upstream gradient `d_out` of the interleaved
-/// `[bs, ns + nd, d]` context, **adds** the static rows' gradients into
-/// `stat_grads` (`[bs, ns, d]` each, Q/K/V) and the history rows' into
-/// `hist_grads` (`[bs, nd, d]` each) — pass zeroed buffers for plain
-/// gradients. Only admitted pairs are touched — `8·ns·nd·d` multiply-adds per
-/// slice where the dense tape spends `4·n²·d`.
+/// Backward pass of [`attention_cross_into`] for a history per slice
+/// (`h = bs, c = 1, ns0 = 0`, the tape's node): given the static rows'
+/// `[bs, ns, d]` Q/K/V `stat`, the history rows' `[bs, nd, d]` `hist`, the
+/// forward's saved `weights` and the upstream gradient `d_out` of the
+/// interleaved `[bs, ns + nd, d]` context, **adds** the static rows'
+/// gradients into `stat_grads` (`[bs, ns, d]` each, Q/K/V) and the history
+/// rows' into `hist_grads` (`[bs, nd, d]` each) — pass zeroed buffers for
+/// plain gradients. Only admitted pairs are touched — `8·ns·nd·d`
+/// multiply-adds per slice where the dense tape spends `4·n²·d`.
 ///
 /// **Bit-identical** to the dense tape's backward through
 /// `bmm → softmax(+ M) → scale → bmm_nt` under the cross mask, because every gradient
@@ -686,17 +611,14 @@ fn cross_rows_slices(
 /// over ascending `i`, each from a zero seed and skipping a zero multiplier
 /// as `matmul::naive`'s `nn` / `tn` chains do. A blocked weight is exactly
 /// `0.0`, so the dense path skips its term (or adds `±0` to `dot`, which
-/// can at most flip the sign of a zero `dS` that is then skipped). Where
-/// the operands live does not enter any chain.
+/// can at most flip the sign of a zero `dS` that is then skipped).
 ///
 /// # Panics
 /// Panics if any buffer is too small.
 #[allow(clippy::too_many_arguments)]
-pub fn attention_cross_rows_backward_into(
+pub fn attention_cross_backward_into(
     stat: [&[f32]; 3],
-    stat_stride: usize,
     hist: [&[f32]; 3],
-    hist_stride: usize,
     weights: &[f32],
     d_out: &[f32],
     scale: f32,
@@ -704,14 +626,14 @@ pub fn attention_cross_rows_backward_into(
     stat_grads: [&mut [f32]; 3],
     hist_grads: [&mut [f32]; 3],
 ) {
-    const NAME: &str = "attention_cross_rows_backward_into";
+    const NAME: &str = "attention_cross_backward_into";
     let n = ns + nd;
     if bs == 0 || ns == 0 || nd == 0 {
         return; // every row fully masked: all-zero weights, all-zero gradients
     }
-    for (side, block, stride) in [(stat, ns * d, stat_stride), (hist, nd * d, hist_stride)] {
+    for (side, len) in [(stat, bs * ns * d), (hist, bs * nd * d)] {
         for x in side {
-            assert!(x.len() >= (bs - 1) * stride + block, "{NAME}: Q/K/V operand too small");
+            assert!(x.len() >= len, "{NAME}: Q/K/V operand too small");
         }
     }
     assert!(d_out.len() >= bs * n * d, "{NAME}: d_out too small");
@@ -730,11 +652,9 @@ pub fn attention_cross_rows_backward_into(
     let work_per_slice = 8 * ns * nd * d;
     if super::dispatch::should_par(bs * work_per_slice, bs) {
         seqfm_parallel::par_units(seqfm_parallel::global(), grads, units, |b0, grads| {
-            cross_rows_backward_slices(
-                stat.map(|x| &x[b0 * stat_stride..]),
-                stat_stride,
-                hist.map(|x| &x[b0 * hist_stride..]),
-                hist_stride,
+            cross_backward_slices(
+                stat.map(|x| &x[b0 * ns * d..]),
+                hist.map(|x| &x[b0 * nd * d..]),
                 &weights[b0 * 2 * ns * nd..],
                 &d_out[b0 * n * d..],
                 scale,
@@ -743,29 +663,15 @@ pub fn attention_cross_rows_backward_into(
             );
         });
     } else {
-        let dims = [bs, ns, nd, d];
-        cross_rows_backward_slices(
-            stat,
-            stat_stride,
-            hist,
-            hist_stride,
-            weights,
-            d_out,
-            scale,
-            dims,
-            grads,
-        );
+        cross_backward_slices(stat, hist, weights, d_out, scale, [bs, ns, nd, d], grads);
     }
 }
 
-/// Serial body of [`attention_cross_rows_backward_into`] over `bs` slices;
+/// Serial body of [`attention_cross_backward_into`] over `bs` slices;
 /// `grads` is the static rows' dQ/dK/dV, then the history rows'.
-#[allow(clippy::too_many_arguments)]
-fn cross_rows_backward_slices(
+fn cross_backward_slices(
     stat: [&[f32]; 3],
-    stat_stride: usize,
     hist: [&[f32]; 3],
-    hist_stride: usize,
     weights: &[f32],
     d_out: &[f32],
     scale: f32,
@@ -779,8 +685,8 @@ fn cross_rows_backward_slices(
         let mut doht = ws.take(d * nd);
         let mut ds = ws.take(ns * nd);
         for b in 0..bs {
-            let [sq, sk, sv] = stat.map(|x| &x[b * stat_stride..][..ns * d]);
-            let [hq, hk, hv] = hist.map(|x| &x[b * hist_stride..][..nd * d]);
+            let [sq, sk, sv] = stat.map(|x| &x[b * ns * d..][..ns * d]);
+            let [hq, hk, hv] = hist.map(|x| &x[b * nd * d..][..nd * d]);
             let (do_s, do_h) = d_out[b * n * d..(b + 1) * n * d].split_at(ns * d);
             let [dq_s, dk_s, dv_s] =
                 [&mut *dq_s, &mut *dk_s, &mut *dv_s].map(|g| &mut g[b * ns * d..][..ns * d]);
@@ -1069,79 +975,149 @@ mod tests {
         attention_into(&q, &q, &q, None, 1.0, 1, 2, 4, &mut scratch, &mut out);
     }
 
-    /// A `[bs, ns, d]` static block as the shared-history kernel takes it:
-    /// slice 0's leading `ns0` rows become the rows every slice shares, and
-    /// each slice keeps its rows `ns0..` as its own.
-    fn split_static(s: &[f32], bs: usize, ns: usize, ns0: usize, d: usize) -> (Vec<f32>, Vec<f32>) {
-        let own = (0..bs).flat_map(|b| s[(b * ns + ns0) * d..(b + 1) * ns * d].to_vec());
-        (s[..ns0 * d].to_vec(), own.collect())
+    /// Bit patterns, so `-0.0` ≠ `0.0` and equal NaNs compare equal.
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// `[bs, ns0 + ns1 + nd, d]`: the shared rows `s0`, slice `b`'s own rows
-    /// of `s1` and the shared `[nd, d]` block `h` spliced into every slice —
-    /// the layout the dense kernels want.
-    fn splice(s0: &[f32], s1: &[f32], h: &[f32], [bs, ns0, ns1, nd, d]: [usize; 5]) -> Vec<f32> {
-        let mut full = Vec::new();
-        for b in 0..bs {
-            full.extend_from_slice(&s0[..ns0 * d]);
-            full.extend_from_slice(&s1[b * ns1 * d..(b + 1) * ns1 * d]);
-            full.extend_from_slice(&h[..nd * d]);
-        }
-        full
+    fn rand_vec(len: usize, seed: &mut u64) -> Vec<f32> {
+        rand_tensor(Shape::d1(len), seed).data().to_vec()
     }
 
-    /// Runs the structured kernel on `[qs, ks, vs]` (`[bs, ns, d]`, split at
-    /// `ns0` by [`split_static`]) × `[qh, kh, vh]`, asserts it equals splice +
-    /// the dense masked oracle bit for bit, and returns the context.
-    fn assert_cross_shared_exact_matches_dense(
+    fn refs(x: &[Vec<f32>; 3]) -> [&[f32]; 3] {
+        x.each_ref().map(Vec::as_slice)
+    }
+
+    /// Every `[h, c, ns0]` layout of `b` slices the callers use or could:
+    /// one history under every slice (the frozen forward), a history per
+    /// slice (the tape), and several histories under several slices each —
+    /// each with none, some and all of the static rows shared.
+    fn layouts(b: usize, ns: usize) -> impl Iterator<Item = [usize; 3]> {
+        [(1, b), (b, 1), (3, 4)]
+            .into_iter()
+            .flat_map(move |(h, c)| (0..=ns).map(move |ns0| [h, c, ns0]))
+    }
+
+    /// [`attention_cross_into`] at `[h, c, ns0, ns − ns0, nd, d]` against the
+    /// dense tape ops (`bmm_nt → scale → softmax(+ M) → bmm`) and the dense
+    /// masked oracle, each over the spliced `[h·c, ns + nd, d]` stack.
+    /// `stat` (`[h·c, ns, d]`) and `hist` (`[h·c, nd, d]`) give every slice
+    /// its rows; the kernel takes the leading `ns0` static rows and the
+    /// history of each history's first slice as shared, and the oracles run
+    /// on exactly what it sees. Asserts context and weights bit for bit;
+    /// with `c = 1` and a `d_out`, also the six gradients of
+    /// [`attention_cross_backward_into`]. Returns the context.
+    fn cross_vs_oracle(
         stat: [&[f32]; 3],
         hist: [&[f32]; 3],
-        [bs, ns, nd, d]: [usize; 4],
-        ns0: usize,
+        [h, c, ns0, ns, nd, d]: [usize; 6],
+        d_out: Option<&[f32]>,
     ) -> Vec<f32> {
-        let n = ns + nd;
-        let dims = [bs, ns0, ns - ns0, nd, d];
+        let (bs, n, ns1) = (h * c, ns + nd, ns - ns0);
         let scale = 1.0 / (d as f32).sqrt();
-        let split = stat.map(|s| split_static(s, bs, ns, ns0, d));
-        let [fq, fk, fv] = [0, 1, 2].map(|i| splice(&split[i].0, &split[i].1, hist[i], dims));
-        let mut scratch = vec![0.0f32; bs * n * n];
-        let mut dense = vec![0.0f32; bs * n * d];
-        let mask = cross_mask(ns, nd);
-        attention_masked_into([&fq, &fk, &fv], &mask, scale, [bs, n, d], &mut scratch, &mut dense);
+        let what = format!("h={h} c={c} ns0={ns0} ns={ns} nd={nd} d={d}");
+        let shared = stat.map(|x| (0..h).flat_map(|g| x[g * c * ns * d..][..ns0 * d].to_vec()));
+        let shared: [Vec<f32>; 3] = shared.map(Iterator::collect);
+        let own =
+            stat.map(|x| (0..bs).flat_map(|s| x[(s * ns + ns0) * d..(s + 1) * ns * d].to_vec()));
+        let own: [Vec<f32>; 3] = own.map(Iterator::collect);
+        let hist: [Vec<f32>; 3] =
+            hist.map(|x| (0..h).flat_map(|g| x[g * c * nd * d..][..nd * d].to_vec()).collect());
+        let full = [0, 1, 2].map(|i| {
+            let mut x = Vec::with_capacity(bs * n * d);
+            for s in 0..bs {
+                let g = s / c;
+                x.extend_from_slice(&shared[i][g * ns0 * d..(g + 1) * ns0 * d]);
+                x.extend_from_slice(&own[i][s * ns1 * d..(s + 1) * ns1 * d]);
+                x.extend_from_slice(&hist[i][g * nd * d..(g + 1) * nd * d]);
+            }
+            Tensor::from_vec(Shape::d3(bs, n, d), x)
+        });
 
-        // Right-sized scratch: the structured kernel's own contract.
-        let mut scratch = vec![0.0f32; bs * ns * nd];
-        let mut structured = vec![f32::NAN; bs * n * d];
-        attention_cross_shared_into(
-            [&split[0].0, &split[1].0, &split[2].0],
-            [&split[0].1, &split[1].1, &split[2].1],
+        // The dense references, which agree with each other.
+        let [q, k, v] = &full;
+        let mask = cross_mask(ns, nd);
+        let attn = softmax_lastdim_masked(&ew::scale(&bmm_nt(q, k), scale), &mask);
+        let want = bmm_nn(&attn, v);
+        let mut dense_w = vec![f32::NAN; bs * n * n];
+        let mut dense = vec![f32::NAN; bs * n * d];
+        let qkv = [q.data(), k.data(), v.data()];
+        attention_masked_into(qkv, &mask, scale, [bs, n, d], &mut dense_w, &mut dense);
+        assert_eq!(bits(&dense), bits(want.data()), "{what}: oracle vs tape ops");
+
+        let mut weights = vec![f32::NAN; bs * 2 * ns * nd];
+        let mut out = vec![f32::NAN; bs * n * d];
+        let dims = [h, c, ns0, ns1, nd, d];
+        let [shared, own, hist] = [&shared, &own, &hist].map(refs);
+        attention_cross_into(shared, own, hist, scale, dims, Some(&mut weights), &mut out);
+        assert_eq!(bits(&out), bits(want.data()), "{what}: context");
+        let mut unkept = vec![f32::NAN; bs * n * d];
+        attention_cross_into(shared, own, hist, scale, dims, None, &mut unkept);
+        assert_eq!(bits(&unkept), bits(want.data()), "{what}: context without weights");
+        for s in 0..bs {
+            let (w_stat, w_hist) =
+                weights[s * 2 * ns * nd..(s + 1) * 2 * ns * nd].split_at(ns * nd);
+            for i in 0..ns {
+                for j in 0..nd {
+                    let (a, b) = (attn.at3(s, i, ns + j), attn.at3(s, ns + j, i));
+                    assert_eq!(
+                        w_stat[i * nd + j].to_bits(),
+                        a.to_bits(),
+                        "{what}: weight {s},{i},{j}"
+                    );
+                    assert_eq!(
+                        w_hist[j * ns + i].to_bits(),
+                        b.to_bits(),
+                        "{what}: weight {s},{j},{i}"
+                    );
+                }
+            }
+        }
+
+        let Some(d_out) = d_out.filter(|_| c == 1) else { return out };
+        let d_o = Tensor::from_vec(Shape::d3(bs, n, d), d_out[..bs * n * d].to_vec());
+        let d_attn = bmm_nt(&d_o, v);
+        let want_dv = crate::bmm_tn(&attn, &d_o);
+        let d_scores = ew::scale(&crate::softmax_backward_lastdim(&attn, &d_attn), scale);
+        let want =
+            [(bmm_nn(&d_scores, k), "dq"), (crate::bmm_tn(&d_scores, q), "dk"), (want_dv, "dv")];
+        let mut sg = [(); 3].map(|()| vec![0.0f32; bs * ns * d]);
+        let mut hg = [(); 3].map(|()| vec![0.0f32; bs * nd * d]);
+        let [sq, sk, sv] = &mut sg;
+        let [hq, hk, hv] = &mut hg;
+        let dims = [bs, ns, nd, d];
+        let stat = [0, 1, 2].map(|i| &stat[i][..bs * ns * d]);
+        attention_cross_backward_into(
+            stat,
             hist,
+            &weights,
+            d_out,
             scale,
             dims,
-            &mut scratch,
-            &mut structured,
+            [sq, sk, sv],
+            [hq, hk, hv],
         );
-        for (i, (&a, &b)) in dense.iter().zip(&structured).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "bs={bs} ns0={ns0} ns={ns} nd={nd} d={d}: element {i} diverges ({a} vs {b})"
-            );
+        let rows = |x: &[f32], lo: usize, len: usize| -> Vec<f32> {
+            (0..bs).flat_map(|s| x[(s * n + lo) * d..(s * n + lo + len) * d].to_vec()).collect()
+        };
+        for ((s, h), (want, name)) in sg.iter().zip(&hg).zip(&want) {
+            assert_eq!(bits(s), bits(&rows(want.data(), 0, ns)), "{what}: static {name}");
+            assert_eq!(bits(h), bits(&rows(want.data(), ns, nd)), "{what}: history {name}");
         }
-        structured
+        out
     }
 
-    #[test]
-    fn cross_shared_exact_matches_dense_masked_exact_bitwise() {
-        // Serving and retrieval geometry, odd shapes, an exact vector chunk
-        // and a ragged tail of history columns (nd = 8, 16 / 13, 20), a
-        // width with a ragged lane tail (d = 7), and both empty sides — each
-        // with none, some and all (`ns1 = 0`) of its static rows shared. CI
-        // runs this under the default and `SEQFM_WORKERS=4` arms (the
-        // first shape clears the fan-out threshold, so the latter
-        // partitions it across the pool, one prelude per chunk).
-        for &(bs, ns, nd, d) in &[
-            (100usize, 2usize, 20usize, 32usize),
+    /// Every cross geometry, at every `ns0 ∈ 0..=ns`, in the `(h, c)`
+    /// layout `layout(b)` picks, through [`cross_vs_oracle`] with a `d_out`.
+    /// Training and serving geometry, odd shapes, an exact vector chunk and
+    /// a ragged tail of history columns (nd = 8, 16 / 13, 20), a width with
+    /// a ragged lane tail (d = 7), and both empty sides. CI runs the callers
+    /// under the default and `SEQFM_WORKERS=4` arms (the first shapes clear
+    /// the fan-out threshold, so the latter partitions them across the pool).
+    fn cross_sweep(layout: impl Fn(usize) -> (usize, usize)) {
+        for &(b, ns, nd, d) in &[
+            (128usize, 2usize, 20usize, 32usize),
+            (100, 2, 20, 32),
             (64, 2, 20, 32),
             (3, 2, 13, 16),
             (2, 2, 8, 8),
@@ -1151,17 +1127,72 @@ mod tests {
             (1, 2, 0, 4),
             (2, 0, 4, 4),
         ] {
-            let mut seed = 211 + (bs * 7 + ns * 31 + nd) as u64;
-            let stat = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns.max(1), d), &mut seed));
-            let hist = [(); 3].map(|()| rand_tensor(Shape::d2(nd.max(1), d), &mut seed));
+            let (h, c) = layout(b);
             for ns0 in 0..=ns {
-                assert_cross_shared_exact_matches_dense(
-                    [stat[0].data(), stat[1].data(), stat[2].data()],
-                    [hist[0].data(), hist[1].data(), hist[2].data()],
-                    [bs, ns, nd, d],
-                    ns0,
-                );
+                let mut seed = 211 + (b * 7 + ns * 31 + nd + h * 5 + ns0) as u64;
+                let bs = h * c;
+                let stat = [(); 3].map(|()| rand_vec(bs * ns * d, &mut seed));
+                let hist = [(); 3].map(|()| rand_vec(bs * nd * d, &mut seed));
+                let d_out = rand_vec(bs * (ns + nd) * d, &mut seed);
+                let dims = [h, c, ns0, ns, nd, d];
+                cross_vs_oracle(refs(&stat), refs(&hist), dims, Some(&d_out));
             }
+        }
+    }
+
+    #[test]
+    fn cross_shared_exact_matches_dense_masked_exact_bitwise() {
+        // One history under every slice (the frozen forward): context and
+        // weights.
+        cross_sweep(|b| (1, b));
+    }
+
+    #[test]
+    fn cross_rows_forward_and_backward_match_the_dense_tape_ops_bitwise() {
+        // A history per slice (the tape): context, weights and the six
+        // gradients.
+        cross_sweep(|b| (b, 1));
+    }
+
+    #[test]
+    fn cross_forward_over_several_histories_matches_the_dense_oracle_bitwise() {
+        // Several histories under four slices each, about `b` slices in all
+        // (at least 3 histories; the large geometries clear the fan-out
+        // threshold): context and weights. The backward takes a history per
+        // slice and is covered by the `c = 1` layouts.
+        cross_sweep(|b| (b.div_ceil(4).max(3), 4));
+    }
+
+    #[test]
+    fn one_history_under_b_slices_equals_it_repeated_bitwise() {
+        // The frozen forward's call (`h = 1, c = b`) and the tape's
+        // (`h = b, c = 1`) over the same history repeated `b` times, with and
+        // without a shared user row: context and weights, bit for bit.
+        let (b, ns, nd, d) = (100usize, 2usize, 20usize, 32usize);
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut seed = 503;
+        for ns0 in [0, 1] {
+            let ns1 = ns - ns0;
+            let shared = [(); 3].map(|()| rand_vec(ns0 * d, &mut seed));
+            let own = [(); 3].map(|()| rand_vec(b * ns1 * d, &mut seed));
+            let hist = [(); 3].map(|()| rand_vec(nd * d, &mut seed));
+            let run = |h: usize, c: usize| {
+                let [shared, hist] = [&shared, &hist].map(|x| x.each_ref().map(|x| x.repeat(h)));
+                let mut weights = vec![f32::NAN; b * 2 * ns * nd];
+                let mut out = vec![f32::NAN; b * (ns + nd) * d];
+                let dims = [h, c, ns0, ns1, nd, d];
+                attention_cross_into(
+                    refs(&shared),
+                    refs(&own),
+                    refs(&hist),
+                    scale,
+                    dims,
+                    Some(&mut weights),
+                    &mut out,
+                );
+                [bits(&out), bits(&weights)]
+            };
+            assert_eq!(run(1, b), run(b, 1), "ns0={ns0}");
         }
     }
 
@@ -1174,165 +1205,43 @@ mod tests {
         // NaN. Both admitted blocks get such a column, and static column 0
         // (the one carrying it) is driven both as each slice's own row and
         // as the shared row, where its score column comes from the prelude.
-        let (bs, ns, nd, d) = (3usize, 2usize, 20usize, 32usize);
+        let (b, ns, nd, d) = (12usize, 2usize, 20usize, 32usize);
         let mut seed = 977;
-        let mut stat = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns, d), &mut seed));
-        let mut hist = [(); 3].map(|()| rand_tensor(Shape::d2(nd, d), &mut seed));
+        let mut stat = [(); 3].map(|()| rand_vec(b * ns * d, &mut seed));
+        let mut hist = [(); 3].map(|()| rand_vec(nd * d, &mut seed));
         let (j, r) = (5usize, 11usize);
         // Static rows vs history column `j`: q·k ≈ −1200 → ·1/√32 ≈ −212.
-        for row in stat[0].data_mut().chunks_exact_mut(d) {
+        for row in stat[0].chunks_exact_mut(d) {
             row[0] = 30.0;
         }
-        for (jj, row) in hist[1].data_mut().chunks_exact_mut(d).enumerate() {
+        for (jj, row) in hist[1].chunks_exact_mut(d).enumerate() {
             row[0] = if jj == j { -40.0 } else { 0.0 };
         }
-        hist[2].data_mut()[j * d..(j + 1) * d].fill(f32::INFINITY);
+        hist[2][j * d..(j + 1) * d].fill(f32::INFINITY);
         // History row `r` vs static column 0 of every slice, likewise (on
         // coordinate 1, so the two constructions do not interact).
-        for (rr, row) in hist[0].data_mut().chunks_exact_mut(d).enumerate() {
+        for (rr, row) in hist[0].chunks_exact_mut(d).enumerate() {
             row[1] = if rr == r { 30.0 } else { 0.0 };
         }
-        for (c, row) in stat[1].data_mut().chunks_exact_mut(d).enumerate() {
+        for (c, row) in stat[1].chunks_exact_mut(d).enumerate() {
             row[1] = if c % ns == 0 { -40.0 } else { 0.0 };
         }
-        for slice in stat[2].data_mut().chunks_exact_mut(ns * d) {
+        for slice in stat[2].chunks_exact_mut(ns * d) {
             slice[..d].fill(f32::INFINITY);
         }
-        let stat_d = [stat[0].data(), stat[1].data(), stat[2].data()];
-        let hist_d = [hist[0].data(), hist[1].data(), hist[2].data()];
-        for ns0 in 0..=ns {
-            let out = assert_cross_shared_exact_matches_dense(stat_d, hist_d, [bs, ns, nd, d], ns0);
+        let hist = hist.map(|x| x.repeat(b));
+        for [h, c, ns0] in layouts(b, ns) {
+            let out = cross_vs_oracle(refs(&stat), refs(&hist), [h, c, ns0, ns, nd, d], None);
 
             // The skip is what keeps those rows finite: static rows never
             // absorb column j's ∞, and history row r never absorbs column 0's.
             let n = ns + nd;
-            for b in 0..bs {
-                let slice = &out[b * n * d..(b + 1) * n * d];
-                assert!(slice[..ns * d].iter().all(|v| v.is_finite()), "slice {b}: static rows");
+            for s in 0..b {
+                let slice = &out[s * n * d..(s + 1) * n * d];
+                assert!(slice[..ns * d].iter().all(|v| v.is_finite()), "slice {s}: static rows");
                 let hist_row = &slice[(ns + r) * d..(ns + r + 1) * d];
-                assert!(hist_row.iter().all(|v| v.is_finite()), "slice {b}: history row {r}");
+                assert!(hist_row.iter().all(|v| v.is_finite()), "slice {s}: history row {r}");
             }
-        }
-    }
-
-    /// Bit patterns, so `-0.0` ≠ `0.0` and equal NaNs compare equal.
-    fn bits(x: &[f32]) -> Vec<u32> {
-        x.iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// The per-row structured kernels against the dense tape ops on
-    /// interleaved `[bs, ns + nd, d]` operands: context, saved weights and
-    /// all three gradients, bit for bit.
-    fn assert_cross_rows_match_dense(qkv: &[Tensor; 3], d_out: &Tensor, ns: usize) {
-        let [q, k, v] = qkv;
-        let (bs, n, d) = (q.shape().dim(0), q.shape().dim(1), q.shape().dim(2));
-        let nd = n - ns;
-        let scale = 1.0 / (d as f32).sqrt();
-        let what = format!("bs={bs} ns={ns} nd={nd} d={d}");
-
-        // Reference: the op sequence the dense tape records, and its backward.
-        let mask = cross_mask(ns, nd);
-        let attn = softmax_lastdim_masked(&ew::scale(&bmm_nt(q, k), scale), &mask);
-        let want_out = bmm_nn(&attn, v);
-        let d_attn = bmm_nt(d_out, v);
-        let want_dv = crate::bmm_tn(&attn, d_out);
-        let d_scores = ew::scale(&crate::softmax_backward_lastdim(&attn, &d_attn), scale);
-        let want_dq = bmm_nn(&d_scores, k);
-        let want_dk = crate::bmm_tn(&d_scores, q);
-
-        let data = [q.data(), k.data(), v.data()];
-        let hist = data.map(|x| x.get(ns * d..).unwrap_or_default());
-        let mut weights = vec![f32::NAN; bs * 2 * ns * nd];
-        let mut out = vec![f32::NAN; bs * n * d];
-        let dims = [bs, ns, nd, d];
-        attention_cross_rows_into(data, n * d, hist, n * d, scale, dims, &mut weights, &mut out);
-        assert_eq!(bits(&out), bits(want_out.data()), "{what}: context");
-        for b in 0..bs {
-            let (w_stat, w_hist) =
-                weights[b * 2 * ns * nd..(b + 1) * 2 * ns * nd].split_at(ns * nd);
-            for i in 0..ns {
-                for j in 0..nd {
-                    assert_eq!(w_stat[i * nd + j].to_bits(), attn.at3(b, i, ns + j).to_bits());
-                    assert_eq!(w_hist[j * ns + i].to_bits(), attn.at3(b, ns + j, i).to_bits());
-                }
-            }
-        }
-
-        // The same rows as two separately laid-out blocks (the frozen
-        // forward's layout): same bits.
-        let split = |x: &[f32], lo: usize, rows: usize| -> Vec<f32> {
-            x.chunks_exact(n * d).flat_map(|s| s[lo * d..(lo + rows) * d].to_vec()).collect()
-        };
-        let stat = data.map(|x| split(x, 0, ns));
-        let hist = data.map(|x| split(x, ns, nd));
-        let mut out_split = vec![f32::NAN; bs * n * d];
-        attention_cross_rows_into(
-            [&stat[0], &stat[1], &stat[2]],
-            ns * d,
-            [&hist[0], &hist[1], &hist[2]],
-            nd * d,
-            scale,
-            dims,
-            &mut weights,
-            &mut out_split,
-        );
-        assert_eq!(bits(&out_split), bits(&out), "{what}: split layout");
-
-        // The backward, on both layouts: static and history gradients come
-        // back separately, each the oracle's rows bit for bit.
-        let want = [(want_dq, "dq"), (want_dk, "dk"), (want_dv, "dv")];
-        let hist_interleaved = data.map(|x| x.get(ns * d..).unwrap_or_default());
-        let layouts = [
-            ("interleaved", data, n * d, hist_interleaved, n * d),
-            (
-                "split",
-                stat.each_ref().map(|x| &x[..]),
-                ns * d,
-                hist.each_ref().map(|x| &x[..]),
-                nd * d,
-            ),
-        ];
-        for (layout, stat, stat_stride, hist, hist_stride) in layouts {
-            let mut sg = [(); 3].map(|()| vec![0.0f32; bs * ns * d]);
-            let mut hg = [(); 3].map(|()| vec![0.0f32; bs * nd * d]);
-            let [sq, sk, sv] = &mut sg;
-            let [hq, hk, hv] = &mut hg;
-            attention_cross_rows_backward_into(
-                stat,
-                stat_stride,
-                hist,
-                hist_stride,
-                &weights,
-                d_out.data(),
-                scale,
-                dims,
-                [sq, sk, sv],
-                [hq, hk, hv],
-            );
-            for ((s, h), (want, name)) in sg.iter().zip(&hg).zip(&want) {
-                let w = want.data();
-                assert_eq!(bits(s), bits(&split(w, 0, ns)), "{what} ({layout}): static {name}");
-                assert_eq!(bits(h), bits(&split(w, ns, nd)), "{what} ({layout}): history {name}");
-            }
-        }
-    }
-
-    #[test]
-    fn cross_rows_forward_and_backward_match_the_dense_tape_ops_bitwise() {
-        // Training geometry (clears the fan-out threshold under
-        // `SEQFM_WORKERS=4`), ragged lane tails, both empty sides.
-        for &(bs, ns, nd, d) in &[
-            (128usize, 2usize, 20usize, 32usize),
-            (3, 2, 13, 16),
-            (2, 3, 5, 7),
-            (4, 1, 3, 8),
-            (1, 2, 0, 4),
-            (2, 0, 4, 4),
-        ] {
-            let mut seed = 401 + (bs * 7 + ns * 31 + nd) as u64;
-            let qkv = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns + nd, d), &mut seed));
-            let d_out = rand_tensor(Shape::d3(bs, ns + nd, d), &mut seed);
-            assert_cross_rows_match_dense(&qkv, &d_out, ns);
         }
     }
 
@@ -1344,26 +1253,27 @@ mod tests {
         // `tn` chains take must be taken here (a `-0.0` for a `+0.0` would
         // show in the bits).
         let (bs, ns, nd, d) = (3usize, 2usize, 6usize, 8usize);
+        let n = ns + nd;
         let mut seed = 1201;
-        let mut qkv = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns + nd, d), &mut seed));
-        let mut d_out = rand_tensor(Shape::d3(bs, ns + nd, d), &mut seed);
+        let mut stat = [(); 3].map(|()| rand_vec(bs * ns * d, &mut seed));
+        let mut hist = [(); 3].map(|()| rand_vec(bs * nd * d, &mut seed));
+        let mut d_out = rand_vec(bs * n * d, &mut seed);
         for b in 0..bs {
-            for pad_row in ns..ns + 2 {
-                let row = (b * (ns + nd) + pad_row) * d;
-                for t in &mut qkv {
-                    t.data_mut()[row..row + d].fill(0.0);
-                }
-                d_out.data_mut()[row..row + d].fill(0.0);
+            let [at_s, at_h] = [ns, nd].map(|rows| move |r: usize| (b * rows + r) * d);
+            for t in &mut hist {
+                t[at_h(0)..at_h(2)].fill(0.0);
             }
+            d_out[(b * n + ns) * d..(b * n + ns + 2) * d].fill(0.0);
             // Static row 0 vs history column 4, and history row 5 vs static
             // column 1: scores ≈ −1200/√8, far below the row max.
-            let at = |r: usize| (b * (ns + nd) + r) * d;
-            qkv[0].data_mut()[at(0)] = 30.0;
-            qkv[1].data_mut()[at(ns + 4)] = -40.0;
-            qkv[0].data_mut()[at(ns + 5) + 1] = 30.0;
-            qkv[1].data_mut()[at(1) + 1] = -40.0;
+            stat[0][at_s(0)] = 30.0;
+            hist[1][at_h(4)] = -40.0;
+            hist[0][at_h(5) + 1] = 30.0;
+            stat[1][at_s(1) + 1] = -40.0;
         }
-        assert_cross_rows_match_dense(&qkv, &d_out, ns);
+        for ns0 in 0..=ns {
+            cross_vs_oracle(refs(&stat), refs(&hist), [bs, 1, ns0, ns, nd, d], Some(&d_out));
+        }
     }
 
     /// The causal kernels and the dense oracle on the same `[bs, n, d]`

@@ -24,8 +24,7 @@
 //!   the structured kernels of the two masked views that serving and the
 //!   autograd tape share: causal ([`attention_causal_into`],
 //!   [`attention_causal_backward_into`]) and cross-view
-//!   ([`attention_cross_shared_into`], [`attention_cross_rows_into`],
-//!   [`attention_cross_rows_backward_into`]).
+//!   ([`attention_cross_into`], [`attention_cross_backward_into`]).
 //! * [`testutil`]: test helpers and the kernels' reference oracle — the
 //!   dense masked attention pipeline and its additive masks — which nothing
 //!   outside tests and benches calls.
@@ -53,8 +52,8 @@ pub mod testutil;
 pub mod workspace;
 
 pub use kernels::attention::{
-    attention_causal_backward_into, attention_causal_into, attention_cross_rows_backward_into,
-    attention_cross_rows_into, attention_cross_shared_into, attention_into,
+    attention_causal_backward_into, attention_causal_into, attention_cross_backward_into,
+    attention_cross_into, attention_into,
 };
 pub use kernels::bmm::{bmm_nn, bmm_nn_into, bmm_nt, bmm_nt_into, bmm_tn, bmm_tn_into};
 pub use kernels::elementwise as ew;

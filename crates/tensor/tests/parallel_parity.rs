@@ -17,9 +17,9 @@
 use seqfm_tensor::kernels::matmul::naive;
 use seqfm_tensor::testutil::rand_tensor;
 use seqfm_tensor::{
-    attention_causal_backward_into, attention_causal_into, attention_cross_rows_backward_into,
-    attention_cross_rows_into, attention_cross_shared_into, attention_into, bmm_nn, bmm_nt,
-    matmul_nn, matmul_nt, matmul_tn, softmax_lastdim, softmax_rows_into, Shape, Tensor,
+    attention_causal_backward_into, attention_causal_into, attention_cross_backward_into,
+    attention_cross_into, attention_into, bmm_nn, bmm_nt, matmul_nn, matmul_nt, matmul_tn,
+    softmax_lastdim, softmax_rows_into, Shape, Tensor,
 };
 
 /// Large enough that m·k·n clears the 96 Ki-op dispatch threshold.
@@ -203,83 +203,77 @@ fn parallel_kernel_paths_match_serial_references_bitwise() {
         }
     }
 
-    // The structured per-row cross view, forward and backward, at the
-    // training geometry (both clear the threshold and fan out over slices)
-    // vs. the same kernels called one slice at a time — a single unit never
-    // leaves the caller's thread.
-    let (cb, ns, nd, cd) = (128usize, 2usize, 20usize, 32usize);
-    let (cn, wl) = (ns + nd, 2 * ns * nd);
-    let [cq, ck, cv, d_out] = [(); 4].map(|()| rand_tensor(Shape::d3(cb, cn, cd), &mut seed));
-    let scale = 1.0 / (cd as f32).sqrt();
-    let at = |x: &Tensor, lo: usize, slices: usize| -> Vec<f32> {
-        x.data()[lo * cn * cd..(lo + slices) * cn * cd].to_vec()
-    };
-    let run = |lo: usize, slices: usize| -> [Vec<f32>; 8] {
-        let qkv = [at(&cq, lo, slices), at(&ck, lo, slices), at(&cv, lo, slices)];
-        let qkv = [&qkv[0][..], &qkv[1][..], &qkv[2][..]];
-        let dims = [slices, ns, nd, cd];
-        let mut weights = vec![0.0f32; slices * wl];
-        let mut out = vec![0.0f32; slices * cn * cd];
-        let hist = qkv.map(|x| &x[ns * cd..]);
-        attention_cross_rows_into(qkv, cn * cd, hist, cn * cd, scale, dims, &mut weights, &mut out);
-        let mut stat_grads = [(); 3].map(|()| vec![0.0f32; slices * ns * cd]);
-        let mut hist_grads = [(); 3].map(|()| vec![0.0f32; slices * nd * cd]);
-        let [sq, sk, sv] = &mut stat_grads;
-        let [hq, hk, hv] = &mut hist_grads;
-        let d_out = at(&d_out, lo, slices);
-        attention_cross_rows_backward_into(
-            qkv,
-            cn * cd,
-            hist,
-            cn * cd,
-            &weights,
-            &d_out,
-            scale,
-            dims,
-            [sq, sk, sv],
-            [hq, hk, hv],
-        );
-        let [sq, sk, sv] = stat_grads;
-        let [hq, hk, hv] = hist_grads;
-        [weights, out, sq, sk, sv, hq, hk, hv]
-    };
-    let fanned = run(0, cb);
-    let names = ["weights", "context", "dq°", "dk°", "dv°", "dq˙", "dk˙", "dv˙"];
-    for bi in 0..cb {
-        for ((got, want), what) in fanned.iter().zip(run(bi, 1)).zip(names) {
-            let unit = want.len();
-            assert_eq!(got[bi * unit..(bi + 1) * unit], want, "cross rows {what}, slice {bi}");
-        }
-    }
-
-    // The shared-history cross view at the serving shape — one user row
-    // shared by 100 candidates (`ns0 = ns1 = 1`) — fans out over slices,
-    // every chunk building the packs and the shared-row prelude in its own
-    // worker's arena; vs. one slice per call, which stays on this thread.
-    let (sb, nd, sd) = (100usize, 20usize, 32usize);
-    let shared = [(); 3].map(|()| rand_tensor(Shape::d2(1, sd), &mut seed));
-    let own = [(); 3].map(|()| rand_tensor(Shape::d3(sb, 1, sd), &mut seed));
-    let hist = [(); 3].map(|()| rand_tensor(Shape::d2(nd, sd), &mut seed));
-    let [shared, own, hist] = [&shared, &own, &hist].map(|x| [0, 1, 2].map(|i| x[i].data()));
-    let unit = (2 + nd) * sd;
-    let run = |lo: usize, slices: usize| -> Vec<f32> {
-        let mut out = vec![f32::NAN; slices * unit];
-        attention_cross_shared_into(
-            shared,
-            own.map(|x| &x[lo * sd..(lo + slices) * sd]),
-            hist,
-            1.0 / (sd as f32).sqrt(),
-            [slices, 1, 1, nd, sd],
-            &mut vec![0.0f32; slices * 2 * nd],
-            &mut out,
-        );
-        out
-    };
+    // The cross view fans out over slices in three layouts, each vs. the
+    // same kernel called one slice at a time (a single unit never leaves the
+    // caller's thread): a history per slice at the training geometry,
+    // forward and backward (the tape's node); one history and one user row
+    // shared by 100 candidates (the frozen forward), every chunk building
+    // the packs and the shared-row prelude in its own worker's arena; and 5
+    // histories under 3 slices each, where the pool's chunks of 4 slices
+    // start at slices 4 and 8, inside a history, and must pack it and run
+    // its prelude themselves.
     let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-    let fanned = run(0, sb);
-    for bi in 0..sb {
-        let got = &fanned[bi * unit..(bi + 1) * unit];
-        assert_eq!(bits(got), bits(&run(bi, 1)), "cross shared, slice {bi}");
+    let names = ["weights", "context", "dq°", "dk°", "dv°", "dq˙", "dk˙", "dv˙"];
+    fn from(x: &[Tensor; 3], at: usize) -> [&[f32]; 3] {
+        x.each_ref().map(|t| &t.data()[at..])
+    }
+    for [h, c, ns0, ns1, nd, cd] in
+        [[128usize, 1, 0, 2, 20, 32], [1, 100, 1, 1, 20, 32], [5, 3, 1, 1, 20, 64]]
+    {
+        let (bs, ns) = (h * c, ns0 + ns1);
+        let (cn, wl) = (ns + nd, 2 * ns * nd);
+        let scale = 1.0 / (cd as f32).sqrt();
+        let [shared, own, hist] = [h * ns0, bs * ns1, h * nd]
+            .map(|rows| [(); 3].map(|()| rand_tensor(Shape::d2(rows, cd), &mut seed)));
+        let d_out = rand_tensor(Shape::d3(bs, cn, cd), &mut seed);
+        // Histories from `g`, slices from `s`, `hh × cc` of them.
+        let run = |g: usize, s: usize, [hh, cc]: [usize; 2]| -> Vec<Vec<f32>> {
+            let slices = hh * cc;
+            let mut weights = vec![f32::NAN; slices * wl];
+            let mut out = vec![f32::NAN; slices * cn * cd];
+            let (stat, hist) = (from(&own, s * ns1 * cd), from(&hist, g * nd * cd));
+            let dims = [hh, cc, ns0, ns1, nd, cd];
+            attention_cross_into(
+                from(&shared, g * ns0 * cd),
+                stat,
+                hist,
+                scale,
+                dims,
+                Some(&mut weights),
+                &mut out,
+            );
+            if c > 1 || ns0 > 0 {
+                return vec![weights, out];
+            }
+            let mut grads = [ns, ns, ns, nd, nd, nd].map(|rows| vec![0.0f32; slices * rows * cd]);
+            let [sq, sk, sv, hq, hk, hv] = &mut grads;
+            attention_cross_backward_into(
+                stat,
+                hist,
+                &weights,
+                &d_out.data()[s * cn * cd..],
+                scale,
+                [slices, ns, nd, cd],
+                [sq, sk, sv],
+                [hq, hk, hv],
+            );
+            [weights, out].into_iter().chain(grads).collect()
+        };
+        let fanned = run(0, 0, [h, c]);
+        // The frozen forward keeps no weights: the fan-out then splits the
+        // context alone, to the same bits.
+        let mut unkept = vec![f32::NAN; bs * cn * cd];
+        let dims = [h, c, ns0, ns1, nd, cd];
+        let [shared, own, hist] = [&shared, &own, &hist].map(|x| from(x, 0));
+        attention_cross_into(shared, own, hist, scale, dims, None, &mut unkept);
+        assert_eq!(bits(&unkept), bits(&fanned[1]), "cross h={h} c={c}: context without weights");
+        for s in 0..bs {
+            for ((got, want), what) in fanned.iter().zip(run(s / c, s, [1, 1])).zip(names) {
+                let unit = want.len();
+                let got = &got[s * unit..(s + 1) * unit];
+                assert_eq!(bits(got), bits(&want), "cross h={h} c={c}: {what}, slice {s}");
+            }
+        }
     }
 
     // A padded training batch through the dispatching entry points: sessions

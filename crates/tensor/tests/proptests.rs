@@ -6,7 +6,7 @@ use seqfm_tensor::testutil::{
     softmax_lastdim_masked,
 };
 use seqfm_tensor::{
-    attention_causal_backward_into, attention_causal_into, attention_cross_shared_into, bmm_nn, ew,
+    attention_causal_backward_into, attention_causal_into, attention_cross_into, bmm_nn, ew,
     matmul_nn, matmul_nt, matmul_tn, reduce, softmax_lastdim, Shape, Tensor,
 };
 
@@ -117,66 +117,71 @@ proptest! {
         prop_assert_eq!(a.data(), r.data());
     }
 
-    /// The structured shared-history cross kernel — the one attention kernel
-    /// both serving profiles run — equals splicing the shared static rows and
-    /// the history into every slice and running the dense masked kernel, bit
-    /// for bit, at any geometry (empty sides, none / some / all of the
-    /// static rows shared, ragged lane tails, and batches big enough to fan
-    /// out under `SEQFM_WORKERS=4`).
+    /// The one cross-view kernel — the tape's node and the frozen forward's
+    /// cross view — equals splicing each slice's shared static rows, own
+    /// rows and history into one block and running the dense masked kernel,
+    /// context and weights bit for bit, at any geometry (empty sides, none /
+    /// some / all of the static rows shared, one or several histories under
+    /// one or several slices each, ragged lane tails, and batches big enough
+    /// to fan out under `SEQFM_WORKERS=4`).
     #[test]
     fn cross_shared_equals_spliced_dense_masked_bitwise(
-        bs in 1usize..10,
+        h in 1usize..4,
+        c in 1usize..10,
         ns in 0usize..4,
         shared_rows in 0usize..3,
         nd in 0usize..25,
         d in 1usize..41,
         salt in 0u64..u64::MAX,
     ) {
-        let n = ns + nd;
+        let (bs, n) = (h * c, ns + nd);
         prop_assume!(n > 0); // the dense reference has no zero-width rows
         let ns0 = shared_rows.min(ns);
         let ns1 = ns - ns0;
         let scale = 1.0 / (d as f32).sqrt();
         let mut seed = salt | 1;
-        let shared = [(); 3].map(|()| rand_tensor(Shape::d2(ns0.max(1), d), &mut seed));
-        let own = [(); 3].map(|()| rand_tensor(Shape::d3(bs, ns1.max(1), d), &mut seed));
-        let hist = [(); 3].map(|()| rand_tensor(Shape::d2(nd.max(1), d), &mut seed));
+        let [shared, own, hist] = [h * ns0, bs * ns1, h * nd]
+            .map(|rows| [(); 3].map(|()| rand_tensor(Shape::d2(rows, d), &mut seed)));
 
         let [fq, fk, fv] = [0, 1, 2].map(|i| {
-            let mut full = vec![0.0f32; bs * n * d];
-            for (b, slice) in full.chunks_exact_mut(n * d).enumerate().take(bs) {
-                slice[..ns0 * d].copy_from_slice(&shared[i].data()[..ns0 * d]);
-                slice[ns0 * d..ns * d]
-                    .copy_from_slice(&own[i].data()[b * ns1 * d..(b + 1) * ns1 * d]);
-                slice[ns * d..].copy_from_slice(&hist[i].data()[..nd * d]);
+            let mut full = Vec::with_capacity(bs * n * d);
+            for s in 0..bs {
+                let g = s / c;
+                full.extend_from_slice(&shared[i].data()[g * ns0 * d..(g + 1) * ns0 * d]);
+                full.extend_from_slice(&own[i].data()[s * ns1 * d..(s + 1) * ns1 * d]);
+                full.extend_from_slice(&hist[i].data()[g * nd * d..(g + 1) * nd * d]);
             }
             full
         });
+        let mut dense_w = vec![0.0f32; bs * n * n];
         let mut dense = vec![0.0f32; bs * n * d];
-        attention_masked_into(
-            [&fq, &fk, &fv],
-            &cross_mask(ns, nd),
-            scale,
-            [bs, n, d],
-            &mut vec![0.0f32; bs * n * n],
-            &mut dense,
-        );
+        let qkv = [&fq[..], &fk, &fv];
+        attention_masked_into(qkv, &cross_mask(ns, nd), scale, [bs, n, d], &mut dense_w, &mut dense);
 
+        let mut weights = vec![f32::NAN; bs * 2 * ns * nd];
         let mut structured = vec![f32::NAN; bs * n * d];
-        attention_cross_shared_into(
-            [shared[0].data(), shared[1].data(), shared[2].data()],
-            [own[0].data(), own[1].data(), own[2].data()],
-            [hist[0].data(), hist[1].data(), hist[2].data()],
-            scale,
-            [bs, ns0, ns1, nd, d],
-            &mut vec![0.0f32; bs * ns * nd],
-            &mut structured,
+        let [shared, own, hist] = [&shared, &own, &hist].map(|x| x.each_ref().map(Tensor::data));
+        let dims = [h, c, ns0, ns1, nd, d];
+        attention_cross_into(shared, own, hist, scale, dims, Some(&mut weights), &mut structured);
+        let mut unkept = vec![f32::NAN; bs * n * d];
+        attention_cross_into(shared, own, hist, scale, dims, None, &mut unkept);
+        prop_assert_eq!(
+            structured.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            unkept.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
         for (i, (a, b)) in dense.iter().zip(&structured).enumerate() {
             prop_assert_eq!(
                 a.to_bits(), b.to_bits(),
-                "bs={} ns0={} ns1={} nd={} d={}: element {}", bs, ns0, ns1, nd, d, i
+                "h={} c={} ns0={} ns1={} nd={} d={}: element {}", h, c, ns0, ns1, nd, d, i
             );
+        }
+        for s in 0..bs {
+            let w = &weights[s * 2 * ns * nd..(s + 1) * 2 * ns * nd];
+            let dense_w = &dense_w[s * n * n..(s + 1) * n * n];
+            for (i, j) in (0..ns).flat_map(|i| (0..nd).map(move |j| (i, j))) {
+                prop_assert_eq!(w[i * nd + j].to_bits(), dense_w[i * n + ns + j].to_bits());
+                prop_assert_eq!(w[ns * nd + j * ns + i].to_bits(), dense_w[(ns + j) * n + i].to_bits());
+            }
         }
     }
 
